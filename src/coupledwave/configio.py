@@ -11,7 +11,7 @@ reproduces any run.  Example:
       "damping1": {"family": "zero"},
       "damping2": {"family": "power-decay", "mu": 0.5, "beta": 2.0},
       "data": {"k": 3, "amplitudes": [4.0, 4.0, 4.0, 4.0]},
-      "kernels": {"lambda0": 1.0, "quad_nodes": 64, "offset": 0.1},
+      "kernels": {"lambda0": 1.0, "quad_nodes": 64},
       "sweep": {"eps_values": [1.6, 1.4, 1.2, 1.0], "repeats": 2}
     }
 """
@@ -42,8 +42,7 @@ DEFAULT_CONFIG = {
     "damping1": {"family": "zero", "mu": 0.0, "beta": 2.0},
     "damping2": {"family": "zero", "mu": 0.0, "beta": 2.0},
     "data": {"k": 3, "amplitudes": [4.0, 4.0, 4.0, 4.0]},
-    "kernels": {"lambda0": 1.0, "quad_nodes": 64, "r1": None, "r2": None,
-                "offset": 0.1},
+    "kernels": {"lambda0": 1.0, "quad_nodes": 64, "r1": None, "r2": None},
     "sweep": {"eps_values": [1.6, 1.4, 1.2, 1.0, 0.9, 0.8], "repeats": 2},
 }
 
@@ -84,6 +83,17 @@ def merge_config(user: dict | None) -> dict:
     return cfg
 
 
+def _as_int(value, field: str) -> int:
+    """Integer field; an integral float such as 3.0 is accepted, 3.7 is not."""
+    try:
+        integral = float(value).is_integer()
+    except (TypeError, ValueError):
+        integral = False
+    if not integral:
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return int(float(value))
+
+
 def _damping_from(section: dict) -> DampingSpec:
     try:
         family = DampingFamily(section["family"])
@@ -103,14 +113,15 @@ def problem_spec_from_config(cfg: dict, enforce_hypotheses: bool = True) -> Prob
     data = cfg["data"]
     try:
         return ProblemSpec(
-            n=int(prob["n"]),
+            n=_as_int(prob["n"], "problem.n"),
             pq=ExponentPair(float(prob["p"]), float(prob["q"])),
             b1=_damping_from(cfg["damping1"]),
             b2=_damping_from(cfg["damping2"]),
             R=float(prob["R"]),
             eps=float(prob["eps"]),
             data=InitialDataFamily(
-                k=int(data["k"]), amplitudes=tuple(float(a) for a in data["amplitudes"])
+                k=_as_int(data["k"], "data.k"),
+                amplitudes=tuple(float(a) for a in data["amplitudes"]),
             ),
             grid=GridSpec(
                 dr=float(grid["dr"]),
@@ -132,7 +143,7 @@ def sweep_config_from_config(cfg: dict) -> SweepConfig:
         return SweepConfig(
             base=base,
             eps_values=tuple(float(e) for e in sw["eps_values"]),
-            repeats=int(sw["repeats"]),
+            repeats=_as_int(sw["repeats"], "sweep.repeats"),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid sweep configuration: {exc}") from exc
@@ -142,8 +153,7 @@ def kernel_params_from_config(cfg: dict) -> dict:
     k = cfg["kernels"]
     return {
         "lambda0": float(k["lambda0"]),
-        "quad_nodes": int(k["quad_nodes"]),
+        "quad_nodes": _as_int(k["quad_nodes"], "kernels.quad_nodes"),
         "r1": None if k["r1"] is None else float(k["r1"]),
         "r2": None if k["r2"] is None else float(k["r2"]),
-        "offset": float(k["offset"]),
     }

@@ -30,8 +30,8 @@ from enum import Enum
 import numpy as np
 
 from .exponents import Region, classify
-from .solver import ProblemSpec, SolutionRecord, radial_grid
-from .special import KernelConfig, kernel_nodes, multiplier, phi, surface_area
+from .solver import ProblemSpec, SolutionRecord, radial_grid, radial_weights
+from .special import KernelConfig, kernel_nodes, multiplier, phi, sinhc
 
 __all__ = [
     "FunctionalSeries",
@@ -47,9 +47,12 @@ __all__ = [
     "check_log_seeds",
     "write_series_csv",
     "write_check_report",
+    "IDENTITY_TOL",
 ]
 
 FLOOR_SLACK = 0.02
+# largest relative residual accepted for the fundamental identities
+IDENTITY_TOL = 0.02
 
 
 @dataclass
@@ -110,32 +113,34 @@ class BoundCheck:
     passed: bool
 
 
-def _radial_weights(record: SolutionRecord) -> np.ndarray:
-    dr = record.r[1] - record.r[0]
-    w = record.r ** (record.n - 1) * dr
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return surface_area(record.n) * w
-
-
 def _check_grids_match(record: SolutionRecord, spec: ProblemSpec) -> None:
     expected = radial_grid(spec)
     if record.r.shape != expected.shape or not np.allclose(record.r, expected):
         raise ValueError("record grid does not match the problem spec grid")
 
 
-def _diag_kernel_series(record, cfg, profiles):
+def _kernel_basis(record, spec, r, w, lambda0, quad_nodes):
+    """Nodes lam, weights wl and the (m, M) basis Phi(lam x) * w of the
+    kernel with exponent r.
+
+    basis @ f is the lam-projection int f(x) Phi(lam x) dx of a radial
+    profile f at every node; w are the record's radial weights.
+    """
+    cfg = KernelConfig(r=r, lambda0=lambda0, R=spec.R, quad_nodes=quad_nodes)
+    lam, wl = kernel_nodes(cfg)
+    return lam, wl, phi(record.n, np.multiply.outer(lam, record.r)) * w
+
+
+def _diag_kernel_series(times, R, kernel, profiles):
     """int profile(t) * eta_r(t, t, .) dx for every sample, vectorised.
 
     eta on the diagonal is a pure lam-integral of exp(-lam(R+t)) *
-    Phi(lam rho) lam^r, so Phi on (lam, rho) is precomputed once and the
-    t-dependence reduces to per-node exponential factors.
+    Phi(lam rho) lam^r, so the t-dependence reduces to per-node
+    exponential factors on the lam-projections.
     """
-    w = _radial_weights(record)
-    lam, wl = kernel_nodes(cfg)
-    phi_mat = phi(record.n, np.multiply.outer(lam, record.r))  # (m, M)
-    proj = profiles @ (phi_mat * w).T  # (N, m)
-    decay = np.exp(-np.multiply.outer(record.times + cfg.R, lam))  # (N, m)
+    lam, wl, basis = kernel
+    proj = profiles @ basis.T  # (N, m)
+    decay = np.exp(-np.multiply.outer(times + R, lam))  # (N, m)
     return (proj * decay) @ wl
 
 
@@ -147,12 +152,13 @@ def extract(record: SolutionRecord, spec: ProblemSpec, r1: float, r2: float,
     _check_grids_match(record, spec)
     if not (r1 > -1.0 and r2 > -1.0):
         raise ValueError("kernel exponents must satisfy r > -1")
-    w = _radial_weights(record)
+    w = radial_weights(record.r, record.n)
     decay = np.exp(-record.times)
     phi_row = phi(record.n, record.r)
     wp = phi_row * w
-    cfg1 = KernelConfig(r=r1, lambda0=lambda0, R=spec.R, quad_nodes=quad_nodes)
-    cfg2 = KernelConfig(r=r2, lambda0=lambda0, R=spec.R, quad_nodes=quad_nodes)
+    kernel1, kernel2 = (
+        _kernel_basis(record, spec, r, w, lambda0, quad_nodes) for r in (r1, r2)
+    )
     return FunctionalSeries(
         times=record.times.copy(),
         U=record.u @ w,
@@ -162,8 +168,8 @@ def extract(record: SolutionRecord, spec: ProblemSpec, r1: float, r2: float,
         U1=decay * (record.u @ wp),
         V1=decay * (record.v @ wp),
         U2=decay * (record.ut @ wp),
-        curlyU=_diag_kernel_series(record, cfg1, record.ut),
-        curlyV=_diag_kernel_series(record, cfg2, record.v),
+        curlyU=_diag_kernel_series(record.times, spec.R, kernel1, record.ut),
+        curlyV=_diag_kernel_series(record.times, spec.R, kernel2, record.v),
         r1=float(r1),
         r2=float(r2),
     )
@@ -172,11 +178,7 @@ def extract(record: SolutionRecord, spec: ProblemSpec, r1: float, r2: float,
 def data_integrals(spec: ProblemSpec) -> InitialDataIntegrals:
     """Quadrature of I_j[f] for the four data profiles (without eps)."""
     r = radial_grid(spec)
-    dr = r[1] - r[0]
-    w = r ** (spec.n - 1) * dr
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    w = surface_area(spec.n) * w * phi(spec.n, r)
+    w = radial_weights(r, spec.n) * phi(spec.n, r)
     bump = spec.data.profile(r, spec.R)
     base = float(bump @ w)
     m1 = float(multiplier(spec.b1, 0.0))
@@ -193,7 +195,7 @@ def nonlinearity_integrals(record: SolutionRecord, spec: ProblemSpec):
     """Series int |v|^q dx and int |u_t|^p dx on the record samples."""
     if not record.has_profiles:
         raise ValueError("nonlinearity integrals need stored profiles")
-    w = _radial_weights(record)
+    w = radial_weights(record.r, record.n)
     nl_q = np.abs(record.v) ** spec.pq.q @ w
     nl_p = np.abs(record.ut) ** spec.pq.p @ w
     return nl_q, nl_p
@@ -292,41 +294,28 @@ def check_fundamental_identity(record: SolutionRecord, spec: ProblemSpec,
     else:
         checkpoints = [int(np.argmin(np.abs(times - tc))) for tc in checkpoints]
 
-    w = _radial_weights(record)
-    r_nodes = record.r
-    bump = spec.data.profile(r_nodes, spec.R)
+    w = radial_weights(record.r, record.n)
+    bump = spec.data.profile(record.r, spec.R)
     u0 = spec.eps * spec.data.a_u0 * bump
     u1 = spec.eps * spec.data.a_u1 * bump
     v0 = spec.eps * spec.data.a_v0 * bump
     v1 = spec.eps * spec.data.a_v1 * bump
-
-    cfg1 = KernelConfig(r=r1, lambda0=lambda0, R=spec.R, quad_nodes=quad_nodes)
-    cfg1_shift = KernelConfig(r=r1 + 2.0, lambda0=lambda0, R=spec.R, quad_nodes=quad_nodes)
-    cfg2 = KernelConfig(r=r2, lambda0=lambda0, R=spec.R, quad_nodes=quad_nodes)
-
-    series = extract(record, spec, r1, r2, lambda0=lambda0, quad_nodes=quad_nodes)
     p, q = spec.pq.p, spec.pq.q
 
-    def lam_projection(cfg, profile_or_matrix):
-        lam, wl = kernel_nodes(cfg)
-        phi_mat = phi(record.n, np.multiply.outer(lam, r_nodes))  # (m, M)
-        proj = (phi_mat * w) @ np.atleast_2d(profile_or_matrix).T  # (m, N) or (m, 1)
-        return lam, wl, proj
-
-    lam1s, wl1s, proj_u0 = lam_projection(cfg1_shift, u0)
-    lam1, wl1, proj_u1 = lam_projection(cfg1, u1)
-    _, _, proj_vq = lam_projection(cfg1, np.abs(record.v) ** q)  # (m, N)
-    lam2, wl2, proj_v0 = lam_projection(cfg2, v0)
-    _, _, proj_v1 = lam_projection(cfg2, v1)
-    _, _, proj_utp = lam_projection(cfg2, np.abs(record.ut) ** p)
-
-    def sinhc(y):
-        out = np.ones_like(y)
-        big = np.abs(y) >= 1e-4
-        out[big] = np.sinh(y[big]) / y[big]
-        small = ~big
-        out[small] = 1.0 + y[small] ** 2 / 6.0
-        return out
+    kernel1s, kernel1, kernel2 = (
+        _kernel_basis(record, spec, r, w, lambda0, quad_nodes) for r in (r1 + 2.0, r1, r2)
+    )
+    curlyU = _diag_kernel_series(times, spec.R, kernel1, record.ut)
+    curlyV = _diag_kernel_series(times, spec.R, kernel2, record.v)
+    lam1s, wl1s, basis1s = kernel1s
+    lam1, wl1, basis1 = kernel1
+    lam2, wl2, basis2 = kernel2
+    proj_u0 = basis1s @ u0
+    proj_u1 = basis1 @ u1
+    proj_vq = basis1 @ (np.abs(record.v) ** q).T  # (m, N)
+    proj_v0 = basis2 @ v0
+    proj_v1 = basis2 @ v1
+    proj_utp = basis2 @ (np.abs(record.ut) ** p).T
 
     res_u, res_v = 0.0, 0.0
     for ci in checkpoints:
@@ -334,26 +323,24 @@ def check_fundamental_identity(record: SolutionRecord, spec: ProblemSpec,
         decay1s = np.exp(-lam1s * (spec.R + tc))
         decay1 = np.exp(-lam1 * (spec.R + tc))
         decay2 = np.exp(-lam2 * (spec.R + tc))
-        # curlyU identity
-        lin1 = tc * float((wl1s * decay1s * sinhc(lam1s * tc)) @ proj_u0[:, 0])
-        lin2 = float((wl1 * decay1 * np.cosh(lam1 * tc)) @ proj_u1[:, 0])
-        hist = proj_vq[:, : ci + 1]  # (m, ci+1)
-        cosh_fac = np.cosh(np.multiply.outer(lam1, tc - times[: ci + 1]))
-        src = float((wl1 * decay1) @ ((hist * cosh_fac) @ _sub_trapezoid_weights(times, ci)))
-        rhs = lin1 + lin2 + src
-        lhs = series.curlyU[ci]
-        res_u = max(res_u, abs(lhs - rhs) / max(abs(lhs), 1e-300))
-        # curlyV identity
-        lin1v = float((wl2 * decay2 * np.cosh(lam2 * tc)) @ proj_v0[:, 0])
-        lin2v = tc * float((wl2 * decay2 * sinhc(lam2 * tc)) @ proj_v1[:, 0])
-        histv = proj_utp[:, : ci + 1]
         dt_sub = _sub_trapezoid_weights(times, ci)
         span = tc - times[: ci + 1]
+        # curlyU identity
+        lin1 = tc * float((wl1s * decay1s * sinhc(lam1s * tc)) @ proj_u0)
+        lin2 = float((wl1 * decay1 * np.cosh(lam1 * tc)) @ proj_u1)
+        hist = proj_vq[:, : ci + 1]  # (m, ci+1)
+        cosh_fac = np.cosh(np.multiply.outer(lam1, span))
+        src = float((wl1 * decay1) @ ((hist * cosh_fac) @ dt_sub))
+        rhs = lin1 + lin2 + src
+        res_u = max(res_u, abs(curlyU[ci] - rhs) / max(abs(curlyU[ci]), 1e-300))
+        # curlyV identity
+        lin1v = float((wl2 * decay2 * np.cosh(lam2 * tc)) @ proj_v0)
+        lin2v = tc * float((wl2 * decay2 * sinhc(lam2 * tc)) @ proj_v1)
+        histv = proj_utp[:, : ci + 1]
         sinh_fac = span * sinhc(np.multiply.outer(lam2, span))
         srcv = float((wl2 * decay2) @ ((histv * sinh_fac) @ dt_sub))
         rhsv = lin1v + lin2v + srcv
-        lhsv = series.curlyV[ci]
-        res_v = max(res_v, abs(lhsv - rhsv) / max(abs(lhsv), 1e-300))
+        res_v = max(res_v, abs(curlyV[ci] - rhsv) / max(abs(curlyV[ci]), 1e-300))
     return res_u, res_v
 
 

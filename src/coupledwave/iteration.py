@@ -42,12 +42,14 @@ from .exponents import (
 
 __all__ = [
     "J_MAX_LIMIT",
+    "CLOSED_FORM_TOL",
     "CriticalCase",
     "SequenceTable",
     "IterationConstants",
     "ThresholdTime",
     "subcritical_sequences",
     "critical_sequences",
+    "closed_form_deviation",
     "geometric_sums",
     "series_S",
     "threshold_time",
@@ -59,6 +61,8 @@ __all__ = [
 
 # (pq)^j exceeds double range in driver subexpressions beyond this
 J_MAX_LIMIT = 60
+# largest closed_form_deviation accepted between a recursion and its closed form
+CLOSED_FORM_TOL = 1e-12
 
 LOG2 = math.log(2.0)
 
@@ -145,11 +149,16 @@ class IterationConstants:
                           ("Ktilde", Ktilde), ("m1_0", m1_0), ("m2_0", m2_0)):
             if not val > 0:
                 raise ValueError(f"constant {name} must be positive, got {val}")
-        M = 2.0 ** (-q * (3.0 * n + 4.0)) * C * K**q * (x - 1.0) / x
+        # M, M1, M2 underflow for small frame constants, their logs do not
+        log_C, log_K = math.log(C), math.log(K)
+        log_M = -q * (3.0 * n + 4.0) * LOG2 + log_C + q * log_K + math.log((x - 1.0) / x)
+        log_M1 = (-3.0 * n * p - 6.0) * LOG2 + log_K + p * log_C + math.log((x - 1.0) / x)
+        log_M2 = (
+            (-5.0 * q - 2.0) * LOG2 + log_C + q * log_K
+            + (q + 1.0) * math.log((x - 1.0) / (q * (p + 1.0)))
+        )
         N = 2.0 ** (2.0 * q) * x
-        M1 = 2.0 ** (-3.0 * n * p - 6.0) * K * C**p * (x - 1.0) / x
         N1 = 2.0 ** (2.0 * (p + 1.0)) * x
-        M2 = 2.0 ** (-5.0 * q - 2.0) * C * K**q * ((x - 1.0) / (q * (p + 1.0))) ** (q + 1.0)
         N2 = 2.0**q * x ** (q + 1.0)
         S = x / (x - 1.0) ** 2
         Msub = C * K**p * (n + 1.0 + (p + 2.0) / (x - 1.0)) ** (-(p + 2.0))
@@ -168,25 +177,25 @@ class IterationConstants:
             -q * (2.0 * p - 1.0) / (x - 1.0) * LOG2
             + math.log(Ctilde)
             - S * math.log(N)
-            + (x - 1.0) * math.log(M)
+            + (x - 1.0) * log_M
         )
         log_E1 = (
             -p * (2.0 * q - 1.0) / (x - 1.0) * LOG2
             + math.log(Ktilde)
             - S * math.log(N1)
-            + (x - 1.0) * math.log(M1)
+            + (x - 1.0) * log_M1
         )
         log_E2 = (
             -(2.0 + (q + 1.0) / (x - 1.0)) * LOG2
             + math.log(Ctilde)
             - S * math.log(N2)
-            + (x - 1.0) * math.log(M2)
+            + (x - 1.0) * log_M2
         )
         return cls(
             n=n, p=p, q=q, C=C, K=K, Ctilde=Ctilde, Ktilde=Ktilde,
-            m1_0=m1_0, m2_0=m2_0, M=M, N=N, M1=M1, N1=N1, M2=M2, N2=N2,
-            S=S, Ntilde=Ntilde, Nconst=Nconst,
-            E=math.exp(log_E), E1=math.exp(log_E1), E2=math.exp(log_E2),
+            m1_0=m1_0, m2_0=m2_0, M=_exp(log_M), N=N, M1=_exp(log_M1),
+            N1=N1, M2=_exp(log_M2), N2=N2, S=S, Ntilde=Ntilde, Nconst=Nconst,
+            E=_exp(log_E), E1=_exp(log_E1), E2=_exp(log_E2),
             log_E=log_E, log_E1=log_E1, log_E2=log_E2,
         )
 
@@ -197,13 +206,28 @@ class IterationConstants:
 
 @dataclass(frozen=True)
 class ThresholdTime:
-    """Blow-up threshold time; T = exp(log_T) may overflow to inf for
-    critical kinds, log_T is always finite."""
+    """Blow-up threshold time; T = exp(log_T) overflows to inf for large
+    thresholds.  For critical kinds log_T is itself a negative power of
+    eps and overflows to inf as well at tiny eps."""
 
     kind: PredictionKind
     T: float
     log_T: float
     formula_id: str
+
+
+def _exp(y: float) -> float:
+    """exp(y), with overflow to inf instead of OverflowError."""
+    try:
+        return math.exp(y)
+    except OverflowError:
+        return math.inf
+
+
+def closed_form_deviation(brute, closed) -> float:
+    """Largest deviation of a brute-recursion column from its closed
+    form, relative to max(|closed|, 1)."""
+    return float(np.max(np.abs(brute - closed) / np.maximum(np.abs(closed), 1.0)))
 
 
 def _check_jmax(j_max: int) -> int:
@@ -212,6 +236,43 @@ def _check_jmax(j_max: int) -> int:
     if j_max > J_MAX_LIMIT:
         raise ValueError(f"j_max capped at {J_MAX_LIMIT}, got {j_max}")
     return int(j_max)
+
+
+def _require_match(consts: IterationConstants, n, pq) -> None:
+    if not consts.matches(n, pq, tol=1e-9):
+        raise ValueError("IterationConstants built for different (n, p, q)")
+
+
+def _family_table(family, n, p, q, js, seed, recur, step, t_closed, w_closed,
+                  ell=None) -> SequenceTable:
+    """Run one sequence family's recursion and its unrolled closed form.
+
+    ``seed`` is (log c_0, t_0, w_0); ``recur(j, log_j, t_j, w_j)``
+    returns the next triple; ``step(k, t_k)`` is the coefficient term
+    d_k of log c_{k+1} = pq log c_k + d_k, so that log c_j = (pq)^j log
+    c_0 + sum_{k<j} (pq)^{j-1-k} d_k evaluated on the closed-form power
+    sequence t_closed.
+    """
+    x = p * q
+    size = len(js)
+    logc, tp, wp = np.empty(size), np.empty(size), np.empty(size)
+    logc[0], tp[0], wp[0] = seed
+    for j in range(size - 1):
+        logc[j + 1], tp[j + 1], wp[j + 1] = recur(j, logc[j], tp[j], wp[j])
+    log0 = logc[0]
+    d = np.array([step(k, t_closed[k]) for k in range(size - 1)])
+    logc_closed = np.empty(size)
+    logc_closed[0] = log0
+    for j in range(1, size):
+        ks = np.arange(j)
+        logc_closed[j] = x**j * log0 + float(np.sum(x ** (j - 1 - ks) * d[:j]))
+    return SequenceTable(
+        family=family, n=n, p=p, q=q, j=js,
+        coeff_log=logc, coeff_log_closed=logc_closed,
+        t_power=tp, t_power_closed=t_closed,
+        weight_power=wp, weight_power_closed=w_closed,
+        ell=ell,
+    )
 
 
 def subcritical_sequences(n, pq, j_max: int, consts: IterationConstants | None = None,
@@ -228,8 +289,7 @@ def subcritical_sequences(n, pq, j_max: int, consts: IterationConstants | None =
     j_max = _check_jmax(j_max)
     if consts is None:
         consts = IterationConstants.from_frame(n, pq)
-    elif not consts.matches(n, pq, tol=1e-9):
-        raise ValueError("IterationConstants built for different (n, p, q)")
+    _require_match(consts, n, pq)
     p, q = pq.p, pq.q
     x = pq.product
     js = np.arange(j_max + 1)
@@ -238,85 +298,49 @@ def subcritical_sequences(n, pq, j_max: int, consts: IterationConstants | None =
     a0 = n + 1.0
     b0 = 0.5 * (n - 1.0) * p
     logC0 = math.log(consts.m2_0 * consts.Ktilde / (n * (n + 1.0))) + p * math.log(eps)
-    a = np.empty(j_max + 1)
-    b = np.empty(j_max + 1)
-    logC = np.empty(j_max + 1)
-    a[0], b[0], logC[0] = a0, b0, logC0
     logCK = math.log(consts.C) + p * math.log(consts.K)
-    for j in range(j_max):
-        logC[j + 1] = (
-            logCK + x * logC[j]
-            - p * math.log(a[j] * q + 1.0)
-            - math.log(a[j] * x + p + 1.0)
-            - math.log(a[j] * x + p + 2.0)
-        )
-        a[j + 1] = x * a[j] + p + 2.0
-        b[j + 1] = x * b[j] + n * (x - 1.0)
-    a_closed = (a0 + (p + 2.0) / (x - 1.0)) * x**js - (p + 2.0) / (x - 1.0)
-    b_closed = (b0 + n) * x**js - n
-    logC_closed = _unrolled_coeff(
-        logC0, x, j_max,
-        lambda ac: logCK
-        - p * math.log(ac * q + 1.0)
-        - math.log(ac * x + p + 1.0)
-        - math.log(ac * x + p + 2.0),
-        a_closed,
-    )
-    table_v = SequenceTable(
-        family="subcritical-v", n=n, p=p, q=q, j=js,
-        coeff_log=logC, coeff_log_closed=logC_closed,
-        t_power=a, t_power_closed=a_closed,
-        weight_power=b, weight_power_closed=b_closed,
+
+    def terms_v(a):
+        return p * math.log(a * q + 1.0), math.log(a * x + p + 1.0), math.log(a * x + p + 2.0)
+
+    def recur_v(_j, logc, a, b):
+        d1, d2, d3 = terms_v(a)
+        return logCK + x * logc - d1 - d2 - d3, x * a + p + 2.0, x * b + n * (x - 1.0)
+
+    def step_v(_k, a):
+        d1, d2, d3 = terms_v(a)
+        return logCK - d1 - d2 - d3
+
+    table_v = _family_table(
+        "subcritical-v", n, p, q, js, (logC0, a0, b0), recur_v, step_v,
+        (a0 + (p + 2.0) / (x - 1.0)) * x**js - (p + 2.0) / (x - 1.0),
+        (b0 + n) * x**js - n,
     )
 
     # U'-family: (K_j, alpha_j, beta_j)
     al0 = float(n)
     be0 = 0.5 * (n - 1.0) * q
     logK0 = math.log(consts.m1_0 * consts.Ctilde / n) + q * math.log(eps)
-    al = np.empty(j_max + 1)
-    be = np.empty(j_max + 1)
-    logK = np.empty(j_max + 1)
-    al[0], be[0], logK[0] = al0, be0, logK0
     logKC = math.log(consts.K) + q * math.log(consts.C)
-    for j in range(j_max):
-        logK[j + 1] = (
-            logKC + x * logK[j]
-            - q * math.log(al[j] * p + 1.0)
-            - q * math.log(al[j] * p + 2.0)
-            - math.log(al[j] * x + 2.0 * q + 1.0)
-        )
-        al[j + 1] = x * al[j] + 2.0 * q + 1.0
-        be[j + 1] = x * be[j] + n * (x - 1.0)
-    al_closed = (al0 + (2.0 * q + 1.0) / (x - 1.0)) * x**js - (2.0 * q + 1.0) / (x - 1.0)
-    be_closed = (be0 + n) * x**js - n
-    logK_closed = _unrolled_coeff(
-        logK0, x, j_max,
-        lambda ac: logKC
-        - q * math.log(ac * p + 1.0)
-        - q * math.log(ac * p + 2.0)
-        - math.log(ac * x + 2.0 * q + 1.0),
-        al_closed,
-    )
-    table_u = SequenceTable(
-        family="subcritical-uprime", n=n, p=p, q=q, j=js,
-        coeff_log=logK, coeff_log_closed=logK_closed,
-        t_power=al, t_power_closed=al_closed,
-        weight_power=be, weight_power_closed=be_closed,
+
+    def terms_u(al):
+        return (q * math.log(al * p + 1.0), q * math.log(al * p + 2.0),
+                math.log(al * x + 2.0 * q + 1.0))
+
+    def recur_u(_j, logk, al, be):
+        d1, d2, d3 = terms_u(al)
+        return logKC + x * logk - d1 - d2 - d3, x * al + 2.0 * q + 1.0, x * be + n * (x - 1.0)
+
+    def step_u(_k, al):
+        d1, d2, d3 = terms_u(al)
+        return logKC - d1 - d2 - d3
+
+    table_u = _family_table(
+        "subcritical-uprime", n, p, q, js, (logK0, al0, be0), recur_u, step_u,
+        (al0 + (2.0 * q + 1.0) / (x - 1.0)) * x**js - (2.0 * q + 1.0) / (x - 1.0),
+        (be0 + n) * x**js - n,
     )
     return table_v, table_u
-
-
-def _unrolled_coeff(log0, x, j_max, step_from_power, power_closed):
-    """Direct (non-recursive) evaluation of log coeff_j via the unrolled
-    sum log c_j = x^j log c_0 + sum_{k<j} x^{j-1-k} d_k with d_k built
-    from the closed-form power sequence."""
-    out = np.empty(j_max + 1)
-    out[0] = log0
-    d = np.array([step_from_power(power_closed[k]) for k in range(j_max)])
-    for j in range(1, j_max + 1):
-        ks = np.arange(j)
-        out[j] = x**j * log0 + float(np.sum(x ** (j - 1 - ks) * d[:j]))
-    return out
 
 
 def critical_sequences(case, n, pq, j_max: int,
@@ -336,8 +360,7 @@ def critical_sequences(case, n, pq, j_max: int,
     j_max = _check_jmax(j_max)
     if consts is None:
         consts = IterationConstants.from_frame(n, pq)
-    elif not consts.matches(n, pq, tol=1e-9):
-        raise ValueError("IterationConstants built for different (n, p, q)")
+    _require_match(consts, n, pq)
     t1 = theta1(n, pq)
     t2 = theta2(n, pq)
     if case is CriticalCase.THETA1 and abs(t1) > tol:
@@ -360,10 +383,8 @@ def critical_sequences(case, n, pq, j_max: int,
         def step(j, ac):
             return base + (-2.0 * q * j - 3.0 * q * (n + 2.0)) * LOG2 - math.log(ac * x + 1.0)
 
-        t0v, w0 = 1.0, 0.0
         t_closed = (x ** (js + 1.0) - 1.0) / (x - 1.0)
         w_closed = w_add / (x - 1.0) * (x**js - 1.0)
-        family = "critical-theta1"
     elif case is CriticalCase.THETA2:
         log0 = math.log(consts.Ktilde) + x * math.log(eps)
         base = math.log(consts.K) + p * math.log(consts.C)
@@ -373,10 +394,8 @@ def critical_sequences(case, n, pq, j_max: int,
         def step(j, ac):
             return base + (-2.0 * (p + 1.0) * j - (3.0 * n + 2.0) * p - 8.0) * LOG2 - math.log(ac * x + 1.0)
 
-        t0v, w0 = 1.0, 0.0
         t_closed = (x ** (js + 1.0) - 1.0) / (x - 1.0)
         w_closed = w_add / (x - 1.0) * (x**js - 1.0)
-        family = "critical-theta2"
     else:
         log0 = math.log(consts.Ctilde) + q * math.log(eps)
         base = math.log(consts.C) + q * math.log(consts.K)
@@ -386,31 +405,15 @@ def critical_sequences(case, n, pq, j_max: int,
         def step(j, ac):
             return base + (-(j + 6.0) * q - 2.0) * LOG2 - q * math.log(ac * p + 1.0) - math.log(ac * x + q + 1.0)
 
-        t0v, w0 = 1.0, 0.0
         t_closed = (1.0 + (q + 1.0) / (x - 1.0)) * x**js - (q + 1.0) / (x - 1.0)
         w_closed = x**js - 1.0
-        family = "critical-double"
 
-    tp = np.empty(j_max + 1)
-    wp = np.empty(j_max + 1)
-    logc = np.empty(j_max + 1)
-    tp[0], wp[0], logc[0] = t0v, w0, log0
-    for j in range(j_max):
-        logc[j + 1] = x * logc[j] + step(j, tp[j])
-        tp[j + 1] = x * tp[j] + t_add
-        wp[j + 1] = x * wp[j] + w_add
-    logc_closed = np.empty(j_max + 1)
-    logc_closed[0] = log0
-    d = np.array([step(k, t_closed[k]) for k in range(j_max)])
-    for j in range(1, j_max + 1):
-        ks = np.arange(j)
-        logc_closed[j] = x**j * log0 + float(np.sum(x ** (j - 1 - ks) * d[:j]))
-    return SequenceTable(
-        family=family, n=n, p=p, q=q, j=js,
-        coeff_log=logc, coeff_log_closed=logc_closed,
-        t_power=tp, t_power_closed=t_closed,
-        weight_power=wp, weight_power_closed=w_closed,
-        ell=ell,
+    def recur(j, logc, t, w):
+        return x * logc + step(j, t), x * t + t_add, x * w + w_add
+
+    return _family_table(
+        f"critical-{case.value}", n, p, q, js, (log0, 1.0, 0.0), recur, step,
+        t_closed, w_closed, ell=ell,
     )
 
 
@@ -433,7 +436,7 @@ def geometric_sums(x: float, j: int):
     closed1 = (x**j - 1.0) / (x - 1.0)
     closed2 = ((x ** (j + 1.0) - 1.0) / (x - 1.0) - (j + 1.0)) / (x - 1.0)
     for d, c in ((direct1, closed1), (direct2, closed2)):
-        if abs(d - c) > 1e-12 * max(abs(d), abs(c)):
+        if abs(d - c) > CLOSED_FORM_TOL * max(abs(d), abs(c)):
             raise ArithmeticError(f"sum formula disagreement: direct={d}, closed={c}")
     return closed1, closed2
 
@@ -459,14 +462,14 @@ def threshold_time(n, pq, eps: float, consts: IterationConstants,
     Subcritical: T = 2^{((n-1)/2 + n/p)/theta1} N^{-1/(p theta1)}
     eps^{-1/theta1} on the theta1-dominant branch (q-analogue with
     Ntilde otherwise).  Critical: log T = E^{-(pq-1)/q} eps^{-p(pq-1)}
-    and the analogous expressions with E1, E2.
+    and the analogous expressions with E1, E2.  Values beyond double
+    range are returned as inf.
     """
     n = check_dimension(n)
     pq = as_pair(pq)
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if not consts.matches(n, pq, tol=1e-9):
-        raise ValueError("IterationConstants built for different (n, p, q)")
+    _require_match(consts, n, pq)
     if region is Region.SUPERCRITICAL:
         raise ValueError("no blow-up threshold in the supercritical region")
     p, q = pq.p, pq.q
@@ -489,26 +492,22 @@ def threshold_time(n, pq, eps: float, consts: IterationConstants,
                 - log_eps / t2
             )
             fid = "subcritical-theta2"
-        return ThresholdTime(PredictionKind.POWER_LAW, math.exp(log_T), log_T, fid)
+        return ThresholdTime(PredictionKind.POWER_LAW, _exp(log_T), log_T, fid)
     if region is Region.CRITICAL_THETA1:
-        log_T = math.exp(-(x - 1.0) / q * consts.log_E - p * (x - 1.0) * log_eps)
+        log_T = _exp(-(x - 1.0) / q * consts.log_E - p * (x - 1.0) * log_eps)
         kind, fid = PredictionKind.EXP_THETA1, "critical-theta1"
     elif region is Region.CRITICAL_THETA2:
-        log_T = math.exp(-(x - 1.0) / p * consts.log_E1 - q * (x - 1.0) * log_eps)
+        log_T = _exp(-(x - 1.0) / p * consts.log_E1 - q * (x - 1.0) * log_eps)
         kind, fid = PredictionKind.EXP_THETA2, "critical-theta2"
     elif region is Region.DOUBLE_CRITICAL:
-        log_T = math.exp(
+        log_T = _exp(
             -(x - 1.0) / (q + 1.0) * consts.log_E2
             - q * (x - 1.0) / (q + 1.0) * log_eps
         )
         kind, fid = PredictionKind.EXP_DOUBLE, "critical-double"
     else:
         raise ValueError(f"unknown region {region}")
-    try:
-        T = math.exp(log_T)
-    except OverflowError:
-        T = math.inf
-    return ThresholdTime(kind, T, log_T, fid)
+    return ThresholdTime(kind, _exp(log_T), log_T, fid)
 
 
 def r_parameters(case, n, pq, offset: float = 0.1, tol: float = EQUALITY_TOL):
@@ -557,7 +556,8 @@ def divergence_driver(family: str, n, pq, eps: float, consts: IterationConstants
 
     Families: 'subcritical-v' uses eps^p J(t), 'subcritical-uprime'
     eps^q Jtilde(t); the critical families use H, H1, H2.  ``log_t``
-    may be given instead of t when t overflows.
+    may be given instead of t when t overflows.  A driver value beyond
+    double range is returned as inf.
     """
     n = check_dimension(n)
     pq = as_pair(pq)
@@ -567,8 +567,7 @@ def divergence_driver(family: str, n, pq, eps: float, consts: IterationConstants
         if t is None or not t > 0:
             raise ValueError("need t > 0 or log_t")
         log_t = math.log(t)
-    if not consts.matches(n, pq, tol=1e-9):
-        raise ValueError("IterationConstants built for different (n, p, q)")
+    _require_match(consts, n, pq)
     p, q = pq.p, pq.q
     x = pq.product
     log_eps = math.log(eps)
@@ -602,7 +601,7 @@ def divergence_driver(family: str, n, pq, eps: float, consts: IterationConstants
         log_val = consts.log_E2 + q * log_eps + (q + 1.0) / (x - 1.0) * math.log(log_t)
     else:
         raise ValueError(f"unknown sequence family {family!r}")
-    return math.exp(log_val)
+    return _exp(log_val)
 
 
 def divergence_certificate(table: SequenceTable, eps: float, t: float,

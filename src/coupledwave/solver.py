@@ -48,6 +48,7 @@ __all__ = [
     "light_cone_check",
     "evolve_scalar",
     "radial_grid",
+    "radial_weights",
     "radial_energy",
     "write_summary_csv",
     "write_blowup_json",
@@ -217,6 +218,16 @@ def radial_grid(spec: ProblemSpec) -> np.ndarray:
     return np.arange(m) * grid.dr
 
 
+def radial_weights(r: np.ndarray, n: int) -> np.ndarray:
+    """Trapezoid weights w with w @ f = |S^{n-1}| int f(rho) rho^(n-1) drho,
+    the integral over R^n of a radial profile f sampled on the grid r."""
+    dr = r[1] - r[0]
+    w = r ** (n - 1) * dr
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return surface_area(n) * w
+
+
 def _laplacian(w: np.ndarray, r: np.ndarray, dr: float, n: int) -> np.ndarray:
     lap = np.empty_like(w)
     inv_dr2 = 1.0 / (dr * dr)
@@ -326,17 +337,17 @@ def run(spec: ProblemSpec, store_profiles: bool = True) -> SolutionRecord:
     )
 
     dt = dt0
-    fu = np.abs(v_cur) ** q
-    fv = np.abs(ut0) ** p
-    u_next = _taylor_step(u_cur, ut0, _laplacian(u_cur, r, dr, n), fu, spec.b1.b(0.0), dt)
-    v_next = _taylor_step(v_cur, vt0, _laplacian(v_cur, r, dr, n), fv, spec.b2.b(0.0), dt)
-    cone_mask(u_next, dt)
-    cone_mask(v_next, dt)
-    u_prev, u_cur = u_cur, u_next
-    v_prev, v_cur = v_cur, v_next
-
     # overflow past the threshold is an expected terminal state
     with np.errstate(over="ignore", invalid="ignore"):
+        fu = np.abs(v_cur) ** q
+        fv = np.abs(ut0) ** p
+        u_next = _taylor_step(u_cur, ut0, _laplacian(u_cur, r, dr, n), fu, spec.b1.b(0.0), dt)
+        v_next = _taylor_step(v_cur, vt0, _laplacian(v_cur, r, dr, n), fv, spec.b2.b(0.0), dt)
+        cone_mask(u_next, dt)
+        cone_mask(v_next, dt)
+        u_prev, u_cur = u_cur, u_next
+        v_prev, v_cur = v_cur, v_next
+
         blew_up, t_blowup, failed, reason, dt_final = _advance(
             spec, r, dr, n, p, q, threshold, stride,
             (u_prev, u_cur, v_prev, v_cur), dt, init_norm,
@@ -510,31 +521,16 @@ def evolve_scalar(
 
 def radial_energy(w: np.ndarray, wt: np.ndarray, r: np.ndarray, n: int) -> float:
     """Wave energy 0.5 * |S^{n-1}| * int (wt^2 + wr^2) r^(n-1) dr."""
-    dr = r[1] - r[0]
-    wr = np.gradient(w, dr)
-    dens = (wt**2 + wr**2) * r ** (n - 1)
-    return 0.5 * surface_area(n) * float(np.trapezoid(dens, dx=dr))
-
-
-def _plain_integrals(record: SolutionRecord):
-    n = record.n
-    dr = record.r[1] - record.r[0]
-    w = record.r ** (n - 1) * dr
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    area = surface_area(n)
-    U = area * (record.u @ w)
-    V = area * (record.v @ w)
-    Up = area * (record.ut @ w)
-    Vp = area * (record.vt @ w)
-    return U, V, Up, Vp
+    wr = np.gradient(w, r[1] - r[0])
+    return 0.5 * float(radial_weights(r, n) @ (wt**2 + wr**2))
 
 
 def write_summary_csv(record: SolutionRecord, path) -> None:
     """Per-sample summary: t, maxu, maxut, maxv, U, V, Uprime, Vprime."""
     if not record.has_profiles:
         raise ValueError("summary CSV needs stored profiles")
-    U, V, Up, Vp = _plain_integrals(record)
+    w = radial_weights(record.r, record.n)
+    U, V, Up, Vp = record.u @ w, record.v @ w, record.ut @ w, record.vt @ w
     maxu = np.abs(record.u).max(axis=1)
     maxut = np.abs(record.ut).max(axis=1)
     maxv = np.abs(record.v).max(axis=1)

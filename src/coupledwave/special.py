@@ -46,6 +46,7 @@ __all__ = [
     "eta",
     "xi",
     "kernel_nodes",
+    "sinhc",
     "bracket",
     "make_kernel_grid",
     "verify_kernel_bounds",
@@ -226,7 +227,7 @@ def kernel_nodes(cfg: KernelConfig):
     return lam, wts
 
 
-def _sinhc(y):
+def sinhc(y):
     """sinh(y)/y with the removable singularity handled by series."""
     y = np.asarray(y, dtype=float)
     small = np.abs(y) < 1e-4
@@ -243,7 +244,7 @@ def _kernel_value(cfg, n, t, s, radius, hyperbolic):
     scalar = r.ndim == 0
     damp = np.exp(-lam * (cfg.R + t))
     if hyperbolic == "sinhc":
-        hyp = _sinhc(lam * (t - s))
+        hyp = sinhc(lam * (t - s))
     else:
         hyp = np.cosh(lam * (t - s))
     ph = phi(n, np.multiply.outer(r, lam))
@@ -287,6 +288,12 @@ class BoundReport:
     min_ratio: float
     max_ratio: float
     samples: int
+
+    @property
+    def passed(self) -> bool:
+        if self.bound_id is BoundId.ETA_DIAG:
+            return bool(np.isfinite(self.max_ratio))
+        return self.min_ratio > 0
 
 
 def make_kernel_grid(t_max: float, R: float, n_t: int = 8,

@@ -46,11 +46,7 @@ def _check_kernel_bounds():
         for r in (0.5 * (n - 1) - 1.0 / c.p_mix, 0.5 * (n - 1) - 1.0 / c.q_mix):
             cfg = KernelConfig(r=r, R=1.0)
             reports = verify_kernel_bounds(cfg, n, make_kernel_grid(25.0, 1.0, n_t=6))
-            for rep in reports:
-                if rep.bound_id.value == "eta-diag":
-                    ok &= np.isfinite(rep.max_ratio)
-                else:
-                    ok &= rep.min_ratio > 0
+            ok &= all(rep.passed for rep in reports)
         radii = np.linspace(0.0, 100.0, 201)
         band = np.exp(log_phi(n, radii) + 0.5 * (n - 1) * np.log(3.0 + radii) - radii)
         ok &= band.min() > 0 and band.max() / band.min() < 100.0
@@ -72,9 +68,8 @@ def _check_closed_forms():
                 (tab.weight_power, tab.weight_power_closed),
                 (tab.coeff_log, tab.coeff_log_closed),
             ):
-                rel = np.max(np.abs(brute - closed) / np.maximum(np.abs(closed), 1.0))
-                worst = max(worst, float(rel))
-    return worst < 1e-12, f"worst closed-form deviation {worst:.2e}"
+                worst = max(worst, it.closed_form_deviation(brute, closed))
+    return worst < it.CLOSED_FORM_TOL, f"worst closed-form deviation {worst:.2e}"
 
 
 def _check_solver():
@@ -120,7 +115,7 @@ def _check_identity():
     )
     rec = run(spec)
     res_u, res_v = fn.check_fundamental_identity(rec, spec, 0.5, 0.5)
-    ok = res_u < 0.02 and res_v < 0.02
+    ok = res_u < fn.IDENTITY_TOL and res_v < fn.IDENTITY_TOL
     return ok, f"residuals {res_u:.2e}, {res_v:.2e}"
 
 

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from coupledwave import configio
 from coupledwave.cli import main
 
 
@@ -116,3 +119,29 @@ def test_specfn_verb(capsys):
     assert "bound xi0" in out
     assert "bound eta-diag" in out
     assert "FAIL" not in out
+
+
+def test_kernels_offset_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "offset.json"
+    cfg.write_text(json.dumps({"kernels": {"offset": 0.1}}))
+    with pytest.raises(configio.ConfigError):
+        configio.merge_config(json.loads(cfg.read_text()))
+    assert main(["identity", "--config", str(cfg)]) == 2
+    assert "kernels.offset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, field, value, build",
+    [
+        ("problem", "n", 3.7, configio.problem_spec_from_config),
+        ("data", "k", 3.5, configio.problem_spec_from_config),
+        ("sweep", "repeats", 2.5, configio.sweep_config_from_config),
+        ("kernels", "quad_nodes", 64.5, configio.kernel_params_from_config),
+    ],
+)
+def test_non_integral_integer_fields_rejected(section, field, value, build):
+    cfg = configio.merge_config({section: {field: value}})
+    with pytest.raises(configio.ConfigError, match=f"{section}.{field}"):
+        build(cfg)
+    # an integral float is still an integer
+    build(configio.merge_config({section: {field: float(int(value))}}))

@@ -259,3 +259,26 @@ def test_series_csv_and_report(tmp_path, standard_series, standard_spec):
     payload = json.loads(report.read_text())
     assert len(payload) == 3
     assert {"bound_id", "min_margin", "window", "pass"} <= set(payload[0])
+
+
+def test_fundamental_identity_pinned_residuals(monkeypatch):
+    # the verify suite's identity spec; residuals recorded before the
+    # kernel bases were shared, and the check reads no full extraction
+    spec = ProblemSpec(
+        n=3, pq=ExponentPair(2, 2), b1=DampingSpec.zero(), b2=DampingSpec.zero(),
+        R=1.0, eps=1.0, data=InitialDataFamily(k=3, amplitudes=(1, 1, 1, 1)),
+        grid=GridSpec(dr=0.01, t_max=2.0),
+    )
+    rec = run(spec)
+
+    def no_extract(*_args, **_kwargs):
+        raise AssertionError("identity check must not run the full extraction")
+
+    monkeypatch.setattr(fn, "extract", no_extract)
+    pinned = {
+        (0.5, 0.5): (0.003419048058476131, 0.0007415593652975575),
+        (0.3, 0.8): (0.003514557331984131, 0.0007473036657587769),
+    }
+    for (r1, r2), expected in pinned.items():
+        res = fn.check_fundamental_identity(rec, spec, r1, r2)
+        assert res == pytest.approx(expected, rel=1e-12, abs=0.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -278,3 +279,77 @@ def test_table_csv(tmp_path):
     tv, _ = subcritical_sequences(3, (2, 2), 8)
     write_table_csv(tv, path)
     assert path.read_text().splitlines()[1].endswith(",")  # no ell column
+
+
+# sha256 of write_table_csv output, one table per family; the values were
+# recorded before the recursions were folded into one table builder, so
+# they pin every printed digit of both the brute and closed-form columns.
+TABLE_DIGESTS = {
+    "subcritical-v": "bf7b2f29b3015c0eb22d45d6b9a852d445d71629be1d18448bd0d694845726a2",
+    "subcritical-uprime": "1fc32dba3d9e6f1bb55b887a302cb3d96ed47479538ab697b1d19a3a75512279",
+    "critical-theta1": "0199d2b38e2c4619cefb407e9a60f34582b8fbf36827563490b0806d70a94357",
+    "critical-theta2": "e4babc390c8e49155940e4c7201359a0be2b5839bfb61c9d7b9134e6a254ec7f",
+    "critical-double": "98a5e551ab6c177378b414c24178f80f552f74b1db0dbe6ac59a414e6c65f862",
+}
+
+
+def _family_tables():
+    tv, tu = subcritical_sequences(3, (2.0, 2.0), 60)
+    c = cusp_exponents(3)
+    return [
+        tv,
+        tu,
+        critical_sequences("theta1", 3, (2.0, theta1_critical_q(3, 2.0)), 60),
+        critical_sequences("theta2", 3, (theta2_critical_p(3, 1.2), 1.2), 60),
+        critical_sequences("double", 3, (c.p_mix, c.q_mix), 60),
+    ]
+
+
+def test_table_csv_digests(tmp_path):
+    tables = _family_tables()
+    assert {t.family for t in tables} == set(TABLE_DIGESTS)
+    for tab in tables:
+        path = tmp_path / f"{tab.family}.csv"
+        write_table_csv(tab, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == TABLE_DIGESTS[tab.family], tab.family
+
+
+def test_divergence_driver_overflow_is_inf():
+    con = IterationConstants.from_frame(3, (2.0, 2.0))
+    assert divergence_driver("subcritical-v", 3, (2.0, 2.0), 0.5, con, log_t=1e5) == math.inf
+
+
+def _critical_cases():
+    q1 = theta1_critical_q(3, 2.0)
+    p2 = theta2_critical_p(3, 1.2)
+    c = cusp_exponents(3)
+    return [
+        (Region.CRITICAL_THETA1, (2.0, q1)),
+        (Region.CRITICAL_THETA2, (p2, 1.2)),
+        (Region.DOUBLE_CRITICAL, (c.p_mix, c.q_mix)),
+    ]
+
+
+@pytest.mark.parametrize("region, pq", _critical_cases())
+def test_threshold_critical_tiny_eps_is_inf(region, pq):
+    con = IterationConstants.from_frame(3, pq)
+    for eps in (1e-40, 1e-300):
+        th = threshold_time(3, pq, eps, con, region)
+        assert th.T == math.inf
+        assert th.log_T > 0
+    assert threshold_time(3, pq, 1e-300, con, region).log_T == math.inf
+    if region is Region.CRITICAL_THETA1:
+        assert threshold_time(3, pq, 1e-40, con, region).log_T == math.inf
+
+
+def test_from_frame_tiny_constant_in_log_space():
+    x = 4.0  # pq at p = q = 2
+    base = IterationConstants.from_frame(3, (2.0, 2.0))
+    con = IterationConstants.from_frame(3, (2.0, 2.0), C=1e-300)
+    log_c = math.log(1e-300)
+    # log M and log M2 carry log C once, log M1 carries p log C
+    assert con.log_E == pytest.approx(base.log_E + (x - 1.0) * log_c, rel=1e-12)
+    assert con.log_E1 == pytest.approx(base.log_E1 + (x - 1.0) * 2.0 * log_c, rel=1e-12)
+    assert con.log_E2 == pytest.approx(base.log_E2 + (x - 1.0) * log_c, rel=1e-12)
+    assert con.M1 == 0.0 and con.E == 0.0
+    assert con.M == pytest.approx(base.M * 1e-300, rel=1e-9)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from coupledwave.solver import (
     light_cone_check,
     radial_energy,
     radial_grid,
+    radial_weights,
     run,
     write_blowup_json,
     write_summary_csv,
 )
-from coupledwave.special import DampingSpec
+from coupledwave.special import DampingSpec, surface_area
 
 R0 = 2.0
 
@@ -265,3 +267,24 @@ def test_numerical_failure_is_flagged():
         assert "non-finite" in rec.failure_reason
     else:
         assert np.isfinite(rec.sup_norms).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_radial_weights_are_the_trapezoid_rule(n):
+    r = np.arange(301) * 0.01
+    f = np.exp(-r) * np.cos(3.0 * r) + 2.0
+    expected = surface_area(n) * np.trapezoid(f * r ** (n - 1), r)
+    assert radial_weights(r, n) @ f == pytest.approx(expected, rel=1e-12)
+
+
+def test_level0_overflow_fails_without_warning():
+    # |u_t|^600 overflows in the very first (Taylor) step
+    spec = _spec(
+        pq=ExponentPair(600.0, 2.0),
+        data=InitialDataFamily(k=3, amplitudes=(4, 4, 4, 4)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = run(spec, store_profiles=False)
+    assert rec.failed
+    assert "non-finite" in rec.failure_reason

@@ -6,6 +6,7 @@ from scipy.special import i0
 
 from coupledwave.special import (
     BoundId,
+    BoundReport,
     DampingSpec,
     KernelConfig,
     bracket,
@@ -16,6 +17,7 @@ from coupledwave.special import (
     phi,
     psi,
     psi_moment,
+    sinhc,
     surface_area,
     verify_kernel_bounds,
     xi,
@@ -200,6 +202,20 @@ def test_verify_kernel_bounds_reports():
             assert math.isfinite(rep.max_ratio)
         else:
             assert rep.min_ratio > 0
+
+
+def test_bound_report_pass_rule():
+    # lower bounds pass on a positive minimum ratio, eta-diag on a finite maximum
+    assert BoundReport(BoundId.XI0, 0.1, math.inf, 3).passed
+    assert not BoundReport(BoundId.ETAS, 0.0, 1.0, 3).passed
+    assert BoundReport(BoundId.ETA_DIAG, -1.0, 5.0, 3).passed
+    assert not BoundReport(BoundId.ETA_DIAG, 1.0, math.inf, 3).passed
+
+
+def test_sinhc_series_and_closed_form():
+    y = np.array([0.0, 1e-6, -5e-5, 1e-4, 0.5, -3.0, 20.0])
+    expected = [1.0] + [math.sinh(v) / v for v in y[1:]]
+    assert sinhc(y) == pytest.approx(expected, rel=1e-15)
 
 
 def test_verify_kernel_bounds_rejects_bad_points():
