@@ -108,8 +108,13 @@ class IterationConstants:
     The derived fields follow: M, N (theta1-critical coefficient
     recursion), M1, N1 (theta2), M2, N2 (double), S = pq/(pq-1)^2,
     Nconst and Ntilde (subcritical threshold constants) and the
-    critical lifespan constants E, E1, E2 (also kept as logs for
-    overflow-free threshold evaluation).
+    critical lifespan constants E, E1, E2.  Nconst, Ntilde, E, E1 and
+    E2 are also kept as logs, which the thresholds and drivers read, so
+    that they stay finite where the linear values underflow or
+    overflow.  Where Nconst or Ntilde disagrees with exp of its log (as
+    after ``dataclasses.replace`` of the linear value), the linear
+    value wins and rebuilds the log; to set a log, pass the matching
+    linear value ``math.exp(log)`` with it.
     """
 
     n: int
@@ -136,6 +141,17 @@ class IterationConstants:
     log_E: float = 0.0
     log_E1: float = 0.0
     log_E2: float = 0.0
+    log_Ntilde: float = 0.0
+    log_Nconst: float = 0.0
+
+    def __post_init__(self):
+        # a linear value that disagrees with its log defines the log
+        for name in ("Nconst", "Ntilde"):
+            val = getattr(self, name)
+            if val != _exp(getattr(self, "log_" + name)):
+                if not val > 0:
+                    raise ValueError(f"{name} must be positive, got {val}")
+                object.__setattr__(self, "log_" + name, math.log(val))
 
     @classmethod
     def from_frame(cls, n, pq, C: float = 1.0, K: float = 1.0,
@@ -149,7 +165,8 @@ class IterationConstants:
                           ("Ktilde", Ktilde), ("m1_0", m1_0), ("m2_0", m2_0)):
             if not val > 0:
                 raise ValueError(f"constant {name} must be positive, got {val}")
-        # M, M1, M2 underflow for small frame constants, their logs do not
+        # M, M1, M2, Nconst, Ntilde underflow for small frame constants,
+        # their logs do not
         log_C, log_K = math.log(C), math.log(K)
         log_M = -q * (3.0 * n + 4.0) * LOG2 + log_C + q * log_K + math.log((x - 1.0) / x)
         log_M1 = (-3.0 * n * p - 6.0) * LOG2 + log_K + p * log_C + math.log((x - 1.0) / x)
@@ -161,17 +178,19 @@ class IterationConstants:
         N1 = 2.0 ** (2.0 * (p + 1.0)) * x
         N2 = 2.0**q * x ** (q + 1.0)
         S = x / (x - 1.0) ** 2
-        Msub = C * K**p * (n + 1.0 + (p + 2.0) / (x - 1.0)) ** (-(p + 2.0))
-        Msub_t = K * C**q * (n + (2.0 * q + 1.0) / (x - 1.0)) ** (-(2.0 * q + 1.0))
-        Nconst = (
-            m2_0 * Ktilde / (n * (n + 1.0))
-            * x ** (-(p + 2.0) * x / (x - 1.0) ** 2)
-            * Msub ** (1.0 / (x - 1.0))
+        log_Msub = log_C + p * log_K - (p + 2.0) * math.log(n + 1.0 + (p + 2.0) / (x - 1.0))
+        log_Msub_t = (
+            log_K + q * log_C - (2.0 * q + 1.0) * math.log(n + (2.0 * q + 1.0) / (x - 1.0))
         )
-        Ntilde = (
-            m1_0 * Ctilde / n
-            * x ** (-(2.0 * q + 1.0) * x / (x - 1.0) ** 2)
-            * Msub_t ** (1.0 / (x - 1.0))
+        log_Nconst = (
+            math.log(m2_0) + math.log(Ktilde) - math.log(n * (n + 1.0))
+            - (p + 2.0) * x / (x - 1.0) ** 2 * math.log(x)
+            + log_Msub / (x - 1.0)
+        )
+        log_Ntilde = (
+            math.log(m1_0) + math.log(Ctilde) - math.log(n)
+            - (2.0 * q + 1.0) * x / (x - 1.0) ** 2 * math.log(x)
+            + log_Msub_t / (x - 1.0)
         )
         log_E = (
             -q * (2.0 * p - 1.0) / (x - 1.0) * LOG2
@@ -194,9 +213,11 @@ class IterationConstants:
         return cls(
             n=n, p=p, q=q, C=C, K=K, Ctilde=Ctilde, Ktilde=Ktilde,
             m1_0=m1_0, m2_0=m2_0, M=_exp(log_M), N=N, M1=_exp(log_M1),
-            N1=N1, M2=_exp(log_M2), N2=N2, S=S, Ntilde=Ntilde, Nconst=Nconst,
+            N1=N1, M2=_exp(log_M2), N2=N2, S=S,
+            Ntilde=_exp(log_Ntilde), Nconst=_exp(log_Nconst),
             E=_exp(log_E), E1=_exp(log_E1), E2=_exp(log_E2),
             log_E=log_E, log_E1=log_E1, log_E2=log_E2,
+            log_Ntilde=log_Ntilde, log_Nconst=log_Nconst,
         )
 
     def matches(self, n, pq, tol: float = 1e-12) -> bool:
@@ -481,14 +502,14 @@ def threshold_time(n, pq, eps: float, consts: IterationConstants,
         if t1 >= t2:
             log_T = (
                 (0.5 * (n - 1.0) + n / p) / t1 * LOG2
-                - math.log(consts.Nconst) / (p * t1)
+                - consts.log_Nconst / (p * t1)
                 - log_eps / t1
             )
             fid = "subcritical-theta1"
         else:
             log_T = (
                 (0.5 * (n - 1.0) + n / q) / t2 * LOG2
-                - math.log(consts.Ntilde) / (q * t2)
+                - consts.log_Ntilde / (q * t2)
                 - log_eps / t2
             )
             fid = "subcritical-theta2"
@@ -576,7 +597,7 @@ def divergence_driver(family: str, n, pq, eps: float, consts: IterationConstants
         log_val = (
             p * log_eps
             - (0.5 * (n - 1.0) * p + n) * LOG2
-            + math.log(consts.Nconst)
+            + consts.log_Nconst
             + p * t1 * log_t
         )
     elif family == "subcritical-uprime":
@@ -584,7 +605,7 @@ def divergence_driver(family: str, n, pq, eps: float, consts: IterationConstants
         log_val = (
             q * log_eps
             - (0.5 * (n - 1.0) * q + n) * LOG2
-            + math.log(consts.Ntilde)
+            + consts.log_Ntilde
             + q * t2 * log_t
         )
     elif family == "critical-theta1":

@@ -67,7 +67,13 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class LifespanRow:
-    """One sweep row; T_numeric is NaN when the run did not blow up."""
+    """One sweep row; T_numeric is NaN when the run did not blow up.
+
+    The finest repeat alone decides ``T_numeric``, ``blew_up`` and
+    ``failed``; ``failed_repeats`` lists every repeat (0 = coarsest)
+    whose run failed, and a failed coarser repeat only leaves
+    ``grid_change`` NaN.
+    """
 
     eps: float
     T_numeric: float
@@ -75,6 +81,7 @@ class LifespanRow:
     T_predicted_shape: float
     grid_change: float = math.nan
     failed: bool = False
+    failed_repeats: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -116,7 +123,7 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
 
     Rows that hit the horizon without blow-up carry blew_up = False and
     are excluded from the fit; solver numerical failures are recorded
-    per row without aborting the sweep.
+    per repeat without aborting the sweep.
     """
     base = cfg.base
     data = classify(base.n, base.pq)
@@ -124,7 +131,7 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
     raw = []
     for eps in cfg.eps_values:
         times = []
-        failed = False
+        failed_repeats = []
         for rep in range(cfg.repeats):
             grid = replace(
                 base.grid,
@@ -133,18 +140,17 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
             spec = replace(base, eps=eps, grid=grid)
             rec = run(spec, store_profiles=False)
             if rec.failed:
-                failed = True
-                times.append(math.nan)
-                continue
+                failed_repeats.append(rep)
             times.append(rec.t_blowup if rec.blew_up else math.nan)
         finest = times[-1]
-        blew = bool(np.isfinite(finest)) and not failed
+        failed = (cfg.repeats - 1) in failed_repeats
+        blew = bool(np.isfinite(finest))
         grid_change = math.nan
         if cfg.repeats >= 2 and np.isfinite(times[-1]) and np.isfinite(times[-2]):
             grid_change = abs(times[-1] - times[-2]) / abs(times[-1])
-        raw.append((eps, finest, blew, grid_change, failed))
+        raw.append((eps, finest, blew, grid_change, failed, tuple(failed_repeats)))
 
-    blown = [(e, T) for (e, T, b, _g, _f) in raw if b]
+    blown = [(e, T) for (e, T, b, *_rest) in raw if b]
     fit = None
     if len(blown) >= 2:
         slope, intercept, r2, _x, _res = _fit_loglog(*zip(*blown))
@@ -153,7 +159,7 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
     # prediction shape anchored at the largest blown-up eps
     anchor = blown[0] if blown else None
     rows = []
-    for eps, T, blew, grid_change, failed in raw:
+    for eps, T, blew, grid_change, failed, failed_repeats in raw:
         shape = math.nan
         if anchor is not None and np.isfinite(prediction.exponent):
             e0, t0 = anchor
@@ -166,6 +172,7 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
                 T_predicted_shape=shape,
                 grid_change=grid_change,
                 failed=failed,
+                failed_repeats=failed_repeats,
             )
         )
     return LifespanTable(

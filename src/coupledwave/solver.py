@@ -26,6 +26,17 @@ profiles beyond the light cone.  This removes the small dispersive
 spill of the explicit scheme ahead of the front (which would otherwise
 sit at the truncation-error level) and makes the support condition hold
 to machine precision in the records.
+
+Because everything beyond the cone is exactly zero, each step works
+only on the active window [:L] of the grid, L = k + 2 with k the first
+point beyond the next level's cone (or the whole grid once the cone
+reaches its end).  One stepping core, ``_Leapfrog``, does every update
+with out= ufuncs in buffers allocated once per run (three rotating
+time levels per field plus laplacian, forcing and velocity buffers),
+in the same floating-point order as the formulas above, so the results
+do not depend on the window.  ``evolve_scalar`` runs the same core on
+the whole grid with no cone: its data need not be compactly supported
+and its forcing is arbitrary.
 """
 
 from __future__ import annotations
@@ -186,6 +197,9 @@ class SolutionRecord:
     Profiles (u, ut, v, vt) are sampled every output stride; the
     sup-norm series is kept at full step resolution for blow-up
     detection.  Profiles are None when the run stored norms only.
+    ``steps`` counts the leapfrog levels after t = 0 (one per sup-norm
+    row), ``halvings`` holds one (t, dt_new, level_norm) per dt
+    halving and ``window_max`` is the largest active window L.
     """
 
     n: int
@@ -205,10 +219,16 @@ class SolutionRecord:
     failure_reason: str = ""
     dt_initial: float = 0.0
     dt_final: float = 0.0
+    halvings: tuple = ()
+    window_max: int = 0
 
     @property
     def has_profiles(self) -> bool:
         return self.u is not None
+
+    @property
+    def steps(self) -> int:
+        return len(self.sup_times) - 1
 
 
 def radial_grid(spec: ProblemSpec) -> np.ndarray:
@@ -228,38 +248,102 @@ def radial_weights(r: np.ndarray, n: int) -> np.ndarray:
     return surface_area(n) * w
 
 
-def _laplacian(w: np.ndarray, r: np.ndarray, dr: float, n: int) -> np.ndarray:
-    lap = np.empty_like(w)
-    inv_dr2 = 1.0 / (dr * dr)
-    lap[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) * inv_dr2 + (n - 1.0) / r[1:-1] * (
-        w[2:] - w[:-2]
-    ) / (2.0 * dr)
-    lap[0] = 2.0 * n * (w[1] - w[0]) * inv_dr2
-    lap[-1] = 0.0
-    return lap
+class _Field:
+    """Buffers of one field: three rotating time levels, and the
+    laplacian, forcing and centred velocity of the current level."""
+
+    __slots__ = ("prev", "cur", "next", "lap", "force", "vel")
+
+    def __init__(self, m: int):
+        self.prev, self.cur, self.next = np.zeros(m), np.zeros(m), np.zeros(m)
+        self.lap, self.force, self.vel = np.zeros(m), np.zeros(m), np.zeros(m)
+
+    def rotate(self):
+        self.prev, self.cur, self.next = self.cur, self.next, self.prev
 
 
-def _leap(w_prev, w_cur, lap, forcing, bval, dt):
-    half = 0.5 * bval * dt
-    w_next = (
-        2.0 * w_cur - w_prev + dt * dt * (lap + forcing) + half * w_prev
-    ) / (1.0 + half)
-    w_next[-1] = 0.0
-    return w_next
+class _Leapfrog:
+    """The stepping core: updates on the window [:L] of a field's buffers.
 
+    Points from ``k`` on are zeroed (the cone mask; k = L = M for no
+    cone).  Outside [:L] every buffer stays zero, so the window gives
+    the values of the whole-grid formulas; the grid-end conditions
+    apply only when L = M.
+    """
 
-def _taylor_step(w_cur, wt_cur, lap, forcing, bval, dt):
-    acc = lap - bval * wt_cur + forcing
-    w_next = w_cur + dt * wt_cur + 0.5 * dt * dt * acc
-    w_next[-1] = 0.0
-    return w_next
+    def __init__(self, r: np.ndarray, dr: float, n: int):
+        self.m = r.size
+        self.inv_dr2 = 1.0 / (dr * dr)
+        self.two_dr = 2.0 * dr
+        self.axis = 2.0 * n
+        self.coef = (n - 1.0) / r[1:-1]
+        self.tmp = np.zeros(self.m)
 
+    def laplacian(self, w, lap, L):
+        mid = lap[1 : L - 1]
+        tmp = self.tmp[: L - 2]
+        np.multiply(w[1 : L - 1], 2.0, out=mid)
+        np.subtract(w[2:L], mid, out=mid)
+        np.add(mid, w[: L - 2], out=mid)
+        np.multiply(mid, self.inv_dr2, out=mid)
+        np.subtract(w[2:L], w[: L - 2], out=tmp)
+        np.multiply(self.coef[: L - 2], tmp, out=tmp)
+        np.divide(tmp, self.two_dr, out=tmp)
+        np.add(mid, tmp, out=mid)
+        lap[0] = self.axis * (w[1] - w[0]) * self.inv_dr2
+        if L == self.m:
+            lap[-1] = 0.0
 
-def _restart_velocity(w_prev, w_cur, lap_cur, forcing, bval, dt_old):
-    # one-sided second-order velocity estimate using the equation itself
-    zt = (w_cur - w_prev) / dt_old
-    acc = lap_cur - bval * zt + forcing
-    return zt + 0.5 * dt_old * acc
+    def _close(self, out, L, k):
+        out[k:] = 0.0
+        if L == self.m:
+            out[-1] = 0.0
+
+    def step(self, fld: _Field, bval, dt, L, k, k_vel):
+        """Laplacian of the current level, the damped leap to the next
+        level (cone from k) and the centred velocity (cone from k_vel);
+        ``fld.force`` must hold the forcing on [:L]."""
+        self.laplacian(fld.cur, fld.lap, L)
+        out = fld.next[:L]
+        prev = fld.prev[:L]
+        tmp = self.tmp[:L]
+        np.add(fld.lap[:L], fld.force[:L], out=tmp)
+        np.multiply(tmp, dt * dt, out=tmp)
+        np.multiply(fld.cur[:L], 2.0, out=out)
+        np.subtract(out, prev, out=out)
+        np.add(out, tmp, out=out)
+        half = 0.5 * bval * dt
+        if half:
+            np.multiply(prev, half, out=tmp)
+            np.add(out, tmp, out=out)
+            np.divide(out, 1.0 + half, out=out)
+        self._close(out, L, k)
+        vel = fld.vel[:L]
+        np.subtract(out, prev, out=vel)
+        np.divide(vel, 2.0 * dt, out=vel)
+        vel[k_vel:] = 0.0
+
+    def taylor(self, fld: _Field, wt, bval, dt, L, k):
+        """Second-order Taylor step from (cur, wt) into ``fld.next``, with
+        ``fld.lap`` and ``fld.force`` of the current level."""
+        acc = fld.lap[:L] - bval * wt + fld.force[:L]
+        out = fld.next[:L]
+        out[:] = fld.cur[:L] + dt * wt + 0.5 * dt * dt * acc
+        self._close(out, L, k)
+
+    def start(self, fld: _Field, wt, bval, dt, L, k):
+        """Level 0: Taylor step from the data (cur, wt) with the forcing in
+        ``fld.force``, then rotate so that (prev, cur) = (data, level 1)."""
+        self.laplacian(fld.cur, fld.lap, L)
+        self.taylor(fld, wt, bval, dt, L, k)
+        fld.rotate()
+
+    def restart(self, fld: _Field, bval, dt_old, dt, L, k):
+        """Replace the leap to ``fld.next`` by a Taylor step of size dt,
+        from a one-sided second-order velocity that uses the equation."""
+        zt = (fld.cur[:L] - fld.prev[:L]) / dt_old
+        acc = fld.lap[:L] - bval * zt + fld.force[:L]
+        self.taylor(fld, zt + 0.5 * dt_old * acc, bval, dt, L, k)
 
 
 def detect_blowup(times, sup_norms, threshold: float):
@@ -285,6 +369,15 @@ def detect_blowup(times, sup_norms, threshold: float):
     return True, float(times[k - 1] + frac * (times[k] - times[k - 1]))
 
 
+def _abs_power(w, out, e):
+    """out = |w| ** e in place (through the operator, so e = 2 squares);
+    returns max |w|."""
+    np.abs(w, out=out)
+    peak = float(out.max())
+    out **= e
+    return peak
+
+
 def run(spec: ProblemSpec, store_profiles: bool = True) -> SolutionRecord:
     """Integrate the coupled system until t_max or blow-up detection.
 
@@ -296,18 +389,20 @@ def run(spec: ProblemSpec, store_profiles: bool = True) -> SolutionRecord:
     n = spec.n
     p, q = spec.pq.p, spec.pq.q
     grid = spec.grid
-    dr = grid.dr
     dt0 = grid.dt
     threshold = grid.blowup_threshold
     r = radial_grid(spec)
+    m = r.size
+    core = _Leapfrog(r, grid.dr, n)
+    u, v = _Field(m), _Field(m)
 
     bump = spec.data.profile(r, spec.R)
-    u_cur = spec.eps * spec.data.a_u0 * bump
+    u.cur[:] = spec.eps * spec.data.a_u0 * bump
     ut0 = spec.eps * spec.data.a_u1 * bump
-    v_cur = spec.eps * spec.data.a_v0 * bump
+    v.cur[:] = spec.eps * spec.data.a_v0 * bump
     vt0 = spec.eps * spec.data.a_v1 * bump
 
-    init_norm = max(np.abs(u_cur).max(), np.abs(ut0).max(), np.abs(v_cur).max())
+    init_norm = max(np.abs(u.cur).max(), np.abs(ut0).max(), np.abs(v.cur).max())
     if threshold <= init_norm:
         raise ValueError("blowup_threshold must exceed the initial sup norms")
 
@@ -324,34 +419,27 @@ def run(spec: ProblemSpec, store_profiles: bool = True) -> SolutionRecord:
             vs.append(v.copy())
             vts.append(vt.copy())
 
-    def cone_mask(w, t):
-        # finite propagation speed: data in B_R implies supp w(t) in B_{t+R}
-        w[r > t + spec.R] = 0.0
-        return w
-
     # level 0
-    emit_sample(0.0, u_cur, ut0, v_cur, vt0)
+    emit_sample(0.0, u.cur, ut0, v.cur, vt0)
     sup_times.append(0.0)
     sup_rows.append(
-        (np.abs(u_cur).max(), np.abs(ut0).max(), np.abs(v_cur).max())
+        (np.abs(u.cur).max(), np.abs(ut0).max(), np.abs(v.cur).max())
     )
 
     dt = dt0
     # overflow past the threshold is an expected terminal state
     with np.errstate(over="ignore", invalid="ignore"):
-        fu = np.abs(v_cur) ** q
-        fv = np.abs(ut0) ** p
-        u_next = _taylor_step(u_cur, ut0, _laplacian(u_cur, r, dr, n), fu, spec.b1.b(0.0), dt)
-        v_next = _taylor_step(v_cur, vt0, _laplacian(v_cur, r, dr, n), fv, spec.b2.b(0.0), dt)
-        cone_mask(u_next, dt)
-        cone_mask(v_next, dt)
-        u_prev, u_cur = u_cur, u_next
-        v_prev, v_cur = v_cur, v_next
+        # finite propagation speed: data in B_R implies supp w(dt) in B_{dt+R}
+        k = int(r.searchsorted(dt + spec.R, side="right"))
+        L = min(m, k + 2)
+        _abs_power(v.cur[:L], u.force[:L], q)
+        _abs_power(ut0[:L], v.force[:L], p)
+        core.start(u, ut0[:L], spec.b1.b(0.0), dt, L, k)
+        core.start(v, vt0[:L], spec.b2.b(0.0), dt, L, k)
 
-        blew_up, t_blowup, failed, reason, dt_final = _advance(
-            spec, r, dr, n, p, q, threshold, stride,
-            (u_prev, u_cur, v_prev, v_cur), dt, init_norm,
-            sup_times, sup_rows, emit_sample, cone_mask,
+        blew_up, t_blowup, failed, reason, dt_final, halvings, window_max = _advance(
+            spec, r, core, u, v, dt, L, init_norm, stride,
+            sup_times, sup_rows, emit_sample,
         )
 
     def stack(rows):
@@ -375,19 +463,28 @@ def run(spec: ProblemSpec, store_profiles: bool = True) -> SolutionRecord:
         failure_reason=reason,
         dt_initial=dt0,
         dt_final=dt_final,
+        halvings=tuple(halvings),
+        window_max=window_max,
     )
 
 
-def _advance(spec, r, dr, n, p, q, threshold, stride, state, dt, init_norm,
-             sup_times, sup_rows, emit_sample, cone_mask):
-    """Main leapfrog loop.
+def _advance(spec, r, core, u, v, dt, window, init_norm, stride,
+             sup_times, sup_rows, emit_sample):
+    """Main leapfrog loop on the light-cone window.
 
-    Returns (blew_up, t_blowup, failed, reason, final_dt)."""
-    u_prev, u_cur, v_prev, v_cur = state
+    At time t the next level vanishes from k = first index with
+    r > t + dt + R on, and the step works on [:L], L = min(M, k + 2).
+    Returns (blew_up, t_blowup, failed, reason, final_dt, halvings,
+    largest window)."""
     grid = spec.grid
+    R = spec.R
+    p, q = spec.pq.p, spec.pq.q
+    threshold = grid.blowup_threshold
+    m = r.size
     t = dt
+    k_cur = int(r.searchsorted(t + R, side="right"))
     step = 1
-    halvings = 0
+    halvings = []
     blew_up = False
     t_blowup = None
     failed = False
@@ -395,18 +492,14 @@ def _advance(spec, r, dr, n, p, q, threshold, stride, state, dt, init_norm,
     while t < grid.t_max - 0.5 * dt:
         b1v = spec.b1.b(t)
         b2v = spec.b2.b(t)
-        lap_u = _laplacian(u_cur, r, dr, n)
-        fu = np.abs(v_cur) ** q
-        u_next = cone_mask(_leap(u_prev, u_cur, lap_u, fu, b1v, dt), t + dt)
-        ut_cur = cone_mask((u_next - u_prev) / (2.0 * dt), t)
-        lap_v = _laplacian(v_cur, r, dr, n)
-        fv = np.abs(ut_cur) ** p
-        v_next = cone_mask(_leap(v_prev, v_cur, lap_v, fv, b2v, dt), t + dt)
-        vt_cur = cone_mask((v_next - v_prev) / (2.0 * dt), t)
-
-        nu = float(np.abs(u_cur).max())
-        nut = float(np.abs(ut_cur).max())
-        nv = float(np.abs(v_cur).max())
+        k = int(r.searchsorted(t + dt + R, side="right"))
+        L = min(m, k + 2)
+        window = max(window, L)
+        nv = _abs_power(v.cur[:L], u.force[:L], q)
+        core.step(u, b1v, dt, L, k, k_cur)
+        nut = _abs_power(u.vel[:L], v.force[:L], p)
+        core.step(v, b2v, dt, L, k, k_cur)
+        nu = float(np.abs(u.cur[:L], out=core.tmp[:L]).max())
         level_norm = max(nu, nut, nv)
 
         if not np.isfinite(level_norm):
@@ -419,7 +512,7 @@ def _advance(spec, r, dr, n, p, q, threshold, stride, state, dt, init_norm,
         sup_rows.append((nu, nut, nv))
 
         if step % stride == 0 or level_norm >= threshold:
-            emit_sample(t, u_cur, ut_cur, v_cur, vt_cur)
+            emit_sample(t, u.cur, u.vel, v.cur, v.vel)
 
         if level_norm >= threshold:
             blew_up, t_blowup = detect_blowup(
@@ -431,21 +524,21 @@ def _advance(spec, r, dr, n, p, q, threshold, stride, state, dt, init_norm,
         if (
             level_norm > GROWTH_REFINE_FACTOR * prev_norm
             and level_norm > 1e3 * max(init_norm, 1e-300)
-            and halvings < MAX_DT_HALVINGS
+            and len(halvings) < MAX_DT_HALVINGS
         ):
             dt_old = dt
             dt = 0.5 * dt
-            halvings += 1
-            ut_est = _restart_velocity(u_prev, u_cur, lap_u, fu, b1v, dt_old)
-            vt_est = _restart_velocity(v_prev, v_cur, lap_v, fv, b2v, dt_old)
-            u_next = cone_mask(_taylor_step(u_cur, ut_est, lap_u, fu, b1v, dt), t + dt)
-            v_next = cone_mask(_taylor_step(v_cur, vt_est, lap_v, fv, b2v, dt), t + dt)
+            halvings.append((t, dt, level_norm))
+            k = int(r.searchsorted(t + dt + R, side="right"))
+            core.restart(u, b1v, dt_old, dt, L, k)
+            core.restart(v, b2v, dt_old, dt, L, k)
 
-        u_prev, u_cur = u_cur, u_next
-        v_prev, v_cur = v_cur, v_next
+        u.rotate()
+        v.rotate()
+        k_cur = k
         t += dt
         step += 1
-    return blew_up, t_blowup, failed, reason, dt
+    return blew_up, t_blowup, failed, reason, dt, halvings, window
 
 
 def light_cone_check(record: SolutionRecord, R: float) -> float:
@@ -482,40 +575,42 @@ def evolve_scalar(
 
     Used by the manufactured-solution and energy tests; returns
     (times, W, Wt, r) with profiles sampled every ``sample_stride``
-    steps.  ``forcing(t, r)`` is evaluated at the current level.
+    steps.  ``forcing(t, r)`` is evaluated at the current level.  The
+    data need not be compactly supported, so the step covers the whole
+    grid with no cone.
     """
     n = check_dimension(n)
     m = int(np.floor(r_max / dr + 1e-9)) + 1
     r = np.arange(m) * dr
     dt = cfl * dr
-    w_cur = np.array(w0, dtype=float)
     wt0 = np.array(w1, dtype=float)
-    if w_cur.shape != r.shape or wt0.shape != r.shape:
+    if np.shape(w0) != r.shape or wt0.shape != r.shape:
         raise ValueError("initial profiles must match the radial grid")
+    core = _Leapfrog(r, dr, n)
+    w = _Field(m)
+    w.cur[:] = w0
 
-    def f_at(t):
-        if forcing is None:
-            return 0.0
-        return forcing(t, r)
+    def load_forcing(t):
+        if forcing is not None:
+            w.force[:] = forcing(t, r)
 
     times = [0.0]
-    ws = [w_cur.copy()]
+    ws = [w.cur.copy()]
     wts = [wt0.copy()]
 
-    w_next = _taylor_step(w_cur, wt0, _laplacian(w_cur, r, dr, n), f_at(0.0), b.b(0.0), dt)
-    w_prev, w_cur = w_cur, w_next
+    load_forcing(0.0)
+    core.start(w, wt0, b.b(0.0), dt, m, m)
 
     steps = int(round(t_max / dt))
     for k in range(1, steps + 1):
         t = k * dt
-        lap = _laplacian(w_cur, r, dr, n)
-        w_next = _leap(w_prev, w_cur, lap, f_at(t), b.b(t), dt)
-        wt_cur = (w_next - w_prev) / (2.0 * dt)
+        load_forcing(t)
+        core.step(w, b.b(t), dt, m, m, m)
         if k % sample_stride == 0 or k == steps:
             times.append(t)
-            ws.append(w_cur.copy())
-            wts.append(wt_cur.copy())
-        w_prev, w_cur = w_cur, w_next
+            ws.append(w.cur.copy())
+            wts.append(w.vel.copy())
+        w.rotate()
     return np.asarray(times), np.vstack(ws), np.vstack(wts), r
 
 
@@ -542,7 +637,8 @@ def write_summary_csv(record: SolutionRecord, path) -> None:
 
 
 def write_blowup_json(record: SolutionRecord, path) -> None:
-    """Sidecar with blow-up metadata for a run."""
+    """Sidecar with blow-up metadata and telemetry for a run: step
+    count, one [t, dt_new, level_norm] per dt halving, largest window."""
     payload = {
         "blew_up": bool(record.blew_up),
         "t_blowup": None if record.t_blowup is None else float(record.t_blowup),
@@ -551,6 +647,9 @@ def write_blowup_json(record: SolutionRecord, path) -> None:
         "t_end": float(record.times[-1]) if record.times.size else None,
         "dt_initial": record.dt_initial,
         "dt_final": record.dt_final,
+        "steps": record.steps,
+        "halvings": [list(h) for h in record.halvings],
+        "window_max": record.window_max,
         "n": record.n,
         "R": record.R,
         "eps": record.eps,

@@ -163,10 +163,14 @@ class DampingSpec:
         return self.family is DampingFamily.ZERO or self.mu == 0.0
 
     def b(self, t):
-        """Coefficient value b(t); accepts arrays."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("t must be nonnegative")
+        """Coefficient value b(t); accepts arrays.  A float t >= 0 skips
+        the array validation (the solver calls this once per step)."""
+        if isinstance(t, float) and t >= 0.0:
+            t = np.float64(t)
+        else:
+            t = np.asarray(t, dtype=float)
+            if np.any(t < 0):
+                raise ValueError("t must be nonnegative")
         if self.is_zero:
             return np.zeros_like(t) if t.ndim else 0.0
         if self.family is DampingFamily.POWER_DECAY:

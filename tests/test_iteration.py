@@ -353,3 +353,43 @@ def test_from_frame_tiny_constant_in_log_space():
     assert con.log_E2 == pytest.approx(base.log_E2 + (x - 1.0) * log_c, rel=1e-12)
     assert con.M1 == 0.0 and con.E == 0.0
     assert con.M == pytest.approx(base.M * 1e-300, rel=1e-9)
+
+
+def test_subcritical_constants_stay_in_log_space():
+    # C = 1e-300 underflows the factor C**q inside Ntilde, not Ntilde;
+    # its log is the C = 1 log shifted by q log C / (x - 1), that of
+    # Nconst by log C / (x - 1)
+    n, p, q, C = 2, 3.0, 1.1, 1e-300
+    x = p * q
+    base = IterationConstants.from_frame(n, (p, q))
+    con = IterationConstants.from_frame(n, (p, q), C=C)
+    log_c = math.log(C)
+    assert con.Ntilde > 0.0
+    assert con.log_Ntilde == pytest.approx(
+        base.log_Ntilde + q * log_c / (x - 1.0), rel=1e-12
+    )
+    assert con.log_Nconst == pytest.approx(
+        base.log_Nconst + log_c / (x - 1.0), rel=1e-12
+    )
+    th = threshold_time(n, (p, q), 0.5, con, Region.SUBCRITICAL)
+    assert th.formula_id == "subcritical-theta2"
+    assert math.isfinite(th.log_T)
+    drv = divergence_driver("subcritical-uprime", n, (p, q), 0.5, con, log_t=th.log_T)
+    assert drv == pytest.approx(1.0, rel=1e-12)
+
+
+def test_replaced_subcritical_constant_defines_its_log():
+    base = IterationConstants.from_frame(3, (2.0, 2.0))
+    con = dataclasses.replace(base, Nconst=2.5, Ntilde=0.5)
+    assert con.log_Nconst == math.log(2.5)
+    assert con.log_Ntilde == math.log(0.5)
+    with pytest.raises(ValueError):
+        dataclasses.replace(con, Ntilde=0.0)
+    # a log replaced on its own is rebuilt from the linear value ...
+    assert dataclasses.replace(base, log_Nconst=-3.0).log_Nconst == base.log_Nconst
+    # ... and kept when the matching linear value comes with it, also
+    # where that value underflows
+    con = dataclasses.replace(base, log_Nconst=-3.0, Nconst=math.exp(-3.0))
+    assert con.log_Nconst == -3.0
+    con = dataclasses.replace(base, log_Ntilde=-800.0, Ntilde=math.exp(-800.0))
+    assert con.log_Ntilde == -800.0 and con.Ntilde == 0.0

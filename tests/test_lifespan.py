@@ -169,3 +169,41 @@ def test_predicted_shape_anchored(small_table):
     assert rows[0].T_predicted_shape == pytest.approx(rows[0].T_numeric, rel=1e-12)
     ratio = rows[1].T_predicted_shape / rows[0].T_predicted_shape
     assert ratio == pytest.approx((rows[1].eps / rows[0].eps) ** -6.0, rel=1e-12)
+
+
+def _fail_at_dr(monkeypatch, dr):
+    """Make the solver runs of one grid spacing fail."""
+    from coupledwave import lifespan
+
+    real = lifespan.run
+
+    def run(spec, store_profiles=True):
+        rec = real(spec, store_profiles=store_profiles)
+        if spec.grid.dr == dr:
+            return dataclasses.replace(
+                rec, blew_up=False, t_blowup=None, failed=True,
+                failure_reason="non-finite values (injected)",
+            )
+        return rec
+
+    monkeypatch.setattr(lifespan, "run", run)
+
+
+def test_coarse_repeat_failure_keeps_finest_row(monkeypatch, sweep_base, small_table):
+    _fail_at_dr(monkeypatch, sweep_base.grid.dr)
+    cfg = SweepConfig(base=sweep_base, eps_values=(1.6,), repeats=2)
+    row = sweep(cfg).rows[0]
+    assert row.blew_up and not row.failed
+    assert row.T_numeric == small_table.rows[0].T_numeric
+    assert row.failed_repeats == (0,)
+    assert math.isnan(row.grid_change)
+
+
+def test_finest_repeat_failure_fails_row(monkeypatch, sweep_base):
+    _fail_at_dr(monkeypatch, sweep_base.grid.dr / 2.0)
+    cfg = SweepConfig(base=sweep_base, eps_values=(1.6,), repeats=2)
+    row = sweep(cfg).rows[0]
+    assert row.failed and not row.blew_up
+    assert math.isnan(row.T_numeric)
+    assert row.failed_repeats == (1,)
+    assert math.isnan(row.grid_change)
