@@ -234,13 +234,12 @@ def _cmd_identity(args) -> int:
     cfg["damping2"]["family"] = "zero"
     cfg["data"]["amplitudes"] = [1.0, 1.0, 1.0, 1.0]
     spec = configio.problem_spec_from_config(cfg)
-    rec = run(spec)
     kp = configio.kernel_params_from_config(cfg)
     r1 = kp["r1"] if kp["r1"] is not None else 0.5 * (spec.n - 1) - 1.0 / spec.pq.p
     r2 = kp["r2"] if kp["r2"] is not None else 0.5 * (spec.n - 1) - 1.0 / spec.pq.q
-    res_u, res_v = fn.check_fundamental_identity(
-        rec, spec, r1, r2, lambda0=kp["lambda0"], quad_nodes=kp["quad_nodes"]
-    )
+    kernels = {"lambda0": kp["lambda0"], "quad_nodes": kp["quad_nodes"]}
+    rec = run(spec, store_profiles=False, probes=fn.identity_probes(spec, r1, r2, **kernels))
+    res_u, res_v = fn.check_fundamental_identity(rec, spec, r1, r2, **kernels)
     print(f"residual_curlyU={_g(res_u)}")
     print(f"residual_curlyV={_g(res_v)}")
     ok = res_u < fn.IDENTITY_TOL and res_v < fn.IDENTITY_TOL

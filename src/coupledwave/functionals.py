@@ -17,6 +17,13 @@ case, and the logarithmic seed bounds on the critical curve.
 All spatial quadrature is trapezoidal on the solver grid, matching the
 scheme's order.  Bound checks fit the (unknown) constants at the window
 start and test the claimed shape, not absolute constants.
+
+The curlyU/curlyV identity check needs no stored profiles: it reads the
+kernel lam-projections that a run records through the probe matrices
+of ``identity_probes`` (profiles, data and the nonlinear sources
+|v|^q, |u_t|^p), so its memory grows with samples * quad_nodes, not
+samples * grid points.  ``extract`` still reads stored profiles and
+applies the same diagonal-kernel formula to their projections.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .exponents import Region, classify
-from .solver import ProblemSpec, SolutionRecord, radial_grid, radial_weights
+from .solver import PROBE_SOURCES, ProblemSpec, SolutionRecord, radial_grid, radial_weights
 from .special import KernelConfig, kernel_nodes, multiplier, phi, sinhc
 
 __all__ = [
@@ -44,6 +51,7 @@ __all__ = [
     "check_floor_bounds",
     "check_nonlinearity_bounds",
     "check_fundamental_identity",
+    "identity_probes",
     "check_log_seeds",
     "write_series_csv",
     "write_check_report",
@@ -119,27 +127,28 @@ def _check_grids_match(record: SolutionRecord, spec: ProblemSpec) -> None:
         raise ValueError("record grid does not match the problem spec grid")
 
 
-def _kernel_basis(record, spec, r, w, lambda0, quad_nodes):
-    """Nodes lam, weights wl and the (m, M) basis Phi(lam x) * w of the
-    kernel with exponent r.
+def _kernel_nodes(spec, r, lambda0, quad_nodes):
+    """Nodes lam and weights wl of the kernel with exponent r."""
+    return kernel_nodes(KernelConfig(r=r, lambda0=lambda0, R=spec.R, quad_nodes=quad_nodes))
+
+
+def _kernel_basis(n, grid, lam):
+    """The (m, M) basis Phi(lam x) * w on the radial grid.
 
     basis @ f is the lam-projection int f(x) Phi(lam x) dx of a radial
-    profile f at every node; w are the record's radial weights.
+    profile f at every node; w are the grid's radial weights.
     """
-    cfg = KernelConfig(r=r, lambda0=lambda0, R=spec.R, quad_nodes=quad_nodes)
-    lam, wl = kernel_nodes(cfg)
-    return lam, wl, phi(record.n, np.multiply.outer(lam, record.r)) * w
+    return phi(n, np.multiply.outer(lam, grid)) * radial_weights(grid, n)
 
 
-def _diag_kernel_series(times, R, kernel, profiles):
-    """int profile(t) * eta_r(t, t, .) dx for every sample, vectorised.
+def _diag_kernel_series(times, R, lam, wl, proj):
+    """int profile(t) * eta_r(t, t, .) dx for every sample, from the
+    (N, m) lam-projections ``proj`` of the sampled profiles.
 
     eta on the diagonal is a pure lam-integral of exp(-lam(R+t)) *
     Phi(lam rho) lam^r, so the t-dependence reduces to per-node
     exponential factors on the lam-projections.
     """
-    lam, wl, basis = kernel
-    proj = profiles @ basis.T  # (N, m)
     decay = np.exp(-np.multiply.outer(times + R, lam))  # (N, m)
     return (proj * decay) @ wl
 
@@ -156,9 +165,12 @@ def extract(record: SolutionRecord, spec: ProblemSpec, r1: float, r2: float,
     decay = np.exp(-record.times)
     phi_row = phi(record.n, record.r)
     wp = phi_row * w
-    kernel1, kernel2 = (
-        _kernel_basis(record, spec, r, w, lambda0, quad_nodes) for r in (r1, r2)
-    )
+
+    def curly(r, profiles):
+        lam, wl = _kernel_nodes(spec, r, lambda0, quad_nodes)
+        proj = profiles @ _kernel_basis(record.n, record.r, lam).T
+        return _diag_kernel_series(record.times, spec.R, lam, wl, proj)
+
     return FunctionalSeries(
         times=record.times.copy(),
         U=record.u @ w,
@@ -168,8 +180,8 @@ def extract(record: SolutionRecord, spec: ProblemSpec, r1: float, r2: float,
         U1=decay * (record.u @ wp),
         V1=decay * (record.v @ wp),
         U2=decay * (record.ut @ wp),
-        curlyU=_diag_kernel_series(record.times, spec.R, kernel1, record.ut),
-        curlyV=_diag_kernel_series(record.times, spec.R, kernel2, record.v),
+        curlyU=curly(r1, record.ut),
+        curlyV=curly(r2, record.v),
         r1=float(r1),
         r2=float(r2),
     )
@@ -271,20 +283,45 @@ def check_nonlinearity_bounds(record: SolutionRecord, spec: ProblemSpec,
     return results
 
 
+def identity_probes(spec: ProblemSpec, r1: float, r2: float,
+                    lambda0: float = 1.0, quad_nodes: int = 64) -> dict:
+    """Probe matrices for ``run(spec, probes=...)`` whose projections
+    ``check_fundamental_identity`` reads.
+
+    Three kernel bases on ``radial_grid(spec)``: exponent r1 + 2 for u
+    (the u0 term), r1 for u_t and |v|^q (curlyU and its source), r2 for
+    v, v_t and |u_t|^p (curlyV, its data and its source).
+    """
+    grid = radial_grid(spec)
+    basis1s, basis1, basis2 = (
+        _kernel_basis(spec.n, grid, _kernel_nodes(spec, r, lambda0, quad_nodes)[0])
+        for r in (r1 + 2.0, r1, r2)
+    )
+    return {"u": basis1s, "ut": basis1, "v": basis2, "vt": basis2,
+            "|v|^q": basis1, "|u_t|^p": basis2}
+
+
 def check_fundamental_identity(record: SolutionRecord, spec: ProblemSpec,
                                r1: float, r2: float, checkpoints=None,
                                lambda0: float = 1.0, quad_nodes: int = 64):
     """Residuals of the exact integral representations of curlyU, curlyV.
 
-    Valid for the undamped system only.  Both sides are evaluated at
-    checkpoint times; the time integral of the nonlinear source against
-    the kernels uses the trapezoid rule over the stored samples.
-    Returns the maximum relative residual for each identity.
+    Valid for the undamped system only.  ``record`` must come from
+    ``run(spec, probes=identity_probes(spec, r1, r2, lambda0,
+    quad_nodes))``: the check reads only its projections.  Both sides
+    are evaluated at checkpoint times; the time integral of the
+    nonlinear source against the kernels uses the trapezoid rule over
+    the samples.  Returns the maximum relative residual for each
+    identity.
     """
     if not (spec.b1.is_zero and spec.b2.is_zero):
         raise ValueError("the fundamental identities hold for zero damping only")
-    if not record.has_profiles:
-        raise ValueError("identity check needs stored profiles")
+    proj = record.projections
+    if not all(s in proj and proj[s].shape[1] == quad_nodes for s in PROBE_SOURCES):
+        raise ValueError(
+            "identity check needs the projections of identity_probes(spec, r1, r2, "
+            "lambda0, quad_nodes); pass them to run(spec, probes=...)"
+        )
     _check_grids_match(record, spec)
 
     times = record.times
@@ -294,28 +331,16 @@ def check_fundamental_identity(record: SolutionRecord, spec: ProblemSpec,
     else:
         checkpoints = [int(np.argmin(np.abs(times - tc))) for tc in checkpoints]
 
-    w = radial_weights(record.r, record.n)
-    bump = spec.data.profile(record.r, spec.R)
-    u0 = spec.eps * spec.data.a_u0 * bump
-    u1 = spec.eps * spec.data.a_u1 * bump
-    v0 = spec.eps * spec.data.a_v0 * bump
-    v1 = spec.eps * spec.data.a_v1 * bump
-    p, q = spec.pq.p, spec.pq.q
-
-    kernel1s, kernel1, kernel2 = (
-        _kernel_basis(record, spec, r, w, lambda0, quad_nodes) for r in (r1 + 2.0, r1, r2)
-    )
-    curlyU = _diag_kernel_series(times, spec.R, kernel1, record.ut)
-    curlyV = _diag_kernel_series(times, spec.R, kernel2, record.v)
-    lam1s, wl1s, basis1s = kernel1s
-    lam1, wl1, basis1 = kernel1
-    lam2, wl2, basis2 = kernel2
-    proj_u0 = basis1s @ u0
-    proj_u1 = basis1 @ u1
-    proj_vq = basis1 @ (np.abs(record.v) ** q).T  # (m, N)
-    proj_v0 = basis2 @ v0
-    proj_v1 = basis2 @ v1
-    proj_utp = basis2 @ (np.abs(record.ut) ** p).T
+    lam1s, wl1s = _kernel_nodes(spec, r1 + 2.0, lambda0, quad_nodes)
+    lam1, wl1 = _kernel_nodes(spec, r1, lambda0, quad_nodes)
+    lam2, wl2 = _kernel_nodes(spec, r2, lambda0, quad_nodes)
+    curlyU = _diag_kernel_series(times, spec.R, lam1, wl1, proj["ut"])
+    curlyV = _diag_kernel_series(times, spec.R, lam2, wl2, proj["v"])
+    # the data are the sources at sample 0
+    proj_u0, proj_u1 = proj["u"][0], proj["ut"][0]
+    proj_v0, proj_v1 = proj["v"][0], proj["vt"][0]
+    proj_vq = proj["|v|^q"].T  # (m, N)
+    proj_utp = proj["|u_t|^p"].T
 
     res_u, res_v = 0.0, 0.0
     for ci in checkpoints:

@@ -203,15 +203,18 @@ def fit_scaling(table: LifespanTable, model_exponent: float) -> ScalingFit:
 def report(table: LifespanTable, destination) -> tuple:
     """Write the table as CSV and a JSON summary; returns both paths.
 
-    CSV columns: eps, T_numeric, blew_up, T_predicted_shape (full
-    precision, rows ordered by descending eps).
+    CSV columns: eps, T_numeric, blew_up, T_predicted_shape,
+    grid_change, failed (full precision, rows ordered by descending
+    eps).
     """
     os.makedirs(destination, exist_ok=True)
     csv_path = os.path.join(destination, "lifespan.csv")
     json_path = os.path.join(destination, "lifespan.json")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["eps", "T_numeric", "blew_up", "T_predicted_shape"])
+        writer.writerow(
+            ["eps", "T_numeric", "blew_up", "T_predicted_shape", "grid_change", "failed"]
+        )
         for r in table.rows:
             writer.writerow(
                 [
@@ -219,6 +222,8 @@ def report(table: LifespanTable, destination) -> tuple:
                     format(r.T_numeric, ".17g"),
                     str(bool(r.blew_up)).lower(),
                     format(r.T_predicted_shape, ".17g"),
+                    format(r.grid_change, ".17g"),
+                    str(bool(r.failed)).lower(),
                 ]
             )
     payload = {
@@ -243,7 +248,9 @@ def report(table: LifespanTable, destination) -> tuple:
 
 
 def read_rows(csv_path) -> list:
-    """Parse a lifespan CSV back into rows (round-trip of report)."""
+    """Parse a lifespan CSV back into rows (round-trip of report, except
+    ``failed_repeats``).  A CSV without the grid_change and failed
+    columns reads them as NaN and False."""
     rows = []
     with open(csv_path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -254,6 +261,8 @@ def read_rows(csv_path) -> list:
                     T_numeric=float(rec["T_numeric"]),
                     blew_up=rec["blew_up"] == "true",
                     T_predicted_shape=float(rec["T_predicted_shape"]),
+                    grid_change=float(rec.get("grid_change", "nan")),
+                    failed=rec.get("failed") == "true",
                 )
             )
     return rows

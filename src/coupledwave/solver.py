@@ -42,7 +42,8 @@ and its forcing is arbitrary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,6 +68,9 @@ __all__ = [
 
 GROWTH_REFINE_FACTOR = 10.0
 MAX_DT_HALVINGS = 24
+# what a probe can read at a sample: the four profiles and the two
+# nonlinear terms
+PROBE_SOURCES = ("u", "ut", "v", "vt", "|v|^q", "|u_t|^p")
 
 
 @dataclass(frozen=True)
@@ -197,6 +201,10 @@ class SolutionRecord:
     Profiles (u, ut, v, vt) are sampled every output stride; the
     sup-norm series is kept at full step resolution for blow-up
     detection.  Profiles are None when the run stored norms only.
+    ``projections`` maps each probe source given to ``run`` to the
+    (N, K) array of its probe matrix applied to the source at the N
+    sampled times (row i belongs to ``times[i]``); it is empty when the
+    run had no probes.
     ``steps`` counts the leapfrog levels after t = 0 (one per sup-norm
     row), ``halvings`` holds one (t, dt_new, level_norm) per dt
     halving and ``window_max`` is the largest active window L.
@@ -221,6 +229,7 @@ class SolutionRecord:
     dt_final: float = 0.0
     halvings: tuple = ()
     window_max: int = 0
+    projections: dict = field(default_factory=dict)
 
     @property
     def has_profiles(self) -> bool:
@@ -378,13 +387,20 @@ def _abs_power(w, out, e):
     return peak
 
 
-def run(spec: ProblemSpec, store_profiles: bool = True) -> SolutionRecord:
+def run(spec: ProblemSpec, store_profiles: bool = True, probes=None) -> SolutionRecord:
     """Integrate the coupled system until t_max or blow-up detection.
 
-    Samples profiles every output stride (about 2000 samples per run),
-    keeps the sup-norm series at every step, and flags either blow-up
-    (threshold crossing, with log-interpolated crossing time) or
+    Samples the solution every output stride (about 2000 samples per
+    run), keeps the sup-norm series at every step, and flags either
+    blow-up (threshold crossing, with log-interpolated crossing time) or
     numerical failure (non-finite values before the threshold).
+
+    ``probes`` maps sources from PROBE_SOURCES (the profiles u, ut, v,
+    vt and the nonlinear terms |v|^q and |u_t|^p) to (K, M) matrices
+    over the radial grid.  At each sample the run records matrix @
+    source, summed over the light-cone window only (the source vanishes
+    beyond it), into ``SolutionRecord.projections``: memory O(samples *
+    K) instead of the O(samples * M) of ``store_profiles``.
     """
     n = spec.n
     p, q = spec.pq.p, spec.pq.q
@@ -393,6 +409,12 @@ def run(spec: ProblemSpec, store_profiles: bool = True) -> SolutionRecord:
     threshold = grid.blowup_threshold
     r = radial_grid(spec)
     m = r.size
+    probes = {name: np.asarray(mat, dtype=float) for name, mat in (probes or {}).items()}
+    for name, mat in probes.items():
+        if name not in PROBE_SOURCES:
+            raise ValueError(f"unknown probe source {name!r}; expected one of {PROBE_SOURCES}")
+        if mat.ndim != 2 or mat.shape[1] != m:
+            raise ValueError(f"probe {name!r} must be a (K, {m}) matrix, got shape {mat.shape}")
     core = _Leapfrog(r, grid.dr, n)
     u, v = _Field(m), _Field(m)
 
@@ -408,19 +430,23 @@ def run(spec: ProblemSpec, store_profiles: bool = True) -> SolutionRecord:
 
     stride = max(1, int(np.floor(grid.t_max / (2000.0 * dt0))))
 
-    times, us, uts, vs, vts = [], [], [], [], []
+    times = []
+    profiles = ([], [], [], [])
+    projections = {name: [] for name in probes}
     sup_times, sup_rows = [], []
 
-    def emit_sample(t, u, ut, v, vt):
+    def emit_sample(t, L, ut, vt):
+        """Sample time t: u.cur, ut, v.cur, vt are the profiles, and
+        u.force, v.force hold |v|^q, |u_t|^p on the window [:L]."""
         times.append(t)
         if store_profiles:
-            us.append(u.copy())
-            uts.append(ut.copy())
-            vs.append(v.copy())
-            vts.append(vt.copy())
+            for rows, prof in zip(profiles, (u.cur, ut, v.cur, vt)):
+                rows.append(prof.copy())
+        if probes:
+            sources = dict(zip(PROBE_SOURCES, (u.cur, ut, v.cur, vt, u.force, v.force)))
+            for name, mat in probes.items():
+                projections[name].append(mat[:, :L] @ sources[name][:L])
 
-    # level 0
-    emit_sample(0.0, u.cur, ut0, v.cur, vt0)
     sup_times.append(0.0)
     sup_rows.append(
         (np.abs(u.cur).max(), np.abs(ut0).max(), np.abs(v.cur).max())
@@ -434,6 +460,7 @@ def run(spec: ProblemSpec, store_profiles: bool = True) -> SolutionRecord:
         L = min(m, k + 2)
         _abs_power(v.cur[:L], u.force[:L], q)
         _abs_power(ut0[:L], v.force[:L], p)
+        emit_sample(0.0, L, ut0, vt0)
         core.start(u, ut0[:L], spec.b1.b(0.0), dt, L, k)
         core.start(v, vt0[:L], spec.b2.b(0.0), dt, L, k)
 
@@ -451,10 +478,10 @@ def run(spec: ProblemSpec, store_profiles: bool = True) -> SolutionRecord:
         eps=spec.eps,
         r=r,
         times=np.asarray(times),
-        u=stack(us),
-        ut=stack(uts),
-        v=stack(vs),
-        vt=stack(vts),
+        u=stack(profiles[0]),
+        ut=stack(profiles[1]),
+        v=stack(profiles[2]),
+        vt=stack(profiles[3]),
         sup_times=np.asarray(sup_times),
         sup_norms=np.asarray(sup_rows),
         blew_up=blew_up,
@@ -465,6 +492,7 @@ def run(spec: ProblemSpec, store_profiles: bool = True) -> SolutionRecord:
         dt_final=dt_final,
         halvings=tuple(halvings),
         window_max=window_max,
+        projections={name: np.vstack(rows) for name, rows in projections.items()},
     )
 
 
@@ -500,19 +528,19 @@ def _advance(spec, r, core, u, v, dt, window, init_norm, stride,
         nut = _abs_power(u.vel[:L], v.force[:L], p)
         core.step(v, b2v, dt, L, k, k_cur)
         nu = float(np.abs(u.cur[:L], out=core.tmp[:L]).max())
-        level_norm = max(nu, nut, nv)
-
-        if not np.isfinite(level_norm):
+        # each norm on its own: max() would drop a NaN that is not first
+        if not (math.isfinite(nu) and math.isfinite(nut) and math.isfinite(nv)):
             failed = True
             reason = f"non-finite values at t={t:.6g} before threshold crossing"
             break
+        level_norm = max(nu, nut, nv)
 
         prev_norm = max(sup_rows[-1])
         sup_times.append(t)
         sup_rows.append((nu, nut, nv))
 
         if step % stride == 0 or level_norm >= threshold:
-            emit_sample(t, u.cur, u.vel, v.cur, v.vel)
+            emit_sample(t, L, u.vel, v.vel)
 
         if level_norm >= threshold:
             blew_up, t_blowup = detect_blowup(

@@ -56,6 +56,9 @@ __all__ = [
 # Nodes for the sphere-integral reduction; generous for arguments up to
 # lam * radius ~ 120 (spectral accuracy needs roughly half that many).
 PHI_NODES = 128
+# Points per block of the sphere quadrature: bounds its (points, PHI_NODES)
+# exp temporary to about 1 MB whatever the input size.
+PHI_BLOCK = 1024
 
 
 @lru_cache(maxsize=128)
@@ -77,6 +80,35 @@ def _as_radius(radius):
     return r
 
 
+def _sphere_sum(radius, tau, w):
+    """exp(outer(radius, tau)) @ w, evaluated in blocks of about PHI_BLOCK
+    points.
+
+    An input of at most PHI_BLOCK points is one block.  Larger inputs
+    are split along the last axis at multiples of PHI_BLOCK (or in
+    groups of whole rows when rows are shorter), never leaving a
+    one-point tail, so every point meets the same matrix-vector kernel
+    as in the one-shot product: with one BLAS thread the result is
+    bitwise equal to it.
+    """
+    if radius.size <= PHI_BLOCK:
+        return np.exp(np.multiply.outer(radius, tau)) @ w
+    shape = radius.shape
+    x = radius.reshape(math.prod(shape[:-1]), shape[-1])
+    out = np.empty(x.shape)
+    width = x.shape[1]
+    rows = max(1, PHI_BLOCK // width)
+    cols = list(range(0, width, PHI_BLOCK))
+    if len(cols) > 1 and width % PHI_BLOCK == 1:
+        cols.pop()
+    cols.append(width)
+    for i in range(0, x.shape[0], rows):
+        for j0, j1 in zip(cols, cols[1:]):
+            block = x[i : i + rows, j0:j1]
+            out[i : i + rows, j0:j1] = np.exp(np.multiply.outer(block, tau)) @ w
+    return out.reshape(shape)
+
+
 def phi(n, radius):
     """Eigenfunction of the Laplacian with Lap(Phi) = Phi, radial argument.
 
@@ -92,7 +124,7 @@ def phi(n, radius):
     else:
         a = 0.5 * (n - 3.0)
         tau, w = _jacobi_rule(a, a, PHI_NODES)
-        out = surface_area(n - 1) * (np.exp(np.multiply.outer(r, tau)) @ w)
+        out = surface_area(n - 1) * _sphere_sum(r, tau, w)
     return float(out) if scalar else out
 
 
@@ -106,7 +138,7 @@ def log_phi(n, radius):
     else:
         a = 0.5 * (n - 3.0)
         tau, w = _jacobi_rule(a, a, PHI_NODES)
-        inner = np.exp(np.multiply.outer(r, tau - 1.0)) @ w
+        inner = _sphere_sum(r, tau - 1.0, w)
         out = r + np.log(surface_area(n - 1) * inner)
     return float(out) if scalar else out
 

@@ -113,7 +113,7 @@ def _check_identity():
         R=1.0, eps=1.0, data=InitialDataFamily(k=3, amplitudes=(1, 1, 1, 1)),
         grid=GridSpec(dr=0.01, t_max=2.0),
     )
-    rec = run(spec)
+    rec = run(spec, store_profiles=False, probes=fn.identity_probes(spec, 0.5, 0.5))
     res_u, res_v = fn.check_fundamental_identity(rec, spec, 0.5, 0.5)
     ok = res_u < fn.IDENTITY_TOL and res_v < fn.IDENTITY_TOL
     return ok, f"residuals {res_u:.2e}, {res_v:.2e}"

@@ -3,6 +3,7 @@
 import pytest
 
 from coupledwave.exponents import ExponentPair, cusp_exponents
+from coupledwave.functionals import identity_probes
 from coupledwave.iteration import r_parameters
 from coupledwave.solver import GridSpec, InitialDataFamily, ProblemSpec, run
 from coupledwave.special import DampingSpec
@@ -86,7 +87,9 @@ def identity_spec():
 
 @pytest.fixture(scope="session")
 def identity_run(identity_spec):
-    return run(identity_spec)
+    """Probe run for the identity check with kernel exponents r1 = r2 = 0.5."""
+    probes = identity_probes(identity_spec, 0.5, 0.5)
+    return run(identity_spec, store_profiles=False, probes=probes)
 
 
 @pytest.fixture(scope="session")

@@ -269,7 +269,6 @@ def test_fundamental_identity_pinned_residuals(monkeypatch):
         R=1.0, eps=1.0, data=InitialDataFamily(k=3, amplitudes=(1, 1, 1, 1)),
         grid=GridSpec(dr=0.01, t_max=2.0),
     )
-    rec = run(spec)
 
     def no_extract(*_args, **_kwargs):
         raise AssertionError("identity check must not run the full extraction")
@@ -280,5 +279,6 @@ def test_fundamental_identity_pinned_residuals(monkeypatch):
         (0.3, 0.8): (0.003514557331984131, 0.0007473036657587769),
     }
     for (r1, r2), expected in pinned.items():
+        rec = run(spec, store_profiles=False, probes=fn.identity_probes(spec, r1, r2))
         res = fn.check_fundamental_identity(rec, spec, r1, r2)
         assert res == pytest.approx(expected, rel=1e-12, abs=0.0)

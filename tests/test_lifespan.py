@@ -160,7 +160,29 @@ def test_report_empty_table(tmp_path):
     )
     csv_path, _ = report(table, tmp_path)
     lines = open(csv_path).read().splitlines()
-    assert lines == ["eps,T_numeric,blew_up,T_predicted_shape"]
+    assert lines == ["eps,T_numeric,blew_up,T_predicted_shape,grid_change,failed"]
+
+
+def test_report_round_trip_grid_change_and_failed(tmp_path):
+    rows = [
+        LifespanRow(eps=1.0, T_numeric=2.5, blew_up=True, T_predicted_shape=2.5,
+                    grid_change=0.0125, failed=False),
+        LifespanRow(eps=0.5, T_numeric=math.nan, blew_up=False, T_predicted_shape=40.0,
+                    grid_change=math.nan, failed=True, failed_repeats=(1,)),
+    ]
+    table = LifespanTable(rows=rows, fit=None, region="subcritical",
+                          prediction=lifespan_prediction(3, (2.0, 2.0)))
+    csv_path, _ = report(table, tmp_path)
+    got = read_rows(csv_path)
+    assert got[0].grid_change == 0.0125
+    assert math.isnan(got[1].grid_change)
+    assert [r.failed for r in got] == [False, True]
+    assert [r.blew_up for r in got] == [True, False]
+    # a CSV written before these columns still reads
+    old = tmp_path / "old.csv"
+    old.write_text("eps,T_numeric,blew_up,T_predicted_shape\n1,2.5,true,2.5\n")
+    (row,) = read_rows(old)
+    assert math.isnan(row.grid_change) and row.failed is False
 
 
 def test_predicted_shape_anchored(small_table):

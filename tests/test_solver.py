@@ -269,6 +269,19 @@ def test_numerical_failure_is_flagged():
         assert np.isfinite(rec.sup_norms).all()
 
 
+def test_nan_norm_is_never_recorded():
+    # max|u_t| and max|v| turn NaN while max|u| is still finite; the
+    # failure must be flagged on that step, not after recording it
+    spec = _spec(
+        data=InitialDataFamily(k=3, amplitudes=(8, 8, 8, 8)),
+        grid=GridSpec(dr=0.02, t_max=4.0, cfl=0.99, blowup_threshold=1e300),
+    )
+    rec = run(spec, store_profiles=False)
+    assert rec.failed
+    assert "non-finite" in rec.failure_reason
+    assert np.isfinite(rec.sup_norms).all()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_radial_weights_are_the_trapezoid_rule(n):
     r = np.arange(301) * 0.01
