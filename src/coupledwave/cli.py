@@ -30,6 +30,7 @@ flags override file values):
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import configio, verify
@@ -189,6 +190,7 @@ def _cmd_sequences(args) -> int:
 
 def _cmd_specfn(args) -> int:
     n = args.n
+    grid = make_kernel_grid(args.tmax, 1.0)
     print(f"phi({n}, 0)={_g(phi(n, 0.0))}")
     print(f"phi({n}, 1)={_g(phi(n, 1.0))}")
     print(f"psi({n}, 1, 1)={_g(psi(n, 1.0, 1.0))}")
@@ -201,7 +203,7 @@ def _cmd_specfn(args) -> int:
     for label, r in (("r1", 0.5 * (n - 1) - 1.0 / c.p_mix),
                      ("r2", 0.5 * (n - 1) - 1.0 / c.q_mix)):
         cfg = KernelConfig(r=r, R=1.0)
-        reports = verify_kernel_bounds(cfg, n, make_kernel_grid(args.tmax, 1.0))
+        reports = verify_kernel_bounds(cfg, n, grid)
         for rep in reports:
             failed |= not rep.passed
             print(
@@ -285,10 +287,15 @@ _DISPATCH = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

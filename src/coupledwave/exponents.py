@@ -68,12 +68,14 @@ def check_dimension(n, minimum: int = 1) -> int:
 
 @dataclass(frozen=True)
 class ExponentPair:
-    """Pair of nonlinearity exponents (p, q), both strictly above 1."""
+    """Pair of nonlinearity exponents (p, q), both finite and strictly above 1."""
 
     p: float
     q: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.p) and math.isfinite(self.q)):
+            raise ValueError(f"exponents must be finite, got p={self.p}, q={self.q}")
         if not (self.p > 1.0 and self.q > 1.0):
             raise ValueError(
                 f"exponents must satisfy p > 1 and q > 1, got p={self.p}, q={self.q}"

@@ -59,6 +59,9 @@ PHI_NODES = 128
 # Points per block of the sphere quadrature: bounds its (points, PHI_NODES)
 # exp temporary to about 1 MB whatever the input size.
 PHI_BLOCK = 1024
+# lam (R+t) beyond which the kernels take their overflow-safe form:
+# exp(-708) is about the smallest normal double.
+_FAR_EXPONENT = 700.0
 
 
 @lru_cache(maxsize=128)
@@ -136,11 +139,18 @@ def log_phi(n, radius):
     if n == 1:
         out = r + np.log1p(np.exp(-2.0 * r))
     else:
-        a = 0.5 * (n - 3.0)
-        tau, w = _jacobi_rule(a, a, PHI_NODES)
-        inner = _sphere_sum(r, tau - 1.0, w)
-        out = r + np.log(surface_area(n - 1) * inner)
+        out = r + np.log(_scaled_phi(n, r))
     return float(out) if scalar else out
+
+
+def _scaled_phi(n, r):
+    """exp(-r) * phi(n, r) for an array r >= 0; bounded, so it never
+    overflows."""
+    if n == 1:
+        return 1.0 + np.exp(-2.0 * r)
+    a = 0.5 * (n - 3.0)
+    tau, w = _jacobi_rule(a, a, PHI_NODES)
+    return surface_area(n - 1) * _sphere_sum(r, tau - 1.0, w)
 
 
 def psi(n, t, radius):
@@ -272,30 +282,73 @@ def sinhc(y):
     return out
 
 
-def _kernel_value(cfg, n, t, s, radius, hyperbolic):
+def _kernel_values(cfg: KernelConfig, n, points):
+    """eta and xi at each (t, s, x) of points, as two float arrays.
+
+    One formula serves every point: with a = lam (R+t) and b = lam (t-s),
+    eta = phi(lam x) @ (wts exp(-a) sinhc(b)) and
+    xi  = phi(lam x) @ (wts exp(-a) cosh(b)).
+    The nodes come once, phi once as a matrix over the distinct radii,
+    and the damping factor wts exp(-a) once per distinct t; each value
+    is then one dot product of a phi row with its coefficients.  Where
+    max(lam) (R+t) exceeds _FAR_EXPONENT, exp(-a) leaves the normal
+    double range and cosh(b), sinh(b) and phi(lam x) may overflow, so
+    such points use the same integrand written as bounded factors,
+    exp(-r) phi(r) at r = lam x times exp(lam (x - R - s)) times
+    (1 + exp(-2b))/2 for xi or (1 - exp(-2b))/(2b) for eta.
+    """
+    n = check_dimension(n)
+    lam, wts = kernel_nodes(cfg)
+    t, s, x = np.asarray(points, dtype=float).reshape(-1, 3).T
+    eta_out, xi_out = np.empty(t.size), np.empty(t.size)
+    far = lam.max() * (cfg.R + t) > _FAR_EXPONENT
+    near = ~far
+    if near.any():
+        radii, row = np.unique(x[near], return_inverse=True)
+        times, col = np.unique(t[near], return_inverse=True)
+        ph = phi(n, np.multiply.outer(radii, lam))
+        damp = (wts * np.exp(-np.multiply.outer(cfg.R + times, lam)))[col]
+        b = np.multiply.outer(t[near] - s[near], lam)
+        eta_c, xi_c = damp * sinhc(b), damp * np.cosh(b)
+        eta_out[near] = [ph[k] @ c for k, c in zip(row, eta_c)]
+        xi_out[near] = [ph[k] @ c for k, c in zip(row, xi_c)]
+    if far.any():
+        lx = np.multiply.outer(x[far], lam)
+        b = np.multiply.outer(t[far] - s[far], lam)
+        base = _scaled_phi(n, lx) * np.exp(lx - np.multiply.outer(cfg.R + s[far], lam))
+        safe = np.where(b > 0, b, 1.0)
+        sinhc_part = np.where(b > 0, -np.expm1(-2.0 * safe) / (2.0 * safe), 1.0)
+        eta_out[far] = (base * sinhc_part) @ wts
+        xi_out[far] = (base * (0.5 + 0.5 * np.exp(-2.0 * b))) @ wts
+    return eta_out, xi_out
+
+
+def _kernel_at(cfg, n, t, s, radius, which):
+    t, s = float(t), float(s)
     if s < 0 or t < s:
         raise ValueError(f"kernel arguments require 0 <= s <= t, got t={t}, s={s}")
-    lam, wts = kernel_nodes(cfg)
     r = _as_radius(radius)
-    scalar = r.ndim == 0
-    damp = np.exp(-lam * (cfg.R + t))
-    if hyperbolic == "sinhc":
-        hyp = sinhc(lam * (t - s))
-    else:
-        hyp = np.cosh(lam * (t - s))
-    ph = phi(n, np.multiply.outer(r, lam))
-    out = ph @ (wts * damp * hyp)
-    return float(out) if scalar else out
+    points = np.column_stack(np.broadcast_arrays(t, s, r.ravel()))
+    out = _kernel_values(cfg, n, points)[which]
+    return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
 
 def eta(cfg: KernelConfig, n, t: float, s: float, radius):
-    """Kernel with the sinh(lam(t-s))/(lam(t-s)) factor (1 on the diagonal)."""
-    return _kernel_value(cfg, n, float(t), float(s), radius, "sinhc")
+    """Kernel with the sinh(lam(t-s))/(lam(t-s)) factor (1 on the diagonal).
+
+    Evaluated by the batched kernel formula of _kernel_values, which
+    switches to an overflow-safe form of the same integrand at long
+    horizons, where max(lam) (R+t) > _FAR_EXPONENT.
+    """
+    return _kernel_at(cfg, n, t, s, radius, 0)
 
 
 def xi(cfg: KernelConfig, n, t: float, s: float, radius):
-    """Kernel with the cosh(lam(t-s)) factor; xi >= eta pointwise for t > s."""
-    return _kernel_value(cfg, n, float(t), float(s), radius, "cosh")
+    """Kernel with the cosh(lam(t-s)) factor; xi >= eta pointwise for t > s.
+
+    Evaluated like eta, by the batched formula of _kernel_values.
+    """
+    return _kernel_at(cfg, n, t, s, radius, 1)
 
 
 def bracket(y):
@@ -338,8 +391,10 @@ def make_kernel_grid(t_max: float, R: float, n_t: int = 8,
 
     Generates three point families: (t, 0, x) with x <= R, interior
     points (t, s, x) with 0 < s < t and x <= s + R, and diagonal points
-    (t, t, x) with x <= t + R.
+    (t, t, x) with x <= t + R.  t_max must be finite and nonnegative.
     """
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise ValueError(f"t_max must be finite and nonnegative, got {t_max}")
     ts = np.linspace(0.0, t_max, n_t)
     grid = []
     for t in ts:
@@ -362,9 +417,12 @@ def verify_kernel_bounds(cfg: KernelConfig, n, sample_grid) -> list[BoundReport]
     s = 0 points feed the (t, 0, x) bounds, interior 0 <= s < t points
     the two-time lower bounds, and s = t points the diagonal upper
     bound.  Points violating the radius hypothesis of their family are
-    rejected.  Ratios are kernel value divided by the claimed bound
-    shape, so lower bounds need a positive minimum and the upper bound a
-    finite maximum.
+    rejected; every point is checked before any kernel is evaluated.
+    eta and xi at all points then come from one batched evaluation
+    (_kernel_values: one set of nodes and one phi matrix per call, and
+    an overflow-safe form at long horizons).  Ratios are kernel value
+    divided by the claimed bound shape, so lower bounds need a positive
+    minimum and the upper bound a finite maximum.
     """
     n = check_dimension(n, minimum=2)
     ratios = {bid: [] for bid in BoundId}
@@ -379,31 +437,28 @@ def verify_kernel_bounds(cfg: KernelConfig, n, sample_grid) -> list[BoundReport]
         if t == s and t > 0:
             if x > t + cfg.R + 1e-12:
                 raise ValueError(f"diagonal point needs |x| <= t + R, got {(t, s, x)}")
+        elif s == 0.0:
+            if x > cfg.R + 1e-12:
+                raise ValueError(f"s = 0 point needs |x| <= R, got {(t, s, x)}")
+        elif x > s + cfg.R + 1e-12:
+            raise ValueError(f"interior point needs |x| <= s + R, got {(t, s, x)}")
+        _as_radius(x)
+    etas, xis = _kernel_values(cfg, n, sample_grid)
+    for (t, s, x), e, k in zip(sample_grid, etas, xis):
+        if t == s and t > 0:
             shape = bracket(t) ** (-0.5 * (n - 1.0)) * bracket(t - x) ** (
                 0.5 * (n - 3.0) - cfg.r
             )
-            ratios[BoundId.ETA_DIAG].append(eta(cfg, n, t, t, x) / shape)
-            continue
-        if s == 0.0:
-            if x > cfg.R + 1e-12:
-                raise ValueError(f"s = 0 point needs |x| <= R, got {(t, s, x)}")
-            ratios[BoundId.XI0].append(xi(cfg, n, t, 0.0, x))
-            ratios[BoundId.ETA0].append(eta(cfg, n, t, 0.0, x) * bracket(t))
+            ratios[BoundId.ETA_DIAG].append(e / shape)
+        elif s == 0.0:
+            ratios[BoundId.XI0].append(k)
+            ratios[BoundId.ETA0].append(e * bracket(t))
             if t > 0:
-                ratios[BoundId.XIS].append(
-                    xi(cfg, n, t, 0.0, x) * bracket(0.0) ** (cfg.r + 1.0)
-                )
-                ratios[BoundId.ETAS].append(
-                    eta(cfg, n, t, 0.0, x) * bracket(t) * bracket(0.0) ** cfg.r
-                )
-            continue
-        # interior two-time point, 0 < s < t
-        if x > s + cfg.R + 1e-12:
-            raise ValueError(f"interior point needs |x| <= s + R, got {(t, s, x)}")
-        ratios[BoundId.XIS].append(xi(cfg, n, t, s, x) * bracket(s) ** (cfg.r + 1.0))
-        ratios[BoundId.ETAS].append(
-            eta(cfg, n, t, s, x) * bracket(t) * bracket(s) ** cfg.r
-        )
+                ratios[BoundId.XIS].append(k * bracket(0.0) ** (cfg.r + 1.0))
+                ratios[BoundId.ETAS].append(e * bracket(t) * bracket(0.0) ** cfg.r)
+        else:  # interior two-time point, 0 < s < t
+            ratios[BoundId.XIS].append(k * bracket(s) ** (cfg.r + 1.0))
+            ratios[BoundId.ETAS].append(e * bracket(t) * bracket(s) ** cfg.r)
     reports = []
     for bid in BoundId:
         vals = np.asarray(ratios[bid], dtype=float)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from coupledwave import configio
-from coupledwave.cli import main
+from coupledwave import cli, configio
+from coupledwave.cli import build_parser, main
 
 
 def test_curve_verb(capsys):
@@ -145,3 +149,68 @@ def test_non_integral_integer_fields_rejected(section, field, value, build):
         build(cfg)
     # an integral float is still an integer
     build(configio.merge_config({section: {field: float(int(value))}}))
+
+
+@pytest.mark.parametrize("tmax", ["nan", "inf", "-1"])
+def test_specfn_bad_tmax_exits_2_before_output(tmax, capsys):
+    assert main(["specfn", "--n", "3", "--tmax", tmax]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "t_max must be finite and nonnegative" in captured.err
+
+
+def test_specfn_long_horizon_prints_no_nan(capsys):
+    code = main(["specfn", "--n", "3", "--tmax", "1000"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "nan" not in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--n", "3", "--p", "inf", "--q", "2"],
+        ["curve", "--n", "3", "--p", "2", "--q", "nan"],
+        ["sequences", "--case", "subcritical", "--p", "inf"],
+    ],
+)
+def test_non_finite_exponents_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exponents must be finite" in captured.err
+
+
+def _fresh_process(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "coupledwave.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+def test_main_builds_one_parser_and_reuses_it(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(build_parser())
+        return built[-1]
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    calls = [
+        ["sequences", "--case", "theta1", "--n", "3", "--jmax", "6",
+         "--out", str(tmp_path / "seq.csv")],
+        ["curve", "--n", "3", "--p", "two", "--q", "2"],
+        ["curve", "--n", "3", "--p", "2", "--q", "2"],
+        ["curve", "--n", "4", "--p", "1.5", "--q", "3"],
+    ]
+    try:
+        for argv in calls:
+            code = main(argv)
+            assert (code, capsys.readouterr().out) == _fresh_process(argv)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert build_parser() is not build_parser()

@@ -26,6 +26,15 @@ def test_exponent_pair_rejects_at_construction():
         ExponentPair(2.0, 0.5)
 
 
+@pytest.mark.parametrize(
+    "p, q", [(math.inf, 2.0), (2.0, math.inf), (-math.inf, 2.0), (math.nan, 2.0), (2.0, math.nan)]
+)
+def test_exponent_pair_rejects_non_finite(p, q):
+    with pytest.raises(ValueError, match="exponents must be finite") as exc:
+        ExponentPair(p, q)
+    assert f"p={p}" in str(exc.value) and f"q={q}" in str(exc.value)
+
+
 def test_dimension_validation():
     with pytest.raises(ValueError):
         theta1(0, (2, 2))
