@@ -30,7 +30,6 @@ flags override file values):
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 from . import configio, verify
@@ -287,15 +286,10 @@ _DISPATCH = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built on first use and kept for the process."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

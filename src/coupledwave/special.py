@@ -95,7 +95,7 @@ def _sphere_sum(radius, tau, w):
     bitwise equal to it.
     """
     if radius.size <= PHI_BLOCK:
-        return np.exp(np.multiply.outer(radius, tau)) @ w
+        return _block_sum(radius, tau, w)
     shape = radius.shape
     x = radius.reshape(math.prod(shape[:-1]), shape[-1])
     out = np.empty(x.shape)
@@ -108,8 +108,15 @@ def _sphere_sum(radius, tau, w):
     for i in range(0, x.shape[0], rows):
         for j0, j1 in zip(cols, cols[1:]):
             block = x[i : i + rows, j0:j1]
-            out[i : i + rows, j0:j1] = np.exp(np.multiply.outer(block, tau)) @ w
+            out[i : i + rows, j0:j1] = _block_sum(block, tau, w)
     return out.reshape(shape)
+
+
+def _block_sum(radius, tau, w):
+    """exp(outer(radius, tau)) @ w with the exponential taken in place, so
+    one block holds one (points, PHI_NODES) temporary."""
+    e = np.multiply.outer(radius, tau)
+    return np.exp(e, out=e) @ w
 
 
 def phi(n, radius):
@@ -282,20 +289,43 @@ def sinhc(y):
     return out
 
 
+def _kernel_coefs(cfg: KernelConfig, lam, wts, t, s):
+    """The eta and xi coefficients wts exp(-lam (R+t)) sinhc(lam (t-s)) and
+    wts exp(-lam (R+t)) cosh(lam (t-s)), one row of nodes per (t, s)."""
+    damp = wts * np.exp(-np.multiply.outer(cfg.R + t, lam))
+    b = np.multiply.outer(t - s, lam)
+    return damp * sinhc(b), damp * np.cosh(b)
+
+
+def _far_kernels(cfg: KernelConfig, n, lam, wts, t, s, x):
+    """eta and xi in their overflow-safe form, for t, s, x that broadcast.
+
+    The integrand wts exp(-lam (R+t)) phi(lam x) cosh(lam (t-s)) is
+    written as bounded factors, exp(-r) phi(r) at r = lam x times
+    exp(lam (x - R - s)) times (1 + exp(-2b))/2 with b = lam (t-s), and
+    the same with (1 - exp(-2b))/(2b) for eta.
+    """
+    lx = np.multiply.outer(x, lam)
+    b = np.multiply.outer(t - s, lam)
+    base = _scaled_phi(n, lx) * np.exp(lx - np.multiply.outer(cfg.R + s, lam))
+    safe = np.where(b > 0, b, 1.0)
+    sinhc_part = np.where(b > 0, -np.expm1(-2.0 * safe) / (2.0 * safe), 1.0)
+    return (base * sinhc_part) @ wts, (base * (0.5 + 0.5 * np.exp(-2.0 * b))) @ wts
+
+
 def _kernel_values(cfg: KernelConfig, n, points):
     """eta and xi at each (t, s, x) of points, as two float arrays.
 
-    One formula serves every point: with a = lam (R+t) and b = lam (t-s),
+    With a = lam (R+t) and b = lam (t-s),
     eta = phi(lam x) @ (wts exp(-a) sinhc(b)) and
     xi  = phi(lam x) @ (wts exp(-a) cosh(b)).
     The nodes come once, phi once as a matrix over the distinct radii,
-    and the damping factor wts exp(-a) once per distinct t; each value
-    is then one dot product of a phi row with its coefficients.  Where
-    max(lam) (R+t) exceeds _FAR_EXPONENT, exp(-a) leaves the normal
-    double range and cosh(b), sinh(b) and phi(lam x) may overflow, so
-    such points use the same integrand written as bounded factors,
-    exp(-r) phi(r) at r = lam x times exp(lam (x - R - s)) times
-    (1 + exp(-2b))/2 for xi or (1 - exp(-2b))/(2b) for eta.
+    and the coefficients once per distinct (t, s); each value is then
+    one dot product of a phi row with its coefficients, as eta and xi
+    compute it at a scalar radius.  Where max(lam) (R+t) exceeds
+    _FAR_EXPONENT, exp(-a) leaves the normal double range and cosh(b),
+    sinh(b) and phi(lam x) may overflow, so such points take the form of
+    _far_kernels.
     """
     n = check_dimension(n)
     lam, wts = kernel_nodes(cfg)
@@ -305,21 +335,14 @@ def _kernel_values(cfg: KernelConfig, n, points):
     near = ~far
     if near.any():
         radii, row = np.unique(x[near], return_inverse=True)
-        times, col = np.unique(t[near], return_inverse=True)
+        pairs, col = np.unique(np.column_stack((t[near], s[near])), axis=0,
+                               return_inverse=True)
         ph = phi(n, np.multiply.outer(radii, lam))
-        damp = (wts * np.exp(-np.multiply.outer(cfg.R + times, lam)))[col]
-        b = np.multiply.outer(t[near] - s[near], lam)
-        eta_c, xi_c = damp * sinhc(b), damp * np.cosh(b)
-        eta_out[near] = [ph[k] @ c for k, c in zip(row, eta_c)]
-        xi_out[near] = [ph[k] @ c for k, c in zip(row, xi_c)]
+        eta_c, xi_c = _kernel_coefs(cfg, lam, wts, pairs[:, 0], pairs[:, 1])
+        eta_out[near] = [ph[i] @ eta_c[j] for i, j in zip(row, col.ravel())]
+        xi_out[near] = [ph[i] @ xi_c[j] for i, j in zip(row, col.ravel())]
     if far.any():
-        lx = np.multiply.outer(x[far], lam)
-        b = np.multiply.outer(t[far] - s[far], lam)
-        base = _scaled_phi(n, lx) * np.exp(lx - np.multiply.outer(cfg.R + s[far], lam))
-        safe = np.where(b > 0, b, 1.0)
-        sinhc_part = np.where(b > 0, -np.expm1(-2.0 * safe) / (2.0 * safe), 1.0)
-        eta_out[far] = (base * sinhc_part) @ wts
-        xi_out[far] = (base * (0.5 + 0.5 * np.exp(-2.0 * b))) @ wts
+        eta_out[far], xi_out[far] = _far_kernels(cfg, n, lam, wts, t[far], s[far], x[far])
     return eta_out, xi_out
 
 
@@ -327,18 +350,23 @@ def _kernel_at(cfg, n, t, s, radius, which):
     t, s = float(t), float(s)
     if s < 0 or t < s:
         raise ValueError(f"kernel arguments require 0 <= s <= t, got t={t}, s={s}")
+    n = check_dimension(n)
+    lam, wts = kernel_nodes(cfg)
     r = _as_radius(radius)
-    points = np.column_stack(np.broadcast_arrays(t, s, r.ravel()))
-    out = _kernel_values(cfg, n, points)[which]
-    return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
+    if lam.max() * (cfg.R + t) > _FAR_EXPONENT:
+        out = _far_kernels(cfg, n, lam, wts, t, s, r)[which]
+    else:
+        coef = _kernel_coefs(cfg, lam, wts, t, s)[which]
+        out = phi(n, np.multiply.outer(r, lam)) @ coef
+    return float(out) if r.ndim == 0 else out
 
 
 def eta(cfg: KernelConfig, n, t: float, s: float, radius):
     """Kernel with the sinh(lam(t-s))/(lam(t-s)) factor (1 on the diagonal).
 
-    Evaluated by the batched kernel formula of _kernel_values, which
-    switches to an overflow-safe form of the same integrand at long
-    horizons, where max(lam) (R+t) > _FAR_EXPONENT.
+    The formula is that of _kernel_values at one (t, s): one set of
+    coefficients and one matrix-vector product over the radii, or the
+    overflow-safe form of _far_kernels where max(lam) (R+t) > _FAR_EXPONENT.
     """
     return _kernel_at(cfg, n, t, s, radius, 0)
 
@@ -346,7 +374,7 @@ def eta(cfg: KernelConfig, n, t: float, s: float, radius):
 def xi(cfg: KernelConfig, n, t: float, s: float, radius):
     """Kernel with the cosh(lam(t-s)) factor; xi >= eta pointwise for t > s.
 
-    Evaluated like eta, by the batched formula of _kernel_values.
+    Evaluated like eta, by the formula of _kernel_values at one (t, s).
     """
     return _kernel_at(cfg, n, t, s, radius, 1)
 

@@ -1,13 +1,9 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from coupledwave import cli, configio
-from coupledwave.cli import build_parser, main
+from coupledwave import configio
+from coupledwave.cli import main
 
 
 def test_curve_verb(capsys):
@@ -180,37 +176,3 @@ def test_non_finite_exponents_exit_2(argv, capsys):
     assert captured.out == ""
     assert "exponents must be finite" in captured.err
 
-
-def _fresh_process(argv):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "coupledwave.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=120)
-    return proc.returncode, proc.stdout
-
-
-def test_main_builds_one_parser_and_reuses_it(tmp_path, capsys, monkeypatch):
-    built = []
-
-    def counting_build_parser():
-        built.append(build_parser())
-        return built[-1]
-
-    cli._parser.cache_clear()
-    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-    calls = [
-        ["sequences", "--case", "theta1", "--n", "3", "--jmax", "6",
-         "--out", str(tmp_path / "seq.csv")],
-        ["curve", "--n", "3", "--p", "two", "--q", "2"],
-        ["curve", "--n", "3", "--p", "2", "--q", "2"],
-        ["curve", "--n", "4", "--p", "1.5", "--q", "3"],
-    ]
-    try:
-        for argv in calls:
-            code = main(argv)
-            assert (code, capsys.readouterr().out) == _fresh_process(argv)
-    finally:
-        cli._parser.cache_clear()
-    assert len(built) == 1
-    assert build_parser() is not build_parser()

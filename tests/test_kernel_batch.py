@@ -1,7 +1,7 @@
-"""verify_kernel_bounds, eta and xi evaluate the kernels in batches (one
-set of nodes and one phi matrix per call); their values must be those
-of the per-point evaluation kept here, which computes each value on
-its own.
+"""verify_kernel_bounds evaluates the kernels in batches (one set of
+nodes and one phi matrix per call), and eta and xi share its formula;
+their values must be those of the per-point evaluation kept here, which
+computes each value (or each radius array) on its own.
 
 The bitwise comparison runs in a child process with one BLAS thread,
 as in test_phi_blocks.py: with more threads a phi matrix-vector product
@@ -36,6 +36,7 @@ from coupledwave.special import (
 
 DIMENSIONS = (2, 3, 4, 5, 6)
 GRIDS = ((25.0, 1.0), (3.0, 1.0))
+RADII = np.linspace(0.0, 3.0, 13)
 
 
 def reference_kernel(cfg, n, t, s, radius, hyperbolic):
@@ -125,6 +126,9 @@ def mismatches():
                     bad.append(("eta", n, cfg.r, (t, s, x)))
                 if xi(cfg, n, t, s, x) != reference_xi(cfg, n, t, s, x):
                     bad.append(("xi", n, cfg.r, (t, s, x)))
+        for fn, ref in ((eta, reference_eta), (xi, reference_xi)):
+            if not np.array_equal(fn(cfg, n, 5.0, 2.0, RADII), ref(cfg, n, 5.0, 2.0, RADII)):
+                bad.append((fn.__name__ + " array", n, cfg.r))
     return bad
 
 
@@ -139,11 +143,10 @@ def test_batched_kernels_equal_per_point_with_one_blas_thread():
 
 
 def test_array_radius_matches_per_point():
-    radii = np.linspace(0.0, 3.0, 13)
     for n, cfg in default_configs():
         for fn, ref in ((eta, reference_eta), (xi, reference_xi)):
-            got = fn(cfg, n, 5.0, 2.0, radii)
-            want = [ref(cfg, n, 5.0, 2.0, x) for x in radii]
+            got = fn(cfg, n, 5.0, 2.0, RADII)
+            want = [ref(cfg, n, 5.0, 2.0, x) for x in RADII]
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
     grid = np.full((2, 3), 0.5)
     assert eta(KernelConfig(r=0.5), 3, 2.0, 1.0, grid).shape == (2, 3)
@@ -194,6 +197,10 @@ def test_kernels_finite_at_long_horizons(t):
                 assert math.isfinite(value) and value > 0, (fn.__name__, n, x, value)
         assert 0 < eta(cfg, n, t, t, t + 1.0) < math.inf
         assert 0 < xi(cfg, n, t, 0.9 * t, 0.9 * t + 1.0) < math.inf
+        for fn in (eta, xi):
+            got = fn(cfg, n, t, 0.0, RADII[:5])
+            want = [fn(cfg, n, t, 0.0, x) for x in RADII[:5]]
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 def test_overflow_safe_form_agrees_below_the_switch(monkeypatch):
