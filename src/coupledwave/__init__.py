@@ -46,7 +46,6 @@ from .solver import (
     ProblemSpec,
     SolutionRecord,
     detect_blowup,
-    light_cone_check,
     run,
 )
 from .special import (

@@ -38,6 +38,7 @@ from . import iteration as it
 from . import lifespan as ls
 from .exponents import (
     ExponentPair,
+    check_dimension,
     classify,
     cusp_exponents,
     theta1,
@@ -45,7 +46,7 @@ from .exponents import (
     theta1_critical_q,
     theta2_critical_p,
 )
-from .solver import run, write_blowup_json, write_summary_csv
+from .solver import integral_probes, run, write_blowup_json, write_summary_csv
 from .special import KernelConfig, make_kernel_grid, multiplier, phi, psi, verify_kernel_bounds
 
 __all__ = ["main", "build_parser"]
@@ -188,7 +189,7 @@ def _cmd_sequences(args) -> int:
 
 
 def _cmd_specfn(args) -> int:
-    n = args.n
+    n = check_dimension(args.n, minimum=2)
     grid = make_kernel_grid(args.tmax, 1.0)
     print(f"phi({n}, 0)={_g(phi(n, 0.0))}")
     print(f"phi({n}, 1)={_g(phi(n, 1.0))}")
@@ -216,7 +217,7 @@ def _cmd_specfn(args) -> int:
 def _cmd_solve(args) -> int:
     cfg = _load_merged(args)
     spec = configio.problem_spec_from_config(cfg)
-    rec = run(spec)
+    rec = run(spec, probes=integral_probes(spec))
     print(f"blew_up={rec.blew_up}")
     if rec.t_blowup is not None:
         print(f"t_blowup={_g(rec.t_blowup)}")
@@ -239,7 +240,7 @@ def _cmd_identity(args) -> int:
     r1 = kp["r1"] if kp["r1"] is not None else 0.5 * (spec.n - 1) - 1.0 / spec.pq.p
     r2 = kp["r2"] if kp["r2"] is not None else 0.5 * (spec.n - 1) - 1.0 / spec.pq.q
     kernels = {"lambda0": kp["lambda0"], "quad_nodes": kp["quad_nodes"]}
-    rec = run(spec, store_profiles=False, probes=fn.identity_probes(spec, r1, r2, **kernels))
+    rec = run(spec, probes=fn.probes(spec, r1, r2, **kernels))
     res_u, res_v = fn.check_fundamental_identity(rec, spec, r1, r2, **kernels)
     print(f"residual_curlyU={_g(res_u)}")
     print(f"residual_curlyV={_g(res_v)}")

@@ -1,9 +1,9 @@
 """Functional extraction and bound verification for solver records.
 
-From a stored radial run this module computes the spatial averages
-U = int u dx and V = int v dx with their time derivatives, the weighted
-averages U1 = int u Psi dx, V1 = int v Psi dx, U2 = int u_t Psi dx, and
-the kernel-weighted functionals
+From the probe projections of a radial run this module computes the
+spatial averages U = int u dx and V = int v dx with their time
+derivatives, the weighted averages U1 = int u Psi dx, V1 = int v Psi dx,
+U2 = int u_t Psi dx, and the kernel-weighted functionals
 
     curlyU(t) = int u_t(t, x) eta_{r1}(t, t, x) dx,
     curlyV(t) = int v(t, x)  eta_{r2}(t, t, x) dx,
@@ -18,12 +18,13 @@ All spatial quadrature is trapezoidal on the solver grid, matching the
 scheme's order.  Bound checks fit the (unknown) constants at the window
 start and test the claimed shape, not absolute constants.
 
-The curlyU/curlyV identity check needs no stored profiles: it reads the
-kernel lam-projections that a run records through the probe matrices
-of ``identity_probes`` (profiles, data and the nonlinear sources
-|v|^q, |u_t|^p), so its memory grows with samples * quad_nodes, not
-samples * grid points.  ``extract`` still reads stored profiles and
-applies the same diagonal-kernel formula to their projections.
+Every series is read from one record: ``run(spec, probes=probes(spec,
+r1, r2, lambda0, quad_nodes))`` projects the profiles and the nonlinear
+sources |v|^q, |u_t|^p at each sample onto the radial weights, the
+Phi-weighted radial weights and the kernel lam-bases, so memory grows
+with samples * quad_nodes, not samples * grid points.  ``extract``,
+``nonlinearity_integrals`` and ``check_fundamental_identity`` read row
+slices of those projections.
 """
 
 from __future__ import annotations
@@ -37,7 +38,14 @@ from enum import Enum
 import numpy as np
 
 from .exponents import Region, classify
-from .solver import PROBE_SOURCES, ProblemSpec, SolutionRecord, radial_grid, radial_weights
+from .solver import (
+    PROBE_SOURCES,
+    ProblemSpec,
+    SolutionRecord,
+    integral_probes,
+    radial_grid,
+    radial_weights,
+)
 from .special import KernelConfig, kernel_nodes, multiplier, phi, sinhc
 
 __all__ = [
@@ -51,7 +59,7 @@ __all__ = [
     "check_floor_bounds",
     "check_nonlinearity_bounds",
     "check_fundamental_identity",
-    "identity_probes",
+    "probes",
     "check_log_seeds",
     "write_series_csv",
     "write_check_report",
@@ -121,10 +129,20 @@ class BoundCheck:
     passed: bool
 
 
-def _check_grids_match(record: SolutionRecord, spec: ProblemSpec) -> None:
+def _projections(record: SolutionRecord, spec: ProblemSpec, quad_nodes=None) -> dict:
+    """``record.projections``, checked to come from ``probes(spec, ...)``
+    (with ``quad_nodes`` kernel rows, if given) on the spec's grid."""
     expected = radial_grid(spec)
     if record.r.shape != expected.shape or not np.allclose(record.r, expected):
         raise ValueError("record grid does not match the problem spec grid")
+    proj = record.projections
+    if not all(name in proj and quad_nodes in (None, proj[name].shape[1] - 2)
+               for name in PROBE_SOURCES):
+        raise ValueError(
+            "record needs the projections of probes(spec, r1, r2, lambda0, quad_nodes); "
+            "pass them to run(spec, probes=...)"
+        )
+    return proj
 
 
 def _kernel_nodes(spec, r, lambda0, quad_nodes):
@@ -153,35 +171,54 @@ def _diag_kernel_series(times, R, lam, wl, proj):
     return (proj * decay) @ wl
 
 
+def probes(spec: ProblemSpec, r1: float, r2: float,
+           lambda0: float = 1.0, quad_nodes: int = 64) -> dict:
+    """Probe matrices for ``run(spec, probes=...)`` whose projections
+    ``extract``, ``nonlinearity_integrals`` and
+    ``check_fundamental_identity`` read.
+
+    Per source, on ``radial_grid(spec)``: row 0 is ``integral_probes``
+    (U, U', V, V', int |v|^q, int |u_t|^p); row 1 is Phi * w (U1, U2,
+    V1 before their e^{-t} factor, read for u, u_t and v); the other
+    ``quad_nodes`` rows are a kernel basis, exponent r1 + 2 for u (the
+    u0 term), r1 for u_t and |v|^q (curlyU and its source), r2 for v,
+    v_t and |u_t|^p (curlyV, its data and its source).  Sources with
+    one basis share one matrix, which keeps the probes as small as the
+    three bases.
+    """
+    grid = radial_grid(spec)
+    w = integral_probes(spec)["u"]  # one row, the same for every source
+    head = np.vstack((w, w * phi(spec.n, grid)))
+    basis1s, basis1, basis2 = (
+        np.vstack((head, _kernel_basis(spec.n, grid, _kernel_nodes(spec, r, lambda0, quad_nodes)[0])))
+        for r in (r1 + 2.0, r1, r2)
+    )
+    return {"u": basis1s, "ut": basis1, "v": basis2, "vt": basis2,
+            "|v|^q": basis1, "|u_t|^p": basis2}
+
+
 def extract(record: SolutionRecord, spec: ProblemSpec, r1: float, r2: float,
             lambda0: float = 1.0, quad_nodes: int = 64) -> FunctionalSeries:
-    """Compute all nine functional series from a stored run."""
-    if not record.has_profiles:
-        raise ValueError("functional extraction needs stored profiles")
-    _check_grids_match(record, spec)
-    if not (r1 > -1.0 and r2 > -1.0):
-        raise ValueError("kernel exponents must satisfy r > -1")
-    w = radial_weights(record.r, record.n)
+    """All nine functional series of a run with ``probes(spec, r1, r2,
+    lambda0, quad_nodes)``."""
+    proj = _projections(record, spec, quad_nodes)
     decay = np.exp(-record.times)
-    phi_row = phi(record.n, record.r)
-    wp = phi_row * w
 
-    def curly(r, profiles):
+    def curly(r, name):
         lam, wl = _kernel_nodes(spec, r, lambda0, quad_nodes)
-        proj = profiles @ _kernel_basis(record.n, record.r, lam).T
-        return _diag_kernel_series(record.times, spec.R, lam, wl, proj)
+        return _diag_kernel_series(record.times, spec.R, lam, wl, proj[name][:, 2:])
 
     return FunctionalSeries(
         times=record.times.copy(),
-        U=record.u @ w,
-        Uprime=record.ut @ w,
-        V=record.v @ w,
-        Vprime=record.vt @ w,
-        U1=decay * (record.u @ wp),
-        V1=decay * (record.v @ wp),
-        U2=decay * (record.ut @ wp),
-        curlyU=curly(r1, record.ut),
-        curlyV=curly(r2, record.v),
+        U=proj["u"][:, 0],
+        Uprime=proj["ut"][:, 0],
+        V=proj["v"][:, 0],
+        Vprime=proj["vt"][:, 0],
+        U1=decay * proj["u"][:, 1],
+        V1=decay * proj["v"][:, 1],
+        U2=decay * proj["ut"][:, 1],
+        curlyU=curly(r1, "ut"),
+        curlyV=curly(r2, "v"),
         r1=float(r1),
         r2=float(r2),
     )
@@ -204,13 +241,10 @@ def data_integrals(spec: ProblemSpec) -> InitialDataIntegrals:
 
 
 def nonlinearity_integrals(record: SolutionRecord, spec: ProblemSpec):
-    """Series int |v|^q dx and int |u_t|^p dx on the record samples."""
-    if not record.has_profiles:
-        raise ValueError("nonlinearity integrals need stored profiles")
-    w = radial_weights(record.r, record.n)
-    nl_q = np.abs(record.v) ** spec.pq.q @ w
-    nl_p = np.abs(record.ut) ** spec.pq.p @ w
-    return nl_q, nl_p
+    """Series int |v|^q dx and int |u_t|^p dx on the samples of a run
+    with ``probes(spec, ...)``."""
+    proj = _projections(record, spec)
+    return proj["|v|^q"][:, 0], proj["|u_t|^p"][:, 0]
 
 
 def _shape_check(check_id, times, observed, shape, window_mask, rel_slack):
@@ -283,32 +317,14 @@ def check_nonlinearity_bounds(record: SolutionRecord, spec: ProblemSpec,
     return results
 
 
-def identity_probes(spec: ProblemSpec, r1: float, r2: float,
-                    lambda0: float = 1.0, quad_nodes: int = 64) -> dict:
-    """Probe matrices for ``run(spec, probes=...)`` whose projections
-    ``check_fundamental_identity`` reads.
-
-    Three kernel bases on ``radial_grid(spec)``: exponent r1 + 2 for u
-    (the u0 term), r1 for u_t and |v|^q (curlyU and its source), r2 for
-    v, v_t and |u_t|^p (curlyV, its data and its source).
-    """
-    grid = radial_grid(spec)
-    basis1s, basis1, basis2 = (
-        _kernel_basis(spec.n, grid, _kernel_nodes(spec, r, lambda0, quad_nodes)[0])
-        for r in (r1 + 2.0, r1, r2)
-    )
-    return {"u": basis1s, "ut": basis1, "v": basis2, "vt": basis2,
-            "|v|^q": basis1, "|u_t|^p": basis2}
-
-
 def check_fundamental_identity(record: SolutionRecord, spec: ProblemSpec,
                                r1: float, r2: float, checkpoints=None,
                                lambda0: float = 1.0, quad_nodes: int = 64):
     """Residuals of the exact integral representations of curlyU, curlyV.
 
     Valid for the undamped system only.  ``record`` must come from
-    ``run(spec, probes=identity_probes(spec, r1, r2, lambda0,
-    quad_nodes))``: the check reads only its projections.  Both sides
+    ``run(spec, probes=probes(spec, r1, r2, lambda0, quad_nodes))``:
+    the check reads the kernel rows of its projections.  Both sides
     are evaluated at checkpoint times; the time integral of the
     nonlinear source against the kernels uses the trapezoid rule over
     the samples.  Returns the maximum relative residual for each
@@ -316,13 +332,7 @@ def check_fundamental_identity(record: SolutionRecord, spec: ProblemSpec,
     """
     if not (spec.b1.is_zero and spec.b2.is_zero):
         raise ValueError("the fundamental identities hold for zero damping only")
-    proj = record.projections
-    if not all(s in proj and proj[s].shape[1] == quad_nodes for s in PROBE_SOURCES):
-        raise ValueError(
-            "identity check needs the projections of identity_probes(spec, r1, r2, "
-            "lambda0, quad_nodes); pass them to run(spec, probes=...)"
-        )
-    _check_grids_match(record, spec)
+    proj = {name: rows[:, 2:] for name, rows in _projections(record, spec, quad_nodes).items()}
 
     times = record.times
     if checkpoints is None:

@@ -165,8 +165,8 @@ class IterationConstants:
                           ("Ktilde", Ktilde), ("m1_0", m1_0), ("m2_0", m2_0)):
             if not val > 0:
                 raise ValueError(f"constant {name} must be positive, got {val}")
-        # M, M1, M2, Nconst, Ntilde underflow for small frame constants,
-        # their logs do not
+        # M, M1, M2, Nconst, Ntilde underflow for small frame constants and
+        # N, N1, N2 overflow for large exponents; their logs do not
         log_C, log_K = math.log(C), math.log(K)
         log_M = -q * (3.0 * n + 4.0) * LOG2 + log_C + q * log_K + math.log((x - 1.0) / x)
         log_M1 = (-3.0 * n * p - 6.0) * LOG2 + log_K + p * log_C + math.log((x - 1.0) / x)
@@ -174,9 +174,9 @@ class IterationConstants:
             (-5.0 * q - 2.0) * LOG2 + log_C + q * log_K
             + (q + 1.0) * math.log((x - 1.0) / (q * (p + 1.0)))
         )
-        N = 2.0 ** (2.0 * q) * x
-        N1 = 2.0 ** (2.0 * (p + 1.0)) * x
-        N2 = 2.0**q * x ** (q + 1.0)
+        log_N = 2.0 * q * LOG2 + math.log(x)
+        log_N1 = 2.0 * (p + 1.0) * LOG2 + math.log(x)
+        log_N2 = q * LOG2 + (q + 1.0) * math.log(x)
         S = x / (x - 1.0) ** 2
         log_Msub = log_C + p * log_K - (p + 2.0) * math.log(n + 1.0 + (p + 2.0) / (x - 1.0))
         log_Msub_t = (
@@ -195,25 +195,25 @@ class IterationConstants:
         log_E = (
             -q * (2.0 * p - 1.0) / (x - 1.0) * LOG2
             + math.log(Ctilde)
-            - S * math.log(N)
+            - S * log_N
             + (x - 1.0) * log_M
         )
         log_E1 = (
             -p * (2.0 * q - 1.0) / (x - 1.0) * LOG2
             + math.log(Ktilde)
-            - S * math.log(N1)
+            - S * log_N1
             + (x - 1.0) * log_M1
         )
         log_E2 = (
             -(2.0 + (q + 1.0) / (x - 1.0)) * LOG2
             + math.log(Ctilde)
-            - S * math.log(N2)
+            - S * log_N2
             + (x - 1.0) * log_M2
         )
         return cls(
             n=n, p=p, q=q, C=C, K=K, Ctilde=Ctilde, Ktilde=Ktilde,
-            m1_0=m1_0, m2_0=m2_0, M=_exp(log_M), N=N, M1=_exp(log_M1),
-            N1=N1, M2=_exp(log_M2), N2=N2, S=S,
+            m1_0=m1_0, m2_0=m2_0, M=_exp(log_M), N=_exp(log_N), M1=_exp(log_M1),
+            N1=_exp(log_N1), M2=_exp(log_M2), N2=_exp(log_N2), S=S,
             Ntilde=_exp(log_Ntilde), Nconst=_exp(log_Nconst),
             E=_exp(log_E), E1=_exp(log_E1), E2=_exp(log_E2),
             log_E=log_E, log_E1=log_E1, log_E2=log_E2,

@@ -138,7 +138,7 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
                 dr=base.grid.dr / 2.0**rep,
             )
             spec = replace(base, eps=eps, grid=grid)
-            rec = run(spec, store_profiles=False)
+            rec = run(spec)
             if rec.failed:
                 failed_repeats.append(rep)
             times.append(rec.t_blowup if rec.blew_up else math.nan)

@@ -23,9 +23,9 @@ without implicit solves.
 Finite propagation speed is enforced exactly: solutions launched from
 data supported in B_R vanish for r > t + R, so every update zeroes the
 profiles beyond the light cone.  This removes the small dispersive
-spill of the explicit scheme ahead of the front (which would otherwise
-sit at the truncation-error level) and makes the support condition hold
-to machine precision in the records.
+spill of the explicit scheme ahead of the front, which sits at the
+truncation-error level; each run records the largest spill it removed
+as ``cone_spill``, so the cut can be checked to shrink with dr.
 
 Because everything beyond the cone is exactly zero, each step works
 only on the active window [:L] of the grid, L = k + 2 with k the first
@@ -57,10 +57,10 @@ __all__ = [
     "SolutionRecord",
     "run",
     "detect_blowup",
-    "light_cone_check",
     "evolve_scalar",
     "radial_grid",
     "radial_weights",
+    "integral_probes",
     "radial_energy",
     "write_summary_csv",
     "write_blowup_json",
@@ -196,29 +196,28 @@ class ProblemSpec:
 
 @dataclass
 class SolutionRecord:
-    """Time series of the radial solution plus blow-up metadata.
+    """Sampled probe projections of the radial solution plus blow-up metadata.
 
-    Profiles (u, ut, v, vt) are sampled every output stride; the
-    sup-norm series is kept at full step resolution for blow-up
-    detection.  Profiles are None when the run stored norms only.
+    The sup-norm series is kept at full step resolution for blow-up
+    detection; every sample time is also a sup-norm time.
     ``projections`` maps each probe source given to ``run`` to the
     (N, K) array of its probe matrix applied to the source at the N
     sampled times (row i belongs to ``times[i]``); it is empty when the
     run had no probes.
     ``steps`` counts the leapfrog levels after t = 0 (one per sup-norm
     row), ``halvings`` holds one (t, dt_new, level_norm) per dt
-    halving and ``window_max`` is the largest active window L.
+    halving, ``window_max`` is the largest active window L and
+    ``cone_spill`` the largest |value| the cone zeroing removed.
     """
+
+    # no profiles are stored; perfbench/tracing.py's _record_bytes reads these
+    u = ut = v = vt = None
 
     n: int
     R: float
     eps: float
     r: np.ndarray
     times: np.ndarray
-    u: np.ndarray | None
-    ut: np.ndarray | None
-    v: np.ndarray | None
-    vt: np.ndarray | None
     sup_times: np.ndarray
     sup_norms: np.ndarray  # columns: max|u|, max|u_t|, max|v|
     blew_up: bool
@@ -229,11 +228,8 @@ class SolutionRecord:
     dt_final: float = 0.0
     halvings: tuple = ()
     window_max: int = 0
+    cone_spill: float = 0.0
     projections: dict = field(default_factory=dict)
-
-    @property
-    def has_profiles(self) -> bool:
-        return self.u is not None
 
     @property
     def steps(self) -> int:
@@ -257,6 +253,14 @@ def radial_weights(r: np.ndarray, n: int) -> np.ndarray:
     return surface_area(n) * w
 
 
+def integral_probes(spec: ProblemSpec) -> dict:
+    """Probes for ``run(spec, probes=...)`` whose one row is the radial
+    weights: row 0 of each projection is the integral over R^n of its
+    source (U, U', V, V', int |v|^q, int |u_t|^p).  Larger probe sets
+    stack their rows under this one."""
+    return dict.fromkeys(PROBE_SOURCES, radial_weights(radial_grid(spec), spec.n)[np.newaxis])
+
+
 class _Field:
     """Buffers of one field: three rotating time levels, and the
     laplacian, forcing and centred velocity of the current level."""
@@ -275,9 +279,9 @@ class _Leapfrog:
     """The stepping core: updates on the window [:L] of a field's buffers.
 
     Points from ``k`` on are zeroed (the cone mask; k = L = M for no
-    cone).  Outside [:L] every buffer stays zero, so the window gives
-    the values of the whole-grid formulas; the grid-end conditions
-    apply only when L = M.
+    cone) and ``spill`` keeps the largest |value| zeroed there.  Outside
+    [:L] every buffer stays zero, so the window gives the values of the
+    whole-grid formulas; the grid-end conditions apply only when L = M.
     """
 
     def __init__(self, r: np.ndarray, dr: float, n: int):
@@ -287,6 +291,7 @@ class _Leapfrog:
         self.axis = 2.0 * n
         self.coef = (n - 1.0) / r[1:-1]
         self.tmp = np.zeros(self.m)
+        self.spill = 0.0
 
     def laplacian(self, w, lap, L):
         mid = lap[1 : L - 1]
@@ -304,6 +309,8 @@ class _Leapfrog:
             lap[-1] = 0.0
 
     def _close(self, out, L, k):
+        for i in range(k, L):  # at most three points: scalar reads, no reduction
+            self.spill = max(self.spill, abs(float(out[i])))
         out[k:] = 0.0
         if L == self.m:
             out[-1] = 0.0
@@ -387,7 +394,7 @@ def _abs_power(w, out, e):
     return peak
 
 
-def run(spec: ProblemSpec, store_profiles: bool = True, probes=None) -> SolutionRecord:
+def run(spec: ProblemSpec, probes=None) -> SolutionRecord:
     """Integrate the coupled system until t_max or blow-up detection.
 
     Samples the solution every output stride (about 2000 samples per
@@ -400,7 +407,7 @@ def run(spec: ProblemSpec, store_profiles: bool = True, probes=None) -> Solution
     over the radial grid.  At each sample the run records matrix @
     source, summed over the light-cone window only (the source vanishes
     beyond it), into ``SolutionRecord.projections``: memory O(samples *
-    K) instead of the O(samples * M) of ``store_profiles``.
+    K).  Identity matrices give back the sampled profiles themselves.
     """
     n = spec.n
     p, q = spec.pq.p, spec.pq.q
@@ -431,7 +438,6 @@ def run(spec: ProblemSpec, store_profiles: bool = True, probes=None) -> Solution
     stride = max(1, int(np.floor(grid.t_max / (2000.0 * dt0))))
 
     times = []
-    profiles = ([], [], [], [])
     projections = {name: [] for name in probes}
     sup_times, sup_rows = [], []
 
@@ -439,9 +445,6 @@ def run(spec: ProblemSpec, store_profiles: bool = True, probes=None) -> Solution
         """Sample time t: u.cur, ut, v.cur, vt are the profiles, and
         u.force, v.force hold |v|^q, |u_t|^p on the window [:L]."""
         times.append(t)
-        if store_profiles:
-            for rows, prof in zip(profiles, (u.cur, ut, v.cur, vt)):
-                rows.append(prof.copy())
         if probes:
             sources = dict(zip(PROBE_SOURCES, (u.cur, ut, v.cur, vt, u.force, v.force)))
             for name, mat in probes.items():
@@ -469,19 +472,12 @@ def run(spec: ProblemSpec, store_profiles: bool = True, probes=None) -> Solution
             sup_times, sup_rows, emit_sample,
         )
 
-    def stack(rows):
-        return np.vstack(rows) if store_profiles else None
-
     return SolutionRecord(
         n=n,
         R=spec.R,
         eps=spec.eps,
         r=r,
         times=np.asarray(times),
-        u=stack(profiles[0]),
-        ut=stack(profiles[1]),
-        v=stack(profiles[2]),
-        vt=stack(profiles[3]),
         sup_times=np.asarray(sup_times),
         sup_norms=np.asarray(sup_rows),
         blew_up=blew_up,
@@ -492,6 +488,7 @@ def run(spec: ProblemSpec, store_profiles: bool = True, probes=None) -> Solution
         dt_final=dt_final,
         halvings=tuple(halvings),
         window_max=window_max,
+        cone_spill=core.spill,
         projections={name: np.vstack(rows) for name, rows in projections.items()},
     )
 
@@ -569,24 +566,6 @@ def _advance(spec, r, core, u, v, dt, window, init_norm, stride,
     return blew_up, t_blowup, failed, reason, dt, halvings, window
 
 
-def light_cone_check(record: SolutionRecord, R: float) -> float:
-    """Largest solution magnitude outside radius t + R + 2 dr.
-
-    Finite propagation speed keeps this below 1e-10 on accepted runs.
-    """
-    if not record.has_profiles:
-        raise ValueError("light cone check needs stored profiles")
-    dr = record.r[1] - record.r[0]
-    worst = 0.0
-    for i, t in enumerate(record.times):
-        mask = record.r > t + R + 2.0 * dr
-        if not mask.any():
-            continue
-        for prof in (record.u, record.ut, record.v, record.vt):
-            worst = max(worst, float(np.abs(prof[i][mask]).max()))
-    return worst
-
-
 def evolve_scalar(
     n: int,
     dr: float,
@@ -649,24 +628,25 @@ def radial_energy(w: np.ndarray, wt: np.ndarray, r: np.ndarray, n: int) -> float
 
 
 def write_summary_csv(record: SolutionRecord, path) -> None:
-    """Per-sample summary: t, maxu, maxut, maxv, U, V, Uprime, Vprime."""
-    if not record.has_profiles:
-        raise ValueError("summary CSV needs stored profiles")
-    w = radial_weights(record.r, record.n)
-    U, V, Up, Vp = record.u @ w, record.v @ w, record.ut @ w, record.vt @ w
-    maxu = np.abs(record.u).max(axis=1)
-    maxut = np.abs(record.ut).max(axis=1)
-    maxv = np.abs(record.v).max(axis=1)
+    """Per-sample summary: t, maxu, maxut, maxv, U, V, Uprime, Vprime: the
+    sup-norm rows at the sample times and row 0 of the projections of a
+    run whose probes start with ``integral_probes``."""
+    proj = record.projections
+    if not all(name in proj for name in ("u", "ut", "v", "vt")):
+        raise ValueError("summary CSV needs a run with integral_probes")
+    norms = record.sup_norms[record.sup_times.searchsorted(record.times)]
+    U, V, Up, Vp = (proj[name][:, 0] for name in ("u", "v", "ut", "vt"))
     with open(path, "w") as fh:
         fh.write("t,maxu,maxut,maxv,U,V,Uprime,Vprime\n")
         for i, t in enumerate(record.times):
-            row = (t, maxu[i], maxut[i], maxv[i], U[i], V[i], Up[i], Vp[i])
+            row = (t, *norms[i], U[i], V[i], Up[i], Vp[i])
             fh.write(",".join(format(x, ".17g") for x in row) + "\n")
 
 
 def write_blowup_json(record: SolutionRecord, path) -> None:
     """Sidecar with blow-up metadata and telemetry for a run: step
-    count, one [t, dt_new, level_norm] per dt halving, largest window."""
+    count, one [t, dt_new, level_norm] per dt halving, largest window
+    and the largest value the cone zeroing removed."""
     payload = {
         "blew_up": bool(record.blew_up),
         "t_blowup": None if record.t_blowup is None else float(record.t_blowup),
@@ -678,6 +658,7 @@ def write_blowup_json(record: SolutionRecord, path) -> None:
         "steps": record.steps,
         "halvings": [list(h) for h in record.halvings],
         "window_max": record.window_max,
+        "cone_spill": record.cone_spill,
         "n": record.n,
         "R": record.R,
         "eps": record.eps,

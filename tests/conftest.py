@@ -1,11 +1,17 @@
-"""Shared solver fixtures; session-scoped since runs are deterministic."""
+"""Shared solver fixtures; session-scoped since runs are deterministic.
 
+The ``*_run`` fixtures carry the projections of
+``functionals.probes(spec, r1, r2)``, with r1 = r2 = 0.5 except at the
+cusp, where they are the double-critical kernel exponents.
+"""
+
+import numpy as np
 import pytest
 
 from coupledwave.exponents import ExponentPair, cusp_exponents
-from coupledwave.functionals import identity_probes
+from coupledwave.functionals import probes
 from coupledwave.iteration import r_parameters
-from coupledwave.solver import GridSpec, InitialDataFamily, ProblemSpec, run
+from coupledwave.solver import GridSpec, InitialDataFamily, ProblemSpec, radial_grid, run
 from coupledwave.special import DampingSpec
 
 
@@ -26,7 +32,25 @@ def standard_spec():
 
 @pytest.fixture(scope="session")
 def standard_run(standard_spec):
-    return run(standard_spec)
+    return run(standard_spec, probes=probes(standard_spec, 0.5, 0.5))
+
+
+def run_profiles(spec):
+    """run(spec) with identity-matrix probes: the u, ut, v, vt
+    projections are the sampled profiles themselves."""
+    eye = np.eye(radial_grid(spec).size)
+    return run(spec, probes=dict.fromkeys(("u", "ut", "v", "vt"), eye))
+
+
+@pytest.fixture(scope="session")
+def profile_run():
+    return run_profiles
+
+
+@pytest.fixture(scope="session")
+def standard_profiles(standard_spec):
+    """The standard run's sampled profiles, from identity-matrix probes."""
+    return run_profiles(standard_spec)
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +70,7 @@ def damped_spec():
 
 @pytest.fixture(scope="session")
 def damped_run(damped_spec):
-    return run(damped_spec)
+    return run(damped_spec, probes=probes(damped_spec, 0.5, 0.5))
 
 
 @pytest.fixture(scope="session")
@@ -67,7 +91,7 @@ def negative_spec():
 
 @pytest.fixture(scope="session")
 def negative_run(negative_spec):
-    return run(negative_spec)
+    return run(negative_spec, probes=probes(negative_spec, 0.5, 0.5))
 
 
 @pytest.fixture(scope="session")
@@ -88,8 +112,7 @@ def identity_spec():
 @pytest.fixture(scope="session")
 def identity_run(identity_spec):
     """Probe run for the identity check with kernel exponents r1 = r2 = 0.5."""
-    probes = identity_probes(identity_spec, 0.5, 0.5)
-    return run(identity_spec, store_profiles=False, probes=probes)
+    return run(identity_spec, probes=probes(identity_spec, 0.5, 0.5))
 
 
 @pytest.fixture(scope="session")
@@ -114,8 +137,8 @@ def cusp_spec():
 
 
 @pytest.fixture(scope="session")
-def cusp_run(cusp_spec):
-    return run(cusp_spec)
+def cusp_run(cusp_spec, cusp_r_parameters):
+    return run(cusp_spec, probes=probes(cusp_spec, *cusp_r_parameters))
 
 
 @pytest.fixture(scope="session")

@@ -176,3 +176,18 @@ def test_non_finite_exponents_exit_2(argv, capsys):
     assert captured.out == ""
     assert "exponents must be finite" in captured.err
 
+
+
+def test_specfn_bad_dimension_exits_2_before_output(capsys):
+    assert main(["specfn", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dimension must be >= 2" in captured.err
+
+
+def test_sequences_with_huge_p_runs(capsys):
+    # 2^(2(p+1)) overflows a double for p above about 510
+    argv = ["sequences", "--case", "subcritical", "--n", "3", "--p", "600", "--q", "2",
+            "--jmax", "3"]
+    assert main(argv) == 0
+    assert "closed_form_deviation=" in capsys.readouterr().out

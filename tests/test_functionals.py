@@ -46,7 +46,7 @@ def test_extract_zero_data_gives_zero_series():
         grid=GridSpec(dr=0.02, t_max=1.0),
         enforce_hypotheses=False,
     )
-    rec = run(spec)
+    rec = run(spec, probes=fn.probes(spec, 0.5, 0.5))
     ser = fn.extract(rec, spec, 0.5, 0.5)
     for name in ("U", "Uprime", "V", "Vprime", "U1", "V1", "U2", "curlyU", "curlyV"):
         assert np.abs(getattr(ser, name)).max() == 0.0
@@ -153,7 +153,7 @@ def test_log_seeds_theta1_critical():
         R=1.0, eps=1.0, data=InitialDataFamily(k=3, amplitudes=(2.5, 2.5, 2.5, 2.5)),
         grid=GridSpec(dr=0.02, t_max=18.0),
     )
-    rec = run(spec)
+    rec = run(spec, probes=fn.probes(spec, 0.5, 0.7))
     ser = fn.extract(rec, spec, 0.5, 0.7)
     checks = {c.bound_id.value: c for c in fn.check_log_seeds(ser, spec, spec.eps)}
     assert set(checks) == {"CurlyULog"}
@@ -171,8 +171,8 @@ def test_log_seeds_theta2_critical_uses_shift():
         R=1.0, eps=1.0, data=InitialDataFamily(k=3, amplitudes=(2.0, 2.0, 0.5, 0.5)),
         grid=GridSpec(dr=0.02, t_max=14.0),
     )
-    rec = run(spec)
     r1, r2 = r_parameters("theta2", 3, spec.pq)
+    rec = run(spec, probes=fn.probes(spec, r1, r2))
     ser = fn.extract(rec, spec, r1, r2)
     checks = {c.bound_id.value: c for c in fn.check_log_seeds(ser, spec, spec.eps)}
     assert set(checks) == {"CurlyVLog"}
@@ -199,7 +199,7 @@ def test_floors_hold_with_exp_decay_damping():
         R=1.0, eps=1.0, data=InitialDataFamily(k=3, amplitudes=(5, 5, 5, 5)),
         grid=GridSpec(dr=0.02, t_max=8.0),
     )
-    rec = run(spec)
+    rec = run(spec, probes=fn.probes(spec, 0.5, 0.5))
     assert rec.blew_up
     ser = fn.extract(rec, spec, 0.5, 0.5)
     ints = fn.data_integrals(spec)
@@ -279,6 +279,6 @@ def test_fundamental_identity_pinned_residuals(monkeypatch):
         (0.3, 0.8): (0.003514557331984131, 0.0007473036657587769),
     }
     for (r1, r2), expected in pinned.items():
-        rec = run(spec, store_profiles=False, probes=fn.identity_probes(spec, r1, r2))
+        rec = run(spec, probes=fn.probes(spec, r1, r2))
         res = fn.check_fundamental_identity(rec, spec, r1, r2)
         assert res == pytest.approx(expected, rel=1e-12, abs=0.0)

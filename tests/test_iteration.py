@@ -175,6 +175,17 @@ def test_iteration_constants_positive():
         assert con.S == pytest.approx(p * q / (p * q - 1) ** 2, rel=1e-13)
 
 
+def test_iteration_constants_large_exponent_in_log_space():
+    # N1 = 2^(2(p+1)) pq overflows at p = 600; its log, and E1's, do not
+    con = IterationConstants.from_frame(3, (600.0, 2.0))
+    assert con.N1 == math.inf
+    assert math.isfinite(con.log_E1) and math.isfinite(con.log_E)
+    small = IterationConstants.from_frame(3, (2.0, 2.0))
+    assert small.N == pytest.approx(2.0**4 * 4.0, rel=1e-14)
+    assert small.N1 == pytest.approx(2.0**6 * 4.0, rel=1e-14)
+    assert small.N2 == pytest.approx(2.0**2 * 4.0**3, rel=1e-14)
+
+
 def test_threshold_subcritical_example():
     # unit constants with N forced to 1: T = 2^15 * 10^6 at eps = 0.1
     con = dataclasses.replace(

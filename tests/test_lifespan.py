@@ -199,8 +199,8 @@ def _fail_at_dr(monkeypatch, dr):
 
     real = lifespan.run
 
-    def run(spec, store_profiles=True):
-        rec = real(spec, store_profiles=store_profiles)
+    def run(spec):
+        rec = real(spec)
         if spec.grid.dr == dr:
             return dataclasses.replace(
                 rec, blew_up=False, t_blowup=None, failed=True,
