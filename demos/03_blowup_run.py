@@ -36,7 +36,8 @@ spec = ProblemSpec(
 print("integrating ...")
 rec = run(spec, probes=fn.probes(spec, r1=0.5, r2=0.5))
 print(f"blew_up = {rec.blew_up}, t_blowup = {rec.t_blowup:.4f}")
-print(f"samples: {len(rec.times)}, final sup norms {rec.sup_norms[-1]}")
+print(f"samples: {len(rec.times)}, final sup norms {rec.sup_norms[-1]} "
+      f"(crossed by {rec.crossed})")
 print(f"cone spill (largest value zeroed beyond r = t + R): {rec.cone_spill:.1e}")
 
 print("\nextracting functionals ...")

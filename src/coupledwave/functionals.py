@@ -129,20 +129,38 @@ class BoundCheck:
     passed: bool
 
 
-def _projections(record: SolutionRecord, spec: ProblemSpec, quad_nodes=None) -> dict:
+def _projections(record: SolutionRecord, spec: ProblemSpec, kernel=None) -> dict:
     """``record.projections``, checked to come from ``probes(spec, ...)``
-    (with ``quad_nodes`` kernel rows, if given) on the spec's grid."""
+    on the spec's grid and, if ``kernel`` is given, stamped with that
+    (r1, r2, lambda0, quad_nodes)."""
     expected = radial_grid(spec)
     if record.r.shape != expected.shape or not np.allclose(record.r, expected):
         raise ValueError("record grid does not match the problem spec grid")
     proj = record.projections
-    if not all(name in proj and quad_nodes in (None, proj[name].shape[1] - 2)
-               for name in PROBE_SOURCES):
+    if not all(name in proj for name in PROBE_SOURCES):
         raise ValueError(
             "record needs the projections of probes(spec, r1, r2, lambda0, quad_nodes); "
             "pass them to run(spec, probes=...)"
         )
+    if kernel is not None and record.kernel != kernel:
+        raise ValueError(
+            f"record holds the projections of probes(spec, r1, r2, lambda0, quad_nodes) "
+            f"= {record.kernel}, not {kernel}"
+        )
     return proj
+
+
+class _KernelProbes(dict):
+    """The probe mapping of ``probes``, stamped with ``kernel`` = (r1, r2,
+    lambda0, quad_nodes); ``run`` copies the stamp to the record."""
+
+    def __init__(self, mats: dict, kernel: tuple):
+        super().__init__(mats)
+        self.kernel = kernel
+
+
+def _stamp(r1, r2, lambda0, quad_nodes) -> tuple:
+    return float(r1), float(r2), float(lambda0), int(quad_nodes)
 
 
 def _kernel_nodes(spec, r, lambda0, quad_nodes):
@@ -184,7 +202,8 @@ def probes(spec: ProblemSpec, r1: float, r2: float,
     u0 term), r1 for u_t and |v|^q (curlyU and its source), r2 for v,
     v_t and |u_t|^p (curlyV, its data and its source).  Sources with
     one basis share one matrix, which keeps the probes as small as the
-    three bases.
+    three bases.  The mapping carries ``kernel`` = (r1, r2, lambda0,
+    quad_nodes), which the run records and the readers check.
     """
     grid = radial_grid(spec)
     w = integral_probes(spec)["u"]  # one row, the same for every source
@@ -193,15 +212,16 @@ def probes(spec: ProblemSpec, r1: float, r2: float,
         np.vstack((head, _kernel_basis(spec.n, grid, _kernel_nodes(spec, r, lambda0, quad_nodes)[0])))
         for r in (r1 + 2.0, r1, r2)
     )
-    return {"u": basis1s, "ut": basis1, "v": basis2, "vt": basis2,
-            "|v|^q": basis1, "|u_t|^p": basis2}
+    return _KernelProbes({"u": basis1s, "ut": basis1, "v": basis2, "vt": basis2,
+                          "|v|^q": basis1, "|u_t|^p": basis2},
+                         _stamp(r1, r2, lambda0, quad_nodes))
 
 
 def extract(record: SolutionRecord, spec: ProblemSpec, r1: float, r2: float,
             lambda0: float = 1.0, quad_nodes: int = 64) -> FunctionalSeries:
     """All nine functional series of a run with ``probes(spec, r1, r2,
     lambda0, quad_nodes)``."""
-    proj = _projections(record, spec, quad_nodes)
+    proj = _projections(record, spec, _stamp(r1, r2, lambda0, quad_nodes))
     decay = np.exp(-record.times)
 
     def curly(r, name):
@@ -332,7 +352,8 @@ def check_fundamental_identity(record: SolutionRecord, spec: ProblemSpec,
     """
     if not (spec.b1.is_zero and spec.b2.is_zero):
         raise ValueError("the fundamental identities hold for zero damping only")
-    proj = {name: rows[:, 2:] for name, rows in _projections(record, spec, quad_nodes).items()}
+    kernel = _stamp(r1, r2, lambda0, quad_nodes)
+    proj = {name: rows[:, 2:] for name, rows in _projections(record, spec, kernel).items()}
 
     times = record.times
     if checkpoints is None:

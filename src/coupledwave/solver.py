@@ -71,6 +71,10 @@ MAX_DT_HALVINGS = 24
 # what a probe can read at a sample: the four profiles and the two
 # nonlinear terms
 PROBE_SOURCES = ("u", "ut", "v", "vt", "|v|^q", "|u_t|^p")
+# samples projected together, in one matrix product per shared probe matrix
+PROBE_BLOCK = 8
+# the sup-norm columns, named for SolutionRecord.crossed
+SUP_FIELDS = ("u", "u_t", "v")
 
 
 @dataclass(frozen=True)
@@ -203,7 +207,11 @@ class SolutionRecord:
     ``projections`` maps each probe source given to ``run`` to the
     (N, K) array of its probe matrix applied to the source at the N
     sampled times (row i belongs to ``times[i]``); it is empty when the
-    run had no probes.
+    run had no probes.  ``kernel`` is the ``kernel`` stamp of the probes
+    mapping, the (r1, r2, lambda0, quad_nodes) of ``functionals.probes``,
+    and None for probes without one.
+    ``crossed`` names the field whose sup norm was largest on the
+    crossing row (``"u"``, ``"u_t"`` or ``"v"``), None without blow-up.
     ``steps`` counts the leapfrog levels after t = 0 (one per sup-norm
     row), ``halvings`` holds one (t, dt_new, level_norm) per dt
     halving, ``window_max`` is the largest active window L and
@@ -229,7 +237,9 @@ class SolutionRecord:
     halvings: tuple = ()
     window_max: int = 0
     cone_spill: float = 0.0
+    crossed: str | None = None
     projections: dict = field(default_factory=dict)
+    kernel: tuple | None = None
 
     @property
     def steps(self) -> int:
@@ -394,6 +404,72 @@ def _abs_power(w, out, e):
     return peak
 
 
+class _Projector:
+    """Probe projections of the samples, in blocks of PROBE_BLOCK.
+
+    Sources whose probe matrix is one object form a group.  ``add``
+    copies each source's window [:L] into its group's (PROBE_BLOCK * g,
+    M) buffer, row j * g + c for source c of the block's j-th sample,
+    and zeroes what a wider earlier sample left past L.  ``flush``
+    projects the block with one matrix product per group, over the
+    block's widest window, into ``out``: one (capacity, K) array per
+    source, doubled when the samples outgrow it.
+    """
+
+    def __init__(self, probes: dict, m: int, capacity: int):
+        groups = {}
+        for name, mat in probes.items():
+            groups.setdefault(id(mat), (mat, []))[1].append(name)
+        # (matrix, PROBE_SOURCES indices of its sources, block buffer)
+        self.groups = [
+            (mat, [PROBE_SOURCES.index(name) for name in names], np.zeros((PROBE_BLOCK * len(names), m)))
+            for mat, names in groups.values()
+        ]
+        self.out = {name: np.empty((capacity, mat.shape[0])) for name, mat in probes.items()}
+        self.width = [0] * PROBE_BLOCK  # buffer rows of slot j are zero from width[j] on
+        self.slot = 0
+        self.count = 0
+
+    def add(self, sources, L):
+        """Queue one sample: ``sources`` in PROBE_SOURCES order, read on
+        their window [:L] only."""
+        j = self.slot
+        for _mat, index, buf in self.groups:
+            g = len(index)
+            rows = buf[j * g : (j + 1) * g]
+            for c, i in enumerate(index):
+                rows[c, :L] = sources[i][:L]
+            if self.width[j] > L:
+                rows[:, L : self.width[j]] = 0.0
+        self.width[j] = L
+        self.slot += 1
+        if self.slot == PROBE_BLOCK:
+            self.flush()
+
+    def flush(self):
+        j = self.slot
+        if not j:
+            return
+        start, stop = self.count, self.count + j
+        for name, arr in self.out.items():
+            if stop > arr.shape[0]:
+                grown = np.empty((max(2 * arr.shape[0], stop), arr.shape[1]))
+                grown[:start] = arr[:start]
+                self.out[name] = grown
+        L = max(self.width[:j])
+        for mat, index, buf in self.groups:
+            block = buf[: j * len(index), :L] @ mat[:, :L].T
+            for c, i in enumerate(index):
+                self.out[PROBE_SOURCES[i]][start:stop] = block[c :: len(index)]
+        self.count = stop
+        self.slot = 0
+
+    def projections(self) -> dict:
+        """The (samples, K) projection of each source, after a last flush."""
+        self.flush()
+        return {name: arr[: self.count] for name, arr in self.out.items()}
+
+
 def run(spec: ProblemSpec, probes=None) -> SolutionRecord:
     """Integrate the coupled system until t_max or blow-up detection.
 
@@ -404,10 +480,15 @@ def run(spec: ProblemSpec, probes=None) -> SolutionRecord:
 
     ``probes`` maps sources from PROBE_SOURCES (the profiles u, ut, v,
     vt and the nonlinear terms |v|^q and |u_t|^p) to (K, M) matrices
-    over the radial grid.  At each sample the run records matrix @
-    source, summed over the light-cone window only (the source vanishes
+    over the radial grid.  The run records matrix @ source at each
+    sample, summed over the light-cone window only (the source vanishes
     beyond it), into ``SolutionRecord.projections``: memory O(samples *
-    K).  Identity matrices give back the sampled profiles themselves.
+    K).  Samples are projected in blocks of PROBE_BLOCK, with one
+    matrix product per block for all sources that share one matrix
+    object, straight into preallocated output rows; probes never feed
+    back into the scheme.  Identity matrices give back the sampled
+    profiles themselves.  A ``kernel`` attribute of the mapping (as on
+    ``functionals.probes``) is copied to ``SolutionRecord.kernel``.
     """
     n = spec.n
     p, q = spec.pq.p, spec.pq.q
@@ -416,6 +497,7 @@ def run(spec: ProblemSpec, probes=None) -> SolutionRecord:
     threshold = grid.blowup_threshold
     r = radial_grid(spec)
     m = r.size
+    kernel = getattr(probes, "kernel", None)
     probes = {name: np.asarray(mat, dtype=float) for name, mat in (probes or {}).items()}
     for name, mat in probes.items():
         if name not in PROBE_SOURCES:
@@ -438,17 +520,17 @@ def run(spec: ProblemSpec, probes=None) -> SolutionRecord:
     stride = max(1, int(np.floor(grid.t_max / (2000.0 * dt0))))
 
     times = []
-    projections = {name: [] for name in probes}
+    projector = None
+    if probes:
+        projector = _Projector(probes, m, math.ceil(grid.t_max / (stride * dt0)) + 2)
     sup_times, sup_rows = [], []
 
     def emit_sample(t, L, ut, vt):
         """Sample time t: u.cur, ut, v.cur, vt are the profiles, and
         u.force, v.force hold |v|^q, |u_t|^p on the window [:L]."""
         times.append(t)
-        if probes:
-            sources = dict(zip(PROBE_SOURCES, (u.cur, ut, v.cur, vt, u.force, v.force)))
-            for name, mat in probes.items():
-                projections[name].append(mat[:, :L] @ sources[name][:L])
+        if projector is not None:
+            projector.add((u.cur, ut, v.cur, vt, u.force, v.force), L)
 
     sup_times.append(0.0)
     sup_rows.append(
@@ -472,6 +554,7 @@ def run(spec: ProblemSpec, probes=None) -> SolutionRecord:
             sup_times, sup_rows, emit_sample,
         )
 
+    sup_norms = np.asarray(sup_rows)
     return SolutionRecord(
         n=n,
         R=spec.R,
@@ -479,7 +562,7 @@ def run(spec: ProblemSpec, probes=None) -> SolutionRecord:
         r=r,
         times=np.asarray(times),
         sup_times=np.asarray(sup_times),
-        sup_norms=np.asarray(sup_rows),
+        sup_norms=sup_norms,
         blew_up=blew_up,
         t_blowup=t_blowup,
         failed=failed,
@@ -489,7 +572,9 @@ def run(spec: ProblemSpec, probes=None) -> SolutionRecord:
         halvings=tuple(halvings),
         window_max=window_max,
         cone_spill=core.spill,
-        projections={name: np.vstack(rows) for name, rows in projections.items()},
+        crossed=SUP_FIELDS[int(sup_norms[-1].argmax())] if blew_up else None,
+        projections={} if projector is None else projector.projections(),
+        kernel=kernel,
     )
 
 
@@ -645,8 +730,9 @@ def write_summary_csv(record: SolutionRecord, path) -> None:
 
 def write_blowup_json(record: SolutionRecord, path) -> None:
     """Sidecar with blow-up metadata and telemetry for a run: step
-    count, one [t, dt_new, level_norm] per dt halving, largest window
-    and the largest value the cone zeroing removed."""
+    count, one [t, dt_new, level_norm] per dt halving, largest window,
+    the largest value the cone zeroing removed and the field that
+    crossed the threshold."""
     payload = {
         "blew_up": bool(record.blew_up),
         "t_blowup": None if record.t_blowup is None else float(record.t_blowup),
@@ -659,6 +745,7 @@ def write_blowup_json(record: SolutionRecord, path) -> None:
         "halvings": [list(h) for h in record.halvings],
         "window_max": record.window_max,
         "cone_spill": record.cone_spill,
+        "crossed": record.crossed,
         "n": record.n,
         "R": record.R,
         "eps": record.eps,

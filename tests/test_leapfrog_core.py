@@ -18,6 +18,7 @@ from coupledwave.exponents import ExponentPair
 from coupledwave.solver import (
     GROWTH_REFINE_FACTOR,
     MAX_DT_HALVINGS,
+    SUP_FIELDS,
     GridSpec,
     InitialDataFamily,
     ProblemSpec,
@@ -287,3 +288,17 @@ def test_run_telemetry(standard_run, tmp_path):
     assert meta["steps"] == rec.steps
     assert meta["window_max"] == rec.window_max
     assert meta["halvings"] == [list(h) for h in rec.halvings]
+
+
+def test_crossed_field(standard_run, tmp_path):
+    # the standard run crosses through u_t: its last sup row is about
+    # (1.7e5, 4.1e17, 1.9e10)
+    assert standard_run.crossed == "u_t"
+    last = standard_run.sup_norms[-1]
+    assert SUP_FIELDS[int(last.argmax())] == "u_t" and last[1] >= 1e8
+    quiet = run(RUNS["n3-exp-damping-rmax-at-cone"][0])
+    assert not quiet.blew_up and quiet.crossed is None
+    for rec, want in ((standard_run, "u_t"), (quiet, None)):
+        path = tmp_path / "run.json"
+        write_blowup_json(rec, path)
+        assert json.loads(path.read_text())["crossed"] == want

@@ -8,7 +8,15 @@ import pytest
 
 from coupledwave import functionals as fn
 from coupledwave.exponents import ExponentPair
-from coupledwave.solver import PROBE_SOURCES, radial_grid, radial_weights, run
+from coupledwave.solver import (
+    PROBE_BLOCK,
+    PROBE_SOURCES,
+    GridSpec,
+    _Projector,
+    radial_grid,
+    radial_weights,
+    run,
+)
 from coupledwave.special import phi
 
 
@@ -117,3 +125,97 @@ def test_identity_check_needs_its_projections(identity_spec, identity_run):
             reader(identity_run, identity_spec, 0.5, 0.5, quad_nodes=32)
     with pytest.raises(ValueError, match=r"probes\(spec"):
         fn.nonlinearity_integrals(bare, identity_spec)
+
+
+def _per_sample(mat, sources, widths):
+    """Reference projection: one matrix-vector product per sample over
+    its window."""
+    return np.array([mat[:, :L] @ src[:L] for src, L in zip(sources, widths)])
+
+
+def _support_widths(profiles):
+    """Per sample, one past the last nonzero point of any profile."""
+    nonzero = np.logical_or.reduce([p != 0.0 for p in profiles])
+    return [int(np.nonzero(row)[0][-1]) + 1 for row in nonzero]
+
+
+@pytest.mark.parametrize("capacity", [1, 64], ids=["grows", "fits"])
+@pytest.mark.parametrize("count", [1, PROBE_BLOCK - 1, PROBE_BLOCK, 3 * PROBE_BLOCK, 3 * PROBE_BLOCK + 5])
+def test_projector_matches_per_sample_products(count, capacity):
+    # windows widen and narrow at random, so a slot often holds a wider
+    # earlier sample; values past a sample's window must not be read
+    rng = np.random.default_rng(count)
+    m = 40
+    shared, own = rng.uniform(size=(7, m)), rng.uniform(size=(3, m))
+    probes = {"u": own, "ut": shared, "|v|^q": shared, "v": shared}
+    widths = rng.integers(2, m + 1, size=count)
+    samples = [rng.uniform(size=(len(PROBE_SOURCES), m)) for _ in range(count)]
+    proj = _Projector(probes, m, capacity)
+    assert len(proj.groups) == 2
+    for src, L in zip(samples, widths):
+        proj.add(src, L)
+    got = proj.projections()
+    for name, mat in probes.items():
+        i = PROBE_SOURCES.index(name)
+        want = _per_sample(mat, [src[i] for src in samples], widths)
+        assert got[name].shape == (count, mat.shape[0])
+        np.testing.assert_allclose(got[name], want, rtol=1e-13, atol=0.0, err_msg=name)
+
+
+def _short_run(spec):
+    """The spec on its grid up to t = 0.5: 56 samples, a multiple of
+    PROBE_BLOCK, and no blow-up."""
+    return dataclasses.replace(spec, grid=GridSpec(dr=spec.grid.dr, t_max=0.5, r_max=spec.grid.r_max))
+
+
+@pytest.mark.parametrize("distinct", [False, True], ids=["shared", "distinct"])
+def test_run_projections_match_per_sample_products(stored_and_probed, profile_run, distinct):
+    # the blow-up runs (537 and 173 samples, dt halvings) and a short run
+    # whose sample count is a multiple of the block; with ``distinct``
+    # every source has its own copy of its matrix
+    spec, probes, stored, probed = stored_and_probed
+    if distinct:
+        probes = {name: mat.copy() for name, mat in probes.items()}
+        assert len(_Projector(probes, stored.r.size, 1).groups) == len(PROBE_SOURCES)
+    short = _short_run(spec)
+    for spec_, stored_, probed_ in (
+        (spec, stored, run(spec, probes=probes) if distinct else probed),
+        (short, profile_run(short), run(short, probes=probes)),
+    ):
+        sources = _profile_sources(spec_, stored_)
+        widths = _support_widths([sources[name] for name in ("u", "ut", "v", "vt")])
+        assert probed_.times.size == len(widths)
+        assert (probed_.times.size % PROBE_BLOCK == 0) == (spec_ is short)
+        for name, mat in probes.items():
+            want = _per_sample(mat, sources[name], widths)
+            np.testing.assert_allclose(probed_.projections[name], want, rtol=1e-13, atol=0.0,
+                                       err_msg=name)
+
+
+def test_identity_probes_on_every_source_are_the_profiles(stored_and_probed, profile_run):
+    # one group of six sources on one identity matrix gives back the
+    # profiles and nonlinear terms bitwise, as the four-source group does
+    spec, _probes, stored, _probed = stored_and_probed
+    eye = np.eye(stored.r.size)
+    rec = run(spec, probes=dict.fromkeys(PROBE_SOURCES, eye))
+    sources = _profile_sources(spec, stored)
+    for name in PROBE_SOURCES:
+        assert np.array_equal(rec.projections[name], sources[name]), name
+
+
+def test_records_carry_their_kernel(identity_spec, identity_run):
+    # a record read with other kernel exponents than its probes' is an
+    # error, not a silently wrong curlyU
+    assert identity_run.kernel == (0.5, 0.5, 1.0, 64)
+    assert fn.probes(identity_spec, 0.3, 1.5, 2.0, 16).kernel == (0.3, 1.5, 2.0, 16)
+    fn.extract(identity_run, identity_spec, 0.5, 0.5)
+    for reader in (fn.extract, fn.check_fundamental_identity):
+        with pytest.raises(ValueError, match=r"probes\(spec.*\(0\.5, 0\.5, 1\.0, 64\)"):
+            reader(identity_run, identity_spec, 0.3, 1.5)
+        with pytest.raises(ValueError, match=r"probes\(spec"):
+            reader(identity_run, identity_spec, 0.5, 0.5, lambda0=2.0)
+    # probes copied into a plain dict lose the stamp, and so does their run
+    unstamped = run(identity_spec, probes=dict(fn.probes(identity_spec, 0.5, 0.5)))
+    assert unstamped.kernel is None
+    with pytest.raises(ValueError, match=r"probes\(spec"):
+        fn.extract(unstamped, identity_spec, 0.5, 0.5)
