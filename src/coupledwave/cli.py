@@ -254,16 +254,17 @@ def _cmd_sweep(args) -> int:
     sweep_cfg = configio.sweep_config_from_config(cfg)
     table = ls.sweep(sweep_cfg)
     for row in table.rows:
+        failed = f" failed={row.failure_reason}" if row.failed else ""
         print(
             f"eps={_g(row.eps)} blew_up={row.blew_up} "
-            f"T={_g(row.T_numeric) if row.blew_up else 'n/a'}"
+            f"T={_g(row.T_numeric) if row.blew_up else 'n/a'}{failed}"
         )
     if table.fit is not None:
         print(f"fit_slope={_g(table.fit.slope)} r_squared={_g(table.fit.r_squared)}")
     out = args.out or "sweep_out"
     csv_path, json_path = ls.report(table, out)
     print(f"wrote {csv_path} {json_path}")
-    return 0
+    return 1 if any(row.failed for row in table.rows) else 0
 
 
 def _cmd_verify(_args) -> int:

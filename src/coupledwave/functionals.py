@@ -40,6 +40,7 @@ import numpy as np
 from .exponents import Region, classify
 from .solver import (
     PROBE_SOURCES,
+    IntegralProbes,
     ProblemSpec,
     SolutionRecord,
     integral_probes,
@@ -150,7 +151,7 @@ def _projections(record: SolutionRecord, spec: ProblemSpec, kernel=None) -> dict
     return proj
 
 
-class _KernelProbes(dict):
+class _KernelProbes(IntegralProbes):
     """The probe mapping of ``probes``, stamped with ``kernel`` = (r1, r2,
     lambda0, quad_nodes); ``run`` copies the stamp to the record."""
 

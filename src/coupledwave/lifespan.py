@@ -3,9 +3,11 @@
 Runs the solver across a decreasing ladder of data amplitudes eps,
 collects numerical blow-up times (with a grid-refinement repeat per
 row), fits log T against log eps on the blown-up rows and compares the
-slope with the predicted power law.  Exponentially large critical
-lifespans are not reproducible at desk scale, so critical sweeps carry
-the prediction shape for plotting but no pass/fail.
+slope with the predicted power law.  Each repeat advances its whole
+ladder as one batch of rows (``solver.run_batch``).  Exponentially
+large critical lifespans are not reproducible at desk scale, so
+critical sweeps carry the prediction shape for plotting but no
+pass/fail.
 
 Every summary carries the caveat that the theory bounds T(eps) only for
 eps below an unspecified eps0, so a sweep cannot certify being inside
@@ -23,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exponents import LifespanPrediction, classify, lifespan_prediction
-from .solver import ProblemSpec, run
+from .solver import ProblemSpec, run_batch
 
 __all__ = [
     "SweepConfig",
@@ -57,8 +59,8 @@ class SweepConfig:
         object.__setattr__(self, "eps_values", eps)
         if len(eps) == 0:
             raise ValueError("eps_values must be nonempty")
-        if any(e <= 0 for e in eps):
-            raise ValueError("eps values must be positive")
+        if not all(0 < e < math.inf for e in eps):
+            raise ValueError(f"eps values must be positive and finite, got {eps}")
         if any(later >= earlier for earlier, later in zip(eps, eps[1:])):
             raise ValueError("eps_values must be strictly decreasing")
         if int(self.repeats) != self.repeats or self.repeats < 1:
@@ -72,7 +74,12 @@ class LifespanRow:
     The finest repeat alone decides ``T_numeric``, ``blew_up`` and
     ``failed``; ``failed_repeats`` lists every repeat (0 = coarsest)
     whose run failed, and a failed coarser repeat only leaves
-    ``grid_change`` NaN.
+    ``grid_change`` NaN.  The telemetry is the finest repeat's run:
+    ``steps``, the number of dt ``halvings``, ``window_max``,
+    ``cone_spill``, ``crossed`` and ``failure_reason`` (see
+    ``SolutionRecord``).  ``local_slope`` is d log T / d log eps against
+    the previous blown-up row, NaN for the first one and for rows that
+    did not blow up.
     """
 
     eps: float
@@ -82,6 +89,13 @@ class LifespanRow:
     grid_change: float = math.nan
     failed: bool = False
     failed_repeats: tuple = ()
+    steps: int = 0
+    halvings: int = 0
+    window_max: int = 0
+    cone_spill: float = 0.0
+    crossed: str | None = None
+    failure_reason: str = ""
+    local_slope: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -119,7 +133,8 @@ def _fit_loglog(eps, T):
 
 
 def sweep(cfg: SweepConfig) -> LifespanTable:
-    """One solver run per (eps, repeat); finest grid decides T_numeric.
+    """One batch of runs per repeat, one row per eps; the finest grid
+    decides T_numeric.
 
     Rows that hit the horizon without blow-up carry blew_up = False and
     are excluded from the fit; solver numerical failures are recorded
@@ -128,29 +143,18 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
     base = cfg.base
     data = classify(base.n, base.pq)
     prediction = lifespan_prediction(base.n, base.pq)
-    raw = []
-    for eps in cfg.eps_values:
-        times = []
-        failed_repeats = []
-        for rep in range(cfg.repeats):
-            grid = replace(
-                base.grid,
-                dr=base.grid.dr / 2.0**rep,
-            )
-            spec = replace(base, eps=eps, grid=grid)
-            rec = run(spec)
+    times = []  # per repeat, the blow-up time of each eps (NaN for none)
+    failed_repeats = [[] for _ in cfg.eps_values]
+    for rep in range(cfg.repeats):
+        grid = replace(base.grid, dr=base.grid.dr / 2.0**rep)
+        records = None  # drop the coarser repeat's runs before the next batch
+        records = run_batch([replace(base, eps=eps, grid=grid) for eps in cfg.eps_values])
+        for failed, rec in zip(failed_repeats, records):
             if rec.failed:
-                failed_repeats.append(rep)
-            times.append(rec.t_blowup if rec.blew_up else math.nan)
-        finest = times[-1]
-        failed = (cfg.repeats - 1) in failed_repeats
-        blew = bool(np.isfinite(finest))
-        grid_change = math.nan
-        if cfg.repeats >= 2 and np.isfinite(times[-1]) and np.isfinite(times[-2]):
-            grid_change = abs(times[-1] - times[-2]) / abs(times[-1])
-        raw.append((eps, finest, blew, grid_change, failed, tuple(failed_repeats)))
+                failed.append(rep)
+        times.append([rec.t_blowup if rec.blew_up else math.nan for rec in records])
 
-    blown = [(e, T) for (e, T, b, *_rest) in raw if b]
+    blown = [(e, T) for e, T in zip(cfg.eps_values, times[-1]) if np.isfinite(T)]
     fit = None
     if len(blown) >= 2:
         slope, intercept, r2, _x, _res = _fit_loglog(*zip(*blown))
@@ -158,21 +162,39 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
 
     # prediction shape anchored at the largest blown-up eps
     anchor = blown[0] if blown else None
+    previous = None  # the last blown-up (eps, T)
     rows = []
-    for eps, T, blew, grid_change, failed, failed_repeats in raw:
+    for j, (eps, rec) in enumerate(zip(cfg.eps_values, records)):
+        T = times[-1][j]
+        blew = bool(np.isfinite(T))
         shape = math.nan
         if anchor is not None and np.isfinite(prediction.exponent):
             e0, t0 = anchor
             shape = t0 * (eps / e0) ** prediction.exponent
+        grid_change = math.nan
+        if cfg.repeats >= 2 and blew and np.isfinite(times[-2][j]):
+            grid_change = abs(T - times[-2][j]) / abs(T)
+        slope = math.nan
+        if blew:
+            if previous is not None:
+                slope = math.log(T / previous[1]) / math.log(eps / previous[0])
+            previous = (eps, T)
         rows.append(
             LifespanRow(
                 eps=eps,
-                T_numeric=T if blew else math.nan,
+                T_numeric=T,
                 blew_up=blew,
                 T_predicted_shape=shape,
                 grid_change=grid_change,
-                failed=failed,
-                failed_repeats=failed_repeats,
+                failed=rec.failed,
+                failed_repeats=tuple(failed_repeats[j]),
+                steps=rec.steps,
+                halvings=len(rec.halvings),
+                window_max=rec.window_max,
+                cone_spill=rec.cone_spill,
+                crossed=rec.crossed,
+                failure_reason=rec.failure_reason,
+                local_slope=slope,
             )
         )
     return LifespanTable(
@@ -205,7 +227,9 @@ def report(table: LifespanTable, destination) -> tuple:
 
     CSV columns: eps, T_numeric, blew_up, T_predicted_shape,
     grid_change, failed (full precision, rows ordered by descending
-    eps).
+    eps).  The JSON's ``rows`` carry each row's telemetry: eps, steps,
+    halvings, window_max, cone_spill, crossed, failure_reason and
+    local_slope (null when NaN).
     """
     os.makedirs(destination, exist_ok=True)
     csv_path = os.path.join(destination, "lifespan.csv")
@@ -240,6 +264,19 @@ def report(table: LifespanTable, destination) -> tuple:
             "r_squared": table.fit.r_squared,
         },
         "caveat": table.caveat,
+        "rows": [
+            {
+                "eps": r.eps,
+                "steps": r.steps,
+                "halvings": r.halvings,
+                "window_max": r.window_max,
+                "cone_spill": r.cone_spill,
+                "crossed": r.crossed,
+                "failure_reason": r.failure_reason,
+                "local_slope": r.local_slope if math.isfinite(r.local_slope) else None,
+            }
+            for r in table.rows
+        ],
     }
     with open(json_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -31,16 +31,21 @@ Because everything beyond the cone is exactly zero, each step works
 only on the active window [:L] of the grid, L = k + 2 with k the first
 point beyond the next level's cone (or the whole grid once the cone
 reaches its end).  One stepping core, ``_Leapfrog``, does every update
-with out= ufuncs in buffers allocated once per run (three rotating
-time levels per field plus laplacian, forcing and velocity buffers),
-in the same floating-point order as the formulas above, so the results
-do not depend on the window.  ``evolve_scalar`` runs the same core on
-the whole grid with no cone: its data need not be compactly supported
-and its forcing is arbitrary.
+with out= ufuncs, in the same floating-point order as the formulas
+above, on contiguous (field, row, point) buffers: three rotating time
+levels plus laplacian, forcing and velocity buffers, u and v stacked,
+cut to a width just above the window and widened as the cone grows.
+So the results do not depend on the window, the width or the rows
+stacked together.  ``run_batch`` advances runs that differ only in eps
+as rows of one leapfrog; a row leaves when it blows up, fails or
+halves dt, and ``run`` is its one-row case.  ``evolve_scalar`` runs
+the same core on the whole grid with no cone: its data need not be
+compactly supported and its forcing is arbitrary.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -56,10 +61,12 @@ __all__ = [
     "ProblemSpec",
     "SolutionRecord",
     "run",
+    "run_batch",
     "detect_blowup",
     "evolve_scalar",
     "radial_grid",
     "radial_weights",
+    "IntegralProbes",
     "integral_probes",
     "radial_energy",
     "write_summary_csv",
@@ -96,6 +103,8 @@ class InitialDataFamily:
             raise ValueError(f"bump smoothness k must be an integer >= 2, got {self.k}")
         if len(self.amplitudes) != 4:
             raise ValueError("amplitudes must be (A_u0, A_u1, A_v0, A_v1)")
+        if not all(math.isfinite(a) for a in self.amplitudes):
+            raise ValueError(f"amplitudes must be finite, got {self.amplitudes}")
 
     @property
     def a_u0(self) -> float:
@@ -142,10 +151,12 @@ class GridSpec:
     blowup_threshold: float = 1e8
 
     def __post_init__(self):
-        if not self.dr > 0:
-            raise ValueError("dr must be positive")
-        if not self.t_max > 0:
-            raise ValueError("t_max must be positive")
+        if not 0 < self.dr < math.inf:
+            raise ValueError(f"dr must be positive and finite, got {self.dr}")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
+        if self.r_max is not None and not math.isfinite(self.r_max):
+            raise ValueError(f"r_max must be finite, got {self.r_max}")
         if not 0.0 < self.cfl < 1.0:
             raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
         if not self.blowup_threshold > 0:
@@ -173,10 +184,10 @@ class ProblemSpec:
     def __post_init__(self):
         object.__setattr__(self, "n", check_dimension(self.n))
         object.__setattr__(self, "pq", as_pair(self.pq))
-        if not self.R > 0:
-            raise ValueError("support radius R must be positive")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.R < math.inf:
+            raise ValueError(f"support radius R must be positive and finite, got {self.R}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.grid.dr > self.R / 20.0:
             raise ValueError(
                 f"grid too coarse for the data: dr={self.grid.dr} > R/20={self.R / 20.0}"
@@ -209,7 +220,9 @@ class SolutionRecord:
     sampled times (row i belongs to ``times[i]``); it is empty when the
     run had no probes.  ``kernel`` is the ``kernel`` stamp of the probes
     mapping, the (r1, r2, lambda0, quad_nodes) of ``functionals.probes``,
-    and None for probes without one.
+    and None for probes without one; ``integrals`` is True when the
+    probes were an ``IntegralProbes`` mapping, whose row 0 is the radial
+    weights on every source.
     ``crossed`` names the field whose sup norm was largest on the
     crossing row (``"u"``, ``"u_t"`` or ``"v"``), None without blow-up.
     ``steps`` counts the leapfrog levels after t = 0 (one per sup-norm
@@ -240,6 +253,7 @@ class SolutionRecord:
     crossed: str | None = None
     projections: dict = field(default_factory=dict)
     kernel: tuple | None = None
+    integrals: bool = False
 
     @property
     def steps(self) -> int:
@@ -263,113 +277,166 @@ def radial_weights(r: np.ndarray, n: int) -> np.ndarray:
     return surface_area(n) * w
 
 
-def integral_probes(spec: ProblemSpec) -> dict:
+class IntegralProbes(dict):
+    """A probe mapping whose row 0 on every source is the radial
+    weights; ``run`` records ``integrals`` and the ``kernel`` stamp of
+    the rows stacked under it."""
+
+    integrals = True
+    kernel = None
+
+
+def integral_probes(spec: ProblemSpec) -> IntegralProbes:
     """Probes for ``run(spec, probes=...)`` whose one row is the radial
     weights: row 0 of each projection is the integral over R^n of its
     source (U, U', V, V', int |v|^q, int |u_t|^p).  Larger probe sets
     stack their rows under this one."""
-    return dict.fromkeys(PROBE_SOURCES, radial_weights(radial_grid(spec), spec.n)[np.newaxis])
+    return IntegralProbes.fromkeys(PROBE_SOURCES, radial_weights(radial_grid(spec), spec.n)[np.newaxis])
 
 
-class _Field:
-    """Buffers of one field: three rotating time levels, and the
-    laplacian, forcing and centred velocity of the current level."""
+# the stepping core's buffers, in the order of its block
+_BUFFERS = ("prev", "cur", "next", "lap", "force", "vel", "tmp")
 
-    __slots__ = ("prev", "cur", "next", "lap", "force", "vel")
 
-    def __init__(self, m: int):
-        self.prev, self.cur, self.next = np.zeros(m), np.zeros(m), np.zeros(m)
-        self.lap, self.force, self.vel = np.zeros(m), np.zeros(m), np.zeros(m)
-
-    def rotate(self):
-        self.prev, self.cur, self.next = self.cur, self.next, self.prev
+def _width(L: int, m: int) -> int:
+    """Buffer width for a window of L points: room to grow by an eighth
+    before the next resize."""
+    return min(m, L + L // 8 + 32)
 
 
 class _Leapfrog:
-    """The stepping core: updates on the window [:L] of a field's buffers.
+    """The stepping core, on (field, row, point) buffers.
 
-    Points from ``k`` on are zeroed (the cone mask; k = L = M for no
-    cone) and ``spill`` keeps the largest |value| zeroed there.  Outside
-    [:L] every buffer stays zero, so the window gives the values of the
-    whole-grid formulas; the grid-end conditions apply only when L = M.
+    prev, cur and next (three rotating time levels), lap, force and vel
+    (the laplacian, forcing and centred velocity of the current level)
+    and tmp are contiguous (fields, rows, W) arrays, W at least the
+    active window L, so each update is one call on whole buffers.  Past
+    the window every input is zero, hence every output too, and the
+    window holds the values of the whole-grid formulas; the grid-end
+    conditions apply only once L = M.  Points from ``k`` on lie beyond
+    the cone (k = L = M for no cone): ``close`` zeroes them, and
+    ``spill`` keeps the largest |value| zeroed per field, row and point
+    past k.  Every update is elementwise along the rows, so no row
+    depends on the rows stacked with it.
     """
 
-    def __init__(self, r: np.ndarray, dr: float, n: int):
+    def __init__(self, r: np.ndarray, dr: float, n: int, fields: int, rows: int, width: int):
         self.m = r.size
         self.inv_dr2 = 1.0 / (dr * dr)
         self.two_dr = 2.0 * dr
         self.axis = 2.0 * n
-        self.coef = (n - 1.0) / r[1:-1]
-        self.tmp = np.zeros(self.m)
-        self.spill = 0.0
+        # (n - 1) / r at each point; the axis takes its own formula
+        self.radial = np.zeros(self.m)
+        self.radial[1:] = (n - 1.0) / r[1:]
+        # the cut [k:L] spans at most three points: L <= k + 2, and a dt
+        # halving moves k back by at most one
+        self.spill = np.zeros((fields, rows, 3))
+        self._bind(np.zeros((len(_BUFFERS), fields, rows, width)))
 
-    def laplacian(self, w, lap, L):
-        mid = lap[1 : L - 1]
-        tmp = self.tmp[: L - 2]
-        np.multiply(w[1 : L - 1], 2.0, out=mid)
-        np.subtract(w[2:L], mid, out=mid)
-        np.add(mid, w[: L - 2], out=mid)
+    def _bind(self, block):
+        for name, buf in zip(_BUFFERS, block):
+            setattr(self, name, buf)
+        fields, rows, width = block.shape[1:]
+        self.width = width
+        self.coef = np.tile(self.radial[:width], fields * rows)[1:-1]
+
+    def rotate(self):
+        self.prev, self.cur, self.next = self.cur, self.next, self.prev
+
+    def resize(self, rows, width):
+        """Keep only ``rows``, in that order, in buffers ``width`` wide."""
+        old = [getattr(self, name) for name in _BUFFERS]
+        block = np.zeros((len(_BUFFERS), old[0].shape[0], len(rows), width))
+        for buf, src in zip(block, old):
+            buf[..., : src.shape[-1]] = src[:, rows]
+        self.spill = self.spill[:, rows]
+        self._bind(block)
+
+    def split(self, rows) -> _Leapfrog:
+        """A core holding copies of ``rows``."""
+        new = copy.copy(self)
+        new.resize(rows, self.width)
+        return new
+
+    def laplacian(self):
+        """lap = Lap(cur), every field and row.  The stencil runs over the
+        flattened buffers, where each row's two end points read the
+        neighbouring rows: the axis then takes its own formula, and the
+        last point the zero past the window (or the grid end's)."""
+        w = self.cur.reshape(-1)
+        mid = self.lap.reshape(-1)[1:-1]
+        tmp = self.tmp.reshape(-1)[:-2]
+        right, left = w[2:], w[:-2]
+        np.multiply(w[1:-1], 2.0, out=mid)
+        np.subtract(right, mid, out=mid)
+        np.add(mid, left, out=mid)
         np.multiply(mid, self.inv_dr2, out=mid)
-        np.subtract(w[2:L], w[: L - 2], out=tmp)
-        np.multiply(self.coef[: L - 2], tmp, out=tmp)
+        np.subtract(right, left, out=tmp)
+        np.multiply(self.coef, tmp, out=tmp)
         np.divide(tmp, self.two_dr, out=tmp)
         np.add(mid, tmp, out=mid)
-        lap[0] = self.axis * (w[1] - w[0]) * self.inv_dr2
-        if L == self.m:
-            lap[-1] = 0.0
+        axis = self.lap[..., 0]
+        np.subtract(self.cur[..., 1], self.cur[..., 0], out=axis)
+        np.multiply(axis, self.axis, out=axis)
+        np.multiply(axis, self.inv_dr2, out=axis)
+        self.lap[..., -1] = 0.0
 
-    def _close(self, out, L, k):
-        for i in range(k, L):  # at most three points: scalar reads, no reduction
-            self.spill = max(self.spill, abs(float(out[i])))
-        out[k:] = 0.0
-        if L == self.m:
-            out[-1] = 0.0
+    def free(self):
+        """next = 2 cur - prev, every field: the leap before its forcing
+        and damping."""
+        np.multiply(self.cur, 2.0, out=self.next)
+        np.subtract(self.next, self.prev, out=self.next)
 
-    def step(self, fld: _Field, bval, dt, L, k, k_vel):
-        """Laplacian of the current level, the damped leap to the next
-        level (cone from k) and the centred velocity (cone from k_vel);
-        ``fld.force`` must hold the forcing on [:L]."""
-        self.laplacian(fld.cur, fld.lap, L)
-        out = fld.next[:L]
-        prev = fld.prev[:L]
-        tmp = self.tmp[:L]
-        np.add(fld.lap[:L], fld.force[:L], out=tmp)
+    def _grid_end(self, out, L, k):
+        # a grid end inside [k:L] is zeroed (and its spill kept) by close
+        if L == self.m and k >= self.m:
+            out[..., -1] = 0.0
+
+    def leap(self, f, bval, dt, L, k):
+        """Field f's damped leap to ``next`` after ``free``, from ``lap``
+        and ``force``; the cone cut waits for ``close``."""
+        out, prev, tmp = self.next[f], self.prev[f], self.tmp[f]
+        np.add(self.lap[f], self.force[f], out=tmp)
         np.multiply(tmp, dt * dt, out=tmp)
-        np.multiply(fld.cur[:L], 2.0, out=out)
-        np.subtract(out, prev, out=out)
         np.add(out, tmp, out=out)
         half = 0.5 * bval * dt
         if half:
             np.multiply(prev, half, out=tmp)
             np.add(out, tmp, out=out)
             np.divide(out, 1.0 + half, out=out)
-        self._close(out, L, k)
-        vel = fld.vel[:L]
-        np.subtract(out, prev, out=vel)
+        self._grid_end(out, L, k)
+
+    def velocity(self, f, dt, k_vel):
+        """Field f's centred velocity (next - prev) / (2 dt), zero from
+        k_vel on; k_vel <= k, so what ``close`` cuts later never shows."""
+        vel = self.vel[f]
+        np.subtract(self.next[f], self.prev[f], out=vel)
         np.divide(vel, 2.0 * dt, out=vel)
-        vel[k_vel:] = 0.0
+        vel[:, k_vel:] = 0.0
 
-    def taylor(self, fld: _Field, wt, bval, dt, L, k):
-        """Second-order Taylor step from (cur, wt) into ``fld.next``, with
-        ``fld.lap`` and ``fld.force`` of the current level."""
-        acc = fld.lap[:L] - bval * wt + fld.force[:L]
-        out = fld.next[:L]
-        out[:] = fld.cur[:L] + dt * wt + 0.5 * dt * dt * acc
-        self._close(out, L, k)
+    def close(self, L, k):
+        """The cone cut: zero ``next`` on [k:L], every field, keeping the
+        largest |value| removed in ``spill``."""
+        if k < L:
+            cut = self.next[..., k:L]
+            kept = self.spill[..., : L - k]
+            np.fmax(kept, np.abs(cut), out=kept)
+            cut[...] = 0.0
 
-    def start(self, fld: _Field, wt, bval, dt, L, k):
-        """Level 0: Taylor step from the data (cur, wt) with the forcing in
-        ``fld.force``, then rotate so that (prev, cur) = (data, level 1)."""
-        self.laplacian(fld.cur, fld.lap, L)
-        self.taylor(fld, wt, bval, dt, L, k)
-        fld.rotate()
+    def taylor(self, f, wt, bval, dt, L, k):
+        """Second-order Taylor step of field f from (cur, wt) into
+        ``next``, with ``lap`` and ``force`` of the current level."""
+        acc = self.lap[f] - bval * wt + self.force[f]
+        out = self.next[f]
+        out[:] = self.cur[f] + dt * wt + 0.5 * dt * dt * acc
+        self._grid_end(out, L, k)
 
-    def restart(self, fld: _Field, bval, dt_old, dt, L, k):
-        """Replace the leap to ``fld.next`` by a Taylor step of size dt,
+    def restart(self, f, bval, dt_old, dt, L, k):
+        """Replace field f's leap to ``next`` by a Taylor step of size dt,
         from a one-sided second-order velocity that uses the equation."""
-        zt = (fld.cur[:L] - fld.prev[:L]) / dt_old
-        acc = fld.lap[:L] - bval * zt + fld.force[:L]
-        self.taylor(fld, zt + 0.5 * dt_old * acc, bval, dt, L, k)
+        zt = (self.cur[f] - self.prev[f]) / dt_old
+        acc = self.lap[f] - bval * zt + self.force[f]
+        self.taylor(f, zt + 0.5 * dt_old * acc, bval, dt, L, k)
 
 
 def detect_blowup(times, sup_norms, threshold: float):
@@ -393,15 +460,6 @@ def detect_blowup(times, sup_norms, threshold: float):
         return True, float(times[k])
     frac = (np.log(threshold) - np.log(n0)) / (np.log(n1) - np.log(n0))
     return True, float(times[k - 1] + frac * (times[k] - times[k - 1]))
-
-
-def _abs_power(w, out, e):
-    """out = |w| ** e in place (through the operator, so e = 2 squares);
-    returns max |w|."""
-    np.abs(w, out=out)
-    peak = float(out.max())
-    out **= e
-    return peak
 
 
 class _Projector:
@@ -488,167 +546,303 @@ def run(spec: ProblemSpec, probes=None) -> SolutionRecord:
     object, straight into preallocated output rows; probes never feed
     back into the scheme.  Identity matrices give back the sampled
     profiles themselves.  A ``kernel`` attribute of the mapping (as on
-    ``functionals.probes``) is copied to ``SolutionRecord.kernel``.
+    ``functionals.probes``) is copied to ``SolutionRecord.kernel``, and
+    an ``integrals`` one (``integral_probes``) to ``SolutionRecord.integrals``.
+
+    This is ``run_batch`` with one row.
     """
-    n = spec.n
-    p, q = spec.pq.p, spec.pq.q
-    grid = spec.grid
-    dt0 = grid.dt
-    threshold = grid.blowup_threshold
-    r = radial_grid(spec)
-    m = r.size
-    kernel = getattr(probes, "kernel", None)
-    probes = {name: np.asarray(mat, dtype=float) for name, mat in (probes or {}).items()}
-    for name, mat in probes.items():
-        if name not in PROBE_SOURCES:
-            raise ValueError(f"unknown probe source {name!r}; expected one of {PROBE_SOURCES}")
-        if mat.ndim != 2 or mat.shape[1] != m:
-            raise ValueError(f"probe {name!r} must be a (K, {m}) matrix, got shape {mat.shape}")
-    core = _Leapfrog(r, grid.dr, n)
-    u, v = _Field(m), _Field(m)
+    return run_batch([spec], probes)[0]
 
-    bump = spec.data.profile(r, spec.R)
-    u.cur[:] = spec.eps * spec.data.a_u0 * bump
-    ut0 = spec.eps * spec.data.a_u1 * bump
-    v.cur[:] = spec.eps * spec.data.a_v0 * bump
-    vt0 = spec.eps * spec.data.a_v1 * bump
 
-    init_norm = max(np.abs(u.cur).max(), np.abs(ut0).max(), np.abs(v.cur).max())
-    if threshold <= init_norm:
-        raise ValueError("blowup_threshold must exceed the initial sup norms")
+def run_batch(specs, probes=None) -> list:
+    """Integrate runs that differ only in eps as one batch of rows.
 
-    stride = max(1, int(np.floor(grid.t_max / (2000.0 * dt0))))
-
-    times = []
-    projector = None
-    if probes:
-        projector = _Projector(probes, m, math.ceil(grid.t_max / (stride * dt0)) + 2)
-    sup_times, sup_rows = [], []
-
-    def emit_sample(t, L, ut, vt):
-        """Sample time t: u.cur, ut, v.cur, vt are the profiles, and
-        u.force, v.force hold |v|^q, |u_t|^p on the window [:L]."""
-        times.append(t)
-        if projector is not None:
-            projector.add((u.cur, ut, v.cur, vt, u.force, v.force), L)
-
-    sup_times.append(0.0)
-    sup_rows.append(
-        (np.abs(u.cur).max(), np.abs(ut0).max(), np.abs(v.cur).max())
-    )
-
-    dt = dt0
+    Returns one record per spec, in order, each equal to ``run`` of
+    that spec with these ``probes``.  The rows advance together, through
+    one leapfrog on (field, row, point) buffers, until a row blows up,
+    fails or halves dt: it then leaves the batch, and a halving row
+    goes on in a batch of its own (with any row that halves at the
+    same step).
+    """
+    specs = list(specs)
+    if not specs:
+        raise ValueError("run_batch needs at least one spec")
+    if any(replace(other, eps=specs[0].eps) != specs[0] for other in specs[1:]):
+        raise ValueError("batched runs must differ only in eps")
+    records = [None] * len(specs)
     # overflow past the threshold is an expected terminal state
     with np.errstate(over="ignore", invalid="ignore"):
+        _Batch(specs, probes).advance(records)
+    return records
+
+
+class _Batch:
+    """Rows that step together: runs that share the grid, dt, the
+    damping, the cone window and the sample stride, and differ only in
+    eps.  Core row i is run ``ids[i]``; its sup norms are
+    ``sup[i, :s]`` at ``sup_times[:s]``, and the per-row lists (ids,
+    floors, levels, halvings, projectors) follow the core's rows.
+    ``times`` holds the shared sample times.
+    """
+
+    def __init__(self, specs, probes):
+        """The rows at t = dt, after the t = 0 sample and the Taylor start."""
+        spec = specs[0]
+        p, q = spec.pq.p, spec.pq.q
+        grid = spec.grid
+        dt = grid.dt
+        r = radial_grid(spec)
+        m = r.size
+        self.stamps = getattr(probes, "kernel", None), getattr(probes, "integrals", False)
+        probes = {name: np.asarray(mat, dtype=float) for name, mat in (probes or {}).items()}
+        for name, mat in probes.items():
+            if name not in PROBE_SOURCES:
+                raise ValueError(f"unknown probe source {name!r}; expected one of {PROBE_SOURCES}")
+            if mat.ndim != 2 or mat.shape[1] != m:
+                raise ValueError(f"probe {name!r} must be a (K, {m}) matrix, got shape {mat.shape}")
         # finite propagation speed: data in B_R implies supp w(dt) in B_{dt+R}
         k = int(r.searchsorted(dt + spec.R, side="right"))
         L = min(m, k + 2)
-        _abs_power(v.cur[:L], u.force[:L], q)
-        _abs_power(ut0[:L], v.force[:L], p)
-        emit_sample(0.0, L, ut0, vt0)
-        core.start(u, ut0[:L], spec.b1.b(0.0), dt, L, k)
-        core.start(v, vt0[:L], spec.b2.b(0.0), dt, L, k)
+        self.core = core = _Leapfrog(r, grid.dr, spec.n, 2, len(specs), _width(L, m))
 
-        blew_up, t_blowup, failed, reason, dt_final, halvings, window_max = _advance(
-            spec, r, core, u, v, dt, L, init_norm, stride,
-            sup_times, sup_rows, emit_sample,
-        )
+        # the data: u, v in cur and u_t, v_t in vel, one row per eps
+        eps = np.array([other.eps for other in specs])[:, np.newaxis]
+        bump = spec.data.profile(r[: core.width], spec.R)
+        core.cur[0] = eps * spec.data.a_u0 * bump
+        core.vel[0] = eps * spec.data.a_u1 * bump
+        core.cur[1] = eps * spec.data.a_v0 * bump
+        core.vel[1] = eps * spec.data.a_v1 * bump
+        init = np.stack([np.abs(w).max(axis=-1) for w in (core.cur[0], core.vel[0], core.cur[1])], axis=-1)
+        self.levels = init.max(axis=1).tolist()
+        if not all(grid.blowup_threshold > level for level in self.levels):  # a NaN fails too
+            raise ValueError("blowup_threshold must exceed the initial sup norms")
 
-    sup_norms = np.asarray(sup_rows)
-    return SolutionRecord(
-        n=n,
-        R=spec.R,
-        eps=spec.eps,
-        r=r,
-        times=np.asarray(times),
-        sup_times=np.asarray(sup_times),
-        sup_norms=sup_norms,
-        blew_up=blew_up,
-        t_blowup=t_blowup,
-        failed=failed,
-        failure_reason=reason,
-        dt_initial=dt0,
-        dt_final=dt_final,
-        halvings=tuple(halvings),
-        window_max=window_max,
-        cone_spill=core.spill,
-        crossed=SUP_FIELDS[int(sup_norms[-1].argmax())] if blew_up else None,
-        projections={} if projector is None else projector.projections(),
-        kernel=kernel,
-    )
+        self.specs, self.spec, self.r = specs, spec, r
+        self.ids = list(range(len(specs)))
+        self.floors = [1e3 * max(level, 1e-300) for level in self.levels]
+        self.halvings = [[] for _ in specs]
+        self.stride = max(1, int(np.floor(grid.t_max / (2000.0 * dt))))
+        self.projectors = None
+        if probes:
+            capacity = math.ceil(grid.t_max / (self.stride * dt)) + 2
+            self.projectors = [_Projector(probes, m, capacity) for _ in specs]
+        capacity = math.ceil(grid.t_max / dt) + 2  # steps until t_max, and row 0
+        self.sup = np.empty((len(specs), capacity, 3))
+        self.sup[:, 0] = init
+        self.sup_times = np.empty(capacity)
+        self.sup_times[0] = 0.0
+        self.s = 1
+        self.times = [0.0]
+        self.t, self.dt, self.step, self.k_cur, self.window = 0.0, dt, 0, k, L
 
+        u_force, v_force = core.force
+        np.abs(core.cur[1], out=u_force)
+        u_force **= q
+        np.abs(core.vel[0], out=v_force)
+        v_force **= p
+        for i in self.ids:
+            self.project(i, L, core.vel)
+        core.laplacian()
+        core.taylor(0, core.vel[0], spec.b1.b(0.0), dt, L, k)
+        core.taylor(1, core.vel[1], spec.b2.b(0.0), dt, L, k)
+        core.close(L, k)
+        self.next_level(k)
 
-def _advance(spec, r, core, u, v, dt, window, init_norm, stride,
-             sup_times, sup_rows, emit_sample):
-    """Main leapfrog loop on the light-cone window.
+    def advance(self, records):
+        """Step until every row has blown up, failed or reached t_max;
+        finished rows go to ``records``.  Rows that halve dt while others
+        go on leave for a batch of their own, advanced to its end first.
 
-    At time t the next level vanishes from k = first index with
-    r > t + dt + R on, and the step works on [:L], L = min(M, k + 2).
-    Returns (blew_up, t_blowup, failed, reason, final_dt, halvings,
-    largest window)."""
-    grid = spec.grid
-    R = spec.R
-    p, q = spec.pq.p, spec.pq.q
-    threshold = grid.blowup_threshold
-    m = r.size
-    t = dt
-    k_cur = int(r.searchsorted(t + R, side="right"))
-    step = 1
-    halvings = []
-    blew_up = False
-    t_blowup = None
-    failed = False
-    reason = ""
-    while t < grid.t_max - 0.5 * dt:
-        b1v = spec.b1.b(t)
-        b2v = spec.b2.b(t)
-        k = int(r.searchsorted(t + dt + R, side="right"))
-        L = min(m, k + 2)
-        window = max(window, L)
-        nv = _abs_power(v.cur[:L], u.force[:L], q)
-        core.step(u, b1v, dt, L, k, k_cur)
-        nut = _abs_power(u.vel[:L], v.force[:L], p)
-        core.step(v, b2v, dt, L, k, k_cur)
-        nu = float(np.abs(u.cur[:L], out=core.tmp[:L]).max())
-        # each norm on its own: max() would drop a NaN that is not first
-        if not (math.isfinite(nu) and math.isfinite(nut) and math.isfinite(nv)):
-            failed = True
+        At time t the next level vanishes from k = first index with
+        r > t + dt + R on, and the step works on [:L], L = min(M, k + 2).
+        u is leapt before |u_t|^p is formed for v's leap.
+        """
+        spec, r, core = self.spec, self.r, self.core
+        grid = spec.grid
+        p, q = spec.pq.p, spec.pq.q
+        threshold = grid.blowup_threshold
+        m = r.size
+        while self.ids and self.t < grid.t_max - 0.5 * self.dt:
+            t, dt, nb = self.t, self.dt, len(self.ids)
+            b1v = spec.b1.b(t)
+            b2v = spec.b2.b(t)
+            k = int(r.searchsorted(t + dt + spec.R, side="right"))
+            L = min(m, k + 2)
+            self.window = max(self.window, L)
+            if L > core.width:
+                core.resize(range(nb), _width(L, m))
+            s = self.s
+            norms = self.sup[:nb, s]  # max |u|, max |u_t|, max |v| per row
+            u_force, v_force = core.force
+            np.abs(core.cur[1], out=u_force)
+            np.maximum.reduce(u_force, axis=1, out=norms[:, 2])
+            u_force **= q
+            core.laplacian()
+            core.free()
+            core.leap(0, b1v, dt, L, k)
+            core.velocity(0, dt, self.k_cur)
+            np.abs(core.vel[0], out=v_force)
+            np.maximum.reduce(v_force, axis=1, out=norms[:, 1])
+            v_force **= p
+            core.leap(1, b2v, dt, L, k)
+            core.velocity(1, dt, self.k_cur)
+            core.close(L, k)
+            u_abs = core.tmp[0]
+            np.abs(core.cur[0], out=u_abs)
+            np.maximum.reduce(u_abs, axis=1, out=norms[:, 0])
+            self.sup_times[s] = t
+            self.s = s + 1
+
+            # a non-finite level passes neither comparison, so it is flagged
+            levels = np.maximum.reduce(norms, axis=1).tolist()
+            flagged = [
+                i for i, level in enumerate(levels)
+                if not level < threshold or (
+                    level > GROWTH_REFINE_FACTOR * self.levels[i]
+                    and level > self.floors[i]
+                    and len(self.halvings[i]) < MAX_DT_HALVINGS
+                )
+            ]
+            self.levels = levels
+            sampled = self.step % self.stride == 0
+            if flagged:
+                k = self._settle(records, flagged, sampled, L, k, b1v, b2v)
+            elif sampled:
+                self._sample(range(nb), L)
+            self.next_level(k)
+        for i in range(len(self.ids)):
+            self._finish(records, i, self.s, self.times)
+
+    def _settle(self, records, flagged, sampled, L, k, b1v, b2v):
+        """Finish the flagged rows that failed or crossed the threshold,
+        and halve dt for the others: in place when no other row is left,
+        else in a batch of their own.  Returns the cut index k of the
+        rows left here."""
+        s, t, norms = self.s - 1, self.t, self.sup[:, self.s - 1]
+        threshold = self.spec.grid.blowup_threshold
+        failed = [i for i in flagged if not np.isfinite(norms[i]).all()]
+        for i in failed:  # finished before this step's sample, without its sup row
             reason = f"non-finite values at t={t:.6g} before threshold crossing"
-            break
-        level_norm = max(nu, nut, nv)
+            self._finish(records, i, s, self.times, failed=True, reason=reason)
+        if sampled:
+            self._sample([i for i in range(len(self.ids)) if i not in failed], L)
+        crossed = [i for i in flagged if i not in failed and self.levels[i] >= threshold]
+        for i in crossed:
+            if not sampled:
+                self.project(i, L, self.core.vel)
+            _, t_blowup = detect_blowup(self.sup_times[: s + 1], self.sup[i, : s + 1], threshold)
+            times = self.times if sampled else [*self.times, t]
+            self._finish(records, i, s + 1, times, t_blowup=t_blowup)
+        done = failed + crossed
+        halving = [i for i in flagged if i not in done]
+        if halving and len(halving) + len(done) < len(self.ids):
+            split = self._split(halving)
+            split.next_level(split.halve(L, b1v, b2v))
+            split.advance(records)
+            done += halving
+            halving = []
+        if done:
+            self._drop(done)
+        return self.halve(L, b1v, b2v) if halving else k
 
-        prev_norm = max(sup_rows[-1])
-        sup_times.append(t)
-        sup_rows.append((nu, nut, nv))
+    def _reserve(self, steps):
+        """Room in ``sup`` and ``sup_times`` for ``steps`` more rows."""
+        size, nb = self.s + steps, len(self.ids)
+        if size > self.sup_times.size:
+            sup, sup_times = np.empty((nb, size, 3)), np.empty(size)
+            sup[:, : self.s] = self.sup[:nb, : self.s]
+            sup_times[: self.s] = self.sup_times[: self.s]
+            self.sup, self.sup_times = sup, sup_times
 
-        if step % stride == 0 or level_norm >= threshold:
-            emit_sample(t, L, u.vel, v.vel)
+    def _sample(self, rows, L):
+        """Sample ``rows`` at the current level (t > 0)."""
+        self.times.append(self.t)
+        for i in rows:
+            self.project(i, L, self.core.vel)
 
-        if level_norm >= threshold:
-            blew_up, t_blowup = detect_blowup(
-                np.asarray(sup_times), np.asarray(sup_rows), threshold
+    def project(self, i, L, vel):
+        """Queue a sample of row i; ``vel`` holds u_t and v_t."""
+        if self.projectors is not None:
+            core = self.core
+            self.projectors[i].add(
+                (core.cur[0, i], vel[0, i], core.cur[1, i], vel[1, i], core.force[0, i], core.force[1, i]),
+                L,
             )
-            break
 
-        # refine dt in the final growth phase
-        if (
-            level_norm > GROWTH_REFINE_FACTOR * prev_norm
-            and level_norm > 1e3 * max(init_norm, 1e-300)
-            and len(halvings) < MAX_DT_HALVINGS
-        ):
-            dt_old = dt
-            dt = 0.5 * dt
-            halvings.append((t, dt, level_norm))
-            k = int(r.searchsorted(t + dt + R, side="right"))
-            core.restart(u, b1v, dt_old, dt, L, k)
-            core.restart(v, b2v, dt_old, dt, L, k)
+    def halve(self, L, b1v, b2v):
+        """Halve dt for every row: replace the step's leap by a Taylor
+        step of the new size.  Returns the new cut index k."""
+        dt_old = self.dt
+        self.dt = dt = 0.5 * dt_old
+        # at most ceil((t_max - t) / dt) + 1 steps are left
+        self._reserve(math.ceil((self.spec.grid.t_max - self.t) / dt) + 2)
+        for halvings, level in zip(self.halvings, self.levels):
+            halvings.append((self.t, dt, level))
+        k = int(self.r.searchsorted(self.t + dt + self.spec.R, side="right"))
+        self.core.restart(0, b1v, dt_old, dt, L, k)
+        self.core.restart(1, b2v, dt_old, dt, L, k)
+        self.core.close(L, k)
+        return k
 
-        u.rotate()
-        v.rotate()
-        k_cur = k
-        t += dt
-        step += 1
-    return blew_up, t_blowup, failed, reason, dt, halvings, window
+    def next_level(self, k):
+        self.core.rotate()
+        self.k_cur = k
+        self.t += self.dt
+        self.step += 1
+
+    def _select(self, target, rows):
+        """Give ``target`` this batch's per-row lists for ``rows``."""
+        names = ("ids", "floors", "levels", "halvings") + (() if self.projectors is None else ("projectors",))
+        for name in names:
+            values = getattr(self, name)
+            setattr(target, name, [values[i] for i in rows])
+
+    def _split(self, rows):
+        """A batch of copies of ``rows``, at the current step."""
+        new = copy.copy(self)
+        new.core = self.core.split(rows)
+        self._select(new, rows)
+        new.times = list(self.times)
+        new.sup = self.sup[rows, : self.s]  # halve makes room for the rest
+        new.sup_times = self.sup_times[: self.s].copy()
+        return new
+
+    def _drop(self, rows):
+        """Remove ``rows`` and compact the buffers."""
+        keep = [i for i in range(len(self.ids)) if i not in rows]
+        if keep:
+            self.core.resize(keep, self.core.width)
+            self.sup[: len(keep), : self.s] = self.sup[keep, : self.s]
+        self._select(self, keep)
+
+    def _finish(self, records, i, s, times, t_blowup=None, failed=False, reason=""):
+        """Record row i with its first s sup rows."""
+        spec = self.specs[self.ids[i]]
+        sup_norms = self.sup[i, :s].copy()
+        blew_up = t_blowup is not None
+        kernel, integrals = self.stamps
+        records[self.ids[i]] = SolutionRecord(
+            n=spec.n,
+            R=spec.R,
+            eps=spec.eps,
+            r=self.r,
+            times=np.asarray(times),
+            sup_times=self.sup_times[:s].copy(),
+            sup_norms=sup_norms,
+            blew_up=blew_up,
+            t_blowup=t_blowup,
+            failed=failed,
+            failure_reason=reason,
+            dt_initial=spec.grid.dt,
+            dt_final=self.dt,
+            halvings=tuple(self.halvings[i]),
+            window_max=self.window,
+            cone_spill=float(self.core.spill[:, i].max()),
+            crossed=SUP_FIELDS[int(sup_norms[-1].argmax())] if blew_up else None,
+            projections={} if self.projectors is None else self.projectors[i].projections(),
+            kernel=kernel,
+            integrals=integrals,
+        )
 
 
 def evolve_scalar(
@@ -678,31 +872,36 @@ def evolve_scalar(
     wt0 = np.array(w1, dtype=float)
     if np.shape(w0) != r.shape or wt0.shape != r.shape:
         raise ValueError("initial profiles must match the radial grid")
-    core = _Leapfrog(r, dr, n)
-    w = _Field(m)
-    w.cur[:] = w0
+    core = _Leapfrog(r, dr, n, 1, 1, m)
+    core.cur[0, 0] = w0
+    force = core.force[0, 0]
 
     def load_forcing(t):
         if forcing is not None:
-            w.force[:] = forcing(t, r)
+            force[:] = forcing(t, r)
 
     times = [0.0]
-    ws = [w.cur.copy()]
+    ws = [core.cur[0, 0].copy()]
     wts = [wt0.copy()]
 
     load_forcing(0.0)
-    core.start(w, wt0, b.b(0.0), dt, m, m)
+    core.laplacian()
+    core.taylor(0, wt0, b.b(0.0), dt, m, m)
+    core.rotate()
 
     steps = int(round(t_max / dt))
     for k in range(1, steps + 1):
         t = k * dt
         load_forcing(t)
-        core.step(w, b.b(t), dt, m, m, m)
+        core.laplacian()
+        core.free()
+        core.leap(0, b.b(t), dt, m, m)
+        core.velocity(0, dt, m)
         if k % sample_stride == 0 or k == steps:
             times.append(t)
-            ws.append(w.cur.copy())
-            wts.append(w.vel.copy())
-        w.rotate()
+            ws.append(core.cur[0, 0].copy())
+            wts.append(core.vel[0, 0].copy())
+        core.rotate()
     return np.asarray(times), np.vstack(ws), np.vstack(wts), r
 
 
@@ -715,10 +914,10 @@ def radial_energy(w: np.ndarray, wt: np.ndarray, r: np.ndarray, n: int) -> float
 def write_summary_csv(record: SolutionRecord, path) -> None:
     """Per-sample summary: t, maxu, maxut, maxv, U, V, Uprime, Vprime: the
     sup-norm rows at the sample times and row 0 of the projections of a
-    run whose probes start with ``integral_probes``."""
+    run whose probes start with ``integral_probes`` (``record.integrals``)."""
+    if not record.integrals:
+        raise ValueError("summary CSV needs a run whose probes start with integral_probes")
     proj = record.projections
-    if not all(name in proj for name in ("u", "ut", "v", "vt")):
-        raise ValueError("summary CSV needs a run with integral_probes")
     norms = record.sup_norms[record.sup_times.searchsorted(record.times)]
     U, V, Up, Vp = (proj[name][:, 0] for name in ("u", "v", "ut", "vt"))
     with open(path, "w") as fh:

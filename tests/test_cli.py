@@ -191,3 +191,45 @@ def test_sequences_with_huge_p_runs(capsys):
             "--jmax", "3"]
     assert main(argv) == 0
     assert "closed_form_deviation=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["solve", "--tmax", "inf"], None),
+        (["solve", "--eps", "inf"], None),
+        (["solve"], {"problem": {"R": float("inf")}}),
+        (["solve"], {"grid": {"dr": float("nan")}}),
+        (["solve"], {"grid": {"r_max": float("inf")}}),
+        (["solve"], {"data": {"amplitudes": [1.0, float("inf"), 1.0, 1.0]}}),
+        (["sweep"], {"sweep": {"eps_values": [0.5, float("nan")]}}),
+        (["sweep"], {"sweep": {"eps_values": [float("inf"), 0.5]}}),
+    ],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_inputs_exit_2(argv, doc, tmp_path, capsys):
+    if doc is not None:
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))  # writes Infinity / NaN, which json reads back
+        argv = [*argv, "--config", str(cfg)]
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+def test_sweep_failed_row_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "problem": {"n": 3},
+        "grid": {"dr": 0.02, "t_max": 2.0, "cfl": 0.99, "blowup_threshold": 1e300},
+        "data": {"amplitudes": [8.0, 8.0, 8.0, 8.0]},
+        "sweep": {"eps_values": [1.0], "repeats": 1},
+    }))
+    out_dir = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 1
+    out = capsys.readouterr().out
+    assert "blew_up=False T=n/a failed=non-finite values at t=" in out
+    rows = json.loads((out_dir / "lifespan.json").read_text())["rows"]
+    assert rows[0]["failure_reason"].startswith("non-finite values at t=")

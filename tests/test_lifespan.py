@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from coupledwave.lifespan import (
     sweep,
 )
 from coupledwave.exponents import LifespanPrediction, PredictionKind, lifespan_prediction
-from coupledwave.solver import GridSpec, InitialDataFamily, ProblemSpec
+from coupledwave.solver import GridSpec, InitialDataFamily, ProblemSpec, run
 from coupledwave.special import DampingSpec
 
 
@@ -151,6 +153,27 @@ def test_report_round_trip(tmp_path, small_table):
     assert "caveat" in text and "eps0" in text
 
 
+def test_rows_report_finest_repeat_telemetry(tmp_path, sweep_base, small_table):
+    finest = replace(sweep_base, grid=replace(sweep_base.grid, dr=sweep_base.grid.dr / 2.0))
+    previous = None
+    for row in small_table.rows:
+        rec = run(replace(finest, eps=row.eps))
+        assert (row.steps, row.halvings, row.window_max) == (rec.steps, len(rec.halvings), rec.window_max)
+        assert (row.cone_spill, row.crossed, row.failure_reason) == (rec.cone_spill, rec.crossed, "")
+        if previous is None:
+            assert math.isnan(row.local_slope)
+        else:
+            slope = math.log(row.T_numeric / previous.T_numeric) / math.log(row.eps / previous.eps)
+            assert row.local_slope == slope
+        previous = row
+    _, json_path = report(small_table, tmp_path)
+    rows = json.loads(open(json_path).read())["rows"]
+    assert [r["eps"] for r in rows] == [r.eps for r in small_table.rows]
+    assert rows[0]["local_slope"] is None
+    assert rows[1]["local_slope"] == small_table.rows[1].local_slope
+    assert rows[2]["steps"] == small_table.rows[2].steps
+
+
 def test_report_empty_table(tmp_path):
     table = LifespanTable(
         rows=[],
@@ -197,18 +220,19 @@ def _fail_at_dr(monkeypatch, dr):
     """Make the solver runs of one grid spacing fail."""
     from coupledwave import lifespan
 
-    real = lifespan.run
+    real = lifespan.run_batch
 
-    def run(spec):
-        rec = real(spec)
-        if spec.grid.dr == dr:
-            return dataclasses.replace(
+    def run_batch(specs):
+        records = real(specs)
+        return [
+            dataclasses.replace(
                 rec, blew_up=False, t_blowup=None, failed=True,
                 failure_reason="non-finite values (injected)",
-            )
-        return rec
+            ) if spec.grid.dr == dr else rec
+            for spec, rec in zip(specs, records)
+        ]
 
-    monkeypatch.setattr(lifespan, "run", run)
+    monkeypatch.setattr(lifespan, "run_batch", run_batch)
 
 
 def test_coarse_repeat_failure_keeps_finest_row(monkeypatch, sweep_base, small_table):

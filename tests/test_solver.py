@@ -12,6 +12,7 @@ from coupledwave.solver import (
     ProblemSpec,
     detect_blowup,
     evolve_scalar,
+    integral_probes,
     radial_energy,
     radial_grid,
     radial_weights,
@@ -245,6 +246,15 @@ def test_run_without_probes_keeps_norms_only(tmp_path, standard_spec, standard_r
     assert rec.t_blowup == standard_run.t_blowup
     with pytest.raises(ValueError, match="integral_probes"):
         write_summary_csv(rec, tmp_path / "run.csv")
+
+
+def test_summary_csv_refuses_other_probes(tmp_path, standard_spec, standard_profiles):
+    # identity-matrix probes: row 0 is the profiles' value at r = 0, not
+    # an integral
+    assert not standard_profiles.integrals
+    with pytest.raises(ValueError, match="integral_probes"):
+        write_summary_csv(standard_profiles, tmp_path / "run.csv")
+    assert run(standard_spec, probes=integral_probes(standard_spec)).integrals
 
 
 def test_summary_outputs(tmp_path, standard_run, standard_profiles):
