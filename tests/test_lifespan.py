@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,10 +153,11 @@ def test_report_round_trip(tmp_path, small_table):
 
 
 def test_rows_report_finest_repeat_telemetry(tmp_path, sweep_base, small_table):
-    finest = replace(sweep_base, grid=replace(sweep_base.grid, dr=sweep_base.grid.dr / 2.0))
+    grid = dataclasses.replace(sweep_base.grid, dr=sweep_base.grid.dr / 2.0)
+    finest = dataclasses.replace(sweep_base, grid=grid)
     previous = None
     for row in small_table.rows:
-        rec = run(replace(finest, eps=row.eps))
+        rec = run(dataclasses.replace(finest, eps=row.eps))
         assert (row.steps, row.halvings, row.window_max) == (rec.steps, len(rec.halvings), rec.window_max)
         assert (row.cone_spill, row.crossed, row.failure_reason) == (rec.cone_spill, rec.crossed, "")
         if previous is None:
