@@ -310,7 +310,10 @@ class _Leapfrog:
     prev, cur and next (three rotating time levels), lap, force and vel
     (the laplacian, forcing and centred velocity of the current level)
     and tmp are contiguous (fields, rows, W) arrays, W at least the
-    active window L, so each update is one call on whole buffers.  Past
+    active window L, so each update is one call on whole buffers (numpy
+    takes about twice as long per call on a strided [..., :L] view of
+    fixed (fields, rows, M) buffers, which made the eps-ladder sweep
+    about 30 % slower end to end than this resize on growth).  Past
     the window every input is zero, hence every output too, and the
     window holds the values of the whole-grid formulas; the grid-end
     conditions apply only once L = M.  Points from ``k`` on lie beyond
