@@ -43,6 +43,10 @@ for row in table.rows:
     print(f"{row.eps:>5} {row.T_numeric:>12.5f} {row.grid_change:>11.2%} "
           f"{row.T_predicted_shape:>17.5g}")
 
+print(f"\n{len(table.tasks)} batches on {table.workers} worker process(es):")
+for task in table.tasks:
+    print(f"  repeat {task['repeat']}, {len(task['eps'])} eps: {task['wall_s']:.2f} s")
+
 fit = fit_scaling(table, table.prediction.exponent)
 print(f"\nregion: {table.region}; predicted exponent {table.prediction.exponent:+.1f}")
 print(f"fitted slope {fit.slope:+.3f} (ci half-width {fit.ci_halfwidth:.3f}), "

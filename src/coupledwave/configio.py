@@ -83,15 +83,24 @@ def merge_config(user: dict | None) -> dict:
     return cfg
 
 
+def _is_number(value) -> bool:
+    """A JSON number: int or float, not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_int(value, field: str) -> int:
-    """Integer field; an integral float such as 3.0 is accepted, 3.7 is not."""
-    try:
-        integral = float(value).is_integer()
-    except (TypeError, ValueError):
-        integral = False
-    if not integral:
+    """Integer field; an integral float such as 3.0 is accepted, 3.7,
+    a boolean and a string are not."""
+    if not (_is_number(value) and (isinstance(value, int) or value.is_integer())):
         raise ConfigError(f"{field} must be an integer, got {value!r}")
-    return int(float(value))
+    return int(value)
+
+
+def _as_floats(value, field: str) -> tuple:
+    """Field that must be a JSON array of numbers."""
+    if not (isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)):
+        raise ConfigError(f"{field} must be an array of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
 
 
 def _damping_from(section: dict) -> DampingSpec:
@@ -121,7 +130,7 @@ def problem_spec_from_config(cfg: dict, enforce_hypotheses: bool = True) -> Prob
             eps=float(prob["eps"]),
             data=InitialDataFamily(
                 k=_as_int(data["k"], "data.k"),
-                amplitudes=tuple(float(a) for a in data["amplitudes"]),
+                amplitudes=_as_floats(data["amplitudes"], "data.amplitudes"),
             ),
             grid=GridSpec(
                 dr=float(grid["dr"]),
@@ -132,7 +141,7 @@ def problem_spec_from_config(cfg: dict, enforce_hypotheses: bool = True) -> Prob
             ),
             enforce_hypotheses=enforce_hypotheses,
         )
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigError(f"invalid problem configuration: {exc}") from exc
 
 
@@ -142,10 +151,10 @@ def sweep_config_from_config(cfg: dict) -> SweepConfig:
     try:
         return SweepConfig(
             base=base,
-            eps_values=tuple(float(e) for e in sw["eps_values"]),
+            eps_values=_as_floats(sw["eps_values"], "sweep.eps_values"),
             repeats=_as_int(sw["repeats"], "sweep.repeats"),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid sweep configuration: {exc}") from exc
 
 

@@ -3,8 +3,13 @@
 Runs the solver across a decreasing ladder of data amplitudes eps,
 collects numerical blow-up times (with a grid-refinement repeat per
 row), fits log T against log eps on the blown-up rows and compares the
-slope with the predicted power law.  Each repeat advances its whole
-ladder as one batch of rows (``solver.run_batch``).  Exponentially
+slope with the predicted power law.  The runs are split into
+independent batches of rows (``solver.run_batch``): the finest repeat's
+smallest eps, usually the costliest row by far, the rest of the finest
+ladder, and each coarser repeat's whole ladder.  The
+batches run on forked worker processes, at most one per CPU available
+to the process, or in-process when only one CPU is; every record is
+bitwise the same either way.  Exponentially
 large critical lifespans are not reproducible at desk scale, so
 critical sweeps carry the prediction shape for plotting but no
 pass/fail.
@@ -20,7 +25,8 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -114,11 +120,18 @@ class ScalingFit:
 
 @dataclass
 class LifespanTable:
+    """Sweep rows and fit.  ``workers`` is the number of processes the
+    sweep ran its batches on, and ``tasks`` its schedule: one
+    ``{"repeat", "eps", "wall_s"}`` entry per batch, in submission
+    order."""
+
     rows: list
     fit: FitSummary | None
     region: str
     prediction: LifespanPrediction
     caveat: str = ASYMPTOTIC_CAVEAT
+    workers: int = 1
+    tasks: list = field(default_factory=list)
 
 
 def _fit_loglog(eps, T):
@@ -132,9 +145,47 @@ def _fit_loglog(eps, T):
     return float(slope), float(intercept), r2, x, resid
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _run_task(specs):
+    """One batch of a sweep: its records and its wall time.
+
+    ``run_batch`` is looked up as this module's global, so forked
+    workers see a replacement patched in before the pool was made.
+    """
+    t0 = time.perf_counter()
+    records = run_batch(specs)
+    return records, time.perf_counter() - t0
+
+
+def _map_tasks(batches):
+    """(workers, [(records, wall_s)] in batch order).
+
+    The batches run on a pool of forked worker processes, at most one
+    per available CPU, made and shut down within this call; with one
+    worker, or without fork, they run in-process.  An error in a batch
+    is raised here once the workers have exited.
+    """
+    import multiprocessing
+
+    workers = min(len(batches), _available_cpus())
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            return workers, list(pool.map(_run_task, batches))
+    return 1, [_run_task(batch) for batch in batches]
+
+
 def sweep(cfg: SweepConfig) -> LifespanTable:
-    """One batch of runs per repeat, one row per eps; the finest grid
-    decides T_numeric.
+    """One row per eps; the finest grid decides T_numeric.
 
     Rows that hit the horizon without blow-up carry blew_up = False and
     are excluded from the fit; solver numerical failures are recorded
@@ -143,16 +194,30 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
     base = cfg.base
     data = classify(base.n, base.pq)
     prediction = lifespan_prediction(base.n, base.pq)
-    times = []  # per repeat, the blow-up time of each eps (NaN for none)
-    failed_repeats = [[] for _ in cfg.eps_values]
-    for rep in range(cfg.repeats):
-        grid = replace(base.grid, dr=base.grid.dr / 2.0**rep)
-        records = None  # drop the coarser repeat's runs before the next batch
-        records = run_batch([replace(base, eps=eps, grid=grid) for eps in cfg.eps_values])
-        for failed, rec in zip(failed_repeats, records):
-            if rec.failed:
-                failed.append(rep)
-        times.append([rec.t_blowup if rec.blew_up else math.nan for rec in records])
+    ladder = range(len(cfg.eps_values))
+    finest = cfg.repeats - 1
+    # (repeat, eps indices) in submission order, largest first on a
+    # ladder that halves eps: the finest smallest eps, the coarser
+    # ladders from finer to coarser, the rest of the finest ladder
+    tasks = [(finest, ladder[-1:])]
+    tasks += [(rep, ladder) for rep in reversed(range(finest))]
+    tasks += [(finest, ladder[:-1])] if len(ladder) > 1 else []
+    grids = [replace(base.grid, dr=base.grid.dr / 2.0**rep) for rep in range(cfg.repeats)]
+    batches = [[replace(base, eps=cfg.eps_values[j], grid=grids[rep]) for j in idx]
+               for rep, idx in tasks]
+    workers, results = _map_tasks(batches)
+
+    by_repeat = [[None] * len(ladder) for _ in grids]  # [repeat][eps index]
+    schedule = []
+    for (rep, idx), (records, wall) in zip(tasks, results):
+        for j, rec in zip(idx, records):
+            by_repeat[rep][j] = rec
+        schedule.append({"repeat": rep, "eps": [cfg.eps_values[j] for j in idx], "wall_s": wall})
+    records = by_repeat[-1]
+    # per repeat, the blow-up time of each eps (NaN for none)
+    times = [[rec.t_blowup if rec.blew_up else math.nan for rec in recs] for recs in by_repeat]
+    failed_repeats = [tuple(rep for rep, recs in enumerate(by_repeat) if recs[j].failed)
+                      for j in ladder]
 
     blown = [(e, T) for e, T in zip(cfg.eps_values, times[-1]) if np.isfinite(T)]
     fit = None
@@ -187,7 +252,7 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
                 T_predicted_shape=shape,
                 grid_change=grid_change,
                 failed=rec.failed,
-                failed_repeats=tuple(failed_repeats[j]),
+                failed_repeats=failed_repeats[j],
                 steps=rec.steps,
                 halvings=len(rec.halvings),
                 window_max=rec.window_max,
@@ -198,7 +263,8 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
             )
         )
     return LifespanTable(
-        rows=rows, fit=fit, region=data.region.value, prediction=prediction
+        rows=rows, fit=fit, region=data.region.value, prediction=prediction,
+        workers=workers, tasks=schedule,
     )
 
 
@@ -229,7 +295,8 @@ def report(table: LifespanTable, destination) -> tuple:
     grid_change, failed (full precision, rows ordered by descending
     eps).  The JSON's ``rows`` carry each row's telemetry: eps, steps,
     halvings, window_max, cone_spill, crossed, failure_reason and
-    local_slope (null when NaN).
+    local_slope (null when NaN); ``workers`` and ``tasks`` give the
+    sweep's schedule.
     """
     os.makedirs(destination, exist_ok=True)
     csv_path = os.path.join(destination, "lifespan.csv")
@@ -264,6 +331,8 @@ def report(table: LifespanTable, destination) -> tuple:
             "r_squared": table.fit.r_squared,
         },
         "caveat": table.caveat,
+        "workers": table.workers,
+        "tasks": table.tasks,
         "rows": [
             {
                 "eps": r.eps,

@@ -1,8 +1,9 @@
 import json
+import multiprocessing
 
 import pytest
 
-from coupledwave import configio
+from coupledwave import configio, lifespan
 from coupledwave.cli import main
 
 
@@ -233,3 +234,49 @@ def test_sweep_failed_row_exits_1(tmp_path, capsys):
     assert "blew_up=False T=n/a failed=non-finite values at t=" in out
     rows = json.loads((out_dir / "lifespan.json").read_text())["rows"]
     assert rows[0]["failure_reason"].startswith("non-finite values at t=")
+
+
+@pytest.mark.parametrize(
+    "verb, doc, message",
+    [
+        ("sweep", {"sweep": {"eps_values": 0.5}}, "sweep.eps_values must be an array of numbers"),
+        ("sweep", {"sweep": {"eps_values": "1"}}, "sweep.eps_values must be an array of numbers"),
+        ("sweep", {"sweep": {"eps_values": [1.0, True]}},
+         "sweep.eps_values must be an array of numbers"),
+        ("sweep", {"data": {"amplitudes": "4444"}}, "data.amplitudes must be an array of numbers"),
+        ("solve", {"data": {"amplitudes": "4444"}}, "data.amplitudes must be an array of numbers"),
+        ("sweep", {"sweep": {"repeats": True}}, "sweep.repeats must be an integer"),
+        ("solve", {"problem": {"n": "3"}}, "problem.n must be an integer"),
+        ("identity", {"kernels": {"quad_nodes": True}}, "kernels.quad_nodes must be an integer"),
+        ("solve", {"problem": {"p": 10**400}}, "too large"),
+        ("sweep", {"sweep": {"eps_values": [10**400]}}, "too large"),
+    ],
+    ids=["eps-number", "eps-string", "eps-boolean", "amplitudes-string-sweep",
+         "amplitudes-string-solve", "repeats-boolean", "n-string", "quad-nodes-boolean",
+         "p-huge-integer", "eps-huge-integer"],
+)
+def test_wrong_type_config_fields_exit_2(verb, doc, message, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [verb, "--config", str(cfg)]
+    if verb != "identity":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert message in captured.err  # "configuration error": a ConfigError
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_batch_error_exits_2(cpus, monkeypatch, tmp_path, capsys):
+    # with two CPUs the error is raised in a worker process
+    monkeypatch.setattr(lifespan, "_available_cpus", lambda: cpus)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"grid": {"blowup_threshold": 1e-3},
+                               "sweep": {"eps_values": [1.0, 0.5], "repeats": 2}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: blowup_threshold must exceed the initial sup norms\n"
+    assert multiprocessing.active_children() == []

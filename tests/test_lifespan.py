@@ -1,10 +1,13 @@
 import dataclasses
 import json
 import math
+import os
+import random
 
 import numpy as np
 import pytest
 
+from coupledwave import lifespan
 from coupledwave.exponents import ExponentPair
 from coupledwave.lifespan import (
     ASYMPTOTIC_CAVEAT,
@@ -253,3 +256,87 @@ def test_finest_repeat_failure_fails_row(monkeypatch, sweep_base):
     assert math.isnan(row.T_numeric)
     assert row.failed_repeats == (1,)
     assert math.isnan(row.grid_change)
+
+
+# --- the task split: worker pool against in-process -----------------------
+
+ROW_FIELDS = ("T_numeric", "blew_up", "grid_change", "failed", "failed_repeats", "steps",
+              "halvings", "window_max", "cone_spill", "crossed", "failure_reason",
+              "local_slope")
+
+
+def _same(a, b):
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+def _sweep_on(monkeypatch, cfg, cpus):
+    monkeypatch.setattr(lifespan, "_available_cpus", lambda: cpus)
+    return sweep(cfg)
+
+
+def _assert_pool_matches_in_process(monkeypatch, cfg):
+    """A sweep forced onto two worker processes equals the in-process one."""
+    pooled = _sweep_on(monkeypatch, cfg, 2)
+    serial = _sweep_on(monkeypatch, cfg, 1)
+    assert serial.workers == 1
+    assert pooled.workers == min(2, len(pooled.tasks))
+    assert [(t["repeat"], t["eps"]) for t in pooled.tasks] == [
+        (t["repeat"], t["eps"]) for t in serial.tasks
+    ]
+    assert len(pooled.rows) == len(serial.rows) == len(cfg.eps_values)
+    for got, want in zip(pooled.rows, serial.rows):
+        assert got.eps == want.eps
+        for name in ROW_FIELDS:
+            assert _same(getattr(got, name), getattr(want, name)), name
+    assert pooled.fit == serial.fit
+    return pooled
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_pool_matches_in_process_sweep_n2(monkeypatch, seed):
+    # the benchmark's sweep-n2 inputs: eps halving from 1 to 1/16, jittered
+    rng = random.Random(f"sweep-n2/{seed}")
+    eps = [2.0**-k * (1.0 + rng.uniform(-0.02, 0.02)) for k in range(5)]
+    base = ProblemSpec(
+        n=2, pq=ExponentPair(2.0, 2.0), b1=DampingSpec.zero(), b2=DampingSpec.zero(),
+        R=1.0, eps=eps[0], data=InitialDataFamily(k=3, amplitudes=(4.0, 4.0, 4.0, 4.0)),
+        grid=GridSpec(dr=0.04, t_max=100.0),
+    )
+    table = _assert_pool_matches_in_process(monkeypatch, SweepConfig(base, tuple(eps), 2))
+    assert all(row.blew_up for row in table.rows)
+    # largest first: the finest smallest eps, the coarse ladder, the finest rest
+    assert [(t["repeat"], len(t["eps"])) for t in table.tasks] == [(1, 1), (0, 5), (1, 4)]
+
+
+@pytest.mark.parametrize("eps_values, repeats", [((1.6,), 2), ((1.6, 1.2, 1.0), 1),
+                                                 ((1.6, 1.2, 1.0), 3)])
+def test_pool_matches_in_process(monkeypatch, sweep_base, eps_values, repeats):
+    base = dataclasses.replace(sweep_base, grid=GridSpec(dr=0.04, t_max=8.0))
+    table = _assert_pool_matches_in_process(monkeypatch, SweepConfig(base, eps_values, repeats))
+    covered = sorted((t["repeat"], eps) for t in table.tasks for eps in t["eps"])
+    assert covered == sorted((rep, eps) for rep in range(repeats) for eps in eps_values)
+
+
+@pytest.mark.parametrize("repeat", [0, 1])
+def test_pool_matches_in_process_failed_repeat(monkeypatch, sweep_base, repeat):
+    _fail_at_dr(monkeypatch, sweep_base.grid.dr / 2.0**repeat)
+    cfg = SweepConfig(base=sweep_base, eps_values=(1.6, 1.2), repeats=2)
+    table = _assert_pool_matches_in_process(monkeypatch, cfg)
+    assert all(row.failed_repeats == (repeat,) for row in table.rows)
+
+
+def test_available_cpus_follow_the_affinity_mask():
+    if hasattr(os, "sched_getaffinity"):
+        assert lifespan._available_cpus() == len(os.sched_getaffinity(0))
+    else:
+        assert lifespan._available_cpus() >= 1
+
+
+def test_report_writes_the_schedule(tmp_path, small_table):
+    _, json_path = report(small_table, tmp_path)
+    with open(json_path) as fh:
+        doc = json.load(fh)
+    assert doc["workers"] == small_table.workers >= 1
+    assert [(t["repeat"], t["eps"]) for t in doc["tasks"]] == [(1, [1.0]), (0, [1.6, 1.2, 1.0]),
+                                                                (1, [1.6, 1.2])]
+    assert all(t["wall_s"] > 0 for t in doc["tasks"])
