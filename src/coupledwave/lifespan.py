@@ -3,13 +3,13 @@
 Runs the solver across a decreasing ladder of data amplitudes eps,
 collects numerical blow-up times (with a grid-refinement repeat per
 row), fits log T against log eps on the blown-up rows and compares the
-slope with the predicted power law.  The runs are split into
-independent batches of rows (``solver.run_batch``): the finest repeat's
-smallest eps, usually the costliest row by far, the rest of the finest
-ladder, and each coarser repeat's whole ladder.  The
-batches run on forked worker processes, at most one per CPU available
-to the process, or in-process when only one CPU is; every record is
-bitwise the same either way.  Exponentially
+slope with the predicted power law.  The runs are independent batches
+of rows (``solver.run_batch``).  On Linux with more than one CPU
+available to the process they run on forked worker processes, at most
+one per CPU, split as the finest repeat's smallest eps (usually the
+costliest row by far), the rest of the finest ladder and each coarser
+repeat's whole ladder.  Otherwise they run in-process, one batch per
+repeat.  Every record is bitwise the same either way.  Exponentially
 large critical lifespans are not reproducible at desk scale, so
 critical sweeps carry the prediction shape for plotting but no
 pass/fail.
@@ -25,6 +25,7 @@ import csv
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -164,24 +165,29 @@ def _run_task(specs):
     return records, time.perf_counter() - t0
 
 
-def _map_tasks(batches):
-    """(workers, [(records, wall_s)] in batch order).
+def _pool_workers(tasks: int) -> int:
+    """Worker processes for ``tasks`` independent batches: at most one
+    per available CPU, and 1 (in-process) off Linux, the one platform
+    whose ``fork`` start method the pool is tested with."""
+    return min(tasks, _available_cpus()) if sys.platform == "linux" else 1
 
-    The batches run on a pool of forked worker processes, at most one
-    per available CPU, made and shut down within this call; with one
-    worker, or without fork, they run in-process.  An error in a batch
-    is raised here once the workers have exited.
+
+def _map_tasks(batches, workers):
+    """[(records, wall_s)] in batch order.
+
+    With more than one worker the batches run on a pool of forked
+    worker processes made and shut down within this call; otherwise
+    in-process.  An error in a batch is raised here once the workers
+    have exited.
     """
-    import multiprocessing
-
-    workers = min(len(batches), _available_cpus())
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+    if workers > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            return workers, list(pool.map(_run_task, batches))
-    return 1, [_run_task(batch) for batch in batches]
+            return list(pool.map(_run_task, batches))
+    return [_run_task(batch) for batch in batches]
 
 
 def sweep(cfg: SweepConfig) -> LifespanTable:
@@ -196,16 +202,22 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
     prediction = lifespan_prediction(base.n, base.pq)
     ladder = range(len(cfg.eps_values))
     finest = cfg.repeats - 1
-    # (repeat, eps indices) in submission order, largest first on a
-    # ladder that halves eps: the finest smallest eps, the coarser
-    # ladders from finer to coarser, the rest of the finest ladder
+    # (repeat, eps indices) in submission order.  On workers, largest
+    # first on a ladder that halves eps: the finest smallest eps, the
+    # coarser ladders from finer to coarser, the rest of the finest
+    # ladder.  In-process, one batch per repeat: a split ladder pays
+    # the fixed cost of a step once more for each step of its split-off
+    # rows.
     tasks = [(finest, ladder[-1:])]
     tasks += [(rep, ladder) for rep in reversed(range(finest))]
     tasks += [(finest, ladder[:-1])] if len(ladder) > 1 else []
+    workers = _pool_workers(len(tasks))
+    if workers == 1:
+        tasks = [(rep, ladder) for rep in range(cfg.repeats)]
     grids = [replace(base.grid, dr=base.grid.dr / 2.0**rep) for rep in range(cfg.repeats)]
     batches = [[replace(base, eps=cfg.eps_values[j], grid=grids[rep]) for j in idx]
                for rep, idx in tasks]
-    workers, results = _map_tasks(batches)
+    results = _map_tasks(batches, workers)
 
     by_repeat = [[None] * len(ladder) for _ in grids]  # [repeat][eps index]
     schedule = []

@@ -280,9 +280,13 @@ def _assert_pool_matches_in_process(monkeypatch, cfg):
     serial = _sweep_on(monkeypatch, cfg, 1)
     assert serial.workers == 1
     assert pooled.workers == min(2, len(pooled.tasks))
-    assert [(t["repeat"], t["eps"]) for t in pooled.tasks] == [
-        (t["repeat"], t["eps"]) for t in serial.tasks
+    # in-process, one batch per repeat; on workers, every (repeat, eps) once
+    eps = list(cfg.eps_values)
+    assert [(t["repeat"], t["eps"]) for t in serial.tasks] == [
+        (rep, eps) for rep in range(cfg.repeats)
     ]
+    covered = sorted((t["repeat"], e) for t in pooled.tasks for e in t["eps"])
+    assert covered == sorted((rep, e) for rep in range(cfg.repeats) for e in eps)
     assert len(pooled.rows) == len(serial.rows) == len(cfg.eps_values)
     for got, want in zip(pooled.rows, serial.rows):
         assert got.eps == want.eps
@@ -312,9 +316,7 @@ def test_pool_matches_in_process_sweep_n2(monkeypatch, seed):
                                                  ((1.6, 1.2, 1.0), 3)])
 def test_pool_matches_in_process(monkeypatch, sweep_base, eps_values, repeats):
     base = dataclasses.replace(sweep_base, grid=GridSpec(dr=0.04, t_max=8.0))
-    table = _assert_pool_matches_in_process(monkeypatch, SweepConfig(base, eps_values, repeats))
-    covered = sorted((t["repeat"], eps) for t in table.tasks for eps in t["eps"])
-    assert covered == sorted((rep, eps) for rep in range(repeats) for eps in eps_values)
+    _assert_pool_matches_in_process(monkeypatch, SweepConfig(base, eps_values, repeats))
 
 
 @pytest.mark.parametrize("repeat", [0, 1])
@@ -332,11 +334,24 @@ def test_available_cpus_follow_the_affinity_mask():
         assert lifespan._available_cpus() >= 1
 
 
-def test_report_writes_the_schedule(tmp_path, small_table):
-    _, json_path = report(small_table, tmp_path)
+def test_pool_runs_on_linux_only(monkeypatch):
+    monkeypatch.setattr(lifespan, "_available_cpus", lambda: 4)
+    monkeypatch.setattr(lifespan.sys, "platform", "linux")
+    assert lifespan._pool_workers(3) == 3
+    assert lifespan._pool_workers(5) == 4
+    monkeypatch.setattr(lifespan.sys, "platform", "darwin")
+    assert lifespan._pool_workers(3) == 1
+
+
+@pytest.mark.parametrize("cpus, workers, tasks", [
+    (1, 1, [(0, [1.6, 1.2, 1.0]), (1, [1.6, 1.2, 1.0])]),
+    (2, 2, [(1, [1.0]), (0, [1.6, 1.2, 1.0]), (1, [1.6, 1.2])]),
+])
+def test_report_writes_the_schedule(monkeypatch, tmp_path, sweep_base, cpus, workers, tasks):
+    table = _sweep_on(monkeypatch, SweepConfig(sweep_base, (1.6, 1.2, 1.0), 2), cpus)
+    _, json_path = report(table, tmp_path)
     with open(json_path) as fh:
         doc = json.load(fh)
-    assert doc["workers"] == small_table.workers >= 1
-    assert [(t["repeat"], t["eps"]) for t in doc["tasks"]] == [(1, [1.0]), (0, [1.6, 1.2, 1.0]),
-                                                                (1, [1.6, 1.2])]
+    assert doc["workers"] == table.workers == workers
+    assert [(t["repeat"], t["eps"]) for t in doc["tasks"]] == tasks
     assert all(t["wall_s"] > 0 for t in doc["tasks"])
