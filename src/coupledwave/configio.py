@@ -96,6 +96,16 @@ def _as_int(value, field: str) -> int:
     return int(value)
 
 
+def _as_float(value, field: str) -> float:
+    """Field that must be a JSON number."""
+    if not _is_number(value):
+        raise ConfigError(f"{field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
+
+
 def _as_floats(value, field: str) -> tuple:
     """Field that must be a JSON array of numbers."""
     if not (isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)):
@@ -103,14 +113,14 @@ def _as_floats(value, field: str) -> tuple:
     return tuple(float(v) for v in value)
 
 
-def _damping_from(section: dict) -> DampingSpec:
+def _damping_from(section: dict, name: str) -> DampingSpec:
     try:
         family = DampingFamily(section["family"])
     except ValueError as exc:
         raise ConfigError(f"unknown damping family {section['family']!r}") from exc
     try:
-        return DampingSpec(family=family, mu=float(section["mu"]),
-                           beta=float(section["beta"]))
+        return DampingSpec(family=family, mu=_as_float(section["mu"], f"{name}.mu"),
+                           beta=_as_float(section["beta"], f"{name}.beta"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -123,21 +133,21 @@ def problem_spec_from_config(cfg: dict, enforce_hypotheses: bool = True) -> Prob
     try:
         return ProblemSpec(
             n=_as_int(prob["n"], "problem.n"),
-            pq=ExponentPair(float(prob["p"]), float(prob["q"])),
-            b1=_damping_from(cfg["damping1"]),
-            b2=_damping_from(cfg["damping2"]),
-            R=float(prob["R"]),
-            eps=float(prob["eps"]),
+            pq=ExponentPair(_as_float(prob["p"], "problem.p"), _as_float(prob["q"], "problem.q")),
+            b1=_damping_from(cfg["damping1"], "damping1"),
+            b2=_damping_from(cfg["damping2"], "damping2"),
+            R=_as_float(prob["R"], "problem.R"),
+            eps=_as_float(prob["eps"], "problem.eps"),
             data=InitialDataFamily(
                 k=_as_int(data["k"], "data.k"),
                 amplitudes=_as_floats(data["amplitudes"], "data.amplitudes"),
             ),
             grid=GridSpec(
-                dr=float(grid["dr"]),
-                t_max=float(grid["t_max"]),
-                r_max=None if grid["r_max"] is None else float(grid["r_max"]),
-                cfl=float(grid["cfl"]),
-                blowup_threshold=float(grid["blowup_threshold"]),
+                dr=_as_float(grid["dr"], "grid.dr"),
+                t_max=_as_float(grid["t_max"], "grid.t_max"),
+                r_max=None if grid["r_max"] is None else _as_float(grid["r_max"], "grid.r_max"),
+                cfl=_as_float(grid["cfl"], "grid.cfl"),
+                blowup_threshold=_as_float(grid["blowup_threshold"], "grid.blowup_threshold"),
             ),
             enforce_hypotheses=enforce_hypotheses,
         )
@@ -161,8 +171,8 @@ def sweep_config_from_config(cfg: dict) -> SweepConfig:
 def kernel_params_from_config(cfg: dict) -> dict:
     k = cfg["kernels"]
     return {
-        "lambda0": float(k["lambda0"]),
+        "lambda0": _as_float(k["lambda0"], "kernels.lambda0"),
         "quad_nodes": _as_int(k["quad_nodes"], "kernels.quad_nodes"),
-        "r1": None if k["r1"] is None else float(k["r1"]),
-        "r2": None if k["r2"] is None else float(k["r2"]),
+        "r1": None if k["r1"] is None else _as_float(k["r1"], "kernels.r1"),
+        "r2": None if k["r2"] is None else _as_float(k["r2"], "kernels.r2"),
     }

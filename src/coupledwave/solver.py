@@ -37,8 +37,10 @@ levels plus laplacian, forcing and velocity buffers, u and v stacked,
 cut to a width just above the window and widened as the cone grows.
 So the results do not depend on the window, the width or the rows
 stacked together.  ``run_batch`` advances runs that differ only in eps
-as rows of one leapfrog; a row leaves when it blows up, fails or
-halves dt, and ``run`` is its one-row case.  ``evolve_scalar`` runs
+as rows of one leapfrog, and ``run`` is its one-row case.  A row leaves
+its batch by one rule, when it blows up, fails or halves dt, and a row
+that halves dt always goes on in a new batch of its own at half the
+step (with any row that halves at the same step).  ``evolve_scalar`` runs
 the same core on the whole grid with no cone: its data need not be
 compactly supported and its forcing is arbitrary.
 """
@@ -94,11 +96,8 @@ class InitialDataFamily:
 
     k: int = 3
     amplitudes: tuple = (1.0, 1.0, 1.0, 1.0)
-    shape: str = "bump"
 
     def __post_init__(self):
-        if self.shape != "bump":
-            raise ValueError(f"unknown data shape {self.shape!r}")
         if int(self.k) != self.k or self.k < 2:
             raise ValueError(f"bump smoothness k must be an integer >= 2, got {self.k}")
         if len(self.amplitudes) != 4:
@@ -563,9 +562,9 @@ def run_batch(specs, probes=None) -> list:
     Returns one record per spec, in order, each equal to ``run`` of
     that spec with these ``probes``.  The rows advance together, through
     one leapfrog on (field, row, point) buffers, until a row blows up,
-    fails or halves dt: it then leaves the batch, and a halving row
-    goes on in a batch of its own (with any row that halves at the
-    same step).
+    fails or halves dt: it then leaves the batch.  A halving row, the
+    lone row of ``run`` too, always goes on in a new batch of its own at
+    half the step, with any row that halves at the same step.
     """
     specs = list(specs)
     if not specs:
@@ -579,13 +578,24 @@ def run_batch(specs, probes=None) -> list:
     return records
 
 
+@dataclass(slots=True)
+class _Row:
+    """One run's state in a batch: its index in the batch's specs, the
+    floor and last level of its sup norms (for the halving rule), its dt
+    halvings and its probe projector (None without probes)."""
+
+    id: int
+    floor: float
+    level: float
+    halvings: list
+    projector: _Projector | None
+
+
 class _Batch:
     """Rows that step together: runs that share the grid, dt, the
     damping, the cone window and the sample stride, and differ only in
-    eps.  Core row i is run ``ids[i]``; its sup norms are
-    ``sup[i, :s]`` at ``sup_times[:s]``, and the per-row lists (ids,
-    floors, levels, halvings, projectors) follow the core's rows.
-    ``times`` holds the shared sample times.
+    eps.  Core row i is ``rows[i]``; its sup norms are ``sup[i, :s]``
+    at ``sup_times[:s]``.  ``times`` holds the shared sample times.
     """
 
     def __init__(self, specs, probes):
@@ -616,19 +626,17 @@ class _Batch:
         core.cur[1] = eps * spec.data.a_v0 * bump
         core.vel[1] = eps * spec.data.a_v1 * bump
         init = np.stack([np.abs(w).max(axis=-1) for w in (core.cur[0], core.vel[0], core.cur[1])], axis=-1)
-        self.levels = init.max(axis=1).tolist()
-        if not all(grid.blowup_threshold > level for level in self.levels):  # a NaN fails too
+        levels = init.max(axis=1).tolist()
+        if not all(grid.blowup_threshold > level for level in levels):  # a NaN fails too
             raise ValueError("blowup_threshold must exceed the initial sup norms")
 
         self.specs, self.spec, self.r = specs, spec, r
-        self.ids = list(range(len(specs)))
-        self.floors = [1e3 * max(level, 1e-300) for level in self.levels]
-        self.halvings = [[] for _ in specs]
         self.stride = max(1, int(np.floor(grid.t_max / (2000.0 * dt))))
-        self.projectors = None
-        if probes:
-            capacity = math.ceil(grid.t_max / (self.stride * dt)) + 2
-            self.projectors = [_Projector(probes, m, capacity) for _ in specs]
+        samples = math.ceil(grid.t_max / (self.stride * dt)) + 2
+        self.rows = [
+            _Row(i, 1e3 * max(level, 1e-300), level, [], _Projector(probes, m, samples) if probes else None)
+            for i, level in enumerate(levels)
+        ]
         capacity = math.ceil(grid.t_max / dt) + 2  # steps until t_max, and row 0
         self.sup = np.empty((len(specs), capacity, 3))
         self.sup[:, 0] = init
@@ -643,8 +651,8 @@ class _Batch:
         u_force **= q
         np.abs(core.vel[0], out=v_force)
         v_force **= p
-        for i in self.ids:
-            self.project(i, L, core.vel)
+        for i in range(len(specs)):
+            self.project(i, L)
         core.laplacian()
         core.taylor(0, core.vel[0], spec.b1.b(0.0), dt, L, k)
         core.taylor(1, core.vel[1], spec.b2.b(0.0), dt, L, k)
@@ -652,9 +660,9 @@ class _Batch:
         self.next_level(k)
 
     def advance(self, records):
-        """Step until every row has blown up, failed or reached t_max;
-        finished rows go to ``records``.  Rows that halve dt while others
-        go on leave for a batch of their own, advanced to its end first.
+        """Step until every row has blown up, failed, halved dt or reached
+        t_max; finished rows go to ``records``.  A row that halves dt
+        leaves for a batch of its own, advanced to its end first.
 
         At time t the next level vanishes from k = first index with
         r > t + dt + R on, and the step works on [:L], L = min(M, k + 2).
@@ -665,8 +673,8 @@ class _Batch:
         p, q = spec.pq.p, spec.pq.q
         threshold = grid.blowup_threshold
         m = r.size
-        while self.ids and self.t < grid.t_max - 0.5 * self.dt:
-            t, dt, nb = self.t, self.dt, len(self.ids)
+        while self.rows and self.t < grid.t_max - 0.5 * self.dt:
+            t, dt, nb = self.t, self.dt, len(self.rows)
             b1v = spec.b1.b(t)
             b2v = spec.b2.b(t)
             k = int(r.searchsorted(t + dt + spec.R, side="right"))
@@ -697,30 +705,28 @@ class _Batch:
             self.s = s + 1
 
             # a non-finite level passes neither comparison, so it is flagged
-            levels = np.maximum.reduce(norms, axis=1).tolist()
-            flagged = [
-                i for i, level in enumerate(levels)
+            flagged = []
+            for i, (row, level) in enumerate(zip(self.rows, np.maximum.reduce(norms, axis=1).tolist())):
                 if not level < threshold or (
-                    level > GROWTH_REFINE_FACTOR * self.levels[i]
-                    and level > self.floors[i]
-                    and len(self.halvings[i]) < MAX_DT_HALVINGS
-                )
-            ]
-            self.levels = levels
+                    level > GROWTH_REFINE_FACTOR * row.level
+                    and level > row.floor
+                    and len(row.halvings) < MAX_DT_HALVINGS
+                ):
+                    flagged.append(i)
+                row.level = level
             sampled = self.step % self.stride == 0
             if flagged:
-                k = self._settle(records, flagged, sampled, L, k, b1v, b2v)
+                self._settle(records, flagged, sampled, L, b1v, b2v)
             elif sampled:
                 self._sample(range(nb), L)
             self.next_level(k)
-        for i in range(len(self.ids)):
+        for i in range(len(self.rows)):
             self._finish(records, i, self.s, self.times)
 
-    def _settle(self, records, flagged, sampled, L, k, b1v, b2v):
-        """Finish the flagged rows that failed or crossed the threshold,
-        and halve dt for the others: in place when no other row is left,
-        else in a batch of their own.  Returns the cut index k of the
-        rows left here."""
+    def _settle(self, records, flagged, sampled, L, b1v, b2v):
+        """Take the flagged rows out of the batch: finish those that failed
+        or crossed the threshold, and advance the others, which halve dt,
+        as a batch of their own."""
         s, t, norms = self.s - 1, self.t, self.sup[:, self.s - 1]
         threshold = self.spec.grid.blowup_threshold
         failed = [i for i in flagged if not np.isfinite(norms[i]).all()]
@@ -728,64 +734,58 @@ class _Batch:
             reason = f"non-finite values at t={t:.6g} before threshold crossing"
             self._finish(records, i, s, self.times, failed=True, reason=reason)
         if sampled:
-            self._sample([i for i in range(len(self.ids)) if i not in failed], L)
-        crossed = [i for i in flagged if i not in failed and self.levels[i] >= threshold]
+            self._sample([i for i in range(len(self.rows)) if i not in failed], L)
+        crossed = [i for i in flagged if i not in failed and self.rows[i].level >= threshold]
         for i in crossed:
             if not sampled:
-                self.project(i, L, self.core.vel)
+                self.project(i, L)
             _, t_blowup = detect_blowup(self.sup_times[: s + 1], self.sup[i, : s + 1], threshold)
             times = self.times if sampled else [*self.times, t]
             self._finish(records, i, s + 1, times, t_blowup=t_blowup)
-        done = failed + crossed
-        halving = [i for i in flagged if i not in done]
-        if halving and len(halving) + len(done) < len(self.ids):
-            split = self._split(halving)
-            split.next_level(split.halve(L, b1v, b2v))
-            split.advance(records)
-            done += halving
-            halving = []
-        if done:
-            self._drop(done)
-        return self.halve(L, b1v, b2v) if halving else k
-
-    def _reserve(self, steps):
-        """Room in ``sup`` and ``sup_times`` for ``steps`` more rows."""
-        size, nb = self.s + steps, len(self.ids)
-        if size > self.sup_times.size:
-            sup, sup_times = np.empty((nb, size, 3)), np.empty(size)
-            sup[:, : self.s] = self.sup[:nb, : self.s]
-            sup_times[: self.s] = self.sup_times[: self.s]
-            self.sup, self.sup_times = sup, sup_times
+        halving = [i for i in flagged if i not in failed and i not in crossed]
+        if halving:
+            self._halved(halving, L, b1v, b2v).advance(records)
+        self._drop(flagged)
 
     def _sample(self, rows, L):
         """Sample ``rows`` at the current level (t > 0)."""
         self.times.append(self.t)
         for i in rows:
-            self.project(i, L, self.core.vel)
+            self.project(i, L)
 
-    def project(self, i, L, vel):
-        """Queue a sample of row i; ``vel`` holds u_t and v_t."""
-        if self.projectors is not None:
+    def project(self, i, L):
+        """Queue a sample of row i."""
+        projector = self.rows[i].projector
+        if projector is not None:
             core = self.core
-            self.projectors[i].add(
-                (core.cur[0, i], vel[0, i], core.cur[1, i], vel[1, i], core.force[0, i], core.force[1, i]),
+            projector.add(
+                (core.cur[0, i], core.vel[0, i], core.cur[1, i], core.vel[1, i], core.force[0, i], core.force[1, i]),
                 L,
             )
 
-    def halve(self, L, b1v, b2v):
-        """Halve dt for every row: replace the step's leap by a Taylor
-        step of the new size.  Returns the new cut index k."""
-        dt_old = self.dt
-        self.dt = dt = 0.5 * dt_old
+    def _halved(self, rows, L, b1v, b2v):
+        """A batch of ``rows`` at half the step: copies of their core and
+        sup history, in buffers sized for the steps left, whose next level
+        is a Taylor step of the new size from the current one."""
+        new = copy.copy(self)
+        new.core = core = self.core.split(rows)
+        new.rows = [self.rows[i] for i in rows]
+        new.times = list(self.times)
+        dt_old, s = self.dt, self.s
+        new.dt = dt = 0.5 * dt_old
         # at most ceil((t_max - t) / dt) + 1 steps are left
-        self._reserve(math.ceil((self.spec.grid.t_max - self.t) / dt) + 2)
-        for halvings, level in zip(self.halvings, self.levels):
-            halvings.append((self.t, dt, level))
+        size = s + math.ceil((self.spec.grid.t_max - self.t) / dt) + 2
+        new.sup, new.sup_times = np.empty((len(rows), size, 3)), np.empty(size)
+        new.sup[:, :s] = self.sup[rows, :s]
+        new.sup_times[:s] = self.sup_times[:s]
+        for row in new.rows:
+            row.halvings.append((self.t, dt, row.level))
         k = int(self.r.searchsorted(self.t + dt + self.spec.R, side="right"))
-        self.core.restart(0, b1v, dt_old, dt, L, k)
-        self.core.restart(1, b2v, dt_old, dt, L, k)
-        self.core.close(L, k)
-        return k
+        core.restart(0, b1v, dt_old, dt, L, k)
+        core.restart(1, b2v, dt_old, dt, L, k)
+        core.close(L, k)
+        new.next_level(k)
+        return new
 
     def next_level(self, k):
         self.core.rotate()
@@ -793,38 +793,22 @@ class _Batch:
         self.t += self.dt
         self.step += 1
 
-    def _select(self, target, rows):
-        """Give ``target`` this batch's per-row lists for ``rows``."""
-        names = ("ids", "floors", "levels", "halvings") + (() if self.projectors is None else ("projectors",))
-        for name in names:
-            values = getattr(self, name)
-            setattr(target, name, [values[i] for i in rows])
-
-    def _split(self, rows):
-        """A batch of copies of ``rows``, at the current step."""
-        new = copy.copy(self)
-        new.core = self.core.split(rows)
-        self._select(new, rows)
-        new.times = list(self.times)
-        new.sup = self.sup[rows, : self.s]  # halve makes room for the rest
-        new.sup_times = self.sup_times[: self.s].copy()
-        return new
-
     def _drop(self, rows):
         """Remove ``rows`` and compact the buffers."""
-        keep = [i for i in range(len(self.ids)) if i not in rows]
+        keep = [i for i in range(len(self.rows)) if i not in rows]
         if keep:
             self.core.resize(keep, self.core.width)
             self.sup[: len(keep), : self.s] = self.sup[keep, : self.s]
-        self._select(self, keep)
+        self.rows = [self.rows[i] for i in keep]
 
     def _finish(self, records, i, s, times, t_blowup=None, failed=False, reason=""):
         """Record row i with its first s sup rows."""
-        spec = self.specs[self.ids[i]]
+        row = self.rows[i]
+        spec = self.specs[row.id]
         sup_norms = self.sup[i, :s].copy()
         blew_up = t_blowup is not None
         kernel, integrals = self.stamps
-        records[self.ids[i]] = SolutionRecord(
+        records[row.id] = SolutionRecord(
             n=spec.n,
             R=spec.R,
             eps=spec.eps,
@@ -838,11 +822,11 @@ class _Batch:
             failure_reason=reason,
             dt_initial=spec.grid.dt,
             dt_final=self.dt,
-            halvings=tuple(self.halvings[i]),
+            halvings=tuple(row.halvings),
             window_max=self.window,
             cone_spill=float(self.core.spill[:, i].max()),
             crossed=SUP_FIELDS[int(sup_norms[-1].argmax())] if blew_up else None,
-            projections={} if self.projectors is None else self.projectors[i].projections(),
+            projections={} if row.projector is None else row.projector.projections(),
             kernel=kernel,
             integrals=integrals,
         )

@@ -132,7 +132,7 @@ def _check_thresholds():
     return ok, f"halving error {ratio_err:.1e}, driver-at-threshold {drv:.12f}"
 
 
-def run_verification(fast: bool = True) -> list:
+def run_verification() -> list:
     """Run the suite; returns [(name, passed, detail), ...]."""
     checks = [
         ("cusp-algebra", _check_cusp),

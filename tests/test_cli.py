@@ -3,7 +3,7 @@ import multiprocessing
 
 import pytest
 
-from coupledwave import configio, lifespan
+from coupledwave import configio, lifespan, verify
 from coupledwave.cli import main
 
 
@@ -250,10 +250,30 @@ def test_sweep_failed_row_exits_1(tmp_path, capsys):
         ("identity", {"kernels": {"quad_nodes": True}}, "kernels.quad_nodes must be an integer"),
         ("solve", {"problem": {"p": 10**400}}, "too large"),
         ("sweep", {"sweep": {"eps_values": [10**400]}}, "too large"),
+        ("solve", {"problem": {"eps": "0.5", "p": "2"}, "grid": {"dr": "0.04", "t_max": "4"}},
+         "problem.p must be a number"),
+        ("solve", {"problem": {"q": "2"}}, "problem.q must be a number"),
+        ("solve", {"problem": {"eps": "0.5"}}, "problem.eps must be a number"),
+        ("sweep", {"problem": {"R": True}}, "problem.R must be a number"),
+        ("solve", {"grid": {"dr": "0.04"}}, "grid.dr must be a number"),
+        ("solve", {"grid": {"t_max": "4"}}, "grid.t_max must be a number"),
+        ("solve", {"grid": {"r_max": "12"}}, "grid.r_max must be a number"),
+        ("solve", {"grid": {"cfl": "0.45"}}, "grid.cfl must be a number"),
+        ("solve", {"grid": {"blowup_threshold": "1e8"}}, "grid.blowup_threshold must be a number"),
+        ("identity", {"damping1": {"family": "power-decay", "mu": True, "beta": "2"}},
+         "damping1.mu must be a number"),
+        ("identity", {"damping2": {"family": "power-decay", "beta": "2"}}, "damping2.beta must be a number"),
+        ("identity", {"kernels": {"lambda0": "1"}}, "kernels.lambda0 must be a number"),
+        ("identity", {"kernels": {"r1": "0.5"}}, "kernels.r1 must be a number"),
+        ("identity", {"kernels": {"r2": False}}, "kernels.r2 must be a number"),
+        ("identity", {"kernels": {"lambda0": 10**400}}, "too large"),
     ],
     ids=["eps-number", "eps-string", "eps-boolean", "amplitudes-string-sweep",
          "amplitudes-string-solve", "repeats-boolean", "n-string", "quad-nodes-boolean",
-         "p-huge-integer", "eps-huge-integer"],
+         "p-huge-integer", "eps-huge-integer", "scalar-strings", "q-string", "problem-eps-string",
+         "R-boolean", "dr-string", "t-max-string", "r-max-string", "cfl-string",
+         "threshold-string", "mu-boolean", "beta-string", "lambda0-string", "r1-string",
+         "r2-boolean", "lambda0-huge-integer"],
 )
 def test_wrong_type_config_fields_exit_2(verb, doc, message, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
@@ -280,3 +300,25 @@ def test_sweep_batch_error_exits_2(cpus, monkeypatch, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: blowup_threshold must exceed the initial sup norms\n"
     assert multiprocessing.active_children() == []
+
+
+VERIFY_CHECKS = ["cusp-algebra", "kernel-bounds", "closed-forms", "solver-convergence",
+                 "fundamental-identity", "threshold-consistency"]
+
+
+def test_verify_verb(capsys):
+    assert main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in VERIFY_CHECKS]
+
+
+def test_verify_check_error_is_a_failure(monkeypatch, capsys):
+    def broken():
+        raise RuntimeError("broken check")
+
+    monkeypatch.setattr(verify, "_check_cusp", broken)
+    assert main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL cusp-algebra: error: broken check"
+    # the suite goes on past the failing check
+    assert [line.split(":")[0] for line in lines[1:]] == [f"PASS {name}" for name in VERIFY_CHECKS[1:]]

@@ -47,8 +47,6 @@ def test_data_family_validation():
     with pytest.raises(ValueError):
         InitialDataFamily(k=1)
     with pytest.raises(ValueError):
-        InitialDataFamily(shape="gaussian")
-    with pytest.raises(ValueError):
         InitialDataFamily(amplitudes=(1.0, 1.0))
     assert not InitialDataFamily(amplitudes=(1, 0, 1, 1)).hypotheses_ok()
     assert not InitialDataFamily(amplitudes=(1, 1, -1, 1)).hypotheses_ok()
