@@ -41,7 +41,7 @@ print(f"samples: {len(rec.times)}, final sup norms {rec.sup_norms[-1]} "
 print(f"cone spill (largest value zeroed beyond r = t + R): {rec.cone_spill:.1e}")
 
 print("\nextracting functionals ...")
-series = fn.extract(rec, spec, r1=0.5, r2=0.5)
+series = fn.extract(rec, spec)
 ints = fn.data_integrals(spec)
 print(f"data integrals: I1[u0]={ints.I1_u0:.4f} I1[u1]={ints.I1_u1:.4f} "
       f"I2[v0]={ints.I2_v0:.4f}")

@@ -21,6 +21,7 @@ from .exponents import (
     classify,
     cusp_exponents,
     cusp_residuals,
+    kernel_exponents,
     lifespan_prediction,
     theta1,
     theta2,

@@ -41,6 +41,7 @@ from .exponents import (
     check_dimension,
     classify,
     cusp_exponents,
+    kernel_exponents,
     theta1,
     theta2,
     theta1_critical_q,
@@ -200,8 +201,7 @@ def _cmd_specfn(args) -> int:
     print(f"multiplier(power_decay(1,2), 0)={_g(multiplier(b, 0.0))}")
     c = cusp_exponents(n)
     failed = False
-    for label, r in (("r1", 0.5 * (n - 1) - 1.0 / c.p_mix),
-                     ("r2", 0.5 * (n - 1) - 1.0 / c.q_mix)):
+    for label, r in zip(("r1", "r2"), kernel_exponents(n, (c.p_mix, c.q_mix))):
         cfg = KernelConfig(r=r, R=1.0)
         reports = verify_kernel_bounds(cfg, n, grid)
         for rep in reports:
@@ -237,11 +237,11 @@ def _cmd_identity(args) -> int:
     cfg["data"]["amplitudes"] = [1.0, 1.0, 1.0, 1.0]
     spec = configio.problem_spec_from_config(cfg)
     kp = configio.kernel_params_from_config(cfg)
-    r1 = kp["r1"] if kp["r1"] is not None else 0.5 * (spec.n - 1) - 1.0 / spec.pq.p
-    r2 = kp["r2"] if kp["r2"] is not None else 0.5 * (spec.n - 1) - 1.0 / spec.pq.q
-    kernels = {"lambda0": kp["lambda0"], "quad_nodes": kp["quad_nodes"]}
-    rec = run(spec, probes=fn.probes(spec, r1, r2, **kernels))
-    res_u, res_v = fn.check_fundamental_identity(rec, spec, r1, r2, **kernels)
+    r1, r2 = kernel_exponents(spec.n, spec.pq)
+    r1 = r1 if kp["r1"] is None else kp["r1"]
+    r2 = r2 if kp["r2"] is None else kp["r2"]
+    rec = run(spec, probes=fn.probes(spec, r1, r2, kp["lambda0"], kp["quad_nodes"]))
+    res_u, res_v = fn.check_fundamental_identity(rec, spec)
     print(f"residual_curlyU={_g(res_u)}")
     print(f"residual_curlyV={_g(res_v)}")
     ok = res_u < fn.IDENTITY_TOL and res_v < fn.IDENTITY_TOL

@@ -35,6 +35,7 @@ __all__ = [
     "LifespanPrediction",
     "as_pair",
     "check_dimension",
+    "kernel_exponents",
     "theta1",
     "theta2",
     "classify",
@@ -56,7 +57,7 @@ def check_dimension(n, minimum: int = 1) -> int:
         raise ValueError("dimension must be an integer, got a bool")
     try:
         ok = int(n) == n
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
         raise ValueError(f"dimension must be an integer, got {n!r}")
@@ -155,6 +156,15 @@ def theta2(n, pq) -> float:
     n = check_dimension(n)
     pq = as_pair(pq)
     return (2.0 + 1.0 / pq.q) / (pq.product - 1.0) - 0.5 * (n - 1)
+
+
+def kernel_exponents(n, pq) -> tuple[float, float]:
+    """Kernel exponents r1 = (n-1)/2 - 1/p and r2 = (n-1)/2 - 1/q of
+    curlyU and curlyV: their equality values on the critical curves
+    (``iteration.r_parameters``) and the default kernel of ``identity``."""
+    n = check_dimension(n)
+    pq = as_pair(pq)
+    return 0.5 * (n - 1.0) - 1.0 / pq.p, 0.5 * (n - 1.0) - 1.0 / pq.q
 
 
 def classify(n, pq, tol: float = EQUALITY_TOL) -> CriticalData:

@@ -24,14 +24,13 @@ sources |v|^q, |u_t|^p at each sample onto the radial weights, the
 Phi-weighted radial weights and the kernel lam-bases, so memory grows
 with samples * quad_nodes, not samples * grid points.  ``extract``,
 ``nonlinearity_integrals`` and ``check_fundamental_identity`` read row
-slices of those projections.
+slices of those projections; the kernel rows are read with the (r1,
+r2, lambda0, quad_nodes) the record carries as ``record.kernel``.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,8 +61,6 @@ __all__ = [
     "check_fundamental_identity",
     "probes",
     "check_log_seeds",
-    "write_series_csv",
-    "write_check_report",
     "IDENTITY_TOL",
 ]
 
@@ -130,23 +127,20 @@ class BoundCheck:
     passed: bool
 
 
-def _projections(record: SolutionRecord, spec: ProblemSpec, kernel=None) -> dict:
-    """``record.projections``, checked to come from ``probes(spec, ...)``
-    on the spec's grid and, if ``kernel`` is given, stamped with that
-    (r1, r2, lambda0, quad_nodes)."""
+def _projections(record: SolutionRecord, spec: ProblemSpec, kernel: bool = True) -> dict:
+    """``record.projections``, checked to be on the spec's grid and to
+    start with the rows of ``integral_probes`` on every source (as
+    ``probes(spec, ...)`` do) and, with ``kernel``, to carry the
+    ``kernel`` stamp of ``probes``."""
     expected = radial_grid(spec)
     if record.r.shape != expected.shape or not np.allclose(record.r, expected):
         raise ValueError("record grid does not match the problem spec grid")
     proj = record.projections
-    if not all(name in proj for name in PROBE_SOURCES):
+    if (not record.integrals or not all(name in proj for name in PROBE_SOURCES)
+            or (kernel and record.kernel is None)):
         raise ValueError(
             "record needs the projections of probes(spec, r1, r2, lambda0, quad_nodes); "
             "pass them to run(spec, probes=...)"
-        )
-    if kernel is not None and record.kernel != kernel:
-        raise ValueError(
-            f"record holds the projections of probes(spec, r1, r2, lambda0, quad_nodes) "
-            f"= {record.kernel}, not {kernel}"
         )
     return proj
 
@@ -158,10 +152,6 @@ class _KernelProbes(IntegralProbes):
     def __init__(self, mats: dict, kernel: tuple):
         super().__init__(mats)
         self.kernel = kernel
-
-
-def _stamp(r1, r2, lambda0, quad_nodes) -> tuple:
-    return float(r1), float(r2), float(lambda0), int(quad_nodes)
 
 
 def _kernel_nodes(spec, r, lambda0, quad_nodes):
@@ -204,7 +194,7 @@ def probes(spec: ProblemSpec, r1: float, r2: float,
     v_t and |u_t|^p (curlyV, its data and its source).  Sources with
     one basis share one matrix, which keeps the probes as small as the
     three bases.  The mapping carries ``kernel`` = (r1, r2, lambda0,
-    quad_nodes), which the run records and the readers check.
+    quad_nodes), which the run records and the readers use.
     """
     grid = radial_grid(spec)
     w = integral_probes(spec)["u"]  # one row, the same for every source
@@ -215,14 +205,14 @@ def probes(spec: ProblemSpec, r1: float, r2: float,
     )
     return _KernelProbes({"u": basis1s, "ut": basis1, "v": basis2, "vt": basis2,
                           "|v|^q": basis1, "|u_t|^p": basis2},
-                         _stamp(r1, r2, lambda0, quad_nodes))
+                         (float(r1), float(r2), float(lambda0), int(quad_nodes)))
 
 
-def extract(record: SolutionRecord, spec: ProblemSpec, r1: float, r2: float,
-            lambda0: float = 1.0, quad_nodes: int = 64) -> FunctionalSeries:
+def extract(record: SolutionRecord, spec: ProblemSpec) -> FunctionalSeries:
     """All nine functional series of a run with ``probes(spec, r1, r2,
-    lambda0, quad_nodes)``."""
-    proj = _projections(record, spec, _stamp(r1, r2, lambda0, quad_nodes))
+    lambda0, quad_nodes)``, whose kernel the record carries."""
+    proj = _projections(record, spec)
+    r1, r2, lambda0, quad_nodes = record.kernel
     decay = np.exp(-record.times)
 
     def curly(r, name):
@@ -240,8 +230,8 @@ def extract(record: SolutionRecord, spec: ProblemSpec, r1: float, r2: float,
         U2=decay * proj["ut"][:, 1],
         curlyU=curly(r1, "ut"),
         curlyV=curly(r2, "v"),
-        r1=float(r1),
-        r2=float(r2),
+        r1=r1,
+        r2=r2,
     )
 
 
@@ -263,8 +253,9 @@ def data_integrals(spec: ProblemSpec) -> InitialDataIntegrals:
 
 def nonlinearity_integrals(record: SolutionRecord, spec: ProblemSpec):
     """Series int |v|^q dx and int |u_t|^p dx on the samples of a run
-    with ``probes(spec, ...)``."""
-    proj = _projections(record, spec)
+    with ``probes(spec, ...)`` or ``integral_probes(spec)``: row 0 of
+    the |v|^q and |u_t|^p projections."""
+    proj = _projections(record, spec, kernel=False)
     return proj["|v|^q"][:, 0], proj["|u_t|^p"][:, 0]
 
 
@@ -339,22 +330,21 @@ def check_nonlinearity_bounds(record: SolutionRecord, spec: ProblemSpec,
 
 
 def check_fundamental_identity(record: SolutionRecord, spec: ProblemSpec,
-                               r1: float, r2: float, checkpoints=None,
-                               lambda0: float = 1.0, quad_nodes: int = 64):
+                               checkpoints=None):
     """Residuals of the exact integral representations of curlyU, curlyV.
 
     Valid for the undamped system only.  ``record`` must come from
     ``run(spec, probes=probes(spec, r1, r2, lambda0, quad_nodes))``:
-    the check reads the kernel rows of its projections.  Both sides
-    are evaluated at checkpoint times; the time integral of the
-    nonlinear source against the kernels uses the trapezoid rule over
-    the samples.  Returns the maximum relative residual for each
-    identity.
+    the check reads the kernel rows of its projections, with the kernel
+    the record carries.  Both sides are evaluated at checkpoint times;
+    the time integral of the nonlinear source against the kernels uses
+    the trapezoid rule over the samples.  Returns the maximum relative
+    residual for each identity.
     """
     if not (spec.b1.is_zero and spec.b2.is_zero):
         raise ValueError("the fundamental identities hold for zero damping only")
-    kernel = _stamp(r1, r2, lambda0, quad_nodes)
-    proj = {name: rows[:, 2:] for name, rows in _projections(record, spec, kernel).items()}
+    proj = {name: rows[:, 2:] for name, rows in _projections(record, spec).items()}
+    r1, r2, lambda0, quad_nodes = record.kernel
 
     times = record.times
     if checkpoints is None:
@@ -442,35 +432,3 @@ def check_log_seeds(series: FunctionalSeries, spec: ProblemSpec, eps: float,
         shape = np.where(arg > 1.0, np.log(np.maximum(arg, 1.0)), np.nan)
         checks.append(_shape_check(CheckId.CURLY_V_LOG, t, series.curlyV, shape, mask, FLOOR_SLACK))
     return checks
-
-
-def write_series_csv(series: FunctionalSeries, directory) -> list:
-    """One CSV per functional series, columns (t, value)."""
-    os.makedirs(directory, exist_ok=True)
-    names = ["U", "Uprime", "V", "Vprime", "U1", "V1", "U2", "curlyU", "curlyV"]
-    paths = []
-    for name in names:
-        values = getattr(series, name)
-        path = os.path.join(directory, f"{name}.csv")
-        with open(path, "w") as fh:
-            fh.write("t,value\n")
-            for t, v in zip(series.times, values):
-                fh.write(f"{t:.17g},{v:.17g}\n")
-        paths.append(path)
-    return paths
-
-
-def write_check_report(checks: list[BoundCheck], path) -> None:
-    """JSON report: one entry per check with id, margin, window, pass."""
-    payload = [
-        {
-            "bound_id": c.bound_id.value,
-            "min_margin": c.min_margin,
-            "window": list(c.window),
-            "pass": c.passed,
-        }
-        for c in checks
-    ]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

@@ -25,7 +25,7 @@ lower-bound sequence at (t, eps).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -36,6 +36,7 @@ from .exponents import (
     Region,
     as_pair,
     check_dimension,
+    kernel_exponents,
     theta1,
     theta2,
 )
@@ -101,20 +102,18 @@ class SequenceTable:
 class IterationConstants:
     """Frame and seed constants with every derived constant materialised.
 
-    C, K are the frame constants of the coupled integral inequalities;
-    Ctilde, Ktilde the nonlinearity lower-bound constants; m1_0, m2_0
-    the damping multipliers at t = 0.  None of these is computable in
-    closed form, so they default to 1 and are exposed as configuration.
-    The derived fields follow: M, N (theta1-critical coefficient
-    recursion), M1, N1 (theta2), M2, N2 (double), S = pq/(pq-1)^2,
-    Nconst and Ntilde (subcritical threshold constants) and the
-    critical lifespan constants E, E1, E2.  Nconst, Ntilde, E, E1 and
-    E2 are also kept as logs, which the thresholds and drivers read, so
-    that they stay finite where the linear values underflow or
-    overflow.  Where Nconst or Ntilde disagrees with exp of its log (as
-    after ``dataclasses.replace`` of the linear value), the linear
-    value wins and rebuilds the log; to set a log, pass the matching
-    linear value ``math.exp(log)`` with it.
+    The nine inputs are n, p, q and the frame constants: C, K of the
+    coupled integral inequalities; Ctilde, Ktilde the nonlinearity
+    lower-bound constants; m1_0, m2_0 the damping multipliers at t = 0.
+    None of the six is computable in closed form, so they default to 1;
+    each must be positive and finite.  Every other field is derived from
+    the inputs on construction, ``dataclasses.replace`` included, and
+    cannot be passed: M, N (theta1-critical coefficient recursion), M1,
+    N1 (theta2), M2, N2 (double), S = pq/(pq-1)^2, Nconst and Ntilde
+    (subcritical threshold constants) and the critical lifespan
+    constants E, E1, E2.  Nconst, Ntilde, E, E1 and E2 are also kept as
+    logs, which the thresholds and drivers read, so that they stay
+    finite where the linear values underflow or overflow.
     """
 
     n: int
@@ -126,45 +125,35 @@ class IterationConstants:
     Ktilde: float = 1.0
     m1_0: float = 1.0
     m2_0: float = 1.0
-    M: float = 1.0
-    N: float = 1.0
-    M1: float = 1.0
-    N1: float = 1.0
-    M2: float = 1.0
-    N2: float = 1.0
-    S: float = 1.0
-    Ntilde: float = 1.0
-    Nconst: float = 1.0
-    E: float = 1.0
-    E1: float = 1.0
-    E2: float = 1.0
-    log_E: float = 0.0
-    log_E1: float = 0.0
-    log_E2: float = 0.0
-    log_Ntilde: float = 0.0
-    log_Nconst: float = 0.0
+    M: float = field(init=False)
+    N: float = field(init=False)
+    M1: float = field(init=False)
+    N1: float = field(init=False)
+    M2: float = field(init=False)
+    N2: float = field(init=False)
+    S: float = field(init=False)
+    Ntilde: float = field(init=False)
+    Nconst: float = field(init=False)
+    E: float = field(init=False)
+    E1: float = field(init=False)
+    E2: float = field(init=False)
+    log_E: float = field(init=False)
+    log_E1: float = field(init=False)
+    log_E2: float = field(init=False)
+    log_Ntilde: float = field(init=False)
+    log_Nconst: float = field(init=False)
 
     def __post_init__(self):
-        # a linear value that disagrees with its log defines the log
-        for name in ("Nconst", "Ntilde"):
-            val = getattr(self, name)
-            if val != _exp(getattr(self, "log_" + name)):
-                if not val > 0:
-                    raise ValueError(f"{name} must be positive, got {val}")
-                object.__setattr__(self, "log_" + name, math.log(val))
-
-    @classmethod
-    def from_frame(cls, n, pq, C: float = 1.0, K: float = 1.0,
-                   Ctilde: float = 1.0, Ktilde: float = 1.0,
-                   m1_0: float = 1.0, m2_0: float = 1.0) -> "IterationConstants":
-        n = check_dimension(n)
-        pq = as_pair(pq)
+        n = check_dimension(self.n)
+        pq = as_pair((self.p, self.q))
         p, q = pq.p, pq.q
         x = pq.product
-        for name, val in (("C", C), ("K", K), ("Ctilde", Ctilde),
-                          ("Ktilde", Ktilde), ("m1_0", m1_0), ("m2_0", m2_0)):
-            if not val > 0:
-                raise ValueError(f"constant {name} must be positive, got {val}")
+        for name in ("C", "K", "Ctilde", "Ktilde", "m1_0", "m2_0"):
+            val = getattr(self, name)
+            if not 0 < val < math.inf:
+                raise ValueError(f"constant {name} must be positive and finite, got {val}")
+        C, K, Ctilde, Ktilde, m1_0, m2_0 = (self.C, self.K, self.Ctilde, self.Ktilde,
+                                            self.m1_0, self.m2_0)
         # M, M1, M2, Nconst, Ntilde underflow for small frame constants and
         # N, N1, N2 overflow for large exponents; their logs do not
         log_C, log_K = math.log(C), math.log(K)
@@ -210,15 +199,23 @@ class IterationConstants:
             - S * log_N2
             + (x - 1.0) * log_M2
         )
-        return cls(
-            n=n, p=p, q=q, C=C, K=K, Ctilde=Ctilde, Ktilde=Ktilde,
-            m1_0=m1_0, m2_0=m2_0, M=_exp(log_M), N=_exp(log_N), M1=_exp(log_M1),
+        values = dict(
+            n=n, p=p, q=q, M=_exp(log_M), N=_exp(log_N), M1=_exp(log_M1),
             N1=_exp(log_N1), M2=_exp(log_M2), N2=_exp(log_N2), S=S,
             Ntilde=_exp(log_Ntilde), Nconst=_exp(log_Nconst),
             E=_exp(log_E), E1=_exp(log_E1), E2=_exp(log_E2),
             log_E=log_E, log_E1=log_E1, log_E2=log_E2,
             log_Ntilde=log_Ntilde, log_Nconst=log_Nconst,
         )
+        for name, val in values.items():
+            object.__setattr__(self, name, val)
+
+    @classmethod
+    def from_frame(cls, n, pq, C: float = 1.0, K: float = 1.0,
+                   Ctilde: float = 1.0, Ktilde: float = 1.0,
+                   m1_0: float = 1.0, m2_0: float = 1.0) -> "IterationConstants":
+        pq = as_pair(pq)
+        return cls(n, pq.p, pq.q, C, K, Ctilde, Ktilde, m1_0, m2_0)
 
     def matches(self, n, pq, tol: float = 1e-12) -> bool:
         pq = as_pair(pq)
@@ -534,13 +531,13 @@ def threshold_time(n, pq, eps: float, consts: IterationConstants,
 def r_parameters(case, n, pq, offset: float = 0.1, tol: float = EQUALITY_TOL):
     """Critical kernel exponents (r1, r2) for the given case.
 
-    Equality holds on the case's own curve: r1 = (n-1)/2 - 1/p on the
-    theta1 curve, r2 = (n-1)/2 - 1/q on the theta2 curve; the strict
-    inequality on the other exponent is realised with a configurable
-    positive offset above the larger of the two equality values.  In
-    the double case both equalities hold and the exchange identities
-    (n-1)/2 - 1/p = n - 1 - (n-1)q/2 and (n-1)/2 - 1/q = n - (n-1)p/2
-    are asserted to 1e-12.
+    Equality holds on the case's own curve (``kernel_exponents``): r1 =
+    (n-1)/2 - 1/p on the theta1 curve, r2 = (n-1)/2 - 1/q on the theta2
+    curve; the strict inequality on the other exponent is realised with
+    a configurable positive offset above the larger of the two equality
+    values.  In the double case both equalities hold and the exchange
+    identities (n-1)/2 - 1/p = n - 1 - (n-1)q/2 and (n-1)/2 - 1/q =
+    n - (n-1)p/2 are asserted to 1e-12.
     """
     case = CriticalCase(case)
     n = check_dimension(n, minimum=2)
@@ -550,8 +547,7 @@ def r_parameters(case, n, pq, offset: float = 0.1, tol: float = EQUALITY_TOL):
     t1 = theta1(n, pq)
     t2 = theta2(n, pq)
     p, q = pq.p, pq.q
-    r1_eq = 0.5 * (n - 1.0) - 1.0 / p
-    r2_eq = 0.5 * (n - 1.0) - 1.0 / q
+    r1_eq, r2_eq = kernel_exponents(n, pq)
     if case is CriticalCase.THETA1:
         if abs(t1) > tol:
             raise ValueError(f"(p, q) not on the theta1 curve: theta1 = {t1}")

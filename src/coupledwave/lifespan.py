@@ -147,11 +147,8 @@ def _fit_loglog(eps, T):
 
 
 def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
+    """CPUs this process may run on (Linux only, as is the pool)."""
+    return len(os.sched_getaffinity(0))
 
 
 def _run_task(specs):

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import functionals as fn
 from . import iteration as it
-from .exponents import ExponentPair, Region, cusp_exponents, cusp_residuals
+from .exponents import ExponentPair, Region, cusp_exponents, cusp_residuals, kernel_exponents
 from .solver import (
     GridSpec,
     InitialDataFamily,
@@ -42,7 +42,7 @@ def _check_kernel_bounds():
     ok = True
     for n in (2, 3, 4):
         c = cusp_exponents(n)
-        for r in (0.5 * (n - 1) - 1.0 / c.p_mix, 0.5 * (n - 1) - 1.0 / c.q_mix):
+        for r in kernel_exponents(n, (c.p_mix, c.q_mix)):
             cfg = KernelConfig(r=r, R=1.0)
             reports = verify_kernel_bounds(cfg, n, make_kernel_grid(25.0, 1.0, n_t=6))
             ok &= all(rep.passed for rep in reports)
@@ -117,7 +117,7 @@ def _check_identity():
         grid=GridSpec(dr=0.01, t_max=2.0),
     )
     rec = run(spec, probes=fn.probes(spec, 0.5, 0.5))
-    res_u, res_v = fn.check_fundamental_identity(rec, spec, 0.5, 0.5)
+    res_u, res_v = fn.check_fundamental_identity(rec, spec)
     ok = res_u < fn.IDENTITY_TOL and res_v < fn.IDENTITY_TOL
     return ok, f"residuals {res_u:.2e}, {res_v:.2e}"
 

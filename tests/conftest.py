@@ -5,12 +5,16 @@ The ``*_run`` fixtures carry the projections of
 cusp, where they are the double-critical kernel exponents.
 """
 
+import random
+
 import numpy as np
 import pytest
 
+from coupledwave import lifespan
 from coupledwave.exponents import ExponentPair, cusp_exponents
 from coupledwave.functionals import probes
 from coupledwave.iteration import r_parameters
+from coupledwave.lifespan import SweepConfig
 from coupledwave.solver import GridSpec, InitialDataFamily, ProblemSpec, radial_grid, run
 from coupledwave.special import DampingSpec
 
@@ -144,3 +148,45 @@ def cusp_run(cusp_spec, cusp_r_parameters):
 @pytest.fixture(scope="session")
 def cusp_r_parameters(cusp_spec):
     return r_parameters("double", cusp_spec.n, cusp_spec.pq)
+
+
+def _sweep_n2_in_process(seed):
+    """The benchmark's sweep-n2 sweep (n = 2, eps halving from 1 to 1/16,
+    jittered by ``seed``, dr 0.04 and 0.02), run in-process: its
+    config, its table and each repeat's whole-ladder batch as (specs,
+    records)."""
+    rng = random.Random(f"sweep-n2/{seed}")
+    eps = [2.0**-k * (1.0 + rng.uniform(-0.02, 0.02)) for k in range(5)]
+    base = ProblemSpec(
+        n=2, pq=ExponentPair(2.0, 2.0), b1=DampingSpec.zero(), b2=DampingSpec.zero(),
+        R=1.0, eps=eps[0], data=InitialDataFamily(k=3, amplitudes=(4.0, 4.0, 4.0, 4.0)),
+        grid=GridSpec(dr=0.04, t_max=100.0),
+    )
+    cfg = SweepConfig(base, tuple(eps), 2)
+    batches = []
+    real = lifespan.run_batch
+
+    def recording(specs):
+        records = real(specs)
+        batches.append((specs, records))
+        return records
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lifespan, "_available_cpus", lambda: 1)
+        mp.setattr(lifespan, "run_batch", recording)
+        table = lifespan.sweep(cfg)
+    return cfg, table, batches
+
+
+@pytest.fixture(scope="session")
+def sweep_n2():
+    """seed -> ``_sweep_n2_in_process(seed)``, computed once per session
+    and shared by the batch pins and the pool comparison."""
+    runs = {}
+
+    def in_process(seed):
+        if seed not in runs:
+            runs[seed] = _sweep_n2_in_process(seed)
+        return runs[seed]
+
+    return in_process

@@ -246,7 +246,7 @@ def test_criterion_4_solver_convergence():
 
 
 def test_criterion_5_fundamental_identities(identity_run, identity_spec):
-    res_u, res_v = fn.check_fundamental_identity(identity_run, identity_spec, 0.5, 0.5)
+    res_u, res_v = fn.check_fundamental_identity(identity_run, identity_spec)
     assert res_u < 0.02
     assert res_v < 0.02
     _report("criterion-5 identities",
@@ -260,13 +260,13 @@ def test_criterion_6_functional_floors(
         (standard_run, standard_spec, "undamped"),
         (damped_run, damped_spec, "damped"),
     ):
-        series = fn.extract(rec, spec, 0.5, 0.5)
+        series = fn.extract(rec, spec)
         ints = fn.data_integrals(spec)
         for check in fn.check_floor_bounds(series, ints, spec.eps):
             assert check.passed, (label, check)
         for check in fn.check_nonlinearity_bounds(rec, spec):
             assert check.passed, (label, check)
-    neg_series = fn.extract(negative_run, negative_spec, 0.5, 0.5)
+    neg_series = fn.extract(negative_run, negative_spec)
     neg_ints = fn.data_integrals(negative_spec)
     neg = {c.bound_id.value: c for c in fn.check_floor_bounds(neg_series, neg_ints, 1.0)}
     assert not neg["U2Floor"].passed

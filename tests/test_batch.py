@@ -6,7 +6,6 @@ exercise one of those exits.  Both sides run on the same machine, so
 the checks are ``==`` / ``np.array_equal``.
 """
 
-import random
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +32,11 @@ def _spec(n=2, pq=(2.0, 2.0), dr=0.04, t_max=100.0, b1=None, b2=None, amplitudes
 def _assert_rows_equal_singles(base, eps_values, probe_set=None):
     specs = [replace(base, eps=eps) for eps in eps_values]
     batched = run_batch(specs, probe_set)
+    _assert_records_equal_singles(specs, batched, probe_set)
+    return batched
+
+
+def _assert_records_equal_singles(specs, batched, probe_set=None):
     assert len(batched) == len(specs)
     for spec, rec in zip(specs, batched):
         single = run(spec, probe_set)
@@ -45,16 +49,16 @@ def _assert_rows_equal_singles(base, eps_values, probe_set=None):
         assert rec.projections.keys() == single.projections.keys()
         for source, proj in rec.projections.items():
             assert np.array_equal(proj, single.projections[source]), source
-    return batched
 
 
 @pytest.mark.parametrize("seed", [0, 7])
-def test_sweep_n2_ladders(seed):
-    # the benchmark's sweep-n2 inputs: eps halving from 1 to 1/16, jittered
-    rng = random.Random(f"sweep-n2/{seed}")
-    eps = [2.0**-k * (1.0 + rng.uniform(-0.02, 0.02)) for k in range(5)]
-    for dr in (0.04, 0.02):
-        rows = _assert_rows_equal_singles(_spec(dr=dr), eps)
+def test_sweep_n2_ladders(sweep_n2, seed):
+    # the benchmark's sweep-n2 ladders, batched as its in-process sweep
+    # runs them: eps halving from 1 to 1/16, jittered
+    _cfg, _table, batches = sweep_n2(seed)
+    assert [specs[0].grid.dr for specs, _ in batches] == [0.04, 0.02]
+    for specs, rows in batches:
+        _assert_records_equal_singles(specs, rows)
         assert all(rec.blew_up for rec in rows)
 
 

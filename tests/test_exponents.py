@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,15 +9,18 @@ from coupledwave.exponents import (
     ExponentPair,
     PredictionKind,
     Region,
+    check_dimension,
     classify,
     cusp_exponents,
     cusp_residuals,
+    kernel_exponents,
     lifespan_prediction,
     theta1,
     theta1_critical_q,
     theta2,
     theta2_critical_p,
 )
+from coupledwave.special import phi
 
 
 def test_exponent_pair_rejects_at_construction():
@@ -42,6 +46,29 @@ def test_dimension_validation():
         theta1(2.5, (2, 2))
     with pytest.raises(ValueError):
         cusp_exponents(1)
+
+
+@pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("reader", ["check_dimension", "theta1", "classify", "phi", "ProblemSpec"])
+def test_non_finite_dimension_is_a_value_error(standard_spec, reader, n):
+    calls = {
+        "check_dimension": lambda: check_dimension(n),
+        "theta1": lambda: theta1(n, (2, 2)),
+        "classify": lambda: classify(n, (2, 2)),
+        "phi": lambda: phi(n, 1.0),
+        "ProblemSpec": lambda: dataclasses.replace(standard_spec, n=n),
+    }
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        calls[reader]()
+
+
+def test_kernel_exponents():
+    # (n-1)/2 - 1/p and (n-1)/2 - 1/q, bitwise, for an integer n too
+    c = cusp_exponents(3)
+    assert kernel_exponents(3, (c.p_mix, c.q_mix)) == (1.0 - 1.0 / c.p_mix, 1.0 - 1.0 / c.q_mix)
+    assert kernel_exponents(2, (2, 4)) == (0.0, 0.25)
+    with pytest.raises(ValueError):
+        kernel_exponents(math.inf, (2, 2))
 
 
 def test_theta_values_n3():

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -13,12 +12,12 @@ from coupledwave.special import DampingSpec, multiplier, surface_area
 
 @pytest.fixture(scope="module")
 def standard_series(standard_run, standard_spec):
-    return fn.extract(standard_run, standard_spec, 0.5, 0.5)
+    return fn.extract(standard_run, standard_spec)
 
 
 @pytest.fixture(scope="module")
 def damped_series(damped_run, damped_spec):
-    return fn.extract(damped_run, damped_spec, 0.5, 0.5)
+    return fn.extract(damped_run, damped_spec)
 
 
 def test_extract_initial_values(standard_run, standard_spec, standard_series):
@@ -47,19 +46,17 @@ def test_extract_zero_data_gives_zero_series():
         enforce_hypotheses=False,
     )
     rec = run(spec, probes=fn.probes(spec, 0.5, 0.5))
-    ser = fn.extract(rec, spec, 0.5, 0.5)
+    ser = fn.extract(rec, spec)
     for name in ("U", "Uprime", "V", "Vprime", "U1", "V1", "U2", "curlyU", "curlyV"):
         assert np.abs(getattr(ser, name)).max() == 0.0
 
 
 def test_extract_validation(standard_run, standard_spec):
-    with pytest.raises(ValueError):
-        fn.extract(standard_run, standard_spec, -1.5, 0.5)
     other = dataclasses.replace(
         standard_spec, grid=GridSpec(dr=0.01, t_max=8.0)
     )
     with pytest.raises(ValueError):
-        fn.extract(standard_run, other, 0.5, 0.5)
+        fn.extract(standard_run, other)
 
 
 def test_data_integrals_positive_and_scaled(damped_spec):
@@ -98,7 +95,7 @@ def test_floor_bounds_zero_eps_limit():
 
 
 def test_negative_control_fails_u2_floor(negative_run, negative_spec):
-    ser = fn.extract(negative_run, negative_spec, 0.5, 0.5)
+    ser = fn.extract(negative_run, negative_spec)
     ints = fn.data_integrals(negative_spec)
     checks = {c.bound_id.value: c for c in fn.check_floor_bounds(ser, ints, 1.0)}
     assert not checks["U2Floor"].passed
@@ -117,27 +114,25 @@ def test_nonlinearity_envelopes(standard_run, standard_spec, damped_run, damped_
 
 
 def test_fundamental_identity_small_residual(identity_run, identity_spec):
-    res_u, res_v = fn.check_fundamental_identity(identity_run, identity_spec, 0.5, 0.5)
+    res_u, res_v = fn.check_fundamental_identity(identity_run, identity_spec)
     assert res_u < 0.02
     assert res_v < 0.02
 
 
 def test_fundamental_identity_exact_at_t0(identity_run, identity_spec):
-    res_u, res_v = fn.check_fundamental_identity(
-        identity_run, identity_spec, 0.5, 0.5, checkpoints=[0.0]
-    )
+    res_u, res_v = fn.check_fundamental_identity(identity_run, identity_spec, checkpoints=[0.0])
     assert res_u < 1e-12
     assert res_v < 1e-12
 
 
 def test_fundamental_identity_rejects_damped(damped_run, damped_spec):
     with pytest.raises(ValueError):
-        fn.check_fundamental_identity(damped_run, damped_spec, 0.5, 0.5)
+        fn.check_fundamental_identity(damped_run, damped_spec)
 
 
 def test_log_seeds_double_critical(cusp_run, cusp_spec, cusp_r_parameters):
-    r1, r2 = cusp_r_parameters
-    ser = fn.extract(cusp_run, cusp_spec, r1, r2)
+    ser = fn.extract(cusp_run, cusp_spec)
+    assert (ser.r1, ser.r2) == cusp_r_parameters  # the kernel of the record's probes
     checks = {c.bound_id.value: c for c in fn.check_log_seeds(ser, cusp_spec, cusp_spec.eps)}
     assert set(checks) == {"CurlyULog", "CurlyVLog"}
     assert checks["CurlyULog"].passed
@@ -154,7 +149,7 @@ def test_log_seeds_theta1_critical():
         grid=GridSpec(dr=0.02, t_max=18.0),
     )
     rec = run(spec, probes=fn.probes(spec, 0.5, 0.7))
-    ser = fn.extract(rec, spec, 0.5, 0.7)
+    ser = fn.extract(rec, spec)
     checks = {c.bound_id.value: c for c in fn.check_log_seeds(ser, spec, spec.eps)}
     assert set(checks) == {"CurlyULog"}
     assert checks["CurlyULog"].passed
@@ -173,7 +168,7 @@ def test_log_seeds_theta2_critical_uses_shift():
     )
     r1, r2 = r_parameters("theta2", 3, spec.pq)
     rec = run(spec, probes=fn.probes(spec, r1, r2))
-    ser = fn.extract(rec, spec, r1, r2)
+    ser = fn.extract(rec, spec)
     checks = {c.bound_id.value: c for c in fn.check_log_seeds(ser, spec, spec.eps)}
     assert set(checks) == {"CurlyVLog"}
     check = checks["CurlyVLog"]
@@ -201,7 +196,7 @@ def test_floors_hold_with_exp_decay_damping():
     )
     rec = run(spec, probes=fn.probes(spec, 0.5, 0.5))
     assert rec.blew_up
-    ser = fn.extract(rec, spec, 0.5, 0.5)
+    ser = fn.extract(rec, spec)
     ints = fn.data_integrals(spec)
     for check in fn.check_floor_bounds(ser, ints, spec.eps):
         assert check.passed, check
@@ -225,7 +220,7 @@ def test_uprime_consistency_with_u(standard_series):
 def test_ode_consistency(request, fixture):
     rec = request.getfixturevalue(f"{fixture}_run")
     spec = request.getfixturevalue(f"{fixture}_spec")
-    ser = fn.extract(rec, spec, 0.5, 0.5)
+    ser = fn.extract(rec, spec)
     nl_q, _ = fn.nonlinearity_integrals(rec, spec)
     t, U, Up = ser.times, ser.U, ser.Uprime
     end = np.searchsorted(t, 0.7 * t[-1])
@@ -243,22 +238,6 @@ def test_uprime_monotone_floor(damped_series, damped_spec):
     m10 = float(multiplier(damped_spec.b1, 0.0))
     Up = damped_series.Uprime
     assert np.all(Up >= m10 * Up[0] - 1e-9 * abs(Up[0]))
-
-
-def test_series_csv_and_report(tmp_path, standard_series, standard_spec):
-    paths = fn.write_series_csv(standard_series, tmp_path)
-    assert len(paths) == 9
-    first = (tmp_path / "U.csv").read_text().splitlines()
-    assert first[0] == "t,value"
-    assert len(first) == len(standard_series.times) + 1
-
-    ints = fn.data_integrals(standard_spec)
-    checks = fn.check_floor_bounds(standard_series, ints, standard_spec.eps)
-    report = tmp_path / "checks.json"
-    fn.write_check_report(checks, report)
-    payload = json.loads(report.read_text())
-    assert len(payload) == 3
-    assert {"bound_id", "min_margin", "window", "pass"} <= set(payload[0])
 
 
 def test_fundamental_identity_pinned_residuals(monkeypatch):
@@ -280,5 +259,5 @@ def test_fundamental_identity_pinned_residuals(monkeypatch):
     }
     for (r1, r2), expected in pinned.items():
         rec = run(spec, probes=fn.probes(spec, r1, r2))
-        res = fn.check_fundamental_identity(rec, spec, r1, r2)
+        res = fn.check_fundamental_identity(rec, spec)
         assert res == pytest.approx(expected, rel=1e-12, abs=0.0)

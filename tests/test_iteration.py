@@ -187,13 +187,11 @@ def test_iteration_constants_large_exponent_in_log_space():
 
 
 def test_threshold_subcritical_example():
-    # unit constants with N forced to 1: T = 2^15 * 10^6 at eps = 0.1
-    con = dataclasses.replace(
-        IterationConstants.from_frame(3, (2.0, 2.0)), Nconst=1.0
-    )
+    # theta1 = 1/6 at n = 3, p = q = 2: T = 2^15 N^-3 10^6 at eps = 0.1
+    con = IterationConstants.from_frame(3, (2.0, 2.0))
     th = threshold_time(3, (2.0, 2.0), 0.1, con, Region.SUBCRITICAL)
     assert th.formula_id == "subcritical-theta1"
-    assert th.T == pytest.approx(2.0**15 * 1e6, rel=1e-12)
+    assert th.T == pytest.approx(2.0**15 * con.Nconst**-3 * 1e6, rel=1e-12)
 
 
 def test_threshold_halving_law():
@@ -389,18 +387,30 @@ def test_subcritical_constants_stay_in_log_space():
     assert drv == pytest.approx(1.0, rel=1e-12)
 
 
-def test_replaced_subcritical_constant_defines_its_log():
+DERIVED = ("M", "N", "M1", "N1", "M2", "N2", "S", "Ntilde", "Nconst", "E", "E1", "E2",
+           "log_E", "log_E1", "log_E2", "log_Ntilde", "log_Nconst")
+
+
+def test_replace_recomputes_derived_constants():
+    # every derived value follows a replaced input, and none can be set
     base = IterationConstants.from_frame(3, (2.0, 2.0))
-    con = dataclasses.replace(base, Nconst=2.5, Ntilde=0.5)
-    assert con.log_Nconst == math.log(2.5)
-    assert con.log_Ntilde == math.log(0.5)
-    with pytest.raises(ValueError):
-        dataclasses.replace(con, Ntilde=0.0)
-    # a log replaced on its own is rebuilt from the linear value ...
-    assert dataclasses.replace(base, log_Nconst=-3.0).log_Nconst == base.log_Nconst
-    # ... and kept when the matching linear value comes with it, also
-    # where that value underflows
-    con = dataclasses.replace(base, log_Nconst=-3.0, Nconst=math.exp(-3.0))
-    assert con.log_Nconst == -3.0
-    con = dataclasses.replace(base, log_Ntilde=-800.0, Ntilde=math.exp(-800.0))
-    assert con.log_Ntilde == -800.0 and con.Ntilde == 0.0
+    con = dataclasses.replace(base, C=0.5)
+    fresh = IterationConstants.from_frame(3, (2.0, 2.0), C=0.5)
+    assert con == fresh and con.log_Nconst != base.log_Nconst
+    for name in DERIVED:
+        assert getattr(con, name) == getattr(fresh, name), name
+        with pytest.raises(ValueError):
+            dataclasses.replace(base, **{name: 123.0})
+        with pytest.raises(TypeError):
+            IterationConstants(3, 2.0, 2.0, **{name: 123.0})
+    T = threshold_time(3, (2.0, 2.0), 0.4, con, Region.SUBCRITICAL).T
+    assert T == threshold_time(3, (2.0, 2.0), 0.4, fresh, Region.SUBCRITICAL).T
+
+
+@pytest.mark.parametrize("name", ["C", "K", "Ctilde", "Ktilde", "m1_0", "m2_0"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+def test_frame_constants_positive_and_finite(name, value):
+    with pytest.raises(ValueError, match=f"constant {name} "):
+        IterationConstants.from_frame(3, (2.0, 2.0), **{name: value})
+    with pytest.raises(ValueError, match=f"constant {name} "):
+        dataclasses.replace(IterationConstants.from_frame(3, (2.0, 2.0)), **{name: value})

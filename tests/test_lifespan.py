@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 import os
-import random
 
 import numpy as np
 import pytest
@@ -274,10 +273,12 @@ def _sweep_on(monkeypatch, cfg, cpus):
     return sweep(cfg)
 
 
-def _assert_pool_matches_in_process(monkeypatch, cfg):
-    """A sweep forced onto two worker processes equals the in-process one."""
+def _assert_pool_matches_in_process(monkeypatch, cfg, serial=None):
+    """A sweep forced onto two worker processes equals the in-process
+    one, ``serial`` when given."""
     pooled = _sweep_on(monkeypatch, cfg, 2)
-    serial = _sweep_on(monkeypatch, cfg, 1)
+    if serial is None:
+        serial = _sweep_on(monkeypatch, cfg, 1)
     assert serial.workers == 1
     assert pooled.workers == min(2, len(pooled.tasks))
     # in-process, one batch per repeat; on workers, every (repeat, eps) once
@@ -297,16 +298,11 @@ def _assert_pool_matches_in_process(monkeypatch, cfg):
 
 
 @pytest.mark.parametrize("seed", [0, 7])
-def test_pool_matches_in_process_sweep_n2(monkeypatch, seed):
-    # the benchmark's sweep-n2 inputs: eps halving from 1 to 1/16, jittered
-    rng = random.Random(f"sweep-n2/{seed}")
-    eps = [2.0**-k * (1.0 + rng.uniform(-0.02, 0.02)) for k in range(5)]
-    base = ProblemSpec(
-        n=2, pq=ExponentPair(2.0, 2.0), b1=DampingSpec.zero(), b2=DampingSpec.zero(),
-        R=1.0, eps=eps[0], data=InitialDataFamily(k=3, amplitudes=(4.0, 4.0, 4.0, 4.0)),
-        grid=GridSpec(dr=0.04, t_max=100.0),
-    )
-    table = _assert_pool_matches_in_process(monkeypatch, SweepConfig(base, tuple(eps), 2))
+def test_pool_matches_in_process_sweep_n2(monkeypatch, sweep_n2, seed):
+    # the benchmark's sweep-n2 inputs: eps halving from 1 to 1/16,
+    # jittered; the in-process side is the session's shared sweep
+    cfg, serial, _batches = sweep_n2(seed)
+    table = _assert_pool_matches_in_process(monkeypatch, cfg, serial)
     assert all(row.blew_up for row in table.rows)
     # largest first: the finest smallest eps, the coarse ladder, the finest rest
     assert [(t["repeat"], len(t["eps"])) for t in table.tasks] == [(1, 1), (0, 5), (1, 4)]
@@ -328,10 +324,7 @@ def test_pool_matches_in_process_failed_repeat(monkeypatch, sweep_base, repeat):
 
 
 def test_available_cpus_follow_the_affinity_mask():
-    if hasattr(os, "sched_getaffinity"):
-        assert lifespan._available_cpus() == len(os.sched_getaffinity(0))
-    else:
-        assert lifespan._available_cpus() >= 1
+    assert lifespan._available_cpus() == len(os.sched_getaffinity(0))
 
 
 def test_pool_runs_on_linux_only(monkeypatch):

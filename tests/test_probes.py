@@ -13,6 +13,7 @@ from coupledwave.solver import (
     PROBE_SOURCES,
     GridSpec,
     _Projector,
+    integral_probes,
     radial_grid,
     radial_weights,
     run,
@@ -97,7 +98,7 @@ def test_extract_matches_profile_formula(stored_and_probed):
         "U2": decay * (src["ut"] @ wp),
         "curlyU": curly(r1, src["ut"]), "curlyV": curly(r2, src["v"]),
     }
-    series = fn.extract(probed, spec, r1, r2)
+    series = fn.extract(probed, spec)
     for name, want in expected.items():
         np.testing.assert_allclose(getattr(series, name), want, rtol=1e-12, atol=0.0,
                                    err_msg=name)
@@ -118,13 +119,9 @@ def test_run_rejects_bad_probes(standard_spec):
 
 def test_identity_check_needs_its_projections(identity_spec, identity_run):
     bare = dataclasses.replace(identity_run, projections={})
-    for reader in (fn.check_fundamental_identity, fn.extract):
+    for reader in (fn.check_fundamental_identity, fn.extract, fn.nonlinearity_integrals):
         with pytest.raises(ValueError, match=r"probes\(spec"):
-            reader(bare, identity_spec, 0.5, 0.5)
-        with pytest.raises(ValueError, match=r"probes\(spec"):
-            reader(identity_run, identity_spec, 0.5, 0.5, quad_nodes=32)
-    with pytest.raises(ValueError, match=r"probes\(spec"):
-        fn.nonlinearity_integrals(bare, identity_spec)
+            reader(bare, identity_spec)
 
 
 def _per_sample(mat, sources, widths):
@@ -168,6 +165,19 @@ def _short_run(spec):
     return dataclasses.replace(spec, grid=GridSpec(dr=spec.grid.dr, t_max=0.5, r_max=spec.grid.r_max))
 
 
+def test_nonlinearity_integrals_need_the_integral_row(standard_spec):
+    # row 0 of identity-matrix probes is the source at r = 0, not its
+    # integral, so such a record is refused; integral_probes give the integrals
+    spec = _short_run(standard_spec)
+    w = radial_weights(radial_grid(spec), spec.n)
+    eye = run(spec, probes=dict.fromkeys(PROBE_SOURCES, np.eye(w.size)))
+    with pytest.raises(ValueError, match=r"probes\(spec"):
+        fn.nonlinearity_integrals(eye, spec)
+    nl_q, nl_p = fn.nonlinearity_integrals(run(spec, probes=integral_probes(spec)), spec)
+    np.testing.assert_allclose(nl_q, eye.projections["|v|^q"] @ w, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(nl_p, eye.projections["|u_t|^p"] @ w, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("distinct", [False, True], ids=["shared", "distinct"])
 def test_run_projections_match_per_sample_products(stored_and_probed, profile_run, distinct):
     # the blow-up runs (537 and 173 samples, dt halvings) and a short run
@@ -204,18 +214,15 @@ def test_identity_probes_on_every_source_are_the_profiles(stored_and_probed, pro
 
 
 def test_records_carry_their_kernel(identity_spec, identity_run):
-    # a record read with other kernel exponents than its probes' is an
-    # error, not a silently wrong curlyU
+    # the readers take the kernel exponents from the record, so a record
+    # cannot be read with other exponents than its probes'
     assert identity_run.kernel == (0.5, 0.5, 1.0, 64)
     assert fn.probes(identity_spec, 0.3, 1.5, 2.0, 16).kernel == (0.3, 1.5, 2.0, 16)
-    fn.extract(identity_run, identity_spec, 0.5, 0.5)
-    for reader in (fn.extract, fn.check_fundamental_identity):
-        with pytest.raises(ValueError, match=r"probes\(spec.*\(0\.5, 0\.5, 1\.0, 64\)"):
-            reader(identity_run, identity_spec, 0.3, 1.5)
-        with pytest.raises(ValueError, match=r"probes\(spec"):
-            reader(identity_run, identity_spec, 0.5, 0.5, lambda0=2.0)
+    series = fn.extract(identity_run, identity_spec)
+    assert (series.r1, series.r2) == (0.5, 0.5)
     # probes copied into a plain dict lose the stamp, and so does their run
     unstamped = run(identity_spec, probes=dict(fn.probes(identity_spec, 0.5, 0.5)))
     assert unstamped.kernel is None
-    with pytest.raises(ValueError, match=r"probes\(spec"):
-        fn.extract(unstamped, identity_spec, 0.5, 0.5)
+    for reader in (fn.extract, fn.check_fundamental_identity):
+        with pytest.raises(ValueError, match=r"probes\(spec"):
+            reader(unstamped, identity_spec)
