@@ -1,11 +1,7 @@
 """Command-line front end.
 
-Verbs: curve (exponent classification), cusp (cusp point and reference
-exponents), sequences (iteration tables as CSV), specfn (special
-function values and kernel bound reports), solve (one run with CSV
-summary and JSON sidecar), identity (fundamental identity residuals),
-sweep (epsilon sweep with CSV/JSON report), verify (aggregated property
-suite).
+Verbs and their flags are declared once, in ``_VERBS``; ``coupledwave
+--help`` lists the verbs with their help text.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error.  All
 numeric output is printed with 9 significant digits.
@@ -57,61 +53,49 @@ def _g(x) -> str:
     return format(float(x), ".9g")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_CONFIG = ("--config", dict(metavar="PATH", help="JSON configuration file"))
+_OUT = ("--out", dict(metavar="PATH", help="output path or directory"))
+
+# verb -> (help, [(flag, add_argument keyword arguments)]), in --help order
+_VERBS = {
+    "curve": ("evaluate theta1/theta2 and classify", [
+        ("--n", dict(type=int, required=True)), ("--p", dict(type=float, required=True)),
+        ("--q", dict(type=float, required=True))]),
+    "cusp": ("cusp point and reference exponents", [("--n", dict(type=int, required=True))]),
+    "sequences": ("iteration sequence tables", [
+        ("--case", dict(choices=["theta1", "theta2", "double", "subcritical"], required=True)),
+        ("--n", dict(type=int, default=3)), ("--p", dict(type=float)), ("--q", dict(type=float)),
+        ("--jmax", dict(type=int, default=20)), _OUT]),
+    "specfn": ("special function values and kernel bounds", [
+        ("--n", dict(type=int, default=3)), ("--tmax", dict(type=float, default=25.0)), _OUT]),
+    "solve": ("one solver run", [
+        _CONFIG, _OUT, ("--n", dict(type=int)), ("--p", dict(type=float)),
+        ("--q", dict(type=float)), ("--eps", dict(type=float)), ("--tmax", dict(type=float)),
+        ("--dr", dict(type=float)), ("--threshold", dict(type=float))]),
+    "identity": ("fundamental identity residuals", [
+        _CONFIG, ("--tmax", dict(type=float, default=2.0)),
+        ("--dr", dict(type=float, default=0.01))]),
+    "sweep": ("epsilon sweep and scaling fit", [_CONFIG, _OUT]),
+    "verify": ("aggregated property suite", []),
+}
+
+
+def build_parser(verbs=tuple(_VERBS)) -> argparse.ArgumentParser:
+    """The argument parser with a subparser for each of ``verbs`` only
+    (by default all eight).  A partial parser still names every verb in
+    its usage line, so its error messages read as the full parser's.
+    """
     parser = argparse.ArgumentParser(
         prog="coupledwave",
         description="Blow-up laboratory for weakly coupled semilinear damped wave systems",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_common(sp, config=True, out=False):
-        if config:
-            sp.add_argument("--config", metavar="PATH", help="JSON configuration file")
-        if out:
-            sp.add_argument("--out", metavar="PATH", help="output path or directory")
-
-    sp = sub.add_parser("curve", help="evaluate theta1/theta2 and classify")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--q", type=float, required=True)
-
-    sp = sub.add_parser("cusp", help="cusp point and reference exponents")
-    sp.add_argument("--n", type=int, required=True)
-
-    sp = sub.add_parser("sequences", help="iteration sequence tables")
-    sp.add_argument("--case", choices=["theta1", "theta2", "double", "subcritical"],
-                    required=True)
-    sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--q", type=float, default=None)
-    sp.add_argument("--jmax", type=int, default=20)
-    add_common(sp, config=False, out=True)
-
-    sp = sub.add_parser("specfn", help="special function values and kernel bounds")
-    sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--tmax", type=float, default=25.0)
-    add_common(sp, config=False, out=True)
-
-    sp = sub.add_parser("solve", help="one solver run")
-    add_common(sp, out=True)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--q", type=float)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--tmax", type=float)
-    sp.add_argument("--dr", type=float)
-    sp.add_argument("--threshold", type=float)
-
-    sp = sub.add_parser("identity", help="fundamental identity residuals")
-    add_common(sp, out=False)
-    sp.add_argument("--tmax", type=float, default=2.0)
-    sp.add_argument("--dr", type=float, default=0.01)
-
-    sp = sub.add_parser("sweep", help="epsilon sweep and scaling fit")
-    add_common(sp, out=True)
-
-    sp = sub.add_parser("verify", help="aggregated property suite")
-
+    metavar = None if len(verbs) == len(_VERBS) else "{%s}" % ",".join(_VERBS)
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for verb in verbs:
+        help_text, flags = _VERBS[verb]
+        sp = sub.add_parser(verb, help=help_text)
+        for flag, kwargs in flags:
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
@@ -185,7 +169,7 @@ def _cmd_sequences(args) -> int:
         it.write_table_csv(table, args.out)
         print(f"wrote {args.out}")
     else:
-        it.write_table_csv(table, "/dev/stdout")
+        it.write_table_csv(table, sys.stdout)
     return 0 if dev_t < it.CLOSED_FORM_TOL else 1
 
 
@@ -289,7 +273,10 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # building the subparsers is most of a short call's fixed cost: a known
+    # verb gets its own only, anything else the full parser and its messages
+    parser = build_parser(argv[:1] if argv[:1] and argv[0] in _VERBS else tuple(_VERBS))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -113,7 +113,8 @@ class IterationConstants:
     (subcritical threshold constants) and the critical lifespan
     constants E, E1, E2.  Nconst, Ntilde, E, E1 and E2 are also kept as
     logs, which the thresholds and drivers read, so that they stay
-    finite where the linear values underflow or overflow.
+    finite where the linear values underflow or overflow.  A product pq
+    or a log beyond double range is a ValueError.
     """
 
     n: int
@@ -148,6 +149,10 @@ class IterationConstants:
         pq = as_pair((self.p, self.q))
         p, q = pq.p, pq.q
         x = pq.product
+        try:
+            S = x / (x - 1.0) ** 2
+        except OverflowError:
+            raise ValueError(f"exponents beyond double range: (pq - 1)^2 at p={p}, q={q}") from None
         for name in ("C", "K", "Ctilde", "Ktilde", "m1_0", "m2_0"):
             val = getattr(self, name)
             if not 0 < val < math.inf:
@@ -166,7 +171,6 @@ class IterationConstants:
         log_N = 2.0 * q * LOG2 + math.log(x)
         log_N1 = 2.0 * (p + 1.0) * LOG2 + math.log(x)
         log_N2 = q * LOG2 + (q + 1.0) * math.log(x)
-        S = x / (x - 1.0) ** 2
         log_Msub = log_C + p * log_K - (p + 2.0) * math.log(n + 1.0 + (p + 2.0) / (x - 1.0))
         log_Msub_t = (
             log_K + q * log_C - (2.0 * q + 1.0) * math.log(n + (2.0 * q + 1.0) / (x - 1.0))
@@ -208,6 +212,8 @@ class IterationConstants:
             log_Ntilde=log_Ntilde, log_Nconst=log_Nconst,
         )
         for name, val in values.items():
+            if name.startswith("log_") and not math.isfinite(val):
+                raise ValueError(f"exponents beyond double range: {name} = {val} at p={p}, q={q}")
             object.__setattr__(self, name, val)
 
     @classmethod
@@ -269,21 +275,23 @@ def _family_table(family, n, p, q, js, seed, recur, step, t_closed, w_closed,
     returns the next triple; ``step(k, t_k)`` is the coefficient term
     d_k of log c_{k+1} = pq log c_k + d_k, so that log c_j = (pq)^j log
     c_0 + sum_{k<j} (pq)^{j-1-k} d_k evaluated on the closed-form power
-    sequence t_closed.
+    sequence t_closed.  Raises ValueError at the first j where a column
+    leaves double range.
     """
     x = p * q
     size = len(js)
-    logc, tp, wp = np.empty(size), np.empty(size), np.empty(size)
-    logc[0], tp[0], wp[0] = seed
+    rows = [seed]
     for j in range(size - 1):
-        logc[j + 1], tp[j + 1], wp[j + 1] = recur(j, logc[j], tp[j], wp[j])
-    log0 = logc[0]
-    d = np.array([step(k, t_closed[k]) for k in range(size - 1)])
+        rows.append(recur(j, *rows[-1]))
+    logc, tp, wp = (np.array(col) for col in zip(*rows))
+    _check_range(family, logc, tp, wp, t_closed, w_closed)
+    d = np.array([step(k, t) for k, t in enumerate(t_closed[:-1].tolist())])
+    powers = x ** np.arange(size)
     logc_closed = np.empty(size)
-    logc_closed[0] = log0
+    logc_closed[0] = log0 = seed[0]
     for j in range(1, size):
-        ks = np.arange(j)
-        logc_closed[j] = x**j * log0 + float(np.sum(x ** (j - 1 - ks) * d[:j]))
+        logc_closed[j] = x**j * log0 + float(np.sum(powers[j - 1::-1] * d[:j]))
+    _check_range(family, logc_closed)
     return SequenceTable(
         family=family, n=n, p=p, q=q, j=js,
         coeff_log=logc, coeff_log_closed=logc_closed,
@@ -293,6 +301,14 @@ def _family_table(family, n, p, q, js, seed, recur, step, t_closed, w_closed,
     )
 
 
+def _check_range(family, *columns) -> None:
+    finite = np.isfinite(columns).all(axis=0)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise ValueError(f"{family} sequences leave double range at j = {j}; lower j_max or p, q")
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def subcritical_sequences(n, pq, j_max: int, consts: IterationConstants | None = None,
                           eps: float = 1.0):
     """Brute recursions and closed forms for the subcritical families.
@@ -361,6 +377,7 @@ def subcritical_sequences(n, pq, j_max: int, consts: IterationConstants | None =
     return table_v, table_u
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def critical_sequences(case, n, pq, j_max: int,
                        consts: IterationConstants | None = None,
                        eps: float = 1.0, tol: float = EQUALITY_TOL) -> SequenceTable:
@@ -631,22 +648,18 @@ def divergence_certificate(table: SequenceTable, eps: float, t: float,
 
 
 def write_table_csv(table: SequenceTable, path) -> None:
-    """CSV export with brute and closed-form columns side by side."""
-    with open(path, "w") as fh:
-        fh.write(
-            "j,coeff_log,coeff_log_closed,t_power,t_power_closed,"
-            "weight_power,weight_power_closed,ell_j\n"
-        )
-        for i, j in enumerate(table.j):
-            ell = "" if table.ell is None else format(table.ell[i], ".17g")
-            row = [
-                str(int(j)),
-                format(table.coeff_log[i], ".17g"),
-                format(table.coeff_log_closed[i], ".17g"),
-                format(table.t_power[i], ".17g"),
-                format(table.t_power_closed[i], ".17g"),
-                format(table.weight_power[i], ".17g"),
-                format(table.weight_power_closed[i], ".17g"),
-                ell,
-            ]
-            fh.write(",".join(row) + "\n")
+    """CSV export with brute and closed-form columns side by side, in one
+    write to ``path``, a file path or an open text stream."""
+    cols = [table.j, table.coeff_log, table.coeff_log_closed, table.t_power,
+            table.t_power_closed, table.weight_power, table.weight_power_closed]
+    if table.ell is not None:
+        cols.append(table.ell)
+    row = "%d" + ",%.17g" * 6 + ("," if table.ell is None else ",%.17g") + "\n"
+    text = "".join(row % values for values in zip(*(c.tolist() for c in cols)))
+    header = ("j,coeff_log,coeff_log_closed,t_power,t_power_closed,"
+              "weight_power,weight_power_closed,ell_j\n")
+    if hasattr(path, "write"):
+        path.write(header + text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(header + text)

@@ -1,9 +1,13 @@
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
-from coupledwave import configio, lifespan, verify
+import coupledwave
+from coupledwave import cli, configio, lifespan, verify
 from coupledwave.cli import main
 
 
@@ -322,3 +326,109 @@ def test_verify_check_error_is_a_failure(monkeypatch, capsys):
     assert lines[0] == "FAIL cusp-algebra: error: broken check"
     # the suite goes on past the failing check
     assert [line.split(":")[0] for line in lines[1:]] == [f"PASS {name}" for name in VERIFY_CHECKS[1:]]
+
+
+# a representative argv per verb, every flag given, and one with the defaults
+VERB_ARGV = {
+    "curve": ["curve", "--n", "3", "--p", "2", "--q", "2.5"],
+    "cusp": ["cusp", "--n", "4"],
+    "sequences": ["sequences", "--case", "theta1", "--n", "2", "--p", "3", "--q", "1.5",
+                  "--jmax", "7", "--out", "t.csv"],
+    "specfn": ["specfn", "--n", "5", "--tmax", "8", "--out", "s"],
+    "solve": ["solve", "--config", "c.json", "--out", "o", "--n", "2", "--p", "2", "--q", "3",
+              "--eps", "0.5", "--tmax", "4", "--dr", "0.04", "--threshold", "1e6"],
+    "identity": ["identity", "--config", "c.json", "--tmax", "1", "--dr", "0.02"],
+    "sweep": ["sweep", "--config", "c.json", "--out", "o"],
+    "verify": ["verify"],
+}
+DEFAULT_ARGV = [["sequences", "--case", "double"], ["specfn"], ["solve"], ["identity"],
+                ["sweep"]]
+
+
+def test_verb_table_matches_dispatch():
+    assert list(cli._VERBS) == list(cli._DISPATCH) == list(VERB_ARGV)
+
+
+@pytest.mark.parametrize("argv", [*VERB_ARGV.values(), *DEFAULT_ARGV], ids=" ".join)
+def test_one_verb_parser_parses_as_full_parser(argv):
+    one = cli.build_parser((argv[0],)).parse_args(argv)
+    assert one == cli.build_parser().parse_args(argv)
+
+
+def test_main_builds_only_the_called_verb(monkeypatch, capsys):
+    # main calls build_parser through the module global, so a wrapper
+    # (such as a tracing span) sees every build
+    built = []
+    build_parser = cli.build_parser
+
+    def spy(verbs=tuple(cli._VERBS)):
+        built.append(list(verbs))
+        return build_parser(verbs)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert main(["cusp", "--n", "3"]) == 0
+    assert main(["--help"]) == 0
+    assert main(["frobnicate"]) == 2
+    assert built == [["cusp"], list(cli._VERBS), list(cli._VERBS)]
+
+
+TEXT_ARGV = [
+    ["--help"], [], ["frobnicate"], *([verb, "--help"] for verb in VERB_ARGV),
+    ["curve", "--n", "3"],  # a required flag missing
+    ["sequences", "--case", "bogus"],  # an invalid --case
+    ["sequences", "--case", "double", "--bogus"],  # an unknown flag, reported by the top level
+    ["cusp", "--n", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", TEXT_ARGV, ids=lambda argv: " ".join(argv) or "no-verb")
+def test_cli_text_matches_full_parser(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    full = capsys.readouterr()
+    assert code == exc.value.code
+    assert captured.out == full.out
+    assert captured.err == full.err
+
+
+def test_sequences_without_out_writes_table_to_stdout(capsys):
+    assert main(["sequences", "--case", "double", "--n", "3", "--jmax", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("family=critical-double n=3 ")
+    assert lines[1].startswith("closed_form_deviation=")
+    assert lines[2].startswith("j,coeff_log,coeff_log_closed,")
+    assert len(lines) == 7
+
+
+def test_sequences_redirected_to_file_keeps_summary(tmp_path):
+    # the table goes after the summary lines, not over them
+    src = os.path.dirname(os.path.dirname(coupledwave.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = tmp_path / "t.txt"
+    with open(out, "w") as fh:
+        subprocess.run([sys.executable, "-m", "coupledwave.cli", "sequences", "--case", "double",
+                        "--n", "3", "--jmax", "3"], stdout=fh, env=env, check=True)
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("family=critical-double")
+    assert lines[1].startswith("closed_form_deviation=")
+    assert lines[2].startswith("j,coeff_log,coeff_log_closed,")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sequences", "--case", "subcritical", "--p", "1e308", "--q", "2"],
+         "exponents beyond double range: log_E = nan at p=1e+308, q=2.0"),
+        (["sequences", "--case", "subcritical", "--p", "1000", "--q", "1000", "--jmax", "60"],
+         "leave double range at j = 51"),
+    ],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sequences_out_of_double_range_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from coupledwave.exponents import (
     theta2,
     theta2_critical_p,
 )
+from coupledwave import iteration
 from coupledwave.iteration import (
     J_MAX_LIMIT,
     IterationConstants,
@@ -414,3 +416,109 @@ def test_frame_constants_positive_and_finite(name, value):
         IterationConstants.from_frame(3, (2.0, 2.0), **{name: value})
     with pytest.raises(ValueError, match=f"constant {name} "):
         dataclasses.replace(IterationConstants.from_frame(3, (2.0, 2.0)), **{name: value})
+
+
+def test_overflowing_exponents_rejected():
+    # pq = inf, (pq - 1)^2 beyond double range, and log E1 = -inf
+    for pq, what in [((1e308, 2.0), "log_E = nan"), ((1e200, 1e100), r"\(pq - 1\)\^2"),
+                     ((1.2e154, 1.1), "log_E1 = -inf")]:
+        with pytest.raises(ValueError, match=f"exponents beyond double range: {what} at p="):
+            IterationConstants.from_frame(3, pq)
+    base = IterationConstants.from_frame(3, (2.0, 2.0))
+    with pytest.raises(ValueError, match="beyond double range"):
+        dataclasses.replace(base, p=1e308)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sequences_out_of_double_range_rejected():
+    # (pq)^j passes 1e308 near j = 51 at pq = 1e6; no table, no warning
+    with pytest.raises(ValueError, match="subcritical-v sequences leave double range at j = 51"):
+        subcritical_sequences(3, (1000.0, 1000.0), 60)
+    tv, _ = subcritical_sequences(3, (1000.0, 1000.0), 50)
+    assert np.isfinite(tv.coeff_log_closed).all()
+
+
+def _reference_family_table(family, n, p, q, js, seed, recur, step, t_closed, w_closed,
+                            ell=None):
+    """The table builder as it was before the recursion ran on Python
+    floats: numpy scalars read and written one element at a time, and
+    one x ** (j - 1 - ks) vector per closed-form row."""
+    x = p * q
+    size = len(js)
+    logc, tp, wp = np.empty(size), np.empty(size), np.empty(size)
+    logc[0], tp[0], wp[0] = seed
+    for j in range(size - 1):
+        logc[j + 1], tp[j + 1], wp[j + 1] = recur(j, logc[j], tp[j], wp[j])
+    log0 = logc[0]
+    d = np.array([step(k, t_closed[k]) for k in range(size - 1)])
+    logc_closed = np.empty(size)
+    logc_closed[0] = log0
+    for j in range(1, size):
+        ks = np.arange(j)
+        logc_closed[j] = x**j * log0 + float(np.sum(x ** (j - 1 - ks) * d[:j]))
+    return logc, logc_closed, tp, wp
+
+
+def _reference_csv(table):
+    """write_table_csv as it was: one format(v, ".17g") per value."""
+    lines = ["j,coeff_log,coeff_log_closed,t_power,t_power_closed,"
+             "weight_power,weight_power_closed,ell_j\n"]
+    for i, j in enumerate(table.j):
+        ell = "" if table.ell is None else format(table.ell[i], ".17g")
+        cols = (table.coeff_log, table.coeff_log_closed, table.t_power, table.t_power_closed,
+                table.weight_power, table.weight_power_closed)
+        lines.append(",".join([str(int(j)), *(format(c[i], ".17g") for c in cols), ell]) + "\n")
+    return "".join(lines)
+
+
+def _seeded_tables(seed, j_max):
+    """Tables of all four families at a seeded dimension and seeded exponents."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+
+    def on_curve(curve):
+        """A seeded exponent and its partner on the curve, both in (1.1, 6)."""
+        while True:
+            e = float(rng.uniform(1.1, 6.0))
+            try:
+                partner = curve(n, e)
+            except ValueError:  # no partner above 1
+                continue
+            if 1.1 < partner < 6.0:
+                return e, partner
+
+    p, q = rng.uniform(1.1, 5.0, size=2)
+    p1, q1 = on_curve(theta1_critical_q)
+    q2, p2 = on_curve(theta2_critical_p)
+    c = cusp_exponents(n)
+    return [
+        *subcritical_sequences(n, (p, q), j_max),
+        critical_sequences("theta1", n, (p1, q1), j_max),
+        critical_sequences("theta2", n, (p2, q2), j_max),
+        critical_sequences("double", n, (c.p_mix, c.q_mix), j_max),
+    ]
+
+
+@pytest.mark.parametrize("j_max", [1, 7, 8, 9, 60])
+@pytest.mark.parametrize("seed", range(4))
+def test_tables_bitwise_equal_reference(seed, j_max, monkeypatch):
+    # np.sum adds pairwise from 8 terms on, so j_max 7, 8 and 9 straddle
+    # the switch; every column and every CSV byte must match the reference
+    built = []
+    family_table = iteration._family_table
+
+    def both(*args, **kwargs):
+        table = family_table(*args, **kwargs)
+        built.append((table, _reference_family_table(*args, **kwargs)))
+        return table
+
+    monkeypatch.setattr(iteration, "_family_table", both)
+    tables = _seeded_tables(seed, j_max)
+    assert [t.family for t, _ in built] == [t.family for t in tables]
+    for table, (logc, logc_closed, tp, wp) in built:
+        for got, want in ((table.coeff_log, logc), (table.coeff_log_closed, logc_closed),
+                          (table.t_power, tp), (table.weight_power, wp)):
+            assert got.tobytes() == want.tobytes(), table.family
+        out = io.StringIO()
+        write_table_csv(table, out)
+        assert out.getvalue() == _reference_csv(table), table.family
