@@ -1,26 +1,16 @@
 """Command-line front end.
 
-Verbs and their flags are declared once, in ``_VERBS``; ``coupledwave
---help`` lists the verbs with their help text.
+Verbs, their handlers and their flags are declared once, in ``_VERBS``;
+``coupledwave --help`` lists the verbs with their help text.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error.  All
 numeric output is printed with 9 significant digits.
 
-Configuration schema (one JSON document; every field has a default and
-flags override file values):
-
-    {
-      "problem":  {"n": 3, "p": 2.0, "q": 2.0, "eps": 1.0, "R": 1.0},
-      "grid":     {"dr": 0.02, "t_max": 10.0, "r_max": null,
-                   "cfl": 0.45, "blowup_threshold": 1e8},
-      "damping1": {"family": "zero|power-decay|exp-decay",
-                   "mu": 0.0, "beta": 2.0},
-      "damping2": {... as damping1 ...},
-      "data":     {"k": 3, "amplitudes": [A_u0, A_u1, A_v0, A_v1]},
-      "kernels":  {"lambda0": 1.0, "quad_nodes": 64,
-                   "r1": null, "r2": null},
-      "sweep":    {"eps_values": [...decreasing...], "repeats": 2}
-    }
+``solve``, ``identity`` and ``sweep`` read one configuration, whose
+schema and defaults are in ``configio``.  ``_config`` lays together,
+each over the one before: the defaults, the verb's own defaults
+(``identity``: dr 0.01, t_max 2 and unit amplitudes), the ``--config``
+file and the flags given.
 """
 
 from __future__ import annotations
@@ -53,73 +43,25 @@ def _g(x) -> str:
     return format(float(x), ".9g")
 
 
-_CONFIG = ("--config", dict(metavar="PATH", help="JSON configuration file"))
-_OUT = ("--out", dict(metavar="PATH", help="output path or directory"))
-
-# verb -> (help, [(flag, add_argument keyword arguments)]), in --help order
-_VERBS = {
-    "curve": ("evaluate theta1/theta2 and classify", [
-        ("--n", dict(type=int, required=True)), ("--p", dict(type=float, required=True)),
-        ("--q", dict(type=float, required=True))]),
-    "cusp": ("cusp point and reference exponents", [("--n", dict(type=int, required=True))]),
-    "sequences": ("iteration sequence tables", [
-        ("--case", dict(choices=["theta1", "theta2", "double", "subcritical"], required=True)),
-        ("--n", dict(type=int, default=3)), ("--p", dict(type=float)), ("--q", dict(type=float)),
-        ("--jmax", dict(type=int, default=20)), _OUT]),
-    "specfn": ("special function values and kernel bounds", [
-        ("--n", dict(type=int, default=3)), ("--tmax", dict(type=float, default=25.0)), _OUT]),
-    "solve": ("one solver run", [
-        _CONFIG, _OUT, ("--n", dict(type=int)), ("--p", dict(type=float)),
-        ("--q", dict(type=float)), ("--eps", dict(type=float)), ("--tmax", dict(type=float)),
-        ("--dr", dict(type=float)), ("--threshold", dict(type=float))]),
-    "identity": ("fundamental identity residuals", [
-        _CONFIG, ("--tmax", dict(type=float, default=2.0)),
-        ("--dr", dict(type=float, default=0.01))]),
-    "sweep": ("epsilon sweep and scaling fit", [_CONFIG, _OUT]),
-    "verify": ("aggregated property suite", []),
-}
+# flag -> the configuration field it sets, in the verbs that read one
+_FLAG_FIELDS = {"n": ("problem", "n"), "p": ("problem", "p"), "q": ("problem", "q"),
+                "eps": ("problem", "eps"), "tmax": ("grid", "t_max"), "dr": ("grid", "dr"),
+                "threshold": ("grid", "blowup_threshold")}
+# a verb's own defaults, laid between the defaults and its --config file
+_VERB_DEFAULTS = {"identity": {"grid": {"dr": 0.01, "t_max": 2.0},
+                               "data": {"amplitudes": (1.0, 1.0, 1.0, 1.0)}}}
 
 
-def build_parser(verbs=tuple(_VERBS)) -> argparse.ArgumentParser:
-    """The argument parser with a subparser for each of ``verbs`` only
-    (by default all eight).  A partial parser still names every verb in
-    its usage line, so its error messages read as the full parser's.
-    """
-    parser = argparse.ArgumentParser(
-        prog="coupledwave",
-        description="Blow-up laboratory for weakly coupled semilinear damped wave systems",
-    )
-    metavar = None if len(verbs) == len(_VERBS) else "{%s}" % ",".join(_VERBS)
-    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
-    for verb in verbs:
-        help_text, flags = _VERBS[verb]
-        sp = sub.add_parser(verb, help=help_text)
-        for flag, kwargs in flags:
-            sp.add_argument(flag, **kwargs)
-    return parser
-
-
-def _overrides(cfg, args):
-    if getattr(args, "n", None) is not None:
-        cfg["problem"]["n"] = args.n
-    for field in ("p", "q", "eps"):
-        val = getattr(args, field, None)
-        if val is not None:
-            cfg["problem"][field] = val
-    if getattr(args, "tmax", None) is not None:
-        cfg["grid"]["t_max"] = args.tmax
-    if getattr(args, "dr", None) is not None:
-        cfg["grid"]["dr"] = args.dr
-    if getattr(args, "threshold", None) is not None:
-        cfg["grid"]["blowup_threshold"] = args.threshold
-    return cfg
-
-
-def _load_merged(args):
-    user = None
-    if getattr(args, "config", None):
-        user = configio.load_config(args.config)
-    return _overrides(configio.merge_config(user), args)
+def _config(args) -> dict:
+    """The run's configuration: the defaults overlaid with the verb's own,
+    the --config file and the flags given, in turn."""
+    flags = {}
+    for flag, (section, key) in _FLAG_FIELDS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            flags.setdefault(section, {})[key] = value
+    user = configio.load_config(args.config) if args.config else None
+    return configio.merge_config(_VERB_DEFAULTS.get(args.verb), user, flags)
 
 
 def _cmd_curve(args) -> int:
@@ -199,7 +141,7 @@ def _cmd_specfn(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _load_merged(args)
+    cfg = _config(args)
     spec = configio.problem_spec_from_config(cfg)
     rec = run(spec, probes=integral_probes(spec))
     print(f"blew_up={rec.blew_up}")
@@ -215,10 +157,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_identity(args) -> int:
-    cfg = _load_merged(args)
-    cfg["damping1"]["family"] = "zero"
-    cfg["damping2"]["family"] = "zero"
-    cfg["data"]["amplitudes"] = [1.0, 1.0, 1.0, 1.0]
+    cfg = _config(args)
     spec = configio.problem_spec_from_config(cfg)
     kp = configio.kernel_params_from_config(cfg)
     r1, r2 = kernel_exponents(spec.n, spec.pq)
@@ -234,7 +173,7 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_merged(args)
+    cfg = _config(args)
     sweep_cfg = configio.sweep_config_from_config(cfg)
     table = ls.sweep(sweep_cfg)
     for row in table.rows:
@@ -260,16 +199,50 @@ def _cmd_verify(_args) -> int:
     return worst
 
 
-_DISPATCH = {
-    "curve": _cmd_curve,
-    "cusp": _cmd_cusp,
-    "sequences": _cmd_sequences,
-    "specfn": _cmd_specfn,
-    "solve": _cmd_solve,
-    "identity": _cmd_identity,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
+_CONFIG = ("--config", dict(metavar="PATH", help="JSON configuration file"))
+_OUT = ("--out", dict(metavar="PATH", help="output path or directory"))
+
+# verb -> (help, handler, [(flag, add_argument keyword arguments)]), in --help order
+_VERBS = {
+    "curve": ("evaluate theta1/theta2 and classify", _cmd_curve, [
+        ("--n", dict(type=int, required=True)), ("--p", dict(type=float, required=True)),
+        ("--q", dict(type=float, required=True))]),
+    "cusp": ("cusp point and reference exponents", _cmd_cusp, [
+        ("--n", dict(type=int, required=True))]),
+    "sequences": ("iteration sequence tables", _cmd_sequences, [
+        ("--case", dict(choices=["theta1", "theta2", "double", "subcritical"], required=True)),
+        ("--n", dict(type=int, default=3)), ("--p", dict(type=float)), ("--q", dict(type=float)),
+        ("--jmax", dict(type=int, default=20)), _OUT]),
+    "specfn": ("special function values and kernel bounds", _cmd_specfn, [
+        ("--n", dict(type=int, default=3)), ("--tmax", dict(type=float, default=25.0))]),
+    "solve": ("one solver run", _cmd_solve, [
+        _CONFIG, _OUT, ("--n", dict(type=int)), ("--p", dict(type=float)),
+        ("--q", dict(type=float)), ("--eps", dict(type=float)), ("--tmax", dict(type=float)),
+        ("--dr", dict(type=float)), ("--threshold", dict(type=float))]),
+    "identity": ("fundamental identity residuals", _cmd_identity, [
+        _CONFIG, ("--tmax", dict(type=float)), ("--dr", dict(type=float))]),
+    "sweep": ("epsilon sweep and scaling fit", _cmd_sweep, [_CONFIG, _OUT]),
+    "verify": ("aggregated property suite", _cmd_verify, []),
 }
+
+
+def build_parser(verbs=tuple(_VERBS)) -> argparse.ArgumentParser:
+    """The argument parser with a subparser for each of ``verbs`` only
+    (by default all eight).  A partial parser still names every verb in
+    its usage line, so its error messages read as the full parser's.
+    """
+    parser = argparse.ArgumentParser(
+        prog="coupledwave",
+        description="Blow-up laboratory for weakly coupled semilinear damped wave systems",
+    )
+    metavar = None if len(verbs) == len(_VERBS) else "{%s}" % ",".join(_VERBS)
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for verb in verbs:
+        help_text, _, flags = _VERBS[verb]
+        sp = sub.add_parser(verb, help=help_text)
+        for flag, kwargs in flags:
+            sp.add_argument(flag, **kwargs)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -282,7 +255,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return _DISPATCH[args.verb](args)
+        return _VERBS[args.verb][1](args)
     except configio.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

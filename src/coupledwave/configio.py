@@ -1,8 +1,10 @@
 """JSON configuration for runs and sweeps.
 
 A single document with sections {problem, grid, damping1, damping2,
-data, kernels, sweep}; every field has a default, so one file fully
-reproduces any run.  Example:
+data, kernels, sweep}; every field has a default (``DEFAULT_CONFIG``),
+so one file fully reproduces any run.  Damping families are zero,
+power-decay and exp-decay; ``grid.r_max`` and ``kernels.r1``/``r2``
+may be null, and every number must be finite.  Example:
 
     {
       "problem": {"n": 3, "p": 2.0, "q": 2.0, "eps": 1.0, "R": 1.0},
@@ -14,12 +16,15 @@ reproduces any run.  Example:
       "kernels": {"lambda0": 1.0, "quad_nodes": 64},
       "sweep": {"eps_values": [1.6, 1.4, 1.2, 1.0], "repeats": 2}
     }
+
+``merge_config`` lays documents over the defaults in turn.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 
 from .exponents import ExponentPair
 from .lifespan import SweepConfig
@@ -66,20 +71,22 @@ def load_config(path) -> dict:
     return doc
 
 
-def merge_config(user: dict | None) -> dict:
-    """Defaults overlaid with the user's sections/fields."""
+def merge_config(*docs) -> dict:
+    """Defaults overlaid with each document's sections/fields in turn, so
+    a later document wins; a ``None`` document is skipped."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if user is None:
-        return cfg
-    for section, values in user.items():
-        if section not in cfg:
-            raise ConfigError(f"unknown config section {section!r}")
-        if not isinstance(values, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        for key, val in values.items():
-            if key not in cfg[section]:
-                raise ConfigError(f"unknown field {section}.{key}")
-            cfg[section][key] = val
+    for doc in docs:
+        if doc is None:
+            continue
+        for section, values in doc.items():
+            if section not in cfg:
+                raise ConfigError(f"unknown config section {section!r}")
+            if not isinstance(values, dict):
+                raise ConfigError(f"config section {section!r} must be an object")
+            for key, val in values.items():
+                if key not in cfg[section]:
+                    raise ConfigError(f"unknown field {section}.{key}")
+                cfg[section][key] = val
     return cfg
 
 
@@ -97,20 +104,24 @@ def _as_int(value, field: str) -> int:
 
 
 def _as_float(value, field: str) -> float:
-    """Field that must be a JSON number."""
+    """Field that must be a finite JSON number (Python's json reads the
+    literals NaN and Infinity)."""
     if not _is_number(value):
         raise ConfigError(f"{field} must be a number, got {value!r}")
     try:
-        return float(value)
+        out = float(value)
     except OverflowError as exc:
         raise ConfigError(f"{field}: {exc}") from exc
+    if not math.isfinite(out):
+        raise ConfigError(f"{field} must be finite, got {out}")
+    return out
 
 
 def _as_floats(value, field: str) -> tuple:
-    """Field that must be a JSON array of numbers."""
+    """Field that must be a JSON array of finite numbers."""
     if not (isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)):
         raise ConfigError(f"{field} must be an array of numbers, got {value!r}")
-    return tuple(float(v) for v in value)
+    return tuple(_as_float(v, field) for v in value)
 
 
 def _damping_from(section: dict, name: str) -> DampingSpec:
@@ -125,7 +136,7 @@ def _damping_from(section: dict, name: str) -> DampingSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def problem_spec_from_config(cfg: dict, enforce_hypotheses: bool = True) -> ProblemSpec:
+def problem_spec_from_config(cfg: dict) -> ProblemSpec:
     """Build a ProblemSpec from a merged config document."""
     prob = cfg["problem"]
     grid = cfg["grid"]
@@ -149,7 +160,6 @@ def problem_spec_from_config(cfg: dict, enforce_hypotheses: bool = True) -> Prob
                 cfl=_as_float(grid["cfl"], "grid.cfl"),
                 blowup_threshold=_as_float(grid["blowup_threshold"], "grid.blowup_threshold"),
             ),
-            enforce_hypotheses=enforce_hypotheses,
         )
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigError(f"invalid problem configuration: {exc}") from exc

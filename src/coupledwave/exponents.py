@@ -222,9 +222,9 @@ def cusp_residuals(n) -> tuple[float, float, float]:
     return cubic, theta1(n, pair), theta2(n, pair)
 
 
-def lifespan_prediction(n, pq, tol: float = EQUALITY_TOL) -> LifespanPrediction:
+def lifespan_prediction(n, pq) -> LifespanPrediction:
     """Predicted epsilon scaling of the lifespan bound for (n, p, q)."""
-    data = classify(n, pq, tol)
+    data = classify(n, pq)
     pq = as_pair(pq)
     p, q = pq.p, pq.q
     x = pq.product

@@ -279,7 +279,7 @@ def _shape_check(check_id, times, observed, shape, window_mask, rel_slack):
 
 
 def check_floor_bounds(series: FunctionalSeries, integrals: InitialDataIntegrals,
-                       eps: float, slack: float = FLOOR_SLACK) -> list[BoundCheck]:
+                       eps: float) -> list[BoundCheck]:
     """Verify U1 >= eps I1[u0], V1 >= eps I2[v0], U2 >= eps I1[u1].
 
     The floors hold at every sample up to blow-up, with a small relative
@@ -295,7 +295,7 @@ def check_floor_bounds(series: FunctionalSeries, integrals: InitialDataIntegrals
     for cid, observed, floor in floors:
         margins = observed - floor
         min_margin = float(margins.min())
-        tol = slack * abs(floor) + 1e-15
+        tol = FLOOR_SLACK * abs(floor) + 1e-15
         results.append(
             BoundCheck(
                 bound_id=cid,
@@ -307,18 +307,17 @@ def check_floor_bounds(series: FunctionalSeries, integrals: InitialDataIntegrals
     return results
 
 
-def check_nonlinearity_bounds(record: SolutionRecord, spec: ProblemSpec,
-                              t_start: float = 1.0) -> list[BoundCheck]:
+def check_nonlinearity_bounds(record: SolutionRecord, spec: ProblemSpec) -> list[BoundCheck]:
     """Power-envelope checks for the nonlinearity integrals.
 
-    Fits the constant at the window start (t = t_start) and verifies
+    Fits the constant at the window start (t = 1) and verifies
     that (1+t)^(n-1-(n-1)q/2) (resp. with p) remains a valid lower
     envelope up to the end of the record.
     """
     nl_q, nl_p = nonlinearity_integrals(record, spec)
     n = spec.n
     t = record.times
-    mask = t >= t_start
+    mask = t >= 1.0
     results = []
     for cid, observed, expo in (
         (CheckId.NONLIN_Q, nl_q, spec.pq.q),
@@ -339,7 +338,7 @@ def check_fundamental_identity(record: SolutionRecord, spec: ProblemSpec,
     the record carries.  Both sides are evaluated at checkpoint times;
     the time integral of the nonlinear source against the kernels uses
     the trapezoid rule over the samples.  Returns the maximum relative
-    residual for each identity.
+    residual for each identity, NaN if any residual is NaN.
     """
     if not (spec.b1.is_zero and spec.b2.is_zero):
         raise ValueError("the fundamental identities hold for zero damping only")
@@ -364,7 +363,7 @@ def check_fundamental_identity(record: SolutionRecord, spec: ProblemSpec,
     proj_vq = proj["|v|^q"].T  # (m, N)
     proj_utp = proj["|u_t|^p"].T
 
-    res_u, res_v = 0.0, 0.0
+    res_u, res_v = [], []
     for ci in checkpoints:
         tc = times[ci]
         decay1s = np.exp(-lam1s * (spec.R + tc))
@@ -379,7 +378,7 @@ def check_fundamental_identity(record: SolutionRecord, spec: ProblemSpec,
         cosh_fac = np.cosh(np.multiply.outer(lam1, span))
         src = float((wl1 * decay1) @ ((hist * cosh_fac) @ dt_sub))
         rhs = lin1 + lin2 + src
-        res_u = max(res_u, abs(curlyU[ci] - rhs) / max(abs(curlyU[ci]), 1e-300))
+        res_u.append(abs(curlyU[ci] - rhs) / max(abs(curlyU[ci]), 1e-300))
         # curlyV identity
         lin1v = float((wl2 * decay2 * np.cosh(lam2 * tc)) @ proj_v0)
         lin2v = tc * float((wl2 * decay2 * sinhc(lam2 * tc)) @ proj_v1)
@@ -387,8 +386,9 @@ def check_fundamental_identity(record: SolutionRecord, spec: ProblemSpec,
         sinh_fac = span * sinhc(np.multiply.outer(lam2, span))
         srcv = float((wl2 * decay2) @ ((histv * sinh_fac) @ dt_sub))
         rhsv = lin1v + lin2v + srcv
-        res_v = max(res_v, abs(curlyV[ci] - rhsv) / max(abs(curlyV[ci]), 1e-300))
-    return res_u, res_v
+        res_v.append(abs(curlyV[ci] - rhsv) / max(abs(curlyV[ci]), 1e-300))
+    # np.max, unlike max, keeps a NaN residual, which then fails every check
+    return float(np.max(res_u)), float(np.max(res_v))
 
 
 def _sub_trapezoid_weights(times, ci):
@@ -402,8 +402,7 @@ def _sub_trapezoid_weights(times, ci):
     return sub
 
 
-def check_log_seeds(series: FunctionalSeries, spec: ProblemSpec, eps: float,
-                    tol: float = 1e-9) -> list[BoundCheck]:
+def check_log_seeds(series: FunctionalSeries, spec: ProblemSpec) -> list[BoundCheck]:
     """Logarithmic seed bounds for the kernel functionals on the critical curve.
 
     CurlyULog: curlyU dominates const * log(t) from t = e on (theta1
@@ -413,7 +412,7 @@ def check_log_seeds(series: FunctionalSeries, spec: ProblemSpec, eps: float,
     """
     if not (spec.b1.is_zero and spec.b2.is_zero):
         raise ValueError("log seed bounds are formulated for zero damping")
-    region = classify(spec.n, spec.pq, tol).region
+    region = classify(spec.n, spec.pq).region
     if region not in (
         Region.CRITICAL_THETA1,
         Region.CRITICAL_THETA2,

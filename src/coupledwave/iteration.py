@@ -223,9 +223,6 @@ class IterationConstants:
         pq = as_pair(pq)
         return cls(n, pq.p, pq.q, C, K, Ctilde, Ktilde, m1_0, m2_0)
 
-    def matches(self, n, pq, tol: float = 1e-12) -> bool:
-        pq = as_pair(pq)
-        return self.n == n and abs(self.p - pq.p) <= tol and abs(self.q - pq.q) <= tol
 
 
 @dataclass(frozen=True)
@@ -263,7 +260,7 @@ def _check_jmax(j_max: int) -> int:
 
 
 def _require_match(consts: IterationConstants, n, pq) -> None:
-    if not consts.matches(n, pq, tol=1e-9):
+    if not (consts.n == n and abs(consts.p - pq.p) <= 1e-9 and abs(consts.q - pq.q) <= 1e-9):
         raise ValueError("IterationConstants built for different (n, p, q)")
 
 
@@ -380,7 +377,7 @@ def subcritical_sequences(n, pq, j_max: int, consts: IterationConstants | None =
 @np.errstate(over="ignore", invalid="ignore")
 def critical_sequences(case, n, pq, j_max: int,
                        consts: IterationConstants | None = None,
-                       eps: float = 1.0, tol: float = EQUALITY_TOL) -> SequenceTable:
+                       eps: float = 1.0) -> SequenceTable:
     """Slicing-method sequences for one critical case.
 
     THETA1: a_{j+1} = a_j pq + 1, b_{j+1} = q(p-1) + b_j pq, coefficient
@@ -398,11 +395,11 @@ def critical_sequences(case, n, pq, j_max: int,
     _require_match(consts, n, pq)
     t1 = theta1(n, pq)
     t2 = theta2(n, pq)
-    if case is CriticalCase.THETA1 and abs(t1) > tol:
+    if case is CriticalCase.THETA1 and abs(t1) > EQUALITY_TOL:
         raise ValueError(f"(p, q) not on the theta1 curve: theta1 = {t1}")
-    if case is CriticalCase.THETA2 and abs(t2) > tol:
+    if case is CriticalCase.THETA2 and abs(t2) > EQUALITY_TOL:
         raise ValueError(f"(p, q) not on the theta2 curve: theta2 = {t2}")
-    if case is CriticalCase.DOUBLE and (abs(t1) > tol or abs(t2) > tol):
+    if case is CriticalCase.DOUBLE and (abs(t1) > EQUALITY_TOL or abs(t2) > EQUALITY_TOL):
         raise ValueError(f"(p, q) not at the double-critical point: {t1}, {t2}")
     p, q = pq.p, pq.q
     x = pq.product
@@ -545,35 +542,34 @@ def threshold_time(n, pq, eps: float, consts: IterationConstants,
     return ThresholdTime(kind, _exp(log_T), log_T, fid)
 
 
-def r_parameters(case, n, pq, offset: float = 0.1, tol: float = EQUALITY_TOL):
+def r_parameters(case, n, pq):
     """Critical kernel exponents (r1, r2) for the given case.
 
     Equality holds on the case's own curve (``kernel_exponents``): r1 =
     (n-1)/2 - 1/p on the theta1 curve, r2 = (n-1)/2 - 1/q on the theta2
-    curve; the strict inequality on the other exponent is realised with
-    a configurable positive offset above the larger of the two equality
-    values.  In the double case both equalities hold and the exchange
-    identities (n-1)/2 - 1/p = n - 1 - (n-1)q/2 and (n-1)/2 - 1/q =
-    n - (n-1)p/2 are asserted to 1e-12.
+    curve; the strict inequality on the other exponent is realised 0.1
+    above the larger of the two equality values.  In the double case
+    both equalities hold and the exchange identities (n-1)/2 - 1/p =
+    n - 1 - (n-1)q/2 and (n-1)/2 - 1/q = n - (n-1)p/2 are asserted to
+    1e-12.
     """
     case = CriticalCase(case)
     n = check_dimension(n, minimum=2)
     pq = as_pair(pq)
-    if not offset > 0:
-        raise ValueError("offset must be positive")
     t1 = theta1(n, pq)
     t2 = theta2(n, pq)
     p, q = pq.p, pq.q
     r1_eq, r2_eq = kernel_exponents(n, pq)
+    strict = max(r1_eq, r2_eq) + 0.1
     if case is CriticalCase.THETA1:
-        if abs(t1) > tol:
+        if abs(t1) > EQUALITY_TOL:
             raise ValueError(f"(p, q) not on the theta1 curve: theta1 = {t1}")
-        return r1_eq, max(r1_eq, r2_eq) + offset
+        return r1_eq, strict
     if case is CriticalCase.THETA2:
-        if abs(t2) > tol:
+        if abs(t2) > EQUALITY_TOL:
             raise ValueError(f"(p, q) not on the theta2 curve: theta2 = {t2}")
-        return max(r1_eq, r2_eq) + offset, r2_eq
-    if abs(t1) > tol or abs(t2) > tol:
+        return strict, r2_eq
+    if abs(t1) > EQUALITY_TOL or abs(t2) > EQUALITY_TOL:
         raise ValueError(f"(p, q) not double-critical: theta1={t1}, theta2={t2}")
     id1 = abs(r1_eq - (n - 1.0 - 0.5 * (n - 1.0) * q))
     id2 = abs(r2_eq - (n - 0.5 * (n - 1.0) * p))

@@ -28,6 +28,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -130,7 +131,7 @@ class LifespanTable:
     fit: FitSummary | None
     region: str
     prediction: LifespanPrediction
-    caveat: str = ASYMPTOTIC_CAVEAT
+    caveat: ClassVar[str] = ASYMPTOTIC_CAVEAT
     workers: int = 1
     tasks: list = field(default_factory=list)
 

@@ -187,8 +187,10 @@ class DampingSpec:
     beta: float = 2.0
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("damping amplitude mu must be nonnegative")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError(f"damping amplitude mu must be nonnegative and finite, got {self.mu}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"damping exponent beta must be finite, got {self.beta}")
         if self.family is DampingFamily.POWER_DECAY and not self.beta > 1.0:
             raise ValueError(
                 "power-decay damping requires beta > 1 (summable tail), "
@@ -258,10 +260,10 @@ class KernelConfig:
     quad_nodes: int = 64
 
     def __post_init__(self):
-        if not self.r > -1.0:
-            raise ValueError(f"kernel exponent must satisfy r > -1, got {self.r}")
-        if not self.lambda0 > 0:
-            raise ValueError("lambda0 must be positive")
+        if not -1.0 < self.r < math.inf:
+            raise ValueError(f"kernel exponent must be finite with r > -1, got {self.r}")
+        if not 0 < self.lambda0 < math.inf:
+            raise ValueError(f"lambda0 must be positive and finite, got {self.lambda0}")
         if not self.R > 0:
             raise ValueError("support radius R must be positive")
         if self.quad_nodes < 16:
@@ -413,14 +415,16 @@ class BoundReport:
         return self.min_ratio > 0
 
 
-def make_kernel_grid(t_max: float, R: float, n_t: int = 8,
-                     s_fracs=(0.3, 0.6, 0.9), x_fracs=(0.0, 0.5, 1.0)):
+def make_kernel_grid(t_max: float, R: float, n_t: int = 8):
     """Sample triples (t, s, radius) admissible for the kernel bounds.
 
-    Generates three point families: (t, 0, x) with x <= R, interior
-    points (t, s, x) with 0 < s < t and x <= s + R, and diagonal points
-    (t, t, x) with x <= t + R.  t_max must be finite and nonnegative.
+    Generates three point families at n_t times t in [0, t_max]: (t, 0,
+    x) with x <= R, interior points (t, s, x) with s = 0.3t, 0.6t, 0.9t
+    and x <= s + R, and diagonal points (t, t, x) with x <= t + R; each
+    radius is 0, 1/2 and 1 times its bound.  t_max must be finite and
+    nonnegative.
     """
+    s_fracs, x_fracs = (0.3, 0.6, 0.9), (0.0, 0.5, 1.0)
     if not (math.isfinite(t_max) and t_max >= 0):
         raise ValueError(f"t_max must be finite and nonnegative, got {t_max}")
     ts = np.linspace(0.0, t_max, n_t)

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import coupledwave
@@ -209,6 +211,13 @@ def test_sequences_with_huge_p_runs(capsys):
         (["solve"], {"data": {"amplitudes": [1.0, float("inf"), 1.0, 1.0]}}),
         (["sweep"], {"sweep": {"eps_values": [0.5, float("nan")]}}),
         (["sweep"], {"sweep": {"eps_values": [float("inf"), 0.5]}}),
+        (["solve"], {"damping2": {"family": "power-decay", "mu": float("nan")}}),
+        (["solve"], {"damping1": {"family": "exp-decay", "mu": float("inf")}}),
+        (["solve"], {"damping1": {"family": "power-decay", "mu": 0.5, "beta": float("inf")}}),
+        (["solve"], {"grid": {"blowup_threshold": float("inf")}}),
+        (["identity"], {"kernels": {"lambda0": float("inf")}}),
+        (["identity"], {"kernels": {"r1": float("nan")}}),
+        (["identity"], {"kernels": {"r2": float("inf")}}),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -217,11 +226,93 @@ def test_non_finite_inputs_exit_2(argv, doc, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(doc))  # writes Infinity / NaN, which json reads back
         argv = [*argv, "--config", str(cfg)]
-    code = main([*argv, "--out", str(tmp_path / "out")])
+    if argv[0] != "identity":
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+def test_identity_nan_residual_fails(monkeypatch, capsys):
+    solve = cli.run
+
+    def nan_run(spec, probes):
+        rec = solve(spec, probes=probes)
+        nan = {name: np.full_like(rows, np.nan) for name, rows in rec.projections.items()}
+        return dataclasses.replace(rec, projections=nan)
+
+    monkeypatch.setattr(cli, "run", nan_run)
+    assert main(["identity", "--dr", "0.04", "--tmax", "0.5"]) == 1
+    out = capsys.readouterr().out
+    assert "residual_curlyU=nan" in out
+    assert "identities=FAIL" in out
+
+
+class _Stop(Exception):
+    pass
+
+
+def _identity_spec(monkeypatch, argv, doc=None, tmp_path=None):
+    """The ProblemSpec that ``identity`` hands the solver, without running it."""
+    seen = []
+
+    def stop(spec, probes):
+        seen.append(spec)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "run", stop)
+    if doc is not None:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [*argv, "--config", str(cfg)]
+    with pytest.raises(_Stop):
+        main(["identity", *argv])
+    return seen[0]
+
+
+def test_identity_defaults_without_file_or_flags(monkeypatch):
+    spec = _identity_spec(monkeypatch, [])
+    assert (spec.grid.dr, spec.grid.t_max) == (0.01, 2.0)
+    assert spec.data.amplitudes == (1.0, 1.0, 1.0, 1.0)
+    assert spec.b1.is_zero and spec.b2.is_zero
+
+
+def test_identity_reads_every_field_of_its_file(monkeypatch, tmp_path):
+    doc = {"problem": {"eps": 0.7}, "grid": {"dr": 0.04, "t_max": 1.0},
+           "data": {"amplitudes": [2.0, 3.0, 4.0, 5.0]}}
+    spec = _identity_spec(monkeypatch, [], doc, tmp_path)
+    assert (spec.grid.dr, spec.grid.t_max, spec.eps) == (0.04, 1.0, 0.7)
+    assert spec.data.amplitudes == (2.0, 3.0, 4.0, 5.0)
+    # a flag still wins over the file
+    spec = _identity_spec(monkeypatch, ["--dr", "0.025", "--tmax", "0.5"], doc, tmp_path)
+    assert (spec.grid.dr, spec.grid.t_max, spec.eps) == (0.025, 0.5, 0.7)
+
+
+def test_damped_identity_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "damped.json"
+    cfg.write_text(json.dumps({"grid": {"dr": 0.04, "t_max": 0.5},
+                               "damping1": {"family": "exp-decay", "mu": 0.5}}))
+    assert main(["identity", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "hold for zero damping only" in captured.err
+
+
+def test_specfn_has_no_out_flag(capsys):
+    assert main(["specfn", "--out", "x"]) == 2
+    assert "unrecognized arguments: --out x" in capsys.readouterr().err
+
+
+def test_merge_config_applies_documents_in_order():
+    cfg = configio.merge_config({"problem": {"n": 2, "p": 3.0}}, None,
+                                {"problem": {"n": 4}, "grid": {"dr": 0.04}})
+    assert cfg["problem"] == {**configio.DEFAULT_CONFIG["problem"], "n": 4, "p": 3.0}
+    assert cfg["grid"]["dr"] == 0.04
+    assert configio.merge_config() == configio.merge_config(None) == configio.DEFAULT_CONFIG
+    with pytest.raises(configio.ConfigError, match="unknown field grid.bogus"):
+        configio.merge_config({"grid": {"dr": 0.04}}, {"grid": {"bogus": 1}})
 
 
 def test_sweep_failed_row_exits_1(tmp_path, capsys):
@@ -334,7 +425,7 @@ VERB_ARGV = {
     "cusp": ["cusp", "--n", "4"],
     "sequences": ["sequences", "--case", "theta1", "--n", "2", "--p", "3", "--q", "1.5",
                   "--jmax", "7", "--out", "t.csv"],
-    "specfn": ["specfn", "--n", "5", "--tmax", "8", "--out", "s"],
+    "specfn": ["specfn", "--n", "5", "--tmax", "8"],
     "solve": ["solve", "--config", "c.json", "--out", "o", "--n", "2", "--p", "2", "--q", "3",
               "--eps", "0.5", "--tmax", "4", "--dr", "0.04", "--threshold", "1e6"],
     "identity": ["identity", "--config", "c.json", "--tmax", "1", "--dr", "0.02"],
@@ -346,7 +437,7 @@ DEFAULT_ARGV = [["sequences", "--case", "double"], ["specfn"], ["solve"], ["iden
 
 
 def test_verb_table_matches_dispatch():
-    assert list(cli._VERBS) == list(cli._DISPATCH) == list(VERB_ARGV)
+    assert list(cli._VERBS) == list(VERB_ARGV)
 
 
 @pytest.mark.parametrize("argv", [*VERB_ARGV.values(), *DEFAULT_ARGV], ids=" ".join)

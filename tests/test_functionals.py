@@ -125,6 +125,17 @@ def test_fundamental_identity_exact_at_t0(identity_run, identity_spec):
     assert res_v < 1e-12
 
 
+def test_fundamental_identity_nan_projection_is_a_nan_residual(identity_run, identity_spec):
+    # a NaN at the last checkpoint must not vanish in the maximum over checkpoints
+    proj = dict(identity_run.projections)
+    proj["ut"] = proj["ut"].copy()
+    proj["ut"][-1] = np.nan
+    bad = dataclasses.replace(identity_run, projections=proj)
+    res_u, res_v = fn.check_fundamental_identity(bad, identity_spec)
+    assert math.isnan(res_u)
+    assert res_v < 0.02
+
+
 def test_fundamental_identity_rejects_damped(damped_run, damped_spec):
     with pytest.raises(ValueError):
         fn.check_fundamental_identity(damped_run, damped_spec)
@@ -133,7 +144,7 @@ def test_fundamental_identity_rejects_damped(damped_run, damped_spec):
 def test_log_seeds_double_critical(cusp_run, cusp_spec, cusp_r_parameters):
     ser = fn.extract(cusp_run, cusp_spec)
     assert (ser.r1, ser.r2) == cusp_r_parameters  # the kernel of the record's probes
-    checks = {c.bound_id.value: c for c in fn.check_log_seeds(ser, cusp_spec, cusp_spec.eps)}
+    checks = {c.bound_id.value: c for c in fn.check_log_seeds(ser, cusp_spec)}
     assert set(checks) == {"CurlyULog", "CurlyVLog"}
     assert checks["CurlyULog"].passed
     assert checks["CurlyVLog"].passed
@@ -150,7 +161,7 @@ def test_log_seeds_theta1_critical():
     )
     rec = run(spec, probes=fn.probes(spec, 0.5, 0.7))
     ser = fn.extract(rec, spec)
-    checks = {c.bound_id.value: c for c in fn.check_log_seeds(ser, spec, spec.eps)}
+    checks = {c.bound_id.value: c for c in fn.check_log_seeds(ser, spec)}
     assert set(checks) == {"CurlyULog"}
     assert checks["CurlyULog"].passed
 
@@ -169,7 +180,7 @@ def test_log_seeds_theta2_critical_uses_shift():
     r1, r2 = r_parameters("theta2", 3, spec.pq)
     rec = run(spec, probes=fn.probes(spec, r1, r2))
     ser = fn.extract(rec, spec)
-    checks = {c.bound_id.value: c for c in fn.check_log_seeds(ser, spec, spec.eps)}
+    checks = {c.bound_id.value: c for c in fn.check_log_seeds(ser, spec)}
     assert set(checks) == {"CurlyVLog"}
     check = checks["CurlyVLog"]
     assert check.passed
@@ -184,7 +195,7 @@ def test_log_seeds_theta2_critical_uses_shift():
 
 def test_log_seeds_reject_noncritical(standard_series, standard_spec):
     with pytest.raises(ValueError):
-        fn.check_log_seeds(standard_series, standard_spec, 1.0)
+        fn.check_log_seeds(standard_series, standard_spec)
 
 
 def test_floors_hold_with_exp_decay_damping():

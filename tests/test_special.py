@@ -138,6 +138,20 @@ def test_kernel_config_validation():
         KernelConfig(r=0.0, quad_nodes=8)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: KernelConfig(r=math.inf), lambda: KernelConfig(r=math.nan),
+     lambda: KernelConfig(r=0.5, lambda0=math.inf), lambda: KernelConfig(r=0.5, lambda0=math.nan),
+     lambda: DampingSpec.power_decay(math.nan, 2.0), lambda: DampingSpec.exp_decay(math.inf),
+     lambda: DampingSpec.power_decay(1.0, math.inf), lambda: DampingSpec(mu=0.0, beta=math.nan)],
+    ids=["r-inf", "r-nan", "lambda0-inf", "lambda0-nan", "mu-nan", "mu-inf", "beta-inf",
+         "beta-nan"],
+)
+def test_non_finite_kernel_and_damping_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_eta_xi_closed_form_at_origin():
     cfg = KernelConfig(r=0.0, lambda0=1.0, R=1.0)
     expected = 4 * math.pi * (1 - math.exp(-1.0))
