@@ -4,8 +4,9 @@ Integrates the coupled system for strongly subcritical exponents
 (n = 3, p = q = 2) with large bump data, detects the sup-norm blow-up,
 reports the truncation-level spill the light-cone zeroing removed, and
 then extracts the functional series (streamed by the run as probe
-projections) to check the data floors, the nonlinearity envelopes and
-the undamped ODE balance U'' = int |v|^q dx.
+projections, and read from the record alone, which carries its
+ProblemSpec as ``rec.spec``) to check the data floors, the
+nonlinearity envelopes and the undamped ODE balance U'' = int |v|^q dx.
 
 Run:  python3 demos/03_blowup_run.py
 """
@@ -41,7 +42,7 @@ print(f"samples: {len(rec.times)}, final sup norms {rec.sup_norms[-1]} "
 print(f"cone spill (largest value zeroed beyond r = t + R): {rec.cone_spill:.1e}")
 
 print("\nextracting functionals ...")
-series = fn.extract(rec, spec)
+series = fn.extract(rec)
 ints = fn.data_integrals(spec)
 print(f"data integrals: I1[u0]={ints.I1_u0:.4f} I1[u1]={ints.I1_u1:.4f} "
       f"I2[v0]={ints.I2_v0:.4f}")
@@ -49,12 +50,12 @@ print(f"data integrals: I1[u0]={ints.I1_u0:.4f} I1[u1]={ints.I1_u1:.4f} "
 for check in fn.check_floor_bounds(series, ints, spec.eps):
     print(f"floor {check.bound_id.value:<8} pass={check.passed} "
           f"min_margin={check.min_margin:+.4f}")
-for check in fn.check_nonlinearity_bounds(rec, spec):
+for check in fn.check_nonlinearity_bounds(rec):
     print(f"envelope {check.bound_id.value:<7} pass={check.passed} "
           f"window={check.window}")
 
 # ODE balance away from the start-up step and the blow-up phase
-nl_q, _ = fn.nonlinearity_integrals(rec, spec)
+nl_q, _ = fn.nonlinearity_integrals(rec)
 t, U, Up = series.times, series.U, series.Uprime
 end = np.searchsorted(t, 0.7 * t[-1])
 dt = t[1] - t[0]

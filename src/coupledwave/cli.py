@@ -10,7 +10,8 @@ numeric output is printed with 9 significant digits.
 schema and defaults are in ``configio``.  ``_config`` lays together,
 each over the one before: the defaults, the verb's own defaults
 (``identity``: dr 0.01, t_max 2 and unit amplitudes), the ``--config``
-file and the flags given.
+file and the flags given, and reads every section of the result, so
+one file is refused by all three verbs or by none.
 """
 
 from __future__ import annotations
@@ -52,16 +53,19 @@ _VERB_DEFAULTS = {"identity": {"grid": {"dr": 0.01, "t_max": 2.0},
                                "data": {"amplitudes": (1.0, 1.0, 1.0, 1.0)}}}
 
 
-def _config(args) -> dict:
-    """The run's configuration: the defaults overlaid with the verb's own,
-    the --config file and the flags given, in turn."""
+def _config(args):
+    """The run's configuration, (SweepConfig, kernel parameters), whose
+    ``base`` is the problem: the defaults overlaid with the verb's own,
+    the --config file and the flags given, in turn, with every section
+    checked whichever of them the verb uses."""
     flags = {}
     for flag, (section, key) in _FLAG_FIELDS.items():
         value = getattr(args, flag, None)
         if value is not None:
             flags.setdefault(section, {})[key] = value
     user = configio.load_config(args.config) if args.config else None
-    return configio.merge_config(_VERB_DEFAULTS.get(args.verb), user, flags)
+    cfg = configio.merge_config(_VERB_DEFAULTS.get(args.verb), user, flags)
+    return configio.sweep_config_from_config(cfg), configio.kernel_params_from_config(cfg)
 
 
 def _cmd_curve(args) -> int:
@@ -141,8 +145,7 @@ def _cmd_specfn(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _config(args)
-    spec = configio.problem_spec_from_config(cfg)
+    spec = _config(args)[0].base
     rec = run(spec, probes=integral_probes(spec))
     print(f"blew_up={rec.blew_up}")
     if rec.t_blowup is not None:
@@ -157,14 +160,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_identity(args) -> int:
-    cfg = _config(args)
-    spec = configio.problem_spec_from_config(cfg)
-    kp = configio.kernel_params_from_config(cfg)
+    sweep_cfg, kp = _config(args)
+    spec = sweep_cfg.base
+    fn.require_zero_damping(spec)
     r1, r2 = kernel_exponents(spec.n, spec.pq)
     r1 = r1 if kp["r1"] is None else kp["r1"]
     r2 = r2 if kp["r2"] is None else kp["r2"]
     rec = run(spec, probes=fn.probes(spec, r1, r2, kp["lambda0"], kp["quad_nodes"]))
-    res_u, res_v = fn.check_fundamental_identity(rec, spec)
+    res_u, res_v = fn.check_fundamental_identity(rec)
     print(f"residual_curlyU={_g(res_u)}")
     print(f"residual_curlyV={_g(res_v)}")
     ok = res_u < fn.IDENTITY_TOL and res_v < fn.IDENTITY_TOL
@@ -173,9 +176,7 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _config(args)
-    sweep_cfg = configio.sweep_config_from_config(cfg)
-    table = ls.sweep(sweep_cfg)
+    table = ls.sweep(_config(args)[0])
     for row in table.rows:
         failed = f" failed={row.failure_reason}" if row.failed else ""
         print(

@@ -23,9 +23,11 @@ r1, r2, lambda0, quad_nodes))`` projects the profiles and the nonlinear
 sources |v|^q, |u_t|^p at each sample onto the radial weights, the
 Phi-weighted radial weights and the kernel lam-bases, so memory grows
 with samples * quad_nodes, not samples * grid points.  ``extract``,
-``nonlinearity_integrals`` and ``check_fundamental_identity`` read row
-slices of those projections; the kernel rows are read with the (r1,
-r2, lambda0, quad_nodes) the record carries as ``record.kernel``.
+``nonlinearity_integrals``, ``check_nonlinearity_bounds`` and
+``check_fundamental_identity`` take the record alone: they read row
+slices of those projections, the problem from ``record.spec`` and the
+kernel rows with the (r1, r2, lambda0, quad_nodes) the record carries
+as ``record.kernel``.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ __all__ = [
     "check_floor_bounds",
     "check_nonlinearity_bounds",
     "check_fundamental_identity",
+    "require_zero_damping",
     "probes",
     "check_log_seeds",
     "IDENTITY_TOL",
@@ -127,14 +130,10 @@ class BoundCheck:
     passed: bool
 
 
-def _projections(record: SolutionRecord, spec: ProblemSpec, kernel: bool = True) -> dict:
-    """``record.projections``, checked to be on the spec's grid and to
-    start with the rows of ``integral_probes`` on every source (as
-    ``probes(spec, ...)`` do) and, with ``kernel``, to carry the
-    ``kernel`` stamp of ``probes``."""
-    expected = radial_grid(spec)
-    if record.r.shape != expected.shape or not np.allclose(record.r, expected):
-        raise ValueError("record grid does not match the problem spec grid")
+def _projections(record: SolutionRecord, kernel: bool = True) -> dict:
+    """``record.projections``, checked to start with the rows of
+    ``integral_probes`` on every source (as ``probes(spec, ...)`` do)
+    and, with ``kernel``, to carry the ``kernel`` stamp of ``probes``."""
     proj = record.projections
     if (not record.integrals or not all(name in proj for name in PROBE_SOURCES)
             or (kernel and record.kernel is None)):
@@ -208,10 +207,11 @@ def probes(spec: ProblemSpec, r1: float, r2: float,
                          (float(r1), float(r2), float(lambda0), int(quad_nodes)))
 
 
-def extract(record: SolutionRecord, spec: ProblemSpec) -> FunctionalSeries:
+def extract(record: SolutionRecord) -> FunctionalSeries:
     """All nine functional series of a run with ``probes(spec, r1, r2,
     lambda0, quad_nodes)``, whose kernel the record carries."""
-    proj = _projections(record, spec)
+    spec = record.spec
+    proj = _projections(record)
     r1, r2, lambda0, quad_nodes = record.kernel
     decay = np.exp(-record.times)
 
@@ -251,11 +251,11 @@ def data_integrals(spec: ProblemSpec) -> InitialDataIntegrals:
     )
 
 
-def nonlinearity_integrals(record: SolutionRecord, spec: ProblemSpec):
+def nonlinearity_integrals(record: SolutionRecord):
     """Series int |v|^q dx and int |u_t|^p dx on the samples of a run
     with ``probes(spec, ...)`` or ``integral_probes(spec)``: row 0 of
     the |v|^q and |u_t|^p projections."""
-    proj = _projections(record, spec, kernel=False)
+    proj = _projections(record, kernel=False)
     return proj["|v|^q"][:, 0], proj["|u_t|^p"][:, 0]
 
 
@@ -307,29 +307,34 @@ def check_floor_bounds(series: FunctionalSeries, integrals: InitialDataIntegrals
     return results
 
 
-def check_nonlinearity_bounds(record: SolutionRecord, spec: ProblemSpec) -> list[BoundCheck]:
+def check_nonlinearity_bounds(record: SolutionRecord) -> list[BoundCheck]:
     """Power-envelope checks for the nonlinearity integrals.
 
     Fits the constant at the window start (t = 1) and verifies
     that (1+t)^(n-1-(n-1)q/2) (resp. with p) remains a valid lower
     envelope up to the end of the record.
     """
-    nl_q, nl_p = nonlinearity_integrals(record, spec)
-    n = spec.n
+    nl_q, nl_p = nonlinearity_integrals(record)
+    n, pq = record.spec.n, record.spec.pq
     t = record.times
     mask = t >= 1.0
     results = []
     for cid, observed, expo in (
-        (CheckId.NONLIN_Q, nl_q, spec.pq.q),
-        (CheckId.NONLIN_P, nl_p, spec.pq.p),
+        (CheckId.NONLIN_Q, nl_q, pq.q),
+        (CheckId.NONLIN_P, nl_p, pq.p),
     ):
         shape = (1.0 + t) ** (n - 1.0 - 0.5 * (n - 1.0) * expo)
         results.append(_shape_check(cid, t, observed, shape, mask, FLOOR_SLACK))
     return results
 
 
-def check_fundamental_identity(record: SolutionRecord, spec: ProblemSpec,
-                               checkpoints=None):
+def require_zero_damping(spec: ProblemSpec) -> None:
+    """Refuse a damped spec, for which the fundamental identities fail."""
+    if not (spec.b1.is_zero and spec.b2.is_zero):
+        raise ValueError("the fundamental identities hold for zero damping only")
+
+
+def check_fundamental_identity(record: SolutionRecord, checkpoints=None):
     """Residuals of the exact integral representations of curlyU, curlyV.
 
     Valid for the undamped system only.  ``record`` must come from
@@ -340,9 +345,9 @@ def check_fundamental_identity(record: SolutionRecord, spec: ProblemSpec,
     the trapezoid rule over the samples.  Returns the maximum relative
     residual for each identity, NaN if any residual is NaN.
     """
-    if not (spec.b1.is_zero and spec.b2.is_zero):
-        raise ValueError("the fundamental identities hold for zero damping only")
-    proj = {name: rows[:, 2:] for name, rows in _projections(record, spec).items()}
+    spec = record.spec
+    require_zero_damping(spec)
+    proj = {name: rows[:, 2:] for name, rows in _projections(record).items()}
     r1, r2, lambda0, quad_nodes = record.kernel
 
     times = record.times
@@ -352,9 +357,8 @@ def check_fundamental_identity(record: SolutionRecord, spec: ProblemSpec,
     else:
         checkpoints = [int(np.argmin(np.abs(times - tc))) for tc in checkpoints]
 
-    lam1s, wl1s = _kernel_nodes(spec, r1 + 2.0, lambda0, quad_nodes)
-    lam1, wl1 = _kernel_nodes(spec, r1, lambda0, quad_nodes)
-    lam2, wl2 = _kernel_nodes(spec, r2, lambda0, quad_nodes)
+    (lam1s, wl1s), (lam1, wl1), (lam2, wl2) = (
+        _kernel_nodes(spec, r, lambda0, quad_nodes) for r in (r1 + 2.0, r1, r2))
     curlyU = _diag_kernel_series(times, spec.R, lam1, wl1, proj["ut"])
     curlyV = _diag_kernel_series(times, spec.R, lam2, wl2, proj["v"])
     # the data are the sources at sample 0

@@ -375,9 +375,7 @@ def subcritical_sequences(n, pq, j_max: int, consts: IterationConstants | None =
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def critical_sequences(case, n, pq, j_max: int,
-                       consts: IterationConstants | None = None,
-                       eps: float = 1.0) -> SequenceTable:
+def critical_sequences(case, n, pq, j_max: int) -> SequenceTable:
     """Slicing-method sequences for one critical case.
 
     THETA1: a_{j+1} = a_j pq + 1, b_{j+1} = q(p-1) + b_j pq, coefficient
@@ -385,14 +383,14 @@ def critical_sequences(case, n, pq, j_max: int,
     a0 = 1, b0 = 0, C0 = Ctilde eps^{pq}.  THETA2 swaps the roles with
     K_j.  DOUBLE uses g_{j+1} = g_j pq + q + 1, h_{j+1} = h_j pq +
     pq - 1, D0 = Ctilde eps^q.  The slicing column is ell_j = 2 - 2^{-j}.
+    The tables take the frame constants C, K, Ctilde, Ktilde and eps
+    as 1, so log C0 = 0 and the coefficient steps carry powers of 2
+    only.
     """
     case = CriticalCase(case)
     n = check_dimension(n, minimum=2)
     pq = as_pair(pq)
     j_max = _check_jmax(j_max)
-    if consts is None:
-        consts = IterationConstants.from_frame(n, pq)
-    _require_match(consts, n, pq)
     t1 = theta1(n, pq)
     t2 = theta2(n, pq)
     if case is CriticalCase.THETA1 and abs(t1) > EQUALITY_TOL:
@@ -407,44 +405,33 @@ def critical_sequences(case, n, pq, j_max: int,
     ell = 2.0 - 2.0 ** (-js.astype(float))
 
     if case is CriticalCase.THETA1:
-        log0 = math.log(consts.Ctilde) + x * math.log(eps)
-        base = math.log(consts.C) + q * math.log(consts.K)
-        t_add = 1.0
-        w_add = q * (p - 1.0)
+        t_add, w_add = 1.0, q * (p - 1.0)
 
         def step(j, ac):
-            return base + (-2.0 * q * j - 3.0 * q * (n + 2.0)) * LOG2 - math.log(ac * x + 1.0)
-
-        t_closed = (x ** (js + 1.0) - 1.0) / (x - 1.0)
-        w_closed = w_add / (x - 1.0) * (x**js - 1.0)
+            return (-2.0 * q * j - 3.0 * q * (n + 2.0)) * LOG2 - math.log(ac * x + 1.0)
     elif case is CriticalCase.THETA2:
-        log0 = math.log(consts.Ktilde) + x * math.log(eps)
-        base = math.log(consts.K) + p * math.log(consts.C)
-        t_add = 1.0
-        w_add = p * (q - 1.0)
+        t_add, w_add = 1.0, p * (q - 1.0)
 
         def step(j, ac):
-            return base + (-2.0 * (p + 1.0) * j - (3.0 * n + 2.0) * p - 8.0) * LOG2 - math.log(ac * x + 1.0)
-
-        t_closed = (x ** (js + 1.0) - 1.0) / (x - 1.0)
-        w_closed = w_add / (x - 1.0) * (x**js - 1.0)
+            return (-2.0 * (p + 1.0) * j - (3.0 * n + 2.0) * p - 8.0) * LOG2 - math.log(ac * x + 1.0)
     else:
-        log0 = math.log(consts.Ctilde) + q * math.log(eps)
-        base = math.log(consts.C) + q * math.log(consts.K)
-        t_add = q + 1.0
-        w_add = x - 1.0
+        t_add, w_add = q + 1.0, x - 1.0
 
         def step(j, ac):
-            return base + (-(j + 6.0) * q - 2.0) * LOG2 - q * math.log(ac * p + 1.0) - math.log(ac * x + q + 1.0)
+            return (-(j + 6.0) * q - 2.0) * LOG2 - q * math.log(ac * p + 1.0) - math.log(ac * x + q + 1.0)
 
-        t_closed = (1.0 + (q + 1.0) / (x - 1.0)) * x**js - (q + 1.0) / (x - 1.0)
-        w_closed = x**js - 1.0
+    if case is CriticalCase.DOUBLE:
+        t_closed = (1.0 + t_add / (x - 1.0)) * x**js - t_add / (x - 1.0)
+    else:
+        t_closed = (x ** (js + 1.0) - 1.0) / (x - 1.0)
+    # w_add / (x - 1) is exactly 1 in the double case, whose w_j = x^j - 1
+    w_closed = w_add / (x - 1.0) * (x**js - 1.0)
 
     def recur(j, logc, t, w):
         return x * logc + step(j, t), x * t + t_add, x * w + w_add
 
     return _family_table(
-        f"critical-{case.value}", n, p, q, js, (log0, 1.0, 0.0), recur, step,
+        f"critical-{case.value}", n, p, q, js, (0.0, 1.0, 0.0), recur, step,
         t_closed, w_closed, ell=ell,
     )
 

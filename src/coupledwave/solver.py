@@ -40,9 +40,11 @@ stacked together.  ``run_batch`` advances runs that differ only in eps
 as rows of one leapfrog, and ``run`` is its one-row case.  A row leaves
 its batch by one rule, when it blows up, fails or halves dt, and a row
 that halves dt always goes on in a new batch of its own at half the
-step (with any row that halves at the same step).  ``evolve_scalar`` runs
-the same core on the whole grid with no cone: its data need not be
-compactly supported and its forcing is arbitrary.
+step (with any row that halves at the same step).  Each row's record
+carries the ProblemSpec it solved, so the functional readers take the
+record alone.  ``evolve_scalar`` runs the same core on the whole grid
+with no cone: its data need not be compactly supported and its forcing
+is arbitrary.
 """
 
 from __future__ import annotations
@@ -212,6 +214,8 @@ class ProblemSpec:
 class SolutionRecord:
     """Sampled probe projections of the radial solution plus blow-up metadata.
 
+    ``spec`` is the ProblemSpec the run solved (a batched row's own eps
+    included), ``dt_initial`` its ``grid.dt`` and ``r`` its radial grid.
     The sup-norm series is kept at full step resolution for blow-up
     detection; every sample time is also a sup-norm time.
     ``projections`` maps each probe source given to ``run`` to the
@@ -233,9 +237,7 @@ class SolutionRecord:
     # no profiles are stored; perfbench/tracing.py's _record_bytes reads these
     u = ut = v = vt = None
 
-    n: int
-    R: float
-    eps: float
+    spec: ProblemSpec
     r: np.ndarray
     times: np.ndarray
     sup_times: np.ndarray
@@ -244,7 +246,6 @@ class SolutionRecord:
     t_blowup: float | None
     failed: bool = False
     failure_reason: str = ""
-    dt_initial: float = 0.0
     dt_final: float = 0.0
     halvings: tuple = ()
     window_max: int = 0
@@ -253,6 +254,10 @@ class SolutionRecord:
     projections: dict = field(default_factory=dict)
     kernel: tuple | None = None
     integrals: bool = False
+
+    @property
+    def dt_initial(self) -> float:
+        return self.spec.grid.dt
 
     @property
     def steps(self) -> int:
@@ -270,7 +275,10 @@ def radial_weights(r: np.ndarray, n: int) -> np.ndarray:
     """Trapezoid weights w with w @ f = |S^{n-1}| int f(rho) rho^(n-1) drho,
     the integral over R^n of a radial profile f sampled on the grid r."""
     dr = r[1] - r[0]
-    w = r ** (n - 1) * dr
+    with np.errstate(over="ignore"):
+        w = r ** (n - 1) * dr
+    if not np.isfinite(w[-1]):
+        raise ValueError(f"dimension {n} too large: r^{n - 1} overflows a double at r = {r[-1]:g}")
     w[0] *= 0.5
     w[-1] *= 0.5
     return surface_area(n) * w
@@ -804,14 +812,11 @@ class _Batch:
     def _finish(self, records, i, s, times, t_blowup=None, failed=False, reason=""):
         """Record row i with its first s sup rows."""
         row = self.rows[i]
-        spec = self.specs[row.id]
         sup_norms = self.sup[i, :s].copy()
         blew_up = t_blowup is not None
         kernel, integrals = self.stamps
         records[row.id] = SolutionRecord(
-            n=spec.n,
-            R=spec.R,
-            eps=spec.eps,
+            spec=self.specs[row.id],
             r=self.r,
             times=np.asarray(times),
             sup_times=self.sup_times[:s].copy(),
@@ -820,7 +825,6 @@ class _Batch:
             t_blowup=t_blowup,
             failed=failed,
             failure_reason=reason,
-            dt_initial=spec.grid.dt,
             dt_final=self.dt,
             halvings=tuple(row.halvings),
             window_max=self.window,
@@ -932,9 +936,9 @@ def write_blowup_json(record: SolutionRecord, path) -> None:
         "window_max": record.window_max,
         "cone_spill": record.cone_spill,
         "crossed": record.crossed,
-        "n": record.n,
-        "R": record.R,
-        "eps": record.eps,
+        "n": record.spec.n,
+        "R": record.spec.R,
+        "eps": record.spec.eps,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -73,7 +73,10 @@ def _jacobi_rule(alpha: float, beta: float, m: int):
 def surface_area(n) -> float:
     """Surface measure of the unit sphere in R^n (2 for n = 1)."""
     n = check_dimension(n)
-    return 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
+    try:
+        return 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
+    except OverflowError:
+        raise ValueError(f"dimension {n} too large: Gamma({n}/2) overflows a double") from None
 
 
 def _as_radius(radius):

@@ -117,7 +117,7 @@ def _check_identity():
         grid=GridSpec(dr=0.01, t_max=2.0),
     )
     rec = run(spec, probes=fn.probes(spec, 0.5, 0.5))
-    res_u, res_v = fn.check_fundamental_identity(rec, spec)
+    res_u, res_v = fn.check_fundamental_identity(rec)
     ok = res_u < fn.IDENTITY_TOL and res_v < fn.IDENTITY_TOL
     return ok, f"residuals {res_u:.2e}, {res_v:.2e}"
 

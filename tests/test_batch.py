@@ -40,7 +40,7 @@ def _assert_records_equal_singles(specs, batched, probe_set=None):
     assert len(batched) == len(specs)
     for spec, rec in zip(specs, batched):
         single = run(spec, probe_set)
-        assert rec.eps == spec.eps
+        assert rec.spec is spec and rec.dt_initial == spec.grid.dt
         for name in FIELDS:
             a, b = getattr(rec, name), getattr(single, name)
             assert (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b), name

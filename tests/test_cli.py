@@ -290,7 +290,11 @@ def test_identity_reads_every_field_of_its_file(monkeypatch, tmp_path):
     assert (spec.grid.dr, spec.grid.t_max, spec.eps) == (0.025, 0.5, 0.7)
 
 
-def test_damped_identity_config_exits_2(tmp_path, capsys):
+def test_damped_identity_config_exits_2(monkeypatch, tmp_path, capsys):
+    def no_run(*_args, **_kwargs):
+        raise AssertionError("a damped identity config must be refused before the run")
+
+    monkeypatch.setattr(cli, "run", no_run)
     cfg = tmp_path / "damped.json"
     cfg.write_text(json.dumps({"grid": {"dr": 0.04, "t_max": 0.5},
                                "damping1": {"family": "exp-decay", "mu": 0.5}}))
@@ -298,6 +302,52 @@ def test_damped_identity_config_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "hold for zero damping only" in captured.err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # solve reads neither kernels nor sweep, and printed blew_up=False on this file
+        ({"grid": {"dr": 0.04, "t_max": 1},
+          "kernels": {"lambda0": float("nan"), "quad_nodes": "x"}, "sweep": {"eps_values": "bogus"}},
+         "sweep.eps_values must be an array of numbers"),
+        ({"grid": {"dr": 0.04, "t_max": 1}, "kernels": {"quad_nodes": "x"}},
+         "kernels.quad_nodes must be an integer"),
+    ],
+    ids=["sweep-and-kernels", "kernels"],
+)
+@pytest.mark.parametrize("verb", ["solve", "identity", "sweep"])
+def test_every_config_section_is_checked_by_every_verb(verb, doc, message, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [verb, "--config", str(cfg)]
+    if verb != "identity":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert message in captured.err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize(
+    "argv, dimension",
+    [
+        (["solve", "--n", "344", "--tmax", "2", "--dr", "0.04"], 344),  # Gamma(n/2)
+        (["specfn", "--n", "345"], 344),  # phi reads the sphere in R^(n-1)
+        (["solve", "--n", "343", "--tmax", "10", "--dr", "0.04"], 343),  # r^(n-1)
+    ],
+    ids=["solve-gamma", "specfn-gamma", "solve-radial-weights"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_dimension_exits_2(argv, dimension, tmp_path, capsys):
+    if argv[0] == "solve":
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: dimension {dimension} too large")
 
 
 def test_specfn_has_no_out_flag(capsys):

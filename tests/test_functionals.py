@@ -11,13 +11,13 @@ from coupledwave.special import DampingSpec, multiplier, surface_area
 
 
 @pytest.fixture(scope="module")
-def standard_series(standard_run, standard_spec):
-    return fn.extract(standard_run, standard_spec)
+def standard_series(standard_run):
+    return fn.extract(standard_run)
 
 
 @pytest.fixture(scope="module")
-def damped_series(damped_run, damped_spec):
-    return fn.extract(damped_run, damped_spec)
+def damped_series(damped_run):
+    return fn.extract(damped_run)
 
 
 def test_extract_initial_values(standard_run, standard_spec, standard_series):
@@ -46,17 +46,9 @@ def test_extract_zero_data_gives_zero_series():
         enforce_hypotheses=False,
     )
     rec = run(spec, probes=fn.probes(spec, 0.5, 0.5))
-    ser = fn.extract(rec, spec)
+    ser = fn.extract(rec)
     for name in ("U", "Uprime", "V", "Vprime", "U1", "V1", "U2", "curlyU", "curlyV"):
         assert np.abs(getattr(ser, name)).max() == 0.0
-
-
-def test_extract_validation(standard_run, standard_spec):
-    other = dataclasses.replace(
-        standard_spec, grid=GridSpec(dr=0.01, t_max=8.0)
-    )
-    with pytest.raises(ValueError):
-        fn.extract(standard_run, other)
 
 
 def test_data_integrals_positive_and_scaled(damped_spec):
@@ -95,54 +87,54 @@ def test_floor_bounds_zero_eps_limit():
 
 
 def test_negative_control_fails_u2_floor(negative_run, negative_spec):
-    ser = fn.extract(negative_run, negative_spec)
+    ser = fn.extract(negative_run)
     ints = fn.data_integrals(negative_spec)
     checks = {c.bound_id.value: c for c in fn.check_floor_bounds(ser, ints, 1.0)}
     assert not checks["U2Floor"].passed
     assert checks["U2Floor"].min_margin < 0
 
 
-def test_nonlinearity_envelopes(standard_run, standard_spec, damped_run, damped_spec):
+def test_nonlinearity_envelopes(standard_run, standard_spec, damped_run):
     # at n=3, q=2 the envelope power n-1-(n-1)q/2 vanishes
     assert standard_spec.n - 1 - 0.5 * (standard_spec.n - 1) * standard_spec.pq.q == 0
-    for rec, spec in ((standard_run, standard_spec), (damped_run, damped_spec)):
-        checks = fn.check_nonlinearity_bounds(rec, spec)
+    for rec in (standard_run, damped_run):
+        checks = fn.check_nonlinearity_bounds(rec)
         assert {c.bound_id.value for c in checks} == {"NonlinQ", "NonlinP"}
         for c in checks:
             assert c.passed, c
             assert c.window[0] >= 1.0
 
 
-def test_fundamental_identity_small_residual(identity_run, identity_spec):
-    res_u, res_v = fn.check_fundamental_identity(identity_run, identity_spec)
+def test_fundamental_identity_small_residual(identity_run):
+    res_u, res_v = fn.check_fundamental_identity(identity_run)
     assert res_u < 0.02
     assert res_v < 0.02
 
 
-def test_fundamental_identity_exact_at_t0(identity_run, identity_spec):
-    res_u, res_v = fn.check_fundamental_identity(identity_run, identity_spec, checkpoints=[0.0])
+def test_fundamental_identity_exact_at_t0(identity_run):
+    res_u, res_v = fn.check_fundamental_identity(identity_run, checkpoints=[0.0])
     assert res_u < 1e-12
     assert res_v < 1e-12
 
 
-def test_fundamental_identity_nan_projection_is_a_nan_residual(identity_run, identity_spec):
+def test_fundamental_identity_nan_projection_is_a_nan_residual(identity_run):
     # a NaN at the last checkpoint must not vanish in the maximum over checkpoints
     proj = dict(identity_run.projections)
     proj["ut"] = proj["ut"].copy()
     proj["ut"][-1] = np.nan
     bad = dataclasses.replace(identity_run, projections=proj)
-    res_u, res_v = fn.check_fundamental_identity(bad, identity_spec)
+    res_u, res_v = fn.check_fundamental_identity(bad)
     assert math.isnan(res_u)
     assert res_v < 0.02
 
 
-def test_fundamental_identity_rejects_damped(damped_run, damped_spec):
+def test_fundamental_identity_rejects_damped(damped_run):
     with pytest.raises(ValueError):
-        fn.check_fundamental_identity(damped_run, damped_spec)
+        fn.check_fundamental_identity(damped_run)
 
 
 def test_log_seeds_double_critical(cusp_run, cusp_spec, cusp_r_parameters):
-    ser = fn.extract(cusp_run, cusp_spec)
+    ser = fn.extract(cusp_run)
     assert (ser.r1, ser.r2) == cusp_r_parameters  # the kernel of the record's probes
     checks = {c.bound_id.value: c for c in fn.check_log_seeds(ser, cusp_spec)}
     assert set(checks) == {"CurlyULog", "CurlyVLog"}
@@ -160,7 +152,7 @@ def test_log_seeds_theta1_critical():
         grid=GridSpec(dr=0.02, t_max=18.0),
     )
     rec = run(spec, probes=fn.probes(spec, 0.5, 0.7))
-    ser = fn.extract(rec, spec)
+    ser = fn.extract(rec)
     checks = {c.bound_id.value: c for c in fn.check_log_seeds(ser, spec)}
     assert set(checks) == {"CurlyULog"}
     assert checks["CurlyULog"].passed
@@ -179,7 +171,7 @@ def test_log_seeds_theta2_critical_uses_shift():
     )
     r1, r2 = r_parameters("theta2", 3, spec.pq)
     rec = run(spec, probes=fn.probes(spec, r1, r2))
-    ser = fn.extract(rec, spec)
+    ser = fn.extract(rec)
     checks = {c.bound_id.value: c for c in fn.check_log_seeds(ser, spec)}
     assert set(checks) == {"CurlyVLog"}
     check = checks["CurlyVLog"]
@@ -207,11 +199,11 @@ def test_floors_hold_with_exp_decay_damping():
     )
     rec = run(spec, probes=fn.probes(spec, 0.5, 0.5))
     assert rec.blew_up
-    ser = fn.extract(rec, spec)
+    ser = fn.extract(rec)
     ints = fn.data_integrals(spec)
     for check in fn.check_floor_bounds(ser, ints, spec.eps):
         assert check.passed, check
-    for check in fn.check_nonlinearity_bounds(rec, spec):
+    for check in fn.check_nonlinearity_bounds(rec):
         assert check.passed, check
 
 
@@ -230,14 +222,13 @@ def test_uprime_consistency_with_u(standard_series):
 @pytest.mark.parametrize("fixture", ["standard", "damped"])
 def test_ode_consistency(request, fixture):
     rec = request.getfixturevalue(f"{fixture}_run")
-    spec = request.getfixturevalue(f"{fixture}_spec")
-    ser = fn.extract(rec, spec)
-    nl_q, _ = fn.nonlinearity_integrals(rec, spec)
+    ser = fn.extract(rec)
+    nl_q, _ = fn.nonlinearity_integrals(rec)
     t, U, Up = ser.times, ser.U, ser.Uprime
     end = np.searchsorted(t, 0.7 * t[-1])
     dt = t[1] - t[0]
     d2U = (U[2:end] - 2 * U[1 : end - 1] + U[: end - 2]) / dt**2
-    b1 = spec.b1.b(t[1 : end - 1])
+    b1 = rec.spec.b1.b(t[1 : end - 1])
     resid = d2U + b1 * Up[1 : end - 1] - nl_q[1 : end - 1]
     rel = np.abs(resid) / np.maximum(np.abs(nl_q[1 : end - 1]), 1e-12)
     # skip the first few samples where the second difference spans the
@@ -270,5 +261,5 @@ def test_fundamental_identity_pinned_residuals(monkeypatch):
     }
     for (r1, r2), expected in pinned.items():
         rec = run(spec, probes=fn.probes(spec, r1, r2))
-        res = fn.check_fundamental_identity(rec, spec)
+        res = fn.check_fundamental_identity(rec)
         assert res == pytest.approx(expected, rel=1e-12, abs=0.0)

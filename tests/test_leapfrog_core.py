@@ -280,7 +280,7 @@ def test_run_telemetry(standard_run, tmp_path):
     assert dt == rec.dt_final
     # the window covers the last level's cone plus two points, inside the grid
     t_end = rec.sup_times[-1]
-    k = int(np.searchsorted(rec.r, t_end + rec.dt_final + rec.R, side="right"))
+    k = int(np.searchsorted(rec.r, t_end + rec.dt_final + rec.spec.R, side="right"))
     assert rec.window_max == min(rec.r.size, k + 2) < rec.r.size
     path = tmp_path / "run.json"
     write_blowup_json(rec, path)

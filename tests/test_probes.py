@@ -98,11 +98,11 @@ def test_extract_matches_profile_formula(stored_and_probed):
         "U2": decay * (src["ut"] @ wp),
         "curlyU": curly(r1, src["ut"]), "curlyV": curly(r2, src["v"]),
     }
-    series = fn.extract(probed, spec)
+    series = fn.extract(probed)
     for name, want in expected.items():
         np.testing.assert_allclose(getattr(series, name), want, rtol=1e-12, atol=0.0,
                                    err_msg=name)
-    nl_q, nl_p = fn.nonlinearity_integrals(probed, spec)
+    nl_q, nl_p = fn.nonlinearity_integrals(probed)
     np.testing.assert_allclose(nl_q, src["|v|^q"] @ w, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(nl_p, src["|u_t|^p"] @ w, rtol=1e-12, atol=0.0)
 
@@ -117,11 +117,11 @@ def test_run_rejects_bad_probes(standard_spec):
         run(standard_spec, probes={"u": np.ones(m)})
 
 
-def test_identity_check_needs_its_projections(identity_spec, identity_run):
+def test_identity_check_needs_its_projections(identity_run):
     bare = dataclasses.replace(identity_run, projections={})
     for reader in (fn.check_fundamental_identity, fn.extract, fn.nonlinearity_integrals):
         with pytest.raises(ValueError, match=r"probes\(spec"):
-            reader(bare, identity_spec)
+            reader(bare)
 
 
 def _per_sample(mat, sources, widths):
@@ -172,8 +172,8 @@ def test_nonlinearity_integrals_need_the_integral_row(standard_spec):
     w = radial_weights(radial_grid(spec), spec.n)
     eye = run(spec, probes=dict.fromkeys(PROBE_SOURCES, np.eye(w.size)))
     with pytest.raises(ValueError, match=r"probes\(spec"):
-        fn.nonlinearity_integrals(eye, spec)
-    nl_q, nl_p = fn.nonlinearity_integrals(run(spec, probes=integral_probes(spec)), spec)
+        fn.nonlinearity_integrals(eye)
+    nl_q, nl_p = fn.nonlinearity_integrals(run(spec, probes=integral_probes(spec)))
     np.testing.assert_allclose(nl_q, eye.projections["|v|^q"] @ w, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(nl_p, eye.projections["|u_t|^p"] @ w, rtol=1e-12, atol=0.0)
 
@@ -218,11 +218,11 @@ def test_records_carry_their_kernel(identity_spec, identity_run):
     # cannot be read with other exponents than its probes'
     assert identity_run.kernel == (0.5, 0.5, 1.0, 64)
     assert fn.probes(identity_spec, 0.3, 1.5, 2.0, 16).kernel == (0.3, 1.5, 2.0, 16)
-    series = fn.extract(identity_run, identity_spec)
+    series = fn.extract(identity_run)
     assert (series.r1, series.r2) == (0.5, 0.5)
     # probes copied into a plain dict lose the stamp, and so does their run
     unstamped = run(identity_spec, probes=dict(fn.probes(identity_spec, 0.5, 0.5)))
     assert unstamped.kernel is None
     for reader in (fn.extract, fn.check_fundamental_identity):
         with pytest.raises(ValueError, match=r"probes\(spec"):
-            reader(unstamped, identity_spec)
+            reader(unstamped)

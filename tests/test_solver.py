@@ -266,7 +266,7 @@ def test_summary_outputs(tmp_path, standard_run, standard_profiles):
     # the maxima columns are the sampled profiles' maxima, bitwise; the
     # integrals are the radial-weights quadrature of the profiles
     prof = standard_profiles.projections
-    w = radial_weights(standard_run.r, standard_run.n)
+    w = radial_weights(standard_run.r, standard_run.spec.n)
     assert np.array_equal(table[:, 0], standard_run.times)
     for col, name in enumerate(("u", "ut", "v"), start=1):
         assert np.array_equal(table[:, col], np.abs(prof[name]).max(axis=1))
