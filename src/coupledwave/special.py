@@ -17,7 +17,11 @@ int_{-1}^{1} exp(r*tau) (1-tau^2)^{(n-3)/2} dtau, handled exactly by a
 Gauss-Jacobi rule with matching endpoint weight; the lam-integrals carry
 the lam^r endpoint weight into a Gauss-Jacobi rule on [0, lam0] (plain
 Gauss-Legendre for r = 0), which keeps node-doubling self-convergence
-below 1e-8 even for fractional r.
+below 1e-8 even for fractional r.  The rules are built here with numpy
+alone (_jacobi_rule): Golub and Welsch's eigenvalues of the tridiagonal
+Jacobi matrix (Math. Comp. 23, 1969), one Newton step on P_m^(a,b), and
+weights from P_m' at the polished nodes, scaled to the rule's total mass.
+The Psi moments integrate on panels of one 64-node Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .exponents import check_dimension
 
@@ -59,6 +62,10 @@ PHI_NODES = 128
 # Points per block of the sphere quadrature: bounds its (points, PHI_NODES)
 # exp temporary to about 1 MB whatever the input size.
 PHI_BLOCK = 1024
+# Gauss-Legendre nodes per psi_moment panel, and the largest
+# exponent * width of a panel.
+MOMENT_NODES = 64
+MOMENT_SPAN = 16.0
 # lam (R+t) beyond which the kernels take their overflow-safe form:
 # exp(-708) is about the smallest normal double.
 _FAR_EXPONENT = 700.0
@@ -66,8 +73,54 @@ _FAR_EXPONENT = 700.0
 
 @lru_cache(maxsize=128)
 def _jacobi_rule(alpha: float, beta: float, m: int):
-    x, w = roots_jacobi(m, alpha, beta)
-    return x, w
+    """m-point Gauss-Jacobi nodes and weights for
+    int_{-1}^{1} f(x) (1-x)^alpha (1+x)^beta dx, with alpha, beta > -1.
+
+    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+    matrix, polished by one Newton step with
+    P_m' = (m+a+b+1)/2 P_{m-1}^(a+1,b+1).  The weights are
+    1/((1-x^2) P_m'(x)^2) at the polished nodes, normalised in log space
+    and scaled to the total mass mu0 = 2^(a+b+1) B(a+1, b+1).  A rule
+    with alpha == beta is made symmetric; alpha = beta = -1/2 is the
+    Chebyshev rule, exact in closed form (equal weights pi/m).
+    """
+    a, b = float(alpha), float(beta)
+    if a == b == -0.5:
+        return np.sin(np.pi * np.arange(1 - m, m, 2) / (2 * m)), np.full(m, np.pi / m)
+    # the monic recurrence: its diagonal, and its squared off-diagonal with
+    # the k = 1 term written out (the general form is 0/0 at a + b = -1)
+    k = np.arange(1.0, m)
+    s = 2.0 * k + a + b
+    diag = np.concatenate(([(b - a) / (a + b + 2.0)], (b - a) * (b + a) / (s * (s + 2.0))))
+    k, s = k[1:], s[1:]
+    off2 = np.concatenate(([4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))],
+                           4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))))
+    # eigvalsh reads the lower triangle only
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(np.sqrt(off2), -1))
+    x -= _jacobi_poly(m, a, b, x) / (0.5 * (m + a + b + 1.0) * _jacobi_poly(m - 1, a + 1.0, b + 1.0, x))
+    # P_m' up to its constant factor, which the normalisation removes
+    dp = _jacobi_poly(m - 1, a + 1.0, b + 1.0, x)
+    logw = -np.log((1.0 - x) * (1.0 + x)) - 2.0 * np.log(np.abs(dp))
+    w = np.exp(logw - logw.max())
+    if a == b:
+        x = 0.5 * (x - x[::-1])
+        w = 0.5 * (w + w[::-1])
+    mu0 = math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
+                   - math.lgamma(a + b + 2.0))
+    return x, w * (mu0 / w.sum())
+
+
+def _jacobi_poly(m, a, b, x):
+    """P_m^(a,b)(x), m >= 1, in the standard normalisation, by its
+    three-term recurrence."""
+    p0, p1 = np.ones_like(x), 0.5 * ((a + b + 2.0) * x + (a - b))
+    for k in range(2, m + 1):
+        s = 2.0 * k + a + b
+        p0, p1 = p1, (
+            (s - 1.0) * (s * (s - 2.0) * x + (a - b) * (a + b)) * p1
+            - 2.0 * (k + a - 1.0) * (k + b - 1.0) * s * p0
+        ) / (2.0 * k * (k + a + b) * (s - 2.0))
+    return p1
 
 
 def surface_area(n) -> float:
@@ -515,8 +568,11 @@ def psi_moment(n, exponent: float, t: float, R: float) -> float:
 
     Radial reduction: surface_area(n) * int_0^{R+t}
     (exp(-t) phi(rho))**exponent rho^(n-1) drho, evaluated in log space
-    so that large radii do not overflow.  The quadrature order scales
-    with exponent * (R + t) to keep the growing integrand resolved.
+    so that large radii do not overflow.  The integral is a sum over
+    equal panels, each with one MOMENT_NODES-point Gauss-Legendre rule,
+    so many that exponent * width stays at most MOMENT_SPAN: the
+    integrand grows like exp(exponent * rho), and one panel per
+    MOMENT_SPAN of that growth keeps it resolved at any t.
     """
     n = check_dimension(n)
     if not exponent > 1.0:
@@ -524,10 +580,11 @@ def psi_moment(n, exponent: float, t: float, R: float) -> float:
     if t < 0:
         raise ValueError("t must be nonnegative")
     upper = R + t
-    m = max(64, int(2.0 * exponent * upper) + 32)
-    x, w = _jacobi_rule(0.0, 0.0, m)
-    rho = 0.5 * upper * (x + 1.0)
-    wts = 0.5 * upper * w
+    panels = max(1, math.ceil(exponent * upper / MOMENT_SPAN))
+    width = upper / panels
+    x, w = _jacobi_rule(0.0, 0.0, MOMENT_NODES)
+    rho = width * np.add.outer(np.arange(panels), 0.5 * (x + 1.0))
+    wts = 0.5 * width * w
     logs = exponent * (log_phi(n, rho) - t)
     if n > 1:
         logs = logs + (n - 1.0) * np.log(rho)

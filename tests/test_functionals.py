@@ -243,8 +243,9 @@ def test_uprime_monotone_floor(damped_series, damped_spec):
 
 
 def test_fundamental_identity_pinned_residuals(monkeypatch):
-    # the verify suite's identity spec; residuals recorded before the
-    # kernel bases were shared, and the check reads no full extraction
+    # the verify suite's identity spec, and the check reads no full
+    # extraction; residuals recorded with the numpy Gauss-Jacobi rule,
+    # which lies closer than scipy's roots_jacobi to an mpmath-built rule
     spec = ProblemSpec(
         n=3, pq=ExponentPair(2, 2), b1=DampingSpec.zero(), b2=DampingSpec.zero(),
         R=1.0, eps=1.0, data=InitialDataFamily(k=3, amplitudes=(1, 1, 1, 1)),
@@ -256,8 +257,8 @@ def test_fundamental_identity_pinned_residuals(monkeypatch):
 
     monkeypatch.setattr(fn, "extract", no_extract)
     pinned = {
-        (0.5, 0.5): (0.003419048058476131, 0.0007415593652975575),
-        (0.3, 0.8): (0.003514557331984131, 0.0007473036657587769),
+        (0.5, 0.5): (0.00341904805849809, 0.0007415593653037042),
+        (0.3, 0.8): (0.0035145573320038755, 0.0007473036657661403),
     }
     for (r1, r2), expected in pinned.items():
         rec = run(spec, probes=fn.probes(spec, r1, r2))

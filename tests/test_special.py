@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import i0
@@ -255,6 +256,20 @@ def test_psi_moment_closed_forms():
     assert psi_moment(3, 2.0, 0.0, 1.0) == pytest.approx(expected, rel=1e-10)
     with pytest.raises(ValueError):
         psi_moment(3, 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("t", [30.0, 300.0])
+@pytest.mark.parametrize("n", [1, 3])
+def test_psi_moment_matches_mpmath_quad(n, t):
+    # Phi in closed form: 2 cosh(rho) for n = 1, 4 pi sinh(rho)/rho for n = 3
+    expo, R = 2.0, 1.0
+    closed = {1: lambda rho: 2 * mp.cosh(rho), 3: lambda rho: 4 * mp.pi * mp.sinh(rho) / rho}[n]
+    with mp.workdps(20):
+        expected = surface_area(n) * mp.quad(
+            lambda rho: (mp.exp(-t) * closed(rho)) ** expo * rho ** (n - 1),
+            mp.linspace(0, R + t, 8),
+        )
+    assert psi_moment(n, expo, t, R) == pytest.approx(float(expected), rel=1e-9)
 
 
 def test_psi_moment_asymptotic_band():
