@@ -7,6 +7,7 @@ then extracts the functional series (streamed by the run as probe
 projections, and read from the record alone, which carries its
 ProblemSpec as ``rec.spec``) to check the data floors, the
 nonlinearity envelopes and the undamped ODE balance U'' = int |v|^q dx.
+Every check takes the record alone.
 
 Run:  python3 demos/03_blowup_run.py
 """
@@ -47,7 +48,7 @@ ints = fn.data_integrals(spec)
 print(f"data integrals: I1[u0]={ints.I1_u0:.4f} I1[u1]={ints.I1_u1:.4f} "
       f"I2[v0]={ints.I2_v0:.4f}")
 
-for check in fn.check_floor_bounds(series, ints, spec.eps):
+for check in fn.check_floor_bounds(rec):
     print(f"floor {check.bound_id.value:<8} pass={check.passed} "
           f"min_margin={check.min_margin:+.4f}")
 for check in fn.check_nonlinearity_bounds(rec):

@@ -2,7 +2,8 @@
 
 Builds the subcritical lower-bound sequences and the double-critical
 slicing sequences, compares brute recursion against the closed forms,
-and evaluates the explicit threshold times together with their
+and evaluates the explicit threshold times (each by the formula of the
+region its constants' exponents lie in) together with their
 divergence drivers (driver > 1 certifies the lower-bound sequence
 diverges at that time).
 
@@ -13,7 +14,6 @@ import numpy as np
 
 from coupledwave import (
     IterationConstants,
-    Region,
     critical_sequences,
     cusp_exponents,
     divergence_driver,
@@ -48,15 +48,15 @@ print(f"S_j -> S = pq/(pq-1)^2 = {limit:.9g} (partial S_200 = {partial[-1]:.9g})
 print("\n--- thresholds and divergence drivers (unit frame constants) ---")
 con = IterationConstants.from_frame(3, (2.0, 2.0))
 for eps in (0.8, 0.4, 0.2):
-    th = threshold_time(3, (2.0, 2.0), eps, con, Region.SUBCRITICAL)
-    below = divergence_driver("subcritical-v", 3, (2.0, 2.0), eps, con, t=0.5 * th.T)
-    at = divergence_driver("subcritical-v", 3, (2.0, 2.0), eps, con, t=th.T)
+    th = threshold_time(con, eps)
+    below = divergence_driver("subcritical-v", con, eps, t=0.5 * th.T)
+    at = divergence_driver("subcritical-v", con, eps, t=th.T)
     print(f"eps={eps:<4} T={th.T:.6g}  driver(T/2)={below:.4f}  driver(T)={at:.12f}")
 print("halving eps multiplies T by 2^(1/max theta) = 2^6 =",
-      f"{threshold_time(3, (2, 2), 0.2, con, Region.SUBCRITICAL).T / threshold_time(3, (2, 2), 0.4, con, Region.SUBCRITICAL).T:.10g}")
+      f"{threshold_time(con, 0.2).T / threshold_time(con, 0.4).T:.10g}")
 
 print("\n--- critical thresholds grow beyond any horizon ---")
 cond = IterationConstants.from_frame(3, (c.p_mix, c.q_mix))
 for eps in (0.9, 0.5):
-    th = threshold_time(3, (c.p_mix, c.q_mix), eps, cond, Region.DOUBLE_CRITICAL)
+    th = threshold_time(cond, eps)
     print(f"eps={eps}: log T = {th.log_T:.6g} (T = {th.T:.3g})")

@@ -4,7 +4,8 @@ A single document with sections {problem, grid, damping1, damping2,
 data, kernels, sweep}; every field has a default (``DEFAULT_CONFIG``),
 so one file fully reproduces any run.  Damping families are zero,
 power-decay and exp-decay; ``grid.r_max`` and ``kernels.r1``/``r2``
-may be null, and every number must be finite.  Example:
+may be null, every number must be finite, and ``kernels.lambda0`` and
+``kernels.quad_nodes`` must pass ``KernelConfig``'s checks.  Example:
 
     {
       "problem": {"n": 3, "p": 2.0, "q": 2.0, "eps": 1.0, "R": 1.0},
@@ -29,7 +30,7 @@ import math
 from .exponents import ExponentPair
 from .lifespan import SweepConfig
 from .solver import GridSpec, InitialDataFamily, ProblemSpec
-from .special import DampingFamily, DampingSpec
+from .special import DampingFamily, DampingSpec, KernelConfig
 
 __all__ = ["DEFAULT_CONFIG", "ConfigError", "load_config", "merge_config",
            "problem_spec_from_config", "sweep_config_from_config",
@@ -179,10 +180,19 @@ def sweep_config_from_config(cfg: dict) -> SweepConfig:
 
 
 def kernel_params_from_config(cfg: dict) -> dict:
+    """The kernel fields, with lambda0 and quad_nodes held to the bounds
+    of ``KernelConfig``."""
     k = cfg["kernels"]
-    return {
+    params = {
         "lambda0": _as_float(k["lambda0"], "kernels.lambda0"),
         "quad_nodes": _as_int(k["quad_nodes"], "kernels.quad_nodes"),
         "r1": None if k["r1"] is None else _as_float(k["r1"], "kernels.r1"),
         "r2": None if k["r2"] is None else _as_float(k["r2"], "kernels.r2"),
     }
+    # KernelConfig states the bounds; r = 0 is valid, and each message
+    # starts with the field's name
+    try:
+        KernelConfig(r=0.0, lambda0=params["lambda0"], quad_nodes=params["quad_nodes"])
+    except ValueError as exc:
+        raise ConfigError(f"kernels.{exc}") from exc
+    return params

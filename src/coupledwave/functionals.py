@@ -23,11 +23,10 @@ r1, r2, lambda0, quad_nodes))`` projects the profiles and the nonlinear
 sources |v|^q, |u_t|^p at each sample onto the radial weights, the
 Phi-weighted radial weights and the kernel lam-bases, so memory grows
 with samples * quad_nodes, not samples * grid points.  ``extract``,
-``nonlinearity_integrals``, ``check_nonlinearity_bounds`` and
-``check_fundamental_identity`` take the record alone: they read row
-slices of those projections, the problem from ``record.spec`` and the
-kernel rows with the (r1, r2, lambda0, quad_nodes) the record carries
-as ``record.kernel``.
+``nonlinearity_integrals`` and every check take the record alone: they
+read row slices of those projections, the problem (eps, damping, data)
+from ``record.spec`` and the kernel rows with the (r1, r2, lambda0,
+quad_nodes) the record carries as ``record.kernel``.
 """
 
 from __future__ import annotations
@@ -259,7 +258,7 @@ def nonlinearity_integrals(record: SolutionRecord):
     return proj["|v|^q"][:, 0], proj["|u_t|^p"][:, 0]
 
 
-def _shape_check(check_id, times, observed, shape, window_mask, rel_slack):
+def _shape_check(check_id, times, observed, shape, window_mask):
     idx = np.nonzero(window_mask)[0]
     if idx.size < 2:
         raise ValueError(f"empty check window for {check_id.value}")
@@ -267,8 +266,8 @@ def _shape_check(check_id, times, observed, shape, window_mask, rel_slack):
     const = observed[i0] / shape[i0]
     margins = observed[idx] - const * shape[idx]
     min_margin = float(margins.min())
-    # rel_slack loosens the fitted (maximal) constant by a small factor
-    slacked = observed[idx] - (1.0 - rel_slack) * const * shape[idx]
+    # FLOOR_SLACK loosens the fitted (maximal) constant by a small factor
+    slacked = observed[idx] - (1.0 - FLOOR_SLACK) * const * shape[idx]
     tol = 1e-12 * abs(float(observed[i0]))
     return BoundCheck(
         bound_id=check_id,
@@ -278,13 +277,17 @@ def _shape_check(check_id, times, observed, shape, window_mask, rel_slack):
     )
 
 
-def check_floor_bounds(series: FunctionalSeries, integrals: InitialDataIntegrals,
-                       eps: float) -> list[BoundCheck]:
-    """Verify U1 >= eps I1[u0], V1 >= eps I2[v0], U2 >= eps I1[u1].
+def check_floor_bounds(record: SolutionRecord) -> list[BoundCheck]:
+    """Verify U1 >= eps I1[u0], V1 >= eps I2[v0], U2 >= eps I1[u1] on a
+    run with ``probes(spec, ...)``, with eps and the data integrals of
+    ``record.spec``.
 
     The floors hold at every sample up to blow-up, with a small relative
     slack absorbing discretisation error.
     """
+    series = extract(record)
+    integrals = data_integrals(record.spec)
+    eps = record.spec.eps
     results = []
     floors = [
         (CheckId.U1_FLOOR, series.U1, eps * integrals.I1_u0),
@@ -324,12 +327,13 @@ def check_nonlinearity_bounds(record: SolutionRecord) -> list[BoundCheck]:
         (CheckId.NONLIN_P, nl_p, pq.p),
     ):
         shape = (1.0 + t) ** (n - 1.0 - 0.5 * (n - 1.0) * expo)
-        results.append(_shape_check(cid, t, observed, shape, mask, FLOOR_SLACK))
+        results.append(_shape_check(cid, t, observed, shape, mask))
     return results
 
 
 def require_zero_damping(spec: ProblemSpec) -> None:
-    """Refuse a damped spec, for which the fundamental identities fail."""
+    """Refuse a damped spec, for which the fundamental identities, and
+    the log seeds resting on them, fail."""
     if not (spec.b1.is_zero and spec.b2.is_zero):
         raise ValueError("the fundamental identities hold for zero damping only")
 
@@ -406,16 +410,17 @@ def _sub_trapezoid_weights(times, ci):
     return sub
 
 
-def check_log_seeds(series: FunctionalSeries, spec: ProblemSpec) -> list[BoundCheck]:
-    """Logarithmic seed bounds for the kernel functionals on the critical curve.
+def check_log_seeds(record: SolutionRecord) -> list[BoundCheck]:
+    """Logarithmic seed bounds for the kernel functionals on the critical
+    curve, on an undamped run with ``probes(spec, ...)``.
 
     CurlyULog: curlyU dominates const * log(t) from t = e on (theta1
     critical and double critical); CurlyVLog: curlyV dominates const *
     log(2t/3) (theta2 critical and double critical).  Constants are
     fitted at the window start.
     """
-    if not (spec.b1.is_zero and spec.b2.is_zero):
-        raise ValueError("log seed bounds are formulated for zero damping")
+    spec = record.spec
+    require_zero_damping(spec)
     region = classify(spec.n, spec.pq).region
     if region not in (
         Region.CRITICAL_THETA1,
@@ -423,15 +428,15 @@ def check_log_seeds(series: FunctionalSeries, spec: ProblemSpec) -> list[BoundCh
         Region.DOUBLE_CRITICAL,
     ):
         raise ValueError(f"log seed bounds need a critical spec, got {region.value}")
+    series = extract(record)
     t = series.times
+    mask = t >= math.e
     checks = []
     if region in (Region.CRITICAL_THETA1, Region.DOUBLE_CRITICAL):
-        mask = t >= math.e
         shape = np.where(t > 1.0, np.log(np.maximum(t, 1.0)), np.nan)
-        checks.append(_shape_check(CheckId.CURLY_U_LOG, t, series.curlyU, shape, mask, FLOOR_SLACK))
+        checks.append(_shape_check(CheckId.CURLY_U_LOG, t, series.curlyU, shape, mask))
     if region in (Region.CRITICAL_THETA2, Region.DOUBLE_CRITICAL):
-        mask = t >= math.e
         arg = 2.0 * t / 3.0
         shape = np.where(arg > 1.0, np.log(np.maximum(arg, 1.0)), np.nan)
-        checks.append(_shape_check(CheckId.CURLY_V_LOG, t, series.curlyV, shape, mask, FLOOR_SLACK))
+        checks.append(_shape_check(CheckId.CURLY_V_LOG, t, series.curlyV, shape, mask))
     return checks

@@ -19,7 +19,9 @@ Threshold times invert the divergence drivers:  subcritical
 eps^p J(t) (or eps^q Jtilde(t)) with J(t) = 2^{-((n-1)p/2+n)} N t^{p
 theta1}; critical H(t, eps) = E eps^{pq} (log t)^{q/(pq-1)} and its
 analogues.  A driver value above 1 certifies divergence of the
-lower-bound sequence at (t, eps).
+lower-bound sequence at (t, eps).  Both read (n, p, q) from the
+``IterationConstants`` they are given, and a threshold uses the formula
+of the region ``classify`` gives those exponents.
 """
 
 from __future__ import annotations
@@ -32,10 +34,12 @@ import numpy as np
 
 from .exponents import (
     EQUALITY_TOL,
+    CriticalData,
     PredictionKind,
     Region,
     as_pair,
     check_dimension,
+    classify,
     kernel_exponents,
     theta1,
     theta2,
@@ -264,6 +268,17 @@ def _require_match(consts: IterationConstants, n, pq) -> None:
         raise ValueError("IterationConstants built for different (n, p, q)")
 
 
+def _require_on_curve(case: CriticalCase, data: CriticalData) -> None:
+    """Refuse exponents off the critical curve of ``case``, given their
+    ``classify`` data: theta1 = 0 for THETA1, theta2 = 0 for THETA2,
+    both for DOUBLE (up to EQUALITY_TOL)."""
+    t1, t2 = data.theta1, data.theta2
+    off = {CriticalCase.THETA1: abs(t1), CriticalCase.THETA2: abs(t2),
+           CriticalCase.DOUBLE: max(abs(t1), abs(t2))}[case]
+    if off > EQUALITY_TOL:
+        raise ValueError(f"(p, q) is not {case.value}-critical: theta1 = {t1}, theta2 = {t2}")
+
+
 def _family_table(family, n, p, q, js, seed, recur, step, t_closed, w_closed,
                   ell=None) -> SequenceTable:
     """Run one sequence family's recursion and its unrolled closed form.
@@ -391,14 +406,7 @@ def critical_sequences(case, n, pq, j_max: int) -> SequenceTable:
     n = check_dimension(n, minimum=2)
     pq = as_pair(pq)
     j_max = _check_jmax(j_max)
-    t1 = theta1(n, pq)
-    t2 = theta2(n, pq)
-    if case is CriticalCase.THETA1 and abs(t1) > EQUALITY_TOL:
-        raise ValueError(f"(p, q) not on the theta1 curve: theta1 = {t1}")
-    if case is CriticalCase.THETA2 and abs(t2) > EQUALITY_TOL:
-        raise ValueError(f"(p, q) not on the theta2 curve: theta2 = {t2}")
-    if case is CriticalCase.DOUBLE and (abs(t1) > EQUALITY_TOL or abs(t2) > EQUALITY_TOL):
-        raise ValueError(f"(p, q) not at the double-critical point: {t1}, {t2}")
+    _require_on_curve(case, classify(n, pq))
     p, q = pq.p, pq.q
     x = pq.product
     js = np.arange(j_max + 1)
@@ -474,29 +482,28 @@ def series_S(pq_product: float, j_max: int = 200):
     return partial, limit
 
 
-def threshold_time(n, pq, eps: float, consts: IterationConstants,
-                   region: Region) -> ThresholdTime:
-    """Explicit blow-up threshold for the given region.
+def threshold_time(consts: IterationConstants, eps: float) -> ThresholdTime:
+    """Explicit blow-up threshold at (n, p, q) of ``consts``, by the
+    formula of their region (``classify``).
 
     Subcritical: T = 2^{((n-1)/2 + n/p)/theta1} N^{-1/(p theta1)}
     eps^{-1/theta1} on the theta1-dominant branch (q-analogue with
     Ntilde otherwise).  Critical: log T = E^{-(pq-1)/q} eps^{-p(pq-1)}
-    and the analogous expressions with E1, E2.  Values beyond double
-    range are returned as inf.
+    and the analogous expressions with E1, E2.  ``kind`` and
+    ``formula_id`` name the formula used.  Values beyond double range
+    are returned as inf; supercritical exponents are a ValueError.
     """
-    n = check_dimension(n)
-    pq = as_pair(pq)
     if not eps > 0:
         raise ValueError("eps must be positive")
-    _require_match(consts, n, pq)
+    n, p, q = consts.n, consts.p, consts.q
+    data = classify(n, (p, q))
+    region = data.region
     if region is Region.SUPERCRITICAL:
         raise ValueError("no blow-up threshold in the supercritical region")
-    p, q = pq.p, pq.q
-    x = pq.product
+    x = p * q
     log_eps = math.log(eps)
     if region is Region.SUBCRITICAL:
-        t1 = theta1(n, pq)
-        t2 = theta2(n, pq)
+        t1, t2 = data.theta1, data.theta2
         if t1 >= t2:
             log_T = (
                 (0.5 * (n - 1.0) + n / p) / t1 * LOG2
@@ -518,14 +525,12 @@ def threshold_time(n, pq, eps: float, consts: IterationConstants,
     elif region is Region.CRITICAL_THETA2:
         log_T = _exp(-(x - 1.0) / p * consts.log_E1 - q * (x - 1.0) * log_eps)
         kind, fid = PredictionKind.EXP_THETA2, "critical-theta2"
-    elif region is Region.DOUBLE_CRITICAL:
+    else:
         log_T = _exp(
             -(x - 1.0) / (q + 1.0) * consts.log_E2
             - q * (x - 1.0) / (q + 1.0) * log_eps
         )
         kind, fid = PredictionKind.EXP_DOUBLE, "critical-double"
-    else:
-        raise ValueError(f"unknown region {region}")
     return ThresholdTime(kind, _exp(log_T), log_T, fid)
 
 
@@ -543,21 +548,14 @@ def r_parameters(case, n, pq):
     case = CriticalCase(case)
     n = check_dimension(n, minimum=2)
     pq = as_pair(pq)
-    t1 = theta1(n, pq)
-    t2 = theta2(n, pq)
+    _require_on_curve(case, classify(n, pq))
     p, q = pq.p, pq.q
     r1_eq, r2_eq = kernel_exponents(n, pq)
     strict = max(r1_eq, r2_eq) + 0.1
     if case is CriticalCase.THETA1:
-        if abs(t1) > EQUALITY_TOL:
-            raise ValueError(f"(p, q) not on the theta1 curve: theta1 = {t1}")
         return r1_eq, strict
     if case is CriticalCase.THETA2:
-        if abs(t2) > EQUALITY_TOL:
-            raise ValueError(f"(p, q) not on the theta2 curve: theta2 = {t2}")
         return strict, r2_eq
-    if abs(t1) > EQUALITY_TOL or abs(t2) > EQUALITY_TOL:
-        raise ValueError(f"(p, q) not double-critical: theta1={t1}, theta2={t2}")
     id1 = abs(r1_eq - (n - 1.0 - 0.5 * (n - 1.0) * q))
     id2 = abs(r2_eq - (n - 0.5 * (n - 1.0) * p))
     if id1 > 1e-12 or id2 > 1e-12:
@@ -567,29 +565,27 @@ def r_parameters(case, n, pq):
     return r1_eq, r2_eq
 
 
-def divergence_driver(family: str, n, pq, eps: float, consts: IterationConstants,
+def divergence_driver(family: str, consts: IterationConstants, eps: float,
                       t: float | None = None, log_t: float | None = None) -> float:
-    """Value of the divergence driver for a sequence family at (t, eps).
+    """Value of the divergence driver for a sequence family at (t, eps)
+    and (n, p, q) of ``consts``.
 
     Families: 'subcritical-v' uses eps^p J(t), 'subcritical-uprime'
     eps^q Jtilde(t); the critical families use H, H1, H2.  ``log_t``
     may be given instead of t when t overflows.  A driver value beyond
     double range is returned as inf.
     """
-    n = check_dimension(n)
-    pq = as_pair(pq)
     if not eps > 0:
         raise ValueError("eps must be positive")
     if log_t is None:
         if t is None or not t > 0:
             raise ValueError("need t > 0 or log_t")
         log_t = math.log(t)
-    _require_match(consts, n, pq)
-    p, q = pq.p, pq.q
-    x = pq.product
+    n, p, q = consts.n, consts.p, consts.q
+    x = p * q
     log_eps = math.log(eps)
     if family == "subcritical-v":
-        t1 = theta1(n, pq)
+        t1 = theta1(n, (p, q))
         log_val = (
             p * log_eps
             - (0.5 * (n - 1.0) * p + n) * LOG2
@@ -597,7 +593,7 @@ def divergence_driver(family: str, n, pq, eps: float, consts: IterationConstants
             + p * t1 * log_t
         )
     elif family == "subcritical-uprime":
-        t2 = theta2(n, pq)
+        t2 = theta2(n, (p, q))
         log_val = (
             q * log_eps
             - (0.5 * (n - 1.0) * q + n) * LOG2
@@ -625,9 +621,8 @@ def divergence_certificate(table: SequenceTable, eps: float, t: float,
                            consts: IterationConstants) -> bool:
     """Whether the divergence driver of the table's family exceeds 1 at
     (t, eps), certifying blow-up of the lower-bound sequence there."""
-    value = divergence_driver(table.family, table.n, (table.p, table.q), eps,
-                              consts, t=t)
-    return bool(value > 1.0)
+    _require_match(consts, table.n, as_pair((table.p, table.q)))
+    return bool(divergence_driver(table.family, consts, eps, t=t) > 1.0)
 
 
 def write_table_csv(table: SequenceTable, path) -> None:

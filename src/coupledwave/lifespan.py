@@ -3,7 +3,8 @@
 Runs the solver across a decreasing ladder of data amplitudes eps,
 collects numerical blow-up times (with a grid-refinement repeat per
 row), fits log T against log eps on the blown-up rows and compares the
-slope with the predicted power law.  The runs are independent batches
+slope with the predicted power law the table carries
+(``LifespanTable.prediction``).  The runs are independent batches
 of rows (``solver.run_batch``).  On Linux with more than one CPU
 available to the process they run on forked worker processes, at most
 one per CPU, split as the finest repeat's smallest eps (usually the
@@ -45,7 +46,6 @@ __all__ = [
     "sweep",
     "fit_scaling",
     "report",
-    "read_rows",
 ]
 
 ASYMPTOTIC_CAVEAT = (
@@ -278,13 +278,13 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
     )
 
 
-def fit_scaling(table: LifespanTable, model_exponent: float) -> ScalingFit:
+def fit_scaling(table: LifespanTable) -> ScalingFit:
     """Least-squares slope of log T against log eps, with consistency flag.
 
     The lifespan theorem is a one-sided bound with unknown constant, so
-    consistency asserts sign and a magnitude band: slope < 0 and
-    |slope| <= 1.4 |model_exponent| (undershoot is acceptable and
-    reported via the slope itself).
+    consistency asserts sign and a magnitude band against the table's
+    predicted exponent: slope < 0 and |slope| <= 1.4 |exponent|
+    (undershoot is acceptable and reported via the slope itself).
     """
     blown = [(r.eps, r.T_numeric) for r in table.rows if r.blew_up]
     if len(blown) < 3:
@@ -294,7 +294,7 @@ def fit_scaling(table: LifespanTable, model_exponent: float) -> ScalingFit:
     sxx = float(np.sum((x - x.mean()) ** 2))
     se = math.sqrt(float(np.sum(resid**2)) / (m - 2) / sxx) if m > 2 else 0.0
     ci = 1.96 * se
-    consistent = slope < 0 and abs(slope) <= 1.4 * abs(model_exponent)
+    consistent = slope < 0 and abs(slope) <= 1.4 * abs(table.prediction.exponent)
     return ScalingFit(slope=slope, ci_halfwidth=ci, consistent=consistent)
 
 
@@ -361,24 +361,3 @@ def report(table: LifespanTable, destination) -> tuple:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return csv_path, json_path
-
-
-def read_rows(csv_path) -> list:
-    """Parse a lifespan CSV back into rows (round-trip of report, except
-    ``failed_repeats``).  A CSV without the grid_change and failed
-    columns reads them as NaN and False."""
-    rows = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
-                LifespanRow(
-                    eps=float(rec["eps"]),
-                    T_numeric=float(rec["T_numeric"]),
-                    blew_up=rec["blew_up"] == "true",
-                    T_predicted_shape=float(rec["T_predicted_shape"]),
-                    grid_change=float(rec.get("grid_change", "nan")),
-                    failed=rec.get("failed") == "true",
-                )
-            )
-    return rows

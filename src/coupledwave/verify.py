@@ -13,7 +13,7 @@ import numpy as np
 
 from . import functionals as fn
 from . import iteration as it
-from .exponents import ExponentPair, Region, cusp_exponents, cusp_residuals, kernel_exponents
+from .exponents import ExponentPair, cusp_exponents, cusp_residuals, kernel_exponents
 from .solver import (
     GridSpec,
     InitialDataFamily,
@@ -124,10 +124,10 @@ def _check_identity():
 
 def _check_thresholds():
     con = it.IterationConstants.from_frame(3, (2.0, 2.0))
-    tA = it.threshold_time(3, (2.0, 2.0), 0.4, con, Region.SUBCRITICAL)
-    tB = it.threshold_time(3, (2.0, 2.0), 0.2, con, Region.SUBCRITICAL)
+    tA = it.threshold_time(con, 0.4)
+    tB = it.threshold_time(con, 0.2)
     ratio_err = abs(tB.T / tA.T - 2.0**6) / 2.0**6
-    drv = it.divergence_driver("subcritical-v", 3, (2.0, 2.0), 0.4, con, t=tA.T)
+    drv = it.divergence_driver("subcritical-v", con, 0.4, t=tA.T)
     ok = ratio_err < 1e-12 and abs(drv - 1.0) < 1e-9
     return ok, f"halving error {ratio_err:.1e}, driver-at-threshold {drv:.12f}"
 

@@ -24,7 +24,6 @@ import pytest
 from coupledwave import functionals as fn
 from coupledwave.exponents import (
     ExponentPair,
-    Region,
     cusp_exponents,
     cusp_residuals,
     theta1,
@@ -253,22 +252,13 @@ def test_criterion_5_fundamental_identities(identity_run):
             f"max relative residuals {res_u:.2e} (curlyU), {res_v:.2e} (curlyV)")
 
 
-def test_criterion_6_functional_floors(
-    standard_run, standard_spec, damped_run, damped_spec, negative_run, negative_spec
-):
-    for rec, spec, label in (
-        (standard_run, standard_spec, "undamped"),
-        (damped_run, damped_spec, "damped"),
-    ):
-        series = fn.extract(rec)
-        ints = fn.data_integrals(spec)
-        for check in fn.check_floor_bounds(series, ints, spec.eps):
+def test_criterion_6_functional_floors(standard_run, damped_run, negative_run):
+    for rec, label in ((standard_run, "undamped"), (damped_run, "damped")):
+        for check in fn.check_floor_bounds(rec):
             assert check.passed, (label, check)
         for check in fn.check_nonlinearity_bounds(rec):
             assert check.passed, (label, check)
-    neg_series = fn.extract(negative_run)
-    neg_ints = fn.data_integrals(negative_spec)
-    neg = {c.bound_id.value: c for c in fn.check_floor_bounds(neg_series, neg_ints, 1.0)}
+    neg = {c.bound_id.value: c for c in fn.check_floor_bounds(negative_run)}
     assert not neg["U2Floor"].passed
     _report("criterion-6 floors",
             "U1/V1/U2 floors and both envelopes hold (damped and undamped); "
@@ -290,7 +280,8 @@ def test_criterion_7_lifespan_sweep():
     assert all(b >= a - stride for a, b in zip(T, T[1:]))
     for r in table.rows:
         assert r.grid_change < 0.05, r
-    fit = fit_scaling(table, -6.0)
+    assert table.prediction.exponent == pytest.approx(-6.0)
+    fit = fit_scaling(table)
     assert fit.slope < 0
     assert abs(fit.slope) <= 6.0 * 1.4
     assert fit.consistent
@@ -303,8 +294,8 @@ def test_criterion_7_lifespan_sweep():
 def test_criterion_8_threshold_consistency():
     # halving law, exact to 1e-12
     con = IterationConstants.from_frame(3, (2.0, 2.0))
-    tA = threshold_time(3, (2.0, 2.0), 0.4, con, Region.SUBCRITICAL)
-    tB = threshold_time(3, (2.0, 2.0), 0.2, con, Region.SUBCRITICAL)
+    tA = threshold_time(con, 0.4)
+    tB = threshold_time(con, 0.2)
     assert tB.T / tA.T == pytest.approx(2.0 ** 6, rel=1e-12)
 
     worst = 0.0
@@ -312,17 +303,17 @@ def test_criterion_8_threshold_consistency():
     p2 = theta2_critical_p(3, 1.2)
     c = cusp_exponents(3)
     sampled = [
-        ("subcritical-v", 3, (2.0, 2.0), Region.SUBCRITICAL,
+        ("subcritical-v", 3, (2.0, 2.0),
          dict(C=0.8, K=1.3, Ctilde=0.7, Ktilde=1.2, m1_0=0.8, m2_0=0.9)),
-        ("subcritical-uprime", 2, (3.0, 1.1), Region.SUBCRITICAL, {}),
-        ("critical-theta1", 3, (2.0, q1), Region.CRITICAL_THETA1, {}),
-        ("critical-theta2", 3, (p2, 1.2), Region.CRITICAL_THETA2, {}),
-        ("critical-double", 3, (c.p_mix, c.q_mix), Region.DOUBLE_CRITICAL, {}),
+        ("subcritical-uprime", 2, (3.0, 1.1), {}),
+        ("critical-theta1", 3, (2.0, q1), {}),
+        ("critical-theta2", 3, (p2, 1.2), {}),
+        ("critical-double", 3, (c.p_mix, c.q_mix), {}),
     ]
-    for family, n, pq, region, kw in sampled:
+    for family, n, pq, kw in sampled:
         consts = IterationConstants.from_frame(n, pq, **kw)
-        th = threshold_time(n, pq, 0.6, consts, region)
-        drv = divergence_driver(family, n, pq, 0.6, consts, log_t=th.log_T)
+        th = threshold_time(consts, 0.6)
+        drv = divergence_driver(family, consts, 0.6, log_t=th.log_T)
         worst = max(worst, abs(drv - 1.0))
         assert abs(drv - 1.0) < 1e-9, (family, drv)
     _report("criterion-8 thresholds",

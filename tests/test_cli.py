@@ -313,8 +313,13 @@ def test_damped_identity_config_exits_2(monkeypatch, tmp_path, capsys):
          "sweep.eps_values must be an array of numbers"),
         ({"grid": {"dr": 0.04, "t_max": 1}, "kernels": {"quad_nodes": "x"}},
          "kernels.quad_nodes must be an integer"),
+        # the Gauss-Jacobi rule's cost grows as quad_nodes^3; solve exited 0 here
+        ({"grid": {"dr": 0.04, "t_max": 1}, "kernels": {"quad_nodes": 513}},
+         "kernels.quad_nodes must lie in [16, 512], got 513"),
+        ({"grid": {"dr": 0.04, "t_max": 1}, "kernels": {"lambda0": -1.0}},
+         "kernels.lambda0 must be positive and finite, got -1.0"),
     ],
-    ids=["sweep-and-kernels", "kernels"],
+    ids=["sweep-and-kernels", "kernels", "kernels-quad-nodes-bound", "kernels-lambda0-bound"],
 )
 @pytest.mark.parametrize("verb", ["solve", "identity", "sweep"])
 def test_every_config_section_is_checked_by_every_verb(verb, doc, message, tmp_path, capsys):

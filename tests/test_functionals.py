@@ -64,32 +64,34 @@ def test_data_integrals_positive_and_scaled(damped_spec):
     assert ints0.I1_u0 == pytest.approx(ints.I1_u0 / m1, rel=1e-12)
 
 
-def test_floor_bounds_hold(standard_series, standard_spec, damped_series, damped_spec):
-    for series, spec in ((standard_series, standard_spec), (damped_series, damped_spec)):
-        ints = fn.data_integrals(spec)
-        checks = fn.check_floor_bounds(series, ints, spec.eps)
+def test_floor_bounds_hold(standard_run, damped_run):
+    for rec in (standard_run, damped_run):
+        checks = fn.check_floor_bounds(rec)
         assert {c.bound_id.value for c in checks} == {"U1Floor", "V1Floor", "U2Floor"}
         for c in checks:
             assert c.passed, c
 
 
 def test_floor_bounds_zero_eps_limit():
-    times = np.linspace(0, 1, 11)
-    zero = np.zeros_like(times)
-    series = fn.FunctionalSeries(
-        times=times, U=zero, Uprime=zero, V=zero, Vprime=zero,
-        U1=zero, V1=zero, U2=zero, curlyU=zero, curlyV=zero, r1=0.5, r2=0.5,
+    # zero data: the floors eps * I[...] and the series are all 0, so
+    # every margin is exactly 0 and every check passes
+    spec = ProblemSpec(
+        n=3, pq=ExponentPair(2, 2), b1=DampingSpec.zero(), b2=DampingSpec.zero(),
+        R=1.0, eps=1.0,
+        data=InitialDataFamily(k=3, amplitudes=(0.0, 0.0, 0.0, 0.0)),
+        grid=GridSpec(dr=0.02, t_max=1.0),
+        enforce_hypotheses=False,
     )
-    ints = fn.InitialDataIntegrals(1.0, 1.0, 1.0, 1.0)
-    for c in fn.check_floor_bounds(series, ints, 0.0):
+    rec = run(spec, probes=fn.probes(spec, 0.5, 0.5))
+    checks = fn.check_floor_bounds(rec)
+    assert len(checks) == 3
+    for c in checks:
         assert c.passed
         assert c.min_margin == 0.0
 
 
-def test_negative_control_fails_u2_floor(negative_run, negative_spec):
-    ser = fn.extract(negative_run)
-    ints = fn.data_integrals(negative_spec)
-    checks = {c.bound_id.value: c for c in fn.check_floor_bounds(ser, ints, 1.0)}
+def test_negative_control_fails_u2_floor(negative_run):
+    checks = {c.bound_id.value: c for c in fn.check_floor_bounds(negative_run)}
     assert not checks["U2Floor"].passed
     assert checks["U2Floor"].min_margin < 0
 
@@ -133,10 +135,10 @@ def test_fundamental_identity_rejects_damped(damped_run):
         fn.check_fundamental_identity(damped_run)
 
 
-def test_log_seeds_double_critical(cusp_run, cusp_spec, cusp_r_parameters):
+def test_log_seeds_double_critical(cusp_run, cusp_r_parameters):
     ser = fn.extract(cusp_run)
     assert (ser.r1, ser.r2) == cusp_r_parameters  # the kernel of the record's probes
-    checks = {c.bound_id.value: c for c in fn.check_log_seeds(ser, cusp_spec)}
+    checks = {c.bound_id.value: c for c in fn.check_log_seeds(cusp_run)}
     assert set(checks) == {"CurlyULog", "CurlyVLog"}
     assert checks["CurlyULog"].passed
     assert checks["CurlyVLog"].passed
@@ -152,8 +154,7 @@ def test_log_seeds_theta1_critical():
         grid=GridSpec(dr=0.02, t_max=18.0),
     )
     rec = run(spec, probes=fn.probes(spec, 0.5, 0.7))
-    ser = fn.extract(rec)
-    checks = {c.bound_id.value: c for c in fn.check_log_seeds(ser, spec)}
+    checks = {c.bound_id.value: c for c in fn.check_log_seeds(rec)}
     assert set(checks) == {"CurlyULog"}
     assert checks["CurlyULog"].passed
 
@@ -172,7 +173,7 @@ def test_log_seeds_theta2_critical_uses_shift():
     r1, r2 = r_parameters("theta2", 3, spec.pq)
     rec = run(spec, probes=fn.probes(spec, r1, r2))
     ser = fn.extract(rec)
-    checks = {c.bound_id.value: c for c in fn.check_log_seeds(ser, spec)}
+    checks = {c.bound_id.value: c for c in fn.check_log_seeds(rec)}
     assert set(checks) == {"CurlyVLog"}
     check = checks["CurlyVLog"]
     assert check.passed
@@ -185,9 +186,18 @@ def test_log_seeds_theta2_critical_uses_shift():
     )
 
 
-def test_log_seeds_reject_noncritical(standard_series, standard_spec):
-    with pytest.raises(ValueError):
-        fn.check_log_seeds(standard_series, standard_spec)
+def test_log_seeds_reject_noncritical(standard_run):
+    with pytest.raises(ValueError, match="need a critical spec"):
+        fn.check_log_seeds(standard_run)
+
+
+def test_log_seeds_reject_damped_critical(cusp_spec, cusp_r_parameters):
+    # refused by require_zero_damping, before any extraction
+    spec = dataclasses.replace(cusp_spec, b1=DampingSpec.power_decay(0.5, 2.0),
+                               grid=GridSpec(dr=0.04, t_max=0.5))
+    rec = run(spec, probes=fn.probes(spec, *cusp_r_parameters))
+    with pytest.raises(ValueError, match="hold for zero damping only"):
+        fn.check_log_seeds(rec)
 
 
 def test_floors_hold_with_exp_decay_damping():
@@ -199,9 +209,7 @@ def test_floors_hold_with_exp_decay_damping():
     )
     rec = run(spec, probes=fn.probes(spec, 0.5, 0.5))
     assert rec.blew_up
-    ser = fn.extract(rec)
-    ints = fn.data_integrals(spec)
-    for check in fn.check_floor_bounds(ser, ints, spec.eps):
+    for check in fn.check_floor_bounds(rec):
         assert check.passed, check
     for check in fn.check_nonlinearity_bounds(rec):
         assert check.passed, check

@@ -8,6 +8,7 @@ import pytest
 
 from coupledwave.exponents import (
     Region,
+    classify,
     cusp_exponents,
     theta1,
     theta1_critical_q,
@@ -191,22 +192,22 @@ def test_iteration_constants_large_exponent_in_log_space():
 def test_threshold_subcritical_example():
     # theta1 = 1/6 at n = 3, p = q = 2: T = 2^15 N^-3 10^6 at eps = 0.1
     con = IterationConstants.from_frame(3, (2.0, 2.0))
-    th = threshold_time(3, (2.0, 2.0), 0.1, con, Region.SUBCRITICAL)
+    th = threshold_time(con, 0.1)
     assert th.formula_id == "subcritical-theta1"
     assert th.T == pytest.approx(2.0**15 * con.Nconst**-3 * 1e6, rel=1e-12)
 
 
 def test_threshold_halving_law():
     con = IterationConstants.from_frame(3, (2.0, 2.0))
-    tA = threshold_time(3, (2.0, 2.0), 0.4, con, Region.SUBCRITICAL)
-    tB = threshold_time(3, (2.0, 2.0), 0.2, con, Region.SUBCRITICAL)
+    tA = threshold_time(con, 0.4)
+    tB = threshold_time(con, 0.2)
     assert tB.T / tA.T == pytest.approx(2.0**6, rel=1e-12)
 
 
 def test_threshold_rejects_supercritical():
     con = IterationConstants.from_frame(3, (4.0, 4.0))
     with pytest.raises(ValueError):
-        threshold_time(3, (4.0, 4.0), 0.5, con, Region.SUPERCRITICAL)
+        threshold_time(con, 0.5)
 
 
 def test_threshold_uses_dominant_theta_branch():
@@ -214,9 +215,9 @@ def test_threshold_uses_dominant_theta_branch():
     n, p, q = 2, 3.0, 1.1
     assert theta2(n, (p, q)) > theta1(n, (p, q)) > 0
     con = IterationConstants.from_frame(n, (p, q))
-    th = threshold_time(n, (p, q), 0.5, con, Region.SUBCRITICAL)
+    th = threshold_time(con, 0.5)
     assert th.formula_id == "subcritical-theta2"
-    drv = divergence_driver("subcritical-uprime", n, (p, q), 0.5, con, t=th.T)
+    drv = divergence_driver("subcritical-uprime", con, 0.5, t=th.T)
     assert drv == pytest.approx(1.0, abs=1e-9)
 
 
@@ -241,15 +242,18 @@ def test_divergence_driver_matches_thresholds_all_regions():
          IterationConstants.from_frame(3, (c.p_mix, c.q_mix)))
     )
     for family, n, pq, region, con in cases:
-        th = threshold_time(n, pq, 0.7, con, region)
-        drv = divergence_driver(family, n, pq, 0.7, con, log_t=th.log_T)
+        assert classify(n, pq).region is region
+        th = threshold_time(con, 0.7)
+        if region is not Region.SUBCRITICAL:  # the region the exponents decide
+            assert th.formula_id == family
+        drv = divergence_driver(family, con, 0.7, log_t=th.log_T)
         assert drv == pytest.approx(1.0, abs=1e-9), family
 
 
 def test_divergence_certificate_monotone(standard_spec):
     con = IterationConstants.from_frame(3, (2.0, 2.0))
     tv, _ = subcritical_sequences(3, (2.0, 2.0), 10, con)
-    th = threshold_time(3, (2.0, 2.0), 0.5, con, Region.SUBCRITICAL)
+    th = threshold_time(con, 0.5)
     assert not divergence_certificate(tv, 0.5, 0.5 * th.T, con)
     assert divergence_certificate(tv, 0.5, 2.0 * th.T, con)
 
@@ -271,12 +275,21 @@ def test_r_parameters():
         r_parameters("theta1", 3, (2.0, 2.0))
 
 
+@pytest.mark.parametrize("case", ["theta1", "theta2", "double"])
+def test_off_curve_message_shared(case):
+    # (2, 2) at n = 3 is subcritical: on neither curve
+    with pytest.raises(ValueError) as seq:
+        critical_sequences(case, 3, (2.0, 2.0), 5)
+    with pytest.raises(ValueError) as rpar:
+        r_parameters(case, 3, (2.0, 2.0))
+    assert str(seq.value) == str(rpar.value)
+    assert str(seq.value).startswith(f"(p, q) is not {case}-critical: theta1 = ")
+
+
 def test_constants_mismatch_rejected():
     con = IterationConstants.from_frame(3, (2.0, 2.0))
     with pytest.raises(ValueError):
         subcritical_sequences(3, (2.0, 2.1), 5, con)
-    with pytest.raises(ValueError):
-        threshold_time(4, (2.0, 2.0), 0.5, con, Region.SUBCRITICAL)
 
 
 def test_table_csv(tmp_path):
@@ -327,7 +340,7 @@ def test_table_csv_digests(tmp_path):
 
 def test_divergence_driver_overflow_is_inf():
     con = IterationConstants.from_frame(3, (2.0, 2.0))
-    assert divergence_driver("subcritical-v", 3, (2.0, 2.0), 0.5, con, log_t=1e5) == math.inf
+    assert divergence_driver("subcritical-v", con, 0.5, log_t=1e5) == math.inf
 
 
 def _critical_cases():
@@ -345,12 +358,12 @@ def _critical_cases():
 def test_threshold_critical_tiny_eps_is_inf(region, pq):
     con = IterationConstants.from_frame(3, pq)
     for eps in (1e-40, 1e-300):
-        th = threshold_time(3, pq, eps, con, region)
+        th = threshold_time(con, eps)
         assert th.T == math.inf
         assert th.log_T > 0
-    assert threshold_time(3, pq, 1e-300, con, region).log_T == math.inf
+    assert threshold_time(con, 1e-300).log_T == math.inf
     if region is Region.CRITICAL_THETA1:
-        assert threshold_time(3, pq, 1e-40, con, region).log_T == math.inf
+        assert threshold_time(con, 1e-40).log_T == math.inf
 
 
 def test_from_frame_tiny_constant_in_log_space():
@@ -382,10 +395,10 @@ def test_subcritical_constants_stay_in_log_space():
     assert con.log_Nconst == pytest.approx(
         base.log_Nconst + log_c / (x - 1.0), rel=1e-12
     )
-    th = threshold_time(n, (p, q), 0.5, con, Region.SUBCRITICAL)
+    th = threshold_time(con, 0.5)
     assert th.formula_id == "subcritical-theta2"
     assert math.isfinite(th.log_T)
-    drv = divergence_driver("subcritical-uprime", n, (p, q), 0.5, con, log_t=th.log_T)
+    drv = divergence_driver("subcritical-uprime", con, 0.5, log_t=th.log_T)
     assert drv == pytest.approx(1.0, rel=1e-12)
 
 
@@ -405,8 +418,8 @@ def test_replace_recomputes_derived_constants():
             dataclasses.replace(base, **{name: 123.0})
         with pytest.raises(TypeError):
             IterationConstants(3, 2.0, 2.0, **{name: 123.0})
-    T = threshold_time(3, (2.0, 2.0), 0.4, con, Region.SUBCRITICAL).T
-    assert T == threshold_time(3, (2.0, 2.0), 0.4, fresh, Region.SUBCRITICAL).T
+    T = threshold_time(con, 0.4).T
+    assert T == threshold_time(fresh, 0.4).T
 
 
 @pytest.mark.parametrize("name", ["C", "K", "Ctilde", "Ktilde", "m1_0", "m2_0"])
