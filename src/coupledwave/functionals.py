@@ -20,13 +20,18 @@ start and test the claimed shape, not absolute constants.
 
 Every series is read from one record: ``run(spec, probes=probes(spec,
 r1, r2, lambda0, quad_nodes))`` projects the profiles and the nonlinear
-sources |v|^q, |u_t|^p at each sample onto the radial weights, the
-Phi-weighted radial weights and the kernel lam-bases, so memory grows
-with samples * quad_nodes, not samples * grid points.  ``extract``,
-``nonlinearity_integrals`` and every check take the record alone: they
-read row slices of those projections, the problem (eps, damping, data)
-from ``record.spec`` and the kernel rows with the (r1, r2, lambda0,
-quad_nodes) the record carries as ``record.kernel``.
+sources |v|^q, |u_t|^p at each sample.  Every source carries two head
+rows, the radial weights and the Phi-weighted radial weights; u_t,
+|v|^q, v and |u_t|^p also carry the quad_nodes rows of their kernel
+lam-basis, one basis per distinct exponent (r1 for u_t and |v|^q, r2
+for v and |u_t|^p).  Memory grows with samples * quad_nodes, not
+samples * grid points.  ``extract``, ``nonlinearity_integrals`` and
+every check take the record alone: they read row slices of those
+projections, the problem (eps, damping, data) from ``record.spec`` and
+the kernel rows with the (r1, r2, lambda0, quad_nodes) the record
+carries as ``record.kernel``.  The identity check projects the data
+terms u0 and v1 from ``record.spec``'s data itself, on the grid points
+inside B_R.
 """
 
 from __future__ import annotations
@@ -67,6 +72,8 @@ __all__ = [
 ]
 
 FLOOR_SLACK = 0.02
+# the sources whose probes carry the head rows only
+HEAD_SOURCES = ("u", "vt")
 # largest relative residual accepted for the fundamental identities
 IDENTITY_TOL = 0.02
 
@@ -132,7 +139,9 @@ class BoundCheck:
 def _projections(record: SolutionRecord, kernel: bool = True) -> dict:
     """``record.projections``, checked to start with the rows of
     ``integral_probes`` on every source (as ``probes(spec, ...)`` do)
-    and, with ``kernel``, to carry the ``kernel`` stamp of ``probes``."""
+    and, with ``kernel``, to carry the ``kernel`` stamp of ``probes``
+    and its widths: 2 columns on HEAD_SOURCES, quad_nodes + 2 on the
+    others."""
     proj = record.projections
     if (not record.integrals or not all(name in proj for name in PROBE_SOURCES)
             or (kernel and record.kernel is None)):
@@ -140,6 +149,14 @@ def _projections(record: SolutionRecord, kernel: bool = True) -> dict:
             "record needs the projections of probes(spec, r1, r2, lambda0, quad_nodes); "
             "pass them to run(spec, probes=...)"
         )
+    if kernel:
+        for name in PROBE_SOURCES:
+            width = 2 if name in HEAD_SOURCES else 2 + record.kernel[3]
+            if proj[name].shape[1] != width:
+                raise ValueError(
+                    f"projection {name!r} has {proj[name].shape[1]} columns; the kernel "
+                    f"stamp {record.kernel} of the record expects {width}"
+                )
     return proj
 
 
@@ -157,13 +174,15 @@ def _kernel_nodes(spec, r, lambda0, quad_nodes):
     return kernel_nodes(KernelConfig(r=r, lambda0=lambda0, R=spec.R, quad_nodes=quad_nodes))
 
 
-def _kernel_basis(n, grid, lam):
-    """The (m, M) basis Phi(lam x) * w on the radial grid.
+def _kernel_basis(n, points, weights, lam):
+    """The (m, P) basis Phi(lam x) * weights on the radial grid points
+    ``points``.
 
     basis @ f is the lam-projection int f(x) Phi(lam x) dx of a radial
-    profile f at every node; w are the grid's radial weights.
+    profile f at every node, when ``weights`` are the grid's radial
+    weights at ``points``.
     """
-    return phi(n, np.multiply.outer(lam, grid)) * radial_weights(grid, n)
+    return phi(n, np.multiply.outer(lam, points)) * weights
 
 
 def _diag_kernel_series(times, R, lam, wl, proj):
@@ -174,8 +193,11 @@ def _diag_kernel_series(times, R, lam, wl, proj):
     Phi(lam rho) lam^r, so the t-dependence reduces to per-node
     exponential factors on the lam-projections.
     """
-    decay = np.exp(-np.multiply.outer(times + R, lam))  # (N, m)
-    return (proj * decay) @ wl
+    fac = np.multiply.outer(times + R, lam)  # (N, m), formed in place
+    np.negative(fac, out=fac)
+    np.exp(fac, out=fac)
+    fac *= proj
+    return fac @ wl
 
 
 def probes(spec: ProblemSpec, r1: float, r2: float,
@@ -186,22 +208,26 @@ def probes(spec: ProblemSpec, r1: float, r2: float,
 
     Per source, on ``radial_grid(spec)``: row 0 is ``integral_probes``
     (U, U', V, V', int |v|^q, int |u_t|^p); row 1 is Phi * w (U1, U2,
-    V1 before their e^{-t} factor, read for u, u_t and v); the other
-    ``quad_nodes`` rows are a kernel basis, exponent r1 + 2 for u (the
-    u0 term), r1 for u_t and |v|^q (curlyU and its source), r2 for v,
-    v_t and |u_t|^p (curlyV, its data and its source).  Sources with
-    one basis share one matrix, which keeps the probes as small as the
-    three bases.  The mapping carries ``kernel`` = (r1, r2, lambda0,
-    quad_nodes), which the run records and the readers use.
+    V1 before their e^{-t} factor, read for u, u_t and v).  u and v_t
+    carry these two head rows only.  The other four sources carry
+    ``quad_nodes`` more rows, a kernel basis of exponent r1 for u_t and
+    |v|^q (curlyU and its source) and r2 for v and |u_t|^p (curlyV and
+    its source).  There is one basis matrix per distinct exponent, so
+    with r1 == r2 one matrix serves all four; the identity check
+    projects the data terms u0 and v1 from the spec's data instead.
+    The mapping carries ``kernel`` = (r1, r2, lambda0, quad_nodes),
+    which the run records and the readers use.
     """
     grid = radial_grid(spec)
     w = integral_probes(spec)["u"]  # one row, the same for every source
     head = np.vstack((w, w * phi(spec.n, grid)))
-    basis1s, basis1, basis2 = (
-        np.vstack((head, _kernel_basis(spec.n, grid, _kernel_nodes(spec, r, lambda0, quad_nodes)[0])))
-        for r in (r1 + 2.0, r1, r2)
-    )
-    return _KernelProbes({"u": basis1s, "ut": basis1, "v": basis2, "vt": basis2,
+
+    def rows(r):
+        return np.vstack((head, _kernel_basis(spec.n, grid, w, _kernel_nodes(spec, r, lambda0, quad_nodes)[0])))
+
+    basis1 = rows(r1)
+    basis2 = basis1 if r2 == r1 else rows(r2)
+    return _KernelProbes({"u": head, "ut": basis1, "v": basis2, "vt": head,
                           "|v|^q": basis1, "|u_t|^p": basis2},
                          (float(r1), float(r2), float(lambda0), int(quad_nodes)))
 
@@ -338,20 +364,37 @@ def require_zero_damping(spec: ProblemSpec) -> None:
         raise ValueError("the fundamental identities hold for zero damping only")
 
 
+def _data_terms(spec: ProblemSpec, lam_u0, lam_v1):
+    """The lam-projections of the data u0 at the nodes ``lam_u0`` and v1
+    at ``lam_v1``, from (eps * amplitude) * profile on the grid points
+    r <= R, outside which the data vanish."""
+    grid = radial_grid(spec)
+    k = int(grid.searchsorted(spec.R, side="right"))
+    points, w = grid[:k], radial_weights(grid, spec.n)[:k]
+    bump = spec.data.profile(points, spec.R)
+    return tuple(
+        _kernel_basis(spec.n, points, w, lam) @ ((spec.eps * amplitude) * bump)
+        for lam, amplitude in ((lam_u0, spec.data.a_u0), (lam_v1, spec.data.a_v1))
+    )
+
+
 def check_fundamental_identity(record: SolutionRecord, checkpoints=None):
     """Residuals of the exact integral representations of curlyU, curlyV.
 
     Valid for the undamped system only.  ``record`` must come from
     ``run(spec, probes=probes(spec, r1, r2, lambda0, quad_nodes))``:
-    the check reads the kernel rows of its projections, with the kernel
-    the record carries.  Both sides are evaluated at checkpoint times;
-    the time integral of the nonlinear source against the kernels uses
-    the trapezoid rule over the samples.  Returns the maximum relative
-    residual for each identity, NaN if any residual is NaN.
+    with the kernel the record carries, the check reads the kernel rows
+    of u_t and v (curlyU, curlyV, and the data u1, v0 at sample 0) and
+    of |v|^q and |u_t|^p (the sources).  The data terms u0 (on the
+    r1 + 2 kernel) and v1 (on the r2 kernel) it projects from
+    ``record.spec``'s data.  Both sides are evaluated at checkpoint
+    times; the time integral of the nonlinear source against the kernels
+    uses the trapezoid rule over the samples.  Returns the maximum
+    relative residual for each identity, NaN if any residual is NaN.
     """
     spec = record.spec
     require_zero_damping(spec)
-    proj = {name: rows[:, 2:] for name, rows in _projections(record).items()}
+    proj = {name: rows[:, 2:] for name, rows in _projections(record).items() if name not in HEAD_SOURCES}
     r1, r2, lambda0, quad_nodes = record.kernel
 
     times = record.times
@@ -365,9 +408,9 @@ def check_fundamental_identity(record: SolutionRecord, checkpoints=None):
         _kernel_nodes(spec, r, lambda0, quad_nodes) for r in (r1 + 2.0, r1, r2))
     curlyU = _diag_kernel_series(times, spec.R, lam1, wl1, proj["ut"])
     curlyV = _diag_kernel_series(times, spec.R, lam2, wl2, proj["v"])
-    # the data are the sources at sample 0
-    proj_u0, proj_u1 = proj["u"][0], proj["ut"][0]
-    proj_v0, proj_v1 = proj["v"][0], proj["vt"][0]
+    # u1 and v0 are the sources at sample 0
+    proj_u1, proj_v0 = proj["ut"][0], proj["v"][0]
+    proj_u0, proj_v1 = _data_terms(spec, lam1s, lam2)
     proj_vq = proj["|v|^q"].T  # (m, N)
     proj_utp = proj["|u_t|^p"].T
 
@@ -382,17 +425,21 @@ def check_fundamental_identity(record: SolutionRecord, checkpoints=None):
         # curlyU identity
         lin1 = tc * float((wl1s * decay1s * sinhc(lam1s * tc)) @ proj_u0)
         lin2 = float((wl1 * decay1 * np.cosh(lam1 * tc)) @ proj_u1)
-        hist = proj_vq[:, : ci + 1]  # (m, ci+1)
-        cosh_fac = np.cosh(np.multiply.outer(lam1, span))
-        src = float((wl1 * decay1) @ ((hist * cosh_fac) @ dt_sub))
+        # the (m, ci+1) kernel factors times the source history, formed
+        # in place; curlyV's reuses curlyU's buffer for its argument
+        fac = np.multiply.outer(lam1, span)
+        np.cosh(fac, out=fac)
+        fac *= proj_vq[:, : ci + 1]
+        src = float((wl1 * decay1) @ (fac @ dt_sub))
         rhs = lin1 + lin2 + src
         res_u.append(abs(curlyU[ci] - rhs) / max(abs(curlyU[ci]), 1e-300))
         # curlyV identity
         lin1v = float((wl2 * decay2 * np.cosh(lam2 * tc)) @ proj_v0)
         lin2v = tc * float((wl2 * decay2 * sinhc(lam2 * tc)) @ proj_v1)
-        histv = proj_utp[:, : ci + 1]
-        sinh_fac = span * sinhc(np.multiply.outer(lam2, span))
-        srcv = float((wl2 * decay2) @ ((histv * sinh_fac) @ dt_sub))
+        fac = sinhc(np.multiply.outer(lam2, span, out=fac))
+        fac *= span
+        fac *= proj_utp[:, : ci + 1]
+        srcv = float((wl2 * decay2) @ (fac @ dt_sub))
         rhsv = lin1v + lin2v + srcv
         res_v.append(abs(curlyV[ci] - rhsv) / max(abs(curlyV[ci]), 1e-300))
     # np.max, unlike max, keeps a NaN residual, which then fails every check

@@ -341,11 +341,20 @@ def kernel_nodes(cfg: KernelConfig):
 
 
 def sinhc(y):
-    """sinh(y)/y with the removable singularity handled by series."""
+    """sinh(y)/y with the removable singularity handled by series.
+
+    Returns a C-ordered array of y's shape (0-d for a scalar), formed in
+    place: besides it only boolean masks of y's shape and arrays of the
+    entries with |y| < 1e-4 are allocated.
+    """
     y = np.asarray(y, dtype=float)
-    small = np.abs(y) < 1e-4
-    safe = np.where(small, 1.0, y)
-    out = np.where(small, 1.0 + y * y / 6.0 * (1.0 + y * y / 20.0), np.sinh(safe) / safe)
+    out = np.empty(y.shape)
+    np.abs(y, out=out)
+    small = out < 1e-4
+    np.sinh(y, out=out)
+    np.divide(out, y, out=out, where=~small)
+    ys = y[small]
+    out[small] = 1.0 + ys * ys / 6.0 * (1.0 + ys * ys / 20.0)
     return out
 
 

@@ -12,6 +12,7 @@ from coupledwave.solver import (
     PROBE_BLOCK,
     PROBE_SOURCES,
     GridSpec,
+    InitialDataFamily,
     _Projector,
     integral_probes,
     radial_grid,
@@ -61,18 +62,26 @@ def test_projections_agree_with_profiles(stored_and_probed):
 
 
 def test_probe_rows(standard_spec):
-    # row 0 is the radial weights, row 1 Phi times them, then quad_nodes
-    # kernel rows; sources with one kernel basis share one matrix
+    # row 0 is the radial weights, row 1 Phi times them: the head, all
+    # that u and v_t carry; the kernel sources add quad_nodes rows of one
+    # basis per distinct exponent
     r = radial_grid(standard_spec)
     w = radial_weights(r, standard_spec.n)
-    probes = fn.probes(standard_spec, 0.5, 0.3, quad_nodes=16)
-    for mat in probes.values():
-        assert mat.shape == (18, r.size)
-        assert np.array_equal(mat[0], w)
-        assert np.array_equal(mat[1], w * phi(standard_spec.n, r))
-    assert probes["ut"] is probes["|v|^q"]
-    assert probes["v"] is probes["vt"] is probes["|u_t|^p"]
-    assert len({id(mat) for mat in probes.values()}) == 3
+    for (r1, r2), kernel_mats in (((0.5, 0.3), 2), ((0.5, 0.5), 1)):
+        probes = fn.probes(standard_spec, r1, r2, quad_nodes=16)
+        assert probes["u"] is probes["vt"]
+        assert probes["u"].shape == (2, r.size)
+        for mat in probes.values():
+            assert np.array_equal(mat[0], w)
+            assert np.array_equal(mat[1], w * phi(standard_spec.n, r))
+        for name, rk in (("ut", r1), ("|v|^q", r1), ("v", r2), ("|u_t|^p", r2)):
+            lam = fn._kernel_nodes(standard_spec, rk, 1.0, 16)[0]
+            assert probes[name].shape == (18, r.size)
+            assert np.array_equal(probes[name][2:], fn._kernel_basis(standard_spec.n, r, w, lam)), name
+        assert probes["ut"] is probes["|v|^q"]
+        assert probes["v"] is probes["|u_t|^p"]
+        assert (probes["ut"] is probes["v"]) == (r1 == r2)
+        assert len({id(mat) for mat in probes.values()}) == 1 + kernel_mats
     with pytest.raises(ValueError, match="r > -1"):
         fn.probes(standard_spec, -1.5, 0.3)
 
@@ -89,7 +98,7 @@ def test_extract_matches_profile_formula(stored_and_probed):
 
     def curly(r, prof):
         lam, wl = fn._kernel_nodes(spec, r, 1.0, 64)
-        proj = prof @ fn._kernel_basis(spec.n, stored.r, lam).T
+        proj = prof @ fn._kernel_basis(spec.n, stored.r, w, lam).T
         return fn._diag_kernel_series(stored.times, spec.R, lam, wl, proj)
 
     expected = {
@@ -226,3 +235,51 @@ def test_records_carry_their_kernel(identity_spec, identity_run):
     for reader in (fn.extract, fn.check_fundamental_identity):
         with pytest.raises(ValueError, match=r"probes\(spec"):
             reader(unstamped)
+
+
+def test_projection_widths_follow_the_kernel_stamp(identity_run):
+    # a stamp whose quad_nodes differ from the probes' rows, or a source
+    # with the wrong rows, is refused by name before any series is read
+    restamped = dataclasses.replace(identity_run, kernel=(0.5, 0.5, 1.0, 32))
+    for reader in (fn.extract, fn.check_fundamental_identity):
+        with pytest.raises(ValueError, match=r"'ut' has 66 columns; .* expects 34"):
+            reader(restamped)
+    proj = dict(identity_run.projections, u=identity_run.projections["ut"])
+    with pytest.raises(ValueError, match=r"'u' has 66 columns; .* expects 2"):
+        fn.extract(dataclasses.replace(identity_run, projections=proj))
+    # the integral row alone is all nonlinearity_integrals reads
+    fn.nonlinearity_integrals(restamped)
+
+
+def _sample0_data_terms(spec, r1, r2):
+    """u0 on the r1 + 2 kernel rows and v1 on the r2 kernel rows as sample
+    0 of a run's projections: the layout with a kernel basis on u and v_t,
+    from which the identity check read its data terms."""
+    short = _short_run(spec)
+    grid = radial_grid(short)
+    w = radial_weights(grid, spec.n)
+    basis = {r: np.vstack((w, w * phi(spec.n, grid),
+                           fn._kernel_basis(spec.n, grid, w, fn._kernel_nodes(spec, r, 1.0, 64)[0])))
+             for r in (r1 + 2.0, r2)}
+    rec = run(short, probes={"u": basis[r1 + 2.0], "vt": basis[r2]})
+    return rec.projections["u"][0, 2:], rec.projections["vt"][0, 2:]
+
+
+@pytest.mark.parametrize("kernel", [(0.5, 0.5), (0.3, 0.8)], ids=["r-0.5-0.5", "r-0.3-0.8"])
+@pytest.mark.parametrize("name", ["identity", "cusp"])
+def test_identity_data_terms_from_the_data(request, monkeypatch, name, kernel):
+    # the data terms projected from the spec's data agree with sample 0 of
+    # the run's projections (also at another eps with four distinct
+    # amplitudes), and so do the residuals they give
+    spec = request.getfixturevalue(f"{name}_spec")
+    r1, r2 = kernel
+    lam_u0, lam_v1 = (fn._kernel_nodes(spec, r, 1.0, 64)[0] for r in (r1 + 2.0, r2))
+    other = dataclasses.replace(spec, eps=0.8, data=InitialDataFamily(k=3, amplitudes=(1.0, 2.0, 3.0, 4.0)))
+    for spec_ in (other, spec):
+        sample0 = _sample0_data_terms(spec_, r1, r2)
+        for got, want in zip(fn._data_terms(spec_, lam_u0, lam_v1), sample0):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    rec = run(spec, probes=fn.probes(spec, r1, r2))
+    residuals = fn.check_fundamental_identity(rec)
+    monkeypatch.setattr(fn, "_data_terms", lambda *_args: sample0)
+    assert residuals == pytest.approx(fn.check_fundamental_identity(rec), rel=1e-12, abs=0.0)

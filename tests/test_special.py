@@ -233,6 +233,30 @@ def test_sinhc_series_and_closed_form():
     assert sinhc(y) == pytest.approx(expected, rel=1e-15)
 
 
+def _sinhc_by_where(y):
+    """sinhc as the two-branch np.where expression it is formed in place from."""
+    y = np.asarray(y, dtype=float)
+    small = np.abs(y) < 1e-4
+    safe = np.where(small, 1.0, y)
+    return np.where(small, 1.0 + y * y / 6.0 * (1.0 + y * y / 20.0), np.sinh(safe) / safe)
+
+
+def test_sinhc_is_bitwise_the_where_expression():
+    edge = np.array([1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0)])
+    ramp = np.linspace(-30.0, 30.0, 4001)
+    inputs = [
+        np.concatenate(([0.0, -0.0], edge, -edge, [-2.5, -1e-5, 3e-5, 1.0, 50.0, 700.0])),
+        np.outer(np.linspace(0.0, 3e-3, 17), ramp[1850:2150]),  # a row of zeros, many small entries
+        ramp[:4000].reshape(40, 100).T,  # not C-contiguous
+        np.float64(1e-4), np.array(-7e-5), np.array(0.0), 0.0, 2.0, -1e-9, 3,
+    ]
+    for y in inputs:
+        got, want = sinhc(y), _sinhc_by_where(y)
+        assert type(got) is type(want) is np.ndarray
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes(), y
+
+
 def test_verify_kernel_bounds_rejects_bad_points():
     cfg = KernelConfig(r=0.5, R=1.0)
     with pytest.raises(ValueError):
