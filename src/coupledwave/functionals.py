@@ -406,8 +406,8 @@ def check_fundamental_identity(record: SolutionRecord, checkpoints=None):
 
     (lam1s, wl1s), (lam1, wl1), (lam2, wl2) = (
         _kernel_nodes(spec, r, lambda0, quad_nodes) for r in (r1 + 2.0, r1, r2))
-    curlyU = _diag_kernel_series(times, spec.R, lam1, wl1, proj["ut"])
-    curlyV = _diag_kernel_series(times, spec.R, lam2, wl2, proj["v"])
+    curlyU = _diag_kernel_series(times[checkpoints], spec.R, lam1, wl1, proj["ut"][checkpoints])
+    curlyV = _diag_kernel_series(times[checkpoints], spec.R, lam2, wl2, proj["v"][checkpoints])
     # u1 and v0 are the sources at sample 0
     proj_u1, proj_v0 = proj["ut"][0], proj["v"][0]
     proj_u0, proj_v1 = _data_terms(spec, lam1s, lam2)
@@ -415,7 +415,7 @@ def check_fundamental_identity(record: SolutionRecord, checkpoints=None):
     proj_utp = proj["|u_t|^p"].T
 
     res_u, res_v = [], []
-    for ci in checkpoints:
+    for j, ci in enumerate(checkpoints):
         tc = times[ci]
         decay1s = np.exp(-lam1s * (spec.R + tc))
         decay1 = np.exp(-lam1 * (spec.R + tc))
@@ -432,7 +432,7 @@ def check_fundamental_identity(record: SolutionRecord, checkpoints=None):
         fac *= proj_vq[:, : ci + 1]
         src = float((wl1 * decay1) @ (fac @ dt_sub))
         rhs = lin1 + lin2 + src
-        res_u.append(abs(curlyU[ci] - rhs) / max(abs(curlyU[ci]), 1e-300))
+        res_u.append(abs(curlyU[j] - rhs) / max(abs(curlyU[j]), 1e-300))
         # curlyV identity
         lin1v = float((wl2 * decay2 * np.cosh(lam2 * tc)) @ proj_v0)
         lin2v = tc * float((wl2 * decay2 * sinhc(lam2 * tc)) @ proj_v1)
@@ -441,7 +441,7 @@ def check_fundamental_identity(record: SolutionRecord, checkpoints=None):
         fac *= proj_utp[:, : ci + 1]
         srcv = float((wl2 * decay2) @ (fac @ dt_sub))
         rhsv = lin1v + lin2v + srcv
-        res_v.append(abs(curlyV[ci] - rhsv) / max(abs(curlyV[ci]), 1e-300))
+        res_v.append(abs(curlyV[j] - rhsv) / max(abs(curlyV[j]), 1e-300))
     # np.max, unlike max, keeps a NaN residual, which then fails every check
     return float(np.max(res_u)), float(np.max(res_v))
 

@@ -7,13 +7,14 @@ with compactly supported bump data u(0) = eps*A_u0*B, u_t(0) =
 eps*A_u1*B, etc., damping coefficients in the scattering class, and
 numerical blow-up detection by sup-norm threshold crossing.
 
-Scheme: explicit leapfrog in time and centered second order in the
-radial variable.  The damping term is discretised as b(t_n) *
-(w^{n+1} - w^{n-1}) / (2 dt) and solved for w^{n+1}, which adds no
-stability restriction.  The axis uses the ghost-node symmetry
-w_{-1} = w_1, giving Lap(w)(0) ~ 2 n (w_1 - w_0) / dr^2.  The coupling
-stays second order because u is advanced first, so |u_t|^p can be
-evaluated with the centered difference (u^{n+1} - u^{n-1}) / (2 dt).
+Scheme: explicit leapfrog in time, and in the radial variable the
+centered stencil Lap(w)_j ~ cl w_{j-1} + cr w_{j+1} - 2 w_j / dr^2 with
+cl, cr = 1/dr^2 -+ (n-1) / (2 r_j dr); the axis uses the ghost-node
+symmetry w_{-1} = w_1, giving Lap(w)(0) ~ 2 n (w_1 - w_0) / dr^2.  The
+damping term b(t_n) (w^{n+1} - w^{n-1}) / (2 dt) is solved for w^{n+1},
+which adds no stability restriction.  u is advanced first, so |u_t|^p
+takes the centered u_t = (u^{n+1} - u^{n-1}) / (2 dt) and the coupling
+stays second order.
 
 When the per-step sup-norm growth exceeds 10x in the final growth
 phase, the step size is halved (a Taylor restart rebuilds the two-level
@@ -31,20 +32,21 @@ Because everything beyond the cone is exactly zero, each step works
 only on the active window [:L] of the grid, L = k + 2 with k the first
 point beyond the next level's cone (or the whole grid once the cone
 reaches its end).  One stepping core, ``_Leapfrog``, does every update
-with out= ufuncs, in the same floating-point order as the formulas
-above, on contiguous (field, row, point) buffers: three rotating time
-levels plus laplacian, forcing and velocity buffers, u and v stacked,
-cut to a width just above the window and widened as the cone grows.
-So the results do not depend on the window, the width or the rows
-stacked together.  ``run_batch`` advances runs that differ only in eps
-as rows of one leapfrog, and ``run`` is its one-row case.  A row leaves
-its batch by one rule, when it blows up, fails or halves dt, and a row
-that halves dt always goes on in a new batch of its own at half the
-step (with any row that halves at the same step).  Each row's record
-carries the ProblemSpec it solved, so the functional readers take the
-record alone.  ``evolve_scalar`` runs the same core on the whole grid
-with no cone: its data need not be compactly supported and its forcing
-is arbitrary.
+with out= ufuncs, in one fixed floating-point order per formula, on
+contiguous (field, row, point) buffers: three rotating time levels
+plus laplacian, forcing and velocity buffers, u and v stacked, cut to
+a width just above the window and widened as the cone grows.  So the
+results do not depend on the window, the width or the rows stacked
+together.  u_t is formed at every level, for |u_t|^p and the sup
+norms; v_t only for a sample whose probes read it.  ``run_batch``
+advances runs that differ only in eps as rows of one leapfrog, and
+``run`` is its one-row case.  A row leaves its batch by one rule, when
+it blows up, fails or halves dt, and a row that halves dt always goes
+on in a new batch of its own at half the step (with any row that
+halves at the same step).  Each row's record carries the ProblemSpec
+it solved, so the functional readers take the record alone.
+``evolve_scalar`` runs the same core on the whole grid with no cone:
+its data need not be compactly supported and its forcing is arbitrary.
 """
 
 from __future__ import annotations
@@ -317,10 +319,9 @@ class _Leapfrog:
     prev, cur and next (three rotating time levels), lap, force and vel
     (the laplacian, forcing and centred velocity of the current level)
     and tmp are contiguous (fields, rows, W) arrays, W at least the
-    active window L, so each update is one call on whole buffers (numpy
-    takes about twice as long per call on a strided [..., :L] view of
-    fixed (fields, rows, M) buffers, which made the eps-ladder sweep
-    about 30 % slower end to end than this resize on growth).  Past
+    active window L, so each update is one call on whole buffers (on
+    strided [..., :L] views of fixed (fields, rows, M) buffers numpy
+    took twice as long per call, the eps-ladder sweep 30 % longer).  Past
     the window every input is zero, hence every output too, and the
     window holds the values of the whole-grid formulas; the grid-end
     conditions apply only once L = M.  Points from ``k`` on lie beyond
@@ -332,12 +333,13 @@ class _Leapfrog:
 
     def __init__(self, r: np.ndarray, dr: float, n: int, fields: int, rows: int, width: int):
         self.m = r.size
-        self.inv_dr2 = 1.0 / (dr * dr)
-        self.two_dr = 2.0 * dr
-        self.axis = 2.0 * n
-        # (n - 1) / r at each point; the axis takes its own formula
-        self.radial = np.zeros(self.m)
-        self.radial[1:] = (n - 1.0) / r[1:]
+        inv_dr2 = 1.0 / (dr * dr)
+        self.centre = -2.0 * inv_dr2
+        self.axis = 2.0 * n * inv_dr2
+        # cl, cr = 1/dr^2 -+ (n - 1) / (2 r dr); the axis has its own formula
+        drift = np.zeros(self.m)
+        drift[1:] = (n - 1.0) / r[1:] / (2.0 * dr)
+        self.outer = np.stack((inv_dr2 - drift, inv_dr2 + drift))
         # the cut [k:L] spans at most three points: L <= k + 2, and a dt
         # halving moves k back by at most one
         self.spill = np.zeros((fields, rows, 3))
@@ -348,7 +350,7 @@ class _Leapfrog:
             setattr(self, name, buf)
         fields, rows, width = block.shape[1:]
         self.width = width
-        self.coef = np.tile(self.radial[:width], fields * rows)[1:-1]
+        self.cl, self.cr = np.tile(self.outer[:, :width], fields * rows)[:, 1:-1]
 
     def rotate(self):
         self.prev, self.cur, self.next = self.cur, self.next, self.prev
@@ -369,26 +371,21 @@ class _Leapfrog:
         return new
 
     def laplacian(self):
-        """lap = Lap(cur), every field and row.  The stencil runs over the
-        flattened buffers, where each row's two end points read the
-        neighbouring rows: the axis then takes its own formula, and the
-        last point the zero past the window (or the grid end's)."""
+        """lap = cl * left + cr * right + (-2/dr^2) * centre, every field
+        and row, over the flattened buffers: each row's two end points
+        read the neighbouring rows, so the axis takes its own formula,
+        and the last point the zero past the window (or the grid end's)."""
         w = self.cur.reshape(-1)
         mid = self.lap.reshape(-1)[1:-1]
         tmp = self.tmp.reshape(-1)[:-2]
-        right, left = w[2:], w[:-2]
-        np.multiply(w[1:-1], 2.0, out=mid)
-        np.subtract(right, mid, out=mid)
-        np.add(mid, left, out=mid)
-        np.multiply(mid, self.inv_dr2, out=mid)
-        np.subtract(right, left, out=tmp)
-        np.multiply(self.coef, tmp, out=tmp)
-        np.divide(tmp, self.two_dr, out=tmp)
+        np.multiply(self.cl, w[:-2], out=mid)
+        np.multiply(self.cr, w[2:], out=tmp)
+        np.add(mid, tmp, out=mid)
+        np.multiply(w[1:-1], self.centre, out=tmp)
         np.add(mid, tmp, out=mid)
         axis = self.lap[..., 0]
         np.subtract(self.cur[..., 1], self.cur[..., 0], out=axis)
         np.multiply(axis, self.axis, out=axis)
-        np.multiply(axis, self.inv_dr2, out=axis)
         self.lap[..., -1] = 0.0
 
     def free(self):
@@ -417,11 +414,11 @@ class _Leapfrog:
         self._grid_end(out, L, k)
 
     def velocity(self, f, dt, k_vel):
-        """Field f's centred velocity (next - prev) / (2 dt), zero from
+        """Field f's centred velocity (next - prev) * (0.5 / dt), zero from
         k_vel on; k_vel <= k, so what ``close`` cuts later never shows."""
         vel = self.vel[f]
         np.subtract(self.next[f], self.prev[f], out=vel)
-        np.divide(vel, 2.0 * dt, out=vel)
+        np.multiply(vel, 0.5 / dt, out=vel)
         vel[:, k_vel:] = 0.0
 
     def close(self, L, k):
@@ -653,6 +650,7 @@ class _Batch:
         self.s = 1
         self.times = [0.0]
         self.t, self.dt, self.step, self.k_cur, self.window = 0.0, dt, 0, k, L
+        self.vt_step = 0  # the level whose v_t the core's vel holds
 
         u_force, v_force = core.force
         np.abs(core.cur[1], out=u_force)
@@ -704,7 +702,6 @@ class _Batch:
             np.maximum.reduce(v_force, axis=1, out=norms[:, 1])
             v_force **= p
             core.leap(1, b2v, dt, L, k)
-            core.velocity(1, dt, self.k_cur)
             core.close(L, k)
             u_abs = core.tmp[0]
             np.abs(core.cur[0], out=u_abs)
@@ -762,10 +759,13 @@ class _Batch:
             self.project(i, L)
 
     def project(self, i, L):
-        """Queue a sample of row i."""
+        """Queue a sample of row i, forming the level's v_t if the probes read it."""
         projector = self.rows[i].projector
         if projector is not None:
             core = self.core
+            if "vt" in projector.out and self.vt_step != self.step:
+                core.velocity(1, self.dt, self.k_cur)
+                self.vt_step = self.step
             projector.add(
                 (core.cur[0, i], core.vel[0, i], core.cur[1, i], core.vel[1, i], core.force[0, i], core.force[1, i]),
                 L,
@@ -887,8 +887,8 @@ def evolve_scalar(
         core.laplacian()
         core.free()
         core.leap(0, b.b(t), dt, m, m)
-        core.velocity(0, dt, m)
         if k % sample_stride == 0 or k == steps:
+            core.velocity(0, dt, m)
             times.append(t)
             ws.append(core.cur[0, 0].copy())
             wts.append(core.vel[0, 0].copy())

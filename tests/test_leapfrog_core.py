@@ -6,6 +6,13 @@ light-cone window, which updates every grid point at every step and
 then zeroes the points beyond the cone.  Both run on the same machine,
 so the checks stay bitwise without depending on how a numpy build
 rounds exp or pow.
+
+The reference uses the core's floating-point formulas: the laplacian
+as the coefficient stencil cl*w[:-2] + cr*w[2:] + (-2/dr^2)*w[1:-1]
+and the velocity as (w_next - w_prev) * (0.5/dt).  The formulas they
+replaced, (w[2:] - 2 w[1:-1] + w[:-2]) / dr^2 + (n-1)/r (w[2:] -
+w[:-2]) / (2 dr) and a divide by 2 dt, stay here as the legacy
+reference, which pins the lifespans to 1e-12 relative.
 """
 
 import json
@@ -26,6 +33,7 @@ from coupledwave.solver import (
     evolve_scalar,
     radial_grid,
     run,
+    run_batch,
     write_blowup_json,
 )
 from coupledwave.special import DampingSpec
@@ -34,12 +42,30 @@ from coupledwave.special import DampingSpec
 def _ref_laplacian(w, r, dr, n):
     lap = np.empty_like(w)
     inv_dr2 = 1.0 / (dr * dr)
+    drift = (n - 1.0) / r[1:-1] / (2.0 * dr)
+    lap[1:-1] = (inv_dr2 - drift) * w[:-2] + (inv_dr2 + drift) * w[2:] + (-2.0 * inv_dr2) * w[1:-1]
+    lap[0] = (w[1] - w[0]) * (2.0 * n * inv_dr2)
+    lap[-1] = 0.0
+    return lap
+
+
+def _ref_velocity(w_next, w_prev, dt):
+    return (w_next - w_prev) * (0.5 / dt)
+
+
+def _legacy_laplacian(w, r, dr, n):
+    lap = np.empty_like(w)
+    inv_dr2 = 1.0 / (dr * dr)
     lap[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) * inv_dr2 + (n - 1.0) / r[1:-1] * (
         w[2:] - w[:-2]
     ) / (2.0 * dr)
     lap[0] = 2.0 * n * (w[1] - w[0]) * inv_dr2
     lap[-1] = 0.0
     return lap
+
+
+def _legacy_velocity(w_next, w_prev, dt):
+    return (w_next - w_prev) / (2.0 * dt)
 
 
 def _ref_leap(w_prev, w_cur, lap, forcing, bval, dt):
@@ -67,14 +93,14 @@ def _ref_b(b, t):
     return b.b(np.asarray(t))
 
 
-def reference_run(spec):
+def reference_run(spec, laplacian=_ref_laplacian, velocity=_ref_velocity):
     """Whole-grid leapfrog with the cone mask applied after every update."""
     n, p, q, R, grid = spec.n, spec.pq.p, spec.pq.q, spec.R, spec.grid
     dr, dt, threshold = grid.dr, grid.dt, grid.blowup_threshold
     r = radial_grid(spec)
 
     def lap(w):
-        return _ref_laplacian(w, r, dr, n)
+        return laplacian(w, r, dr, n)
 
     def mask(w, t):
         w[r > t + R] = 0.0
@@ -98,10 +124,10 @@ def reference_run(spec):
             b1v, b2v = _ref_b(spec.b1, t), _ref_b(spec.b2, t)
             lap_u, fu = lap(u_cur), np.abs(v_cur) ** q
             u_next = mask(_ref_leap(u_prev, u_cur, lap_u, fu, b1v, dt), t + dt)
-            ut_cur = mask((u_next - u_prev) / (2.0 * dt), t)
+            ut_cur = mask(velocity(u_next, u_prev, dt), t)
             lap_v, fv = lap(v_cur), np.abs(ut_cur) ** p
             v_next = mask(_ref_leap(v_prev, v_cur, lap_v, fv, b2v, dt), t + dt)
-            vt_cur = mask((v_next - v_prev) / (2.0 * dt), t)
+            vt_cur = mask(velocity(v_next, v_prev, dt), t)
             row = tuple(float(np.abs(w).max()) for w in (u_cur, ut_cur, v_cur))
             level = max(row)
             if not np.isfinite(level):
@@ -131,7 +157,7 @@ def reference_run(spec):
     times, u, ut, v, vt = (np.asarray(col) for col in zip(*samples))
     return SimpleNamespace(
         t_blowup=t_blowup, sup_times=np.asarray(sup_times), sup_norms=np.asarray(rows),
-        dt_final=dt, times=times, u=u, ut=ut, v=v, vt=vt,
+        dt_final=dt, halvings=halvings, times=times, u=u, ut=ut, v=v, vt=vt,
     )
 
 
@@ -153,16 +179,16 @@ def reference_evolve_scalar(n, dr, t_max, b, w0, w1, r_max, forcing, sample_stri
         if k % sample_stride == 0 or k == steps:
             times.append(t)
             ws.append(w_cur)
-            wts.append((w_next - w_prev) / (2.0 * dt))
+            wts.append(_ref_velocity(w_next, w_prev, dt))
         w_prev, w_cur = w_cur, w_next
     return np.asarray(times), np.vstack(ws), np.vstack(wts)
 
 
-def _spec(n, pq, b1, b2, eps, amp, dr, t_max, r_max=None):
+def _spec(n, pq, b1, b2, eps, amp, dr, t_max, r_max=None, cfl=0.45):
     return ProblemSpec(
         n=n, pq=ExponentPair(*pq), b1=b1, b2=b2, R=1.0, eps=eps,
         data=InitialDataFamily(k=3, amplitudes=(amp,) * 4),
-        grid=GridSpec(dr=dr, t_max=t_max, r_max=r_max),
+        grid=GridSpec(dr=dr, t_max=t_max, r_max=r_max, cfl=cfl),
     )
 
 
@@ -210,6 +236,22 @@ def test_run_equals_whole_grid_reference(name):
     assert len(rec.sup_times) - 1 == steps
 
 
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_coefficient_stencil_keeps_the_legacy_lifespans(name):
+    # the stencil and velocity formulas reorder the arithmetic only;
+    # the last sup row, past the threshold, moves more than 1e-12
+    spec = RUNS[name][0]
+    new = reference_run(spec)
+    old = reference_run(spec, _legacy_laplacian, _legacy_velocity)
+    if name.endswith("rmax-at-cone"):
+        assert new.t_blowup is old.t_blowup is None
+    else:
+        assert new.t_blowup == pytest.approx(old.t_blowup, rel=1e-12, abs=0.0)
+    assert len(new.sup_times) == len(old.sup_times)
+    assert new.dt_final == old.dt_final
+    assert new.halvings == old.halvings
+
+
 def test_window_reaches_grid_end_with_tight_rmax():
     spec = RUNS["n3-exp-damping-rmax-at-cone"][0]
     rec = run(spec)
@@ -224,6 +266,26 @@ def test_stored_profiles_equal_whole_grid_reference(profile_run):
     assert np.array_equal(rec.times, ref.times)
     for field in ("u", "ut", "v", "vt"):
         assert np.array_equal(rec.projections[field], getattr(ref, field)), field
+
+
+def test_vt_formed_on_demand_equals_whole_grid_reference():
+    # stride 2; both rows halve dt once, which takes each out of the
+    # batch, and cross the threshold at an odd step, a level that is
+    # not sampled but whose v_t the crossing sample reads
+    zero = DampingSpec.zero()
+    specs = [_spec(2, (2.0, 2.0), zero, zero, eps, 4.0, 0.04, 40.0, cfl=0.2) for eps in (0.9, 0.5)]
+    eye = np.eye(radial_grid(specs[0]).size)
+    with_vt = run_batch(specs, dict.fromkeys(("u", "ut", "v", "vt"), eye))
+    without_vt = run_batch(specs, dict.fromkeys(("u", "ut", "v"), eye))
+    for spec, rec, other in zip(specs, with_vt, without_vt):
+        ref = reference_run(spec)
+        assert rec.blew_up and rec.steps % 2 == 1 and len(rec.halvings) == 1
+        assert np.array_equal(rec.times, ref.times)
+        for field in ("u", "ut", "v", "vt"):
+            assert np.array_equal(rec.projections[field], getattr(ref, field)), field
+        for bare in (other, run(spec)):
+            assert np.array_equal(bare.sup_norms, rec.sup_norms)
+            assert bare.t_blowup == rec.t_blowup == ref.t_blowup
 
 
 def test_evolve_scalar_equals_whole_grid_reference():
