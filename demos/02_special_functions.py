@@ -22,7 +22,7 @@ from coupledwave import (
     verify_kernel_bounds,
     xi,
 )
-from coupledwave.special import bracket, log_phi, make_kernel_grid
+from coupledwave.special import bracket, log_phi
 
 print("--- eigenfunction ---")
 print(f"phi(1, 0) = {phi(1, 0.0):.9g}   (= 2)")
@@ -55,8 +55,7 @@ print("\n--- kernel bound constants (empirical minima/maxima of ratios) ---")
 n = 3
 c = cusp_exponents(n)
 r1 = 0.5 * (n - 1) - 1.0 / c.p_mix
-grid = make_kernel_grid(50.0, 1.0)
-for rep in verify_kernel_bounds(KernelConfig(r=r1, R=1.0), n, grid):
+for rep in verify_kernel_bounds(KernelConfig(r=r1, R=1.0), n, 50.0):
     print(
         f"{rep.bound_id.value:<9} min_ratio={rep.min_ratio:.4g} "
         f"max_ratio={rep.max_ratio:.4g} over {rep.samples} samples"

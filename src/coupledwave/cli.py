@@ -35,7 +35,7 @@ from .exponents import (
     theta2_critical_p,
 )
 from .solver import integral_probes, run, write_blowup_json, write_summary_csv
-from .special import KernelConfig, make_kernel_grid, multiplier, phi, psi, verify_kernel_bounds
+from .special import KernelConfig, multiplier, phi, psi, verify_kernel_bounds
 
 __all__ = ["main", "build_parser"]
 
@@ -121,7 +121,10 @@ def _cmd_sequences(args) -> int:
 
 def _cmd_specfn(args) -> int:
     n = check_dimension(args.n, minimum=2)
-    grid = make_kernel_grid(args.tmax, 1.0)
+    c = cusp_exponents(n)
+    # the bound checks run first, so bad input exits before any output
+    checks = [(label, r, verify_kernel_bounds(KernelConfig(r=r), n, args.tmax))
+              for label, r in zip(("r1", "r2"), kernel_exponents(n, (c.p_mix, c.q_mix)))]
     print(f"phi({n}, 0)={_g(phi(n, 0.0))}")
     print(f"phi({n}, 1)={_g(phi(n, 1.0))}")
     print(f"psi({n}, 1, 1)={_g(psi(n, 1.0, 1.0))}")
@@ -129,11 +132,8 @@ def _cmd_specfn(args) -> int:
 
     b = DampingSpec.power_decay(1.0, 2.0)
     print(f"multiplier(power_decay(1,2), 0)={_g(multiplier(b, 0.0))}")
-    c = cusp_exponents(n)
     failed = False
-    for label, r in zip(("r1", "r2"), kernel_exponents(n, (c.p_mix, c.q_mix))):
-        cfg = KernelConfig(r=r, R=1.0)
-        reports = verify_kernel_bounds(cfg, n, grid)
+    for label, r, reports in checks:
         for rep in reports:
             failed |= not rep.passed
             print(

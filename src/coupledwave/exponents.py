@@ -167,25 +167,25 @@ def kernel_exponents(n, pq) -> tuple[float, float]:
     return 0.5 * (n - 1.0) - 1.0 / pq.p, 0.5 * (n - 1.0) - 1.0 / pq.q
 
 
-def classify(n, pq, tol: float = EQUALITY_TOL) -> CriticalData:
+def classify(n, pq) -> CriticalData:
     """Classify (n, p, q) by the signs of theta1, theta2.
 
-    Equality with zero is decided up to ``tol``.  Supercritical pairs
-    are accepted and classified (the sweep harness probes both sides of
-    the curve).
+    Equality with zero is decided up to ``EQUALITY_TOL``.  Supercritical
+    pairs are accepted and classified (the sweep harness probes both
+    sides of the curve).
     """
     n = check_dimension(n)
     pq = as_pair(pq)
     t1 = theta1(n, pq)
     t2 = theta2(n, pq)
     top = max(t1, t2)
-    if top > tol:
+    if top > EQUALITY_TOL:
         region = Region.SUBCRITICAL
-    elif top < -tol:
+    elif top < -EQUALITY_TOL:
         region = Region.SUPERCRITICAL
-    elif abs(t1) <= tol and abs(t2) <= tol:
+    elif abs(t1) <= EQUALITY_TOL and abs(t2) <= EQUALITY_TOL:
         region = Region.DOUBLE_CRITICAL
-    elif abs(t1) <= tol:
+    elif abs(t1) <= EQUALITY_TOL:
         region = Region.CRITICAL_THETA1
     else:
         region = Region.CRITICAL_THETA2

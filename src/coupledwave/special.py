@@ -51,7 +51,6 @@ __all__ = [
     "kernel_nodes",
     "sinhc",
     "bracket",
-    "make_kernel_grid",
     "verify_kernel_bounds",
     "psi_moment",
 ]
@@ -66,9 +65,6 @@ PHI_BLOCK = 1024
 # exponent * width of a panel.
 MOMENT_NODES = 64
 MOMENT_SPAN = 16.0
-# lam (R+t) beyond which the kernels take their overflow-safe form:
-# exp(-708) is about the smallest normal double.
-_FAR_EXPONENT = 700.0
 
 
 @lru_cache(maxsize=128)
@@ -320,8 +316,8 @@ class KernelConfig:
             raise ValueError(f"kernel exponent must be finite with r > -1, got {self.r}")
         if not 0 < self.lambda0 < math.inf:
             raise ValueError(f"lambda0 must be positive and finite, got {self.lambda0}")
-        if not self.R > 0:
-            raise ValueError("support radius R must be positive")
+        if not 0 < self.R < math.inf:
+            raise ValueError(f"support radius R must be positive and finite, got {self.R}")
         # _jacobi_rule solves a dense m x m eigenproblem, whose cost grows as
         # m^3: 39 ms at m = 512 and 178 ms at m = 1024 (one BLAS thread, Xeon)
         if not 16 <= self.quad_nodes <= 512:
@@ -358,94 +354,46 @@ def sinhc(y):
     return out
 
 
-def _kernel_coefs(cfg: KernelConfig, lam, wts, t, s):
-    """The eta and xi coefficients wts exp(-lam (R+t)) sinhc(lam (t-s)) and
-    wts exp(-lam (R+t)) cosh(lam (t-s)), one row of nodes per (t, s)."""
-    damp = wts * np.exp(-np.multiply.outer(cfg.R + t, lam))
-    b = np.multiply.outer(t - s, lam)
-    return damp * sinhc(b), damp * np.cosh(b)
-
-
-def _far_kernels(cfg: KernelConfig, n, lam, wts, t, s, x):
-    """eta and xi in their overflow-safe form, for t, s, x that broadcast.
+def _kernel_values(cfg: KernelConfig, n, t, s, x):
+    """eta and xi at the points (t, s, x), which broadcast, as two arrays
+    of their broadcast shape.
 
     The integrand wts exp(-lam (R+t)) phi(lam x) cosh(lam (t-s)) is
     written as bounded factors, exp(-r) phi(r) at r = lam x times
     exp(lam (x - R - s)) times (1 + exp(-2b))/2 with b = lam (t-s), and
-    the same with (1 - exp(-2b))/(2b) for eta.
+    the same with (1 - exp(-2b))/(2b) for eta, so no factor overflows at
+    long horizons.  Each value is the sum of its own row of nodes, so a
+    point's value does not depend on the batch it sits in.
     """
+    lam, wts = kernel_nodes(cfg)
     lx = np.multiply.outer(x, lam)
     b = np.multiply.outer(t - s, lam)
-    base = _scaled_phi(n, lx) * np.exp(lx - np.multiply.outer(cfg.R + s, lam))
+    base = _scaled_phi(n, lx) * np.exp(lx - np.multiply.outer(cfg.R + s, lam)) * wts
     safe = np.where(b > 0, b, 1.0)
     sinhc_part = np.where(b > 0, -np.expm1(-2.0 * safe) / (2.0 * safe), 1.0)
-    return (base * sinhc_part) @ wts, (base * (0.5 + 0.5 * np.exp(-2.0 * b))) @ wts
+    return (base * sinhc_part).sum(axis=-1), (base * (0.5 + 0.5 * np.exp(-2.0 * b))).sum(axis=-1)
 
 
-def _kernel_values(cfg: KernelConfig, n, points):
-    """eta and xi at each (t, s, x) of points, as two float arrays.
-
-    With a = lam (R+t) and b = lam (t-s),
-    eta = phi(lam x) @ (wts exp(-a) sinhc(b)) and
-    xi  = phi(lam x) @ (wts exp(-a) cosh(b)).
-    The nodes come once, phi once as a matrix over the distinct radii,
-    and the coefficients once per distinct (t, s); each value is then
-    one dot product of a phi row with its coefficients, as eta and xi
-    compute it at a scalar radius.  Where max(lam) (R+t) exceeds
-    _FAR_EXPONENT, exp(-a) leaves the normal double range and cosh(b),
-    sinh(b) and phi(lam x) may overflow, so such points take the form of
-    _far_kernels.
-    """
-    n = check_dimension(n)
-    lam, wts = kernel_nodes(cfg)
-    t, s, x = np.asarray(points, dtype=float).reshape(-1, 3).T
-    eta_out, xi_out = np.empty(t.size), np.empty(t.size)
-    far = lam.max() * (cfg.R + t) > _FAR_EXPONENT
-    near = ~far
-    if near.any():
-        radii, row = np.unique(x[near], return_inverse=True)
-        pairs, col = np.unique(np.column_stack((t[near], s[near])), axis=0,
-                               return_inverse=True)
-        ph = phi(n, np.multiply.outer(radii, lam))
-        eta_c, xi_c = _kernel_coefs(cfg, lam, wts, pairs[:, 0], pairs[:, 1])
-        eta_out[near] = [ph[i] @ eta_c[j] for i, j in zip(row, col.ravel())]
-        xi_out[near] = [ph[i] @ xi_c[j] for i, j in zip(row, col.ravel())]
-    if far.any():
-        eta_out[far], xi_out[far] = _far_kernels(cfg, n, lam, wts, t[far], s[far], x[far])
-    return eta_out, xi_out
-
-
-def _kernel_at(cfg, n, t, s, radius, which):
+def _kernel_point(cfg, n, t, s, radius):
+    """(eta, xi) at one (t, s) over a scalar or array radius."""
     t, s = float(t), float(s)
     if s < 0 or t < s:
         raise ValueError(f"kernel arguments require 0 <= s <= t, got t={t}, s={s}")
-    n = check_dimension(n)
-    lam, wts = kernel_nodes(cfg)
     r = _as_radius(radius)
-    if lam.max() * (cfg.R + t) > _FAR_EXPONENT:
-        out = _far_kernels(cfg, n, lam, wts, t, s, r)[which]
-    else:
-        coef = _kernel_coefs(cfg, lam, wts, t, s)[which]
-        out = phi(n, np.multiply.outer(r, lam)) @ coef
-    return float(out) if r.ndim == 0 else out
+    values = _kernel_values(cfg, check_dimension(n), t, s, r)
+    return [float(v) for v in values] if r.ndim == 0 else values
 
 
 def eta(cfg: KernelConfig, n, t: float, s: float, radius):
-    """Kernel with the sinh(lam(t-s))/(lam(t-s)) factor (1 on the diagonal).
-
-    The formula is that of _kernel_values at one (t, s): one set of
-    coefficients and one matrix-vector product over the radii, or the
-    overflow-safe form of _far_kernels where max(lam) (R+t) > _FAR_EXPONENT.
-    """
-    return _kernel_at(cfg, n, t, s, radius, 0)
+    """Kernel with the sinh(lam(t-s))/(lam(t-s)) factor (1 on the diagonal),
+    evaluated by _kernel_values at one (t, s)."""
+    return _kernel_point(cfg, n, t, s, radius)[0]
 
 
 def xi(cfg: KernelConfig, n, t: float, s: float, radius):
     """Kernel with the cosh(lam(t-s)) factor; xi >= eta pointwise for t > s.
-
-    Evaluated like eta, by the formula of _kernel_values at one (t, s).
-    """
-    return _kernel_at(cfg, n, t, s, radius, 1)
+    Evaluated like eta."""
+    return _kernel_point(cfg, n, t, s, radius)[1]
 
 
 def bracket(y):
@@ -482,96 +430,46 @@ class BoundReport:
         return self.min_ratio > 0
 
 
-def make_kernel_grid(t_max: float, R: float, n_t: int = 8):
-    """Sample triples (t, s, radius) admissible for the kernel bounds.
+def verify_kernel_bounds(cfg: KernelConfig, n, t_max: float, n_t: int = 8) -> list[BoundReport]:
+    """Evaluate the five kernel bound ratios on three sample families.
 
-    Generates three point families at n_t times t in [0, t_max]: (t, 0,
-    x) with x <= R, interior points (t, s, x) with s = 0.3t, 0.6t, 0.9t
-    and x <= s + R, and diagonal points (t, t, x) with x <= t + R; each
-    radius is 0, 1/2 and 1 times its bound.  t_max must be finite and
-    nonnegative.
+    At n_t times t in [0, t_max] (the two-time families at t > 0 only),
+    with radii 0, 1/2 and 1 times each family's bound on |x|:
+    (t, 0, x) with x <= R feeds XI0 and ETA0; (t, s, x) with s = 0, 0.3t,
+    0.6t, 0.9t and x <= s + R feeds XIS and ETAS; (t, t, x) with
+    x <= t + R feeds ETA_DIAG.  R is cfg.R.  Ratios are kernel value
+    divided by the claimed bound shape, so lower bounds need a positive
+    minimum and the upper bound a finite maximum.  t_max must be finite
+    and nonnegative, and the diagonal bound needs r > (n-3)/2.
     """
-    s_fracs, x_fracs = (0.3, 0.6, 0.9), (0.0, 0.5, 1.0)
     if not (math.isfinite(t_max) and t_max >= 0):
         raise ValueError(f"t_max must be finite and nonnegative, got {t_max}")
-    ts = np.linspace(0.0, t_max, n_t)
-    grid = []
-    for t in ts:
-        for fx in x_fracs:
-            grid.append((float(t), 0.0, float(fx * R)))
-        if t > 0:
-            for fs in s_fracs:
-                s = fs * t
-                for fx in x_fracs:
-                    grid.append((float(t), float(s), float(fx * (s + R))))
-            for fx in x_fracs:
-                grid.append((float(t), float(t), float(fx * (t + R))))
-    return grid
-
-
-def verify_kernel_bounds(cfg: KernelConfig, n, sample_grid) -> list[BoundReport]:
-    """Evaluate the five kernel bound ratios over a sample grid.
-
-    Each triple (t, s, radius) is assigned to bound families by shape:
-    s = 0 points feed the (t, 0, x) bounds, interior 0 <= s < t points
-    the two-time lower bounds, and s = t points the diagonal upper
-    bound.  Points violating the radius hypothesis of their family are
-    rejected; every point is checked before any kernel is evaluated.
-    eta and xi at all points then come from one batched evaluation
-    (_kernel_values: one set of nodes and one phi matrix per call, and
-    an overflow-safe form at long horizons).  Ratios are kernel value
-    divided by the claimed bound shape, so lower bounds need a positive
-    minimum and the upper bound a finite maximum.
-    """
     n = check_dimension(n, minimum=2)
-    ratios = {bid: [] for bid in BoundId}
-    diag_requested = any(t == s and t > 0 for (t, s, _x) in sample_grid)
-    if diag_requested and not cfg.r > 0.5 * (n - 3.0):
-        raise ValueError(
-            f"diagonal bound requires r > (n-3)/2, got r={cfg.r} at n={n}"
-        )
-    for (t, s, x) in sample_grid:
-        if s < 0 or t < s:
-            raise ValueError(f"sample point requires 0 <= s <= t, got {(t, s, x)}")
-        if t == s and t > 0:
-            if x > t + cfg.R + 1e-12:
-                raise ValueError(f"diagonal point needs |x| <= t + R, got {(t, s, x)}")
-        elif s == 0.0:
-            if x > cfg.R + 1e-12:
-                raise ValueError(f"s = 0 point needs |x| <= R, got {(t, s, x)}")
-        elif x > s + cfg.R + 1e-12:
-            raise ValueError(f"interior point needs |x| <= s + R, got {(t, s, x)}")
-        _as_radius(x)
-    etas, xis = _kernel_values(cfg, n, sample_grid)
-    for (t, s, x), e, k in zip(sample_grid, etas, xis):
-        if t == s and t > 0:
-            shape = bracket(t) ** (-0.5 * (n - 1.0)) * bracket(t - x) ** (
-                0.5 * (n - 3.0) - cfg.r
-            )
-            ratios[BoundId.ETA_DIAG].append(e / shape)
-        elif s == 0.0:
-            ratios[BoundId.XI0].append(k)
-            ratios[BoundId.ETA0].append(e * bracket(t))
-            if t > 0:
-                ratios[BoundId.XIS].append(k * bracket(0.0) ** (cfg.r + 1.0))
-                ratios[BoundId.ETAS].append(e * bracket(t) * bracket(0.0) ** cfg.r)
-        else:  # interior two-time point, 0 < s < t
-            ratios[BoundId.XIS].append(k * bracket(s) ** (cfg.r + 1.0))
-            ratios[BoundId.ETAS].append(e * bracket(t) * bracket(s) ** cfg.r)
-    reports = []
-    for bid in BoundId:
-        vals = np.asarray(ratios[bid], dtype=float)
-        if vals.size == 0:
-            continue
-        reports.append(
-            BoundReport(
-                bound_id=bid,
-                min_ratio=float(vals.min()),
-                max_ratio=float(vals.max()),
-                samples=int(vals.size),
-            )
-        )
-    return reports
+    ts = np.linspace(0.0, t_max, n_t)
+    later = ts[ts > 0]
+    if later.size and not cfg.r > 0.5 * (n - 3.0):
+        raise ValueError(f"diagonal bound requires r > (n-3)/2, got r={cfg.r} at n={n}")
+    fracs = np.array([0.0, 0.5, 1.0])
+    R, r = cfg.R, cfg.r
+    # (t, 0, x), shape (n_t, 3)
+    e, k = _kernel_values(cfg, n, ts[:, None], 0.0, fracs * R)
+    ratios = {BoundId.XI0: k, BoundId.ETA0: e * bracket(ts)[:, None]}
+    # (t, s, x), shape (t, s, x) = (later, 4, 3)
+    t = later[:, None, None]
+    s = t * np.array([0.0, 0.3, 0.6, 0.9])[:, None]
+    e, k = _kernel_values(cfg, n, t, s, fracs * (s + R))
+    ratios[BoundId.XIS] = k * bracket(s) ** (r + 1.0)
+    ratios[BoundId.ETAS] = e * bracket(t) * bracket(s) ** r
+    # (t, t, x), shape (later, 3)
+    t = later[:, None]
+    x = fracs * (t + R)
+    shape = bracket(t) ** (-0.5 * (n - 1.0)) * bracket(t - x) ** (0.5 * (n - 3.0) - r)
+    ratios[BoundId.ETA_DIAG] = _kernel_values(cfg, n, t, t, x)[0] / shape
+    return [
+        BoundReport(bid, float(v.min()), float(v.max()), int(v.size))
+        for bid, v in ratios.items()
+        if v.size
+    ]
 
 
 def psi_moment(n, exponent: float, t: float, R: float) -> float:

@@ -21,7 +21,7 @@ from .solver import (
     evolve_scalar,
     run,
 )
-from .special import DampingSpec, KernelConfig, log_phi, make_kernel_grid, verify_kernel_bounds
+from .special import DampingSpec, KernelConfig, log_phi, verify_kernel_bounds
 
 __all__ = ["run_verification"]
 
@@ -43,8 +43,7 @@ def _check_kernel_bounds():
     for n in (2, 3, 4):
         c = cusp_exponents(n)
         for r in kernel_exponents(n, (c.p_mix, c.q_mix)):
-            cfg = KernelConfig(r=r, R=1.0)
-            reports = verify_kernel_bounds(cfg, n, make_kernel_grid(25.0, 1.0, n_t=6))
+            reports = verify_kernel_bounds(KernelConfig(r=r), n, 25.0, n_t=6)
             ok &= all(rep.passed for rep in reports)
         radii = np.linspace(0.0, 100.0, 201)
         band = np.exp(log_phi(n, radii) + 0.5 * (n - 1) * np.log(3.0 + radii) - radii)

@@ -55,7 +55,6 @@ from coupledwave.special import (
     KernelConfig,
     bracket,
     log_phi,
-    make_kernel_grid,
     verify_kernel_bounds,
 )
 
@@ -153,11 +152,11 @@ def test_criterion_3_kernel_bounds():
             cfg = KernelConfig(r=r, R=1.0)
             half = {
                 rep.bound_id: rep
-                for rep in verify_kernel_bounds(cfg, n, make_kernel_grid(25.0, 1.0))
+                for rep in verify_kernel_bounds(cfg, n, 25.0)
             }
             full = {
                 rep.bound_id: rep
-                for rep in verify_kernel_bounds(cfg, n, make_kernel_grid(50.0, 1.0))
+                for rep in verify_kernel_bounds(cfg, n, 50.0)
             }
             for bid in lower_ids:
                 assert full[bid].min_ratio > 0, (n, r, bid)

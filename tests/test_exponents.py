@@ -121,11 +121,11 @@ def test_classify_single_critical_cases():
 
 
 def test_classify_tolerance_symmetry():
-    tol = 1e-9
     c = cusp_exponents(3)
-    # perturbing exact-critical inputs by < tol/2 keeps the critical label
+    # perturbing exact-critical inputs by less than half the 1e-9
+    # equality tolerance keeps the critical label
     for dp in (-4e-10, 0.0, 4e-10):
-        region = classify(3, (c.p_mix + dp, c.q_mix), tol).region
+        region = classify(3, (c.p_mix + dp, c.q_mix)).region
         assert region is Region.DOUBLE_CRITICAL
 
 

@@ -1,12 +1,14 @@
-"""verify_kernel_bounds evaluates the kernels in batches (one set of
-nodes and one phi matrix per call), and eta and xi share its formula;
-their values must be those of the per-point evaluation kept here, which
-computes each value (or each radius array) on its own.
+"""The kernels have one evaluator, special._kernel_values: eta and xi
+call it at one (t, s), and verify_kernel_bounds on its sample families,
+each value summed over its own row of nodes.  Their values must be those
+of the per-point evaluation kept here, which computes each value of the
+same bounded-factor formula on its own; the plain formula, whose factors
+overflow at long horizons, is kept as an oracle for moderate t.
 
-The bitwise comparison runs in a child process with one BLAS thread,
-as in test_phi_blocks.py: with more threads a phi matrix-vector product
-splits its rows between threads.  Run this file directly to print the
-mismatches.
+The bitwise comparisons run in child processes with one and with two
+BLAS threads, as in test_phi_blocks.py: with more threads a phi
+matrix-vector product splits its rows between threads.  Run this file
+directly to print the mismatches.
 """
 
 import math
@@ -27,7 +29,6 @@ from coupledwave.special import (
     bracket,
     eta,
     kernel_nodes,
-    make_kernel_grid,
     phi,
     sinhc,
     verify_kernel_bounds,
@@ -35,23 +36,43 @@ from coupledwave.special import (
 )
 
 DIMENSIONS = (2, 3, 4, 5, 6)
-GRIDS = ((25.0, 1.0), (3.0, 1.0))
+GRIDS = ((25.0, 1.0), (3.0, 1.0), (800.0, 1.0))
 RADII = np.linspace(0.0, 3.0, 13)
 
 
+def make_kernel_grid(t_max, R, n_t=8):
+    """verify_kernel_bounds's sample points as (t, s, x) triples: (t, 0, x)
+    with x <= R at n_t times in [0, t_max], and at t > 0 the interior
+    points s = 0.3t, 0.6t, 0.9t with x <= s + R and the diagonal points
+    (t, t, x) with x <= t + R; each radius is 0, 1/2 and 1 times its
+    bound.  t_max must be finite and nonnegative."""
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise ValueError(f"t_max must be finite and nonnegative, got {t_max}")
+    grid = []
+    for t in np.linspace(0.0, t_max, n_t):
+        grid += [(float(t), 0.0, float(fx * R)) for fx in (0.0, 0.5, 1.0)]
+        if t > 0:
+            for fs in (0.3, 0.6, 0.9):
+                s = fs * t
+                grid += [(float(t), float(s), float(fx * (s + R))) for fx in (0.0, 0.5, 1.0)]
+            grid += [(float(t), float(t), float(fx * (t + R))) for fx in (0.0, 0.5, 1.0)]
+    return grid
+
+
 def reference_kernel(cfg, n, t, s, radius, hyperbolic):
-    """One kernel value (or one array of them) computed on its own."""
-    t, s = float(t), float(s)
-    if s < 0 or t < s:
-        raise ValueError(f"kernel arguments require 0 <= s <= t, got t={t}, s={s}")
+    """One kernel value in bounded factors, computed on its own:
+    wts exp(-r) phi(r) exp(lam (x - R - s)) at r = lam x, times
+    (1 - exp(-2b))/(2b) or (1 + exp(-2b))/2 with b = lam (t - s)."""
     lam, wts = kernel_nodes(cfg)
-    r = np.asarray(radius, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("radius must be nonnegative")
-    damp = np.exp(-lam * (cfg.R + t))
-    hyp = sinhc(lam * (t - s)) if hyperbolic == "sinhc" else np.cosh(lam * (t - s))
-    out = phi(n, np.multiply.outer(r, lam)) @ (wts * damp * hyp)
-    return float(out) if r.ndim == 0 else out
+    lx = lam * float(radius)
+    b = lam * (float(t) - float(s))
+    base = special._scaled_phi(n, lx) * np.exp(lx - lam * (cfg.R + float(s))) * wts
+    if hyperbolic == "sinhc":
+        part = np.where(b > 0, -np.expm1(-2.0 * np.where(b > 0, b, 1.0))
+                        / (2.0 * np.where(b > 0, b, 1.0)), 1.0)
+    else:
+        part = 0.5 + 0.5 * np.exp(-2.0 * b)
+    return float((base * part).sum())
 
 
 def reference_eta(cfg, n, t, s, radius):
@@ -62,38 +83,30 @@ def reference_xi(cfg, n, t, s, radius):
     return reference_kernel(cfg, n, t, s, radius, "cosh")
 
 
+def plain_kernel(cfg, n, t, s, radius, hyperbolic):
+    """The kernel as written, wts exp(-lam (R+t)) phi(lam x) times
+    sinhc(lam (t-s)) or cosh(lam (t-s)): exact in exact arithmetic, but
+    its factors leave the double range once lam (R+t) passes about 700."""
+    lam, wts = kernel_nodes(cfg)
+    hyp = sinhc(lam * (t - s)) if hyperbolic == "sinhc" else np.cosh(lam * (t - s))
+    return float(phi(n, lam * radius) @ (wts * np.exp(-lam * (cfg.R + t)) * hyp))
+
+
 def reference_bounds(cfg, n, sample_grid):
     """The bound check point by point, evaluating each kernel where it is used."""
     ratios = {bid: [] for bid in BoundId}
-    diag_requested = any(t == s and t > 0 for (t, s, _x) in sample_grid)
-    if diag_requested and not cfg.r > 0.5 * (n - 3.0):
-        raise ValueError(f"diagonal bound requires r > (n-3)/2, got r={cfg.r} at n={n}")
     for (t, s, x) in sample_grid:
-        if s < 0 or t < s:
-            raise ValueError(f"sample point requires 0 <= s <= t, got {(t, s, x)}")
         if t == s and t > 0:
-            if x > t + cfg.R + 1e-12:
-                raise ValueError(f"diagonal point needs |x| <= t + R, got {(t, s, x)}")
             shape = bracket(t) ** (-0.5 * (n - 1.0)) * bracket(t - x) ** (
                 0.5 * (n - 3.0) - cfg.r
             )
             ratios[BoundId.ETA_DIAG].append(reference_eta(cfg, n, t, t, x) / shape)
             continue
         if s == 0.0:
-            if x > cfg.R + 1e-12:
-                raise ValueError(f"s = 0 point needs |x| <= R, got {(t, s, x)}")
             ratios[BoundId.XI0].append(reference_xi(cfg, n, t, 0.0, x))
             ratios[BoundId.ETA0].append(reference_eta(cfg, n, t, 0.0, x) * bracket(t))
-            if t > 0:
-                ratios[BoundId.XIS].append(
-                    reference_xi(cfg, n, t, 0.0, x) * bracket(0.0) ** (cfg.r + 1.0)
-                )
-                ratios[BoundId.ETAS].append(
-                    reference_eta(cfg, n, t, 0.0, x) * bracket(t) * bracket(0.0) ** cfg.r
-                )
-            continue
-        if x > s + cfg.R + 1e-12:
-            raise ValueError(f"interior point needs |x| <= s + R, got {(t, s, x)}")
+            if t == 0:
+                continue
         ratios[BoundId.XIS].append(reference_xi(cfg, n, t, s, x) * bracket(s) ** (cfg.r + 1.0))
         ratios[BoundId.ETAS].append(
             reference_eta(cfg, n, t, s, x) * bracket(t) * bracket(s) ** cfg.r
@@ -113,28 +126,58 @@ def default_configs():
             yield n, KernelConfig(r=r, R=1.0)
 
 
+def bound_check_values(cfg, n, t_max):
+    """Every (t, s, x, eta, xi) that verify_kernel_bounds evaluates, read
+    from its calls of _kernel_values."""
+    seen = []
+    evaluate = special._kernel_values
+
+    def recording(cfg, n, t, s, x):
+        e, k = evaluate(cfg, n, t, s, x)
+        t, s, x = np.broadcast_arrays(t, s, x)
+        seen.extend(zip(t.ravel(), s.ravel(), x.ravel(), e.ravel(), k.ravel()))
+        return e, k
+
+    special._kernel_values = recording
+    try:
+        verify_kernel_bounds(cfg, n, t_max)
+    finally:
+        special._kernel_values = evaluate
+    return seen
+
+
 def mismatches():
-    """Every batched value that differs from the per-point reference."""
+    """Every batched or one-point value that differs from the per-point
+    reference, and every bound check value that differs from eta or xi at
+    its point."""
     bad = []
     for n, cfg in default_configs():
         for t_max, R in GRIDS:
             grid = make_kernel_grid(t_max, R)
-            if verify_kernel_bounds(cfg, n, grid) != reference_bounds(cfg, n, grid):
-                bad.append(("reports", n, cfg.r, t_max))
-            for t, s, x in grid:
-                if eta(cfg, n, t, s, x) != reference_eta(cfg, n, t, s, x):
-                    bad.append(("eta", n, cfg.r, (t, s, x)))
-                if xi(cfg, n, t, s, x) != reference_xi(cfg, n, t, s, x):
-                    bad.append(("xi", n, cfg.r, (t, s, x)))
+            t, s, x = np.array(grid).T
+            batch = special._kernel_values(cfg, n, t, s, x)
+            one_point = {}
+            for i, p in enumerate(grid):
+                want = reference_eta(cfg, n, *p), reference_xi(cfg, n, *p)
+                one_point[p] = eta(cfg, n, *p), xi(cfg, n, *p)
+                if one_point[p] != want or (batch[0][i], batch[1][i]) != want:
+                    bad.append(("kernels", n, cfg.r, p))
+            # the check samples the grid's points, each family on its own
+            for ti, si, xi_, e, k in bound_check_values(cfg, n, t_max):
+                if (e, k) != one_point.get((ti, si, xi_)):
+                    bad.append(("bound check", n, cfg.r, (ti, si, xi_)))
         for fn, ref in ((eta, reference_eta), (xi, reference_xi)):
-            if not np.array_equal(fn(cfg, n, 5.0, 2.0, RADII), ref(cfg, n, 5.0, 2.0, RADII)):
+            if not np.array_equal(fn(cfg, n, 5.0, 2.0, RADII),
+                                  [ref(cfg, n, 5.0, 2.0, x) for x in RADII]):
                 bad.append((fn.__name__ + " array", n, cfg.r))
     return bad
 
 
-def test_batched_kernels_equal_per_point_with_one_blas_thread():
+def run_mismatches(threads):
+    """Run this file in a child process with the given BLAS thread count."""
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, __file__], env=env, capture_output=True, text=True, timeout=300
@@ -142,49 +185,46 @@ def test_batched_kernels_equal_per_point_with_one_blas_thread():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_batched_kernels_equal_per_point_with_one_blas_thread():
+    run_mismatches("1")
+
+
+def test_batched_kernels_equal_per_point_with_two_blas_threads():
+    run_mismatches("2")
+
+
 def test_array_radius_matches_per_point():
     for n, cfg in default_configs():
-        for fn, ref in ((eta, reference_eta), (xi, reference_xi)):
+        for fn in (eta, xi):
             got = fn(cfg, n, 5.0, 2.0, RADII)
-            want = [ref(cfg, n, 5.0, 2.0, x) for x in RADII]
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+            assert np.array_equal(got, [fn(cfg, n, 5.0, 2.0, x) for x in RADII])
     grid = np.full((2, 3), 0.5)
     assert eta(KernelConfig(r=0.5), 3, 2.0, 1.0, grid).shape == (2, 3)
     assert xi(KernelConfig(r=0.5), 3, 2.0, 1.0, np.empty(0)).shape == (0,)
     assert isinstance(eta(KernelConfig(r=0.5), 3, 2.0, 1.0, 0.5), float)
 
 
-BAD_GRIDS = [
-    [(1.0, 0.0, 0.5), (1.0, 0.0, 5.0), (2.0, 1.0, 4.0)],  # |x| > R at s = 0, first
-    [(2.0, 1.0, 0.5), (2.0, 1.0, 4.0), (1.0, 0.0, 5.0)],  # |x| > s + R, first
-    [(1.0, 0.0, 0.0), (1.0, 2.0, 0.0)],  # s > t
-    [(1.0, -0.5, 0.0)],  # s < 0
-    [(2.0, 2.0, 1.0), (2.0, 2.0, 3.5)],  # |x| > t + R on the diagonal
-    [(2.0, 1.0, 1.0), (2.0, 1.0, -0.5), (1.0, 2.0, 0.0)],  # negative radius
-    [(1.0, 0.0, -1.0)],
-    [(3.0, 3.0, -1.0)],
-]
-
-
-@pytest.mark.parametrize("grid", BAD_GRIDS)
-def test_bad_points_raise_the_reference_message(grid):
-    cfg = KernelConfig(r=0.5, R=1.0)
-    with pytest.raises(ValueError) as want:
-        reference_bounds(cfg, 3, grid)
-    with pytest.raises(ValueError) as got:
-        verify_kernel_bounds(cfg, 3, grid)
-    assert str(got.value) == str(want.value)
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("t_max", [0.0, 50.0])
+def test_bound_reports_match_the_per_point_check(t_max, R):
+    for n, cfg in default_configs():
+        cfg = KernelConfig(r=cfg.r, R=R)
+        for n_t in (5, 8):
+            got = verify_kernel_bounds(cfg, n, t_max, n_t)
+            want = reference_bounds(cfg, n, make_kernel_grid(t_max, R, n_t))
+            assert [(g.bound_id, g.samples) for g in got] == [(w.bound_id, w.samples) for w in want]
+            for g, w in zip(got, want):
+                # the bound shapes are powers, taken over arrays in the check
+                assert g.min_ratio == pytest.approx(w.min_ratio, rel=1e-14, abs=0)
+                assert g.max_ratio == pytest.approx(w.max_ratio, rel=1e-14, abs=0)
 
 
 def test_diagonal_exponent_rule_raises_before_points():
     cfg = KernelConfig(r=0.2, R=1.0)
-    grid = [(1.0, 2.0, 0.0), (1.0, 1.0, 0.5)]
     with pytest.raises(ValueError, match=r"diagonal bound requires r > \(n-3\)/2"):
-        verify_kernel_bounds(cfg, 4, grid)
-
-
-def test_empty_grid_gives_no_reports():
-    assert verify_kernel_bounds(KernelConfig(r=0.5), 3, []) == []
+        verify_kernel_bounds(cfg, 4, 1.0)
+    # with no t > 0 there is no diagonal point to check
+    assert [rep.bound_id for rep in verify_kernel_bounds(cfg, 4, 0.0)] == [BoundId.XI0, BoundId.ETA0]
 
 
 @pytest.mark.parametrize("t", [800.0, 1000.0])
@@ -199,25 +239,24 @@ def test_kernels_finite_at_long_horizons(t):
         assert 0 < xi(cfg, n, t, 0.9 * t, 0.9 * t + 1.0) < math.inf
         for fn in (eta, xi):
             got = fn(cfg, n, t, 0.0, RADII[:5])
-            want = [fn(cfg, n, t, 0.0, x) for x in RADII[:5]]
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+            assert np.array_equal(got, [fn(cfg, n, t, 0.0, x) for x in RADII[:5]])
 
 
-def test_overflow_safe_form_agrees_below_the_switch(monkeypatch):
+def test_bounded_factor_form_matches_the_plain_formula():
     points = make_kernel_grid(60.0, 1.0) + [(5.0, 5.0 - 1e-9, 2.0), (3.0, 2.9999, 0.0)]
     for n in (1, 2, 3, 6):
         for r in (-0.4, 0.3, 1.2):
             cfg = KernelConfig(r=r)
-            monkeypatch.setattr(special, "_FAR_EXPONENT", 700.0)
-            plain = special._kernel_values(cfg, n, points)
-            monkeypatch.setattr(special, "_FAR_EXPONENT", -1.0)
-            safe = special._kernel_values(cfg, n, points)
-            for a, b in zip(plain, safe):
-                np.testing.assert_allclose(b, a, rtol=1e-13, atol=0)
+            for t, s, x in points:
+                for fn, hyperbolic in ((eta, "sinhc"), (xi, "cosh")):
+                    want = plain_kernel(cfg, n, t, s, x, hyperbolic)
+                    assert fn(cfg, n, t, s, x) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_kernels_continuous_across_the_switch():
-    # max(lam) (R + t) = 700 near t = 699 for lambda0 = 1, R = 1
+    # max(lam) (R + t) = 700 near t = 699 for lambda0 = 1, R = 1: there
+    # exp(-lam (R + t)) nears the end of the normal double range, and the
+    # plain formula's factors would soon leave it
     cfg = KernelConfig(r=0.5)
     lam_max = kernel_nodes(cfg)[0].max()
     t_switch = 700.0 / lam_max - cfg.R
@@ -229,8 +268,12 @@ def test_kernels_continuous_across_the_switch():
 
 @pytest.mark.parametrize("t_max", [math.nan, math.inf, -math.inf, -1.0])
 def test_make_kernel_grid_rejects_bad_t_max(t_max):
-    with pytest.raises(ValueError, match="t_max must be finite and nonnegative"):
+    # the check refuses the horizons the reference grid refuses, with its message
+    with pytest.raises(ValueError, match="t_max must be finite and nonnegative") as want:
         make_kernel_grid(t_max, 1.0)
+    with pytest.raises(ValueError) as got:
+        verify_kernel_bounds(KernelConfig(r=0.5), 3, t_max)
+    assert str(got.value) == str(want.value)
 
 
 if __name__ == "__main__":

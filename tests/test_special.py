@@ -12,8 +12,8 @@ from coupledwave.special import (
     KernelConfig,
     bracket,
     eta,
+    kernel_nodes,
     log_phi,
-    make_kernel_grid,
     multiplier,
     phi,
     psi,
@@ -137,6 +137,9 @@ def test_kernel_config_validation():
         KernelConfig(r=0.0, lambda0=0.0)
     with pytest.raises(ValueError):
         KernelConfig(r=0.0, quad_nodes=8)
+    for R in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="support radius R must be positive and finite"):
+            KernelConfig(r=0.5, R=R)
 
 
 @pytest.mark.parametrize(
@@ -206,10 +209,43 @@ def test_kernel_argument_validation():
         xi(cfg, 3, 1.0, 2.0, 0.0)
 
 
+def _phi_mp(n, rho):
+    """Phi in closed form: 4 pi sinh(rho)/rho for n = 3, and
+    (2 pi)^(n/2) rho^(1-n/2) I_{n/2-1}(rho) in general, with its limit,
+    the sphere's area, at rho = 0."""
+    half = mp.mpf(n) / 2
+    if rho == 0:
+        return 2 * mp.pi**half / mp.gamma(half)
+    if n == 3:
+        return 4 * mp.pi * mp.sinh(rho) / rho
+    return (2 * mp.pi) ** half * rho ** (1 - half) * mp.besseli(half - 1, rho)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_kernels_match_mpmath_oracle(n):
+    # the same node sum at 40 digits, with Phi in closed form: checks the
+    # bounded-factor evaluation, not the quadrature
+    points = [(0.0, 0.0, 0.0), (25.0, 25.0, 26.0), (60.0, 59.99, 2.0), (5.0, 5.0 - 1e-9, 2.0),
+              (3.0, 0.0, 1.0), (10.0, 4.0, 5.0)]
+    for r in (-0.4, 0.27, 1.2):
+        cfg = KernelConfig(r=r)
+        lam, wts = kernel_nodes(cfg)
+        for t, s, x in points:
+            with mp.workdps(40):
+                e = k = mp.mpf(0)
+                for lam_j, w_j in zip(lam, wts):
+                    lam_j, w_j = mp.mpf(lam_j), mp.mpf(w_j)
+                    b = lam_j * (mp.mpf(t) - mp.mpf(s))
+                    term = w_j * mp.exp(-lam_j * (cfg.R + mp.mpf(t))) * _phi_mp(n, lam_j * x)
+                    e += term * (mp.sinh(b) / b if b else 1)
+                    k += term * mp.cosh(b)
+            assert eta(cfg, n, t, s, x) == pytest.approx(float(e), rel=1e-13, abs=0), (r, t, s, x)
+            assert xi(cfg, n, t, s, x) == pytest.approx(float(k), rel=1e-13, abs=0), (r, t, s, x)
+
+
 def test_verify_kernel_bounds_reports():
     cfg = KernelConfig(r=0.5, R=1.0)
-    grid = make_kernel_grid(20.0, 1.0)
-    reports = {r.bound_id: r for r in verify_kernel_bounds(cfg, 3, grid)}
+    reports = {r.bound_id: r for r in verify_kernel_bounds(cfg, 3, 20.0)}
     assert set(reports) == set(BoundId)
     for bid, rep in reports.items():
         assert rep.samples > 0
@@ -258,16 +294,10 @@ def test_sinhc_is_bitwise_the_where_expression():
 
 
 def test_verify_kernel_bounds_rejects_bad_points():
-    cfg = KernelConfig(r=0.5, R=1.0)
+    # the check samples its own points; only the diagonal bound's exponent
+    # can rule them out: it needs r > (n-3)/2
     with pytest.raises(ValueError):
-        verify_kernel_bounds(cfg, 3, [(1.0, 0.0, 5.0)])  # |x| > R at s = 0
-    with pytest.raises(ValueError):
-        verify_kernel_bounds(cfg, 3, [(2.0, 1.0, 4.0)])  # |x| > s + R
-    with pytest.raises(ValueError):
-        verify_kernel_bounds(cfg, 3, [(1.0, 2.0, 0.0)])  # s > t
-    # diagonal bound needs r > (n-3)/2
-    with pytest.raises(ValueError):
-        verify_kernel_bounds(KernelConfig(r=0.2, R=1.0), 4, [(1.0, 1.0, 0.5)])
+        verify_kernel_bounds(KernelConfig(r=0.2, R=1.0), 4, 1.0)
 
 
 def test_psi_moment_closed_forms():
