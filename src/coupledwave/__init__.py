@@ -32,7 +32,6 @@ from .iteration import (
     SequenceTable,
     ThresholdTime,
     critical_sequences,
-    divergence_certificate,
     divergence_driver,
     geometric_sums,
     r_parameters,

@@ -3,9 +3,10 @@
 A single document with sections {problem, grid, damping1, damping2,
 data, kernels, sweep}; every field has a default (``DEFAULT_CONFIG``),
 so one file fully reproduces any run.  Damping families are zero,
-power-decay and exp-decay; ``grid.r_max`` and ``kernels.r1``/``r2``
-may be null, every number must be finite, and ``kernels.lambda0`` and
-``kernels.quad_nodes`` must pass ``KernelConfig``'s checks.  Example:
+power-decay and exp-decay; ``kernels.r1``/``r2`` may be null (the
+kernel exponents), every number must be finite, and ``kernels.lambda0``
+and ``kernels.quad_nodes`` must pass ``KernelConfig``'s checks.  The
+grid ends at R + t_max + 10 dr.  Example:
 
     {
       "problem": {"n": 3, "p": 2.0, "q": 2.0, "eps": 1.0, "R": 1.0},
@@ -32,7 +33,7 @@ from .lifespan import SweepConfig
 from .solver import GridSpec, InitialDataFamily, ProblemSpec
 from .special import DampingFamily, DampingSpec, KernelConfig
 
-__all__ = ["DEFAULT_CONFIG", "ConfigError", "load_config", "merge_config",
+__all__ = ["DEFAULT_CONFIG", "VERB_DEFAULTS", "ConfigError", "load_config", "merge_config",
            "problem_spec_from_config", "sweep_config_from_config",
            "kernel_params_from_config"]
 
@@ -41,7 +42,6 @@ DEFAULT_CONFIG = {
     "grid": {
         "dr": 0.02,
         "t_max": 10.0,
-        "r_max": None,
         "cfl": 0.45,
         "blowup_threshold": 1e8,
     },
@@ -51,6 +51,10 @@ DEFAULT_CONFIG = {
     "kernels": {"lambda0": 1.0, "quad_nodes": 64, "r1": None, "r2": None},
     "sweep": {"eps_values": [1.6, 1.4, 1.2, 1.0, 0.9, 0.8], "repeats": 2},
 }
+# a verb's own defaults, laid between DEFAULT_CONFIG and its --config file:
+# the undamped identity problem, which ``verify`` checks too
+VERB_DEFAULTS = {"identity": {"grid": {"dr": 0.01, "t_max": 2.0},
+                              "data": {"amplitudes": (1.0, 1.0, 1.0, 1.0)}}}
 
 
 class ConfigError(ValueError):
@@ -157,7 +161,6 @@ def problem_spec_from_config(cfg: dict) -> ProblemSpec:
             grid=GridSpec(
                 dr=_as_float(grid["dr"], "grid.dr"),
                 t_max=_as_float(grid["t_max"], "grid.t_max"),
-                r_max=None if grid["r_max"] is None else _as_float(grid["r_max"], "grid.r_max"),
                 cfl=_as_float(grid["cfl"], "grid.cfl"),
                 blowup_threshold=_as_float(grid["blowup_threshold"], "grid.blowup_threshold"),
             ),

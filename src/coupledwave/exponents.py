@@ -161,7 +161,7 @@ def theta2(n, pq) -> float:
 def kernel_exponents(n, pq) -> tuple[float, float]:
     """Kernel exponents r1 = (n-1)/2 - 1/p and r2 = (n-1)/2 - 1/q of
     curlyU and curlyV: their equality values on the critical curves
-    (``iteration.r_parameters``) and the default kernel of ``identity``."""
+    (``iteration.r_parameters``) and ``functionals.probes``' default."""
     n = check_dimension(n)
     pq = as_pair(pq)
     return 0.5 * (n - 1.0) - 1.0 / pq.p, 0.5 * (n - 1.0) - 1.0 / pq.q

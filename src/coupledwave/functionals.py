@@ -42,7 +42,7 @@ from enum import Enum
 
 import numpy as np
 
-from .exponents import Region, classify
+from .exponents import Region, classify, kernel_exponents
 from .solver import (
     PROBE_SOURCES,
     IntegralProbes,
@@ -200,7 +200,7 @@ def _diag_kernel_series(times, R, lam, wl, proj):
     return fac @ wl
 
 
-def probes(spec: ProblemSpec, r1: float, r2: float,
+def probes(spec: ProblemSpec, r1: float | None = None, r2: float | None = None,
            lambda0: float = 1.0, quad_nodes: int = 64) -> dict:
     """Probe matrices for ``run(spec, probes=...)`` whose projections
     ``extract``, ``nonlinearity_integrals`` and
@@ -212,12 +212,16 @@ def probes(spec: ProblemSpec, r1: float, r2: float,
     carry these two head rows only.  The other four sources carry
     ``quad_nodes`` more rows, a kernel basis of exponent r1 for u_t and
     |v|^q (curlyU and its source) and r2 for v and |u_t|^p (curlyV and
-    its source).  There is one basis matrix per distinct exponent, so
+    its source); a None exponent is that of ``kernel_exponents(spec.n,
+    spec.pq)``.  There is one basis matrix per distinct exponent, so
     with r1 == r2 one matrix serves all four; the identity check
     projects the data terms u0 and v1 from the spec's data instead.
     The mapping carries ``kernel`` = (r1, r2, lambda0, quad_nodes),
     which the run records and the readers use.
     """
+    k1, k2 = kernel_exponents(spec.n, spec.pq)
+    r1 = k1 if r1 is None else r1
+    r2 = k2 if r2 is None else r2
     grid = radial_grid(spec)
     w = integral_probes(spec)["u"]  # one row, the same for every source
     head = np.vstack((w, w * phi(spec.n, grid)))

@@ -55,12 +55,12 @@ __all__ = [
     "subcritical_sequences",
     "critical_sequences",
     "closed_form_deviation",
+    "closed_form_deviations",
     "geometric_sums",
     "series_S",
     "threshold_time",
     "r_parameters",
     "divergence_driver",
-    "divergence_certificate",
     "write_table_csv",
 ]
 
@@ -255,17 +255,20 @@ def closed_form_deviation(brute, closed) -> float:
     return float(np.max(np.abs(brute - closed) / np.maximum(np.abs(closed), 1.0)))
 
 
+def closed_form_deviations(table: SequenceTable) -> tuple:
+    """``closed_form_deviation`` of the table's t_power, weight_power and
+    coeff_log columns, in that order: the table agrees with its closed
+    forms when the largest is below CLOSED_FORM_TOL."""
+    return tuple(closed_form_deviation(getattr(table, col), getattr(table, col + "_closed"))
+                 for col in ("t_power", "weight_power", "coeff_log"))
+
+
 def _check_jmax(j_max: int) -> int:
     if int(j_max) != j_max or j_max < 1:
         raise ValueError(f"j_max must be a positive integer, got {j_max}")
     if j_max > J_MAX_LIMIT:
         raise ValueError(f"j_max capped at {J_MAX_LIMIT}, got {j_max}")
     return int(j_max)
-
-
-def _require_match(consts: IterationConstants, n, pq) -> None:
-    if not (consts.n == n and abs(consts.p - pq.p) <= 1e-9 and abs(consts.q - pq.q) <= 1e-9):
-        raise ValueError("IterationConstants built for different (n, p, q)")
 
 
 def _require_on_curve(case: CriticalCase, data: CriticalData) -> None:
@@ -279,16 +282,17 @@ def _require_on_curve(case: CriticalCase, data: CriticalData) -> None:
         raise ValueError(f"(p, q) is not {case.value}-critical: theta1 = {t1}, theta2 = {t2}")
 
 
-def _family_table(family, n, p, q, js, seed, recur, step, t_closed, w_closed,
+def _family_table(family, n, p, q, js, seed, recur, t_closed, w_closed,
                   ell=None) -> SequenceTable:
     """Run one sequence family's recursion and its unrolled closed form.
 
     ``seed`` is (log c_0, t_0, w_0); ``recur(j, log_j, t_j, w_j)``
-    returns the next triple; ``step(k, t_k)`` is the coefficient term
-    d_k of log c_{k+1} = pq log c_k + d_k, so that log c_j = (pq)^j log
-    c_0 + sum_{k<j} (pq)^{j-1-k} d_k evaluated on the closed-form power
-    sequence t_closed.  Raises ValueError at the first j where a column
-    leaves double range.
+    returns the next triple, whose first entry is log c_{j+1} = pq
+    log c_j + d_j.  The coefficient term d_k is recur's first entry
+    from log c_k = 0, so that log c_j = (pq)^j log c_0 + sum_{k<j}
+    (pq)^{j-1-k} d_k evaluated on the closed-form power sequence
+    t_closed.  Raises ValueError at the first j where a column leaves
+    double range.
     """
     x = p * q
     size = len(js)
@@ -297,7 +301,7 @@ def _family_table(family, n, p, q, js, seed, recur, step, t_closed, w_closed,
         rows.append(recur(j, *rows[-1]))
     logc, tp, wp = (np.array(col) for col in zip(*rows))
     _check_range(family, logc, tp, wp, t_closed, w_closed)
-    d = np.array([step(k, t) for k, t in enumerate(t_closed[:-1].tolist())])
+    d = np.array([recur(k, 0.0, t, 0.0)[0] for k, t in enumerate(t_closed[:-1].tolist())])
     powers = x ** np.arange(size)
     logc_closed = np.empty(size)
     logc_closed[0] = log0 = seed[0]
@@ -321,21 +325,19 @@ def _check_range(family, *columns) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def subcritical_sequences(n, pq, j_max: int, consts: IterationConstants | None = None,
-                          eps: float = 1.0):
+def subcritical_sequences(n, pq, j_max: int, eps: float = 1.0):
     """Brute recursions and closed forms for the subcritical families.
 
     Returns (table for (C_j, a_j, b_j), table for (K_j, alpha_j,
     beta_j)).  Seeds: a0 = n+1, b0 = (n-1)p/2, C0 = m2(0) Ktilde eps^p
     / (n(n+1)); alpha0 = n, beta0 = (n-1)q/2, K0 = m1(0) Ctilde eps^q
-    / n.  Coefficients are tracked in log scale.
+    / n.  Coefficients are tracked in log scale.  As in
+    ``critical_sequences``, the frame constants C, K, Ctilde, Ktilde,
+    m1(0) and m2(0) are 1.
     """
     n = check_dimension(n)
     pq = as_pair(pq)
     j_max = _check_jmax(j_max)
-    if consts is None:
-        consts = IterationConstants.from_frame(n, pq)
-    _require_match(consts, n, pq)
     p, q = pq.p, pq.q
     x = pq.product
     js = np.arange(j_max + 1)
@@ -343,22 +345,14 @@ def subcritical_sequences(n, pq, j_max: int, consts: IterationConstants | None =
     # V-family: (C_j, a_j, b_j)
     a0 = n + 1.0
     b0 = 0.5 * (n - 1.0) * p
-    logC0 = math.log(consts.m2_0 * consts.Ktilde / (n * (n + 1.0))) + p * math.log(eps)
-    logCK = math.log(consts.C) + p * math.log(consts.K)
-
-    def terms_v(a):
-        return p * math.log(a * q + 1.0), math.log(a * x + p + 1.0), math.log(a * x + p + 2.0)
+    logC0 = math.log(1.0 / (n * (n + 1.0))) + p * math.log(eps)
 
     def recur_v(_j, logc, a, b):
-        d1, d2, d3 = terms_v(a)
-        return logCK + x * logc - d1 - d2 - d3, x * a + p + 2.0, x * b + n * (x - 1.0)
-
-    def step_v(_k, a):
-        d1, d2, d3 = terms_v(a)
-        return logCK - d1 - d2 - d3
+        return (x * logc - p * math.log(a * q + 1.0) - math.log(a * x + p + 1.0)
+                - math.log(a * x + p + 2.0), x * a + p + 2.0, x * b + n * (x - 1.0))
 
     table_v = _family_table(
-        "subcritical-v", n, p, q, js, (logC0, a0, b0), recur_v, step_v,
+        "subcritical-v", n, p, q, js, (logC0, a0, b0), recur_v,
         (a0 + (p + 2.0) / (x - 1.0)) * x**js - (p + 2.0) / (x - 1.0),
         (b0 + n) * x**js - n,
     )
@@ -366,23 +360,14 @@ def subcritical_sequences(n, pq, j_max: int, consts: IterationConstants | None =
     # U'-family: (K_j, alpha_j, beta_j)
     al0 = float(n)
     be0 = 0.5 * (n - 1.0) * q
-    logK0 = math.log(consts.m1_0 * consts.Ctilde / n) + q * math.log(eps)
-    logKC = math.log(consts.K) + q * math.log(consts.C)
-
-    def terms_u(al):
-        return (q * math.log(al * p + 1.0), q * math.log(al * p + 2.0),
-                math.log(al * x + 2.0 * q + 1.0))
+    logK0 = math.log(1.0 / n) + q * math.log(eps)
 
     def recur_u(_j, logk, al, be):
-        d1, d2, d3 = terms_u(al)
-        return logKC + x * logk - d1 - d2 - d3, x * al + 2.0 * q + 1.0, x * be + n * (x - 1.0)
-
-    def step_u(_k, al):
-        d1, d2, d3 = terms_u(al)
-        return logKC - d1 - d2 - d3
+        return (x * logk - q * math.log(al * p + 1.0) - q * math.log(al * p + 2.0)
+                - math.log(al * x + 2.0 * q + 1.0), x * al + 2.0 * q + 1.0, x * be + n * (x - 1.0))
 
     table_u = _family_table(
-        "subcritical-uprime", n, p, q, js, (logK0, al0, be0), recur_u, step_u,
+        "subcritical-uprime", n, p, q, js, (logK0, al0, be0), recur_u,
         (al0 + (2.0 * q + 1.0) / (x - 1.0)) * x**js - (2.0 * q + 1.0) / (x - 1.0),
         (be0 + n) * x**js - n,
     )
@@ -439,7 +424,7 @@ def critical_sequences(case, n, pq, j_max: int) -> SequenceTable:
         return x * logc + step(j, t), x * t + t_add, x * w + w_add
 
     return _family_table(
-        f"critical-{case.value}", n, p, q, js, (0.0, 1.0, 0.0), recur, step,
+        f"critical-{case.value}", n, p, q, js, (0.0, 1.0, 0.0), recur,
         t_closed, w_closed, ell=ell,
     )
 
@@ -615,14 +600,6 @@ def divergence_driver(family: str, consts: IterationConstants, eps: float,
     else:
         raise ValueError(f"unknown sequence family {family!r}")
     return _exp(log_val)
-
-
-def divergence_certificate(table: SequenceTable, eps: float, t: float,
-                           consts: IterationConstants) -> bool:
-    """Whether the divergence driver of the table's family exceeds 1 at
-    (t, eps), certifying blow-up of the lower-bound sequence there."""
-    _require_match(consts, table.n, as_pair((table.p, table.q)))
-    return bool(divergence_driver(table.family, consts, eps, t=t) > 1.0)
 
 
 def write_table_csv(table: SequenceTable, path) -> None:

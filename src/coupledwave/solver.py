@@ -30,8 +30,8 @@ as ``cone_spill``, so the cut can be checked to shrink with dr.
 
 Because everything beyond the cone is exactly zero, each step works
 only on the active window [:L] of the grid, L = k + 2 with k the first
-point beyond the next level's cone (or the whole grid once the cone
-reaches its end).  One stepping core, ``_Leapfrog``, does every update
+point beyond the next level's cone (the grid ends 10 dr past the cone
+at t_max).  One stepping core, ``_Leapfrog``, does every update
 with out= ufuncs, in one fixed floating-point order per formula, on
 contiguous (field, row, point) buffers: three rotating time levels
 plus laplacian, forcing and velocity buffers, u and v stacked, cut to
@@ -46,7 +46,8 @@ on in a new batch of its own at half the step (with any row that
 halves at the same step).  Each row's record carries the ProblemSpec
 it solved, so the functional readers take the record alone.
 ``evolve_scalar`` runs the same core on the whole grid with no cone:
-its data need not be compactly supported and its forcing is arbitrary.
+its data need not be compactly supported, its forcing is arbitrary and
+it holds the grid end at zero itself.
 """
 
 from __future__ import annotations
@@ -141,15 +142,11 @@ class InitialDataFamily:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Radial grid and horizon; dt = cfl * dr.
-
-    ``r_max`` = None resolves to R + t_max plus a small margin so that
-    the domain contains the light cone.
-    """
+    """Radial grid and horizon; dt = cfl * dr.  The grid's end follows
+    from the problem's R (``radial_grid``)."""
 
     dr: float
     t_max: float
-    r_max: float | None = None
     cfl: float = 0.45
     blowup_threshold: float = 1e8
 
@@ -158,8 +155,6 @@ class GridSpec:
             raise ValueError(f"dr must be positive and finite, got {self.dr}")
         if not 0 < self.t_max < math.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
-        if self.r_max is not None and not math.isfinite(self.r_max):
-            raise ValueError(f"r_max must be finite, got {self.r_max}")
         if not 0.0 < self.cfl < 1.0:
             raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
         if not self.blowup_threshold > 0:
@@ -200,15 +195,6 @@ class ProblemSpec:
                 "initial data violates the blow-up hypotheses "
                 "(nonnegative amplitudes with A_u1 > 0 and A_v0 > 0); "
                 "pass enforce_hypotheses=False for negative-control runs"
-            )
-        r_max = self.grid.r_max
-        needed = self.R + self.grid.t_max
-        if r_max is None:
-            r_max = needed + 10.0 * self.grid.dr
-            object.__setattr__(self, "grid", replace(self.grid, r_max=r_max))
-        elif r_max < needed:
-            raise ValueError(
-                f"r_max={r_max} does not contain the light cone R + t_max = {needed}"
             )
 
 
@@ -267,9 +253,11 @@ class SolutionRecord:
 
 
 def radial_grid(spec: ProblemSpec) -> np.ndarray:
-    """Radial grid points 0, dr, ..., covering r_max."""
+    """Radial grid points 0, dr, ..., covering R + t_max + 10 dr: the
+    light cone at t_max and a margin that the cone keeps at zero."""
     grid = spec.grid
-    m = int(np.floor(grid.r_max / grid.dr + 1e-9)) + 1
+    r_max = spec.R + grid.t_max + 10.0 * grid.dr
+    m = int(np.floor(r_max / grid.dr + 1e-9)) + 1
     return np.arange(m) * grid.dr
 
 
@@ -323,8 +311,8 @@ class _Leapfrog:
     strided [..., :L] views of fixed (fields, rows, M) buffers numpy
     took twice as long per call, the eps-ladder sweep 30 % longer).  Past
     the window every input is zero, hence every output too, and the
-    window holds the values of the whole-grid formulas; the grid-end
-    conditions apply only once L = M.  Points from ``k`` on lie beyond
+    window holds the values of the whole-grid formulas; ``run``'s L < M,
+    and ``evolve_scalar`` zeroes the end.  Points from ``k`` on lie beyond
     the cone (k = L = M for no cone): ``close`` zeroes them, and
     ``spill`` keeps the largest |value| zeroed per field, row and point
     past k.  Every update is elementwise along the rows, so no row
@@ -332,12 +320,11 @@ class _Leapfrog:
     """
 
     def __init__(self, r: np.ndarray, dr: float, n: int, fields: int, rows: int, width: int):
-        self.m = r.size
         inv_dr2 = 1.0 / (dr * dr)
         self.centre = -2.0 * inv_dr2
         self.axis = 2.0 * n * inv_dr2
         # cl, cr = 1/dr^2 -+ (n - 1) / (2 r dr); the axis has its own formula
-        drift = np.zeros(self.m)
+        drift = np.zeros(r.size)
         drift[1:] = (n - 1.0) / r[1:] / (2.0 * dr)
         self.outer = np.stack((inv_dr2 - drift, inv_dr2 + drift))
         # the cut [k:L] spans at most three points: L <= k + 2, and a dt
@@ -394,12 +381,7 @@ class _Leapfrog:
         np.multiply(self.cur, 2.0, out=self.next)
         np.subtract(self.next, self.prev, out=self.next)
 
-    def _grid_end(self, out, L, k):
-        # a grid end inside [k:L] is zeroed (and its spill kept) by close
-        if L == self.m and k >= self.m:
-            out[..., -1] = 0.0
-
-    def leap(self, f, bval, dt, L, k):
+    def leap(self, f, bval, dt):
         """Field f's damped leap to ``next`` after ``free``, from ``lap``
         and ``force``; the cone cut waits for ``close``."""
         out, prev, tmp = self.next[f], self.prev[f], self.tmp[f]
@@ -411,7 +393,6 @@ class _Leapfrog:
             np.multiply(prev, half, out=tmp)
             np.add(out, tmp, out=out)
             np.divide(out, 1.0 + half, out=out)
-        self._grid_end(out, L, k)
 
     def velocity(self, f, dt, k_vel):
         """Field f's centred velocity (next - prev) * (0.5 / dt), zero from
@@ -430,20 +411,18 @@ class _Leapfrog:
             np.fmax(kept, np.abs(cut), out=kept)
             cut[...] = 0.0
 
-    def taylor(self, f, wt, bval, dt, L, k):
+    def taylor(self, f, wt, bval, dt):
         """Second-order Taylor step of field f from (cur, wt) into
         ``next``, with ``lap`` and ``force`` of the current level."""
         acc = self.lap[f] - bval * wt + self.force[f]
-        out = self.next[f]
-        out[:] = self.cur[f] + dt * wt + 0.5 * dt * dt * acc
-        self._grid_end(out, L, k)
+        self.next[f] = self.cur[f] + dt * wt + 0.5 * dt * dt * acc
 
-    def restart(self, f, bval, dt_old, dt, L, k):
+    def restart(self, f, bval, dt_old, dt):
         """Replace field f's leap to ``next`` by a Taylor step of size dt,
         from a one-sided second-order velocity that uses the equation."""
         zt = (self.cur[f] - self.prev[f]) / dt_old
         acc = self.lap[f] - bval * zt + self.force[f]
-        self.taylor(f, zt + 0.5 * dt_old * acc, bval, dt, L, k)
+        self.taylor(f, zt + 0.5 * dt_old * acc, bval, dt)
 
 
 def detect_blowup(times, sup_norms, threshold: float):
@@ -620,7 +599,7 @@ class _Batch:
                 raise ValueError(f"probe {name!r} must be a (K, {m}) matrix, got shape {mat.shape}")
         # finite propagation speed: data in B_R implies supp w(dt) in B_{dt+R}
         k = int(r.searchsorted(dt + spec.R, side="right"))
-        L = min(m, k + 2)
+        L = k + 2
         self.core = core = _Leapfrog(r, grid.dr, spec.n, 2, len(specs), _width(L, m))
 
         # the data: u, v in cur and u_t, v_t in vel, one row per eps
@@ -660,8 +639,8 @@ class _Batch:
         for i in range(len(specs)):
             self.project(i, L)
         core.laplacian()
-        core.taylor(0, core.vel[0], spec.b1.b(0.0), dt, L, k)
-        core.taylor(1, core.vel[1], spec.b2.b(0.0), dt, L, k)
+        core.taylor(0, core.vel[0], spec.b1.b(0.0), dt)
+        core.taylor(1, core.vel[1], spec.b2.b(0.0), dt)
         core.close(L, k)
         self.next_level(k)
 
@@ -671,7 +650,7 @@ class _Batch:
         leaves for a batch of its own, advanced to its end first.
 
         At time t the next level vanishes from k = first index with
-        r > t + dt + R on, and the step works on [:L], L = min(M, k + 2).
+        r > t + dt + R on, and the step works on [:L], L = k + 2.
         u is leapt before |u_t|^p is formed for v's leap.
         """
         spec, r, core = self.spec, self.r, self.core
@@ -684,7 +663,7 @@ class _Batch:
             b1v = spec.b1.b(t)
             b2v = spec.b2.b(t)
             k = int(r.searchsorted(t + dt + spec.R, side="right"))
-            L = min(m, k + 2)
+            L = k + 2
             self.window = max(self.window, L)
             if L > core.width:
                 core.resize(range(nb), _width(L, m))
@@ -696,12 +675,12 @@ class _Batch:
             u_force **= q
             core.laplacian()
             core.free()
-            core.leap(0, b1v, dt, L, k)
+            core.leap(0, b1v, dt)
             core.velocity(0, dt, self.k_cur)
             np.abs(core.vel[0], out=v_force)
             np.maximum.reduce(v_force, axis=1, out=norms[:, 1])
             v_force **= p
-            core.leap(1, b2v, dt, L, k)
+            core.leap(1, b2v, dt)
             core.close(L, k)
             u_abs = core.tmp[0]
             np.abs(core.cur[0], out=u_abs)
@@ -789,8 +768,8 @@ class _Batch:
         for row in new.rows:
             row.halvings.append((self.t, dt, row.level))
         k = int(self.r.searchsorted(self.t + dt + self.spec.R, side="right"))
-        core.restart(0, b1v, dt_old, dt, L, k)
-        core.restart(1, b2v, dt_old, dt, L, k)
+        core.restart(0, b1v, dt_old, dt)
+        core.restart(1, b2v, dt_old, dt)
         core.close(L, k)
         new.next_level(k)
         return new
@@ -877,7 +856,8 @@ def evolve_scalar(
 
     load_forcing(0.0)
     core.laplacian()
-    core.taylor(0, wt0, b.b(0.0), dt, m, m)
+    core.taylor(0, wt0, b.b(0.0), dt)
+    core.next[0, 0, -1] = 0.0  # the Dirichlet end
     core.rotate()
 
     steps = int(round(t_max / dt))
@@ -886,7 +866,8 @@ def evolve_scalar(
         load_forcing(t)
         core.laplacian()
         core.free()
-        core.leap(0, b.b(t), dt, m, m)
+        core.leap(0, b.b(t), dt)
+        core.next[0, 0, -1] = 0.0
         if k % sample_stride == 0 or k == steps:
             core.velocity(0, dt, m)
             times.append(t)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import configio
 from . import functionals as fn
 from . import iteration as it
 from .exponents import ExponentPair, cusp_exponents, cusp_residuals, kernel_exponents
@@ -61,12 +62,7 @@ def _check_closed_forms():
         q = float(rng.uniform(1.2, 3.0))
         tv, tu = it.subcritical_sequences(n, (p, q), 60)
         for tab in (tv, tu):
-            for brute, closed in (
-                (tab.t_power, tab.t_power_closed),
-                (tab.weight_power, tab.weight_power_closed),
-                (tab.coeff_log, tab.coeff_log_closed),
-            ):
-                worst = max(worst, it.closed_form_deviation(brute, closed))
+            worst = max(worst, *it.closed_form_deviations(tab))
     return worst < it.CLOSED_FORM_TOL, f"worst closed-form deviation {worst:.2e}"
 
 
@@ -110,12 +106,10 @@ def _check_solver():
 
 
 def _check_identity():
-    spec = ProblemSpec(
-        n=3, pq=ExponentPair(2, 2), b1=DampingSpec.zero(), b2=DampingSpec.zero(),
-        R=1.0, eps=1.0, data=InitialDataFamily(k=3, amplitudes=(1, 1, 1, 1)),
-        grid=GridSpec(dr=0.01, t_max=2.0),
-    )
-    rec = run(spec, probes=fn.probes(spec, 0.5, 0.5))
+    # the problem and kernel of the ``identity`` verb's defaults
+    cfg = configio.merge_config(configio.VERB_DEFAULTS["identity"])
+    spec = configio.problem_spec_from_config(cfg)
+    rec = run(spec, probes=fn.probes(spec, **configio.kernel_params_from_config(cfg)))
     res_u, res_v = fn.check_fundamental_identity(rec)
     ok = res_u < fn.IDENTITY_TOL and res_v < fn.IDENTITY_TOL
     return ok, f"residuals {res_u:.2e}, {res_v:.2e}"

@@ -207,7 +207,7 @@ def test_sequences_with_huge_p_runs(capsys):
         (["solve", "--eps", "inf"], None),
         (["solve"], {"problem": {"R": float("inf")}}),
         (["solve"], {"grid": {"dr": float("nan")}}),
-        (["solve"], {"grid": {"r_max": float("inf")}}),
+        (["solve"], {"grid": {"cfl": float("nan")}}),
         (["solve"], {"data": {"amplitudes": [1.0, float("inf"), 1.0, 1.0]}}),
         (["sweep"], {"sweep": {"eps_values": [0.5, float("nan")]}}),
         (["sweep"], {"sweep": {"eps_values": [float("inf"), 0.5]}}),
@@ -407,7 +407,8 @@ def test_sweep_failed_row_exits_1(tmp_path, capsys):
         ("sweep", {"problem": {"R": True}}, "problem.R must be a number"),
         ("solve", {"grid": {"dr": "0.04"}}, "grid.dr must be a number"),
         ("solve", {"grid": {"t_max": "4"}}, "grid.t_max must be a number"),
-        ("solve", {"grid": {"r_max": "12"}}, "grid.r_max must be a number"),
+        # the grid's end is worked out from R and t_max, not set
+        ("solve", {"grid": {"r_max": "12"}}, "unknown field grid.r_max"),
         ("solve", {"grid": {"cfl": "0.45"}}, "grid.cfl must be a number"),
         ("solve", {"grid": {"blowup_threshold": "1e8"}}, "grid.blowup_threshold must be a number"),
         ("identity", {"damping1": {"family": "power-decay", "mu": True, "beta": "2"}},
@@ -567,7 +568,7 @@ def test_sequences_redirected_to_file_keeps_summary(tmp_path):
     "argv, message",
     [
         (["sequences", "--case", "subcritical", "--p", "1e308", "--q", "2"],
-         "exponents beyond double range: log_E = nan at p=1e+308, q=2.0"),
+         "subcritical-v sequences leave double range at j = 1"),
         (["sequences", "--case", "subcritical", "--p", "1000", "--q", "1000", "--jmax", "60"],
          "leave double range at j = 51"),
     ],

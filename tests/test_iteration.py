@@ -20,7 +20,6 @@ from coupledwave.iteration import (
     J_MAX_LIMIT,
     IterationConstants,
     critical_sequences,
-    divergence_certificate,
     divergence_driver,
     geometric_sums,
     r_parameters,
@@ -73,7 +72,7 @@ def test_coefficient_paper_floor():
     n, p, q, eps = 3, 2.0, 2.0, 0.5
     x = p * q
     consts = IterationConstants.from_frame(n, (p, q))
-    tv, _ = subcritical_sequences(n, (p, q), 60, consts, eps=eps)
+    tv, _ = subcritical_sequences(n, (p, q), 60, eps=eps)
     Msub = consts.C * consts.K**p * (n + 1 + (p + 2) / (x - 1)) ** (-(p + 2))
     j1 = math.ceil(math.log(Msub) / math.log(x ** (p + 2)) - 1 - 1 / (x - 1))
     floor = x**tv.j * math.log(consts.Nconst * eps**p)
@@ -251,11 +250,12 @@ def test_divergence_driver_matches_thresholds_all_regions():
 
 
 def test_divergence_certificate_monotone(standard_spec):
+    # a driver above 1 certifies divergence of the table's family
     con = IterationConstants.from_frame(3, (2.0, 2.0))
-    tv, _ = subcritical_sequences(3, (2.0, 2.0), 10, con)
+    tv, _ = subcritical_sequences(3, (2.0, 2.0), 10)
     th = threshold_time(con, 0.5)
-    assert not divergence_certificate(tv, 0.5, 0.5 * th.T, con)
-    assert divergence_certificate(tv, 0.5, 2.0 * th.T, con)
+    assert not divergence_driver(tv.family, con, 0.5, t=0.5 * th.T) > 1.0
+    assert divergence_driver(tv.family, con, 0.5, t=2.0 * th.T) > 1.0
 
 
 def test_r_parameters():
@@ -284,12 +284,6 @@ def test_off_curve_message_shared(case):
         r_parameters(case, 3, (2.0, 2.0))
     assert str(seq.value) == str(rpar.value)
     assert str(seq.value).startswith(f"(p, q) is not {case}-critical: theta1 = ")
-
-
-def test_constants_mismatch_rejected():
-    con = IterationConstants.from_frame(3, (2.0, 2.0))
-    with pytest.raises(ValueError):
-        subcritical_sequences(3, (2.0, 2.1), 5, con)
 
 
 def test_table_csv(tmp_path):
@@ -451,11 +445,12 @@ def test_sequences_out_of_double_range_rejected():
     assert np.isfinite(tv.coeff_log_closed).all()
 
 
-def _reference_family_table(family, n, p, q, js, seed, recur, step, t_closed, w_closed,
+def _reference_family_table(family, n, p, q, js, seed, recur, t_closed, w_closed,
                             ell=None):
     """The table builder as it was before the recursion ran on Python
     floats: numpy scalars read and written one element at a time, and
-    one x ** (j - 1 - ks) vector per closed-form row."""
+    one x ** (j - 1 - ks) vector per closed-form row; the coefficient
+    term d_k is the recursion's first entry from log c_k = 0."""
     x = p * q
     size = len(js)
     logc, tp, wp = np.empty(size), np.empty(size), np.empty(size)
@@ -463,7 +458,7 @@ def _reference_family_table(family, n, p, q, js, seed, recur, step, t_closed, w_
     for j in range(size - 1):
         logc[j + 1], tp[j + 1], wp[j + 1] = recur(j, logc[j], tp[j], wp[j])
     log0 = logc[0]
-    d = np.array([step(k, t_closed[k]) for k in range(size - 1)])
+    d = np.array([recur(k, 0.0, t_closed[k], 0.0)[0] for k in range(size - 1)])
     logc_closed = np.empty(size)
     logc_closed[0] = log0
     for j in range(1, size):

@@ -184,11 +184,11 @@ def reference_evolve_scalar(n, dr, t_max, b, w0, w1, r_max, forcing, sample_stri
     return np.asarray(times), np.vstack(ws), np.vstack(wts)
 
 
-def _spec(n, pq, b1, b2, eps, amp, dr, t_max, r_max=None, cfl=0.45):
+def _spec(n, pq, b1, b2, eps, amp, dr, t_max, cfl=0.45):
     return ProblemSpec(
         n=n, pq=ExponentPair(*pq), b1=b1, b2=b2, R=1.0, eps=eps,
         data=InitialDataFamily(k=3, amplitudes=(amp,) * 4),
-        grid=GridSpec(dr=dr, t_max=t_max, r_max=r_max, cfl=cfl),
+        grid=GridSpec(dr=dr, t_max=t_max, cfl=cfl),
     )
 
 
@@ -212,10 +212,10 @@ RUNS = {
         0.0022500000000000003,
         536,
     ),
-    # r_max = R + t_max: the window reaches the end of the grid
-    "n3-exp-damping-rmax-at-cone": (
+    # small data: no blow-up by t_max, the cone spans the whole horizon
+    "n3-exp-damping-no-blowup": (
         _spec(3, (2.0, 2.0), DampingSpec.exp_decay(0.5), DampingSpec.exp_decay(0.5),
-              0.2, 1.0, 0.02, 3.0, r_max=4.0),
+              0.2, 1.0, 0.02, 3.0),
         0.009000000000000001,
         332,
     ),
@@ -228,7 +228,7 @@ def test_run_equals_whole_grid_reference(name):
     rec = run(spec)
     ref = reference_run(spec)
     assert not rec.failed
-    assert (rec.t_blowup is None) == name.endswith("rmax-at-cone")
+    assert (rec.t_blowup is None) == name.endswith("no-blowup")
     assert rec.t_blowup == ref.t_blowup
     assert np.array_equal(rec.sup_times, ref.sup_times)
     assert np.array_equal(rec.sup_norms, ref.sup_norms)
@@ -243,7 +243,7 @@ def test_coefficient_stencil_keeps_the_legacy_lifespans(name):
     spec = RUNS[name][0]
     new = reference_run(spec)
     old = reference_run(spec, _legacy_laplacian, _legacy_velocity)
-    if name.endswith("rmax-at-cone"):
+    if name.endswith("no-blowup"):
         assert new.t_blowup is old.t_blowup is None
     else:
         assert new.t_blowup == pytest.approx(old.t_blowup, rel=1e-12, abs=0.0)
@@ -252,15 +252,9 @@ def test_coefficient_stencil_keeps_the_legacy_lifespans(name):
     assert new.halvings == old.halvings
 
 
-def test_window_reaches_grid_end_with_tight_rmax():
-    spec = RUNS["n3-exp-damping-rmax-at-cone"][0]
-    rec = run(spec)
-    assert rec.window_max == rec.r.size
-
-
 def test_stored_profiles_equal_whole_grid_reference(profile_run):
     # identity-matrix probes give back the sampled profiles bitwise
-    spec = RUNS["n3-exp-damping-rmax-at-cone"][0]
+    spec = RUNS["n3-exp-damping-no-blowup"][0]
     rec = profile_run(spec)
     ref = reference_run(spec)
     assert np.array_equal(rec.times, ref.times)
@@ -358,7 +352,7 @@ def test_crossed_field(standard_run, tmp_path):
     assert standard_run.crossed == "u_t"
     last = standard_run.sup_norms[-1]
     assert SUP_FIELDS[int(last.argmax())] == "u_t" and last[1] >= 1e8
-    quiet = run(RUNS["n3-exp-damping-rmax-at-cone"][0])
+    quiet = run(RUNS["n3-exp-damping-no-blowup"][0])
     assert not quiet.blew_up and quiet.crossed is None
     for rec, want in ((standard_run, "u_t"), (quiet, None)):
         path = tmp_path / "run.json"

@@ -169,9 +169,9 @@ def test_projector_matches_per_sample_products(count, capacity):
 
 
 def _short_run(spec):
-    """The spec on its grid up to t = 0.5: 56 samples, a multiple of
-    PROBE_BLOCK, and no blow-up."""
-    return dataclasses.replace(spec, grid=GridSpec(dr=spec.grid.dr, t_max=0.5, r_max=spec.grid.r_max))
+    """The spec up to t = 0.5, on the grid that horizon gives: 56
+    samples, a multiple of PROBE_BLOCK, and no blow-up."""
+    return dataclasses.replace(spec, grid=GridSpec(dr=spec.grid.dr, t_max=0.5))
 
 
 def test_nonlinearity_integrals_need_the_integral_row(standard_spec):
@@ -191,21 +191,24 @@ def test_nonlinearity_integrals_need_the_integral_row(standard_spec):
 def test_run_projections_match_per_sample_products(stored_and_probed, profile_run, distinct):
     # the blow-up runs (537 and 173 samples, dt halvings) and a short run
     # whose sample count is a multiple of the block; with ``distinct``
-    # every source has its own copy of its matrix
+    # every source has its own copy of its matrix; the short run has
+    # probes of its own, on its shorter grid
     spec, probes, stored, probed = stored_and_probed
-    if distinct:
-        probes = {name: mat.copy() for name, mat in probes.items()}
-        assert len(_Projector(probes, stored.r.size, 1).groups) == len(PROBE_SOURCES)
     short = _short_run(spec)
-    for spec_, stored_, probed_ in (
-        (spec, stored, run(spec, probes=probes) if distinct else probed),
-        (short, profile_run(short), run(short, probes=probes)),
+    short_probes = fn.probes(short, 0.5, 0.3)
+    if distinct:
+        probes, short_probes = ({name: mat.copy() for name, mat in each.items()}
+                                for each in (probes, short_probes))
+        assert len(_Projector(probes, stored.r.size, 1).groups) == len(PROBE_SOURCES)
+    for spec_, probes_, stored_, probed_ in (
+        (spec, probes, stored, run(spec, probes=probes) if distinct else probed),
+        (short, short_probes, profile_run(short), run(short, probes=short_probes)),
     ):
         sources = _profile_sources(spec_, stored_)
         widths = _support_widths([sources[name] for name in ("u", "ut", "v", "vt")])
         assert probed_.times.size == len(widths)
         assert (probed_.times.size % PROBE_BLOCK == 0) == (spec_ is short)
-        for name, mat in probes.items():
+        for name, mat in probes_.items():
             want = _per_sample(mat, sources[name], widths)
             np.testing.assert_allclose(probed_.projections[name], want, rtol=1e-13, atol=0.0,
                                        err_msg=name)
