@@ -2,13 +2,15 @@
 
 Builds the subcritical lower-bound sequences and the double-critical
 slicing sequences, compares brute recursion against the closed forms,
-and evaluates the explicit threshold times (each by the formula of the
-region its constants' exponents lie in) together with their
+and evaluates the explicit threshold times together with their
 divergence drivers (driver > 1 certifies the lower-bound sequence
-diverges at that time).
+diverges at that time): each threshold is the root of the driver of
+the region its constants' exponents lie in.
 
 Run:  python3 demos/04_iteration_sequences.py
 """
+
+import math
 
 import numpy as np
 
@@ -17,8 +19,6 @@ from coupledwave import (
     critical_sequences,
     cusp_exponents,
     divergence_driver,
-    geometric_sums,
-    series_S,
     subcritical_sequences,
     threshold_time,
 )
@@ -39,18 +39,12 @@ print("j   ell_j    g_j         h_j (= (pq)^j - 1)")
 for j in (0, 1, 2, 5, 10):
     print(f"{j:<3} {td.ell[j]:<8g} {td.t_power[j]:<11.6g} {td.weight_power[j]:.6g}")
 
-print("\n--- sum formulas ---")
-s1, s2 = geometric_sums(4.0, 3)
-print(f"sum_(k<3) 4^k = {s1:g};  sum_(k<3) (3-k) 4^k = {s2:g}")
-partial, limit = series_S(4.0)
-print(f"S_j -> S = pq/(pq-1)^2 = {limit:.9g} (partial S_200 = {partial[-1]:.9g})")
-
 print("\n--- thresholds and divergence drivers (unit frame constants) ---")
 con = IterationConstants.from_frame(3, (2.0, 2.0))
 for eps in (0.8, 0.4, 0.2):
     th = threshold_time(con, eps)
-    below = divergence_driver("subcritical-v", con, eps, t=0.5 * th.T)
-    at = divergence_driver("subcritical-v", con, eps, t=th.T)
+    below = divergence_driver("subcritical-v", con, eps, log_t=th.log_T - math.log(2.0))
+    at = divergence_driver("subcritical-v", con, eps, log_t=th.log_T)
     print(f"eps={eps:<4} T={th.T:.6g}  driver(T/2)={below:.4f}  driver(T)={at:.12f}")
 print("halving eps multiplies T by 2^(1/max theta) = 2^6 =",
       f"{threshold_time(con, 0.2).T / threshold_time(con, 0.4).T:.10g}")

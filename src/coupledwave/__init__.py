@@ -33,9 +33,7 @@ from .iteration import (
     ThresholdTime,
     critical_sequences,
     divergence_driver,
-    geometric_sums,
     r_parameters,
-    series_S,
     subcritical_sequences,
     threshold_time,
 )

@@ -15,13 +15,15 @@ argument generates (C_j, a_j, b_j), (K_j, alpha_j, beta_j) and
 ell_j = 2 - 2^{-j}.  Coefficient sequences are doubly exponential in j
 and therefore held in log scale.
 
-Threshold times invert the divergence drivers:  subcritical
+Each divergence driver is stated once, as its log a + b h: subcritical
 eps^p J(t) (or eps^q Jtilde(t)) with J(t) = 2^{-((n-1)p/2+n)} N t^{p
-theta1}; critical H(t, eps) = E eps^{pq} (log t)^{q/(pq-1)} and its
-analogues.  A driver value above 1 certifies divergence of the
-lower-bound sequence at (t, eps).  Both read (n, p, q) from the
-``IterationConstants`` they are given, and a threshold uses the formula
-of the region ``classify`` gives those exponents.
+theta1} and h = log t; critical H(t, eps) = E eps^{pq} (log
+t)^{q/(pq-1)} and its analogues with h = log log t.  A driver above 1
+certifies divergence of the lower-bound sequence at (t, eps).  The
+threshold time is the root h = -a/b of the driver of the region
+``classify`` gives (n, p, q) of the ``IterationConstants``: T =
+2^{((n-1)/2 + n/p)/theta1} N^{-1/(p theta1)} eps^{-1/theta1} (or its
+q-analogue), and log T = E^{-(pq-1)/q} eps^{-p(pq-1)} and its analogues.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .exponents import (
     check_dimension,
     classify,
     kernel_exponents,
+    lifespan_prediction,
     theta1,
     theta2,
 )
@@ -54,10 +57,7 @@ __all__ = [
     "ThresholdTime",
     "subcritical_sequences",
     "critical_sequences",
-    "closed_form_deviation",
     "closed_form_deviations",
-    "geometric_sums",
-    "series_S",
     "threshold_time",
     "r_parameters",
     "divergence_driver",
@@ -66,7 +66,7 @@ __all__ = [
 
 # (pq)^j exceeds double range in driver subexpressions beyond this
 J_MAX_LIMIT = 60
-# largest closed_form_deviation accepted between a recursion and its closed form
+# largest closed_form_deviations value accepted between a recursion and its closed form
 CLOSED_FORM_TOL = 1e-12
 
 LOG2 = math.log(2.0)
@@ -236,9 +236,12 @@ class ThresholdTime:
     eps and overflows to inf as well at tiny eps."""
 
     kind: PredictionKind
-    T: float
     log_T: float
     formula_id: str
+
+    @property
+    def T(self) -> float:
+        return _exp(self.log_T)
 
 
 def _exp(y: float) -> float:
@@ -249,18 +252,19 @@ def _exp(y: float) -> float:
         return math.inf
 
 
-def closed_form_deviation(brute, closed) -> float:
-    """Largest deviation of a brute-recursion column from its closed
-    form, relative to max(|closed|, 1)."""
-    return float(np.max(np.abs(brute - closed) / np.maximum(np.abs(closed), 1.0)))
-
-
 def closed_form_deviations(table: SequenceTable) -> tuple:
-    """``closed_form_deviation`` of the table's t_power, weight_power and
-    coeff_log columns, in that order: the table agrees with its closed
-    forms when the largest is below CLOSED_FORM_TOL."""
-    return tuple(closed_form_deviation(getattr(table, col), getattr(table, col + "_closed"))
-                 for col in ("t_power", "weight_power", "coeff_log"))
+    """Largest deviation of the table's t_power, weight_power and
+    coeff_log columns from their closed forms, relative to max(|closed|,
+    1), in that order: the table agrees with its closed forms when the
+    largest is below CLOSED_FORM_TOL."""
+    cols = [(getattr(table, col), getattr(table, col + "_closed"))
+            for col in ("t_power", "weight_power", "coeff_log")]
+    return tuple(float(np.max(np.abs(b - c) / np.maximum(np.abs(c), 1.0))) for b, c in cols)
+
+
+def _check_eps(eps) -> None:
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
 
 
 def _check_jmax(j_max: int) -> int:
@@ -338,6 +342,7 @@ def subcritical_sequences(n, pq, j_max: int, eps: float = 1.0):
     n = check_dimension(n)
     pq = as_pair(pq)
     j_max = _check_jmax(j_max)
+    _check_eps(eps)
     p, q = pq.p, pq.q
     x = pq.product
     js = np.arange(j_max + 1)
@@ -429,96 +434,6 @@ def critical_sequences(case, n, pq, j_max: int) -> SequenceTable:
     )
 
 
-def geometric_sums(x: float, j: int):
-    """The two partial-sum identities used to unroll the recursions.
-
-    Returns (sum_{k<j} x^k, sum_{k<j} (j-k) x^k), each evaluated by
-    direct summation and by closed form; raises if the two evaluations
-    disagree beyond 1e-12 relative.
-    """
-    if not x > 1.0:
-        raise ValueError(f"geometric base must exceed 1, got {x}")
-    if int(j) != j or j < 1:
-        raise ValueError(f"j must be a positive integer, got {j}")
-    j = int(j)
-    ks = np.arange(j, dtype=float)
-    powers = x**ks
-    direct1 = float(powers.sum())
-    direct2 = float(((j - ks) * powers).sum())
-    closed1 = (x**j - 1.0) / (x - 1.0)
-    closed2 = ((x ** (j + 1.0) - 1.0) / (x - 1.0) - (j + 1.0)) / (x - 1.0)
-    for d, c in ((direct1, closed1), (direct2, closed2)):
-        if abs(d - c) > CLOSED_FORM_TOL * max(abs(d), abs(c)):
-            raise ArithmeticError(f"sum formula disagreement: direct={d}, closed={c}")
-    return closed1, closed2
-
-
-def series_S(pq_product: float, j_max: int = 200):
-    """Partial sums S_j = sum_{k<=j} k (pq)^{-k} and the limit
-    S = (1/pq) / (1 - 1/pq)^2 = pq/(pq-1)^2."""
-    x = float(pq_product)
-    if not x > 1.0:
-        raise ValueError(f"pq must exceed 1, got {x}")
-    j_max = int(j_max)
-    ks = np.arange(1, j_max + 1, dtype=float)
-    terms = ks * x**-ks
-    partial = np.cumsum(terms)
-    limit = (1.0 / x) / (1.0 - 1.0 / x) ** 2
-    return partial, limit
-
-
-def threshold_time(consts: IterationConstants, eps: float) -> ThresholdTime:
-    """Explicit blow-up threshold at (n, p, q) of ``consts``, by the
-    formula of their region (``classify``).
-
-    Subcritical: T = 2^{((n-1)/2 + n/p)/theta1} N^{-1/(p theta1)}
-    eps^{-1/theta1} on the theta1-dominant branch (q-analogue with
-    Ntilde otherwise).  Critical: log T = E^{-(pq-1)/q} eps^{-p(pq-1)}
-    and the analogous expressions with E1, E2.  ``kind`` and
-    ``formula_id`` name the formula used.  Values beyond double range
-    are returned as inf; supercritical exponents are a ValueError.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    n, p, q = consts.n, consts.p, consts.q
-    data = classify(n, (p, q))
-    region = data.region
-    if region is Region.SUPERCRITICAL:
-        raise ValueError("no blow-up threshold in the supercritical region")
-    x = p * q
-    log_eps = math.log(eps)
-    if region is Region.SUBCRITICAL:
-        t1, t2 = data.theta1, data.theta2
-        if t1 >= t2:
-            log_T = (
-                (0.5 * (n - 1.0) + n / p) / t1 * LOG2
-                - consts.log_Nconst / (p * t1)
-                - log_eps / t1
-            )
-            fid = "subcritical-theta1"
-        else:
-            log_T = (
-                (0.5 * (n - 1.0) + n / q) / t2 * LOG2
-                - consts.log_Ntilde / (q * t2)
-                - log_eps / t2
-            )
-            fid = "subcritical-theta2"
-        return ThresholdTime(PredictionKind.POWER_LAW, _exp(log_T), log_T, fid)
-    if region is Region.CRITICAL_THETA1:
-        log_T = _exp(-(x - 1.0) / q * consts.log_E - p * (x - 1.0) * log_eps)
-        kind, fid = PredictionKind.EXP_THETA1, "critical-theta1"
-    elif region is Region.CRITICAL_THETA2:
-        log_T = _exp(-(x - 1.0) / p * consts.log_E1 - q * (x - 1.0) * log_eps)
-        kind, fid = PredictionKind.EXP_THETA2, "critical-theta2"
-    else:
-        log_T = _exp(
-            -(x - 1.0) / (q + 1.0) * consts.log_E2
-            - q * (x - 1.0) / (q + 1.0) * log_eps
-        )
-        kind, fid = PredictionKind.EXP_DOUBLE, "critical-double"
-    return ThresholdTime(kind, _exp(log_T), log_T, fid)
-
-
 def r_parameters(case, n, pq):
     """Critical kernel exponents (r1, r2) for the given case.
 
@@ -550,56 +465,72 @@ def r_parameters(case, n, pq):
     return r1_eq, r2_eq
 
 
-def divergence_driver(family: str, consts: IterationConstants, eps: float,
-                      t: float | None = None, log_t: float | None = None) -> float:
-    """Value of the divergence driver for a sequence family at (t, eps)
-    and (n, p, q) of ``consts``.
+# the driver family of each critical region
+_CRITICAL_FAMILY = {Region.CRITICAL_THETA1: "critical-theta1",
+                    Region.CRITICAL_THETA2: "critical-theta2", Region.DOUBLE_CRITICAL: "critical-double"}
 
-    Families: 'subcritical-v' uses eps^p J(t), 'subcritical-uprime'
-    eps^q Jtilde(t); the critical families use H, H1, H2.  ``log_t``
-    may be given instead of t when t overflows.  A driver value beyond
-    double range is returned as inf.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if log_t is None:
-        if t is None or not t > 0:
-            raise ValueError("need t > 0 or log_t")
-        log_t = math.log(t)
+
+def _driver_terms(family: str, consts: IterationConstants, eps: float) -> tuple:
+    """(a, b) of the family's log driver a + b h at eps: h = log t for
+    the subcritical families, log log t for the critical ones."""
+    _check_eps(eps)
     n, p, q = consts.n, consts.p, consts.q
     x = p * q
     log_eps = math.log(eps)
     if family == "subcritical-v":
-        t1 = theta1(n, (p, q))
-        log_val = (
-            p * log_eps
-            - (0.5 * (n - 1.0) * p + n) * LOG2
-            + consts.log_Nconst
-            + p * t1 * log_t
-        )
-    elif family == "subcritical-uprime":
-        t2 = theta2(n, (p, q))
-        log_val = (
-            q * log_eps
-            - (0.5 * (n - 1.0) * q + n) * LOG2
-            + consts.log_Ntilde
-            + q * t2 * log_t
-        )
-    elif family == "critical-theta1":
+        a = p * log_eps - (0.5 * (n - 1.0) * p + n) * LOG2 + consts.log_Nconst
+        return a, p * theta1(n, (p, q))
+    if family == "subcritical-uprime":
+        a = q * log_eps - (0.5 * (n - 1.0) * q + n) * LOG2 + consts.log_Ntilde
+        return a, q * theta2(n, (p, q))
+    if family == "critical-theta1":
+        return consts.log_E + x * log_eps, q / (x - 1.0)
+    if family == "critical-theta2":
+        return consts.log_E1 + x * log_eps, p / (x - 1.0)
+    if family == "critical-double":
+        return consts.log_E2 + q * log_eps, (q + 1.0) / (x - 1.0)
+    raise ValueError(f"unknown sequence family {family!r}")
+
+
+def divergence_driver(family: str, consts: IterationConstants, eps: float,
+                      log_t: float) -> float:
+    """Value of the divergence driver for a sequence family at (log t,
+    eps) and (n, p, q) of ``consts``: eps^p J(t) for 'subcritical-v',
+    eps^q Jtilde(t) for 'subcritical-uprime', and H, H1, H2 (t > 1) for
+    the critical families.  A value beyond double range is inf."""
+    a, b = _driver_terms(family, consts, eps)
+    if family.startswith("critical-"):
         if not log_t > 0:
             raise ValueError("critical drivers need t > 1")
-        log_val = consts.log_E + x * log_eps + q / (x - 1.0) * math.log(log_t)
-    elif family == "critical-theta2":
-        if not log_t > 0:
-            raise ValueError("critical drivers need t > 1")
-        log_val = consts.log_E1 + x * log_eps + p / (x - 1.0) * math.log(log_t)
-    elif family == "critical-double":
-        if not log_t > 0:
-            raise ValueError("critical drivers need t > 1")
-        log_val = consts.log_E2 + q * log_eps + (q + 1.0) / (x - 1.0) * math.log(log_t)
+        log_t = math.log(log_t)
+    return _exp(a + b * log_t)
+
+
+def threshold_time(consts: IterationConstants, eps: float) -> ThresholdTime:
+    """Blow-up threshold at (n, p, q) of ``consts``: the root of the
+    divergence driver of their region's family (``classify``).
+
+    Subcritical: the driver eps^p J(t) on the theta1-dominant branch
+    (eps^q Jtilde(t) otherwise) is 1 at T = 2^{((n-1)/2 + n/p)/theta1}
+    N^{-1/(p theta1)} eps^{-1/theta1} (the q-analogue with Ntilde).
+    Critical: H, H1, H2 are 1 at log T = E^{-(pq-1)/q} eps^{-p(pq-1)}
+    and the analogous expressions with E1, E2.  ``kind`` is the
+    region's ``lifespan_prediction`` kind and ``formula_id`` names the
+    formula.  Values beyond double range are returned as inf;
+    supercritical exponents are a ValueError.
+    """
+    n, p, q = consts.n, consts.p, consts.q
+    data = classify(n, (p, q))
+    if data.region is Region.SUPERCRITICAL:
+        raise ValueError("no blow-up threshold in the supercritical region")
+    if data.region is Region.SUBCRITICAL:
+        family, fid = (("subcritical-v", "subcritical-theta1") if data.theta1 >= data.theta2
+                       else ("subcritical-uprime", "subcritical-theta2"))
     else:
-        raise ValueError(f"unknown sequence family {family!r}")
-    return _exp(log_val)
+        family = fid = _CRITICAL_FAMILY[data.region]
+    a, b = _driver_terms(family, consts, eps)
+    log_T = -a / b if data.region is Region.SUBCRITICAL else _exp(-a / b)
+    return ThresholdTime(lifespan_prediction(n, (p, q)).kind, log_T, fid)
 
 
 def write_table_csv(table: SequenceTable, path) -> None:

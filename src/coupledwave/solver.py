@@ -75,7 +75,6 @@ __all__ = [
     "radial_weights",
     "IntegralProbes",
     "integral_probes",
-    "radial_energy",
     "write_summary_csv",
     "write_blowup_json",
 ]
@@ -875,12 +874,6 @@ def evolve_scalar(
             wts.append(core.vel[0, 0].copy())
         core.rotate()
     return np.asarray(times), np.vstack(ws), np.vstack(wts), r
-
-
-def radial_energy(w: np.ndarray, wt: np.ndarray, r: np.ndarray, n: int) -> float:
-    """Wave energy 0.5 * |S^{n-1}| * int (wt^2 + wr^2) r^(n-1) dr."""
-    wr = np.gradient(w, r[1] - r[0])
-    return 0.5 * float(radial_weights(r, n) @ (wt**2 + wr**2))
 
 
 def write_summary_csv(record: SolutionRecord, path) -> None:

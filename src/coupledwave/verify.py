@@ -120,7 +120,7 @@ def _check_thresholds():
     tA = it.threshold_time(con, 0.4)
     tB = it.threshold_time(con, 0.2)
     ratio_err = abs(tB.T / tA.T - 2.0**6) / 2.0**6
-    drv = it.divergence_driver("subcritical-v", con, 0.4, t=tA.T)
+    drv = it.divergence_driver("subcritical-v", con, 0.4, log_t=tA.log_T)
     ok = ratio_err < 1e-12 and abs(drv - 1.0) < 1e-9
     return ok, f"halving error {ratio_err:.1e}, driver-at-threshold {drv:.12f}"
 

@@ -15,7 +15,14 @@ from coupledwave.exponents import ExponentPair, cusp_exponents
 from coupledwave.functionals import probes
 from coupledwave.iteration import r_parameters
 from coupledwave.lifespan import SweepConfig
-from coupledwave.solver import GridSpec, InitialDataFamily, ProblemSpec, radial_grid, run
+from coupledwave.solver import (
+    GridSpec,
+    InitialDataFamily,
+    ProblemSpec,
+    radial_grid,
+    radial_weights,
+    run,
+)
 from coupledwave.special import DampingSpec
 
 
@@ -49,6 +56,19 @@ def run_profiles(spec):
 @pytest.fixture(scope="session")
 def profile_run():
     return run_profiles
+
+
+def wave_energies(W, Wt, r, n):
+    """Wave energy 0.5 |S^{n-1}| int (w_t^2 + w_r^2) r^(n-1) dr of each
+    sampled row of an ``evolve_scalar`` result."""
+    weights = radial_weights(r, n)
+    Wr = np.gradient(W, r[1] - r[0], axis=1)
+    return np.array([0.5 * float(weights @ (wt**2 + wr**2)) for wt, wr in zip(Wt, Wr)])
+
+
+@pytest.fixture(scope="session")
+def wave_energy():
+    return wave_energies
 
 
 @pytest.fixture(scope="session")

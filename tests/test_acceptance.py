@@ -35,8 +35,6 @@ from coupledwave.iteration import (
     IterationConstants,
     critical_sequences,
     divergence_driver,
-    geometric_sums,
-    series_S,
     subcritical_sequences,
     threshold_time,
 )
@@ -46,7 +44,6 @@ from coupledwave.solver import (
     InitialDataFamily,
     ProblemSpec,
     evolve_scalar,
-    radial_energy,
     run,
 )
 from coupledwave.special import (
@@ -98,15 +95,6 @@ def test_criterion_2_closed_form_equivalence():
                 ell_rec[j + 1] = 1.0 + 0.5 * ell_rec[j]
             worst = max(worst, dev(ell_rec, table.ell))
 
-    def audit_sums(p, q):
-        nonlocal worst
-        x = p * q
-        s1, s2 = geometric_sums(x, 7)  # raises beyond 1e-12 disagreement
-        assert s1 > 0 and s2 > 0
-        partial, limit = series_S(x, j_max=200)
-        assert limit == pytest.approx(x / (x - 1.0) ** 2, rel=1e-13)
-        worst = max(worst, abs(partial[-1] - limit) / limit)
-
     # subcritical families over random exponents
     for _ in range(30):
         n = int(rng.integers(2, 6))
@@ -115,7 +103,6 @@ def test_criterion_2_closed_form_equivalence():
         tv, tu = subcritical_sequences(n, (p, q), 60)
         audit(tv)
         audit(tu)
-        audit_sums(p, q)
         tuples += 1
     # theta1- and theta2-critical families along their curves
     for n in (2, 3, 4, 5):
@@ -124,18 +111,15 @@ def test_criterion_2_closed_form_equivalence():
         for p in np.linspace(lo, hi, 5):
             q = theta1_critical_q(n, float(p))
             audit(critical_sequences("theta1", n, (float(p), q), 60))
-            audit_sums(float(p), q)
             tuples += 1
         for q in np.linspace(1.05, 1.0 + 1.8 / n, 5):
             p = theta2_critical_p(n, float(q))
             audit(critical_sequences("theta2", n, (p, float(q)), 60))
-            audit_sums(p, float(q))
             tuples += 1
     # double-critical family at every cusp
     for n in range(2, 14):
         c = cusp_exponents(n)
         audit(critical_sequences("double", n, (c.p_mix, c.q_mix), 60))
-        audit_sums(c.p_mix, c.q_mix)
         tuples += 1
     assert tuples >= 80
     assert worst < 1e-12
@@ -175,7 +159,7 @@ def test_criterion_3_kernel_bounds():
             "ratios positive/finite, stable under t-range doubling; " + "; ".join(details))
 
 
-def test_criterion_4_solver_convergence():
+def test_criterion_4_solver_convergence(wave_energy):
     R0, n = 2.0, 3
 
     def bump(r):
@@ -211,7 +195,7 @@ def test_criterion_4_solver_convergence():
             n, dr, 6.0, DampingSpec.zero(), w0, w0.copy(), 10.0,
             cfl=0.45, sample_stride=40,
         )
-        E = np.array([radial_energy(W[i], Wt[i], rr, n) for i in range(len(ts))])
+        E = wave_energy(W, Wt, rr, n)
         drifts.append(float(np.abs(E - E[0]).max() / E[0]))
     assert drifts[0] < 5e-3
     assert drifts[0] / drifts[1] > 2.5  # about fourfold per dr halving
@@ -223,7 +207,7 @@ def test_criterion_4_solver_convergence():
         n, 0.02, 6.0, DampingSpec.power_decay(1.0, 2.0), w0, w0.copy(), 10.0,
         cfl=0.45, sample_stride=40,
     )
-    E = np.array([radial_energy(W[i], Wt[i], rr, n) for i in range(len(ts))])
+    E = wave_energy(W, Wt, rr, n)
     assert E[-1] < E[0]
     assert np.all(np.diff(E) <= 1e-4 * E[0])
 

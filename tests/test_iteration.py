@@ -21,9 +21,7 @@ from coupledwave.iteration import (
     IterationConstants,
     critical_sequences,
     divergence_driver,
-    geometric_sums,
     r_parameters,
-    series_S,
     subcritical_sequences,
     threshold_time,
     write_table_csv,
@@ -134,38 +132,6 @@ def test_jmax_cap():
         subcritical_sequences(3, (2, 2), 0)
 
 
-def test_geometric_sums_examples():
-    s1, s2 = geometric_sums(4.0, 3)
-    assert s1 == pytest.approx(21.0, abs=0)
-    assert s2 == pytest.approx(27.0, abs=0)
-    s1, _ = geometric_sums(7.3, 1)
-    assert s1 == pytest.approx(1.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        geometric_sums(0.9, 3)
-
-
-def test_geometric_sums_random():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        x = float(rng.uniform(1.2, 12.0))
-        j = int(rng.integers(1, 40))
-        s1, s2 = geometric_sums(x, j)  # internal direct-vs-closed assert
-        assert s1 > 0 and s2 > 0
-
-
-def test_series_S():
-    partial, limit = series_S(4.0)
-    assert limit == pytest.approx(4.0 / 9.0, rel=1e-15)
-    assert partial[0] == pytest.approx(0.25, abs=0)  # S_1 = 1/pq
-    # strictly increasing until the terms fall below float resolution
-    assert np.all(np.diff(partial[:20]) > 0)
-    assert np.all(np.diff(partial) >= 0)
-    assert np.all(partial <= limit * (1 + 1e-15))
-    for x in (1.5, 2.0, 7.0):
-        partial, limit = series_S(x, j_max=200)
-        assert abs(partial[-1] - limit) <= 1e-12 * limit
-
-
 def test_iteration_constants_positive():
     for n, p, q in [(2, 1.3, 2.2), (3, 2.0, 2.0), (4, 1.5, 1.4)]:
         con = IterationConstants.from_frame(n, (p, q), C=0.7, K=1.3,
@@ -216,7 +182,7 @@ def test_threshold_uses_dominant_theta_branch():
     con = IterationConstants.from_frame(n, (p, q))
     th = threshold_time(con, 0.5)
     assert th.formula_id == "subcritical-theta2"
-    drv = divergence_driver("subcritical-uprime", con, 0.5, t=th.T)
+    drv = divergence_driver("subcritical-uprime", con, 0.5, log_t=th.log_T)
     assert drv == pytest.approx(1.0, abs=1e-9)
 
 
@@ -254,8 +220,8 @@ def test_divergence_certificate_monotone(standard_spec):
     con = IterationConstants.from_frame(3, (2.0, 2.0))
     tv, _ = subcritical_sequences(3, (2.0, 2.0), 10)
     th = threshold_time(con, 0.5)
-    assert not divergence_driver(tv.family, con, 0.5, t=0.5 * th.T) > 1.0
-    assert divergence_driver(tv.family, con, 0.5, t=2.0 * th.T) > 1.0
+    assert not divergence_driver(tv.family, con, 0.5, log_t=th.log_T - math.log(2.0)) > 1.0
+    assert divergence_driver(tv.family, con, 0.5, log_t=th.log_T + math.log(2.0)) > 1.0
 
 
 def test_r_parameters():
@@ -423,6 +389,20 @@ def test_frame_constants_positive_and_finite(name, value):
         IterationConstants.from_frame(3, (2.0, 2.0), **{name: value})
     with pytest.raises(ValueError, match=f"constant {name} "):
         dataclasses.replace(IterationConstants.from_frame(3, (2.0, 2.0)), **{name: value})
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
+def test_eps_must_be_positive_and_finite(eps):
+    # one message from the sequences, the threshold and each driver
+    con = IterationConstants.from_frame(3, (2.0, 2.0))
+    calls = [lambda: subcritical_sequences(3, (2.0, 2.0), 5, eps=eps),
+             lambda: threshold_time(con, eps)]
+    calls += [lambda f=f: divergence_driver(f, con, eps, log_t=1.0)
+              for f in ("subcritical-v", "subcritical-uprime", "critical-theta1",
+                        "critical-theta2", "critical-double")]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^eps must be positive and finite, got "):
+            call()
 
 
 def test_overflowing_exponents_rejected():

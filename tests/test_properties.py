@@ -1,10 +1,12 @@
-"""Property tests (hypothesis) of classify, detect_blowup and merge_config.
+"""Property tests (hypothesis) of classify, threshold_time,
+detect_blowup and merge_config.
 
 Each property is stated from its definition, not from the code: the
-region of a pair from the signs of theta1 and theta2, the crossing time
-from the first row at or above the threshold, and the merged
-configuration from the documents laid over the defaults in turn.
-Examples are derandomized, so every run draws the same ones.
+region of a pair from the signs of theta1 and theta2, the eps exponent
+of a threshold from the predicted lifespan, the crossing time from the
+first row at or above the threshold, and the merged configuration from
+the documents laid over the defaults in turn.  Examples are
+derandomized, so every run draws the same ones.
 """
 
 import copy
@@ -20,11 +22,14 @@ from coupledwave.exponents import (
     EQUALITY_TOL,
     Region,
     classify,
+    cusp_exponents,
+    lifespan_prediction,
     theta1,
     theta1_critical_q,
     theta2,
     theta2_critical_p,
 )
+from coupledwave.iteration import IterationConstants, divergence_driver, threshold_time
 from coupledwave.solver import detect_blowup
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -88,6 +93,73 @@ def test_classify_near_the_theta1_curve(n, p, offset):
     except ValueError:  # the curve leaves q > 1
         assume(False)
     assert classify(n, (p, q)).region is _region_of(n, (p, q))
+
+
+# the blow-up regions, with the subcritical one split by its dominant theta
+BLOWUP_REGIONS = ["theta1-dominant", "theta2-dominant", Region.CRITICAL_THETA1,
+                  Region.CRITICAL_THETA2, Region.DOUBLE_CRITICAL]
+
+
+@st.composite
+def blowup_points(draw, where):
+    """(n, (p, q)) in the blow-up region ``where``: on the subcritical
+    branch it names, on a critical curve or at the cusp."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    c = cusp_exponents(n)
+    if where is Region.DOUBLE_CRITICAL:
+        return n, (c.p_mix, c.q_mix)
+    f = draw(st.floats(0.05, 0.95))
+    if where is Region.CRITICAL_THETA1:
+        # critical from the cusp down to p = 2/(n-1), where q runs off
+        p = c.p_mix - f * (c.p_mix - max(1.0, 2.0 / (n - 1.0)))
+        pq = (p, theta1_critical_q(n, p))
+    elif where is Region.CRITICAL_THETA2:
+        # critical from q = 1 up to the cusp
+        q = 1.0 + f * (c.q_mix - 1.0)
+        pq = (theta2_critical_p(n, q), q)
+    elif where == "theta2-dominant":
+        # theta2 > theta1 for p > 1/(1 + 1/q - q), and theta2 > 0 below
+        # the theta2 curve: between the two when q is below the cusp's
+        q = 1.0 + f * (c.q_mix - 1.0)
+        lo, hi = 1.0 / (1.0 + 1.0 / q - q), theta2_critical_p(n, q)
+        pq = (lo + draw(st.floats(0.05, 0.95)) * (hi - lo), q)
+    else:
+        pq = tuple(draw(st.lists(st.floats(1.05, 4.0), min_size=2, max_size=2)))
+    data = classify(n, pq)
+    if isinstance(where, str):
+        assume(data.region is Region.SUBCRITICAL
+               and (data.theta1 >= data.theta2) == (where == "theta1-dominant"))
+    else:
+        assume(data.region is where)
+    return n, pq
+
+
+# the driver family whose root each threshold formula is
+FAMILY = {"subcritical-theta1": "subcritical-v", "subcritical-theta2": "subcritical-uprime",
+          "critical-theta1": "critical-theta1", "critical-theta2": "critical-theta2",
+          "critical-double": "critical-double"}
+
+
+@pytest.mark.parametrize("where", BLOWUP_REGIONS, ids=lambda w: getattr(w, "value", w))
+@settings(SETTINGS, max_examples=12)
+@given(data=st.data(), eps=st.lists(st.floats(0.3, 0.9), min_size=2, max_size=2),
+       consts=st.lists(st.floats(0.2, 5.0), min_size=6, max_size=6))
+def test_threshold_eps_exponent_is_the_predicted_one(where, data, eps, consts):
+    # T ~ eps^exponent, or log T ~ eps^exponent on the critical curves,
+    # and the family's driver is 1 at the threshold
+    n, pq = data.draw(blowup_points(where))
+    e1, e2 = eps
+    assume(abs(math.log(e1 / e2)) > 0.05)
+    con = IterationConstants.from_frame(n, pq, *consts)
+    ths = [threshold_time(con, e) for e in eps]
+    assume(all(math.isfinite(th.log_T) for th in ths))
+    critical = isinstance(where, Region)
+    h1, h2 = (math.log(th.log_T) if critical else th.log_T for th in ths)
+    slope = (h1 - h2) / math.log(e1 / e2)
+    assert slope == pytest.approx(lifespan_prediction(n, pq).exponent, rel=1e-9)
+    for e, th in zip(eps, ths):
+        drv = divergence_driver(FAMILY[th.formula_id], con, e, log_t=th.log_T)
+        assert drv == pytest.approx(1.0, rel=1e-12)
 
 
 @st.composite

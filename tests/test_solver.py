@@ -13,7 +13,6 @@ from coupledwave.solver import (
     detect_blowup,
     evolve_scalar,
     integral_probes,
-    radial_energy,
     radial_grid,
     radial_weights,
     run,
@@ -90,7 +89,7 @@ def test_problem_spec_validation():
     assert r.size == round((spec.R + spec.grid.t_max) / spec.grid.dr) + 11
 
 
-def test_linear_energy_conservation_and_order():
+def test_linear_energy_conservation_and_order(wave_energy):
     n = 3
     drifts = []
     for dr in (0.02, 0.01):
@@ -102,14 +101,14 @@ def test_linear_energy_conservation_and_order():
             n, dr, 8.0, DampingSpec.zero(), w0, w0.copy(), rmax, cfl=0.45,
             sample_stride=40,
         )
-        E = np.array([radial_energy(W[i], Wt[i], rr, n) for i in range(len(ts))])
+        E = wave_energy(W, Wt, rr, n)
         drifts.append(float(np.abs(E - E[0]).max() / E[0]))
     assert drifts[0] < 5e-3
     # O(dr^2): refinement shrinks the drift by about 4
     assert drifts[0] / drifts[1] > 2.5
 
 
-def test_damped_energy_nonincreasing():
+def test_damped_energy_nonincreasing(wave_energy):
     n, dr, rmax = 3, 0.02, 12.0
     m = int(np.floor(rmax / dr + 1e-9)) + 1
     r = np.arange(m) * dr
@@ -118,7 +117,7 @@ def test_damped_energy_nonincreasing():
         n, dr, 8.0, DampingSpec.power_decay(1.0, 2.0), w0, w0.copy(), rmax,
         cfl=0.45, sample_stride=40,
     )
-    E = np.array([radial_energy(W[i], Wt[i], rr, n) for i in range(len(ts))])
+    E = wave_energy(W, Wt, rr, n)
     assert E[-1] < E[0]
     # pointwise non-increasing up to the O(dr^2) oscillation of the
     # centered energy functional
