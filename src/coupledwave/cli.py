@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Verbs, their handlers and their flags are declared once, in ``_VERBS``;
-``coupledwave --help`` lists the verbs with their help text.
+``coupledwave --help`` lists the verbs with their help text.  Their
+parser is built once per process, at the first ``main`` call.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error.  All
 numeric output is printed with 9 significant digits.
@@ -17,6 +18,7 @@ by all three verbs or by none.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import configio, verify
@@ -35,7 +37,7 @@ from .exponents import (
     theta2_critical_p,
 )
 from .solver import integral_probes, run, write_blowup_json, write_summary_csv
-from .special import KernelConfig, multiplier, phi, psi, verify_kernel_bounds
+from .special import DampingSpec, KernelConfig, multiplier, phi, psi, verify_kernel_bounds
 
 __all__ = ["main", "build_parser"]
 
@@ -125,8 +127,6 @@ def _cmd_specfn(args) -> int:
     print(f"phi({n}, 0)={_g(phi(n, 0.0))}")
     print(f"phi({n}, 1)={_g(phi(n, 1.0))}")
     print(f"psi({n}, 1, 1)={_g(psi(n, 1.0, 1.0))}")
-    from .special import DampingSpec
-
     b = DampingSpec.power_decay(1.0, 2.0)
     print(f"multiplier(power_decay(1,2), 0)={_g(multiplier(b, 0.0))}")
     failed = False
@@ -221,19 +221,16 @@ _VERBS = {
 }
 
 
-def build_parser(verbs=tuple(_VERBS)) -> argparse.ArgumentParser:
-    """The argument parser with a subparser for each of ``verbs`` only
-    (by default all eight).  A partial parser still names every verb in
-    its usage line, so its error messages read as the full parser's.
-    """
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of all eight verbs, built at the first call and then
+    shared: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="coupledwave",
         description="Blow-up laboratory for weakly coupled semilinear damped wave systems",
     )
-    metavar = None if len(verbs) == len(_VERBS) else "{%s}" % ",".join(_VERBS)
-    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
-    for verb in verbs:
-        help_text, _, flags = _VERBS[verb]
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for verb, (help_text, _, flags) in _VERBS.items():
         sp = sub.add_parser(verb, help=help_text)
         for flag, kwargs in flags:
             sp.add_argument(flag, **kwargs)
@@ -241,12 +238,8 @@ def build_parser(verbs=tuple(_VERBS)) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # building the subparsers is most of a short call's fixed cost: a known
-    # verb gets its own only, anything else the full parser and its messages
-    parser = build_parser(argv[:1] if argv[:1] and argv[0] in _VERBS else tuple(_VERBS))
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

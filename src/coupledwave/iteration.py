@@ -306,11 +306,13 @@ def _family_table(family, n, p, q, js, seed, recur, t_closed, w_closed,
     logc, tp, wp = (np.array(col) for col in zip(*rows))
     _check_range(family, logc, tp, wp, t_closed, w_closed)
     d = np.array([recur(k, 0.0, t, 0.0)[0] for k, t in enumerate(t_closed[:-1].tolist())])
-    powers = x ** np.arange(size)
+    # row j-1 holds (pq)^{j-1-k} d_k at k < j, each prefix summed on its own
+    k = np.arange(size - 1)
+    prod = x ** np.maximum(k[:, None] - k, 0) * d
     logc_closed = np.empty(size)
     logc_closed[0] = log0 = seed[0]
     for j in range(1, size):
-        logc_closed[j] = x**j * log0 + float(np.sum(powers[j - 1::-1] * d[:j]))
+        logc_closed[j] = x**j * log0 + float(np.add.reduce(prod[j - 1, :j]))
     _check_range(family, logc_closed)
     return SequenceTable(
         family=family, n=n, p=p, q=q, j=js,

@@ -269,6 +269,8 @@ class DampingSpec:
         """Coefficient value b(t); accepts arrays.  A float t >= 0 skips
         the array validation (the solver calls this once per step)."""
         if isinstance(t, float) and t >= 0.0:
+            if self.is_zero:
+                return 0.0
             t = np.float64(t)
         else:
             t = np.asarray(t, dtype=float)
@@ -363,12 +365,15 @@ def _kernel_values(cfg: KernelConfig, n, t, s, x):
     exp(lam (x - R - s)) times (1 + exp(-2b))/2 with b = lam (t-s), and
     the same with (1 - exp(-2b))/(2b) for eta, so no factor overflows at
     long horizons.  Each value is the sum of its own row of nodes, so a
-    point's value does not depend on the batch it sits in.
+    point's value does not depend on the batch it sits in; Phi's row is
+    evaluated once per distinct radius.
     """
     lam, wts = kernel_nodes(cfg)
     lx = np.multiply.outer(x, lam)
     b = np.multiply.outer(t - s, lam)
-    base = _scaled_phi(n, lx) * np.exp(lx - np.multiply.outer(cfg.R + s, lam)) * wts
+    radii, where = np.unique(x, return_inverse=True)
+    scaled = _scaled_phi(n, np.multiply.outer(radii, lam))[where.reshape(np.shape(x))]
+    base = scaled * np.exp(lx - np.multiply.outer(cfg.R + s, lam)) * wts
     safe = np.where(b > 0, b, 1.0)
     sinhc_part = np.where(b > 0, -np.expm1(-2.0 * safe) / (2.0 * safe), 1.0)
     return (base * sinhc_part).sum(axis=-1), (base * (0.5 + 0.5 * np.exp(-2.0 * b))).sum(axis=-1)

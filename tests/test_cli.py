@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import multiprocessing
@@ -497,26 +498,42 @@ def test_verb_table_matches_dispatch():
 
 
 @pytest.mark.parametrize("argv", [*VERB_ARGV.values(), *DEFAULT_ARGV], ids=" ".join)
-def test_one_verb_parser_parses_as_full_parser(argv):
-    one = cli.build_parser((argv[0],)).parse_args(argv)
-    assert one == cli.build_parser().parse_args(argv)
+def test_shared_parser_parses_as_new_parser(argv):
+    # the shared parser first parses the verb with every flag given, and
+    # then parses argv as a parser built for it alone would
+    cli.build_parser().parse_args(VERB_ARGV[argv[0]])
+    assert cli.build_parser().parse_args(argv) == cli.build_parser.__wrapped__().parse_args(argv)
 
 
-def test_main_builds_only_the_called_verb(monkeypatch, capsys):
-    # main calls build_parser through the module global, so a wrapper
-    # (such as a tracing span) sees every build
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
     built = []
-    build_parser = cli.build_parser
+    init = argparse.ArgumentParser.__init__
 
-    def spy(verbs=tuple(cli._VERBS)):
-        built.append(list(verbs))
-        return build_parser(verbs)
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_parser", spy)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     assert main(["cusp", "--n", "3"]) == 0
     assert main(["--help"]) == 0
     assert main(["frobnicate"]) == 2
-    assert built == [["cusp"], list(cli._VERBS), list(cli._VERBS)]
+    assert built == []
+    # a flag given in one call is not left over for the next
+    assert parser.parse_args(["sequences", "--case", "double", "--p", "3"]).p == 3.0
+    assert parser.parse_args(["sequences", "--case", "double"]).p is None
+
+
+def test_import_builds_no_parser():
+    # the parser is built at the first main call, not at import
+    src = os.path.dirname(os.path.dirname(coupledwave.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import coupledwave.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    assert done.stdout.split() == ["0"]
 
 
 TEXT_ARGV = [

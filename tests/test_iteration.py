@@ -510,3 +510,61 @@ def test_tables_bitwise_equal_reference(seed, j_max, monkeypatch):
         out = io.StringIO()
         write_table_csv(table, out)
         assert out.getvalue() == _reference_csv(table), table.family
+
+
+def _per_j_closed_form(family, n, p, q, js, seed, recur, t_closed, w_closed, ell=None):
+    """coeff_log_closed as it was before the products (pq)^{j-1-k} d_k
+    were laid out once as a matrix: one product vector per j, summed by
+    np.sum."""
+    x = p * q
+    size = len(js)
+    d = np.array([recur(k, 0.0, t, 0.0)[0] for k, t in enumerate(t_closed[:-1].tolist())])
+    powers = x ** np.arange(size)
+    out = np.empty(size)
+    out[0] = log0 = seed[0]
+    for j in range(1, size):
+        out[j] = x**j * log0 + float(np.sum(powers[j - 1::-1] * d[:j]))
+    return out
+
+
+def _on_curve_pairs(curve, n, exponents):
+    """(exponent, partner) for each exponent whose partner on the curve lies in (1.1, 6)."""
+    pairs = []
+    for e in exponents:
+        try:
+            partner = curve(n, e)
+        except ValueError:  # no partner above 1
+            continue
+        if 1.1 < partner < 6.0:
+            pairs.append((e, partner))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_closed_form_bitwise_equal_per_j_sums(n, monkeypatch):
+    built = []
+    family_table = iteration._family_table
+
+    def both(*args, **kwargs):
+        table = family_table(*args, **kwargs)
+        built.append((table, _per_j_closed_form(*args, **kwargs)))
+        return table
+
+    monkeypatch.setattr(iteration, "_family_table", both)
+    for p, q in ((1.3, 1.9), (2.0, 2.0), (3.5, 1.2), (1.15, 4.4)):
+        subcritical_sequences(n, (p, q), 60)
+    exponents = (1.2, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0)
+    theta1_pairs = _on_curve_pairs(theta1_critical_q, n, exponents)
+    theta2_pairs = _on_curve_pairs(theta2_critical_p, n, exponents)
+    assert len(theta1_pairs) >= 2 and len(theta2_pairs) >= 2
+    for p, q in theta1_pairs:
+        critical_sequences("theta1", n, (p, q), 60)
+    for q, p in theta2_pairs:
+        critical_sequences("theta2", n, (p, q), 60)
+    c = cusp_exponents(n)
+    critical_sequences("double", n, (c.p_mix, c.q_mix), 60)
+    assert {t.family for t, _ in built} == {"subcritical-v", "subcritical-uprime",
+                                            "critical-theta1", "critical-theta2",
+                                            "critical-double"}
+    for table, want in built:
+        assert table.coeff_log_closed.tobytes() == want.tobytes(), (table.family, table.p, table.q)

@@ -3,7 +3,10 @@ call it at one (t, s), and verify_kernel_bounds on its sample families,
 each value summed over its own row of nodes.  Their values must be those
 of the per-point evaluation kept here, which computes each value of the
 same bounded-factor formula on its own; the plain formula, whose factors
-overflow at long horizons, is kept as an oracle for moderate t.
+overflow at long horizons, is kept as an oracle for moderate t.  The
+evaluator as it was before it took Phi once per distinct radius is kept
+as a legacy pin, which batches with repeated radii and the bound
+check's calls must equal in every bit.
 
 The bitwise comparisons run in child processes with one and with two
 BLAS threads, as in test_phi_blocks.py: with more threads a phi
@@ -126,30 +129,67 @@ def default_configs():
             yield n, KernelConfig(r=r, R=1.0)
 
 
-def bound_check_values(cfg, n, t_max):
-    """Every (t, s, x, eta, xi) that verify_kernel_bounds evaluates, read
-    from its calls of _kernel_values."""
-    seen = []
+def legacy_kernel_values(cfg, n, t, s, x):
+    """_kernel_values as it was before Phi was taken once per distinct
+    radius: Phi at every (point, node) pair, repeated radii included."""
+    lam, wts = kernel_nodes(cfg)
+    lx = np.multiply.outer(x, lam)
+    b = np.multiply.outer(t - s, lam)
+    base = special._scaled_phi(n, lx) * np.exp(lx - np.multiply.outer(cfg.R + s, lam)) * wts
+    safe = np.where(b > 0, b, 1.0)
+    sinhc_part = np.where(b > 0, -np.expm1(-2.0 * safe) / (2.0 * safe), 1.0)
+    return (base * sinhc_part).sum(axis=-1), (base * (0.5 + 0.5 * np.exp(-2.0 * b))).sum(axis=-1)
+
+
+def bound_check_calls(cfg, n, t_max):
+    """The ((t, s, x), (eta, xi)) of each call of _kernel_values that
+    verify_kernel_bounds makes: one per sample family."""
+    calls = []
     evaluate = special._kernel_values
 
     def recording(cfg, n, t, s, x):
-        e, k = evaluate(cfg, n, t, s, x)
-        t, s, x = np.broadcast_arrays(t, s, x)
-        seen.extend(zip(t.ravel(), s.ravel(), x.ravel(), e.ravel(), k.ravel()))
-        return e, k
+        values = evaluate(cfg, n, t, s, x)
+        calls.append(((t, s, x), values))
+        return values
 
     special._kernel_values = recording
     try:
         verify_kernel_bounds(cfg, n, t_max)
     finally:
         special._kernel_values = evaluate
+    return calls
+
+
+def bound_check_values(cfg, n, t_max):
+    """Every (t, s, x, eta, xi) that verify_kernel_bounds evaluates."""
+    seen = []
+    for (t, s, x), (e, k) in bound_check_calls(cfg, n, t_max):
+        t, s, x = np.broadcast_arrays(t, s, x)
+        seen.extend(zip(t.ravel(), s.ravel(), x.ravel(), e.ravel(), k.ravel()))
     return seen
+
+
+def bitwise_equal(got, want):
+    return all(g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+# (t, s, x) batches whose radii repeat, as in the bound check's families
+REPEATED_RADII = (
+    (np.linspace(0.0, 30.0, 5)[:, None], 0.0, np.array([0.5, 0.0, 0.5, 1.0, 0.0, 0.5])),
+    (np.array([[4.0], [9.0]]), np.array([[1.0], [3.0]]), np.full((2, 3), 0.75)),
+    (np.linspace(1.0, 20.0, 40)[:, None], 0.0, np.array([0.0, 2.0, 0.0])),
+    # more points than one Phi block, before and after the repeats go
+    (np.linspace(1.0, 20.0, 40)[:, None], 0.5,
+     np.round(np.linspace(0.0, 3.0, 120), 1).reshape(40, 3)),
+    (3.0, 1.0, np.array(0.25)),
+)
 
 
 def mismatches():
     """Every batched or one-point value that differs from the per-point
-    reference, and every bound check value that differs from eta or xi at
-    its point."""
+    reference, every bound check value that differs from eta or xi at
+    its point, and every batch, repeated radii included, whose values
+    differ in any bit from the legacy formula's."""
     bad = []
     for n, cfg in default_configs():
         for t_max, R in GRIDS:
@@ -166,6 +206,13 @@ def mismatches():
             for ti, si, xi_, e, k in bound_check_values(cfg, n, t_max):
                 if (e, k) != one_point.get((ti, si, xi_)):
                     bad.append(("bound check", n, cfg.r, (ti, si, xi_)))
+            for args, values in bound_check_calls(cfg, n, t_max):
+                if not bitwise_equal(values, legacy_kernel_values(cfg, n, *args)):
+                    bad.append(("bound check vs legacy", n, cfg.r, t_max))
+        for args in REPEATED_RADII:
+            if not bitwise_equal(special._kernel_values(cfg, n, *args),
+                                 legacy_kernel_values(cfg, n, *args)):
+                bad.append(("repeated radii vs legacy", n, cfg.r, np.shape(args[2])))
         for fn, ref in ((eta, reference_eta), (xi, reference_xi)):
             if not np.array_equal(fn(cfg, n, 5.0, 2.0, RADII),
                                   [ref(cfg, n, 5.0, 2.0, x) for x in RADII]):

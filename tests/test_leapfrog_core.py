@@ -36,7 +36,7 @@ from coupledwave.solver import (
     run_batch,
     write_blowup_json,
 )
-from coupledwave.special import DampingSpec
+from coupledwave.special import DampingFamily, DampingSpec
 
 
 def _ref_laplacian(w, r, dr, n):
@@ -318,6 +318,37 @@ def test_damping_float_path_equals_array_path(b):
         assert b.b(t) == _ref_b(b, t)
     with pytest.raises(ValueError):
         b.b(-0.5)
+
+
+def _legacy_b(b, t):
+    """DampingSpec.b before zero damping returned early: a float t >= 0
+    became a numpy scalar first, whatever the family."""
+    if isinstance(t, float) and t >= 0.0:
+        t = np.float64(t)
+    else:
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0):
+            raise ValueError("t must be nonnegative")
+    if b.is_zero:
+        return np.zeros_like(t) if t.ndim else 0.0
+    if b.family is DampingFamily.POWER_DECAY:
+        out = b.mu * (1.0 + t) ** (-b.beta)
+    else:
+        out = b.mu * np.exp(-t)
+    return float(out) if t.ndim == 0 else out
+
+
+@pytest.mark.parametrize(
+    "b", [DampingSpec.zero(), DampingSpec.power_decay(0.5, 2.0), DampingSpec.exp_decay(0.3)]
+)
+def test_damping_values_and_types_equal_legacy(b):
+    for t in (0.0, 0.25, 3.0, 1e3, np.float64(2.0), 1, np.array(0.5), np.linspace(0.0, 9.0, 7)):
+        got, want = b.b(t), _legacy_b(b, t)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+    for t in (-1.0, np.array([0.0, -1.0])):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            b.b(t)
 
 
 def test_run_telemetry(standard_run, tmp_path):
