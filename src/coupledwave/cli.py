@@ -78,13 +78,12 @@ def _cmd_curve(args) -> int:
 
 def _cmd_cusp(args) -> int:
     c = cusp_exponents(args.n)
-    ordered = c.q_mix < c.p_glassey < c.p_strauss < c.p_mix
     print(f"q_mix={_g(c.q_mix)}")
     print(f"p_mix={_g(c.p_mix)}")
     print(f"p_glassey={_g(c.p_glassey)}")
     print(f"p_strauss={_g(c.p_strauss)}")
-    print(f"ordering={'OK' if ordered else 'VIOLATED'}")
-    return 0 if ordered else 1
+    print(f"ordering={'OK' if c.ordered else 'VIOLATED'}")
+    return 0 if c.ordered else 1
 
 
 def _sequence_pair(args):

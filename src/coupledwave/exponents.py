@@ -122,6 +122,12 @@ class CuspPoint:
     p_strauss: float
     p_glassey: float
 
+    @property
+    def ordered(self) -> bool:
+        """The exponent ordering q_mix < p_glassey < p_strauss < p_mix,
+        which ``cusp`` prints and ``verify`` checks."""
+        return self.q_mix < self.p_glassey < self.p_strauss < self.p_mix
+
 
 class PredictionKind(Enum):
     POWER_LAW = "power-law"

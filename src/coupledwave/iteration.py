@@ -113,12 +113,12 @@ class IterationConstants:
     each must be positive and finite.  Every other field is derived from
     the inputs on construction, ``dataclasses.replace`` included, and
     cannot be passed: M, N (theta1-critical coefficient recursion), M1,
-    N1 (theta2), M2, N2 (double), S = pq/(pq-1)^2, Nconst and Ntilde
-    (subcritical threshold constants) and the critical lifespan
-    constants E, E1, E2.  Nconst, Ntilde, E, E1 and E2 are also kept as
-    logs, which the thresholds and drivers read, so that they stay
-    finite where the linear values underflow or overflow.  A product pq
-    or a log beyond double range is a ValueError.
+    N1 (theta2), M2, N2 (double), S = pq/(pq-1)^2, and the logs of the
+    subcritical threshold constants Nconst and Ntilde and of the
+    critical lifespan constants E, E1, E2.  The drivers read only these
+    logs, which stay finite where the linear values underflow or
+    overflow.  A product pq or a log beyond double range is a
+    ValueError.
     """
 
     n: int
@@ -137,11 +137,6 @@ class IterationConstants:
     M2: float = field(init=False)
     N2: float = field(init=False)
     S: float = field(init=False)
-    Ntilde: float = field(init=False)
-    Nconst: float = field(init=False)
-    E: float = field(init=False)
-    E1: float = field(init=False)
-    E2: float = field(init=False)
     log_E: float = field(init=False)
     log_E1: float = field(init=False)
     log_E2: float = field(init=False)
@@ -210,8 +205,6 @@ class IterationConstants:
         values = dict(
             n=n, p=p, q=q, M=_exp(log_M), N=_exp(log_N), M1=_exp(log_M1),
             N1=_exp(log_N1), M2=_exp(log_M2), N2=_exp(log_N2), S=S,
-            Ntilde=_exp(log_Ntilde), Nconst=_exp(log_Nconst),
-            E=_exp(log_E), E1=_exp(log_E1), E2=_exp(log_E2),
             log_E=log_E, log_E1=log_E1, log_E2=log_E2,
             log_Ntilde=log_Ntilde, log_Nconst=log_Nconst,
         )

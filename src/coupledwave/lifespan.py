@@ -4,16 +4,15 @@ Runs the solver across a decreasing ladder of data amplitudes eps,
 collects numerical blow-up times (with a grid-refinement repeat per
 row), fits log T against log eps on the blown-up rows and compares the
 slope with the predicted power law the table carries
-(``LifespanTable.prediction``).  The runs are independent batches
-of rows (``solver.run_batch``).  On Linux with more than one CPU
-available to the process they run on forked worker processes, at most
-one per CPU, split as the finest repeat's smallest eps (usually the
-costliest row by far), the rest of the finest ladder and each coarser
-repeat's whole ladder.  Otherwise they run in-process, one batch per
-repeat.  Every record is bitwise the same either way.  Exponentially
-large critical lifespans are not reproducible at desk scale, so
-critical sweeps carry the prediction shape for plotting but no
-pass/fail.
+(``LifespanTable.prediction``).  Each repeat's whole eps ladder is
+one batch of rows (``solver.run_batch``), and the batches are submitted
+finest repeat first: twice the points and twice the steps make it the
+costliest.  On Linux with more than one CPU available to the process
+they run on forked worker processes, at most one per CPU; otherwise
+in-process, in the same order.  Every record is bitwise the same either
+way.  Exponentially large critical lifespans are not reproducible at
+desk scale, so critical sweeps carry the prediction shape for plotting
+but no pass/fail.
 
 Every summary carries the caveat that the theory bounds T(eps) only for
 eps below an unspecified eps0, so a sweep cannot certify being inside
@@ -124,8 +123,8 @@ class ScalingFit:
 class LifespanTable:
     """Sweep rows and fit.  ``workers`` is the number of processes the
     sweep ran its batches on, and ``tasks`` its schedule: one
-    ``{"repeat", "eps", "wall_s"}`` entry per batch, in submission
-    order."""
+    ``{"repeat", "eps", "wall_s"}`` entry per batch (one per repeat), in
+    submission order, finest repeat first."""
 
     rows: list
     fit: FitSummary | None
@@ -198,36 +197,20 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
     base = cfg.base
     data = classify(base.n, base.pq)
     prediction = lifespan_prediction(base.n, base.pq)
-    ladder = range(len(cfg.eps_values))
-    finest = cfg.repeats - 1
-    # (repeat, eps indices) in submission order.  On workers, largest
-    # first on a ladder that halves eps: the finest smallest eps, the
-    # coarser ladders from finer to coarser, the rest of the finest
-    # ladder.  In-process, one batch per repeat: a split ladder pays
-    # the fixed cost of a step once more for each step of its split-off
-    # rows.
-    tasks = [(finest, ladder[-1:])]
-    tasks += [(rep, ladder) for rep in reversed(range(finest))]
-    tasks += [(finest, ladder[:-1])] if len(ladder) > 1 else []
-    workers = _pool_workers(len(tasks))
-    if workers == 1:
-        tasks = [(rep, ladder) for rep in range(cfg.repeats)]
-    grids = [replace(base.grid, dr=base.grid.dr / 2.0**rep) for rep in range(cfg.repeats)]
-    batches = [[replace(base, eps=cfg.eps_values[j], grid=grids[rep]) for j in idx]
-               for rep, idx in tasks]
+    # one batch per repeat's whole ladder, finest (costliest) first
+    repeats = list(reversed(range(cfg.repeats)))
+    batches = [[replace(base, eps=eps, grid=replace(base.grid, dr=base.grid.dr / 2.0**rep))
+                for eps in cfg.eps_values] for rep in repeats]
+    workers = _pool_workers(len(batches))
     results = _map_tasks(batches, workers)
-
-    by_repeat = [[None] * len(ladder) for _ in grids]  # [repeat][eps index]
-    schedule = []
-    for (rep, idx), (records, wall) in zip(tasks, results):
-        for j, rec in zip(idx, records):
-            by_repeat[rep][j] = rec
-        schedule.append({"repeat": rep, "eps": [cfg.eps_values[j] for j in idx], "wall_s": wall})
+    schedule = [{"repeat": rep, "eps": list(cfg.eps_values), "wall_s": wall}
+                for rep, (_records, wall) in zip(repeats, results)]
+    by_repeat = [records for records, _wall in reversed(results)]  # [repeat][eps index]
     records = by_repeat[-1]
     # per repeat, the blow-up time of each eps (NaN for none)
     times = [[rec.t_blowup if rec.blew_up else math.nan for rec in recs] for recs in by_repeat]
-    failed_repeats = [tuple(rep for rep, recs in enumerate(by_repeat) if recs[j].failed)
-                      for j in ladder]
+    failed_repeats = [tuple(rep for rep, rec in enumerate(column) if rec.failed)
+                      for column in zip(*by_repeat)]
 
     blown = [(e, T) for e, T in zip(cfg.eps_values, times[-1]) if np.isfinite(T)]
     fit = None

@@ -33,8 +33,7 @@ def _check_cusp():
     for n in range(2, 11):
         cubic, t1, t2 = cusp_residuals(n)
         worst = max(worst, abs(cubic), abs(t1), abs(t2))
-        c = cusp_exponents(n)
-        order_ok &= c.q_mix < c.p_glassey < c.p_strauss < c.p_mix
+        order_ok &= cusp_exponents(n).ordered
     return worst < 1e-10 and order_ok, f"max residual {worst:.2e}, ordering {'ok' if order_ok else 'violated'}"
 
 

@@ -56,7 +56,7 @@ def test_sweep_n2_ladders(sweep_n2, seed):
     # the benchmark's sweep-n2 ladders, batched as its in-process sweep
     # runs them: eps halving from 1 to 1/16, jittered
     _cfg, _table, batches = sweep_n2(seed)
-    assert [specs[0].grid.dr for specs, _ in batches] == [0.04, 0.02]
+    assert [specs[0].grid.dr for specs, _ in batches] == [0.02, 0.04]
     for specs, rows in batches:
         _assert_records_equal_singles(specs, rows)
         assert all(rec.blew_up for rec in rows)

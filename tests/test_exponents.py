@@ -155,6 +155,13 @@ def test_exponent_ordering_up_to_n50():
     for n in range(2, 51):
         c = cusp_exponents(n)
         assert c.q_mix < c.p_glassey < c.p_strauss < c.p_mix
+        assert c.ordered
+
+
+def test_ordered_fails_on_a_swapped_pair():
+    c = cusp_exponents(3)
+    assert not dataclasses.replace(c, p_glassey=c.p_strauss, p_strauss=c.p_glassey).ordered
+    assert not dataclasses.replace(c, q_mix=c.p_mix).ordered
 
 
 def test_qmix_below_golden_ratio():

@@ -73,7 +73,7 @@ def test_coefficient_paper_floor():
     tv, _ = subcritical_sequences(n, (p, q), 60, eps=eps)
     Msub = consts.C * consts.K**p * (n + 1 + (p + 2) / (x - 1)) ** (-(p + 2))
     j1 = math.ceil(math.log(Msub) / math.log(x ** (p + 2)) - 1 - 1 / (x - 1))
-    floor = x**tv.j * math.log(consts.Nconst * eps**p)
+    floor = x**tv.j * math.log(math.exp(consts.log_Nconst) * eps**p)
     sel = tv.j >= max(j1, 0)
     assert np.all(tv.coeff_log[sel] >= floor[sel] - 1e-9 * np.abs(floor[sel]))
 
@@ -137,9 +137,11 @@ def test_iteration_constants_positive():
         con = IterationConstants.from_frame(n, (p, q), C=0.7, K=1.3,
                                             Ctilde=0.5, Ktilde=2.0,
                                             m1_0=0.6, m2_0=0.9)
-        for field in ("M", "N", "M1", "N1", "M2", "N2", "S", "Ntilde",
-                      "Nconst", "E", "E1", "E2"):
+        for field in ("M", "N", "M1", "N1", "M2", "N2", "S"):
             assert getattr(con, field) > 0, field
+        # Nconst, Ntilde, E, E1, E2 are kept as logs: finite, so positive
+        for field in ("log_Nconst", "log_Ntilde", "log_E", "log_E1", "log_E2"):
+            assert math.isfinite(getattr(con, field)), field
         assert con.S == pytest.approx(p * q / (p * q - 1) ** 2, rel=1e-13)
 
 
@@ -159,7 +161,7 @@ def test_threshold_subcritical_example():
     con = IterationConstants.from_frame(3, (2.0, 2.0))
     th = threshold_time(con, 0.1)
     assert th.formula_id == "subcritical-theta1"
-    assert th.T == pytest.approx(2.0**15 * con.Nconst**-3 * 1e6, rel=1e-12)
+    assert th.T == pytest.approx(2.0**15 * math.exp(con.log_Nconst) ** -3 * 1e6, rel=1e-12)
 
 
 def test_threshold_halving_law():
@@ -335,20 +337,19 @@ def test_from_frame_tiny_constant_in_log_space():
     assert con.log_E == pytest.approx(base.log_E + (x - 1.0) * log_c, rel=1e-12)
     assert con.log_E1 == pytest.approx(base.log_E1 + (x - 1.0) * 2.0 * log_c, rel=1e-12)
     assert con.log_E2 == pytest.approx(base.log_E2 + (x - 1.0) * log_c, rel=1e-12)
-    assert con.M1 == 0.0 and con.E == 0.0
+    assert con.M1 == 0.0
     assert con.M == pytest.approx(base.M * 1e-300, rel=1e-9)
 
 
 def test_subcritical_constants_stay_in_log_space():
-    # C = 1e-300 underflows the factor C**q inside Ntilde, not Ntilde;
-    # its log is the C = 1 log shifted by q log C / (x - 1), that of
+    # C = 1e-300 underflows the factor C**q inside Ntilde, not its log:
+    # that is the C = 1 log shifted by q log C / (x - 1), and the log of
     # Nconst by log C / (x - 1)
     n, p, q, C = 2, 3.0, 1.1, 1e-300
     x = p * q
     base = IterationConstants.from_frame(n, (p, q))
     con = IterationConstants.from_frame(n, (p, q), C=C)
     log_c = math.log(C)
-    assert con.Ntilde > 0.0
     assert con.log_Ntilde == pytest.approx(
         base.log_Ntilde + q * log_c / (x - 1.0), rel=1e-12
     )
@@ -362,7 +363,7 @@ def test_subcritical_constants_stay_in_log_space():
     assert drv == pytest.approx(1.0, rel=1e-12)
 
 
-DERIVED = ("M", "N", "M1", "N1", "M2", "N2", "S", "Ntilde", "Nconst", "E", "E1", "E2",
+DERIVED = ("M", "N", "M1", "N1", "M2", "N2", "S",
            "log_E", "log_E1", "log_E2", "log_Ntilde", "log_Nconst")
 
 

@@ -256,7 +256,7 @@ def test_finest_repeat_failure_fails_row(monkeypatch, sweep_base):
     assert math.isnan(row.grid_change)
 
 
-# --- the task split: worker pool against in-process -----------------------
+# --- the schedule: worker pool against in-process -------------------------
 
 ROW_FIELDS = ("T_numeric", "blew_up", "grid_change", "failed", "failed_repeats", "steps",
               "halvings", "window_max", "cone_spill", "crossed", "failure_reason",
@@ -279,14 +279,12 @@ def _assert_pool_matches_in_process(monkeypatch, cfg, serial=None):
     if serial is None:
         serial = _sweep_on(monkeypatch, cfg, 1)
     assert serial.workers == 1
-    assert pooled.workers == min(2, len(pooled.tasks))
-    # in-process, one batch per repeat; on workers, every (repeat, eps) once
+    assert pooled.workers == min(2, cfg.repeats)
+    # both submit one batch per repeat's whole ladder, finest first
     eps = list(cfg.eps_values)
-    assert [(t["repeat"], t["eps"]) for t in serial.tasks] == [
-        (rep, eps) for rep in range(cfg.repeats)
-    ]
-    covered = sorted((t["repeat"], e) for t in pooled.tasks for e in t["eps"])
-    assert covered == sorted((rep, e) for rep in range(cfg.repeats) for e in eps)
+    schedule = [(rep, eps) for rep in reversed(range(cfg.repeats))]
+    for table in (serial, pooled):
+        assert [(t["repeat"], t["eps"]) for t in table.tasks] == schedule
     assert len(pooled.rows) == len(serial.rows) == len(cfg.eps_values)
     for got, want in zip(pooled.rows, serial.rows):
         assert got.eps == want.eps
@@ -303,8 +301,8 @@ def test_pool_matches_in_process_sweep_n2(monkeypatch, sweep_n2, seed):
     cfg, serial, _batches = sweep_n2(seed)
     table = _assert_pool_matches_in_process(monkeypatch, cfg, serial)
     assert all(row.blew_up for row in table.rows)
-    # largest first: the finest smallest eps, the coarse ladder, the finest rest
-    assert [(t["repeat"], len(t["eps"])) for t in table.tasks] == [(1, 1), (0, 5), (1, 4)]
+    # the finest ladder, then the coarse one
+    assert [(t["repeat"], len(t["eps"])) for t in table.tasks] == [(1, 5), (0, 5)]
 
 
 @pytest.mark.parametrize("eps_values, repeats", [((1.6,), 2), ((1.6, 1.2, 1.0), 1),
@@ -336,8 +334,8 @@ def test_pool_runs_on_linux_only(monkeypatch):
 
 
 @pytest.mark.parametrize("cpus, workers, tasks", [
-    (1, 1, [(0, [1.6, 1.2, 1.0]), (1, [1.6, 1.2, 1.0])]),
-    (2, 2, [(1, [1.0]), (0, [1.6, 1.2, 1.0]), (1, [1.6, 1.2])]),
+    (1, 1, [(1, [1.6, 1.2, 1.0]), (0, [1.6, 1.2, 1.0])]),
+    (2, 2, [(1, [1.6, 1.2, 1.0]), (0, [1.6, 1.2, 1.0])]),
 ])
 def test_report_writes_the_schedule(monkeypatch, tmp_path, sweep_base, cpus, workers, tasks):
     table = _sweep_on(monkeypatch, SweepConfig(sweep_base, (1.6, 1.2, 1.0), 2), cpus)
