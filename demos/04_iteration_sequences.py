@@ -43,8 +43,8 @@ print("\n--- thresholds and divergence drivers (unit frame constants) ---")
 con = IterationConstants.from_frame(3, (2.0, 2.0))
 for eps in (0.8, 0.4, 0.2):
     th = threshold_time(con, eps)
-    below = divergence_driver("subcritical-v", con, eps, log_t=th.log_T - math.log(2.0))
-    at = divergence_driver("subcritical-v", con, eps, log_t=th.log_T)
+    below = divergence_driver(th.family, con, eps, log_t=th.log_T - math.log(2.0))
+    at = divergence_driver(th.family, con, eps, log_t=th.log_T)
     print(f"eps={eps:<4} T={th.T:.6g}  driver(T/2)={below:.4f}  driver(T)={at:.12f}")
 print("halving eps multiplies T by 2^(1/max theta) = 2^6 =",
       f"{threshold_time(con, 0.2).T / threshold_time(con, 0.4).T:.10g}")

@@ -6,7 +6,7 @@ grid-refinement repeat per row, then fits log T against log eps.  The
 theorem is a one-sided bound with an unknown constant: the check
 asserts the sign and a magnitude band, not the exact exponent.
 
-Run:  python3 demos/05_lifespan_sweep.py  (about half a minute)
+Run:  python3 demos/05_lifespan_sweep.py  (about a second)
 """
 
 import os

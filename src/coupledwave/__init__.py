@@ -33,7 +33,6 @@ from .iteration import (
     ThresholdTime,
     critical_sequences,
     divergence_driver,
-    r_parameters,
     subcritical_sequences,
     threshold_time,
 )

@@ -142,12 +142,13 @@ def _damping_from(section: dict, name: str) -> DampingSpec:
 
 
 def problem_spec_from_config(cfg: dict) -> ProblemSpec:
-    """Build a ProblemSpec from a merged config document."""
+    """Build a ProblemSpec from a merged config document; initial data
+    that violate the blow-up hypotheses (``hypotheses_ok``) are refused."""
     prob = cfg["problem"]
     grid = cfg["grid"]
     data = cfg["data"]
     try:
-        return ProblemSpec(
+        spec = ProblemSpec(
             n=_as_int(prob["n"], "problem.n"),
             pq=ExponentPair(_as_float(prob["p"], "problem.p"), _as_float(prob["q"], "problem.q")),
             b1=_damping_from(cfg["damping1"], "damping1"),
@@ -167,6 +168,12 @@ def problem_spec_from_config(cfg: dict) -> ProblemSpec:
         )
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigError(f"invalid problem configuration: {exc}") from exc
+    if not spec.data.hypotheses_ok():
+        raise ConfigError(
+            "invalid problem configuration: initial data violates the blow-up "
+            "hypotheses (nonnegative amplitudes with A_u1 > 0 and A_v0 > 0)"
+        )
+    return spec
 
 
 def sweep_config_from_config(cfg: dict) -> SweepConfig:

@@ -166,8 +166,11 @@ def theta2(n, pq) -> float:
 
 def kernel_exponents(n, pq) -> tuple[float, float]:
     """Kernel exponents r1 = (n-1)/2 - 1/p and r2 = (n-1)/2 - 1/q of
-    curlyU and curlyV: their equality values on the critical curves
-    (``iteration.r_parameters``) and ``functionals.probes``' default."""
+    curlyU and curlyV: their equality values on the critical curves and
+    ``functionals.probes``' default.  The theta1-critical log seed reads
+    curlyU (r1), the theta2-critical one curlyV (r2), and at the cusp,
+    where both equalities hold, r1 = n - 1 - (n-1)q/2 and r2 = n -
+    (n-1)p/2 (the exchange identities)."""
     n = check_dimension(n)
     pq = as_pair(pq)
     return 0.5 * (n - 1.0) - 1.0 / pq.p, 0.5 * (n - 1.0) - 1.0 / pq.q

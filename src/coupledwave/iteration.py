@@ -21,7 +21,8 @@ theta1} and h = log t; critical H(t, eps) = E eps^{pq} (log
 t)^{q/(pq-1)} and its analogues with h = log log t.  A driver above 1
 certifies divergence of the lower-bound sequence at (t, eps).  The
 threshold time is the root h = -a/b of the driver of the region
-``classify`` gives (n, p, q) of the ``IterationConstants``: T =
+``classify`` gives (n, p, q) of the ``IterationConstants``, and it
+names that driver's family: T =
 2^{((n-1)/2 + n/p)/theta1} N^{-1/(p theta1)} eps^{-1/theta1} (or its
 q-analogue), and log T = E^{-(pq-1)/q} eps^{-p(pq-1)} and its analogues.
 """
@@ -36,14 +37,10 @@ import numpy as np
 
 from .exponents import (
     EQUALITY_TOL,
-    CriticalData,
-    PredictionKind,
     Region,
     as_pair,
     check_dimension,
     classify,
-    kernel_exponents,
-    lifespan_prediction,
     theta1,
     theta2,
 )
@@ -59,7 +56,6 @@ __all__ = [
     "critical_sequences",
     "closed_form_deviations",
     "threshold_time",
-    "r_parameters",
     "divergence_driver",
     "write_table_csv",
 ]
@@ -104,21 +100,21 @@ class SequenceTable:
 
 @dataclass(frozen=True)
 class IterationConstants:
-    """Frame and seed constants with every derived constant materialised.
+    """Frame and seed constants with the logs the drivers read.
 
     The nine inputs are n, p, q and the frame constants: C, K of the
     coupled integral inequalities; Ctilde, Ktilde the nonlinearity
     lower-bound constants; m1_0, m2_0 the damping multipliers at t = 0.
     None of the six is computable in closed form, so they default to 1;
-    each must be positive and finite.  Every other field is derived from
-    the inputs on construction, ``dataclasses.replace`` included, and
-    cannot be passed: M, N (theta1-critical coefficient recursion), M1,
-    N1 (theta2), M2, N2 (double), S = pq/(pq-1)^2, and the logs of the
-    subcritical threshold constants Nconst and Ntilde and of the
-    critical lifespan constants E, E1, E2.  The drivers read only these
-    logs, which stay finite where the linear values underflow or
-    overflow.  A product pq or a log beyond double range is a
-    ValueError.
+    each must be positive and finite.  The five other fields are derived
+    from the inputs on construction, ``dataclasses.replace`` included,
+    and cannot be passed: the logs of the subcritical threshold
+    constants Nconst and Ntilde and of the critical lifespan constants
+    E, E1, E2.  They are built from M, N (theta1-critical coefficient
+    recursion), M1, N1 (theta2), M2, N2 (double) and S = pq/(pq-1)^2,
+    which are not kept; the logs stay finite where the linear values
+    underflow or overflow.  A product pq or a log beyond double range
+    is a ValueError.
     """
 
     n: int
@@ -130,13 +126,6 @@ class IterationConstants:
     Ktilde: float = 1.0
     m1_0: float = 1.0
     m2_0: float = 1.0
-    M: float = field(init=False)
-    N: float = field(init=False)
-    M1: float = field(init=False)
-    N1: float = field(init=False)
-    M2: float = field(init=False)
-    N2: float = field(init=False)
-    S: float = field(init=False)
     log_E: float = field(init=False)
     log_E1: float = field(init=False)
     log_E2: float = field(init=False)
@@ -202,14 +191,10 @@ class IterationConstants:
             - S * log_N2
             + (x - 1.0) * log_M2
         )
-        values = dict(
-            n=n, p=p, q=q, M=_exp(log_M), N=_exp(log_N), M1=_exp(log_M1),
-            N1=_exp(log_N1), M2=_exp(log_M2), N2=_exp(log_N2), S=S,
-            log_E=log_E, log_E1=log_E1, log_E2=log_E2,
-            log_Ntilde=log_Ntilde, log_Nconst=log_Nconst,
-        )
+        values = dict(n=n, p=p, q=q, log_E=log_E, log_E1=log_E1, log_E2=log_E2,
+                      log_Ntilde=log_Ntilde, log_Nconst=log_Nconst)
         for name, val in values.items():
-            if name.startswith("log_") and not math.isfinite(val):
+            if not math.isfinite(val):
                 raise ValueError(f"exponents beyond double range: {name} = {val} at p={p}, q={q}")
             object.__setattr__(self, name, val)
 
@@ -224,13 +209,13 @@ class IterationConstants:
 
 @dataclass(frozen=True)
 class ThresholdTime:
-    """Blow-up threshold time; T = exp(log_T) overflows to inf for large
-    thresholds.  For critical kinds log_T is itself a negative power of
-    eps and overflows to inf as well at tiny eps."""
+    """Blow-up threshold time, the root of the divergence driver of
+    ``family``; T = exp(log_T) overflows to inf for large thresholds.
+    For the critical families log_T is itself a negative power of eps
+    and overflows to inf as well at tiny eps."""
 
-    kind: PredictionKind
     log_T: float
-    formula_id: str
+    family: str
 
     @property
     def T(self) -> float:
@@ -266,17 +251,6 @@ def _check_jmax(j_max: int) -> int:
     if j_max > J_MAX_LIMIT:
         raise ValueError(f"j_max capped at {J_MAX_LIMIT}, got {j_max}")
     return int(j_max)
-
-
-def _require_on_curve(case: CriticalCase, data: CriticalData) -> None:
-    """Refuse exponents off the critical curve of ``case``, given their
-    ``classify`` data: theta1 = 0 for THETA1, theta2 = 0 for THETA2,
-    both for DOUBLE (up to EQUALITY_TOL)."""
-    t1, t2 = data.theta1, data.theta2
-    off = {CriticalCase.THETA1: abs(t1), CriticalCase.THETA2: abs(t2),
-           CriticalCase.DOUBLE: max(abs(t1), abs(t2))}[case]
-    if off > EQUALITY_TOL:
-        raise ValueError(f"(p, q) is not {case.value}-critical: theta1 = {t1}, theta2 = {t2}")
 
 
 def _family_table(family, n, p, q, js, seed, recur, t_closed, w_closed,
@@ -385,13 +359,20 @@ def critical_sequences(case, n, pq, j_max: int) -> SequenceTable:
     pq - 1, D0 = Ctilde eps^q.  The slicing column is ell_j = 2 - 2^{-j}.
     The tables take the frame constants C, K, Ctilde, Ktilde and eps
     as 1, so log C0 = 0 and the coefficient steps carry powers of 2
-    only.
+    only.  Exponents off the case's curve (theta1 = 0 for THETA1,
+    theta2 = 0 for THETA2, both for DOUBLE, up to EQUALITY_TOL) are a
+    ValueError.
     """
     case = CriticalCase(case)
     n = check_dimension(n, minimum=2)
     pq = as_pair(pq)
     j_max = _check_jmax(j_max)
-    _require_on_curve(case, classify(n, pq))
+    data = classify(n, pq)
+    t1, t2 = data.theta1, data.theta2
+    off = {CriticalCase.THETA1: abs(t1), CriticalCase.THETA2: abs(t2),
+           CriticalCase.DOUBLE: max(abs(t1), abs(t2))}[case]
+    if off > EQUALITY_TOL:
+        raise ValueError(f"(p, q) is not {case.value}-critical: theta1 = {t1}, theta2 = {t2}")
     p, q = pq.p, pq.q
     x = pq.product
     js = np.arange(j_max + 1)
@@ -427,37 +408,6 @@ def critical_sequences(case, n, pq, j_max: int) -> SequenceTable:
         f"critical-{case.value}", n, p, q, js, (0.0, 1.0, 0.0), recur,
         t_closed, w_closed, ell=ell,
     )
-
-
-def r_parameters(case, n, pq):
-    """Critical kernel exponents (r1, r2) for the given case.
-
-    Equality holds on the case's own curve (``kernel_exponents``): r1 =
-    (n-1)/2 - 1/p on the theta1 curve, r2 = (n-1)/2 - 1/q on the theta2
-    curve; the strict inequality on the other exponent is realised 0.1
-    above the larger of the two equality values.  In the double case
-    both equalities hold and the exchange identities (n-1)/2 - 1/p =
-    n - 1 - (n-1)q/2 and (n-1)/2 - 1/q = n - (n-1)p/2 are asserted to
-    1e-12.
-    """
-    case = CriticalCase(case)
-    n = check_dimension(n, minimum=2)
-    pq = as_pair(pq)
-    _require_on_curve(case, classify(n, pq))
-    p, q = pq.p, pq.q
-    r1_eq, r2_eq = kernel_exponents(n, pq)
-    strict = max(r1_eq, r2_eq) + 0.1
-    if case is CriticalCase.THETA1:
-        return r1_eq, strict
-    if case is CriticalCase.THETA2:
-        return strict, r2_eq
-    id1 = abs(r1_eq - (n - 1.0 - 0.5 * (n - 1.0) * q))
-    id2 = abs(r2_eq - (n - 0.5 * (n - 1.0) * p))
-    if id1 > 1e-12 or id2 > 1e-12:
-        raise AssertionError(
-            f"double-critical exchange identities violated: {id1}, {id2}"
-        )
-    return r1_eq, r2_eq
 
 
 # the driver family of each critical region
@@ -509,23 +459,21 @@ def threshold_time(consts: IterationConstants, eps: float) -> ThresholdTime:
     (eps^q Jtilde(t) otherwise) is 1 at T = 2^{((n-1)/2 + n/p)/theta1}
     N^{-1/(p theta1)} eps^{-1/theta1} (the q-analogue with Ntilde).
     Critical: H, H1, H2 are 1 at log T = E^{-(pq-1)/q} eps^{-p(pq-1)}
-    and the analogous expressions with E1, E2.  ``kind`` is the
-    region's ``lifespan_prediction`` kind and ``formula_id`` names the
-    formula.  Values beyond double range are returned as inf;
-    supercritical exponents are a ValueError.
+    and the analogous expressions with E1, E2.  ``family`` is that
+    driver's, the name ``divergence_driver`` takes.  Values beyond
+    double range are returned as inf; supercritical exponents are a
+    ValueError.
     """
-    n, p, q = consts.n, consts.p, consts.q
-    data = classify(n, (p, q))
+    data = classify(consts.n, (consts.p, consts.q))
     if data.region is Region.SUPERCRITICAL:
         raise ValueError("no blow-up threshold in the supercritical region")
     if data.region is Region.SUBCRITICAL:
-        family, fid = (("subcritical-v", "subcritical-theta1") if data.theta1 >= data.theta2
-                       else ("subcritical-uprime", "subcritical-theta2"))
+        family = "subcritical-v" if data.theta1 >= data.theta2 else "subcritical-uprime"
     else:
-        family = fid = _CRITICAL_FAMILY[data.region]
+        family = _CRITICAL_FAMILY[data.region]
     a, b = _driver_terms(family, consts, eps)
     log_T = -a / b if data.region is Region.SUBCRITICAL else _exp(-a / b)
-    return ThresholdTime(lifespan_prediction(n, (p, q)).kind, log_T, fid)
+    return ThresholdTime(log_T, family)
 
 
 def write_table_csv(table: SequenceTable, path) -> None:

@@ -273,9 +273,8 @@ def fit_scaling(table: LifespanTable) -> ScalingFit:
     if len(blown) < 3:
         raise ValueError(f"need at least 3 blown-up rows to fit, got {len(blown)}")
     slope, _intercept, _r2, x, resid = _fit_loglog(*zip(*blown))
-    m = len(blown)
     sxx = float(np.sum((x - x.mean()) ** 2))
-    se = math.sqrt(float(np.sum(resid**2)) / (m - 2) / sxx) if m > 2 else 0.0
+    se = math.sqrt(float(np.sum(resid**2)) / (len(blown) - 2) / sxx)
     ci = 1.96 * se
     consistent = slope < 0 and abs(slope) <= 1.4 * abs(table.prediction.exponent)
     return ScalingFit(slope=slope, ci_halfwidth=ci, consistent=consistent)

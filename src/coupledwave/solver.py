@@ -166,7 +166,9 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Full problem description for one solver run."""
+    """Full problem description for one solver run.  Data that violate
+    the blow-up hypotheses are accepted (negative controls); a config
+    document with such data is refused by ``configio``."""
 
     n: int
     pq: ExponentPair
@@ -176,7 +178,6 @@ class ProblemSpec:
     eps: float
     data: InitialDataFamily
     grid: GridSpec
-    enforce_hypotheses: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_dimension(self.n))
@@ -188,12 +189,6 @@ class ProblemSpec:
         if self.grid.dr > self.R / 20.0:
             raise ValueError(
                 f"grid too coarse for the data: dr={self.grid.dr} > R/20={self.R / 20.0}"
-            )
-        if self.enforce_hypotheses and not self.data.hypotheses_ok():
-            raise ValueError(
-                "initial data violates the blow-up hypotheses "
-                "(nonnegative amplitudes with A_u1 > 0 and A_v0 > 0); "
-                "pass enforce_hypotheses=False for negative-control runs"
             )
 
 

@@ -2,7 +2,7 @@
 
 The ``*_run`` fixtures carry the projections of
 ``functionals.probes(spec, r1, r2)``, with r1 = r2 = 0.5 except at the
-cusp, where they are the double-critical kernel exponents.
+cusp, where they are ``kernel_exponents``, both equality values.
 """
 
 import random
@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from coupledwave import lifespan
-from coupledwave.exponents import ExponentPair, cusp_exponents
+from coupledwave.exponents import ExponentPair, cusp_exponents, kernel_exponents
 from coupledwave.functionals import probes
-from coupledwave.iteration import r_parameters
 from coupledwave.lifespan import SweepConfig
 from coupledwave.solver import (
     GridSpec,
@@ -99,7 +98,8 @@ def damped_run(damped_spec):
 
 @pytest.fixture(scope="session")
 def negative_spec():
-    """Sign-flipped u1: violates the blow-up hypotheses on purpose."""
+    """Sign-flipped u1: violates the blow-up hypotheses on purpose (a
+    ProblemSpec accepts such data; a config document with them is refused)."""
     return ProblemSpec(
         n=3,
         pq=ExponentPair(2.0, 2.0),
@@ -109,7 +109,6 @@ def negative_spec():
         eps=1.0,
         data=InitialDataFamily(k=3, amplitudes=(4.0, -4.0, 4.0, 4.0)),
         grid=GridSpec(dr=0.02, t_max=5.0),
-        enforce_hypotheses=False,
     )
 
 
@@ -161,13 +160,13 @@ def cusp_spec():
 
 
 @pytest.fixture(scope="session")
-def cusp_run(cusp_spec, cusp_r_parameters):
-    return run(cusp_spec, probes=probes(cusp_spec, *cusp_r_parameters))
+def cusp_run(cusp_spec, cusp_kernel):
+    return run(cusp_spec, probes=probes(cusp_spec, *cusp_kernel))
 
 
 @pytest.fixture(scope="session")
-def cusp_r_parameters(cusp_spec):
-    return r_parameters("double", cusp_spec.n, cusp_spec.pq)
+def cusp_kernel(cusp_spec):
+    return kernel_exponents(cusp_spec.n, cusp_spec.pq)
 
 
 def _sweep_n2_in_process(seed):

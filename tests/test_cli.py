@@ -319,8 +319,12 @@ def test_damped_identity_config_exits_2(monkeypatch, tmp_path, capsys):
          "kernels.quad_nodes must lie in [16, 512], got 513"),
         ({"grid": {"dr": 0.04, "t_max": 1}, "kernels": {"lambda0": -1.0}},
          "kernels.lambda0 must be positive and finite, got -1.0"),
+        ({"grid": {"dr": 0.04, "t_max": 1}, "data": {"amplitudes": [4, -4, 4, 4]}},
+         "invalid problem configuration: initial data violates the blow-up hypotheses "
+         "(nonnegative amplitudes with A_u1 > 0 and A_v0 > 0)\n"),
     ],
-    ids=["sweep-and-kernels", "kernels", "kernels-quad-nodes-bound", "kernels-lambda0-bound"],
+    ids=["sweep-and-kernels", "kernels", "kernels-quad-nodes-bound", "kernels-lambda0-bound",
+         "data-hypotheses"],
 )
 @pytest.mark.parametrize("verb", ["solve", "identity", "sweep"])
 def test_every_config_section_is_checked_by_every_verb(verb, doc, message, tmp_path, capsys):

@@ -69,6 +69,12 @@ def test_kernel_exponents():
     assert kernel_exponents(2, (2, 4)) == (0.0, 0.25)
     with pytest.raises(ValueError):
         kernel_exponents(math.inf, (2, 2))
+    # the exchange identities at each cusp, where both equalities hold
+    for n in range(2, 11):
+        c = cusp_exponents(n)
+        r1, r2 = kernel_exponents(n, (c.p_mix, c.q_mix))
+        assert r1 == pytest.approx(n - 1 - 0.5 * (n - 1) * c.q_mix, abs=1e-12), n
+        assert r2 == pytest.approx(n - 0.5 * (n - 1) * c.p_mix, abs=1e-12), n
 
 
 def test_theta_values_n3():

@@ -43,7 +43,6 @@ def test_extract_zero_data_gives_zero_series():
         R=1.0, eps=1.0,
         data=InitialDataFamily(k=3, amplitudes=(0.0, 0.0, 0.0, 0.0)),
         grid=GridSpec(dr=0.02, t_max=1.0),
-        enforce_hypotheses=False,
     )
     rec = run(spec, probes=fn.probes(spec, 0.5, 0.5))
     ser = fn.extract(rec)
@@ -80,7 +79,6 @@ def test_floor_bounds_zero_eps_limit():
         R=1.0, eps=1.0,
         data=InitialDataFamily(k=3, amplitudes=(0.0, 0.0, 0.0, 0.0)),
         grid=GridSpec(dr=0.02, t_max=1.0),
-        enforce_hypotheses=False,
     )
     rec = run(spec, probes=fn.probes(spec, 0.5, 0.5))
     checks = fn.check_floor_bounds(rec)
@@ -135,9 +133,9 @@ def test_fundamental_identity_rejects_damped(damped_run):
         fn.check_fundamental_identity(damped_run)
 
 
-def test_log_seeds_double_critical(cusp_run, cusp_r_parameters):
+def test_log_seeds_double_critical(cusp_run, cusp_kernel):
     ser = fn.extract(cusp_run)
-    assert (ser.r1, ser.r2) == cusp_r_parameters  # the kernel of the record's probes
+    assert (ser.r1, ser.r2) == cusp_kernel  # the kernel of the record's probes
     checks = {c.bound_id.value: c for c in fn.check_log_seeds(cusp_run)}
     assert set(checks) == {"CurlyULog", "CurlyVLog"}
     assert checks["CurlyULog"].passed
@@ -161,7 +159,6 @@ def test_log_seeds_theta1_critical():
 
 def test_log_seeds_theta2_critical_uses_shift():
     from coupledwave.exponents import theta2_critical_p
-    from coupledwave.iteration import r_parameters
 
     q = 1.2
     p = theta2_critical_p(3, q)
@@ -170,8 +167,7 @@ def test_log_seeds_theta2_critical_uses_shift():
         R=1.0, eps=1.0, data=InitialDataFamily(k=3, amplitudes=(2.0, 2.0, 0.5, 0.5)),
         grid=GridSpec(dr=0.02, t_max=14.0),
     )
-    r1, r2 = r_parameters("theta2", 3, spec.pq)
-    rec = run(spec, probes=fn.probes(spec, r1, r2))
+    rec = run(spec, probes=fn.probes(spec))  # the kernel_exponents; the seed reads r2
     ser = fn.extract(rec)
     checks = {c.bound_id.value: c for c in fn.check_log_seeds(rec)}
     assert set(checks) == {"CurlyVLog"}
@@ -191,11 +187,11 @@ def test_log_seeds_reject_noncritical(standard_run):
         fn.check_log_seeds(standard_run)
 
 
-def test_log_seeds_reject_damped_critical(cusp_spec, cusp_r_parameters):
+def test_log_seeds_reject_damped_critical(cusp_spec, cusp_kernel):
     # refused by require_zero_damping, before any extraction
     spec = dataclasses.replace(cusp_spec, b1=DampingSpec.power_decay(0.5, 2.0),
                                grid=GridSpec(dr=0.04, t_max=0.5))
-    rec = run(spec, probes=fn.probes(spec, *cusp_r_parameters))
+    rec = run(spec, probes=fn.probes(spec, *cusp_kernel))
     with pytest.raises(ValueError, match="hold for zero damping only"):
         fn.check_log_seeds(rec)
 

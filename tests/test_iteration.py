@@ -21,7 +21,6 @@ from coupledwave.iteration import (
     IterationConstants,
     critical_sequences,
     divergence_driver,
-    r_parameters,
     subcritical_sequences,
     threshold_time,
     write_table_csv,
@@ -137,30 +136,23 @@ def test_iteration_constants_positive():
         con = IterationConstants.from_frame(n, (p, q), C=0.7, K=1.3,
                                             Ctilde=0.5, Ktilde=2.0,
                                             m1_0=0.6, m2_0=0.9)
-        for field in ("M", "N", "M1", "N1", "M2", "N2", "S"):
-            assert getattr(con, field) > 0, field
         # Nconst, Ntilde, E, E1, E2 are kept as logs: finite, so positive
         for field in ("log_Nconst", "log_Ntilde", "log_E", "log_E1", "log_E2"):
             assert math.isfinite(getattr(con, field)), field
-        assert con.S == pytest.approx(p * q / (p * q - 1) ** 2, rel=1e-13)
 
 
 def test_iteration_constants_large_exponent_in_log_space():
     # N1 = 2^(2(p+1)) pq overflows at p = 600; its log, and E1's, do not
+    # (tests/test_sympy_oracle.py pins the logs there)
     con = IterationConstants.from_frame(3, (600.0, 2.0))
-    assert con.N1 == math.inf
     assert math.isfinite(con.log_E1) and math.isfinite(con.log_E)
-    small = IterationConstants.from_frame(3, (2.0, 2.0))
-    assert small.N == pytest.approx(2.0**4 * 4.0, rel=1e-14)
-    assert small.N1 == pytest.approx(2.0**6 * 4.0, rel=1e-14)
-    assert small.N2 == pytest.approx(2.0**2 * 4.0**3, rel=1e-14)
 
 
 def test_threshold_subcritical_example():
     # theta1 = 1/6 at n = 3, p = q = 2: T = 2^15 N^-3 10^6 at eps = 0.1
     con = IterationConstants.from_frame(3, (2.0, 2.0))
     th = threshold_time(con, 0.1)
-    assert th.formula_id == "subcritical-theta1"
+    assert th.family == "subcritical-v"
     assert th.T == pytest.approx(2.0**15 * math.exp(con.log_Nconst) ** -3 * 1e6, rel=1e-12)
 
 
@@ -183,8 +175,8 @@ def test_threshold_uses_dominant_theta_branch():
     assert theta2(n, (p, q)) > theta1(n, (p, q)) > 0
     con = IterationConstants.from_frame(n, (p, q))
     th = threshold_time(con, 0.5)
-    assert th.formula_id == "subcritical-theta2"
-    drv = divergence_driver("subcritical-uprime", con, 0.5, log_t=th.log_T)
+    assert th.family == "subcritical-uprime"
+    drv = divergence_driver(th.family, con, 0.5, log_t=th.log_T)
     assert drv == pytest.approx(1.0, abs=1e-9)
 
 
@@ -211,8 +203,7 @@ def test_divergence_driver_matches_thresholds_all_regions():
     for family, n, pq, region, con in cases:
         assert classify(n, pq).region is region
         th = threshold_time(con, 0.7)
-        if region is not Region.SUBCRITICAL:  # the region the exponents decide
-            assert th.formula_id == family
+        assert th.family == family
         drv = divergence_driver(family, con, 0.7, log_t=th.log_T)
         assert drv == pytest.approx(1.0, abs=1e-9), family
 
@@ -226,31 +217,12 @@ def test_divergence_certificate_monotone(standard_spec):
     assert divergence_driver(tv.family, con, 0.5, log_t=th.log_T + math.log(2.0)) > 1.0
 
 
-def test_r_parameters():
-    q1 = theta1_critical_q(3, 2.0)
-    r1, r2 = r_parameters("theta1", 3, (2.0, q1))
-    assert r1 == pytest.approx(0.5, abs=1e-12)
-    assert r2 > 0.5 * (3 - 1) - 1.0 / q1
-    assert r1 > -1 and r2 > -1
-
-    c = cusp_exponents(3)
-    r1, r2 = r_parameters("double", 3, (c.p_mix, c.q_mix))
-    # exchange identities at the cusp
-    assert r1 == pytest.approx(3 - 1 - 0.5 * (3 - 1) * c.q_mix, abs=1e-12)
-    assert r2 == pytest.approx(3 - 0.5 * (3 - 1) * c.p_mix, abs=1e-12)
-
-    with pytest.raises(ValueError):
-        r_parameters("theta1", 3, (2.0, 2.0))
-
-
 @pytest.mark.parametrize("case", ["theta1", "theta2", "double"])
 def test_off_curve_message_shared(case):
-    # (2, 2) at n = 3 is subcritical: on neither curve
+    # (2, 2) at n = 3 is subcritical: on neither curve, and the message
+    # names the case
     with pytest.raises(ValueError) as seq:
         critical_sequences(case, 3, (2.0, 2.0), 5)
-    with pytest.raises(ValueError) as rpar:
-        r_parameters(case, 3, (2.0, 2.0))
-    assert str(seq.value) == str(rpar.value)
     assert str(seq.value).startswith(f"(p, q) is not {case}-critical: theta1 = ")
 
 
@@ -337,8 +309,6 @@ def test_from_frame_tiny_constant_in_log_space():
     assert con.log_E == pytest.approx(base.log_E + (x - 1.0) * log_c, rel=1e-12)
     assert con.log_E1 == pytest.approx(base.log_E1 + (x - 1.0) * 2.0 * log_c, rel=1e-12)
     assert con.log_E2 == pytest.approx(base.log_E2 + (x - 1.0) * log_c, rel=1e-12)
-    assert con.M1 == 0.0
-    assert con.M == pytest.approx(base.M * 1e-300, rel=1e-9)
 
 
 def test_subcritical_constants_stay_in_log_space():
@@ -357,14 +327,13 @@ def test_subcritical_constants_stay_in_log_space():
         base.log_Nconst + log_c / (x - 1.0), rel=1e-12
     )
     th = threshold_time(con, 0.5)
-    assert th.formula_id == "subcritical-theta2"
+    assert th.family == "subcritical-uprime"
     assert math.isfinite(th.log_T)
-    drv = divergence_driver("subcritical-uprime", con, 0.5, log_t=th.log_T)
+    drv = divergence_driver(th.family, con, 0.5, log_t=th.log_T)
     assert drv == pytest.approx(1.0, rel=1e-12)
 
 
-DERIVED = ("M", "N", "M1", "N1", "M2", "N2", "S",
-           "log_E", "log_E1", "log_E2", "log_Ntilde", "log_Nconst")
+DERIVED = ("log_E", "log_E1", "log_E2", "log_Ntilde", "log_Nconst")
 
 
 def test_replace_recomputes_derived_constants():

@@ -134,12 +134,6 @@ def blowup_points(draw, where):
     return n, pq
 
 
-# the driver family whose root each threshold formula is
-FAMILY = {"subcritical-theta1": "subcritical-v", "subcritical-theta2": "subcritical-uprime",
-          "critical-theta1": "critical-theta1", "critical-theta2": "critical-theta2",
-          "critical-double": "critical-double"}
-
-
 @pytest.mark.parametrize("where", BLOWUP_REGIONS, ids=lambda w: getattr(w, "value", w))
 @settings(SETTINGS, max_examples=12)
 @given(data=st.data(), eps=st.lists(st.floats(0.3, 0.9), min_size=2, max_size=2),
@@ -158,7 +152,7 @@ def test_threshold_eps_exponent_is_the_predicted_one(where, data, eps, consts):
     slope = (h1 - h2) / math.log(e1 / e2)
     assert slope == pytest.approx(lifespan_prediction(n, pq).exponent, rel=1e-9)
     for e, th in zip(eps, ths):
-        drv = divergence_driver(FAMILY[th.formula_id], con, e, log_t=th.log_T)
+        drv = divergence_driver(th.family, con, e, log_t=th.log_T)
         assert drv == pytest.approx(1.0, rel=1e-12)
 
 

@@ -1,6 +1,6 @@
 """Exact-arithmetic (sympy) checks of the cusp algebra, the
-subcritical power closed forms, the threshold formulas and the sum
-identities of the iteration.
+subcritical power closed forms, the threshold formulas, the sum
+identities of the iteration and the logs of its constants.
 
 The closed forms are written here as the paper states them, then
 checked symbolically against the equations they solve, and the
@@ -59,31 +59,31 @@ def test_subcritical_power_closed_forms_solve_their_recursions():
         assert table.t_power_closed.tolist() == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
-# Each family's divergence driver as coefficient * h_var^power, where
-# h_var is T (subcritical) or log T (critical), and the paper's closed
-# threshold, the value of h_var at which the driver is 1.  N, Nt, E, E1,
-# E2 stand for Nconst, Ntilde and the critical lifespan constants.
+# Each driver family's divergence driver as coefficient * h_var^power,
+# where h_var is T (subcritical) or log T (critical), and the paper's
+# closed threshold, the value of h_var at which the driver is 1.  N, Nt,
+# E, E1, E2 stand for Nconst, Ntilde and the critical lifespan constants.
 n, p, q, eps, N, Nt, E, E1, E2 = sp.symbols("n p q epsilon N Ntilde E E1 E2", positive=True)
 x = p * q
 th1 = (q + 1 + 1 / p) / (x - 1) - (n - 1) / 2
 th2 = (2 + 1 / q) / (x - 1) - (n - 1) / 2
 DRIVERS = {
-    "subcritical-theta1": (
-        "subcritical-v", eps**p * 2 ** (-((n - 1) * p / 2 + n)) * N, p * th1,
+    "subcritical-v": (
+        eps**p * 2 ** (-((n - 1) * p / 2 + n)) * N, p * th1,
         2 ** (((n - 1) / 2 + n / p) / th1) * N ** (-1 / (p * th1)) * eps ** (-1 / th1),
     ),
-    "subcritical-theta2": (
-        "subcritical-uprime", eps**q * 2 ** (-((n - 1) * q / 2 + n)) * Nt, q * th2,
+    "subcritical-uprime": (
+        eps**q * 2 ** (-((n - 1) * q / 2 + n)) * Nt, q * th2,
         2 ** (((n - 1) / 2 + n / q) / th2) * Nt ** (-1 / (q * th2)) * eps ** (-1 / th2),
     ),
     "critical-theta1": (
-        "critical-theta1", E * eps**x, q / (x - 1), E ** (-(x - 1) / q) * eps ** (-p * (x - 1)),
+        E * eps**x, q / (x - 1), E ** (-(x - 1) / q) * eps ** (-p * (x - 1)),
     ),
     "critical-theta2": (
-        "critical-theta2", E1 * eps**x, p / (x - 1), E1 ** (-(x - 1) / p) * eps ** (-q * (x - 1)),
+        E1 * eps**x, p / (x - 1), E1 ** (-(x - 1) / p) * eps ** (-q * (x - 1)),
     ),
     "critical-double": (
-        "critical-double", E2 * eps**q, (q + 1) / (x - 1),
+        E2 * eps**q, (q + 1) / (x - 1),
         E2 ** (-(x - 1) / (q + 1)) * eps ** (-q * (x - 1) / (q + 1)),
     ),
 }
@@ -93,9 +93,9 @@ def _log(expr):
     return sp.expand_log(sp.log(expr), force=True)
 
 
-@pytest.mark.parametrize("formula", sorted(DRIVERS))
-def test_threshold_closed_forms_solve_their_driver_equations(formula):
-    _, coeff, power, closed = DRIVERS[formula]
+@pytest.mark.parametrize("family", sorted(DRIVERS))
+def test_threshold_closed_forms_solve_their_driver_equations(family):
+    coeff, power, closed = DRIVERS[family]
     h = sp.Symbol("h")  # log of T (subcritical) or of log T (critical)
     (root,) = sp.solve(sp.Eq(_log(coeff) + power * h, 0), h)
     assert sp.simplify(root - _log(closed)) == 0
@@ -115,19 +115,19 @@ def _sampled_constants():
 @pytest.mark.parametrize("e", [0.9, 0.35, 0.05])
 def test_threshold_time_is_the_closed_form(con, e):
     th = threshold_time(con, e)
-    family, coeff, power, closed = DRIVERS[th.formula_id]
+    coeff, power, closed = DRIVERS[th.family]
     logs = {sp.log(N): con.log_Nconst, sp.log(Nt): con.log_Ntilde, sp.log(E): con.log_E,
             sp.log(E1): con.log_E1, sp.log(E2): con.log_E2}
     point = {n: con.n, p: sp.Float(con.p, 40), q: sp.Float(con.q, 40), eps: sp.Float(e, 40)}
     h_T = float(_log(closed).subs(logs).evalf(40, subs=point))  # log T, or log log T
-    critical = th.formula_id.startswith("critical-")
+    critical = th.family.startswith("critical-")
     log_T = math.exp(h_T) if critical else h_T
     assert th.log_T == pytest.approx(log_T, rel=1e-12, abs=0.0)
     # the driver is the family's coefficient times its power of T (or of
     # log T), here at t = sqrt(T)
     h = math.log(0.5 * log_T) if critical else 0.5 * log_T
     drv = float((_log(coeff) + power * h).subs(logs).evalf(40, subs=point))
-    assert divergence_driver(family, con, e, log_t=0.5 * log_T) == pytest.approx(
+    assert divergence_driver(th.family, con, e, log_t=0.5 * log_T) == pytest.approx(
         math.exp(drv), rel=1e-12)
 
 
@@ -142,7 +142,35 @@ def test_sum_identities_and_the_limit_S():
     ) == 0
     S = sp.summation(k * x ** (-k), (k, 1, sp.oo))
     assert sp.simplify(S - x / (x - 1) ** 2) == 0
-    for dim, pq in [(3, (2.0, 2.0)), (2, (3.0, 1.1)), (5, (1.3, 1.7))]:
-        con = IterationConstants.from_frame(dim, pq)
-        exact = S.subs(y, sp.Float(con.p, 40) * sp.Float(con.q, 40) - 1).evalf(40)
-        assert con.S == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+
+def _product_constants(con):
+    """Nconst, Ntilde, E, E1, E2 of ``con`` from their product
+    definitions, at 40 digits, where no product leaves range."""
+    n, p, q, C, K, Ct, Kt, m1, m2 = (
+        sp.Float(getattr(con, name), 40)
+        for name in ("n", "p", "q", "C", "K", "Ctilde", "Ktilde", "m1_0", "m2_0"))
+    x, two = p * q, sp.Integer(2)
+    S = x / (x - 1) ** 2
+    M = two ** (-q * (3 * n + 4)) * C * K**q * (x - 1) / x
+    M1 = two ** (-3 * n * p - 6) * K * C**p * (x - 1) / x
+    M2 = two ** (-5 * q - 2) * C * K**q * ((x - 1) / (q * (p + 1))) ** (q + 1)
+    N, N1, N2 = two ** (2 * q) * x, two ** (2 * (p + 1)) * x, two**q * x ** (q + 1)
+    Msub = C * K**p * (n + 1 + (p + 2) / (x - 1)) ** (-(p + 2))
+    Msub_t = K * C**q * (n + (2 * q + 1) / (x - 1)) ** (-(2 * q + 1))
+    return {
+        "log_Nconst": m2 * Kt / (n * (n + 1)) * x ** (-(p + 2) * S) * Msub ** (1 / (x - 1)),
+        "log_Ntilde": m1 * Ct / n * x ** (-(2 * q + 1) * S) * Msub_t ** (1 / (x - 1)),
+        "log_E": two ** (-q * (2 * p - 1) / (x - 1)) * Ct * N ** (-S) * M ** (x - 1),
+        "log_E1": two ** (-p * (2 * q - 1) / (x - 1)) * Kt * N1 ** (-S) * M1 ** (x - 1),
+        "log_E2": two ** (-(2 + (q + 1) / (x - 1))) * Ct * N2 ** (-S) * M2 ** (x - 1),
+    }
+
+
+@pytest.mark.parametrize(
+    "con", [*_sampled_constants(), IterationConstants.from_frame(3, (600.0, 2.0))],
+    ids=lambda c: f"n{c.n}-p{c.p:.4g}-q{c.q:.4g}")
+def test_constant_logs_are_their_product_definitions(con):
+    # at p = 600, N1 = 2^1202 pq and E1 are far beyond double range
+    for name, value in _product_constants(con).items():
+        assert getattr(con, name) == pytest.approx(float(sp.log(value)), rel=1e-12, abs=0.0), name
