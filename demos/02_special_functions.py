@@ -16,6 +16,7 @@ from coupledwave import (
     KernelConfig,
     cusp_exponents,
     eta,
+    kernel_exponents,
     multiplier,
     phi,
     psi_moment,
@@ -43,9 +44,9 @@ for label, b in [
     print(f"{label:<24} {vals}")
 
 print("\n--- kernels ---")
-cfg = KernelConfig(r=0.0, lambda0=1.0, R=1.0)
+cfg = KernelConfig(r=0.0, R=1.0)
 print(f"eta(t=0, s=0, x=0) = {eta(cfg, 3, 0, 0, 0.0):.9g}  (= 4 pi (1 - 1/e))")
-cfg5 = KernelConfig(r=0.5, lambda0=1.0, R=1.0)
+cfg5 = KernelConfig(r=0.5, R=1.0)
 a = eta(cfg5, 2, 5.0, 2.0, 1.0)
 b = eta(KernelConfig(r=0.5, quad_nodes=128), 2, 5.0, 2.0, 1.0)
 print(f"eta(r=0.5, t=5, s=2, x=1) = {a:.9g}; node doubling moves it by {abs(a - b) / b:.1e}")
@@ -54,7 +55,7 @@ print(f"xi  >= eta check: {xi(cfg5, 2, 5.0, 2.0, 1.0):.9g} >= {a:.9g}")
 print("\n--- kernel bound constants (empirical minima/maxima of ratios) ---")
 n = 3
 c = cusp_exponents(n)
-r1 = 0.5 * (n - 1) - 1.0 / c.p_mix
+r1 = kernel_exponents(n, (c.p_mix, c.q_mix))[0]
 for rep in verify_kernel_bounds(KernelConfig(r=r1, R=1.0), n, 50.0):
     print(
         f"{rep.bound_id.value:<9} min_ratio={rep.min_ratio:.4g} "

@@ -36,7 +36,7 @@ spec = ProblemSpec(
 )
 
 print("integrating ...")
-rec = run(spec, probes=fn.probes(spec, r1=0.5, r2=0.5))
+rec = run(spec, probes=fn.probes(spec))
 print(f"blew_up = {rec.blew_up}, t_blowup = {rec.t_blowup:.4f}")
 print(f"samples: {len(rec.times)}, final sup norms {rec.sup_norms[-1]} "
       f"(crossed by {rec.crossed})")

@@ -53,7 +53,7 @@ _FLAG_FIELDS = {"n": ("problem", "n"), "p": ("problem", "p"), "q": ("problem", "
 
 
 def _config(args):
-    """The run's configuration, (SweepConfig, kernel parameters), whose
+    """The run's configuration, (SweepConfig, ``probes`` keywords), whose
     ``base`` is the problem: the defaults overlaid with the verb's own,
     the --config file and the flags given, in turn, with every section
     checked whichever of them the verb uses."""

@@ -3,10 +3,10 @@
 A single document with sections {problem, grid, damping1, damping2,
 data, kernels, sweep}; every field has a default (``DEFAULT_CONFIG``),
 so one file fully reproduces any run.  Damping families are zero,
-power-decay and exp-decay; ``kernels.r1``/``r2`` may be null (the
-kernel exponents), every number must be finite, and ``kernels.lambda0``
-and ``kernels.quad_nodes`` must pass ``KernelConfig``'s checks.  The
-grid ends at R + t_max + 10 dr.  Example:
+power-decay and exp-decay; every number must be finite.  The kernel's
+one field is ``kernels.quad_nodes`` (its exponents come from n, p, q
+and its cutoff is fixed), held to ``KernelConfig``'s bounds.  The grid
+ends at R + t_max + 10 dr.  Example:
 
     {
       "problem": {"n": 3, "p": 2.0, "q": 2.0, "eps": 1.0, "R": 1.0},
@@ -15,7 +15,7 @@ grid ends at R + t_max + 10 dr.  Example:
       "damping1": {"family": "zero"},
       "damping2": {"family": "power-decay", "mu": 0.5, "beta": 2.0},
       "data": {"k": 3, "amplitudes": [4.0, 4.0, 4.0, 4.0]},
-      "kernels": {"lambda0": 1.0, "quad_nodes": 64},
+      "kernels": {"quad_nodes": 64},
       "sweep": {"eps_values": [1.6, 1.4, 1.2, 1.0], "repeats": 2}
     }
 
@@ -48,7 +48,7 @@ DEFAULT_CONFIG = {
     "damping1": {"family": "zero", "mu": 0.0, "beta": 2.0},
     "damping2": {"family": "zero", "mu": 0.0, "beta": 2.0},
     "data": {"k": 3, "amplitudes": [4.0, 4.0, 4.0, 4.0]},
-    "kernels": {"lambda0": 1.0, "quad_nodes": 64, "r1": None, "r2": None},
+    "kernels": {"quad_nodes": 64},
     "sweep": {"eps_values": [1.6, 1.4, 1.2, 1.0, 0.9, 0.8], "repeats": 2},
 }
 # a verb's own defaults, laid between DEFAULT_CONFIG and its --config file:
@@ -190,19 +190,13 @@ def sweep_config_from_config(cfg: dict) -> SweepConfig:
 
 
 def kernel_params_from_config(cfg: dict) -> dict:
-    """The kernel fields, with lambda0 and quad_nodes held to the bounds
-    of ``KernelConfig``."""
-    k = cfg["kernels"]
-    params = {
-        "lambda0": _as_float(k["lambda0"], "kernels.lambda0"),
-        "quad_nodes": _as_int(k["quad_nodes"], "kernels.quad_nodes"),
-        "r1": None if k["r1"] is None else _as_float(k["r1"], "kernels.r1"),
-        "r2": None if k["r2"] is None else _as_float(k["r2"], "kernels.r2"),
-    }
-    # KernelConfig states the bounds; r = 0 is valid, and each message
+    """The keyword arguments of ``functionals.probes``: quad_nodes, held
+    to the bounds of ``KernelConfig``."""
+    quad_nodes = _as_int(cfg["kernels"]["quad_nodes"], "kernels.quad_nodes")
+    # KernelConfig states the bound; r = 0 is valid, and its message
     # starts with the field's name
     try:
-        KernelConfig(r=0.0, lambda0=params["lambda0"], quad_nodes=params["quad_nodes"])
+        KernelConfig(r=0.0, quad_nodes=quad_nodes)
     except ValueError as exc:
         raise ConfigError(f"kernels.{exc}") from exc
-    return params
+    return {"quad_nodes": quad_nodes}

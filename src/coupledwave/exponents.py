@@ -167,9 +167,9 @@ def theta2(n, pq) -> float:
 def kernel_exponents(n, pq) -> tuple[float, float]:
     """Kernel exponents r1 = (n-1)/2 - 1/p and r2 = (n-1)/2 - 1/q of
     curlyU and curlyV: their equality values on the critical curves and
-    ``functionals.probes``' default.  The theta1-critical log seed reads
-    curlyU (r1), the theta2-critical one curlyV (r2), and at the cusp,
-    where both equalities hold, r1 = n - 1 - (n-1)q/2 and r2 = n -
+    the kernel of ``functionals.probes``.  The theta1-critical log seed
+    reads curlyU (r1), the theta2-critical one curlyV (r2), and at the
+    cusp, where both equalities hold, r1 = n - 1 - (n-1)q/2 and r2 = n -
     (n-1)p/2 (the exchange identities)."""
     n = check_dimension(n)
     pq = as_pair(pq)

@@ -18,20 +18,20 @@ All spatial quadrature is trapezoidal on the solver grid, matching the
 scheme's order.  Bound checks fit the (unknown) constants at the window
 start and test the claimed shape, not absolute constants.
 
-Every series is read from one record: ``run(spec, probes=probes(spec,
-r1, r2, lambda0, quad_nodes))`` projects the profiles and the nonlinear
-sources |v|^q, |u_t|^p at each sample.  Every source carries two head
-rows, the radial weights and the Phi-weighted radial weights; u_t,
-|v|^q, v and |u_t|^p also carry the quad_nodes rows of their kernel
-lam-basis, one basis per distinct exponent (r1 for u_t and |v|^q, r2
-for v and |u_t|^p).  Memory grows with samples * quad_nodes, not
-samples * grid points.  ``extract``, ``nonlinearity_integrals`` and
-every check take the record alone: they read row slices of those
-projections, the problem (eps, damping, data) from ``record.spec`` and
-the kernel rows with the (r1, r2, lambda0, quad_nodes) the record
-carries as ``record.kernel``.  The identity check projects the data
-terms u0 and v1 from ``record.spec``'s data itself, on the grid points
-inside B_R.
+The kernel is the paper's: exponents r1, r2 from ``kernel_exponents``,
+cutoff ``special.LAMBDA0``, and quad_nodes lam-nodes.  Every series is
+read from one record: ``run(spec, probes=probes(spec, quad_nodes))``
+projects the profiles and the nonlinear sources |v|^q, |u_t|^p at each
+sample.  Every source carries two head rows, the radial weights and the
+Phi-weighted radial weights; u_t, |v|^q, v and |u_t|^p also carry the
+quad_nodes rows of their kernel lam-basis, one basis per distinct
+exponent (r1 for u_t and |v|^q, r2 for v and |u_t|^p).  Memory grows
+with samples * quad_nodes, not samples * grid points.  ``extract``,
+``nonlinearity_integrals`` and every check take the record alone: they
+read row slices of those projections, the problem and the kernel
+exponents from ``record.spec``, and quad_nodes from the projections'
+width.  The identity check projects the data terms u0 and v1 from
+``record.spec``'s data itself, on the grid points inside B_R.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ class FunctionalSeries:
     """Sampled functional values over a run.
 
     U, Uprime, V, Vprime are plain spatial integrals; U1, V1, U2 the
-    Psi-weighted ones; curlyU, curlyV the kernel-weighted ones with the
-    kernel exponents (r1, r2) recorded.
+    Psi-weighted ones; curlyU, curlyV the kernel-weighted ones, with the
+    spec's ``kernel_exponents``.
     """
 
     times: np.ndarray
@@ -97,8 +97,6 @@ class FunctionalSeries:
     U2: np.ndarray
     curlyU: np.ndarray
     curlyV: np.ndarray
-    r1: float
-    r2: float
 
 
 @dataclass(frozen=True)
@@ -139,39 +137,23 @@ class BoundCheck:
 def _projections(record: SolutionRecord, kernel: bool = True) -> dict:
     """``record.projections``, checked to start with the rows of
     ``integral_probes`` on every source (as ``probes(spec, ...)`` do)
-    and, with ``kernel``, to carry the ``kernel`` stamp of ``probes``
-    and its widths: 2 columns on HEAD_SOURCES, quad_nodes + 2 on the
-    others."""
+    and, with ``kernel``, to have the widths of ``probes``: 2 columns on
+    HEAD_SOURCES, one width quad_nodes + 2 >= 18 on the others."""
     proj = record.projections
-    if (not record.integrals or not all(name in proj for name in PROBE_SOURCES)
-            or (kernel and record.kernel is None)):
-        raise ValueError(
-            "record needs the projections of probes(spec, r1, r2, lambda0, quad_nodes); "
-            "pass them to run(spec, probes=...)"
-        )
-    if kernel:
-        for name in PROBE_SOURCES:
-            width = 2 if name in HEAD_SOURCES else 2 + record.kernel[3]
-            if proj[name].shape[1] != width:
-                raise ValueError(
-                    f"projection {name!r} has {proj[name].shape[1]} columns; the kernel "
-                    f"stamp {record.kernel} of the record expects {width}"
-                )
+    if not record.integrals or not all(name in proj for name in PROBE_SOURCES):
+        raise ValueError("record needs the projections of probes(spec, quad_nodes); "
+                         "pass them to run(spec, probes=...)")
+    widths = {name: proj[name].shape[1] for name in PROBE_SOURCES}
+    if kernel and not (widths["u"] == widths["vt"] == 2
+                       and widths["ut"] == widths["v"] == widths["|v|^q"] == widths["|u_t|^p"] >= 18):
+        raise ValueError(f"projection widths {widths} are not those of probes(spec, quad_nodes): "
+                         "2 columns on u and vt, one width quad_nodes + 2 >= 18 on the others")
     return proj
 
 
-class _KernelProbes(IntegralProbes):
-    """The probe mapping of ``probes``, stamped with ``kernel`` = (r1, r2,
-    lambda0, quad_nodes); ``run`` copies the stamp to the record."""
-
-    def __init__(self, mats: dict, kernel: tuple):
-        super().__init__(mats)
-        self.kernel = kernel
-
-
-def _kernel_nodes(spec, r, lambda0, quad_nodes):
+def _kernel_nodes(spec, r, quad_nodes):
     """Nodes lam and weights wl of the kernel with exponent r."""
-    return kernel_nodes(KernelConfig(r=r, lambda0=lambda0, R=spec.R, quad_nodes=quad_nodes))
+    return kernel_nodes(KernelConfig(r=r, R=spec.R, quad_nodes=quad_nodes))
 
 
 def _kernel_basis(n, points, weights, lam):
@@ -200,8 +182,7 @@ def _diag_kernel_series(times, R, lam, wl, proj):
     return fac @ wl
 
 
-def probes(spec: ProblemSpec, r1: float | None = None, r2: float | None = None,
-           lambda0: float = 1.0, quad_nodes: int = 64) -> dict:
+def probes(spec: ProblemSpec, quad_nodes: int = 64) -> IntegralProbes:
     """Probe matrices for ``run(spec, probes=...)`` whose projections
     ``extract``, ``nonlinearity_integrals`` and
     ``check_fundamental_identity`` read.
@@ -212,40 +193,31 @@ def probes(spec: ProblemSpec, r1: float | None = None, r2: float | None = None,
     carry these two head rows only.  The other four sources carry
     ``quad_nodes`` more rows, a kernel basis of exponent r1 for u_t and
     |v|^q (curlyU and its source) and r2 for v and |u_t|^p (curlyV and
-    its source); a None exponent is that of ``kernel_exponents(spec.n,
-    spec.pq)``.  There is one basis matrix per distinct exponent, so
-    with r1 == r2 one matrix serves all four; the identity check
-    projects the data terms u0 and v1 from the spec's data instead.
-    The mapping carries ``kernel`` = (r1, r2, lambda0, quad_nodes),
-    which the run records and the readers use.
+    its source), with (r1, r2) = ``kernel_exponents(spec.n, spec.pq)``.
+    There is one basis matrix per distinct exponent, so with r1 == r2
+    one matrix serves all four; the identity check projects the data
+    terms u0 and v1 from the spec's data instead.  The readers take
+    quad_nodes back from the width of the kernel rows.
     """
-    k1, k2 = kernel_exponents(spec.n, spec.pq)
-    r1 = k1 if r1 is None else r1
-    r2 = k2 if r2 is None else r2
+    r1, r2 = kernel_exponents(spec.n, spec.pq)
     grid = radial_grid(spec)
     w = integral_probes(spec)["u"]  # one row, the same for every source
     head = np.vstack((w, w * phi(spec.n, grid)))
-
-    def rows(r):
-        return np.vstack((head, _kernel_basis(spec.n, grid, w, _kernel_nodes(spec, r, lambda0, quad_nodes)[0])))
-
-    basis1 = rows(r1)
-    basis2 = basis1 if r2 == r1 else rows(r2)
-    return _KernelProbes({"u": head, "ut": basis1, "v": basis2, "vt": head,
-                          "|v|^q": basis1, "|u_t|^p": basis2},
-                         (float(r1), float(r2), float(lambda0), int(quad_nodes)))
+    basis = {r: np.vstack((head, _kernel_basis(spec.n, grid, w, _kernel_nodes(spec, r, quad_nodes)[0])))
+             for r in {r1, r2}}
+    return IntegralProbes({"u": head, "ut": basis[r1], "v": basis[r2], "vt": head,
+                           "|v|^q": basis[r1], "|u_t|^p": basis[r2]})
 
 
 def extract(record: SolutionRecord) -> FunctionalSeries:
-    """All nine functional series of a run with ``probes(spec, r1, r2,
-    lambda0, quad_nodes)``, whose kernel the record carries."""
+    """All nine functional series of a run with ``probes(spec, ...)``."""
     spec = record.spec
     proj = _projections(record)
-    r1, r2, lambda0, quad_nodes = record.kernel
+    r1, r2 = kernel_exponents(spec.n, spec.pq)
     decay = np.exp(-record.times)
 
     def curly(r, name):
-        lam, wl = _kernel_nodes(spec, r, lambda0, quad_nodes)
+        lam, wl = _kernel_nodes(spec, r, proj[name].shape[1] - 2)  # quad_nodes
         return _diag_kernel_series(record.times, spec.R, lam, wl, proj[name][:, 2:])
 
     return FunctionalSeries(
@@ -259,8 +231,6 @@ def extract(record: SolutionRecord) -> FunctionalSeries:
         U2=decay * proj["ut"][:, 1],
         curlyU=curly(r1, "ut"),
         curlyV=curly(r2, "v"),
-        r1=r1,
-        r2=r2,
     )
 
 
@@ -386,8 +356,8 @@ def check_fundamental_identity(record: SolutionRecord, checkpoints=None):
     """Residuals of the exact integral representations of curlyU, curlyV.
 
     Valid for the undamped system only.  ``record`` must come from
-    ``run(spec, probes=probes(spec, r1, r2, lambda0, quad_nodes))``:
-    with the kernel the record carries, the check reads the kernel rows
+    ``run(spec, probes=probes(spec, quad_nodes))``: with the spec's
+    ``kernel_exponents`` (r1, r2), the check reads the kernel rows
     of u_t and v (curlyU, curlyV, and the data u1, v0 at sample 0) and
     of |v|^q and |u_t|^p (the sources).  The data terms u0 (on the
     r1 + 2 kernel) and v1 (on the r2 kernel) it projects from
@@ -399,7 +369,8 @@ def check_fundamental_identity(record: SolutionRecord, checkpoints=None):
     spec = record.spec
     require_zero_damping(spec)
     proj = {name: rows[:, 2:] for name, rows in _projections(record).items() if name not in HEAD_SOURCES}
-    r1, r2, lambda0, quad_nodes = record.kernel
+    quad_nodes = proj["ut"].shape[1]
+    r1, r2 = kernel_exponents(spec.n, spec.pq)
 
     times = record.times
     if checkpoints is None:
@@ -409,7 +380,7 @@ def check_fundamental_identity(record: SolutionRecord, checkpoints=None):
         checkpoints = [int(np.argmin(np.abs(times - tc))) for tc in checkpoints]
 
     (lam1s, wl1s), (lam1, wl1), (lam2, wl2) = (
-        _kernel_nodes(spec, r, lambda0, quad_nodes) for r in (r1 + 2.0, r1, r2))
+        _kernel_nodes(spec, r, quad_nodes) for r in (r1 + 2.0, r1, r2))
     curlyU = _diag_kernel_series(times[checkpoints], spec.R, lam1, wl1, proj["ut"][checkpoints])
     curlyV = _diag_kernel_series(times[checkpoints], spec.R, lam2, wl2, proj["v"][checkpoints])
     # u1 and v0 are the sources at sample 0

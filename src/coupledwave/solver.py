@@ -203,11 +203,9 @@ class SolutionRecord:
     ``projections`` maps each probe source given to ``run`` to the
     (N, K) array of its probe matrix applied to the source at the N
     sampled times (row i belongs to ``times[i]``); it is empty when the
-    run had no probes.  ``kernel`` is the ``kernel`` stamp of the probes
-    mapping, the (r1, r2, lambda0, quad_nodes) of ``functionals.probes``,
-    and None for probes without one; ``integrals`` is True when the
-    probes were an ``IntegralProbes`` mapping, whose row 0 is the radial
-    weights on every source.
+    run had no probes.  ``integrals`` is True when the probes were an
+    ``IntegralProbes`` mapping, whose row 0 is the radial weights on
+    every source.
     ``crossed`` names the field whose sup norm was largest on the
     crossing row (``"u"``, ``"u_t"`` or ``"v"``), None without blow-up.
     ``steps`` counts the leapfrog levels after t = 0 (one per sup-norm
@@ -234,7 +232,6 @@ class SolutionRecord:
     cone_spill: float = 0.0
     crossed: str | None = None
     projections: dict = field(default_factory=dict)
-    kernel: tuple | None = None
     integrals: bool = False
 
     @property
@@ -270,11 +267,9 @@ def radial_weights(r: np.ndarray, n: int) -> np.ndarray:
 
 class IntegralProbes(dict):
     """A probe mapping whose row 0 on every source is the radial
-    weights; ``run`` records ``integrals`` and the ``kernel`` stamp of
-    the rows stacked under it."""
+    weights; ``run`` records ``integrals``."""
 
     integrals = True
-    kernel = None
 
 
 def integral_probes(spec: ProblemSpec) -> IntegralProbes:
@@ -525,9 +520,9 @@ def run(spec: ProblemSpec, probes=None) -> SolutionRecord:
     matrix product per block for all sources that share one matrix
     object, straight into preallocated output rows; probes never feed
     back into the scheme.  Identity matrices give back the sampled
-    profiles themselves.  A ``kernel`` attribute of the mapping (as on
-    ``functionals.probes``) is copied to ``SolutionRecord.kernel``, and
-    an ``integrals`` one (``integral_probes``) to ``SolutionRecord.integrals``.
+    profiles themselves.  An ``integrals`` attribute of the mapping (as
+    on ``integral_probes`` and ``functionals.probes``) is copied to
+    ``SolutionRecord.integrals``.
 
     This is ``run_batch`` with one row.
     """
@@ -584,7 +579,7 @@ class _Batch:
         dt = grid.dt
         r = radial_grid(spec)
         m = r.size
-        self.stamps = getattr(probes, "kernel", None), getattr(probes, "integrals", False)
+        self.integrals = getattr(probes, "integrals", False)
         probes = {name: np.asarray(mat, dtype=float) for name, mat in (probes or {}).items()}
         for name, mat in probes.items():
             if name not in PROBE_SOURCES:
@@ -787,7 +782,6 @@ class _Batch:
         row = self.rows[i]
         sup_norms = self.sup[i, :s].copy()
         blew_up = t_blowup is not None
-        kernel, integrals = self.stamps
         records[row.id] = SolutionRecord(
             spec=self.specs[row.id],
             r=self.r,
@@ -804,8 +798,7 @@ class _Batch:
             cone_spill=float(self.core.spill[:, i].max()),
             crossed=SUP_FIELDS[int(sup_norms[-1].argmax())] if blew_up else None,
             projections={} if row.projector is None else row.projector.projections(),
-            kernel=kernel,
-            integrals=integrals,
+            integrals=self.integrals,
         )
 
 

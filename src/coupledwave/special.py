@@ -10,7 +10,7 @@ closed-form-tail damping families, and the kernel pair
     xi_r(t, s, x)  = int_0^lam0 exp(-lam (R+t)) cosh(lam(t-s))
                      Phi(lam x) lam^r dlam,
 
-together with numerical verification of their pointwise bounds.
+with lam0 = LAMBDA0 = 1, and numerical checks of their pointwise bounds.
 
 Quadrature notes: the sphere integral defining Phi for n >= 2 reduces to
 int_{-1}^{1} exp(r*tau) (1-tau^2)^{(n-3)/2} dtau, handled exactly by a
@@ -65,6 +65,8 @@ PHI_BLOCK = 1024
 # exponent * width of a panel.
 MOMENT_NODES = 64
 MOMENT_SPAN = 16.0
+# the kernels' lam-cutoff lam0
+LAMBDA0 = 1.0
 
 
 @lru_cache(maxsize=128)
@@ -305,19 +307,16 @@ def multiplier(b: DampingSpec, t):
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Parameters of the kernel family: exponent r > -1, cutoff lam0,
-    support radius R, and quadrature order (16 to 512 nodes)."""
+    """Parameters of the kernel family: exponent r > -1, support radius
+    R, and quadrature order (16 to 512 nodes); the cutoff is LAMBDA0."""
 
     r: float
-    lambda0: float = 1.0
     R: float = 1.0
     quad_nodes: int = 64
 
     def __post_init__(self):
         if not -1.0 < self.r < math.inf:
             raise ValueError(f"kernel exponent must be finite with r > -1, got {self.r}")
-        if not 0 < self.lambda0 < math.inf:
-            raise ValueError(f"lambda0 must be positive and finite, got {self.lambda0}")
         if not 0 < self.R < math.inf:
             raise ValueError(f"support radius R must be positive and finite, got {self.R}")
         # _jacobi_rule solves a dense m x m eigenproblem, whose cost grows as
@@ -327,14 +326,14 @@ class KernelConfig:
 
 
 def kernel_nodes(cfg: KernelConfig):
-    """Quadrature nodes/weights for int_0^lam0 f(lam) lam^r dlam.
+    """Quadrature nodes/weights for int_0^LAMBDA0 f(lam) lam^r dlam.
 
     The lam^r factor is absorbed into a Gauss-Jacobi weight so that f
     only needs to be smooth; reduces to Gauss-Legendre at r = 0.
     """
     x, w = _jacobi_rule(0.0, float(cfg.r), int(cfg.quad_nodes))
-    lam = 0.5 * cfg.lambda0 * (x + 1.0)
-    wts = (0.5 * cfg.lambda0) ** (cfg.r + 1.0) * w
+    lam = 0.5 * LAMBDA0 * (x + 1.0)
+    wts = (0.5 * LAMBDA0) ** (cfg.r + 1.0) * w
     return lam, wts
 
 

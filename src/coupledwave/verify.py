@@ -105,7 +105,7 @@ def _check_solver():
 
 
 def _check_identity():
-    # the problem and kernel of the ``identity`` verb's defaults
+    # the problem and quad_nodes of the ``identity`` verb's defaults
     cfg = configio.merge_config(configio.VERB_DEFAULTS["identity"])
     spec = configio.problem_spec_from_config(cfg)
     rec = run(spec, probes=fn.probes(spec, **configio.kernel_params_from_config(cfg)))

@@ -1,8 +1,9 @@
 """Shared solver fixtures; session-scoped since runs are deterministic.
 
 The ``*_run`` fixtures carry the projections of
-``functionals.probes(spec, r1, r2)``, with r1 = r2 = 0.5 except at the
-cusp, where they are ``kernel_exponents``, both equality values.
+``functionals.probes(spec)``, whose kernel exponents are the spec's
+``kernel_exponents``: r1 = r2 = 0.5 at n = 3, p = q = 2, and both
+equality values at the cusp.
 """
 
 import random
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from coupledwave import lifespan
-from coupledwave.exponents import ExponentPair, cusp_exponents, kernel_exponents
+from coupledwave.exponents import ExponentPair, cusp_exponents
 from coupledwave.functionals import probes
 from coupledwave.lifespan import SweepConfig
 from coupledwave.solver import (
@@ -42,7 +43,7 @@ def standard_spec():
 
 @pytest.fixture(scope="session")
 def standard_run(standard_spec):
-    return run(standard_spec, probes=probes(standard_spec, 0.5, 0.5))
+    return run(standard_spec, probes=probes(standard_spec))
 
 
 def run_profiles(spec):
@@ -93,7 +94,7 @@ def damped_spec():
 
 @pytest.fixture(scope="session")
 def damped_run(damped_spec):
-    return run(damped_spec, probes=probes(damped_spec, 0.5, 0.5))
+    return run(damped_spec, probes=probes(damped_spec))
 
 
 @pytest.fixture(scope="session")
@@ -114,7 +115,7 @@ def negative_spec():
 
 @pytest.fixture(scope="session")
 def negative_run(negative_spec):
-    return run(negative_spec, probes=probes(negative_spec, 0.5, 0.5))
+    return run(negative_spec, probes=probes(negative_spec))
 
 
 @pytest.fixture(scope="session")
@@ -134,8 +135,8 @@ def identity_spec():
 
 @pytest.fixture(scope="session")
 def identity_run(identity_spec):
-    """Probe run for the identity check with kernel exponents r1 = r2 = 0.5."""
-    return run(identity_spec, probes=probes(identity_spec, 0.5, 0.5))
+    """Probe run for the identity check (kernel exponents r1 = r2 = 0.5)."""
+    return run(identity_spec, probes=probes(identity_spec))
 
 
 @pytest.fixture(scope="session")
@@ -160,13 +161,8 @@ def cusp_spec():
 
 
 @pytest.fixture(scope="session")
-def cusp_run(cusp_spec, cusp_kernel):
-    return run(cusp_spec, probes=probes(cusp_spec, *cusp_kernel))
-
-
-@pytest.fixture(scope="session")
-def cusp_kernel(cusp_spec):
-    return kernel_exponents(cusp_spec.n, cusp_spec.pq)
+def cusp_run(cusp_spec):
+    return run(cusp_spec, probes=probes(cusp_spec))
 
 
 def _sweep_n2_in_process(seed):

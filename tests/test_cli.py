@@ -11,6 +11,7 @@ import pytest
 
 import coupledwave
 from coupledwave import cli, configio, lifespan, verify
+from coupledwave import functionals as fn
 from coupledwave.cli import main
 
 
@@ -138,6 +139,34 @@ def test_kernels_offset_is_rejected(tmp_path, capsys):
     assert "kernels.offset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("r1", 0.5), ("r2", 0.5), ("lambda0", 1.0)])
+@pytest.mark.parametrize("verb", ["identity", "solve"])
+def test_kernel_exponents_and_cutoff_are_not_fields(verb, field, value, tmp_path, capsys):
+    # the exponents come from (n, p, q) and the cutoff is special.LAMBDA0:
+    # a file that sets one, even to the value the run uses, is refused
+    cfg = tmp_path / "kernel.json"
+    cfg.write_text(json.dumps({"kernels": {field: value}}))
+    argv = [verb, "--config", str(cfg)]
+    if verb != "identity":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown field kernels.{field}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_identity_reads_quad_nodes_from_the_config(monkeypatch, tmp_path, capsys):
+    cfg = tmp_path / "nodes.json"
+    cfg.write_text(json.dumps({"kernels": {"quad_nodes": 32}}))
+    calls = []
+    probes = fn.probes
+    monkeypatch.setattr(fn, "probes", lambda spec, **kw: (calls.append(kw), probes(spec, **kw))[1])
+    assert main(["identity", "--config", str(cfg)]) == 0
+    assert calls == [{"quad_nodes": 32}]
+    assert "identities=ok" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "section, field, value, build",
     [
@@ -216,9 +245,9 @@ def test_sequences_with_huge_p_runs(capsys):
         (["solve"], {"damping1": {"family": "exp-decay", "mu": float("inf")}}),
         (["solve"], {"damping1": {"family": "power-decay", "mu": 0.5, "beta": float("inf")}}),
         (["solve"], {"grid": {"blowup_threshold": float("inf")}}),
-        (["identity"], {"kernels": {"lambda0": float("inf")}}),
-        (["identity"], {"kernels": {"r1": float("nan")}}),
-        (["identity"], {"kernels": {"r2": float("inf")}}),
+        (["identity"], {"problem": {"eps": float("inf")}}),
+        (["identity"], {"grid": {"dr": float("nan")}}),
+        (["identity"], {"problem": {"q": float("inf")}}),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -310,15 +339,16 @@ def test_damped_identity_config_exits_2(monkeypatch, tmp_path, capsys):
     [
         # solve reads neither kernels nor sweep, and printed blew_up=False on this file
         ({"grid": {"dr": 0.04, "t_max": 1},
-          "kernels": {"lambda0": float("nan"), "quad_nodes": "x"}, "sweep": {"eps_values": "bogus"}},
+          "kernels": {"quad_nodes": "x"}, "sweep": {"eps_values": "bogus"}},
          "sweep.eps_values must be an array of numbers"),
         ({"grid": {"dr": 0.04, "t_max": 1}, "kernels": {"quad_nodes": "x"}},
          "kernels.quad_nodes must be an integer"),
         # the Gauss-Jacobi rule's cost grows as quad_nodes^3; solve exited 0 here
         ({"grid": {"dr": 0.04, "t_max": 1}, "kernels": {"quad_nodes": 513}},
          "kernels.quad_nodes must lie in [16, 512], got 513"),
+        # the cutoff is a constant, not set
         ({"grid": {"dr": 0.04, "t_max": 1}, "kernels": {"lambda0": -1.0}},
-         "kernels.lambda0 must be positive and finite, got -1.0"),
+         "unknown field kernels.lambda0"),
         ({"grid": {"dr": 0.04, "t_max": 1}, "data": {"amplitudes": [4, -4, 4, 4]}},
          "invalid problem configuration: initial data violates the blow-up hypotheses "
          "(nonnegative amplitudes with A_u1 > 0 and A_v0 > 0)\n"),
@@ -419,10 +449,12 @@ def test_sweep_failed_row_exits_1(tmp_path, capsys):
         ("identity", {"damping1": {"family": "power-decay", "mu": True, "beta": "2"}},
          "damping1.mu must be a number"),
         ("identity", {"damping2": {"family": "power-decay", "beta": "2"}}, "damping2.beta must be a number"),
-        ("identity", {"kernels": {"lambda0": "1"}}, "kernels.lambda0 must be a number"),
-        ("identity", {"kernels": {"r1": "0.5"}}, "kernels.r1 must be a number"),
-        ("identity", {"kernels": {"r2": False}}, "kernels.r2 must be a number"),
-        ("identity", {"kernels": {"lambda0": 10**400}}, "too large"),
+        # the kernel's exponents come from (n, p, q) and its cutoff is a
+        # constant: none of them is set
+        ("identity", {"kernels": {"lambda0": "1"}}, "unknown field kernels.lambda0"),
+        ("identity", {"kernels": {"r1": "0.5"}}, "unknown field kernels.r1"),
+        ("identity", {"kernels": {"r2": False}}, "unknown field kernels.r2"),
+        ("identity", {"kernels": {"lambda0": 10**400}}, "unknown field kernels.lambda0"),
     ],
     ids=["eps-number", "eps-string", "eps-boolean", "amplitudes-string-sweep",
          "amplitudes-string-solve", "repeats-boolean", "n-string", "quad-nodes-boolean",

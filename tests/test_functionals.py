@@ -44,7 +44,7 @@ def test_extract_zero_data_gives_zero_series():
         data=InitialDataFamily(k=3, amplitudes=(0.0, 0.0, 0.0, 0.0)),
         grid=GridSpec(dr=0.02, t_max=1.0),
     )
-    rec = run(spec, probes=fn.probes(spec, 0.5, 0.5))
+    rec = run(spec, probes=fn.probes(spec))
     ser = fn.extract(rec)
     for name in ("U", "Uprime", "V", "Vprime", "U1", "V1", "U2", "curlyU", "curlyV"):
         assert np.abs(getattr(ser, name)).max() == 0.0
@@ -80,7 +80,7 @@ def test_floor_bounds_zero_eps_limit():
         data=InitialDataFamily(k=3, amplitudes=(0.0, 0.0, 0.0, 0.0)),
         grid=GridSpec(dr=0.02, t_max=1.0),
     )
-    rec = run(spec, probes=fn.probes(spec, 0.5, 0.5))
+    rec = run(spec, probes=fn.probes(spec))
     checks = fn.check_floor_bounds(rec)
     assert len(checks) == 3
     for c in checks:
@@ -133,9 +133,7 @@ def test_fundamental_identity_rejects_damped(damped_run):
         fn.check_fundamental_identity(damped_run)
 
 
-def test_log_seeds_double_critical(cusp_run, cusp_kernel):
-    ser = fn.extract(cusp_run)
-    assert (ser.r1, ser.r2) == cusp_kernel  # the kernel of the record's probes
+def test_log_seeds_double_critical(cusp_run):
     checks = {c.bound_id.value: c for c in fn.check_log_seeds(cusp_run)}
     assert set(checks) == {"CurlyULog", "CurlyVLog"}
     assert checks["CurlyULog"].passed
@@ -151,7 +149,7 @@ def test_log_seeds_theta1_critical():
         R=1.0, eps=1.0, data=InitialDataFamily(k=3, amplitudes=(2.5, 2.5, 2.5, 2.5)),
         grid=GridSpec(dr=0.02, t_max=18.0),
     )
-    rec = run(spec, probes=fn.probes(spec, 0.5, 0.7))
+    rec = run(spec, probes=fn.probes(spec))  # r1 = 0.5, the seed's; r2 = 0.6
     checks = {c.bound_id.value: c for c in fn.check_log_seeds(rec)}
     assert set(checks) == {"CurlyULog"}
     assert checks["CurlyULog"].passed
@@ -167,7 +165,7 @@ def test_log_seeds_theta2_critical_uses_shift():
         R=1.0, eps=1.0, data=InitialDataFamily(k=3, amplitudes=(2.0, 2.0, 0.5, 0.5)),
         grid=GridSpec(dr=0.02, t_max=14.0),
     )
-    rec = run(spec, probes=fn.probes(spec))  # the kernel_exponents; the seed reads r2
+    rec = run(spec, probes=fn.probes(spec))  # the seed reads r2
     ser = fn.extract(rec)
     checks = {c.bound_id.value: c for c in fn.check_log_seeds(rec)}
     assert set(checks) == {"CurlyVLog"}
@@ -187,11 +185,11 @@ def test_log_seeds_reject_noncritical(standard_run):
         fn.check_log_seeds(standard_run)
 
 
-def test_log_seeds_reject_damped_critical(cusp_spec, cusp_kernel):
+def test_log_seeds_reject_damped_critical(cusp_spec):
     # refused by require_zero_damping, before any extraction
     spec = dataclasses.replace(cusp_spec, b1=DampingSpec.power_decay(0.5, 2.0),
                                grid=GridSpec(dr=0.04, t_max=0.5))
-    rec = run(spec, probes=fn.probes(spec, *cusp_kernel))
+    rec = run(spec, probes=fn.probes(spec))
     with pytest.raises(ValueError, match="hold for zero damping only"):
         fn.check_log_seeds(rec)
 
@@ -203,7 +201,7 @@ def test_floors_hold_with_exp_decay_damping():
         R=1.0, eps=1.0, data=InitialDataFamily(k=3, amplitudes=(5, 5, 5, 5)),
         grid=GridSpec(dr=0.02, t_max=8.0),
     )
-    rec = run(spec, probes=fn.probes(spec, 0.5, 0.5))
+    rec = run(spec, probes=fn.probes(spec))
     assert rec.blew_up
     for check in fn.check_floor_bounds(rec):
         assert check.passed, check
@@ -247,7 +245,8 @@ def test_uprime_monotone_floor(damped_series, damped_spec):
 
 
 def test_fundamental_identity_pinned_residuals(monkeypatch):
-    # the verify suite's identity spec, and the check reads no full
+    # the verify suite's identity spec (r1 = r2 = 0.5), and the same at
+    # p, q = 2.5, 1.7 (r1 = 0.6, r2 = 0.412); the check reads no full
     # extraction; values recorded with the numpy Gauss-Jacobi rule,
     # which lies closer than scipy's roots_jacobi to an mpmath-built rule.
     # curlyU and curlyV are pinned at the check's checkpoints (the
@@ -263,20 +262,21 @@ def test_fundamental_identity_pinned_residuals(monkeypatch):
     )
     checkpoints = [111, 222, 332, 443]
     pinned = {
-        (0.5, 0.5): (
+        (2.0, 2.0): (
             (0.00341904805849809, 0.0007415593653037042),
             (3.3197708399779757, 3.4070995282648697, 3.5536803265295815, 3.7560325378292143),
             (4.229175396207129, 6.6252111655451085, 9.428825610242484, 12.441675843994611),
         ),
-        (0.3, 0.8): (
-            (0.0035145573320038755, 0.0007473036657661403),
-            (3.981145736911089, 4.098835383286691, 4.292212227663802, 4.560123486484667),
-            (3.2997329066973844, 5.069220923663917, 7.080920497387419, 9.178344906315154),
+        (2.5, 1.7): (
+            (0.002718316899346554, 0.0008160322964030958),
+            (3.2198456520384267, 3.513640683633782, 3.877450899408804, 4.278481996766563),
+            (4.642351135078356, 7.3342951526819835, 9.976562989335852, 12.436515184172482),
         ),
     }
     records = {}
-    for (r1, r2), (_res, curlyU, curlyV) in pinned.items():
-        rec = records[r1, r2] = run(spec, probes=fn.probes(spec, r1, r2))
+    for pq, (_res, curlyU, curlyV) in pinned.items():
+        spec_pq = dataclasses.replace(spec, pq=ExponentPair(*pq))
+        rec = records[pq] = run(spec_pq, probes=fn.probes(spec_pq))
         assert len(rec.times) == 444
         series = fn.extract(rec)
         assert series.curlyU[checkpoints] == pytest.approx(curlyU, rel=1e-12, abs=0.0)

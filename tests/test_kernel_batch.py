@@ -301,7 +301,7 @@ def test_bounded_factor_form_matches_the_plain_formula():
 
 
 def test_kernels_continuous_across_the_switch():
-    # max(lam) (R + t) = 700 near t = 699 for lambda0 = 1, R = 1: there
+    # max(lam) (R + t) = 700 near t = 699 for LAMBDA0 = 1, R = 1: there
     # exp(-lam (R + t)) nears the end of the normal double range, and the
     # plain formula's factors would soon leave it
     cfg = KernelConfig(r=0.5)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coupledwave import functionals as fn
-from coupledwave.exponents import ExponentPair
+from coupledwave.exponents import ExponentPair, kernel_exponents
 from coupledwave.solver import (
     PROBE_BLOCK,
     PROBE_SOURCES,
@@ -25,9 +25,10 @@ from coupledwave.special import phi
 @pytest.fixture(scope="module", params=[(2.0, 2.0), (2.5, 1.7)], ids=["pq-2-2", "pq-2.5-1.7"])
 def stored_and_probed(request, standard_spec, profile_run):
     """The profiles of one spec (identity-matrix probes) and its run
-    with the probes of ``functionals.probes``."""
+    with the probes of ``functionals.probes``: one kernel basis at p = q
+    = 2 (r1 = r2 = 0.5), two at p, q = 2.5, 1.7 (r1 = 0.6, r2 = 0.412)."""
     spec = dataclasses.replace(standard_spec, pq=ExponentPair(*request.param))
-    probes = fn.probes(spec, 0.5, 0.3)
+    probes = fn.probes(spec)
     return spec, probes, profile_run(spec), run(spec, probes=probes)
 
 
@@ -64,40 +65,43 @@ def test_projections_agree_with_profiles(stored_and_probed):
 def test_probe_rows(standard_spec):
     # row 0 is the radial weights, row 1 Phi times them: the head, all
     # that u and v_t carry; the kernel sources add quad_nodes rows of one
-    # basis per distinct exponent
+    # basis per distinct exponent of kernel_exponents: r1 = 0.6 and r2 =
+    # 0.412 at p, q = 2.5, 1.7, one exponent 0.5 at p = q = 2
     r = radial_grid(standard_spec)
     w = radial_weights(r, standard_spec.n)
-    for (r1, r2), kernel_mats in (((0.5, 0.3), 2), ((0.5, 0.5), 1)):
-        probes = fn.probes(standard_spec, r1, r2, quad_nodes=16)
+    for pq, kernel_mats in (((2.5, 1.7), 2), ((2.0, 2.0), 1)):
+        spec = dataclasses.replace(standard_spec, pq=ExponentPair(*pq))
+        r1, r2 = kernel_exponents(spec.n, spec.pq)
+        probes = fn.probes(spec, quad_nodes=16)
         assert probes["u"] is probes["vt"]
         assert probes["u"].shape == (2, r.size)
         for mat in probes.values():
             assert np.array_equal(mat[0], w)
-            assert np.array_equal(mat[1], w * phi(standard_spec.n, r))
+            assert np.array_equal(mat[1], w * phi(spec.n, r))
         for name, rk in (("ut", r1), ("|v|^q", r1), ("v", r2), ("|u_t|^p", r2)):
-            lam = fn._kernel_nodes(standard_spec, rk, 1.0, 16)[0]
+            lam = fn._kernel_nodes(spec, rk, 16)[0]
             assert probes[name].shape == (18, r.size)
-            assert np.array_equal(probes[name][2:], fn._kernel_basis(standard_spec.n, r, w, lam)), name
+            assert np.array_equal(probes[name][2:], fn._kernel_basis(spec.n, r, w, lam)), name
         assert probes["ut"] is probes["|v|^q"]
         assert probes["v"] is probes["|u_t|^p"]
         assert (probes["ut"] is probes["v"]) == (r1 == r2)
         assert len({id(mat) for mat in probes.values()}) == 1 + kernel_mats
-    with pytest.raises(ValueError, match="r > -1"):
-        fn.probes(standard_spec, -1.5, 0.3)
+    with pytest.raises(ValueError, match=r"quad_nodes must lie in \[16, 512\], got 8"):
+        fn.probes(standard_spec, quad_nodes=8)
 
 
 def test_extract_matches_profile_formula(stored_and_probed):
     # the formulas extract used on stored profiles, applied here to the
     # identity-probe profiles
     spec, _probes, stored, probed = stored_and_probed
-    r1, r2 = 0.5, 0.3
+    r1, r2 = kernel_exponents(spec.n, spec.pq)
     src = _profile_sources(spec, stored)
     w = radial_weights(stored.r, spec.n)
     wp = phi(spec.n, stored.r) * w
     decay = np.exp(-stored.times)
 
     def curly(r, prof):
-        lam, wl = fn._kernel_nodes(spec, r, 1.0, 64)
+        lam, wl = fn._kernel_nodes(spec, r, 64)
         proj = prof @ fn._kernel_basis(spec.n, stored.r, w, lam).T
         return fn._diag_kernel_series(stored.times, spec.R, lam, wl, proj)
 
@@ -195,7 +199,7 @@ def test_run_projections_match_per_sample_products(stored_and_probed, profile_ru
     # probes of its own, on its shorter grid
     spec, probes, stored, probed = stored_and_probed
     short = _short_run(spec)
-    short_probes = fn.probes(short, 0.5, 0.3)
+    short_probes = fn.probes(short)
     if distinct:
         probes, short_probes = ({name: mat.copy() for name, mat in each.items()}
                                 for each in (probes, short_probes))
@@ -225,33 +229,43 @@ def test_identity_probes_on_every_source_are_the_profiles(stored_and_probed, pro
         assert np.array_equal(rec.projections[name], sources[name]), name
 
 
-def test_records_carry_their_kernel(identity_spec, identity_run):
-    # the readers take the kernel exponents from the record, so a record
-    # cannot be read with other exponents than its probes'
-    assert identity_run.kernel == (0.5, 0.5, 1.0, 64)
-    assert fn.probes(identity_spec, 0.3, 1.5, 2.0, 16).kernel == (0.3, 1.5, 2.0, 16)
-    series = fn.extract(identity_run)
-    assert (series.r1, series.r2) == (0.5, 0.5)
-    # probes copied into a plain dict lose the stamp, and so does their run
-    unstamped = run(identity_spec, probes=dict(fn.probes(identity_spec, 0.5, 0.5)))
-    assert unstamped.kernel is None
+def test_readers_take_quad_nodes_from_the_widths(identity_spec, monkeypatch):
+    # a probes(spec, quad_nodes=16) record is read with 16 nodes by
+    # extract and by the identity check, whose residuals still pass
+    rec = run(identity_spec, probes=fn.probes(identity_spec, quad_nodes=16))
+    assert {rows.shape[1] for rows in rec.projections.values()} == {2, 18}
+    nodes = fn._kernel_nodes(identity_spec, 0.5, 16)
+    curlyU = fn._diag_kernel_series(rec.times, identity_spec.R, *nodes, rec.projections["ut"][:, 2:])
+    assert np.array_equal(fn.extract(rec).curlyU, curlyU)
+    read = []
+    kernel_nodes = fn._kernel_nodes
+    monkeypatch.setattr(fn, "_kernel_nodes", lambda spec, r, quad_nodes: (
+        read.append(quad_nodes), kernel_nodes(spec, r, quad_nodes))[1])
+    residuals = fn.check_fundamental_identity(rec)
+    assert read == [16, 16, 16]
+    assert max(residuals) < fn.IDENTITY_TOL
+    # probes copied into a plain dict lose ``integrals``, and so does
+    # their run, which the readers refuse
+    plain = run(_short_run(identity_spec), probes=dict(fn.probes(_short_run(identity_spec))))
+    assert not plain.integrals
     for reader in (fn.extract, fn.check_fundamental_identity):
         with pytest.raises(ValueError, match=r"probes\(spec"):
-            reader(unstamped)
+            reader(plain)
 
 
-def test_projection_widths_follow_the_kernel_stamp(identity_run):
-    # a stamp whose quad_nodes differ from the probes' rows, or a source
-    # with the wrong rows, is refused by name before any series is read
-    restamped = dataclasses.replace(identity_run, kernel=(0.5, 0.5, 1.0, 32))
-    for reader in (fn.extract, fn.check_fundamental_identity):
-        with pytest.raises(ValueError, match=r"'ut' has 66 columns; .* expects 34"):
-            reader(restamped)
-    proj = dict(identity_run.projections, u=identity_run.projections["ut"])
-    with pytest.raises(ValueError, match=r"'u' has 66 columns; .* expects 2"):
-        fn.extract(dataclasses.replace(identity_run, projections=proj))
+def test_projection_widths_are_checked(identity_run):
+    # kernel sources whose widths disagree, fewer than 16 kernel rows, or
+    # a head source with kernel rows are refused before any series is read
+    proj = identity_run.projections
+    narrow = {name: rows[:, :17] for name, rows in proj.items()}
+    for bad in (dict(proj, v=proj["v"][:, :34]), dict(proj, **{"|u_t|^p": proj["|u_t|^p"][:, :34]}),
+                narrow, dict(proj, u=proj["ut"])):
+        record = dataclasses.replace(identity_run, projections=bad)
+        for reader in (fn.extract, fn.check_fundamental_identity):
+            with pytest.raises(ValueError, match=r"projection widths .* quad_nodes \+ 2 >= 18"):
+                reader(record)
     # the integral row alone is all nonlinearity_integrals reads
-    fn.nonlinearity_integrals(restamped)
+    fn.nonlinearity_integrals(dataclasses.replace(identity_run, projections=narrow))
 
 
 def _sample0_data_terms(spec, r1, r2):
@@ -262,7 +276,7 @@ def _sample0_data_terms(spec, r1, r2):
     grid = radial_grid(short)
     w = radial_weights(grid, spec.n)
     basis = {r: np.vstack((w, w * phi(spec.n, grid),
-                           fn._kernel_basis(spec.n, grid, w, fn._kernel_nodes(spec, r, 1.0, 64)[0])))
+                           fn._kernel_basis(spec.n, grid, w, fn._kernel_nodes(spec, r, 64)[0])))
              for r in (r1 + 2.0, r2)}
     rec = run(short, probes={"u": basis[r1 + 2.0], "vt": basis[r2]})
     return rec.projections["u"][0, 2:], rec.projections["vt"][0, 2:]
@@ -273,16 +287,20 @@ def _sample0_data_terms(spec, r1, r2):
 def test_identity_data_terms_from_the_data(request, monkeypatch, name, kernel):
     # the data terms projected from the spec's data agree with sample 0 of
     # the run's projections (also at another eps with four distinct
-    # amplitudes), and so do the residuals they give
+    # amplitudes), and so do the residuals they give; the spec's (p, q)
+    # is the one whose kernel_exponents are ``kernel``
     spec = request.getfixturevalue(f"{name}_spec")
-    r1, r2 = kernel
-    lam_u0, lam_v1 = (fn._kernel_nodes(spec, r, 1.0, 64)[0] for r in (r1 + 2.0, r2))
+    half = 0.5 * (spec.n - 1)
+    spec = dataclasses.replace(spec, pq=ExponentPair(*(1.0 / (half - r) for r in kernel)))
+    r1, r2 = kernel_exponents(spec.n, spec.pq)
+    assert (r1, r2) == pytest.approx(kernel, rel=0.0, abs=1e-15)
+    lam_u0, lam_v1 = (fn._kernel_nodes(spec, r, 64)[0] for r in (r1 + 2.0, r2))
     other = dataclasses.replace(spec, eps=0.8, data=InitialDataFamily(k=3, amplitudes=(1.0, 2.0, 3.0, 4.0)))
     for spec_ in (other, spec):
         sample0 = _sample0_data_terms(spec_, r1, r2)
         for got, want in zip(fn._data_terms(spec_, lam_u0, lam_v1), sample0):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-    rec = run(spec, probes=fn.probes(spec, r1, r2))
+    rec = run(spec, probes=fn.probes(spec))
     residuals = fn.check_fundamental_identity(rec)
     monkeypatch.setattr(fn, "_data_terms", lambda *_args: sample0)
     assert residuals == pytest.approx(fn.check_fundamental_identity(rec), rel=1e-12, abs=0.0)

@@ -6,10 +6,12 @@ import pytest
 from scipy.special import i0
 
 from coupledwave.special import (
+    LAMBDA0,
     BoundId,
     BoundReport,
     DampingSpec,
     KernelConfig,
+    _jacobi_rule,
     bracket,
     eta,
     kernel_nodes,
@@ -134,22 +136,31 @@ def test_kernel_config_validation():
     with pytest.raises(ValueError):
         KernelConfig(r=-1.0)
     with pytest.raises(ValueError):
-        KernelConfig(r=0.0, lambda0=0.0)
-    with pytest.raises(ValueError):
         KernelConfig(r=0.0, quad_nodes=8)
     for R in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="support radius R must be positive and finite"):
             KernelConfig(r=0.5, R=R)
 
 
+@pytest.mark.parametrize("quad_nodes", [16, 64, 200])
+def test_kernel_nodes_are_the_unit_cutoff_formula(quad_nodes):
+    # the nodes and weights of int_0^1 f(lam) lam^r dlam, bitwise those
+    # of the former lambda0 = 1 default
+    assert LAMBDA0 == 1.0
+    lambda0 = 1.0
+    for r in (-0.9, -0.5, 0.0, 0.268, 0.5, 0.6, 1.2, 2.5):
+        x, w = _jacobi_rule(0.0, r, quad_nodes)
+        lam, wts = kernel_nodes(KernelConfig(r=r, quad_nodes=quad_nodes))
+        assert np.array_equal(lam, 0.5 * lambda0 * (x + 1.0)), r
+        assert np.array_equal(wts, (0.5 * lambda0) ** (r + 1.0) * w), r
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: KernelConfig(r=math.inf), lambda: KernelConfig(r=math.nan),
-     lambda: KernelConfig(r=0.5, lambda0=math.inf), lambda: KernelConfig(r=0.5, lambda0=math.nan),
      lambda: DampingSpec.power_decay(math.nan, 2.0), lambda: DampingSpec.exp_decay(math.inf),
      lambda: DampingSpec.power_decay(1.0, math.inf), lambda: DampingSpec(mu=0.0, beta=math.nan)],
-    ids=["r-inf", "r-nan", "lambda0-inf", "lambda0-nan", "mu-nan", "mu-inf", "beta-inf",
-         "beta-nan"],
+    ids=["r-inf", "r-nan", "mu-nan", "mu-inf", "beta-inf", "beta-nan"],
 )
 def test_non_finite_kernel_and_damping_rejected(build):
     with pytest.raises(ValueError, match="finite"):
@@ -157,27 +168,27 @@ def test_non_finite_kernel_and_damping_rejected(build):
 
 
 def test_eta_xi_closed_form_at_origin():
-    cfg = KernelConfig(r=0.0, lambda0=1.0, R=1.0)
+    cfg = KernelConfig(r=0.0, R=1.0)
     expected = 4 * math.pi * (1 - math.exp(-1.0))
     assert eta(cfg, 3, 0.0, 0.0, 0.0) == pytest.approx(expected, rel=1e-12)
     assert xi(cfg, 3, 0.0, 0.0, 0.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_eta_diagonal_equals_plain_integral():
-    cfg = KernelConfig(r=0.3, lambda0=1.0, R=1.0)
+    cfg = KernelConfig(r=0.3, R=1.0)
     t = 4.0
     lam_int = xi(cfg, 3, t, t, 0.7)  # cosh(0) = 1
     assert eta(cfg, 3, t, t, 0.7) == pytest.approx(lam_int, rel=1e-14)
 
 
 def test_xi_dominates_eta_off_diagonal():
-    cfg = KernelConfig(r=0.5, lambda0=1.0, R=1.0)
+    cfg = KernelConfig(r=0.5, R=1.0)
     for (t, s, x) in [(3.0, 1.0, 0.5), (10.0, 2.0, 1.5), (5.0, 4.0, 0.0)]:
         assert xi(cfg, 2, t, s, x) >= eta(cfg, 2, t, s, x) > 0
 
 
 def test_kernels_decrease_in_t():
-    cfg = KernelConfig(r=0.5, lambda0=1.0, R=1.0)
+    cfg = KernelConfig(r=0.5, R=1.0)
     ts = [2.0, 3.0, 5.0, 9.0]
     ve = [eta(cfg, 3, t, 1.5, 1.0) for t in ts]
     vx = [xi(cfg, 3, t, 1.5, 1.0) for t in ts]
