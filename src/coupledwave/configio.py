@@ -31,7 +31,7 @@ import math
 from .exponents import ExponentPair
 from .lifespan import SweepConfig
 from .solver import GridSpec, InitialDataFamily, ProblemSpec
-from .special import DampingFamily, DampingSpec, KernelConfig
+from .special import QUAD_NODES, DampingFamily, DampingSpec, KernelConfig
 
 __all__ = ["DEFAULT_CONFIG", "VERB_DEFAULTS", "ConfigError", "load_config", "merge_config",
            "problem_spec_from_config", "sweep_config_from_config",
@@ -48,7 +48,7 @@ DEFAULT_CONFIG = {
     "damping1": {"family": "zero", "mu": 0.0, "beta": 2.0},
     "damping2": {"family": "zero", "mu": 0.0, "beta": 2.0},
     "data": {"k": 3, "amplitudes": [4.0, 4.0, 4.0, 4.0]},
-    "kernels": {"quad_nodes": 64},
+    "kernels": {"quad_nodes": QUAD_NODES},
     "sweep": {"eps_values": [1.6, 1.4, 1.2, 1.0, 0.9, 0.8], "repeats": 2},
 }
 # a verb's own defaults, laid between DEFAULT_CONFIG and its --config file:

@@ -22,16 +22,19 @@ The kernel is the paper's: exponents r1, r2 from ``kernel_exponents``,
 cutoff ``special.LAMBDA0``, and quad_nodes lam-nodes.  Every series is
 read from one record: ``run(spec, probes=probes(spec, quad_nodes))``
 projects the profiles and the nonlinear sources |v|^q, |u_t|^p at each
-sample.  Every source carries two head rows, the radial weights and the
-Phi-weighted radial weights; u_t, |v|^q, v and |u_t|^p also carry the
-quad_nodes rows of their kernel lam-basis, one basis per distinct
-exponent (r1 for u_t and |v|^q, r2 for v and |u_t|^p).  Memory grows
-with samples * quad_nodes, not samples * grid points.  ``extract``,
+sample.  Every source carries two head columns, from the radial weights
+and the Phi-weighted radial weights.  u_t and v carry a third, curlyU
+and curlyV, which the run contracts from their kernel lam-projections
+(r1 for u_t, r2 for v) at each sample's time; |v|^q and |u_t|^p keep
+the quad_nodes lam-projections of their kernel (r1 and r2), which the
+identity check integrates in time.  That is 2 + 3 + 3 + 2 + 2 *
+(quad_nodes + 2) columns per sample: memory grows with samples *
+quad_nodes, not samples * grid points.  ``extract``,
 ``nonlinearity_integrals`` and every check take the record alone: they
-read row slices of those projections, the problem and the kernel
-exponents from ``record.spec``, and quad_nodes from the projections'
-width.  The identity check projects the data terms u0 and v1 from
-``record.spec``'s data itself, on the grid points inside B_R.
+read column slices of those projections, the problem and the kernel
+exponents from ``record.spec``, and quad_nodes from the width of |v|^q.
+The identity check projects the four data terms from ``record.spec``'s
+data itself, on the grid points inside B_R.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .solver import (
     radial_grid,
     radial_weights,
 )
-from .special import KernelConfig, kernel_nodes, multiplier, phi, sinhc
+from .special import QUAD_NODES, KernelConfig, kernel_nodes, multiplier, phi, sinhc
 
 __all__ = [
     "FunctionalSeries",
@@ -72,8 +75,6 @@ __all__ = [
 ]
 
 FLOOR_SLACK = 0.02
-# the sources whose probes carry the head rows only
-HEAD_SOURCES = ("u", "vt")
 # largest relative residual accepted for the fundamental identities
 IDENTITY_TOL = 0.02
 
@@ -138,16 +139,18 @@ def _projections(record: SolutionRecord, kernel: bool = True) -> dict:
     """``record.projections``, checked to start with the rows of
     ``integral_probes`` on every source (as ``probes(spec, ...)`` do)
     and, with ``kernel``, to have the widths of ``probes``: 2 columns on
-    HEAD_SOURCES, one width quad_nodes + 2 >= 18 on the others."""
+    u and v_t, 3 on u_t and v, one width quad_nodes + 2 >= 18 on the
+    sources |v|^q and |u_t|^p."""
     proj = record.projections
     if not record.integrals or not all(name in proj for name in PROBE_SOURCES):
         raise ValueError("record needs the projections of probes(spec, quad_nodes); "
                          "pass them to run(spec, probes=...)")
     widths = {name: proj[name].shape[1] for name in PROBE_SOURCES}
-    if kernel and not (widths["u"] == widths["vt"] == 2
-                       and widths["ut"] == widths["v"] == widths["|v|^q"] == widths["|u_t|^p"] >= 18):
+    if kernel and not (widths["u"] == widths["vt"] == 2 and widths["ut"] == widths["v"] == 3
+                       and widths["|v|^q"] == widths["|u_t|^p"] >= 18):
         raise ValueError(f"projection widths {widths} are not those of probes(spec, quad_nodes): "
-                         "2 columns on u and vt, one width quad_nodes + 2 >= 18 on the others")
+                         "2 columns on u and vt, 3 on ut and v, "
+                         "one width quad_nodes + 2 >= 18 on |v|^q and |u_t|^p")
     return proj
 
 
@@ -169,7 +172,8 @@ def _kernel_basis(n, points, weights, lam):
 
 def _diag_kernel_series(times, R, lam, wl, proj):
     """int profile(t) * eta_r(t, t, .) dx for every sample, from the
-    (N, m) lam-projections ``proj`` of the sampled profiles.
+    (N, m) lam-projections ``proj`` of the sampled profiles: curlyU or
+    curlyV, which ``probes`` has ``run`` record block by block.
 
     eta on the diagonal is a pure lam-integral of exp(-lam(R+t)) *
     Phi(lam rho) lam^r, so the t-dependence reduces to per-node
@@ -182,7 +186,7 @@ def _diag_kernel_series(times, R, lam, wl, proj):
     return fac @ wl
 
 
-def probes(spec: ProblemSpec, quad_nodes: int = 64) -> IntegralProbes:
+def probes(spec: ProblemSpec, quad_nodes: int = QUAD_NODES) -> IntegralProbes:
     """Probe matrices for ``run(spec, probes=...)`` whose projections
     ``extract``, ``nonlinearity_integrals`` and
     ``check_fundamental_identity`` read.
@@ -195,31 +199,35 @@ def probes(spec: ProblemSpec, quad_nodes: int = 64) -> IntegralProbes:
     |v|^q (curlyU and its source) and r2 for v and |u_t|^p (curlyV and
     its source), with (r1, r2) = ``kernel_exponents(spec.n, spec.pq)``.
     There is one basis matrix per distinct exponent, so with r1 == r2
-    one matrix serves all four; the identity check projects the data
-    terms u0 and v1 from the spec's data instead.  The readers take
-    quad_nodes back from the width of the kernel rows.
+    one matrix serves all four.  The reductions contract u_t's and v's
+    kernel rows at each sample's time as they are recorded: their
+    projections keep the two head columns and curlyU (resp. curlyV), 3
+    columns, while |v|^q and |u_t|^p keep all quad_nodes + 2, from whose
+    width the readers take quad_nodes back.  The identity check projects
+    the four data terms from the spec's data.
     """
     r1, r2 = kernel_exponents(spec.n, spec.pq)
     grid = radial_grid(spec)
     w = integral_probes(spec)["u"]  # one row, the same for every source
     head = np.vstack((w, w * phi(spec.n, grid)))
-    basis = {r: np.vstack((head, _kernel_basis(spec.n, grid, w, _kernel_nodes(spec, r, quad_nodes)[0])))
-             for r in {r1, r2}}
+    nodes = {r: _kernel_nodes(spec, r, quad_nodes) for r in {r1, r2}}
+    basis = {r: np.vstack((head, _kernel_basis(spec.n, grid, w, lam))) for r, (lam, _wl) in nodes.items()}
+
+    def curly(r):
+        """A block's head columns and its kernel series at the block's times."""
+        lam, wl = nodes[r]
+        return lambda times, rows: np.column_stack(
+            (rows[:, :2], _diag_kernel_series(times, spec.R, lam, wl, rows[:, 2:])))
+
     return IntegralProbes({"u": head, "ut": basis[r1], "v": basis[r2], "vt": head,
-                           "|v|^q": basis[r1], "|u_t|^p": basis[r2]})
+                           "|v|^q": basis[r1], "|u_t|^p": basis[r2]},
+                          reductions={"ut": curly(r1), "v": curly(r2)})
 
 
 def extract(record: SolutionRecord) -> FunctionalSeries:
     """All nine functional series of a run with ``probes(spec, ...)``."""
-    spec = record.spec
     proj = _projections(record)
-    r1, r2 = kernel_exponents(spec.n, spec.pq)
     decay = np.exp(-record.times)
-
-    def curly(r, name):
-        lam, wl = _kernel_nodes(spec, r, proj[name].shape[1] - 2)  # quad_nodes
-        return _diag_kernel_series(record.times, spec.R, lam, wl, proj[name][:, 2:])
-
     return FunctionalSeries(
         times=record.times.copy(),
         U=proj["u"][:, 0],
@@ -229,8 +237,8 @@ def extract(record: SolutionRecord) -> FunctionalSeries:
         U1=decay * proj["u"][:, 1],
         V1=decay * proj["v"][:, 1],
         U2=decay * proj["ut"][:, 1],
-        curlyU=curly(r1, "ut"),
-        curlyV=curly(r2, "v"),
+        curlyU=proj["ut"][:, 2],
+        curlyV=proj["v"][:, 2],
     )
 
 
@@ -338,17 +346,18 @@ def require_zero_damping(spec: ProblemSpec) -> None:
         raise ValueError("the fundamental identities hold for zero damping only")
 
 
-def _data_terms(spec: ProblemSpec, lam_u0, lam_v1):
-    """The lam-projections of the data u0 at the nodes ``lam_u0`` and v1
-    at ``lam_v1``, from (eps * amplitude) * profile on the grid points
-    r <= R, outside which the data vanish."""
+def _data_terms(spec: ProblemSpec, lam_u0, lam_u1, lam_v0, lam_v1):
+    """The lam-projections of the data u0, u1, v0 and v1, each at its
+    nodes, from (eps * amplitude) * profile on the grid points r <= R,
+    outside which the data vanish."""
     grid = radial_grid(spec)
     k = int(grid.searchsorted(spec.R, side="right"))
     points, w = grid[:k], radial_weights(grid, spec.n)[:k]
-    bump = spec.data.profile(points, spec.R)
+    data = spec.data
+    bump = data.profile(points, spec.R)
     return tuple(
         _kernel_basis(spec.n, points, w, lam) @ ((spec.eps * amplitude) * bump)
-        for lam, amplitude in ((lam_u0, spec.data.a_u0), (lam_v1, spec.data.a_v1))
+        for lam, amplitude in zip((lam_u0, lam_u1, lam_v0, lam_v1), (data.a_u0, data.a_u1, data.a_v0, data.a_v1))
     )
 
 
@@ -357,19 +366,20 @@ def check_fundamental_identity(record: SolutionRecord, checkpoints=None):
 
     Valid for the undamped system only.  ``record`` must come from
     ``run(spec, probes=probes(spec, quad_nodes))``: with the spec's
-    ``kernel_exponents`` (r1, r2), the check reads the kernel rows
-    of u_t and v (curlyU, curlyV, and the data u1, v0 at sample 0) and
-    of |v|^q and |u_t|^p (the sources).  The data terms u0 (on the
-    r1 + 2 kernel) and v1 (on the r2 kernel) it projects from
-    ``record.spec``'s data.  Both sides are evaluated at checkpoint
-    times; the time integral of the nonlinear source against the kernels
-    uses the trapezoid rule over the samples.  Returns the maximum
-    relative residual for each identity, NaN if any residual is NaN.
+    ``kernel_exponents`` (r1, r2), the check reads curlyU and curlyV
+    (column 2 of u_t and v) at its checkpoints and the kernel rows of
+    |v|^q and |u_t|^p (the sources).  The data terms u0 (on the r1 + 2
+    kernel), u1 (on the r1 kernel), v0 and v1 (on the r2 kernel) it
+    projects from ``record.spec``'s data.  Both sides are evaluated at
+    checkpoint times; the time integral of the nonlinear source against
+    the kernels uses the trapezoid rule over the samples.  Returns the
+    maximum relative residual for each identity, NaN if any residual is
+    NaN.
     """
     spec = record.spec
     require_zero_damping(spec)
-    proj = {name: rows[:, 2:] for name, rows in _projections(record).items() if name not in HEAD_SOURCES}
-    quad_nodes = proj["ut"].shape[1]
+    proj = _projections(record)
+    quad_nodes = proj["|v|^q"].shape[1] - 2
     r1, r2 = kernel_exponents(spec.n, spec.pq)
 
     times = record.times
@@ -381,13 +391,10 @@ def check_fundamental_identity(record: SolutionRecord, checkpoints=None):
 
     (lam1s, wl1s), (lam1, wl1), (lam2, wl2) = (
         _kernel_nodes(spec, r, quad_nodes) for r in (r1 + 2.0, r1, r2))
-    curlyU = _diag_kernel_series(times[checkpoints], spec.R, lam1, wl1, proj["ut"][checkpoints])
-    curlyV = _diag_kernel_series(times[checkpoints], spec.R, lam2, wl2, proj["v"][checkpoints])
-    # u1 and v0 are the sources at sample 0
-    proj_u1, proj_v0 = proj["ut"][0], proj["v"][0]
-    proj_u0, proj_v1 = _data_terms(spec, lam1s, lam2)
-    proj_vq = proj["|v|^q"].T  # (m, N)
-    proj_utp = proj["|u_t|^p"].T
+    curlyU, curlyV = proj["ut"][checkpoints, 2], proj["v"][checkpoints, 2]
+    proj_u0, proj_u1, proj_v0, proj_v1 = _data_terms(spec, lam1s, lam1, lam2, lam2)
+    proj_vq = proj["|v|^q"][:, 2:].T  # (m, N)
+    proj_utp = proj["|u_t|^p"][:, 2:].T
 
     res_u, res_v = [], []
     for j, ci in enumerate(checkpoints):

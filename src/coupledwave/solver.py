@@ -202,10 +202,10 @@ class SolutionRecord:
     detection; every sample time is also a sup-norm time.
     ``projections`` maps each probe source given to ``run`` to the
     (N, K) array of its probe matrix applied to the source at the N
-    sampled times (row i belongs to ``times[i]``); it is empty when the
-    run had no probes.  ``integrals`` is True when the probes were an
-    ``IntegralProbes`` mapping, whose row 0 is the radial weights on
-    every source.
+    sampled times (row i belongs to ``times[i]``), or to the columns
+    its reduction keeps of them; it is empty when the run had no probes.
+    ``integrals`` is True when the probes were an ``IntegralProbes``
+    mapping, whose row 0 is the radial weights on every source.
     ``crossed`` names the field whose sup norm was largest on the
     crossing row (``"u"``, ``"u_t"`` or ``"v"``), None without blow-up.
     ``steps`` counts the leapfrog levels after t = 0 (one per sup-norm
@@ -267,9 +267,16 @@ def radial_weights(r: np.ndarray, n: int) -> np.ndarray:
 
 class IntegralProbes(dict):
     """A probe mapping whose row 0 on every source is the radial
-    weights; ``run`` records ``integrals``."""
+    weights; ``run`` records ``integrals``.  ``reductions`` maps sources
+    to functions f(times, rows): ``run`` records f's columns of each
+    block of that source's (samples, K) projections, at the block's
+    sample times, in place of the projections."""
 
     integrals = True
+
+    def __init__(self, mats=(), reductions=None):
+        super().__init__(mats)
+        self.reductions = dict(reductions or {})
 
 
 def integral_probes(spec: ProblemSpec) -> IntegralProbes:
@@ -443,13 +450,15 @@ class _Projector:
     Sources whose probe matrix is one object form a group.  ``add``
     copies each source's window [:L] into its group's (PROBE_BLOCK * g,
     M) buffer, row j * g + c for source c of the block's j-th sample,
-    and zeroes what a wider earlier sample left past L.  ``flush``
-    projects the block with one matrix product per group, over the
-    block's widest window, into ``out``: one (capacity, K) array per
-    source, doubled when the samples outgrow it.
+    zeroes what a wider earlier sample left past L and notes the
+    sample's time.  ``flush`` projects the block with one matrix product
+    per group, over the block's widest window, into ``out``: one
+    (capacity, K) array per source, doubled when the samples outgrow it.
+    A source with a reduction f (``reductions[name]``) keeps f(times,
+    rows) of its block's rows at their sample times instead, K' columns.
     """
 
-    def __init__(self, probes: dict, m: int, capacity: int):
+    def __init__(self, probes: dict, m: int, capacity: int, reductions: dict):
         groups = {}
         for name, mat in probes.items():
             groups.setdefault(id(mat), (mat, []))[1].append(name)
@@ -458,14 +467,23 @@ class _Projector:
             (mat, [PROBE_SOURCES.index(name) for name in names], np.zeros((PROBE_BLOCK * len(names), m)))
             for mat, names in groups.values()
         ]
-        self.out = {name: np.empty((capacity, mat.shape[0])) for name, mat in probes.items()}
+        self.reductions = reductions
+        self.times = np.empty(PROBE_BLOCK)
+        # a source keeps its matrix's K rows, or the K' columns its
+        # reduction gives an empty block
+        self.out = {}
+        for name, mat in probes.items():
+            width = mat.shape[0]
+            if name in reductions:
+                width = reductions[name](self.times[:0], np.empty((0, width))).shape[1]
+            self.out[name] = np.empty((capacity, width))
         self.width = [0] * PROBE_BLOCK  # buffer rows of slot j are zero from width[j] on
         self.slot = 0
         self.count = 0
 
-    def add(self, sources, L):
-        """Queue one sample: ``sources`` in PROBE_SOURCES order, read on
-        their window [:L] only."""
+    def add(self, sources, L, t):
+        """Queue one sample at time t: ``sources`` in PROBE_SOURCES
+        order, read on their window [:L] only."""
         j = self.slot
         for _mat, index, buf in self.groups:
             g = len(index)
@@ -475,6 +493,7 @@ class _Projector:
             if self.width[j] > L:
                 rows[:, L : self.width[j]] = 0.0
         self.width[j] = L
+        self.times[j] = t
         self.slot += 1
         if self.slot == PROBE_BLOCK:
             self.flush()
@@ -493,12 +512,16 @@ class _Projector:
         for mat, index, buf in self.groups:
             block = buf[: j * len(index), :L] @ mat[:, :L].T
             for c, i in enumerate(index):
-                self.out[PROBE_SOURCES[i]][start:stop] = block[c :: len(index)]
+                name = PROBE_SOURCES[i]
+                rows = block[c :: len(index)]
+                if name in self.reductions:
+                    rows = self.reductions[name](self.times[:j], rows)
+                self.out[name][start:stop] = rows
         self.count = stop
         self.slot = 0
 
     def projections(self) -> dict:
-        """The (samples, K) projection of each source, after a last flush."""
+        """The (samples, K') projection of each source, after a last flush."""
         self.flush()
         return {name: arr[: self.count] for name, arr in self.out.items()}
 
@@ -522,7 +545,9 @@ def run(spec: ProblemSpec, probes=None) -> SolutionRecord:
     back into the scheme.  Identity matrices give back the sampled
     profiles themselves.  An ``integrals`` attribute of the mapping (as
     on ``integral_probes`` and ``functionals.probes``) is copied to
-    ``SolutionRecord.integrals``.
+    ``SolutionRecord.integrals``; its ``reductions`` (as on
+    ``functionals.probes``) are applied to each block of projections at
+    the block's sample times, before it is recorded.
 
     This is ``run_batch`` with one row.
     """
@@ -580,6 +605,7 @@ class _Batch:
         r = radial_grid(spec)
         m = r.size
         self.integrals = getattr(probes, "integrals", False)
+        reductions = getattr(probes, "reductions", {})
         probes = {name: np.asarray(mat, dtype=float) for name, mat in (probes or {}).items()}
         for name, mat in probes.items():
             if name not in PROBE_SOURCES:
@@ -607,10 +633,14 @@ class _Batch:
         self.stride = max(1, int(np.floor(grid.t_max / (2000.0 * dt))))
         samples = math.ceil(grid.t_max / (self.stride * dt)) + 2
         self.rows = [
-            _Row(i, 1e3 * max(level, 1e-300), level, [], _Projector(probes, m, samples) if probes else None)
+            _Row(i, 1e3 * max(level, 1e-300), level, [],
+                 _Projector(probes, m, samples, reductions) if probes else None)
             for i, level in enumerate(levels)
         ]
-        capacity = math.ceil(grid.t_max / dt) + 2  # steps until t_max, and row 0
+        # the steps until t_max at this dt, and row 0: all that a batch
+        # which never halves dt fills; a batch doubles full buffers
+        # (_grow_sup), and a halved one starts at twice its steps taken
+        capacity = math.ceil(grid.t_max / dt) + 2
         self.sup = np.empty((len(specs), capacity, 3))
         self.sup[:, 0] = init
         self.sup_times = np.empty(capacity)
@@ -657,6 +687,8 @@ class _Batch:
             if L > core.width:
                 core.resize(range(nb), _width(L, m))
             s = self.s
+            if s == self.sup_times.size:
+                self._grow_sup()
             norms = self.sup[:nb, s]  # max |u|, max |u_t|, max |v| per row
             u_force, v_force = core.force
             np.abs(core.cur[1], out=u_force)
@@ -737,21 +769,20 @@ class _Batch:
             projector.add(
                 (core.cur[0, i], core.vel[0, i], core.cur[1, i], core.vel[1, i], core.force[0, i], core.force[1, i]),
                 L,
+                self.t,
             )
 
     def _halved(self, rows, L, b1v, b2v):
         """A batch of ``rows`` at half the step: copies of their core and
-        sup history, in buffers sized for the steps left, whose next level
-        is a Taylor step of the new size from the current one."""
+        sup history, the latter in buffers of twice the steps taken, whose
+        next level is a Taylor step of the new size from the current one."""
         new = copy.copy(self)
         new.core = core = self.core.split(rows)
         new.rows = [self.rows[i] for i in rows]
         new.times = list(self.times)
         dt_old, s = self.dt, self.s
         new.dt = dt = 0.5 * dt_old
-        # at most ceil((t_max - t) / dt) + 1 steps are left
-        size = s + math.ceil((self.spec.grid.t_max - self.t) / dt) + 2
-        new.sup, new.sup_times = np.empty((len(rows), size, 3)), np.empty(size)
+        new.sup, new.sup_times = np.empty((len(rows), 2 * s, 3)), np.empty(2 * s)
         new.sup[:, :s] = self.sup[rows, :s]
         new.sup_times[:s] = self.sup_times[:s]
         for row in new.rows:
@@ -762,6 +793,14 @@ class _Batch:
         core.close(L, k)
         new.next_level(k)
         return new
+
+    def _grow_sup(self):
+        """Double the sup-norm buffers, which the steps taken have filled."""
+        s = self.s
+        sup, times = np.empty((self.sup.shape[0], 2 * s, 3)), np.empty(2 * s)
+        sup[:, :s] = self.sup[:, :s]
+        times[:s] = self.sup_times[:s]
+        self.sup, self.sup_times = sup, times
 
     def next_level(self, k):
         self.core.rotate()

@@ -67,6 +67,8 @@ MOMENT_NODES = 64
 MOMENT_SPAN = 16.0
 # the kernels' lam-cutoff lam0
 LAMBDA0 = 1.0
+# the default number of lam-nodes of a kernel quadrature
+QUAD_NODES = 64
 
 
 @lru_cache(maxsize=128)
@@ -312,7 +314,7 @@ class KernelConfig:
 
     r: float
     R: float = 1.0
-    quad_nodes: int = 64
+    quad_nodes: int = QUAD_NODES
 
     def __post_init__(self):
         if not -1.0 < self.r < math.inf:

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import inspect
 import json
 import multiprocessing
 import os
@@ -13,6 +14,7 @@ import coupledwave
 from coupledwave import cli, configio, lifespan, verify
 from coupledwave import functionals as fn
 from coupledwave.cli import main
+from coupledwave.special import QUAD_NODES, KernelConfig
 
 
 def test_curve_verb(capsys):
@@ -154,6 +156,15 @@ def test_kernel_exponents_and_cutoff_are_not_fields(verb, field, value, tmp_path
     assert captured.out == ""
     assert f"unknown field kernels.{field}" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_one_default_quad_nodes():
+    # KernelConfig, functionals.probes and the config's kernels section
+    # read one default lam-node count
+    assert KernelConfig(r=0.0).quad_nodes == QUAD_NODES == 64
+    assert inspect.signature(fn.probes).parameters["quad_nodes"].default == QUAD_NODES
+    assert configio.DEFAULT_CONFIG["kernels"]["quad_nodes"] == QUAD_NODES
+    assert configio.kernel_params_from_config(configio.merge_config({})) == {"quad_nodes": QUAD_NODES}
 
 
 def test_identity_reads_quad_nodes_from_the_config(monkeypatch, tmp_path, capsys):

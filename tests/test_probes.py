@@ -13,6 +13,7 @@ from coupledwave.solver import (
     PROBE_SOURCES,
     GridSpec,
     InitialDataFamily,
+    IntegralProbes,
     _Projector,
     integral_probes,
     radial_grid,
@@ -30,6 +31,14 @@ def stored_and_probed(request, standard_spec, profile_run):
     spec = dataclasses.replace(standard_spec, pq=ExponentPair(*request.param))
     probes = fn.probes(spec)
     return spec, probes, profile_run(spec), run(spec, probes=probes)
+
+
+@pytest.fixture(scope="module")
+def unreduced(stored_and_probed):
+    """The probed run with the same probe matrices and no reductions:
+    every source keeps all rows of its matrix, 66 on u_t and v."""
+    spec, probes, _stored, _probed = stored_and_probed
+    return run(spec, probes=IntegralProbes(probes))
 
 
 def _profile_sources(spec, stored):
@@ -52,14 +61,35 @@ def test_probe_run_matches_stored_run(stored_and_probed):
     assert plain.projections == {}
 
 
-def test_projections_agree_with_profiles(stored_and_probed):
-    spec, probes, stored, probed = stored_and_probed
+def test_projections_agree_with_profiles(stored_and_probed, unreduced):
+    spec, probes, stored, _probed = stored_and_probed
     sources = _profile_sources(spec, stored)
-    assert set(probed.projections) == set(PROBE_SOURCES)
+    assert set(unreduced.projections) == set(PROBE_SOURCES)
     for name, basis in probes.items():
-        got = probed.projections[name]
+        got = unreduced.projections[name]
         assert got.shape == (stored.times.size, basis.shape[0])
         np.testing.assert_allclose(got, sources[name] @ basis.T, rtol=1e-13, atol=0.0)
+
+
+def test_probe_record_widths(stored_and_probed, unreduced):
+    # 2, 3, 3, 2, 66, 66 columns at quad_nodes 64: u_t and v keep their
+    # head columns and, in column 2, the kernel series that
+    # _diag_kernel_series gives over the 66 columns a run without the
+    # reductions records; every other column is that run's, bitwise
+    spec, probes, _stored, probed = stored_and_probed
+    assert set(probes.reductions) == {"ut", "v"}
+    widths = {name: rows.shape[1] for name, rows in probed.projections.items()}
+    assert widths == {"u": 2, "ut": 3, "v": 3, "vt": 2, "|v|^q": 66, "|u_t|^p": 66}
+    r1, r2 = kernel_exponents(spec.n, spec.pq)
+    for name, rows in probed.projections.items():
+        full = unreduced.projections[name]
+        assert np.array_equal(rows[:, :2], full[:, :2]), name
+        if name in probes.reductions:
+            nodes = fn._kernel_nodes(spec, r1 if name == "ut" else r2, 64)
+            curly = fn._diag_kernel_series(unreduced.times, spec.R, *nodes, full[:, 2:])
+            np.testing.assert_allclose(rows[:, 2], curly, rtol=1e-12, atol=0.0, err_msg=name)
+        else:
+            assert np.array_equal(rows, full), name
 
 
 def test_probe_rows(standard_spec):
@@ -160,15 +190,21 @@ def test_projector_matches_per_sample_products(count, capacity):
     probes = {"u": own, "ut": shared, "|v|^q": shared, "v": shared}
     widths = rng.integers(2, m + 1, size=count)
     samples = [rng.uniform(size=(len(PROBE_SOURCES), m)) for _ in range(count)]
-    proj = _Projector(probes, m, capacity)
+    times = rng.uniform(size=count)
+    # v keeps the sum of its rows and its sample time
+    reductions = {"v": lambda t, rows: np.column_stack((rows.sum(axis=1), t))}
+    proj = _Projector(probes, m, capacity, reductions)
     assert len(proj.groups) == 2
-    for src, L in zip(samples, widths):
-        proj.add(src, L)
+    for src, L, t in zip(samples, widths, times):
+        proj.add(src, L, t)
     got = proj.projections()
+    assert list(got) == list(probes)
     for name, mat in probes.items():
         i = PROBE_SOURCES.index(name)
         want = _per_sample(mat, [src[i] for src in samples], widths)
-        assert got[name].shape == (count, mat.shape[0])
+        if name in reductions:
+            want = np.column_stack((want.sum(axis=1), times))
+        assert got[name].shape == (count, want.shape[1])
         np.testing.assert_allclose(got[name], want, rtol=1e-13, atol=0.0, err_msg=name)
 
 
@@ -192,20 +228,20 @@ def test_nonlinearity_integrals_need_the_integral_row(standard_spec):
 
 
 @pytest.mark.parametrize("distinct", [False, True], ids=["shared", "distinct"])
-def test_run_projections_match_per_sample_products(stored_and_probed, profile_run, distinct):
+def test_run_projections_match_per_sample_products(stored_and_probed, unreduced, profile_run, distinct):
     # the blow-up runs (537 and 173 samples, dt halvings) and a short run
-    # whose sample count is a multiple of the block; with ``distinct``
-    # every source has its own copy of its matrix; the short run has
-    # probes of its own, on its shorter grid
-    spec, probes, stored, probed = stored_and_probed
+    # whose sample count is a multiple of the block, all without the
+    # reductions; with ``distinct`` every source has its own copy of its
+    # matrix; the short run has probes of its own, on its shorter grid
+    spec, probes, stored, _probed = stored_and_probed
     short = _short_run(spec)
-    short_probes = fn.probes(short)
+    short_probes = dict(fn.probes(short))
     if distinct:
         probes, short_probes = ({name: mat.copy() for name, mat in each.items()}
                                 for each in (probes, short_probes))
-        assert len(_Projector(probes, stored.r.size, 1).groups) == len(PROBE_SOURCES)
+        assert len(_Projector(probes, stored.r.size, 1, {}).groups) == len(PROBE_SOURCES)
     for spec_, probes_, stored_, probed_ in (
-        (spec, probes, stored, run(spec, probes=probes) if distinct else probed),
+        (spec, probes, stored, run(spec, probes=probes) if distinct else unreduced),
         (short, short_probes, profile_run(short), run(short, probes=short_probes)),
     ):
         sources = _profile_sources(spec_, stored_)
@@ -230,13 +266,16 @@ def test_identity_probes_on_every_source_are_the_profiles(stored_and_probed, pro
 
 
 def test_readers_take_quad_nodes_from_the_widths(identity_spec, monkeypatch):
-    # a probes(spec, quad_nodes=16) record is read with 16 nodes by
-    # extract and by the identity check, whose residuals still pass
-    rec = run(identity_spec, probes=fn.probes(identity_spec, quad_nodes=16))
-    assert {rows.shape[1] for rows in rec.projections.values()} == {2, 18}
+    # a probes(spec, quad_nodes=16) record holds curlyU of 16 nodes and is
+    # read with 16 nodes by the identity check, whose residuals still pass
+    probes = fn.probes(identity_spec, quad_nodes=16)
+    rec = run(identity_spec, probes=probes)
+    widths = {name: rows.shape[1] for name, rows in rec.projections.items()}
+    assert widths == {"u": 2, "ut": 3, "v": 3, "vt": 2, "|v|^q": 18, "|u_t|^p": 18}
+    full = run(identity_spec, probes=IntegralProbes(probes)).projections["ut"]
     nodes = fn._kernel_nodes(identity_spec, 0.5, 16)
-    curlyU = fn._diag_kernel_series(rec.times, identity_spec.R, *nodes, rec.projections["ut"][:, 2:])
-    assert np.array_equal(fn.extract(rec).curlyU, curlyU)
+    curlyU = fn._diag_kernel_series(rec.times, identity_spec.R, *nodes, full[:, 2:])
+    np.testing.assert_allclose(fn.extract(rec).curlyU, curlyU, rtol=1e-12, atol=0.0)
     read = []
     kernel_nodes = fn._kernel_nodes
     monkeypatch.setattr(fn, "_kernel_nodes", lambda spec, r, quad_nodes: (
@@ -254,12 +293,15 @@ def test_readers_take_quad_nodes_from_the_widths(identity_spec, monkeypatch):
 
 
 def test_projection_widths_are_checked(identity_run):
-    # kernel sources whose widths disagree, fewer than 16 kernel rows, or
-    # a head source with kernel rows are refused before any series is read
+    # source kernel rows whose widths disagree, fewer than 16 kernel rows,
+    # a head source with a third column, and u_t or v with their 66
+    # lam-projection columns instead of curlyU, curlyV are refused before
+    # any series is read
     proj = identity_run.projections
     narrow = {name: rows[:, :17] for name, rows in proj.items()}
-    for bad in (dict(proj, v=proj["v"][:, :34]), dict(proj, **{"|u_t|^p": proj["|u_t|^p"][:, :34]}),
-                narrow, dict(proj, u=proj["ut"])):
+    lam_rows = np.zeros((identity_run.times.size, 66))
+    for bad in (dict(proj, **{"|u_t|^p": proj["|u_t|^p"][:, :34]}), narrow, dict(proj, u=proj["ut"]),
+                dict(proj, ut=lam_rows), dict(proj, v=lam_rows)):
         record = dataclasses.replace(identity_run, projections=bad)
         for reader in (fn.extract, fn.check_fundamental_identity):
             with pytest.raises(ValueError, match=r"projection widths .* quad_nodes \+ 2 >= 18"):
@@ -269,17 +311,18 @@ def test_projection_widths_are_checked(identity_run):
 
 
 def _sample0_data_terms(spec, r1, r2):
-    """u0 on the r1 + 2 kernel rows and v1 on the r2 kernel rows as sample
-    0 of a run's projections: the layout with a kernel basis on u and v_t,
-    from which the identity check read its data terms."""
+    """u0 on the r1 + 2 kernel rows, u1 on the r1 rows, v0 and v1 on the
+    r2 rows, as sample 0 of a run's projections: the data terms the
+    identity check read once from a kernel basis on u and v_t and from
+    the lam-projections of u_t and v."""
     short = _short_run(spec)
     grid = radial_grid(short)
     w = radial_weights(grid, spec.n)
     basis = {r: np.vstack((w, w * phi(spec.n, grid),
                            fn._kernel_basis(spec.n, grid, w, fn._kernel_nodes(spec, r, 64)[0])))
-             for r in (r1 + 2.0, r2)}
-    rec = run(short, probes={"u": basis[r1 + 2.0], "vt": basis[r2]})
-    return rec.projections["u"][0, 2:], rec.projections["vt"][0, 2:]
+             for r in (r1 + 2.0, r1, r2)}
+    rec = run(short, probes={"u": basis[r1 + 2.0], "ut": basis[r1], "v": basis[r2], "vt": basis[r2]})
+    return tuple(rec.projections[name][0, 2:] for name in ("u", "ut", "v", "vt"))
 
 
 @pytest.mark.parametrize("kernel", [(0.5, 0.5), (0.3, 0.8)], ids=["r-0.5-0.5", "r-0.3-0.8"])
@@ -294,11 +337,13 @@ def test_identity_data_terms_from_the_data(request, monkeypatch, name, kernel):
     spec = dataclasses.replace(spec, pq=ExponentPair(*(1.0 / (half - r) for r in kernel)))
     r1, r2 = kernel_exponents(spec.n, spec.pq)
     assert (r1, r2) == pytest.approx(kernel, rel=0.0, abs=1e-15)
-    lam_u0, lam_v1 = (fn._kernel_nodes(spec, r, 64)[0] for r in (r1 + 2.0, r2))
+    nodes = [fn._kernel_nodes(spec, r, 64)[0] for r in (r1 + 2.0, r1, r2, r2)]
     other = dataclasses.replace(spec, eps=0.8, data=InitialDataFamily(k=3, amplitudes=(1.0, 2.0, 3.0, 4.0)))
     for spec_ in (other, spec):
         sample0 = _sample0_data_terms(spec_, r1, r2)
-        for got, want in zip(fn._data_terms(spec_, lam_u0, lam_v1), sample0):
+        terms = fn._data_terms(spec_, *nodes)
+        assert len(terms) == len(sample0) == 4
+        for got, want in zip(terms, sample0):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     rec = run(spec, probes=fn.probes(spec))
     residuals = fn.check_fundamental_identity(rec)

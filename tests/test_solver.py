@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from coupledwave import solver
 from coupledwave.exponents import ExponentPair
 from coupledwave.solver import (
     GridSpec,
@@ -322,3 +324,24 @@ def test_level0_overflow_fails_without_warning():
         rec = run(spec)
     assert rec.failed
     assert "non-finite" in rec.failure_reason
+
+
+def test_sup_history_grows_with_the_steps_taken(monkeypatch):
+    # at a refine factor of 2 this run halves dt 9 times on its way to the
+    # threshold near t = 28; sup-norm buffers sized for the horizon left
+    # at each new dt took 266 MB, buffers that double when the steps fill
+    # them take a few MB
+    monkeypatch.setattr(solver, "GROWTH_REFINE_FACTOR", 2.0)
+    spec = ProblemSpec(
+        n=2, pq=ExponentPair(2.0, 2.0), b1=DampingSpec.zero(), b2=DampingSpec.zero(),
+        R=1.0, eps=0.5, data=InitialDataFamily(), grid=GridSpec(dr=0.02, t_max=100.0),
+    )
+    tracemalloc.start()
+    try:
+        rec = run(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.blew_up and len(rec.halvings) == 9
+    assert rec.sup_norms.shape == (rec.steps + 1, 3)
+    assert peak < 10e6
