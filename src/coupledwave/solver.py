@@ -40,11 +40,11 @@ results do not depend on the window, the width or the rows stacked
 together.  u_t is formed at every level, for |u_t|^p and the sup
 norms; v_t only for a sample whose probes read it.  ``run_batch``
 advances runs that differ only in eps as rows of one leapfrog, and
-``run`` is its one-row case.  A row leaves its batch by one rule, when
-it blows up, fails or halves dt, and a row that halves dt always goes
-on in a new batch of its own at half the step (with any row that
-halves at the same step).  Each row's record carries the ProblemSpec
-it solved, so the functional readers take the record alone.
+``run`` is its one-row case.  Each step puts each row into one class,
+once: failed, crossed, halving or on.  Halving rows go on together in a
+new batch at half the step, which runs once they have left, so a batch
+they empty holds no buffers meanwhile.  Each row's record carries the
+ProblemSpec it solved, so the functional readers take the record alone.
 ``evolve_scalar`` runs the same core on the whole grid with no cone:
 its data need not be compactly supported, its forcing is arbitrary and
 it holds the grid end at zero itself.
@@ -55,6 +55,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -347,12 +348,6 @@ class _Leapfrog:
         self.spill = self.spill[:, rows]
         self._bind(block)
 
-    def split(self, rows) -> _Leapfrog:
-        """A core holding copies of ``rows``."""
-        new = copy.copy(self)
-        new.resize(rows, self.width)
-        return new
-
     def laplacian(self):
         """lap = cl * left + cr * right + (-2/dr^2) * centre, every field
         and row, over the flattened buffers: each row's two end points
@@ -559,10 +554,10 @@ def run_batch(specs, probes=None) -> list:
 
     Returns one record per spec, in order, each equal to ``run`` of
     that spec with these ``probes``.  The rows advance together, through
-    one leapfrog on (field, row, point) buffers, until a row blows up,
-    fails or halves dt: it then leaves the batch.  A halving row, the
-    lone row of ``run`` too, always goes on in a new batch of its own at
-    half the step, with any row that halves at the same step.
+    one leapfrog on (field, row, point) buffers, until a row fails,
+    crosses the threshold or halves dt: it then leaves the batch.
+    Halving rows, the lone row of ``run`` too, go on together in a new
+    batch at half the step, once the batch they left has let go of them.
     """
     specs = list(specs)
     if not specs:
@@ -612,8 +607,9 @@ class _Batch:
                 raise ValueError(f"unknown probe source {name!r}; expected one of {PROBE_SOURCES}")
             if mat.ndim != 2 or mat.shape[1] != m:
                 raise ValueError(f"probe {name!r} must be a (K, {m}) matrix, got shape {mat.shape}")
-        # finite propagation speed: data in B_R implies supp w(dt) in B_{dt+R}
-        k = int(r.searchsorted(dt + spec.R, side="right"))
+        self.specs, self.spec, self.r = specs, spec, r
+        self.t, self.dt, self.step = 0.0, dt, 0
+        k = self.cone()
         L = k + 2
         self.core = core = _Leapfrog(r, grid.dr, spec.n, 2, len(specs), _width(L, m))
 
@@ -629,7 +625,6 @@ class _Batch:
         if not all(grid.blowup_threshold > level for level in levels):  # a NaN fails too
             raise ValueError("blowup_threshold must exceed the initial sup norms")
 
-        self.specs, self.spec, self.r = specs, spec, r
         self.stride = max(1, int(np.floor(grid.t_max / (2000.0 * dt))))
         samples = math.ceil(grid.t_max / (self.stride * dt)) + 2
         self.rows = [
@@ -639,7 +634,7 @@ class _Batch:
         ]
         # the steps until t_max at this dt, and row 0: all that a batch
         # which never halves dt fills; a batch doubles full buffers
-        # (_grow_sup), and a halved one starts at twice its steps taken
+        # (_history), and a halved one starts at twice its steps taken
         capacity = math.ceil(grid.t_max / dt) + 2
         self.sup = np.empty((len(specs), capacity, 3))
         self.sup[:, 0] = init
@@ -647,7 +642,7 @@ class _Batch:
         self.sup_times[0] = 0.0
         self.s = 1
         self.times = [0.0]
-        self.t, self.dt, self.step, self.k_cur, self.window = 0.0, dt, 0, k, L
+        self.k_cur, self.window = k, L
         self.vt_step = 0  # the level whose v_t the core's vel holds
 
         u_force, v_force = core.force
@@ -664,31 +659,36 @@ class _Batch:
         self.next_level(k)
 
     def advance(self, records):
-        """Step until every row has blown up, failed, halved dt or reached
-        t_max; finished rows go to ``records``.  A row that halves dt
-        leaves for a batch of its own, advanced to its end first.
+        """Step until every row has left the batch or reached t_max;
+        finished rows go to ``records``.
+
+        Each step puts each row into one class, once: failed (a
+        non-finite level), crossed (a level >= threshold), halving or on.
+        A failed row ends without the step's sup row and sample.  The
+        three exits leave before the halving rows' new batch advances to
+        its end, so a batch they empty holds no buffers meanwhile.
 
         At time t the next level vanishes from k = first index with
         r > t + dt + R on, and the step works on [:L], L = k + 2.
         u is leapt before |u_t|^p is formed for v's leap.
         """
-        spec, r, core = self.spec, self.r, self.core
+        spec, core = self.spec, self.core
         grid = spec.grid
         p, q = spec.pq.p, spec.pq.q
         threshold = grid.blowup_threshold
-        m = r.size
+        m = self.r.size
         while self.rows and self.t < grid.t_max - 0.5 * self.dt:
             t, dt, nb = self.t, self.dt, len(self.rows)
             b1v = spec.b1.b(t)
             b2v = spec.b2.b(t)
-            k = int(r.searchsorted(t + dt + spec.R, side="right"))
+            k = self.cone()
             L = k + 2
             self.window = max(self.window, L)
             if L > core.width:
                 core.resize(range(nb), _width(L, m))
             s = self.s
-            if s == self.sup_times.size:
-                self._grow_sup()
+            if s == self.sup_times.size:  # full: double it
+                self.sup, self.sup_times = self._history(range(nb))
             norms = self.sup[:nb, s]  # max |u|, max |u_t|, max |v| per row
             u_force, v_force = core.force
             np.abs(core.cur[1], out=u_force)
@@ -709,54 +709,35 @@ class _Batch:
             self.sup_times[s] = t
             self.s = s + 1
 
-            # a non-finite level passes neither comparison, so it is flagged
-            flagged = []
+            failed, crossed, halving = [], [], []
             for i, (row, level) in enumerate(zip(self.rows, np.maximum.reduce(norms, axis=1).tolist())):
-                if not level < threshold or (
-                    level > GROWTH_REFINE_FACTOR * row.level
-                    and level > row.floor
-                    and len(row.halvings) < MAX_DT_HALVINGS
-                ):
-                    flagged.append(i)
+                if not level < threshold:  # a non-finite level passes neither comparison
+                    (crossed if math.isfinite(level) else failed).append(i)
+                elif (level > GROWTH_REFINE_FACTOR * row.level and level > row.floor
+                      and len(row.halvings) < MAX_DT_HALVINGS):
+                    halving.append(i)
                 row.level = level
+            for i in failed:
+                reason = f"non-finite values at t={t:.6g} before threshold crossing"
+                self._finish(records, i, s, self.times, reason=reason)
+            # on the stride every row that did not fail, a crossed row off it
             sampled = self.step % self.stride == 0
-            if flagged:
-                self._settle(records, flagged, sampled, L, b1v, b2v)
-            elif sampled:
-                self._sample(range(nb), L)
+            if sampled:
+                self.times.append(t)
+            for i in [i for i in range(nb) if i not in failed] if sampled else crossed:
+                self.project(i, L)
+            for i in crossed:
+                _, t_blowup = detect_blowup(self.sup_times[: s + 1], self.sup[i, : s + 1], threshold)
+                self._finish(records, i, s + 1, self.times if sampled else [*self.times, t], t_blowup=t_blowup)
+            exits = failed + crossed + halving
+            if exits:
+                halved = self._halved(halving, L, b1v, b2v) if halving else None
+                self._drop(exits)
+                if halved is not None:
+                    halved.advance(records)
             self.next_level(k)
         for i in range(len(self.rows)):
             self._finish(records, i, self.s, self.times)
-
-    def _settle(self, records, flagged, sampled, L, b1v, b2v):
-        """Take the flagged rows out of the batch: finish those that failed
-        or crossed the threshold, and advance the others, which halve dt,
-        as a batch of their own."""
-        s, t, norms = self.s - 1, self.t, self.sup[:, self.s - 1]
-        threshold = self.spec.grid.blowup_threshold
-        failed = [i for i in flagged if not np.isfinite(norms[i]).all()]
-        for i in failed:  # finished before this step's sample, without its sup row
-            reason = f"non-finite values at t={t:.6g} before threshold crossing"
-            self._finish(records, i, s, self.times, failed=True, reason=reason)
-        if sampled:
-            self._sample([i for i in range(len(self.rows)) if i not in failed], L)
-        crossed = [i for i in flagged if i not in failed and self.rows[i].level >= threshold]
-        for i in crossed:
-            if not sampled:
-                self.project(i, L)
-            _, t_blowup = detect_blowup(self.sup_times[: s + 1], self.sup[i, : s + 1], threshold)
-            times = self.times if sampled else [*self.times, t]
-            self._finish(records, i, s + 1, times, t_blowup=t_blowup)
-        halving = [i for i in flagged if i not in failed and i not in crossed]
-        if halving:
-            self._halved(halving, L, b1v, b2v).advance(records)
-        self._drop(flagged)
-
-    def _sample(self, rows, L):
-        """Sample ``rows`` at the current level (t > 0)."""
-        self.times.append(self.t)
-        for i in rows:
-            self.project(i, L)
 
     def project(self, i, L):
         """Queue a sample of row i, forming the level's v_t if the probes read it."""
@@ -777,30 +758,35 @@ class _Batch:
         sup history, the latter in buffers of twice the steps taken, whose
         next level is a Taylor step of the new size from the current one."""
         new = copy.copy(self)
-        new.core = core = self.core.split(rows)
+        new.core = core = copy.copy(self.core)
+        core.resize(rows, core.width)
         new.rows = [self.rows[i] for i in rows]
         new.times = list(self.times)
-        dt_old, s = self.dt, self.s
+        dt_old = self.dt
         new.dt = dt = 0.5 * dt_old
-        new.sup, new.sup_times = np.empty((len(rows), 2 * s, 3)), np.empty(2 * s)
-        new.sup[:, :s] = self.sup[rows, :s]
-        new.sup_times[:s] = self.sup_times[:s]
+        new.sup, new.sup_times = self._history(rows)
         for row in new.rows:
             row.halvings.append((self.t, dt, row.level))
-        k = int(self.r.searchsorted(self.t + dt + self.spec.R, side="right"))
+        k = new.cone()
         core.restart(0, b1v, dt_old, dt)
         core.restart(1, b2v, dt_old, dt)
         core.close(L, k)
         new.next_level(k)
         return new
 
-    def _grow_sup(self):
-        """Double the sup-norm buffers, which the steps taken have filled."""
+    def _history(self, rows):
+        """Copies of the sup norms of ``rows`` and of the sup times, in
+        buffers of twice the steps taken."""
         s = self.s
-        sup, times = np.empty((self.sup.shape[0], 2 * s, 3)), np.empty(2 * s)
-        sup[:, :s] = self.sup[:, :s]
+        sup, times = np.empty((len(rows), 2 * s, 3)), np.empty(2 * s)
+        sup[:, :s] = self.sup[rows, :s]
         times[:s] = self.sup_times[:s]
-        self.sup, self.sup_times = sup, times
+        return sup, times
+
+    def cone(self) -> int:
+        """k, the first index past the next level's cone: data in B_R give
+        supp w(t + dt) in B_{t+dt+R}."""
+        return int(self.r.searchsorted(self.t + self.dt + self.spec.R, side="right"))
 
     def next_level(self, k):
         self.core.rotate()
@@ -809,15 +795,19 @@ class _Batch:
         self.step += 1
 
     def _drop(self, rows):
-        """Remove ``rows`` and compact the buffers."""
+        """Remove ``rows`` and compact the buffers; a batch left with no
+        rows keeps none."""
         keep = [i for i in range(len(self.rows)) if i not in rows]
-        if keep:
-            self.core.resize(keep, self.core.width)
-            self.sup[: len(keep), : self.s] = self.sup[keep, : self.s]
         self.rows = [self.rows[i] for i in keep]
+        self.core.resize(keep, self.core.width)
+        if keep:
+            self.sup[: len(keep), : self.s] = self.sup[keep, : self.s]
+        else:
+            self.sup, self.sup_times = self.sup[:0].copy(), self.sup_times[:0].copy()
 
-    def _finish(self, records, i, s, times, t_blowup=None, failed=False, reason=""):
-        """Record row i with its first s sup rows."""
+    def _finish(self, records, i, s, times, t_blowup=None, reason=""):
+        """Record row i with its first s sup rows; a row that has a
+        failure ``reason`` failed."""
         row = self.rows[i]
         sup_norms = self.sup[i, :s].copy()
         blew_up = t_blowup is not None
@@ -829,7 +819,7 @@ class _Batch:
             sup_norms=sup_norms,
             blew_up=blew_up,
             t_blowup=t_blowup,
-            failed=failed,
+            failed=bool(reason),
             failure_reason=reason,
             dt_final=self.dt,
             halvings=tuple(row.halvings),
@@ -859,12 +849,17 @@ def evolve_scalar(
     (times, W, Wt, r) with profiles sampled every ``sample_stride``
     steps.  ``forcing(t, r)`` is evaluated at the current level.  The
     data need not be compactly supported, so the step covers the whole
-    grid with no cone.
+    grid with no cone.  dr, t_max and cfl have ``GridSpec``'s bounds,
+    ``sample_stride`` is an integer >= 1 and r_max is finite.
     """
     n = check_dimension(n)
+    dt = GridSpec(dr, t_max, cfl).dt
+    if not isinstance(sample_stride, numbers.Integral) or sample_stride < 1:
+        raise ValueError(f"sample_stride must be an integer >= 1, got {sample_stride!r}")
+    if not 0 < r_max < math.inf:
+        raise ValueError(f"r_max must be positive and finite, got {r_max}")
     m = int(np.floor(r_max / dr + 1e-9)) + 1
     r = np.arange(m) * dr
-    dt = cfl * dr
     wt0 = np.array(w1, dtype=float)
     if np.shape(w0) != r.shape or wt0.shape != r.shape:
         raise ValueError("initial profiles must match the radial grid")

@@ -490,10 +490,12 @@ def psi_moment(n, exponent: float, t: float, R: float) -> float:
     MOMENT_SPAN of that growth keeps it resolved at any t.
     """
     n = check_dimension(n)
-    if not exponent > 1.0:
-        raise ValueError(f"moment exponent must be > 1, got {exponent}")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 1.0 < exponent < math.inf:
+        raise ValueError(f"moment exponent must be finite and > 1, got {exponent}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"R must be positive and finite, got {R}")
     upper = R + t
     panels = max(1, math.ceil(exponent * upper / MOMENT_SPAN))
     width = upper / panels

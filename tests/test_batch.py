@@ -101,6 +101,15 @@ def test_rows_halving_together_leave_as_one_batch():
     assert rows[0].halvings and rows[0].halvings == rows[1].halvings
 
 
+def test_one_row_crosses_while_another_halves():
+    # both rows halve together at t = 4.32; at t = 4.329 the first crosses
+    # the threshold in the step at which the second halves again
+    first, second = _assert_rows_equal_singles(_spec(t_max=10.0), (0.5, 0.49975))
+    assert first.blew_up and len(first.halvings) == 1 and len(second.halvings) == 2
+    assert first.halvings[0][:2] == second.halvings[0][:2]
+    assert second.halvings[1][0] == first.sup_times[-1]
+
+
 def test_batched_probes(standard_spec):
     rows = _assert_rows_equal_singles(standard_spec, (1.0, 0.8), probes(standard_spec))
     assert all(rec.integrals for rec in rows)

@@ -326,16 +326,38 @@ def test_level0_overflow_fails_without_warning():
     assert "non-finite" in rec.failure_reason
 
 
-def test_sup_history_grows_with_the_steps_taken(monkeypatch):
-    # at a refine factor of 2 this run halves dt 9 times on its way to the
-    # threshold near t = 28; sup-norm buffers sized for the horizon left
-    # at each new dt took 266 MB, buffers that double when the steps fill
-    # them take a few MB
-    monkeypatch.setattr(solver, "GROWTH_REFINE_FACTOR", 2.0)
-    spec = ProblemSpec(
+@pytest.mark.parametrize("change, match", [
+    ({"sample_stride": 0}, "sample_stride"),
+    ({"sample_stride": -1}, "sample_stride"),
+    ({"sample_stride": 2.5}, "sample_stride"),
+    ({"cfl": 0.0}, "cfl"),
+    ({"cfl": 2.0}, "cfl"),
+    ({"dr": 0.0}, "dr must"),
+    ({"dr": float("nan")}, "dr must"),
+    ({"t_max": float("inf")}, "t_max"),
+    ({"r_max": float("inf")}, "r_max"),
+])
+def test_evolve_scalar_refuses_bad_input(change, match):
+    r = np.arange(41) * 0.05
+    args = dict(n=3, dr=0.05, t_max=1.0, b=DampingSpec.zero(), w0=bump5(r), w1=np.zeros_like(r), r_max=2.0)
+    with pytest.raises(ValueError, match=match):
+        evolve_scalar(**{**args, **change})
+
+
+def _refine_chain_spec():
+    """A run that halves dt 9 times on its way to the threshold near t = 28
+    at a refine factor of 2."""
+    return ProblemSpec(
         n=2, pq=ExponentPair(2.0, 2.0), b1=DampingSpec.zero(), b2=DampingSpec.zero(),
         R=1.0, eps=0.5, data=InitialDataFamily(), grid=GridSpec(dr=0.02, t_max=100.0),
     )
+
+
+def test_sup_history_grows_with_the_steps_taken(monkeypatch):
+    # sup-norm buffers sized for the horizon left at each new dt took
+    # 266 MB, buffers that double when the steps fill them take a few MB
+    monkeypatch.setattr(solver, "GROWTH_REFINE_FACTOR", 2.0)
+    spec = _refine_chain_spec()
     tracemalloc.start()
     try:
         rec = run(spec)
@@ -345,3 +367,28 @@ def test_sup_history_grows_with_the_steps_taken(monkeypatch):
     assert rec.blew_up and len(rec.halvings) == 9
     assert rec.sup_norms.shape == (rec.steps + 1, 3)
     assert peak < 10e6
+
+
+def test_a_halved_batch_runs_without_its_parents_buffers(monkeypatch):
+    # each halving empties the batch it leaves, which then holds no core
+    # and no sup-norm history while the halved batch advances to its end
+    monkeypatch.setattr(solver, "GROWTH_REFINE_FACTOR", 2.0)
+    advancing, held = [], []
+    real = solver._Batch.advance
+
+    def spy(batch, records):
+        if advancing:
+            parent = advancing[-1]
+            buffers = [getattr(parent.core, name) for name in solver._BUFFERS]
+            buffers += [parent.core.spill, parent.sup, parent.sup_times]
+            held.append((len(parent.rows), sum(buf.nbytes for buf in buffers)))
+        advancing.append(batch)
+        try:
+            real(batch, records)
+        finally:
+            advancing.pop()
+
+    monkeypatch.setattr(solver._Batch, "advance", spy)
+    rec = run(_refine_chain_spec())
+    assert rec.blew_up and len(rec.halvings) == 9
+    assert held == [(0, 0)] * 9

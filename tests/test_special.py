@@ -323,6 +323,21 @@ def test_psi_moment_closed_forms():
         psi_moment(3, 1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("exponent, t, R, match", [
+    (math.inf, 0.0, 1.0, "exponent"),
+    (math.nan, 0.0, 1.0, "exponent"),
+    (2.0, math.inf, 1.0, "t must"),
+    (2.0, math.nan, 1.0, "t must"),
+    (2.0, -1.0, 1.0, "t must"),
+    (2.0, 0.0, math.inf, "R must"),
+    (2.0, 0.0, -1.0, "R must"),
+    (2.0, 0.0, 0.0, "R must"),
+])
+def test_psi_moment_refuses_bad_input(exponent, t, R, match):
+    with pytest.raises(ValueError, match=match):
+        psi_moment(3, exponent, t, R)
+
+
 @pytest.mark.parametrize("t", [30.0, 300.0])
 @pytest.mark.parametrize("n", [1, 3])
 def test_psi_moment_matches_mpmath_quad(n, t):
