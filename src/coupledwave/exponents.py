@@ -107,7 +107,6 @@ class Region(Enum):
 class CriticalData:
     """Classification of an (n, p, q) triple against the critical curve."""
 
-    n: int
     theta1: float
     theta2: float
     region: Region
@@ -198,7 +197,7 @@ def classify(n, pq) -> CriticalData:
         region = Region.CRITICAL_THETA1
     else:
         region = Region.CRITICAL_THETA2
-    return CriticalData(n=n, theta1=t1, theta2=t2, region=region)
+    return CriticalData(theta1=t1, theta2=t2, region=region)
 
 
 def cusp_exponents(n) -> CuspPoint:

@@ -250,11 +250,12 @@ def data_integrals(spec: ProblemSpec) -> InitialDataIntegrals:
     base = float(bump @ w)
     m1 = float(multiplier(spec.b1, 0.0))
     m2 = float(multiplier(spec.b2, 0.0))
+    a_u0, a_u1, a_v0, a_v1 = (float(a) for a in spec.data.amplitudes)
     return InitialDataIntegrals(
-        I1_u0=0.5 * m1 * spec.data.a_u0 * base,
-        I1_u1=0.5 * m1 * spec.data.a_u1 * base,
-        I2_v0=0.5 * m2 * spec.data.a_v0 * base,
-        I2_v1=0.5 * m2 * spec.data.a_v1 * base,
+        I1_u0=0.5 * m1 * a_u0 * base,
+        I1_u1=0.5 * m1 * a_u1 * base,
+        I2_v0=0.5 * m2 * a_v0 * base,
+        I2_v1=0.5 * m2 * a_v1 * base,
     )
 
 
@@ -353,11 +354,10 @@ def _data_terms(spec: ProblemSpec, lam_u0, lam_u1, lam_v0, lam_v1):
     grid = radial_grid(spec)
     k = int(grid.searchsorted(spec.R, side="right"))
     points, w = grid[:k], radial_weights(grid, spec.n)[:k]
-    data = spec.data
-    bump = data.profile(points, spec.R)
+    bump = spec.data.profile(points, spec.R)
     return tuple(
-        _kernel_basis(spec.n, points, w, lam) @ ((spec.eps * amplitude) * bump)
-        for lam, amplitude in zip((lam_u0, lam_u1, lam_v0, lam_v1), (data.a_u0, data.a_u1, data.a_v0, data.a_v1))
+        _kernel_basis(spec.n, points, w, lam) @ ((spec.eps * float(amplitude)) * bump)
+        for lam, amplitude in zip((lam_u0, lam_u1, lam_v0, lam_v1), spec.data.amplitudes)
     )
 
 

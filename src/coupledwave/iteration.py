@@ -85,9 +85,6 @@ class SequenceTable:
     """
 
     family: str
-    n: int
-    p: float
-    q: float
     j: np.ndarray
     coeff_log: np.ndarray
     coeff_log_closed: np.ndarray
@@ -253,19 +250,18 @@ def _check_jmax(j_max: int) -> int:
     return int(j_max)
 
 
-def _family_table(family, n, p, q, js, seed, recur, t_closed, w_closed,
+def _family_table(family, x, js, seed, recur, t_closed, w_closed,
                   ell=None) -> SequenceTable:
     """Run one sequence family's recursion and its unrolled closed form.
 
-    ``seed`` is (log c_0, t_0, w_0); ``recur(j, log_j, t_j, w_j)``
-    returns the next triple, whose first entry is log c_{j+1} = pq
-    log c_j + d_j.  The coefficient term d_k is recur's first entry
-    from log c_k = 0, so that log c_j = (pq)^j log c_0 + sum_{k<j}
-    (pq)^{j-1-k} d_k evaluated on the closed-form power sequence
-    t_closed.  Raises ValueError at the first j where a column leaves
+    ``x`` is pq.  ``seed`` is (log c_0, t_0, w_0); ``recur(j, log_j,
+    t_j, w_j)`` returns the next triple, whose first entry is log
+    c_{j+1} = pq log c_j + d_j.  The coefficient term d_k is recur's
+    first entry from log c_k = 0, so that log c_j = (pq)^j log c_0 +
+    sum_{k<j} (pq)^{j-1-k} d_k evaluated on the closed-form power
+    sequence t_closed.  Raises ValueError at the first j where a column leaves
     double range.
     """
-    x = p * q
     size = len(js)
     rows = [seed]
     for j in range(size - 1):
@@ -282,7 +278,7 @@ def _family_table(family, n, p, q, js, seed, recur, t_closed, w_closed,
         logc_closed[j] = x**j * log0 + float(np.add.reduce(prod[j - 1, :j]))
     _check_range(family, logc_closed)
     return SequenceTable(
-        family=family, n=n, p=p, q=q, j=js,
+        family=family, j=js,
         coeff_log=logc, coeff_log_closed=logc_closed,
         t_power=tp, t_power_closed=t_closed,
         weight_power=wp, weight_power_closed=w_closed,
@@ -326,7 +322,7 @@ def subcritical_sequences(n, pq, j_max: int, eps: float = 1.0):
                 - math.log(a * x + p + 2.0), x * a + p + 2.0, x * b + n * (x - 1.0))
 
     table_v = _family_table(
-        "subcritical-v", n, p, q, js, (logC0, a0, b0), recur_v,
+        "subcritical-v", x, js, (logC0, a0, b0), recur_v,
         (a0 + (p + 2.0) / (x - 1.0)) * x**js - (p + 2.0) / (x - 1.0),
         (b0 + n) * x**js - n,
     )
@@ -341,7 +337,7 @@ def subcritical_sequences(n, pq, j_max: int, eps: float = 1.0):
                 - math.log(al * x + 2.0 * q + 1.0), x * al + 2.0 * q + 1.0, x * be + n * (x - 1.0))
 
     table_u = _family_table(
-        "subcritical-uprime", n, p, q, js, (logK0, al0, be0), recur_u,
+        "subcritical-uprime", x, js, (logK0, al0, be0), recur_u,
         (al0 + (2.0 * q + 1.0) / (x - 1.0)) * x**js - (2.0 * q + 1.0) / (x - 1.0),
         (be0 + n) * x**js - n,
     )
@@ -405,7 +401,7 @@ def critical_sequences(case, n, pq, j_max: int) -> SequenceTable:
         return x * logc + step(j, t), x * t + t_add, x * w + w_add
 
     return _family_table(
-        f"critical-{case.value}", n, p, q, js, (0.0, 1.0, 0.0), recur,
+        f"critical-{case.value}", x, js, (0.0, 1.0, 0.0), recur,
         t_closed, w_closed, ell=ell,
     )
 

@@ -38,7 +38,6 @@ from .solver import ProblemSpec, run_batch
 __all__ = [
     "SweepConfig",
     "LifespanRow",
-    "FitSummary",
     "ScalingFit",
     "LifespanTable",
     "ASYMPTOTIC_CAVEAT",
@@ -78,23 +77,21 @@ class SweepConfig:
 class LifespanRow:
     """One sweep row; T_numeric is NaN when the run did not blow up.
 
-    The finest repeat alone decides ``T_numeric``, ``blew_up`` and
-    ``failed``; ``failed_repeats`` lists every repeat (0 = coarsest)
-    whose run failed, and a failed coarser repeat only leaves
-    ``grid_change`` NaN.  The telemetry is the finest repeat's run:
-    ``steps``, the number of dt ``halvings``, ``window_max``,
-    ``cone_spill``, ``crossed`` and ``failure_reason`` (see
-    ``SolutionRecord``).  ``local_slope`` is d log T / d log eps against
-    the previous blown-up row, NaN for the first one and for rows that
-    did not blow up.
+    The finest repeat alone decides ``T_numeric``; ``failed_repeats``
+    lists every repeat (0 = coarsest) whose run failed, and a failed
+    coarser repeat only leaves ``grid_change`` NaN.  The telemetry is
+    the finest repeat's run: ``steps``, the number of dt ``halvings``,
+    ``window_max``, ``cone_spill``, ``crossed`` and ``failure_reason``
+    (see ``SolutionRecord``).  ``local_slope`` is d log T / d log eps
+    against the previous blown-up row, NaN for the first one and for
+    rows that did not blow up.  ``blew_up`` (a finite ``T_numeric``) and
+    ``failed`` (a failure reason) are derived, as properties.
     """
 
     eps: float
     T_numeric: float
-    blew_up: bool
     T_predicted_shape: float
     grid_change: float = math.nan
-    failed: bool = False
     failed_repeats: tuple = ()
     steps: int = 0
     halvings: int = 0
@@ -104,17 +101,26 @@ class LifespanRow:
     failure_reason: str = ""
     local_slope: float = math.nan
 
+    @property
+    def blew_up(self) -> bool:
+        return math.isfinite(self.T_numeric)
 
-@dataclass(frozen=True)
-class FitSummary:
-    slope: float
-    intercept: float
-    r_squared: float
+    @property
+    def failed(self) -> bool:
+        return bool(self.failure_reason)
 
 
 @dataclass(frozen=True)
 class ScalingFit:
+    """The least-squares line log T = slope log eps + intercept through
+    the blown-up rows, with its ``r_squared``.  Derived from the slope:
+    ``ci_halfwidth``, 1.96 standard errors of it (NaN from two rows),
+    and ``consistent`` with the table's predicted exponent (see
+    ``fit_scaling``)."""
+
     slope: float
+    intercept: float
+    r_squared: float
     ci_halfwidth: float
     consistent: bool
 
@@ -127,7 +133,7 @@ class LifespanTable:
     submission order, finest repeat first."""
 
     rows: list
-    fit: FitSummary | None
+    fit: ScalingFit | None
     region: str
     prediction: LifespanPrediction
     caveat: ClassVar[str] = ASYMPTOTIC_CAVEAT
@@ -135,15 +141,24 @@ class LifespanTable:
     tasks: list = field(default_factory=list)
 
 
-def _fit_loglog(eps, T):
+def _fit(blown, exponent) -> ScalingFit:
+    """The log-log fit through the blown-up rows' (eps, T) pairs
+    ``blown``, two at least, against the predicted ``exponent``."""
+    eps, T = zip(*blown)
     x = np.log(np.asarray(eps, dtype=float))
     y = np.log(np.asarray(T, dtype=float))
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = (float(c) for c in np.polyfit(x, y, 1))
     resid = y - (slope * x + intercept)
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2, x, resid
+    ci = math.nan
+    if len(eps) > 2:
+        sxx = float(np.sum((x - x.mean()) ** 2))
+        ci = 1.96 * math.sqrt(ss_res / (len(eps) - 2) / sxx)
+    consistent = slope < 0 and abs(slope) <= 1.4 * abs(exponent)
+    return ScalingFit(slope=slope, intercept=intercept, r_squared=r2, ci_halfwidth=ci,
+                      consistent=consistent)
 
 
 def _available_cpus() -> int:
@@ -191,8 +206,9 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
     """One row per eps; the finest grid decides T_numeric.
 
     Rows that hit the horizon without blow-up carry blew_up = False and
-    are excluded from the fit; solver numerical failures are recorded
-    per repeat without aborting the sweep.
+    are excluded from the fit, made from two blown-up rows on (the one
+    ``fit_scaling`` makes from three); solver numerical failures are
+    recorded per repeat without aborting the sweep.
     """
     base = cfg.base
     data = classify(base.n, base.pq)
@@ -212,11 +228,8 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
     failed_repeats = [tuple(rep for rep, rec in enumerate(column) if rec.failed)
                       for column in zip(*by_repeat)]
 
-    blown = [(e, T) for e, T in zip(cfg.eps_values, times[-1]) if np.isfinite(T)]
-    fit = None
-    if len(blown) >= 2:
-        slope, intercept, r2, _x, _res = _fit_loglog(*zip(*blown))
-        fit = FitSummary(slope=slope, intercept=intercept, r_squared=r2)
+    blown = [(e, T) for e, T in zip(cfg.eps_values, times[-1]) if math.isfinite(T)]
+    fit = _fit(blown, prediction.exponent) if len(blown) >= 2 else None
 
     # prediction shape anchored at the largest blown-up eps
     anchor = blown[0] if blown else None
@@ -224,7 +237,7 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
     rows = []
     for j, (eps, rec) in enumerate(zip(cfg.eps_values, records)):
         T = times[-1][j]
-        blew = bool(np.isfinite(T))
+        blew = math.isfinite(T)
         shape = math.nan
         if anchor is not None and np.isfinite(prediction.exponent):
             e0, t0 = anchor
@@ -241,10 +254,8 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
             LifespanRow(
                 eps=eps,
                 T_numeric=T,
-                blew_up=blew,
                 T_predicted_shape=shape,
                 grid_change=grid_change,
-                failed=rec.failed,
                 failed_repeats=failed_repeats[j],
                 steps=rec.steps,
                 halvings=len(rec.halvings),
@@ -262,7 +273,8 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
 
 
 def fit_scaling(table: LifespanTable) -> ScalingFit:
-    """Least-squares slope of log T against log eps, with consistency flag.
+    """Least-squares fit of log T against log eps over the table's
+    blown-up rows, three at least.
 
     The lifespan theorem is a one-sided bound with unknown constant, so
     consistency asserts sign and a magnitude band against the table's
@@ -272,72 +284,55 @@ def fit_scaling(table: LifespanTable) -> ScalingFit:
     blown = [(r.eps, r.T_numeric) for r in table.rows if r.blew_up]
     if len(blown) < 3:
         raise ValueError(f"need at least 3 blown-up rows to fit, got {len(blown)}")
-    slope, _intercept, _r2, x, resid = _fit_loglog(*zip(*blown))
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    se = math.sqrt(float(np.sum(resid**2)) / (len(blown) - 2) / sxx)
-    ci = 1.96 * se
-    consistent = slope < 0 and abs(slope) <= 1.4 * abs(table.prediction.exponent)
-    return ScalingFit(slope=slope, ci_halfwidth=ci, consistent=consistent)
+    return _fit(blown, table.prediction.exponent)
+
+
+# the CSV columns and the JSON row keys, each a LifespanRow attribute,
+# and the JSON fit's keys, each a ScalingFit attribute
+CSV_COLUMNS = ("eps", "T_numeric", "blew_up", "T_predicted_shape", "grid_change", "failed")
+JSON_ROW_KEYS = ("eps", "steps", "halvings", "window_max", "cone_spill", "crossed",
+                 "failure_reason", "local_slope")
+JSON_FIT_KEYS = ("slope", "intercept", "r_squared")
+
+
+def _csv_cell(value) -> str:
+    return str(value).lower() if isinstance(value, bool) else format(value, ".17g")
+
+
+def _json_value(value):
+    return None if isinstance(value, float) and math.isnan(value) else value
 
 
 def report(table: LifespanTable, destination) -> tuple:
     """Write the table as CSV and a JSON summary; returns both paths.
 
-    CSV columns: eps, T_numeric, blew_up, T_predicted_shape,
-    grid_change, failed (full precision, rows ordered by descending
-    eps).  The JSON's ``rows`` carry each row's telemetry: eps, steps,
-    halvings, window_max, cone_spill, crossed, failure_reason and
-    local_slope (null when NaN); ``workers`` and ``tasks`` give the
-    sweep's schedule.
+    The CSV has the columns CSV_COLUMNS (floats at full precision,
+    booleans as true/false, rows ordered by descending eps); its
+    ``blew_up`` and ``failed`` are the rows' derived properties.  The
+    JSON's ``rows`` carry each row's JSON_ROW_KEYS, its telemetry (a
+    NaN, as ``local_slope`` of the first blown-up row, written null),
+    the JSON's ``fit`` the fit's JSON_FIT_KEYS, and ``workers`` and
+    ``tasks`` give the sweep's schedule.
     """
     os.makedirs(destination, exist_ok=True)
     csv_path = os.path.join(destination, "lifespan.csv")
     json_path = os.path.join(destination, "lifespan.json")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["eps", "T_numeric", "blew_up", "T_predicted_shape", "grid_change", "failed"]
-        )
+        writer.writerow(CSV_COLUMNS)
         for r in table.rows:
-            writer.writerow(
-                [
-                    format(r.eps, ".17g"),
-                    format(r.T_numeric, ".17g"),
-                    str(bool(r.blew_up)).lower(),
-                    format(r.T_predicted_shape, ".17g"),
-                    format(r.grid_change, ".17g"),
-                    str(bool(r.failed)).lower(),
-                ]
-            )
+            writer.writerow([_csv_cell(getattr(r, name)) for name in CSV_COLUMNS])
     payload = {
         "region": table.region,
         "prediction": {
             "kind": table.prediction.kind.value,
             "exponent": table.prediction.exponent,
         },
-        "fit": None
-        if table.fit is None
-        else {
-            "slope": table.fit.slope,
-            "intercept": table.fit.intercept,
-            "r_squared": table.fit.r_squared,
-        },
+        "fit": None if table.fit is None else {name: getattr(table.fit, name) for name in JSON_FIT_KEYS},
         "caveat": table.caveat,
         "workers": table.workers,
         "tasks": table.tasks,
-        "rows": [
-            {
-                "eps": r.eps,
-                "steps": r.steps,
-                "halvings": r.halvings,
-                "window_max": r.window_max,
-                "cone_spill": r.cone_spill,
-                "crossed": r.crossed,
-                "failure_reason": r.failure_reason,
-                "local_slope": r.local_slope if math.isfinite(r.local_slope) else None,
-            }
-            for r in table.rows
-        ],
+        "rows": [{name: _json_value(getattr(r, name)) for name in JSON_ROW_KEYS} for r in table.rows],
     }
     with open(json_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

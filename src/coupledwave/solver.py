@@ -110,29 +110,10 @@ class InitialDataFamily:
         if not all(math.isfinite(a) for a in self.amplitudes):
             raise ValueError(f"amplitudes must be finite, got {self.amplitudes}")
 
-    @property
-    def a_u0(self) -> float:
-        return float(self.amplitudes[0])
-
-    @property
-    def a_u1(self) -> float:
-        return float(self.amplitudes[1])
-
-    @property
-    def a_v0(self) -> float:
-        return float(self.amplitudes[2])
-
-    @property
-    def a_v1(self) -> float:
-        return float(self.amplitudes[3])
-
     def hypotheses_ok(self) -> bool:
         """Nonnegative data with A_u1 > 0 and A_v0 > 0."""
-        return (
-            all(a >= 0 for a in self.amplitudes)
-            and self.a_u1 > 0
-            and self.a_v0 > 0
-        )
+        _, a_u1, a_v0, _ = (float(a) for a in self.amplitudes)
+        return all(a >= 0 for a in self.amplitudes) and a_u1 > 0 and a_v0 > 0
 
     def profile(self, rho, R: float):
         """Unit bump (1 - (rho/R)^2)_+^k on the grid rho."""
@@ -207,12 +188,19 @@ class SolutionRecord:
     its reduction keeps of them; it is empty when the run had no probes.
     ``integrals`` is True when the probes were an ``IntegralProbes``
     mapping, whose row 0 is the radial weights on every source.
-    ``crossed`` names the field whose sup norm was largest on the
-    crossing row (``"u"``, ``"u_t"`` or ``"v"``), None without blow-up.
-    ``steps`` counts the leapfrog levels after t = 0 (one per sup-norm
-    row), ``halvings`` holds one (t, dt_new, level_norm) per dt
-    halving, ``window_max`` is the largest active window L and
-    ``cone_spill`` the largest |value| the cone zeroing removed.
+    ``t_blowup`` is the log-interpolated crossing time, None without
+    blow-up, and ``failure_reason`` is empty unless the run failed.
+    ``halvings`` holds one (t, dt_new, level_norm) per dt halving,
+    ``window_max`` is the largest active window L and ``cone_spill``
+    the largest |value| the cone zeroing removed.
+
+    The rest is derived from these, as properties: ``blew_up`` (a
+    crossing time), ``failed`` (a failure reason), ``crossed`` (the
+    field whose sup norm was largest on the last, crossing row:
+    ``"u"``, ``"u_t"`` or ``"v"``, None without blow-up), ``dt_final``
+    (the last halving's dt, else ``dt_initial``), ``steps`` (the
+    leapfrog levels after t = 0, one per sup-norm row) and ``t_end``
+    (the last sample time).
     """
 
     # no profiles are stored; perfbench/tracing.py's _record_bytes reads these
@@ -223,25 +211,41 @@ class SolutionRecord:
     times: np.ndarray
     sup_times: np.ndarray
     sup_norms: np.ndarray  # columns: max|u|, max|u_t|, max|v|
-    blew_up: bool
     t_blowup: float | None
-    failed: bool = False
     failure_reason: str = ""
-    dt_final: float = 0.0
     halvings: tuple = ()
     window_max: int = 0
     cone_spill: float = 0.0
-    crossed: str | None = None
     projections: dict = field(default_factory=dict)
     integrals: bool = False
+
+    @property
+    def blew_up(self) -> bool:
+        return self.t_blowup is not None
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.failure_reason)
+
+    @property
+    def crossed(self) -> str | None:
+        return SUP_FIELDS[int(self.sup_norms[-1].argmax())] if self.blew_up else None
 
     @property
     def dt_initial(self) -> float:
         return self.spec.grid.dt
 
     @property
+    def dt_final(self) -> float:
+        return self.halvings[-1][1] if self.halvings else self.dt_initial
+
+    @property
     def steps(self) -> int:
         return len(self.sup_times) - 1
+
+    @property
+    def t_end(self) -> float:
+        return float(self.times[-1])
 
 
 def radial_grid(spec: ProblemSpec) -> np.ndarray:
@@ -420,8 +424,9 @@ def detect_blowup(times, sup_norms, threshold: float):
     """First crossing of the sup-norm threshold, log-interpolated.
 
     ``sup_norms`` may be one series or an (N, k) array of several; the
-    crossing is decided on the pointwise maximum.  Returns (flag,
-    t_blowup) with t_blowup None when no crossing occurs.
+    crossing is decided on the pointwise maximum.  Returns the crossing
+    time, None when no crossing occurs (a record's ``blew_up`` is
+    derived from it).
     """
     times = np.asarray(times, dtype=float)
     norms = np.asarray(sup_norms, dtype=float)
@@ -430,13 +435,13 @@ def detect_blowup(times, sup_norms, threshold: float):
         raise ValueError("threshold must exceed the initial sup norms")
     above = np.nonzero(combined >= threshold)[0]
     if above.size == 0:
-        return False, None
+        return None
     k = int(above[0])
     n0, n1 = combined[k - 1], combined[k]
     if n0 <= 0.0 or n1 <= n0:
-        return True, float(times[k])
+        return float(times[k])
     frac = (np.log(threshold) - np.log(n0)) / (np.log(n1) - np.log(n0))
-    return True, float(times[k - 1] + frac * (times[k] - times[k - 1]))
+    return float(times[k - 1] + frac * (times[k] - times[k - 1]))
 
 
 class _Projector:
@@ -616,10 +621,11 @@ class _Batch:
         # the data: u, v in cur and u_t, v_t in vel, one row per eps
         eps = np.array([other.eps for other in specs])[:, np.newaxis]
         bump = spec.data.profile(r[: core.width], spec.R)
-        core.cur[0] = eps * spec.data.a_u0 * bump
-        core.vel[0] = eps * spec.data.a_u1 * bump
-        core.cur[1] = eps * spec.data.a_v0 * bump
-        core.vel[1] = eps * spec.data.a_v1 * bump
+        a_u0, a_u1, a_v0, a_v1 = (float(a) for a in spec.data.amplitudes)
+        core.cur[0] = eps * a_u0 * bump
+        core.vel[0] = eps * a_u1 * bump
+        core.cur[1] = eps * a_v0 * bump
+        core.vel[1] = eps * a_v1 * bump
         init = np.stack([np.abs(w).max(axis=-1) for w in (core.cur[0], core.vel[0], core.cur[1])], axis=-1)
         levels = init.max(axis=1).tolist()
         if not all(grid.blowup_threshold > level for level in levels):  # a NaN fails too
@@ -727,7 +733,7 @@ class _Batch:
             for i in [i for i in range(nb) if i not in failed] if sampled else crossed:
                 self.project(i, L)
             for i in crossed:
-                _, t_blowup = detect_blowup(self.sup_times[: s + 1], self.sup[i, : s + 1], threshold)
+                t_blowup = detect_blowup(self.sup_times[: s + 1], self.sup[i, : s + 1], threshold)
                 self._finish(records, i, s + 1, self.times if sampled else [*self.times, t], t_blowup=t_blowup)
             exits = failed + crossed + halving
             if exits:
@@ -809,23 +815,17 @@ class _Batch:
         """Record row i with its first s sup rows; a row that has a
         failure ``reason`` failed."""
         row = self.rows[i]
-        sup_norms = self.sup[i, :s].copy()
-        blew_up = t_blowup is not None
         records[row.id] = SolutionRecord(
             spec=self.specs[row.id],
             r=self.r,
             times=np.asarray(times),
             sup_times=self.sup_times[:s].copy(),
-            sup_norms=sup_norms,
-            blew_up=blew_up,
+            sup_norms=self.sup[i, :s].copy(),
             t_blowup=t_blowup,
-            failed=bool(reason),
             failure_reason=reason,
-            dt_final=self.dt,
             halvings=tuple(row.halvings),
             window_max=self.window,
             cone_spill=float(self.core.spill[:, i].max()),
-            crossed=SUP_FIELDS[int(sup_norms[-1].argmax())] if blew_up else None,
             projections={} if row.projector is None else row.projector.projections(),
             integrals=self.integrals,
         )
@@ -914,28 +914,20 @@ def write_summary_csv(record: SolutionRecord, path) -> None:
             fh.write(",".join(format(x, ".17g") for x in row) + "\n")
 
 
+# the run sidecar's keys: the record's attributes, then its spec's
+SIDECAR_FIELDS = ("blew_up", "t_blowup", "failed", "failure_reason", "t_end", "dt_initial",
+                  "dt_final", "steps", "halvings", "window_max", "cone_spill", "crossed")
+SIDECAR_SPEC_FIELDS = ("n", "R", "eps")
+
+
 def write_blowup_json(record: SolutionRecord, path) -> None:
-    """Sidecar with blow-up metadata and telemetry for a run: step
-    count, one [t, dt_new, level_norm] per dt halving, largest window,
-    the largest value the cone zeroing removed and the field that
-    crossed the threshold."""
-    payload = {
-        "blew_up": bool(record.blew_up),
-        "t_blowup": None if record.t_blowup is None else float(record.t_blowup),
-        "failed": bool(record.failed),
-        "failure_reason": record.failure_reason,
-        "t_end": float(record.times[-1]) if record.times.size else None,
-        "dt_initial": record.dt_initial,
-        "dt_final": record.dt_final,
-        "steps": record.steps,
-        "halvings": [list(h) for h in record.halvings],
-        "window_max": record.window_max,
-        "cone_spill": record.cone_spill,
-        "crossed": record.crossed,
-        "n": record.spec.n,
-        "R": record.spec.R,
-        "eps": record.spec.eps,
-    }
+    """Sidecar with blow-up metadata and telemetry for a run, one key
+    per name in SIDECAR_FIELDS and SIDECAR_SPEC_FIELDS: the step count,
+    one [t, dt_new, level_norm] per dt halving, the largest window, the
+    largest value the cone zeroing removed and the field that crossed
+    the threshold among them."""
+    payload = {name: getattr(record, name) for name in SIDECAR_FIELDS}
+    payload.update((name, getattr(record.spec, name)) for name in SIDECAR_SPEC_FIELDS)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -61,10 +61,11 @@ PHI_NODES = 128
 # Points per block of the sphere quadrature: bounds its (points, PHI_NODES)
 # exp temporary to about 1 MB whatever the input size.
 PHI_BLOCK = 1024
-# Gauss-Legendre nodes per psi_moment panel, and the largest
-# exponent * width of a panel.
+# Gauss-Legendre nodes per psi_moment panel, the largest exponent *
+# width of a panel, and the most panels (about 2 MB per node array).
 MOMENT_NODES = 64
 MOMENT_SPAN = 16.0
+MOMENT_PANELS = 4096
 # the kernels' lam-cutoff lam0
 LAMBDA0 = 1.0
 # the default number of lam-nodes of a kernel quadrature
@@ -487,7 +488,9 @@ def psi_moment(n, exponent: float, t: float, R: float) -> float:
     equal panels, each with one MOMENT_NODES-point Gauss-Legendre rule,
     so many that exponent * width stays at most MOMENT_SPAN: the
     integrand grows like exp(exponent * rho), and one panel per
-    MOMENT_SPAN of that growth keeps it resolved at any t.
+    MOMENT_SPAN of that growth keeps it resolved.  A t that needs more
+    than MOMENT_PANELS panels, exponent * (R + t) > MOMENT_SPAN *
+    MOMENT_PANELS, is a ValueError.
     """
     n = check_dimension(n)
     if not 1.0 < exponent < math.inf:
@@ -497,6 +500,11 @@ def psi_moment(n, exponent: float, t: float, R: float) -> float:
     if not 0.0 < R < math.inf:
         raise ValueError(f"R must be positive and finite, got {R}")
     upper = R + t
+    if not exponent * upper <= MOMENT_SPAN * MOMENT_PANELS:
+        raise ValueError(
+            f"t = {t:g} needs more than MOMENT_PANELS = {MOMENT_PANELS} quadrature panels: "
+            f"exponent * (R + t) must be at most {MOMENT_SPAN * MOMENT_PANELS:g}"
+        )
     panels = max(1, math.ceil(exponent * upper / MOMENT_SPAN))
     width = upper / panels
     x, w = _jacobi_rule(0.0, 0.0, MOMENT_NODES)

@@ -27,7 +27,7 @@ def test_extract_initial_values(standard_run, standard_spec, standard_series):
     w[0] *= 0.5
     w[-1] *= 0.5
     bump = spec.data.profile(rec.r, spec.R)
-    expected_U0 = surface_area(3) * spec.eps * spec.data.a_u0 * float(bump @ w)
+    expected_U0 = surface_area(3) * spec.eps * spec.data.amplitudes[0] * float(bump @ w)
     assert ser.U[0] == pytest.approx(expected_U0, rel=1e-12)
     # U2(0) = eps int u1 Phi dx = 2 eps I1[u1] / m1(0), with m1(0) = 1 here
     ints = fn.data_integrals(spec)

@@ -395,13 +395,11 @@ def test_sequences_out_of_double_range_rejected():
     assert np.isfinite(tv.coeff_log_closed).all()
 
 
-def _reference_family_table(family, n, p, q, js, seed, recur, t_closed, w_closed,
-                            ell=None):
+def _reference_family_table(family, x, js, seed, recur, t_closed, w_closed, ell=None):
     """The table builder as it was before the recursion ran on Python
     floats: numpy scalars read and written one element at a time, and
     one x ** (j - 1 - ks) vector per closed-form row; the coefficient
     term d_k is the recursion's first entry from log c_k = 0."""
-    x = p * q
     size = len(js)
     logc, tp, wp = np.empty(size), np.empty(size), np.empty(size)
     logc[0], tp[0], wp[0] = seed
@@ -482,11 +480,10 @@ def test_tables_bitwise_equal_reference(seed, j_max, monkeypatch):
         assert out.getvalue() == _reference_csv(table), table.family
 
 
-def _per_j_closed_form(family, n, p, q, js, seed, recur, t_closed, w_closed, ell=None):
+def _per_j_closed_form(family, x, js, seed, recur, t_closed, w_closed, ell=None):
     """coeff_log_closed as it was before the products (pq)^{j-1-k} d_k
     were laid out once as a matrix: one product vector per j, summed by
     np.sum."""
-    x = p * q
     size = len(js)
     d = np.array([recur(k, 0.0, t, 0.0)[0] for k, t in enumerate(t_closed[:-1].tolist())])
     powers = x ** np.arange(size)
@@ -537,4 +534,4 @@ def test_closed_form_bitwise_equal_per_j_sums(n, monkeypatch):
                                             "critical-theta1", "critical-theta2",
                                             "critical-double"}
     for table, want in built:
-        assert table.coeff_log_closed.tobytes() == want.tobytes(), (table.family, table.p, table.q)
+        assert table.coeff_log_closed.tobytes() == want.tobytes(), table.family

@@ -138,7 +138,7 @@ def reference_run(spec, laplacian=_ref_laplacian, velocity=_ref_velocity):
             if step % stride == 0 or level >= threshold:
                 samples.append((t, u_cur, ut_cur, v_cur, vt_cur))
             if level >= threshold:
-                _, t_blowup = detect_blowup(sup_times, rows, threshold)
+                t_blowup = detect_blowup(sup_times, rows, threshold)
                 break
             if (
                 level > GROWTH_REFINE_FACTOR * prev_norm

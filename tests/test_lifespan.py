@@ -89,7 +89,7 @@ def test_sweep_horizon_row_excluded(sweep_base):
 
 def _synthetic_table(eps, T, exponent=-6.0):
     rows = [
-        LifespanRow(eps=e, T_numeric=t, blew_up=True, T_predicted_shape=e**exponent)
+        LifespanRow(eps=e, T_numeric=t, T_predicted_shape=e**exponent)
         for e, t in zip(eps, T)
     ]
     return LifespanTable(
@@ -194,10 +194,9 @@ def test_report_empty_table(tmp_path):
 
 def test_report_round_trip_grid_change_and_failed(tmp_path):
     rows = [
-        LifespanRow(eps=1.0, T_numeric=2.5, blew_up=True, T_predicted_shape=2.5,
-                    grid_change=0.0125, failed=False),
-        LifespanRow(eps=0.5, T_numeric=math.nan, blew_up=False, T_predicted_shape=40.0,
-                    grid_change=math.nan, failed=True, failed_repeats=(1,)),
+        LifespanRow(eps=1.0, T_numeric=2.5, T_predicted_shape=2.5, grid_change=0.0125),
+        LifespanRow(eps=0.5, T_numeric=math.nan, T_predicted_shape=40.0, grid_change=math.nan,
+                    failed_repeats=(1,), failure_reason="non-finite values (injected)"),
     ]
     table = LifespanTable(rows=rows, fit=None, region="subcritical",
                           prediction=lifespan_prediction(3, (2.0, 2.0)))
@@ -207,6 +206,77 @@ def test_report_round_trip_grid_change_and_failed(tmp_path):
     assert math.isnan(float(got[1]["grid_change"]))
     assert [r["failed"] for r in got] == ["false", "true"]
     assert [r["blew_up"] for r in got] == ["true", "false"]
+
+
+# the sweep outputs' exact formats: a blown-up row and a failed one
+# (csv.writer ends each line with \r\n)
+PINNED_CSV = (
+    b"eps,T_numeric,blew_up,T_predicted_shape,grid_change,failed\r\n"
+    b"1.6000000000000001,1.6624364612345679,true,1.6624364612345679,0.012500000000000001,false\r\n"
+    b"0.20000000000000001,nan,false,43.100000000000001,nan,true\r\n"
+)
+PINNED_JSON = """{
+  "caveat": "the lifespan bound applies for eps <= eps0 with eps0 unspecified; this sweep cannot certify being inside the asymptotic regime",
+  "fit": null,
+  "prediction": {
+    "exponent": -5.999999999999997,
+    "kind": "power-law"
+  },
+  "region": "subcritical",
+  "rows": [
+    {
+      "cone_spill": 2.3e-05,
+      "crossed": "u_t",
+      "eps": 1.6,
+      "failure_reason": "",
+      "halvings": 2,
+      "local_slope": null,
+      "steps": 412,
+      "window_max": 136
+    },
+    {
+      "cone_spill": 1.7e-05,
+      "crossed": null,
+      "eps": 0.2,
+      "failure_reason": "non-finite values at t=1.66444 before threshold crossing",
+      "halvings": 4,
+      "local_slope": null,
+      "steps": 187,
+      "window_max": 96
+    }
+  ],
+  "tasks": [],
+  "workers": 1
+}
+"""
+ROW_KEYS = {"eps", "steps", "halvings", "window_max", "cone_spill", "crossed", "failure_reason",
+            "local_slope"}
+
+
+def test_report_pins_the_formats(tmp_path, small_table):
+    rows = [
+        LifespanRow(eps=1.6, T_numeric=1.6624364612345678, T_predicted_shape=1.6624364612345678,
+                    grid_change=0.0125, steps=412, halvings=2, window_max=136, cone_spill=2.3e-05,
+                    crossed="u_t"),
+        LifespanRow(eps=0.2, T_numeric=math.nan, T_predicted_shape=43.1, failed_repeats=(1,),
+                    steps=187, halvings=4, window_max=96, cone_spill=1.7e-05,
+                    failure_reason="non-finite values at t=1.66444 before threshold crossing"),
+    ]
+    table = LifespanTable(rows=rows, fit=None, region="subcritical",
+                          prediction=lifespan_prediction(3, (2.0, 2.0)))
+    csv_path, json_path = report(table, tmp_path)
+    with open(csv_path, "rb") as fh:
+        assert fh.read() == PINNED_CSV
+    with open(json_path, "rb") as fh:
+        assert fh.read() == PINNED_JSON.encode()
+    # a sweep's rows have the same keys, and its fit three
+    _, json_path = report(small_table, tmp_path / "sweep")
+    with open(json_path) as fh:
+        doc = json.load(fh)
+    assert set(doc) == {"caveat", "fit", "prediction", "region", "rows", "tasks", "workers"}
+    assert set(doc["fit"]) == {"slope", "intercept", "r_squared"}
+    assert all(set(row) == ROW_KEYS for row in doc["rows"])
+    assert all(set(task) == {"repeat", "eps", "wall_s"} for task in doc["tasks"])
 
 
 def test_predicted_shape_anchored(small_table):
@@ -226,10 +296,8 @@ def _fail_at_dr(monkeypatch, dr):
     def run_batch(specs):
         records = real(specs)
         return [
-            dataclasses.replace(
-                rec, blew_up=False, t_blowup=None, failed=True,
-                failure_reason="non-finite values (injected)",
-            ) if spec.grid.dr == dr else rec
+            dataclasses.replace(rec, t_blowup=None, failure_reason="non-finite values (injected)")
+            if spec.grid.dr == dr else rec
             for spec, rec in zip(specs, records)
         ]
 

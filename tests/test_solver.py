@@ -187,12 +187,10 @@ def test_light_cone_negative_control():
 def test_detect_blowup_bracketing():
     times = np.linspace(0, 10, 11)
     norms = np.exp(times)  # crosses e^t = 1e3 around t = 6.9
-    flag, tb = detect_blowup(times, norms, 1e3)
-    assert flag
+    tb = detect_blowup(times, norms, 1e3)
     assert 6.0 < tb < 7.0
     assert tb == pytest.approx(np.log(1e3), abs=1e-9)  # exact for log-linear data
-    flag, tb = detect_blowup(times, norms, 1e9)
-    assert not flag and tb is None
+    assert detect_blowup(times, norms, 1e9) is None
     with pytest.raises(ValueError):
         detect_blowup(times, norms, 0.5)  # threshold below initial norms
 
@@ -200,8 +198,8 @@ def test_detect_blowup_bracketing():
 def test_detect_blowup_multicolumn():
     times = np.array([0.0, 1.0, 2.0])
     norms = np.array([[1.0, 1.0, 1.0], [1.0, 5.0, 1.0], [1.0, 50.0, 1.0]])
-    flag, tb = detect_blowup(times, norms, 10.0)
-    assert flag and 1.0 < tb < 2.0
+    tb = detect_blowup(times, norms, 10.0)
+    assert 1.0 < tb < 2.0
 
 
 def test_threshold_sensitivity(standard_spec):
@@ -276,6 +274,26 @@ def test_summary_outputs(tmp_path, standard_run, standard_profiles):
     assert meta["blew_up"] is True
     assert meta["t_blowup"] == pytest.approx(standard_run.t_blowup)
     assert meta["cone_spill"] == standard_run.cone_spill
+
+
+# the run sidecar's keys, pinned
+SIDECAR_KEYS = {"blew_up", "t_blowup", "failed", "failure_reason", "t_end", "dt_initial",
+                "dt_final", "steps", "halvings", "window_max", "cone_spill", "crossed", "n",
+                "R", "eps"}
+
+
+def test_run_sidecar_keys_are_pinned(tmp_path, standard_run):
+    quiet = run(_spec(grid=GridSpec(dr=0.02, t_max=0.5)))
+    for rec in (standard_run, quiet):
+        path = tmp_path / "run.json"
+        write_blowup_json(rec, path)
+        meta = json.loads(path.read_text())
+        assert set(meta) == SIDECAR_KEYS
+        assert meta["blew_up"] is (rec.t_blowup is not None) is (meta["crossed"] is not None)
+        assert meta["failed"] is False and meta["failure_reason"] == ""
+        assert meta["t_end"] == rec.times[-1]
+        assert (meta["n"], meta["R"], meta["eps"]) == (rec.spec.n, rec.spec.R, rec.spec.eps)
+    assert not quiet.blew_up
 
 
 def test_numerical_failure_is_flagged():

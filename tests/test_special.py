@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import i0
 
+from coupledwave import special
 from coupledwave.special import (
     LAMBDA0,
     BoundId,
@@ -336,6 +337,20 @@ def test_psi_moment_closed_forms():
 def test_psi_moment_refuses_bad_input(exponent, t, R, match):
     with pytest.raises(ValueError, match=match):
         psi_moment(3, exponent, t, R)
+
+
+def test_psi_moment_refuses_t_past_the_panel_bound(monkeypatch):
+    # exponent * (R + t) <= MOMENT_SPAN * MOMENT_PANELS = 65536, a bound
+    # of the quadrature's memory; 1e300 raised numpy's "Maximum allowed
+    # size exceeded", and an infinite product OverflowError
+    for exponent, t in ((2.0, 32767.01), (2.0, 1e300), (1e300, 1e300)):
+        with pytest.raises(ValueError, match=r"t = .* MOMENT_PANELS = 4096 .* at most 65536"):
+            psi_moment(3, exponent, t, 1.0)
+    # the edge itself, on a bound of 4 panels: t = 31 is the last t
+    monkeypatch.setattr(special, "MOMENT_PANELS", 4)
+    assert math.isfinite(psi_moment(3, 2.0, 31.0, 1.0))
+    with pytest.raises(ValueError, match="MOMENT_PANELS = 4 "):
+        psi_moment(3, 2.0, 31.01, 1.0)
 
 
 @pytest.mark.parametrize("t", [30.0, 300.0])
