@@ -21,7 +21,6 @@ the asymptotic regime.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -317,11 +316,10 @@ def report(table: LifespanTable, destination) -> tuple:
     os.makedirs(destination, exist_ok=True)
     csv_path = os.path.join(destination, "lifespan.csv")
     json_path = os.path.join(destination, "lifespan.json")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+    with open(csv_path, "w") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
         for r in table.rows:
-            writer.writerow([_csv_cell(getattr(r, name)) for name in CSV_COLUMNS])
+            fh.write(",".join(_csv_cell(getattr(r, name)) for name in CSV_COLUMNS) + "\n")
     payload = {
         "region": table.region,
         "prediction": {

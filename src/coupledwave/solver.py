@@ -45,9 +45,6 @@ once: failed, crossed, halving or on.  Halving rows go on together in a
 new batch at half the step, which runs once they have left, so a batch
 they empty holds no buffers meanwhile.  Each row's record carries the
 ProblemSpec it solved, so the functional readers take the record alone.
-``evolve_scalar`` runs the same core on the whole grid with no cone:
-its data need not be compactly supported, its forcing is arbitrary and
-it holds the grid end at zero itself.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -71,7 +67,6 @@ __all__ = [
     "run",
     "run_batch",
     "detect_blowup",
-    "evolve_scalar",
     "radial_grid",
     "radial_weights",
     "IntegralProbes",
@@ -312,15 +307,15 @@ class _Leapfrog:
     strided [..., :L] views of fixed (fields, rows, M) buffers numpy
     took twice as long per call, the eps-ladder sweep 30 % longer).  Past
     the window every input is zero, hence every output too, and the
-    window holds the values of the whole-grid formulas; ``run``'s L < M,
-    and ``evolve_scalar`` zeroes the end.  Points from ``k`` on lie beyond
-    the cone (k = L = M for no cone): ``close`` zeroes them, and
-    ``spill`` keeps the largest |value| zeroed per field, row and point
-    past k.  Every update is elementwise along the rows, so no row
-    depends on the rows stacked with it.
+    window holds the values of the whole-grid formulas; L < M, the grid
+    ends past the cone.  Points from ``k`` on lie beyond the cone:
+    ``close`` zeroes them, and ``spill`` keeps the largest |value| zeroed
+    per field, row and point past k.  Every update is elementwise along
+    the rows, so no row depends on the rows stacked with it.  The fields
+    are u and v.
     """
 
-    def __init__(self, r: np.ndarray, dr: float, n: int, fields: int, rows: int, width: int):
+    def __init__(self, r: np.ndarray, dr: float, n: int, rows: int, width: int):
         inv_dr2 = 1.0 / (dr * dr)
         self.centre = -2.0 * inv_dr2
         self.axis = 2.0 * n * inv_dr2
@@ -330,8 +325,8 @@ class _Leapfrog:
         self.outer = np.stack((inv_dr2 - drift, inv_dr2 + drift))
         # the cut [k:L] spans at most three points: L <= k + 2, and a dt
         # halving moves k back by at most one
-        self.spill = np.zeros((fields, rows, 3))
-        self._bind(np.zeros((len(_BUFFERS), fields, rows, width)))
+        self.spill = np.zeros((2, rows, 3))
+        self._bind(np.zeros((len(_BUFFERS), 2, rows, width)))
 
     def _bind(self, block):
         for name, buf in zip(_BUFFERS, block):
@@ -356,7 +351,7 @@ class _Leapfrog:
         """lap = cl * left + cr * right + (-2/dr^2) * centre, every field
         and row, over the flattened buffers: each row's two end points
         read the neighbouring rows, so the axis takes its own formula,
-        and the last point the zero past the window (or the grid end's)."""
+        and the last point the zero past the window."""
         w = self.cur.reshape(-1)
         mid = self.lap.reshape(-1)[1:-1]
         tmp = self.tmp.reshape(-1)[:-2]
@@ -616,7 +611,7 @@ class _Batch:
         self.t, self.dt, self.step = 0.0, dt, 0
         k = self.cone()
         L = k + 2
-        self.core = core = _Leapfrog(r, grid.dr, spec.n, 2, len(specs), _width(L, m))
+        self.core = core = _Leapfrog(r, grid.dr, spec.n, len(specs), _width(L, m))
 
         # the data: u, v in cur and u_t, v_t in vel, one row per eps
         eps = np.array([other.eps for other in specs])[:, np.newaxis]
@@ -829,73 +824,6 @@ class _Batch:
             projections={} if row.projector is None else row.projector.projections(),
             integrals=self.integrals,
         )
-
-
-def evolve_scalar(
-    n: int,
-    dr: float,
-    t_max: float,
-    b: DampingSpec,
-    w0: np.ndarray,
-    w1: np.ndarray,
-    r_max: float,
-    cfl: float = 0.45,
-    forcing=None,
-    sample_stride: int = 1,
-):
-    """Integrate a single radial damped wave equation with given forcing.
-
-    Used by the manufactured-solution and energy tests; returns
-    (times, W, Wt, r) with profiles sampled every ``sample_stride``
-    steps.  ``forcing(t, r)`` is evaluated at the current level.  The
-    data need not be compactly supported, so the step covers the whole
-    grid with no cone.  dr, t_max and cfl have ``GridSpec``'s bounds,
-    ``sample_stride`` is an integer >= 1 and r_max is finite.
-    """
-    n = check_dimension(n)
-    dt = GridSpec(dr, t_max, cfl).dt
-    if not isinstance(sample_stride, numbers.Integral) or sample_stride < 1:
-        raise ValueError(f"sample_stride must be an integer >= 1, got {sample_stride!r}")
-    if not 0 < r_max < math.inf:
-        raise ValueError(f"r_max must be positive and finite, got {r_max}")
-    m = int(np.floor(r_max / dr + 1e-9)) + 1
-    r = np.arange(m) * dr
-    wt0 = np.array(w1, dtype=float)
-    if np.shape(w0) != r.shape or wt0.shape != r.shape:
-        raise ValueError("initial profiles must match the radial grid")
-    core = _Leapfrog(r, dr, n, 1, 1, m)
-    core.cur[0, 0] = w0
-    force = core.force[0, 0]
-
-    def load_forcing(t):
-        if forcing is not None:
-            force[:] = forcing(t, r)
-
-    times = [0.0]
-    ws = [core.cur[0, 0].copy()]
-    wts = [wt0.copy()]
-
-    load_forcing(0.0)
-    core.laplacian()
-    core.taylor(0, wt0, b.b(0.0), dt)
-    core.next[0, 0, -1] = 0.0  # the Dirichlet end
-    core.rotate()
-
-    steps = int(round(t_max / dt))
-    for k in range(1, steps + 1):
-        t = k * dt
-        load_forcing(t)
-        core.laplacian()
-        core.free()
-        core.leap(0, b.b(t), dt)
-        core.next[0, 0, -1] = 0.0
-        if k % sample_stride == 0 or k == steps:
-            core.velocity(0, dt, m)
-            times.append(t)
-            ws.append(core.cur[0, 0].copy())
-            wts.append(core.vel[0, 0].copy())
-        core.rotate()
-    return np.asarray(times), np.vstack(ws), np.vstack(wts), r
 
 
 def write_summary_csv(record: SolutionRecord, path) -> None:

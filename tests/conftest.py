@@ -58,12 +58,13 @@ def profile_run():
     return run_profiles
 
 
-def wave_energies(W, Wt, r, n):
-    """Wave energy 0.5 |S^{n-1}| int (w_t^2 + w_r^2) r^(n-1) dr of each
-    sampled row of an ``evolve_scalar`` result."""
-    weights = radial_weights(r, n)
-    Wr = np.gradient(W, r[1] - r[0], axis=1)
-    return np.array([0.5 * float(weights @ (wt**2 + wr**2)) for wt, wr in zip(Wt, Wr)])
+def wave_energies(rec):
+    """Wave energy 0.5 |S^{n-1}| int (u_t^2 + u_r^2) r^(n-1) dr of u at
+    each sample of a run whose probes on u and ut are identity matrices."""
+    r = rec.r
+    weights = radial_weights(r, rec.spec.n)
+    Wr = np.gradient(rec.projections["u"], r[1] - r[0], axis=1)
+    return np.array([0.5 * float(weights @ (wt**2 + wr**2)) for wt, wr in zip(rec.projections["ut"], Wr)])
 
 
 @pytest.fixture(scope="session")

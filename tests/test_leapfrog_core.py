@@ -30,7 +30,6 @@ from coupledwave.solver import (
     InitialDataFamily,
     ProblemSpec,
     detect_blowup,
-    evolve_scalar,
     radial_grid,
     run,
     run_batch,
@@ -161,29 +160,6 @@ def reference_run(spec, laplacian=_ref_laplacian, velocity=_ref_velocity):
     )
 
 
-def reference_evolve_scalar(n, dr, t_max, b, w0, w1, r_max, forcing, sample_stride):
-    m = int(np.floor(r_max / dr + 1e-9)) + 1
-    r = np.arange(m) * dr
-    dt = 0.45 * dr
-    w_cur = np.array(w0, dtype=float)
-    times, ws, wts = [0.0], [w_cur], [np.array(w1, dtype=float)]
-    w_next = _ref_taylor(
-        w_cur, wts[0], _ref_laplacian(w_cur, r, dr, n), forcing(0.0, r), _ref_b(b, 0.0), dt
-    )
-    w_prev, w_cur = w_cur, w_next
-    steps = int(round(t_max / dt))
-    for k in range(1, steps + 1):
-        t = k * dt
-        lap = _ref_laplacian(w_cur, r, dr, n)
-        w_next = _ref_leap(w_prev, w_cur, lap, forcing(t, r), _ref_b(b, t), dt)
-        if k % sample_stride == 0 or k == steps:
-            times.append(t)
-            ws.append(w_cur)
-            wts.append(_ref_velocity(w_next, w_prev, dt))
-        w_prev, w_cur = w_cur, w_next
-    return np.asarray(times), np.vstack(ws), np.vstack(wts)
-
-
 def _spec(n, pq, b1, b2, eps, amp, dr, t_max, cfl=0.45):
     return ProblemSpec(
         n=n, pq=ExponentPair(*pq), b1=b1, b2=b2, R=1.0, eps=eps,
@@ -280,23 +256,6 @@ def test_vt_formed_on_demand_equals_whole_grid_reference():
         for bare in (other, run(spec)):
             assert np.array_equal(bare.sup_norms, rec.sup_norms)
             assert bare.t_blowup == rec.t_blowup == ref.t_blowup
-
-
-def test_evolve_scalar_equals_whole_grid_reference():
-    n, dr, rmax = 3, 0.02, 6.0
-    r = np.arange(int(np.floor(rmax / dr + 1e-9)) + 1) * dr
-    w0 = np.clip(1.0 - (r / 2.0) ** 2, 0.0, None) ** 5
-    b = DampingSpec.power_decay(0.7, 1.5)
-
-    def forcing(t, r):
-        return np.exp(-t) * np.cos(r) / (1.0 + r)
-
-    ts, W, Wt, _r = evolve_scalar(
-        n, dr, 2.0, b, w0, 0.5 * w0, rmax, forcing=forcing, sample_stride=7,
-    )
-    ref = reference_evolve_scalar(n, dr, 2.0, b, w0, 0.5 * w0, rmax, forcing, 7)
-    for got, want in zip((ts, W, Wt), ref):
-        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(

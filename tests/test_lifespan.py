@@ -209,11 +209,11 @@ def test_report_round_trip_grid_change_and_failed(tmp_path):
 
 
 # the sweep outputs' exact formats: a blown-up row and a failed one
-# (csv.writer ends each line with \r\n)
+# (lines end with \n, as in the package's other CSVs)
 PINNED_CSV = (
-    b"eps,T_numeric,blew_up,T_predicted_shape,grid_change,failed\r\n"
-    b"1.6000000000000001,1.6624364612345679,true,1.6624364612345679,0.012500000000000001,false\r\n"
-    b"0.20000000000000001,nan,false,43.100000000000001,nan,true\r\n"
+    b"eps,T_numeric,blew_up,T_predicted_shape,grid_change,failed\n"
+    b"1.6000000000000001,1.6624364612345679,true,1.6624364612345679,0.012500000000000001,false\n"
+    b"0.20000000000000001,nan,false,43.100000000000001,nan,true\n"
 )
 PINNED_JSON = """{
   "caveat": "the lifespan bound applies for eps <= eps0 with eps0 unspecified; this sweep cannot certify being inside the asymptotic regime",
