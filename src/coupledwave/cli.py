@@ -187,7 +187,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(_args) -> int:
     results = verify.run_verification()
     worst = 0
-    for name, passed, detail in results:
+    for name, passed, _, detail in results:
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
         worst = max(worst, 0 if passed else 1)
     return worst

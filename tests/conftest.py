@@ -1,9 +1,11 @@
 """Shared solver fixtures; session-scoped since runs are deterministic.
 
-The ``*_run`` fixtures carry the projections of
-``functionals.probes(spec)``, whose kernel exponents are the spec's
-``kernel_exponents``: r1 = r2 = 0.5 at n = 3, p = q = 2, and both
-equality values at the cusp.
+``claims`` measures each claim of ``verify.CLAIMS`` once per session.
+The standard, damped and negative problems are the functional-floors
+claim's (``verify.floor_specs``).  The ``*_run`` fixtures carry the
+projections of ``functionals.probes(spec)``, whose kernel exponents are
+the spec's ``kernel_exponents``: r1 = r2 = 0.5 at n = 3, p = q = 2, and
+both equality values at the cusp.
 """
 
 import random
@@ -11,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from coupledwave import lifespan
+from coupledwave import lifespan, verify
 from coupledwave.exponents import ExponentPair, cusp_exponents
 from coupledwave.functionals import probes
 from coupledwave.lifespan import SweepConfig
@@ -20,25 +22,23 @@ from coupledwave.solver import (
     InitialDataFamily,
     ProblemSpec,
     radial_grid,
-    radial_weights,
     run,
 )
 from coupledwave.special import DampingSpec
 
 
 @pytest.fixture(scope="session")
+def claims():
+    """name -> (passed, measured, detail) of each ``verify.CLAIMS``
+    entry, in registry order, measured once per session by the suite
+    runner of the ``verify`` verb."""
+    return {name: result for name, *result in verify.run_verification()}
+
+
+@pytest.fixture(scope="session")
 def standard_spec():
     """Strongly subcritical undamped blow-up run (n=3, p=q=2)."""
-    return ProblemSpec(
-        n=3,
-        pq=ExponentPair(2.0, 2.0),
-        b1=DampingSpec.zero(),
-        b2=DampingSpec.zero(),
-        R=1.0,
-        eps=1.0,
-        data=InitialDataFamily(k=3, amplitudes=(4.0, 4.0, 4.0, 4.0)),
-        grid=GridSpec(dr=0.02, t_max=8.0),
-    )
+    return verify.floor_specs()["standard"]
 
 
 @pytest.fixture(scope="session")
@@ -58,20 +58,6 @@ def profile_run():
     return run_profiles
 
 
-def wave_energies(rec):
-    """Wave energy 0.5 |S^{n-1}| int (u_t^2 + u_r^2) r^(n-1) dr of u at
-    each sample of a run whose probes on u and ut are identity matrices."""
-    r = rec.r
-    weights = radial_weights(r, rec.spec.n)
-    Wr = np.gradient(rec.projections["u"], r[1] - r[0], axis=1)
-    return np.array([0.5 * float(weights @ (wt**2 + wr**2)) for wt, wr in zip(rec.projections["ut"], Wr)])
-
-
-@pytest.fixture(scope="session")
-def wave_energy():
-    return wave_energies
-
-
 @pytest.fixture(scope="session")
 def standard_profiles(standard_spec):
     """The standard run's sampled profiles, from identity-matrix probes."""
@@ -81,16 +67,7 @@ def standard_profiles(standard_spec):
 @pytest.fixture(scope="session")
 def damped_spec():
     """Same problem with scattering-class power-decay damping."""
-    return ProblemSpec(
-        n=3,
-        pq=ExponentPair(2.0, 2.0),
-        b1=DampingSpec.power_decay(0.5, 2.0),
-        b2=DampingSpec.power_decay(0.5, 2.0),
-        R=1.0,
-        eps=1.0,
-        data=InitialDataFamily(k=3, amplitudes=(4.0, 4.0, 4.0, 4.0)),
-        grid=GridSpec(dr=0.02, t_max=10.0),
-    )
+    return verify.floor_specs()["damped"]
 
 
 @pytest.fixture(scope="session")
@@ -100,18 +77,8 @@ def damped_run(damped_spec):
 
 @pytest.fixture(scope="session")
 def negative_spec():
-    """Sign-flipped u1: violates the blow-up hypotheses on purpose (a
-    ProblemSpec accepts such data; a config document with them is refused)."""
-    return ProblemSpec(
-        n=3,
-        pq=ExponentPair(2.0, 2.0),
-        b1=DampingSpec.zero(),
-        b2=DampingSpec.zero(),
-        R=1.0,
-        eps=1.0,
-        data=InitialDataFamily(k=3, amplitudes=(4.0, -4.0, 4.0, 4.0)),
-        grid=GridSpec(dr=0.02, t_max=5.0),
-    )
+    """Sign-flipped u1: violates the blow-up hypotheses on purpose."""
+    return verify.floor_specs()["negative"]
 
 
 @pytest.fixture(scope="session")

@@ -501,26 +501,39 @@ def test_sweep_batch_error_exits_2(cpus, monkeypatch, tmp_path, capsys):
     assert multiprocessing.active_children() == []
 
 
-VERIFY_CHECKS = ["cusp-algebra", "kernel-bounds", "closed-forms", "solver-convergence",
-                 "fundamental-identity", "threshold-consistency"]
+VERIFY_CHECKS = ["cusp-algebra", "closed-forms", "kernel-bounds", "solver-convergence",
+                 "fundamental-identity", "functional-floors", "lifespan-sweep",
+                 "threshold-consistency"]
 
 
-def test_verify_verb(capsys):
+def test_verify_verb(claims, monkeypatch, capsys):
+    # the registry's claims as the session measured them
+    stubs = tuple((name, lambda result=claims[name]: result) for name, _ in verify.CLAIMS)
+    monkeypatch.setattr(verify, "CLAIMS", stubs)
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in VERIFY_CHECKS]
+    assert lines == [f"PASS {name}: {claims[name][2]}" for name in VERIFY_CHECKS]
 
 
 def test_verify_check_error_is_a_failure(monkeypatch, capsys):
     def broken():
         raise RuntimeError("broken check")
 
-    monkeypatch.setattr(verify, "_check_cusp", broken)
+    stubs = tuple((name, lambda: (True, {}, "stub")) for name in VERIFY_CHECKS[1:])
+    monkeypatch.setattr(verify, "CLAIMS", (("cusp-algebra", broken), *stubs))
     assert main(["verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "FAIL cusp-algebra: error: broken check"
     # the suite goes on past the failing check
-    assert [line.split(":")[0] for line in lines[1:]] == [f"PASS {name}" for name in VERIFY_CHECKS[1:]]
+    assert lines[1:] == [f"PASS {name}: stub" for name in VERIFY_CHECKS[1:]]
+
+
+def test_identity_defaults_print_the_claims_residuals(claims, capsys):
+    # the identity verb and the fundamental-identity claim solve one problem
+    assert main(["identity"]) == 0
+    m = claims["fundamental-identity"][1]
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        f"residual_curlyU={m['residual_curlyU']:.9g}", f"residual_curlyV={m['residual_curlyV']:.9g}"]
 
 
 # a representative argv per verb, every flag given, and one with the defaults
