@@ -103,7 +103,7 @@ def _sequence_pair(args):
 def _cmd_sequences(args) -> int:
     p, q = _sequence_pair(args)
     if args.case == "subcritical":
-        table, _ = it.subcritical_sequences(args.n, (p, q), args.jmax)
+        table = it.subcritical_v_sequences(args.n, (p, q), args.jmax)
     else:
         table = it.critical_sequences(args.case, args.n, (p, q), args.jmax)
     devs = it.closed_form_deviations(table)

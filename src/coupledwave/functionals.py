@@ -347,18 +347,19 @@ def require_zero_damping(spec: ProblemSpec) -> None:
         raise ValueError("the fundamental identities hold for zero damping only")
 
 
-def _data_terms(spec: ProblemSpec, lam_u0, lam_u1, lam_v0, lam_v1):
-    """The lam-projections of the data u0, u1, v0 and v1, each at its
-    nodes, from (eps * amplitude) * profile on the grid points r <= R,
-    outside which the data vanish."""
+def _data_terms(spec: ProblemSpec, nodes: dict, exponents):
+    """The lam-projections of the data u0, u1, v0 and v1, each on the
+    kernel of its entry of ``exponents``, from (eps * amplitude) *
+    profile on the grid points r <= R, outside which the data vanish.
+    ``nodes`` maps each exponent to its (lam, wl); one basis is built per
+    distinct exponent."""
     grid = radial_grid(spec)
     k = int(grid.searchsorted(spec.R, side="right"))
     points, w = grid[:k], radial_weights(grid, spec.n)[:k]
     bump = spec.data.profile(points, spec.R)
-    return tuple(
-        _kernel_basis(spec.n, points, w, lam) @ ((spec.eps * float(amplitude)) * bump)
-        for lam, amplitude in zip((lam_u0, lam_u1, lam_v0, lam_v1), spec.data.amplitudes)
-    )
+    basis = {r: _kernel_basis(spec.n, points, w, nodes[r][0]) for r in set(exponents)}
+    return tuple(basis[r] @ ((spec.eps * float(amplitude)) * bump)
+                 for r, amplitude in zip(exponents, spec.data.amplitudes))
 
 
 def check_fundamental_identity(record: SolutionRecord, checkpoints=None):
@@ -389,10 +390,12 @@ def check_fundamental_identity(record: SolutionRecord, checkpoints=None):
     else:
         checkpoints = [int(np.argmin(np.abs(times - tc))) for tc in checkpoints]
 
-    (lam1s, wl1s), (lam1, wl1), (lam2, wl2) = (
-        _kernel_nodes(spec, r, quad_nodes) for r in (r1 + 2.0, r1, r2))
+    # u0 on the r1 + 2 kernel, u1 on the r1 kernel, v0 and v1 on the r2 kernel
+    exponents = (r1 + 2.0, r1, r2, r2)
+    nodes = {r: _kernel_nodes(spec, r, quad_nodes) for r in set(exponents)}
+    (lam1s, wl1s), (lam1, wl1), (lam2, wl2) = (nodes[r] for r in exponents[:3])
     curlyU, curlyV = proj["ut"][checkpoints, 2], proj["v"][checkpoints, 2]
-    proj_u0, proj_u1, proj_v0, proj_v1 = _data_terms(spec, lam1s, lam1, lam2, lam2)
+    proj_u0, proj_u1, proj_v0, proj_v1 = _data_terms(spec, nodes, exponents)
     proj_vq = proj["|v|^q"][:, 2:].T  # (m, N)
     proj_utp = proj["|u_t|^p"][:, 2:].T
 

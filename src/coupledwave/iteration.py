@@ -53,6 +53,8 @@ __all__ = [
     "IterationConstants",
     "ThresholdTime",
     "subcritical_sequences",
+    "subcritical_v_sequences",
+    "subcritical_uprime_sequences",
     "critical_sequences",
     "closed_form_deviations",
     "threshold_time",
@@ -293,26 +295,22 @@ def _check_range(family, *columns) -> None:
         raise ValueError(f"{family} sequences leave double range at j = {j}; lower j_max or p, q")
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def subcritical_sequences(n, pq, j_max: int, eps: float = 1.0):
-    """Brute recursions and closed forms for the subcritical families.
-
-    Returns (table for (C_j, a_j, b_j), table for (K_j, alpha_j,
-    beta_j)).  Seeds: a0 = n+1, b0 = (n-1)p/2, C0 = m2(0) Ktilde eps^p
-    / (n(n+1)); alpha0 = n, beta0 = (n-1)q/2, K0 = m1(0) Ctilde eps^q
-    / n.  Coefficients are tracked in log scale.  As in
-    ``critical_sequences``, the frame constants C, K, Ctilde, Ktilde,
-    m1(0) and m2(0) are 1.
-    """
+def _subcritical_frame(n, pq, j_max, eps):
+    """The checked (n, p, q, pq, j indices) of a subcritical table."""
     n = check_dimension(n)
     pq = as_pair(pq)
     j_max = _check_jmax(j_max)
     _check_eps(eps)
-    p, q = pq.p, pq.q
-    x = pq.product
-    js = np.arange(j_max + 1)
+    return n, pq.p, pq.q, pq.product, np.arange(j_max + 1)
 
-    # V-family: (C_j, a_j, b_j)
+
+@np.errstate(over="ignore", invalid="ignore")
+def subcritical_v_sequences(n, pq, j_max: int, eps: float = 1.0) -> SequenceTable:
+    """Brute recursion and closed form of the subcritical V-family (C_j,
+    a_j, b_j), V(t) >= C_j (1+t)^(-b_j) t^(a_j).  Seeds: a0 = n+1, b0 =
+    (n-1)p/2, C0 = m2(0) Ktilde eps^p / (n(n+1)), with the frame
+    constants 1 (see ``subcritical_sequences``)."""
+    n, p, q, x, js = _subcritical_frame(n, pq, j_max, eps)
     a0 = n + 1.0
     b0 = 0.5 * (n - 1.0) * p
     logC0 = math.log(1.0 / (n * (n + 1.0))) + p * math.log(eps)
@@ -321,13 +319,20 @@ def subcritical_sequences(n, pq, j_max: int, eps: float = 1.0):
         return (x * logc - p * math.log(a * q + 1.0) - math.log(a * x + p + 1.0)
                 - math.log(a * x + p + 2.0), x * a + p + 2.0, x * b + n * (x - 1.0))
 
-    table_v = _family_table(
+    return _family_table(
         "subcritical-v", x, js, (logC0, a0, b0), recur_v,
         (a0 + (p + 2.0) / (x - 1.0)) * x**js - (p + 2.0) / (x - 1.0),
         (b0 + n) * x**js - n,
     )
 
-    # U'-family: (K_j, alpha_j, beta_j)
+
+@np.errstate(over="ignore", invalid="ignore")
+def subcritical_uprime_sequences(n, pq, j_max: int, eps: float = 1.0) -> SequenceTable:
+    """Brute recursion and closed form of the subcritical U'-family (K_j,
+    alpha_j, beta_j), U'(t) >= K_j (1+t)^(-beta_j) t^(alpha_j).  Seeds:
+    alpha0 = n, beta0 = (n-1)q/2, K0 = m1(0) Ctilde eps^q / n, with the
+    frame constants 1 (see ``subcritical_sequences``)."""
+    n, p, q, x, js = _subcritical_frame(n, pq, j_max, eps)
     al0 = float(n)
     be0 = 0.5 * (n - 1.0) * q
     logK0 = math.log(1.0 / n) + q * math.log(eps)
@@ -336,12 +341,24 @@ def subcritical_sequences(n, pq, j_max: int, eps: float = 1.0):
         return (x * logk - q * math.log(al * p + 1.0) - q * math.log(al * p + 2.0)
                 - math.log(al * x + 2.0 * q + 1.0), x * al + 2.0 * q + 1.0, x * be + n * (x - 1.0))
 
-    table_u = _family_table(
+    return _family_table(
         "subcritical-uprime", x, js, (logK0, al0, be0), recur_u,
         (al0 + (2.0 * q + 1.0) / (x - 1.0)) * x**js - (2.0 * q + 1.0) / (x - 1.0),
         (be0 + n) * x**js - n,
     )
-    return table_v, table_u
+
+
+def subcritical_sequences(n, pq, j_max: int, eps: float = 1.0):
+    """Brute recursions and closed forms for the subcritical families.
+
+    Returns (``subcritical_v_sequences``, ``subcritical_uprime_sequences``)
+    of the same arguments: the tables for (C_j, a_j, b_j) and for (K_j,
+    alpha_j, beta_j).  Coefficients are tracked in log scale.  As in
+    ``critical_sequences``, the frame constants C, K, Ctilde, Ktilde,
+    m1(0) and m2(0) are 1.
+    """
+    return (subcritical_v_sequences(n, pq, j_max, eps),
+            subcritical_uprime_sequences(n, pq, j_max, eps))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -4,15 +4,20 @@ Runs the solver across a decreasing ladder of data amplitudes eps,
 collects numerical blow-up times (with a grid-refinement repeat per
 row), fits log T against log eps on the blown-up rows and compares the
 slope with the predicted power law the table carries
-(``LifespanTable.prediction``).  Each repeat's whole eps ladder is
-one batch of rows (``solver.run_batch``), and the batches are submitted
-finest repeat first: twice the points and twice the steps make it the
-costliest.  On Linux with more than one CPU available to the process
-they run on forked worker processes, at most one per CPU; otherwise
-in-process, in the same order.  Every record is bitwise the same either
-way.  Exponentially large critical lifespans are not reproducible at
-desk scale, so critical sweeps carry the prediction shape for plotting
-but no pass/fail.
+(``LifespanTable.prediction``).
+
+A sweep has one plan.  Its (repeat, eps) rows are packed into one bin
+per worker, costliest first, each onto the bin with the least estimated
+load (Graham's longest-processing-time rule, R. L. Graham, SIAM J.
+Appl. Math. 17 (1969) 416-429), at the cost ``_row_cost`` estimates.  A
+bin runs one batch of rows (``solver.run_batch``) per repeat it holds,
+finest repeat first.  On Linux with more than one CPU available to the
+process each bin runs on its own forked worker process, at most one per
+CPU; otherwise the one bin, every repeat's whole ladder, runs
+in-process.  A batched row is bitwise the row run alone, so every
+record is the same whatever the plan.  Exponentially large critical
+lifespans are not reproducible at desk scale, so critical sweeps carry
+the prediction shape for plotting but no pass/fail.
 
 Every summary carries the caveat that the theory bounds T(eps) only for
 eps below an unspecified eps0, so a sweep cannot certify being inside
@@ -126,10 +131,12 @@ class ScalingFit:
 
 @dataclass
 class LifespanTable:
-    """Sweep rows and fit.  ``workers`` is the number of processes the
-    sweep ran its batches on, and ``tasks`` its schedule: one
-    ``{"repeat", "eps", "wall_s"}`` entry per batch (one per repeat), in
-    submission order, finest repeat first."""
+    """Sweep rows and fit.  ``workers`` is the number of bins the sweep
+    packed its rows into, one process each, and ``tasks`` its schedule:
+    one ``{"repeat", "eps", "wall_s"}`` entry per batch as it ran, in bin
+    order and within a bin finest repeat first, each (repeat, eps) in
+    exactly one.  With one worker that is one batch per repeat's whole
+    ladder, finest first."""
 
     rows: list
     fit: ScalingFit | None
@@ -165,29 +172,62 @@ def _available_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_task(specs):
-    """One batch of a sweep: its records and its wall time.
+def _row_cost(repeat: int, finest: int, eps: float, exponent: float, t_max: float) -> float:
+    """A sweep row's estimated cost, 4^repeat T_hat^2 in units of 4^finest
+    (so that no power overflows): each halving of dr doubles the points
+    and the steps, and a run to time T takes T / dt steps over a
+    light-cone window that grows with t.  T_hat, the row's expected
+    lifespan, is eps^exponent (the predicted lifespan's shape) when the
+    exponent is finite and negative, else t_max, and never more than
+    t_max."""
+    T = t_max
+    if math.isfinite(exponent) and exponent < 0 and exponent * math.log(eps) < math.log(t_max):
+        T = eps**exponent
+    return 0.25 ** (finest - repeat) * T * T
+
+
+def _pack(costs: dict, bins: int) -> list:
+    """Rows ``(repeat, j)`` with their ``costs`` packed into ``bins``:
+    each row, costliest first, goes onto the bin with the least load
+    (the first such bin on a tie).  Per bin that holds a row, [(repeat,
+    [j, ...]), ...]: one batch per repeat it holds, finest repeat first,
+    j ascending."""
+    loads = [0.0] * bins
+    held = [[] for _ in range(bins)]
+    for row in sorted(costs, key=costs.get, reverse=True):
+        b = loads.index(min(loads))
+        loads[b] += costs[row]
+        held[b].append(row)
+    return [[(rep, sorted(j for r, j in rows if r == rep))
+             for rep in sorted({r for r, _ in rows}, reverse=True)] for rows in held if rows]
+
+
+def _run_task(batches):
+    """One bin of a sweep: each batch's records and wall time, in order.
 
     ``run_batch`` is looked up as this module's global, so forked
     workers see a replacement patched in before the pool was made.
     """
-    t0 = time.perf_counter()
-    records = run_batch(specs)
-    return records, time.perf_counter() - t0
+    results = []
+    for specs in batches:
+        t0 = time.perf_counter()
+        records = run_batch(specs)
+        results.append((records, time.perf_counter() - t0))
+    return results
 
 
 def _pool_workers(tasks: int) -> int:
-    """Worker processes for ``tasks`` independent batches: at most one
-    per available CPU, and 1 (in-process) off Linux, the one platform
-    whose ``fork`` start method the pool is tested with."""
+    """Worker processes for ``tasks`` independent rows: at most one per
+    available CPU, and 1 (in-process) off Linux, the one platform whose
+    ``fork`` start method the pool is tested with."""
     return min(tasks, _available_cpus()) if sys.platform == "linux" else 1
 
 
-def _map_tasks(batches, workers):
-    """[(records, wall_s)] in batch order.
+def _map_tasks(bins, workers):
+    """[_run_task(bin), ...] in bin order.
 
-    With more than one worker the batches run on a pool of forked
-    worker processes made and shut down within this call; otherwise
+    With more than one worker each bin runs on its own forked worker
+    process, in a pool made and shut down within this call; otherwise
     in-process.  An error in a batch is raised here once the workers
     have exited.
     """
@@ -197,8 +237,8 @@ def _map_tasks(batches, workers):
 
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            return list(pool.map(_run_task, batches))
-    return [_run_task(batch) for batch in batches]
+            return list(pool.map(_run_task, bins))
+    return [_run_task(batches) for batches in bins]
 
 
 def sweep(cfg: SweepConfig) -> LifespanTable:
@@ -212,15 +252,21 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
     base = cfg.base
     data = classify(base.n, base.pq)
     prediction = lifespan_prediction(base.n, base.pq)
-    # one batch per repeat's whole ladder, finest (costliest) first
-    repeats = list(reversed(range(cfg.repeats)))
-    batches = [[replace(base, eps=eps, grid=replace(base.grid, dr=base.grid.dr / 2.0**rep))
-                for eps in cfg.eps_values] for rep in repeats]
-    workers = _pool_workers(len(batches))
-    results = _map_tasks(batches, workers)
-    schedule = [{"repeat": rep, "eps": list(cfg.eps_values), "wall_s": wall}
-                for rep, (_records, wall) in zip(repeats, results)]
-    by_repeat = [records for records, _wall in reversed(results)]  # [repeat][eps index]
+    eps_values = cfg.eps_values
+    grids = [replace(base.grid, dr=base.grid.dr / 2.0**rep) for rep in range(cfg.repeats)]
+    costs = {(rep, j): _row_cost(rep, cfg.repeats - 1, eps, prediction.exponent, base.grid.t_max)
+             for rep in reversed(range(cfg.repeats)) for j, eps in enumerate(eps_values)}
+    plan = _pack(costs, _pool_workers(len(costs)))
+    workers = len(plan)
+    results = _map_tasks([[[replace(base, eps=eps_values[j], grid=grids[rep]) for j in js]
+                           for rep, js in batches] for batches in plan], workers)
+    schedule = []
+    by_repeat = [[None] * len(eps_values) for _ in grids]  # [repeat][eps index]
+    for batches, ran in zip(plan, results):
+        for (rep, js), (records, wall) in zip(batches, ran):
+            schedule.append({"repeat": rep, "eps": [eps_values[j] for j in js], "wall_s": wall})
+            for j, rec in zip(js, records):
+                by_repeat[rep][j] = rec
     records = by_repeat[-1]
     # per repeat, the blow-up time of each eps (NaN for none)
     times = [[rec.t_blowup if rec.blew_up else math.nan for rec in recs] for recs in by_repeat]

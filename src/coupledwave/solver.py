@@ -53,6 +53,7 @@ import copy
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -297,6 +298,24 @@ def _width(L: int, m: int) -> int:
     return min(m, L + L // 8 + 32)
 
 
+class _Level(NamedTuple):
+    """The views of one time-level buffer w that a step reads or writes:
+    its fields (u, v), the flattened stencil slices w[:-2], w[1:-1] and
+    w[2:], and its first two columns."""
+
+    fields: tuple
+    left: np.ndarray
+    mid: np.ndarray
+    right: np.ndarray
+    col0: np.ndarray
+    col1: np.ndarray
+
+    @classmethod
+    def of(cls, buf):
+        flat = buf.reshape(-1)
+        return cls(tuple(buf), flat[:-2], flat[1:-1], flat[2:], buf[..., 0], buf[..., 1])
+
+
 class _Leapfrog:
     """The stepping core, on (field, row, point) buffers.
 
@@ -313,6 +332,14 @@ class _Leapfrog:
     per field, row and point past k.  Every update is elementwise along
     the rows, so no row depends on the rows stacked with it.  The fields
     are u and v.
+
+    Every view that a level's updates use is built once per buffer
+    block, by ``_bind``: the per-field views of lap, force, vel and tmp
+    (``lap_f`` ...), the laplacian's flattened slices and axis columns,
+    and one ``_Level`` per time level (``prev_at``, ``cur_at``,
+    ``next_at``), which ``rotate`` turns with the buffers.  So a level
+    makes the same ufunc calls on the same memory as with views made per
+    call; only the Python view objects are reused.
     """
 
     def __init__(self, r: np.ndarray, dr: float, n: int, rows: int, width: int):
@@ -329,14 +356,21 @@ class _Leapfrog:
         self._bind(np.zeros((len(_BUFFERS), 2, rows, width)))
 
     def _bind(self, block):
+        """Take ``block``'s buffers and build every view of them a level uses."""
         for name, buf in zip(_BUFFERS, block):
             setattr(self, name, buf)
         fields, rows, width = block.shape[1:]
         self.width = width
         self.cl, self.cr = np.tile(self.outer[:, :width], fields * rows)[:, 1:-1]
+        self.lap_f, self.force_f, self.vel_f, self.tmp_f = (
+            tuple(buf) for buf in (self.lap, self.force, self.vel, self.tmp))
+        self.lap_mid, self.tmp_head = self.lap.reshape(-1)[1:-1], self.tmp.reshape(-1)[:-2]
+        self.lap_axis, self.lap_end = self.lap[..., 0], self.lap[..., -1]
+        self.prev_at, self.cur_at, self.next_at = (_Level.of(buf) for buf in (self.prev, self.cur, self.next))
 
     def rotate(self):
         self.prev, self.cur, self.next = self.cur, self.next, self.prev
+        self.prev_at, self.cur_at, self.next_at = self.cur_at, self.next_at, self.prev_at
 
     def resize(self, rows, width):
         """Keep only ``rows``, in that order, in buffers ``width`` wide."""
@@ -352,18 +386,16 @@ class _Leapfrog:
         and row, over the flattened buffers: each row's two end points
         read the neighbouring rows, so the axis takes its own formula,
         and the last point the zero past the window."""
-        w = self.cur.reshape(-1)
-        mid = self.lap.reshape(-1)[1:-1]
-        tmp = self.tmp.reshape(-1)[:-2]
-        np.multiply(self.cl, w[:-2], out=mid)
-        np.multiply(self.cr, w[2:], out=tmp)
+        cur, mid, tmp = self.cur_at, self.lap_mid, self.tmp_head
+        np.multiply(self.cl, cur.left, out=mid)
+        np.multiply(self.cr, cur.right, out=tmp)
         np.add(mid, tmp, out=mid)
-        np.multiply(w[1:-1], self.centre, out=tmp)
+        np.multiply(cur.mid, self.centre, out=tmp)
         np.add(mid, tmp, out=mid)
-        axis = self.lap[..., 0]
-        np.subtract(self.cur[..., 1], self.cur[..., 0], out=axis)
+        axis = self.lap_axis
+        np.subtract(cur.col1, cur.col0, out=axis)
         np.multiply(axis, self.axis, out=axis)
-        self.lap[..., -1] = 0.0
+        self.lap_end.fill(0.0)
 
     def free(self):
         """next = 2 cur - prev, every field: the leap before its forcing
@@ -374,8 +406,8 @@ class _Leapfrog:
     def leap(self, f, bval, dt):
         """Field f's damped leap to ``next`` after ``free``, from ``lap``
         and ``force``; the cone cut waits for ``close``."""
-        out, prev, tmp = self.next[f], self.prev[f], self.tmp[f]
-        np.add(self.lap[f], self.force[f], out=tmp)
+        out, prev, tmp = self.next_at.fields[f], self.prev_at.fields[f], self.tmp_f[f]
+        np.add(self.lap_f[f], self.force_f[f], out=tmp)
         np.multiply(tmp, dt * dt, out=tmp)
         np.add(out, tmp, out=out)
         half = 0.5 * bval * dt
@@ -387,8 +419,8 @@ class _Leapfrog:
     def velocity(self, f, dt, k_vel):
         """Field f's centred velocity (next - prev) * (0.5 / dt), zero from
         k_vel on; k_vel <= k, so what ``close`` cuts later never shows."""
-        vel = self.vel[f]
-        np.subtract(self.next[f], self.prev[f], out=vel)
+        vel = self.vel_f[f]
+        np.subtract(self.next_at.fields[f], self.prev_at.fields[f], out=vel)
         np.multiply(vel, 0.5 / dt, out=vel)
         vel[:, k_vel:] = 0.0
 
@@ -676,12 +708,14 @@ class _Batch:
         spec, core = self.spec, self.core
         grid = spec.grid
         p, q = spec.pq.p, spec.pq.q
+        # b(t) of a zero damping is 0.0, read without a call
+        b1, b2 = (None if b.is_zero else b.b for b in (spec.b1, spec.b2))
         threshold = grid.blowup_threshold
         m = self.r.size
         while self.rows and self.t < grid.t_max - 0.5 * self.dt:
             t, dt, nb = self.t, self.dt, len(self.rows)
-            b1v = spec.b1.b(t)
-            b2v = spec.b2.b(t)
+            b1v = 0.0 if b1 is None else b1(t)
+            b2v = 0.0 if b2 is None else b2(t)
             k = self.cone()
             L = k + 2
             self.window = max(self.window, L)
@@ -691,22 +725,23 @@ class _Batch:
             if s == self.sup_times.size:  # full: double it
                 self.sup, self.sup_times = self._history(range(nb))
             norms = self.sup[:nb, s]  # max |u|, max |u_t|, max |v| per row
-            u_force, v_force = core.force
-            np.abs(core.cur[1], out=u_force)
-            np.maximum.reduce(u_force, axis=1, out=norms[:, 2])
+            u_norm, ut_norm, v_norm = norms.T
+            (u_force, v_force), (u_cur, v_cur) = core.force_f, core.cur_at.fields
+            np.abs(v_cur, out=u_force)
+            np.maximum.reduce(u_force, axis=1, out=v_norm)
             u_force **= q
             core.laplacian()
             core.free()
             core.leap(0, b1v, dt)
             core.velocity(0, dt, self.k_cur)
-            np.abs(core.vel[0], out=v_force)
-            np.maximum.reduce(v_force, axis=1, out=norms[:, 1])
+            np.abs(core.vel_f[0], out=v_force)
+            np.maximum.reduce(v_force, axis=1, out=ut_norm)
             v_force **= p
             core.leap(1, b2v, dt)
             core.close(L, k)
-            u_abs = core.tmp[0]
-            np.abs(core.cur[0], out=u_abs)
-            np.maximum.reduce(u_abs, axis=1, out=norms[:, 0])
+            u_abs = core.tmp_f[0]
+            np.abs(u_cur, out=u_abs)
+            np.maximum.reduce(u_abs, axis=1, out=u_norm)
             self.sup_times[s] = t
             self.s = s + 1
 

@@ -249,8 +249,14 @@ def floor_specs() -> dict:
     }
 
 
+def floor_records() -> dict:
+    """The records the functional-floors claim reads, by name: ``run`` of
+    each of ``floor_specs`` with ``functionals.probes``."""
+    return {name: run(spec, probes=fn.probes(spec)) for name, spec in floor_specs().items()}
+
+
 def _functional_floors():
-    records = {name: run(spec, probes=fn.probes(spec)) for name, spec in floor_specs().items()}
+    records = floor_records()
     checks = [check for name in ("standard", "damped")
               for bounds in (fn.check_floor_bounds, fn.check_nonlinearity_bounds)
               for check in bounds(records[name])]

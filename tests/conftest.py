@@ -2,10 +2,12 @@
 
 ``claims`` measures each claim of ``verify.CLAIMS`` once per session.
 The standard, damped and negative problems are the functional-floors
-claim's (``verify.floor_specs``).  The ``*_run`` fixtures carry the
-projections of ``functionals.probes(spec)``, whose kernel exponents are
-the spec's ``kernel_exponents``: r1 = r2 = 0.5 at n = 3, p = q = 2, and
-both equality values at the cusp.
+claim's (``verify.floor_specs``), solved once per session
+(``floor_records``): their ``*_run`` fixtures are the records that
+claim reads.  The ``*_run`` fixtures carry the projections of
+``functionals.probes(spec)``, whose kernel exponents are the spec's
+``kernel_exponents``: r1 = r2 = 0.5 at n = 3, p = q = 2, and both
+equality values at the cusp.
 """
 
 import random
@@ -28,11 +30,20 @@ from coupledwave.special import DampingSpec
 
 
 @pytest.fixture(scope="session")
-def claims():
+def floor_records():
+    """``verify.floor_records()``, solved once per session."""
+    return verify.floor_records()
+
+
+@pytest.fixture(scope="session")
+def claims(floor_records):
     """name -> (passed, measured, detail) of each ``verify.CLAIMS``
     entry, in registry order, measured once per session by the suite
-    runner of the ``verify`` verb."""
-    return {name: result for name, *result in verify.run_verification()}
+    runner of the ``verify`` verb; the functional-floors claim reads the
+    session's ``floor_records``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "floor_records", lambda: floor_records)
+        return {name: result for name, *result in verify.run_verification()}
 
 
 @pytest.fixture(scope="session")
@@ -42,8 +53,8 @@ def standard_spec():
 
 
 @pytest.fixture(scope="session")
-def standard_run(standard_spec):
-    return run(standard_spec, probes=probes(standard_spec))
+def standard_run(floor_records):
+    return floor_records["standard"]
 
 
 def run_profiles(spec):
@@ -71,8 +82,8 @@ def damped_spec():
 
 
 @pytest.fixture(scope="session")
-def damped_run(damped_spec):
-    return run(damped_spec, probes=probes(damped_spec))
+def damped_run(floor_records):
+    return floor_records["damped"]
 
 
 @pytest.fixture(scope="session")
@@ -82,8 +93,8 @@ def negative_spec():
 
 
 @pytest.fixture(scope="session")
-def negative_run(negative_spec):
-    return run(negative_spec, probes=probes(negative_spec))
+def negative_run(floor_records):
+    return floor_records["negative"]
 
 
 @pytest.fixture(scope="session")

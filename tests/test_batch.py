@@ -110,6 +110,17 @@ def test_one_row_crosses_while_another_halves():
     assert second.halvings[1][0] == first.sup_times[-1]
 
 
+def test_rows_leaving_one_by_one():
+    # each row halves dt and crosses at its own steps, and the last runs
+    # to the horizon, so the core is rebuilt by a resize as the window
+    # grows, by _drop as each row leaves and by _halved for each halving
+    # batch: a view left bound to an old buffer would show here
+    rows = _assert_rows_equal_singles(_spec(t_max=30.0), (1.0, 0.7, 0.5, 0.35, 0.25, 0.18, 0.1))
+    steps = [rec.steps for rec in rows]
+    assert steps == sorted(set(steps)) and all(rec.halvings for rec in rows[:-1])
+    assert all(rec.blew_up for rec in rows[:-1]) and not rows[-1].blew_up and not rows[-1].failed
+
+
 def test_batched_probes(standard_spec):
     rows = _assert_rows_equal_singles(standard_spec, (1.0, 0.8), probes(standard_spec))
     assert all(rec.integrals for rec in rows)

@@ -49,7 +49,9 @@ def test_sequences_verb(tmp_path, capsys):
     assert "closed_form_deviation" in out
 
 
-def test_sequences_subcritical(tmp_path):
+def test_sequences_subcritical(tmp_path, monkeypatch):
+    # the verb prints the V-family table and builds no U'-family table
+    monkeypatch.setattr(cli.it, "subcritical_uprime_sequences", None)
     out_path = tmp_path / "sub.csv"
     code = main(["sequences", "--case", "subcritical", "--n", "3",
                  "--p", "2", "--q", "2", "--jmax", "5", "--out", str(out_path)])

@@ -22,6 +22,8 @@ from coupledwave.iteration import (
     critical_sequences,
     divergence_driver,
     subcritical_sequences,
+    subcritical_uprime_sequences,
+    subcritical_v_sequences,
     threshold_time,
     write_table_csv,
 )
@@ -40,6 +42,17 @@ def test_subcritical_seed_examples():
     assert tv.weight_power[0] == 2.0 and tv.weight_power[1] == 17.0
     assert tv.weight_power_closed[1] == pytest.approx(5.0 * 4.0 - 3.0)
     assert tu.weight_power[0] == 2.0  # (n-1) q / 2
+
+
+def test_subcritical_pair_is_the_two_family_tables():
+    pair = subcritical_sequences(4, (2.5, 1.5), 20, eps=0.7)
+    alone = (subcritical_v_sequences(4, (2.5, 1.5), 20, eps=0.7),
+             subcritical_uprime_sequences(4, (2.5, 1.5), 20, eps=0.7))
+    for got, want in zip(pair, alone):
+        assert got.family == want.family
+        for name in ("j", "coeff_log", "coeff_log_closed", "t_power", "t_power_closed",
+                     "weight_power", "weight_power_closed"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_subcritical_closed_forms_random_grid():

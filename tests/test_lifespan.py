@@ -340,19 +340,29 @@ def _sweep_on(monkeypatch, cfg, cpus):
     return sweep(cfg)
 
 
-def _assert_pool_matches_in_process(monkeypatch, cfg, serial=None):
-    """A sweep forced onto two worker processes equals the in-process
-    one, ``serial`` when given."""
-    pooled = _sweep_on(monkeypatch, cfg, 2)
+def _schedule(table):
+    return [(t["repeat"], t["eps"]) for t in table.tasks]
+
+
+def _assert_each_row_ran_once(table, cfg):
+    """Every (repeat, eps) of the sweep is in exactly one reported batch."""
+    ran = [(t["repeat"], eps) for t in table.tasks for eps in t["eps"]]
+    assert sorted(ran) == sorted((rep, eps) for rep in range(cfg.repeats) for eps in cfg.eps_values)
+
+
+def _assert_pool_matches_in_process(monkeypatch, cfg, serial=None, cpus=2):
+    """A sweep packed for ``cpus`` workers equals the in-process one,
+    ``serial`` when given."""
+    pooled = _sweep_on(monkeypatch, cfg, cpus)
     if serial is None:
         serial = _sweep_on(monkeypatch, cfg, 1)
     assert serial.workers == 1
-    assert pooled.workers == min(2, cfg.repeats)
-    # both submit one batch per repeat's whole ladder, finest first
+    assert pooled.workers == min(cpus, cfg.repeats * len(cfg.eps_values))
+    # in-process: one batch per repeat's whole ladder, finest first
     eps = list(cfg.eps_values)
-    schedule = [(rep, eps) for rep in reversed(range(cfg.repeats))]
+    assert _schedule(serial) == [(rep, eps) for rep in reversed(range(cfg.repeats))]
     for table in (serial, pooled):
-        assert [(t["repeat"], t["eps"]) for t in table.tasks] == schedule
+        _assert_each_row_ran_once(table, cfg)
     assert len(pooled.rows) == len(serial.rows) == len(cfg.eps_values)
     for got, want in zip(pooled.rows, serial.rows):
         assert got.eps == want.eps
@@ -369,8 +379,10 @@ def test_pool_matches_in_process_sweep_n2(monkeypatch, sweep_n2, seed):
     cfg, serial, _batches = sweep_n2(seed)
     table = _assert_pool_matches_in_process(monkeypatch, cfg, serial)
     assert all(row.blew_up for row in table.rows)
-    # the finest ladder, then the coarse one
-    assert [(t["repeat"], len(t["eps"])) for t in table.tasks] == [(1, 5), (0, 5)]
+    # the finest row of the smallest eps alone on one worker; the other
+    # four finest rows, then the coarse ladder, on the other
+    eps = list(cfg.eps_values)
+    assert _schedule(table) == [(1, eps[4:]), (1, eps[:4]), (0, eps)]
 
 
 @pytest.mark.parametrize("eps_values, repeats", [((1.6,), 2), ((1.6, 1.2, 1.0), 1),
@@ -378,6 +390,53 @@ def test_pool_matches_in_process_sweep_n2(monkeypatch, sweep_n2, seed):
 def test_pool_matches_in_process(monkeypatch, sweep_base, eps_values, repeats):
     base = dataclasses.replace(sweep_base, grid=GridSpec(dr=0.04, t_max=8.0))
     _assert_pool_matches_in_process(monkeypatch, SweepConfig(base, eps_values, repeats))
+
+
+@pytest.fixture(scope="module")
+def coarse_cfg(sweep_base):
+    """Six rows: three eps at two repeats, dr 0.04 and 0.02."""
+    base = dataclasses.replace(sweep_base, grid=GridSpec(dr=0.04, t_max=8.0))
+    return SweepConfig(base, (1.6, 1.2, 1.0), 2)
+
+
+@pytest.fixture(scope="module")
+def coarse_serial(coarse_cfg):
+    with pytest.MonkeyPatch.context() as mp:
+        return _sweep_on(mp, coarse_cfg, 1)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_any_plan_writes_the_in_process_results(monkeypatch, tmp_path, coarse_cfg, coarse_serial, cpus):
+    table = _assert_pool_matches_in_process(monkeypatch, coarse_cfg, coarse_serial, cpus)
+    assert len(table.tasks) >= cpus
+    csv_paths = [report(t, tmp_path / name)[0] for t, name in ((table, "plan"), (coarse_serial, "serial"))]
+    with open(csv_paths[0], "rb") as got, open(csv_paths[1], "rb") as want:
+        assert got.read() == want.read()
+
+
+def test_plan_packs_the_costliest_rows_first():
+    # costs 8, 5, 4, 3, 2 on two bins: 8 | 5, then 4 onto the 5 (9), 3
+    # onto the 8 (11) and 2 onto the 9; of three equal rows the third ties
+    # and goes to the first bin
+    costs = {(1, 0): 2.0, (1, 1): 8.0, (1, 2): 3.0, (0, 0): 5.0, (0, 1): 4.0}
+    assert lifespan._pack(costs, 2) == [[(1, [1, 2])], [(1, [0]), (0, [0, 1])]]
+    assert lifespan._pack({(0, 0): 1.0, (0, 1): 1.0, (0, 2): 1.0}, 2) == [[(0, [0, 2])], [(0, [1])]]
+    # one bin: every repeat's whole ladder, finest first
+    assert lifespan._pack(costs, 1) == [[(1, [0, 1, 2]), (0, [0, 1])]]
+    # a bin left without a row is no task
+    assert lifespan._pack({(0, 0): 1.0}, 3) == [[(0, [0])]]
+
+
+def test_row_cost_follows_the_predicted_lifespan():
+    # 4^repeat T^2 in units of 4^finest, T = eps^exponent up to t_max
+    T = 0.5**-1.5
+    assert lifespan._row_cost(1, 1, 0.5, -1.5, 100.0) == T * T
+    assert lifespan._row_cost(0, 1, 0.5, -1.5, 100.0) == 0.25 * T * T
+    assert lifespan._row_cost(1, 1, 0.01, -1.5, 100.0) == 100.0**2
+    assert lifespan._row_cost(1, 1, 0.5, math.nan, 7.0) == 49.0
+    # no power overflows: a tiny eps, a huge t_max, hundreds of repeats
+    assert lifespan._row_cost(600, 600, 1e-300, -6.0, 1e300) == math.inf
+    assert lifespan._row_cost(0, 600, 0.5, -6.0, 8.0) == 0.0
 
 
 @pytest.mark.parametrize("repeat", [0, 1])
@@ -403,7 +462,8 @@ def test_pool_runs_on_linux_only(monkeypatch):
 
 @pytest.mark.parametrize("cpus, workers, tasks", [
     (1, 1, [(1, [1.6, 1.2, 1.0]), (0, [1.6, 1.2, 1.0])]),
-    (2, 2, [(1, [1.6, 1.2, 1.0]), (0, [1.6, 1.2, 1.0])]),
+    # the finest eps = 1.0 row (T^2 = 1, x4) alone; the rest add up to 1.58
+    (2, 2, [(1, [1.0]), (1, [1.6, 1.2]), (0, [1.6, 1.2, 1.0])]),
 ])
 def test_report_writes_the_schedule(monkeypatch, tmp_path, sweep_base, cpus, workers, tasks):
     table = _sweep_on(monkeypatch, SweepConfig(sweep_base, (1.6, 1.2, 1.0), 2), cpus)

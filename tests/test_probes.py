@@ -281,7 +281,8 @@ def test_readers_take_quad_nodes_from_the_widths(identity_spec, monkeypatch):
     monkeypatch.setattr(fn, "_kernel_nodes", lambda spec, r, quad_nodes: (
         read.append(quad_nodes), kernel_nodes(spec, r, quad_nodes))[1])
     residuals = fn.check_fundamental_identity(rec)
-    assert read == [16, 16, 16]
+    # one node set per distinct exponent: r1 + 2, and r1 = r2 = 0.5
+    assert read == [16, 16]
     assert max(residuals) < fn.IDENTITY_TOL
     # probes copied into a plain dict lose ``integrals``, and so does
     # their run, which the readers refuse
@@ -337,11 +338,12 @@ def test_identity_data_terms_from_the_data(request, monkeypatch, name, kernel):
     spec = dataclasses.replace(spec, pq=ExponentPair(*(1.0 / (half - r) for r in kernel)))
     r1, r2 = kernel_exponents(spec.n, spec.pq)
     assert (r1, r2) == pytest.approx(kernel, rel=0.0, abs=1e-15)
-    nodes = [fn._kernel_nodes(spec, r, 64)[0] for r in (r1 + 2.0, r1, r2, r2)]
+    exponents = (r1 + 2.0, r1, r2, r2)
+    nodes = {r: fn._kernel_nodes(spec, r, 64) for r in exponents}
     other = dataclasses.replace(spec, eps=0.8, data=InitialDataFamily(k=3, amplitudes=(1.0, 2.0, 3.0, 4.0)))
     for spec_ in (other, spec):
         sample0 = _sample0_data_terms(spec_, r1, r2)
-        terms = fn._data_terms(spec_, *nodes)
+        terms = fn._data_terms(spec_, nodes, exponents)
         assert len(terms) == len(sample0) == 4
         for got, want in zip(terms, sample0):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
