@@ -31,20 +31,22 @@ as ``cone_spill``, so the cut can be checked to shrink with dr.
 Because everything beyond the cone is exactly zero, each step works
 only on the active window [:L] of the grid, L = k + 2 with k the first
 point beyond the next level's cone (the grid ends 10 dr past the cone
-at t_max).  One stepping core, ``_Leapfrog``, does every update
-with out= ufuncs, in one fixed floating-point order per formula, on
-contiguous (field, row, point) buffers: three rotating time levels
+at t_max).  One object, ``_Batch``, owns the buffers and does every
+update with out= ufuncs, in one fixed floating-point order per formula,
+on contiguous (field, row, point) buffers: three rotating time levels
 plus laplacian, forcing and velocity buffers, u and v stacked, cut to
 a width just above the window and widened as the cone grows.  So the
 results do not depend on the window, the width or the rows stacked
-together.  u_t is formed at every level, for |u_t|^p and the sup
-norms; v_t only for a sample whose probes read it.  ``run_batch``
-advances runs that differ only in eps as rows of one leapfrog, and
-``run`` is its one-row case.  Each step puts each row into one class,
-once: failed, crossed, halving or on.  Halving rows go on together in a
-new batch at half the step, which runs once they have left, so a batch
-they empty holds no buffers meanwhile.  Each row's record carries the
-ProblemSpec it solved, so the functional readers take the record alone.
+together.  Every view of the buffers that a level uses is built once
+per buffer block, not once per call.  u_t is formed at every level,
+for |u_t|^p and the sup norms; v_t only for a sample whose probes read
+it.  ``run_batch`` advances runs that differ only in eps as rows of one
+batch, and ``run`` is its one-row case.  Each step puts each row into
+one class, once: failed, crossed, halving or on.  Halving rows go on
+together in a new batch at half the step, which runs once they have
+left, so a batch they empty holds no buffers meanwhile.  Each row's
+record carries the ProblemSpec it solved, so the functional readers
+take the record alone.
 """
 
 from __future__ import annotations
@@ -175,9 +177,8 @@ class SolutionRecord:
     """Sampled probe projections of the radial solution plus blow-up metadata.
 
     ``spec`` is the ProblemSpec the run solved (a batched row's own eps
-    included), ``dt_initial`` its ``grid.dt`` and ``r`` its radial grid.
-    The sup-norm series is kept at full step resolution for blow-up
-    detection; every sample time is also a sup-norm time.
+    included).  The sup-norm series is kept at full step resolution for
+    blow-up detection; every sample time is also a sup-norm time.
     ``projections`` maps each probe source given to ``run`` to the
     (N, K) array of its probe matrix applied to the source at the N
     sampled times (row i belongs to ``times[i]``), or to the columns
@@ -190,20 +191,20 @@ class SolutionRecord:
     ``window_max`` is the largest active window L and ``cone_spill``
     the largest |value| the cone zeroing removed.
 
-    The rest is derived from these, as properties: ``blew_up`` (a
-    crossing time), ``failed`` (a failure reason), ``crossed`` (the
-    field whose sup norm was largest on the last, crossing row:
-    ``"u"``, ``"u_t"`` or ``"v"``, None without blow-up), ``dt_final``
-    (the last halving's dt, else ``dt_initial``), ``steps`` (the
-    leapfrog levels after t = 0, one per sup-norm row) and ``t_end``
-    (the last sample time).
+    The rest is derived from these, as properties: ``r`` (the radial
+    grid, ``radial_grid(spec)``), ``dt_initial`` (``spec.grid.dt``),
+    ``blew_up`` (a crossing time), ``failed`` (a failure reason),
+    ``crossed`` (the field whose sup norm was largest on the last,
+    crossing row: ``"u"``, ``"u_t"`` or ``"v"``, None without blow-up),
+    ``dt_final`` (the last halving's dt, else ``dt_initial``), ``steps``
+    (the leapfrog levels after t = 0, one per sup-norm row) and
+    ``t_end`` (the last sample time).
     """
 
     # no profiles are stored; perfbench/tracing.py's _record_bytes reads these
     u = ut = v = vt = None
 
     spec: ProblemSpec
-    r: np.ndarray
     times: np.ndarray
     sup_times: np.ndarray
     sup_norms: np.ndarray  # columns: max|u|, max|u_t|, max|v|
@@ -226,6 +227,10 @@ class SolutionRecord:
     @property
     def crossed(self) -> str | None:
         return SUP_FIELDS[int(self.sup_norms[-1].argmax())] if self.blew_up else None
+
+    @property
+    def r(self) -> np.ndarray:
+        return radial_grid(self.spec)
 
     @property
     def dt_initial(self) -> float:
@@ -288,7 +293,7 @@ def integral_probes(spec: ProblemSpec) -> IntegralProbes:
     return IntegralProbes.fromkeys(PROBE_SOURCES, radial_weights(radial_grid(spec), spec.n)[np.newaxis])
 
 
-# the stepping core's buffers, in the order of its block
+# a batch's buffers, in the order of its block
 _BUFFERS = ("prev", "cur", "next", "lap", "force", "vel", "tmp")
 
 
@@ -314,137 +319,6 @@ class _Level(NamedTuple):
     def of(cls, buf):
         flat = buf.reshape(-1)
         return cls(tuple(buf), flat[:-2], flat[1:-1], flat[2:], buf[..., 0], buf[..., 1])
-
-
-class _Leapfrog:
-    """The stepping core, on (field, row, point) buffers.
-
-    prev, cur and next (three rotating time levels), lap, force and vel
-    (the laplacian, forcing and centred velocity of the current level)
-    and tmp are contiguous (fields, rows, W) arrays, W at least the
-    active window L, so each update is one call on whole buffers (on
-    strided [..., :L] views of fixed (fields, rows, M) buffers numpy
-    took twice as long per call, the eps-ladder sweep 30 % longer).  Past
-    the window every input is zero, hence every output too, and the
-    window holds the values of the whole-grid formulas; L < M, the grid
-    ends past the cone.  Points from ``k`` on lie beyond the cone:
-    ``close`` zeroes them, and ``spill`` keeps the largest |value| zeroed
-    per field, row and point past k.  Every update is elementwise along
-    the rows, so no row depends on the rows stacked with it.  The fields
-    are u and v.
-
-    Every view that a level's updates use is built once per buffer
-    block, by ``_bind``: the per-field views of lap, force, vel and tmp
-    (``lap_f`` ...), the laplacian's flattened slices and axis columns,
-    and one ``_Level`` per time level (``prev_at``, ``cur_at``,
-    ``next_at``), which ``rotate`` turns with the buffers.  So a level
-    makes the same ufunc calls on the same memory as with views made per
-    call; only the Python view objects are reused.
-    """
-
-    def __init__(self, r: np.ndarray, dr: float, n: int, rows: int, width: int):
-        inv_dr2 = 1.0 / (dr * dr)
-        self.centre = -2.0 * inv_dr2
-        self.axis = 2.0 * n * inv_dr2
-        # cl, cr = 1/dr^2 -+ (n - 1) / (2 r dr); the axis has its own formula
-        drift = np.zeros(r.size)
-        drift[1:] = (n - 1.0) / r[1:] / (2.0 * dr)
-        self.outer = np.stack((inv_dr2 - drift, inv_dr2 + drift))
-        # the cut [k:L] spans at most three points: L <= k + 2, and a dt
-        # halving moves k back by at most one
-        self.spill = np.zeros((2, rows, 3))
-        self._bind(np.zeros((len(_BUFFERS), 2, rows, width)))
-
-    def _bind(self, block):
-        """Take ``block``'s buffers and build every view of them a level uses."""
-        for name, buf in zip(_BUFFERS, block):
-            setattr(self, name, buf)
-        fields, rows, width = block.shape[1:]
-        self.width = width
-        self.cl, self.cr = np.tile(self.outer[:, :width], fields * rows)[:, 1:-1]
-        self.lap_f, self.force_f, self.vel_f, self.tmp_f = (
-            tuple(buf) for buf in (self.lap, self.force, self.vel, self.tmp))
-        self.lap_mid, self.tmp_head = self.lap.reshape(-1)[1:-1], self.tmp.reshape(-1)[:-2]
-        self.lap_axis, self.lap_end = self.lap[..., 0], self.lap[..., -1]
-        self.prev_at, self.cur_at, self.next_at = (_Level.of(buf) for buf in (self.prev, self.cur, self.next))
-
-    def rotate(self):
-        self.prev, self.cur, self.next = self.cur, self.next, self.prev
-        self.prev_at, self.cur_at, self.next_at = self.cur_at, self.next_at, self.prev_at
-
-    def resize(self, rows, width):
-        """Keep only ``rows``, in that order, in buffers ``width`` wide."""
-        old = [getattr(self, name) for name in _BUFFERS]
-        block = np.zeros((len(_BUFFERS), old[0].shape[0], len(rows), width))
-        for buf, src in zip(block, old):
-            buf[..., : src.shape[-1]] = src[:, rows]
-        self.spill = self.spill[:, rows]
-        self._bind(block)
-
-    def laplacian(self):
-        """lap = cl * left + cr * right + (-2/dr^2) * centre, every field
-        and row, over the flattened buffers: each row's two end points
-        read the neighbouring rows, so the axis takes its own formula,
-        and the last point the zero past the window."""
-        cur, mid, tmp = self.cur_at, self.lap_mid, self.tmp_head
-        np.multiply(self.cl, cur.left, out=mid)
-        np.multiply(self.cr, cur.right, out=tmp)
-        np.add(mid, tmp, out=mid)
-        np.multiply(cur.mid, self.centre, out=tmp)
-        np.add(mid, tmp, out=mid)
-        axis = self.lap_axis
-        np.subtract(cur.col1, cur.col0, out=axis)
-        np.multiply(axis, self.axis, out=axis)
-        self.lap_end.fill(0.0)
-
-    def free(self):
-        """next = 2 cur - prev, every field: the leap before its forcing
-        and damping."""
-        np.multiply(self.cur, 2.0, out=self.next)
-        np.subtract(self.next, self.prev, out=self.next)
-
-    def leap(self, f, bval, dt):
-        """Field f's damped leap to ``next`` after ``free``, from ``lap``
-        and ``force``; the cone cut waits for ``close``."""
-        out, prev, tmp = self.next_at.fields[f], self.prev_at.fields[f], self.tmp_f[f]
-        np.add(self.lap_f[f], self.force_f[f], out=tmp)
-        np.multiply(tmp, dt * dt, out=tmp)
-        np.add(out, tmp, out=out)
-        half = 0.5 * bval * dt
-        if half:
-            np.multiply(prev, half, out=tmp)
-            np.add(out, tmp, out=out)
-            np.divide(out, 1.0 + half, out=out)
-
-    def velocity(self, f, dt, k_vel):
-        """Field f's centred velocity (next - prev) * (0.5 / dt), zero from
-        k_vel on; k_vel <= k, so what ``close`` cuts later never shows."""
-        vel = self.vel_f[f]
-        np.subtract(self.next_at.fields[f], self.prev_at.fields[f], out=vel)
-        np.multiply(vel, 0.5 / dt, out=vel)
-        vel[:, k_vel:] = 0.0
-
-    def close(self, L, k):
-        """The cone cut: zero ``next`` on [k:L], every field, keeping the
-        largest |value| removed in ``spill``."""
-        if k < L:
-            cut = self.next[..., k:L]
-            kept = self.spill[..., : L - k]
-            np.fmax(kept, np.abs(cut), out=kept)
-            cut[...] = 0.0
-
-    def taylor(self, f, wt, bval, dt):
-        """Second-order Taylor step of field f from (cur, wt) into
-        ``next``, with ``lap`` and ``force`` of the current level."""
-        acc = self.lap[f] - bval * wt + self.force[f]
-        self.next[f] = self.cur[f] + dt * wt + 0.5 * dt * dt * acc
-
-    def restart(self, f, bval, dt_old, dt):
-        """Replace field f's leap to ``next`` by a Taylor step of size dt,
-        from a one-sided second-order velocity that uses the equation."""
-        zt = (self.cur[f] - self.prev[f]) / dt_old
-        acc = self.lap[f] - bval * zt + self.force[f]
-        self.taylor(f, zt + 0.5 * dt_old * acc, bval, dt)
 
 
 def detect_blowup(times, sup_norms, threshold: float):
@@ -619,8 +493,31 @@ class _Row:
 class _Batch:
     """Rows that step together: runs that share the grid, dt, the
     damping, the cone window and the sample stride, and differ only in
-    eps.  Core row i is ``rows[i]``; its sup norms are ``sup[i, :s]``
+    eps.  Buffer row i is ``rows[i]``; its sup norms are ``sup[i, :s]``
     at ``sup_times[:s]``.  ``times`` holds the shared sample times.
+
+    The batch owns the (field, row, point) buffers and steps them; the
+    fields are u and v.  prev, cur and next (three rotating time levels),
+    lap, force and vel (the laplacian, forcing and centred velocity of
+    the current level) and tmp are contiguous (fields, rows, W) arrays,
+    W at least the active window L, so each update is one call on whole
+    buffers (on strided [..., :L] views of fixed (fields, rows, M)
+    buffers numpy took twice as long per call, the eps-ladder sweep 30 %
+    longer).  Past the window every input is zero, hence every output
+    too, and the window holds the values of the whole-grid formulas;
+    L < M, the grid ends past the cone.  Points from ``k`` on lie beyond
+    the cone: ``close`` zeroes them, and ``spill`` keeps the largest
+    |value| zeroed per field, row and point past k.  Every update is
+    elementwise along the rows, so no row depends on the rows stacked
+    with it.
+
+    Every view that a level's updates use is built once per buffer
+    block, by ``_bind``: the per-field views of lap, force, vel and tmp
+    (``lap_f`` ...), the laplacian's flattened slices and axis columns,
+    and one ``_Level`` per time level (``prev_at``, ``cur_at``,
+    ``next_at``), which ``next_level`` turns with the buffers.  So a
+    level makes the same ufunc calls on the same memory as with views
+    made per call; only the Python view objects are reused.
     """
 
     def __init__(self, specs, probes):
@@ -643,17 +540,29 @@ class _Batch:
         self.t, self.dt, self.step = 0.0, dt, 0
         k = self.cone()
         L = k + 2
-        self.core = core = _Leapfrog(r, grid.dr, spec.n, len(specs), _width(L, m))
+        self.k_cur, self.window = k, L
+
+        inv_dr2 = 1.0 / (grid.dr * grid.dr)
+        self.centre = -2.0 * inv_dr2
+        self.axis = 2.0 * spec.n * inv_dr2
+        # cl, cr = 1/dr^2 -+ (n - 1) / (2 r dr); the axis has its own formula
+        drift = np.zeros(m)
+        drift[1:] = (spec.n - 1.0) / r[1:] / (2.0 * grid.dr)
+        self.outer = np.stack((inv_dr2 - drift, inv_dr2 + drift))
+        # the cut [k:L] spans at most three points: L <= k + 2, and a dt
+        # halving moves k back by at most one
+        self.spill = np.zeros((2, len(specs), 3))
+        self._bind(np.zeros((len(_BUFFERS), 2, len(specs), _width(L, m))))
 
         # the data: u, v in cur and u_t, v_t in vel, one row per eps
         eps = np.array([other.eps for other in specs])[:, np.newaxis]
-        bump = spec.data.profile(r[: core.width], spec.R)
+        bump = spec.data.profile(r[: self.width], spec.R)
         a_u0, a_u1, a_v0, a_v1 = (float(a) for a in spec.data.amplitudes)
-        core.cur[0] = eps * a_u0 * bump
-        core.vel[0] = eps * a_u1 * bump
-        core.cur[1] = eps * a_v0 * bump
-        core.vel[1] = eps * a_v1 * bump
-        init = np.stack([np.abs(w).max(axis=-1) for w in (core.cur[0], core.vel[0], core.cur[1])], axis=-1)
+        self.cur[0] = eps * a_u0 * bump
+        self.vel[0] = eps * a_u1 * bump
+        self.cur[1] = eps * a_v0 * bump
+        self.vel[1] = eps * a_v1 * bump
+        init = np.stack([np.abs(w).max(axis=-1) for w in (self.cur[0], self.vel[0], self.cur[1])], axis=-1)
         levels = init.max(axis=1).tolist()
         if not all(grid.blowup_threshold > level for level in levels):  # a NaN fails too
             raise ValueError("blowup_threshold must exceed the initial sup norms")
@@ -675,21 +584,102 @@ class _Batch:
         self.sup_times[0] = 0.0
         self.s = 1
         self.times = [0.0]
-        self.k_cur, self.window = k, L
-        self.vt_step = 0  # the level whose v_t the core's vel holds
+        self.vt_step = 0  # the level whose v_t vel holds
 
-        u_force, v_force = core.force
-        np.abs(core.cur[1], out=u_force)
+        u_force, v_force = self.force
+        np.abs(self.cur[1], out=u_force)
         u_force **= q
-        np.abs(core.vel[0], out=v_force)
+        np.abs(self.vel[0], out=v_force)
         v_force **= p
         for i in range(len(specs)):
             self.project(i, L)
-        core.laplacian()
-        core.taylor(0, core.vel[0], spec.b1.b(0.0), dt)
-        core.taylor(1, core.vel[1], spec.b2.b(0.0), dt)
-        core.close(L, k)
+        self.laplacian()
+        self.taylor(0, self.vel[0], spec.b1.b(0.0))
+        self.taylor(1, self.vel[1], spec.b2.b(0.0))
+        self.close(L, k)
         self.next_level(k)
+
+    def _bind(self, block):
+        """Take ``block``'s buffers and build every view of them a level uses."""
+        for name, buf in zip(_BUFFERS, block):
+            setattr(self, name, buf)
+        fields, rows, width = block.shape[1:]
+        self.width = width
+        self.cl, self.cr = np.tile(self.outer[:, :width], fields * rows)[:, 1:-1]
+        self.lap_f, self.force_f, self.vel_f, self.tmp_f = (
+            tuple(buf) for buf in (self.lap, self.force, self.vel, self.tmp))
+        self.lap_mid, self.tmp_head = self.lap.reshape(-1)[1:-1], self.tmp.reshape(-1)[:-2]
+        self.lap_axis, self.lap_end = self.lap[..., 0], self.lap[..., -1]
+        self.prev_at, self.cur_at, self.next_at = (_Level.of(buf) for buf in (self.prev, self.cur, self.next))
+
+    def resize(self, rows, width):
+        """Keep only ``rows``, in that order, in buffers ``width`` wide."""
+        old = [getattr(self, name) for name in _BUFFERS]
+        block = np.zeros((len(_BUFFERS), old[0].shape[0], len(rows), width))
+        for buf, src in zip(block, old):
+            buf[..., : src.shape[-1]] = src[:, rows]
+        self.spill = self.spill[:, rows]
+        self._bind(block)
+
+    def laplacian(self):
+        """lap = cl * left + cr * right + (-2/dr^2) * centre, every field
+        and row, over the flattened buffers: each row's two end points
+        read the neighbouring rows, so the axis takes its own formula,
+        and the last point the zero past the window."""
+        cur, mid, tmp = self.cur_at, self.lap_mid, self.tmp_head
+        np.multiply(self.cl, cur.left, out=mid)
+        np.multiply(self.cr, cur.right, out=tmp)
+        np.add(mid, tmp, out=mid)
+        np.multiply(cur.mid, self.centre, out=tmp)
+        np.add(mid, tmp, out=mid)
+        axis = self.lap_axis
+        np.subtract(cur.col1, cur.col0, out=axis)
+        np.multiply(axis, self.axis, out=axis)
+        self.lap_end.fill(0.0)
+
+    def free(self):
+        """next = 2 cur - prev, every field: the leap before its forcing
+        and damping."""
+        np.multiply(self.cur, 2.0, out=self.next)
+        np.subtract(self.next, self.prev, out=self.next)
+
+    def leap(self, f, bval):
+        """Field f's damped leap to ``next`` after ``free``, from ``lap``
+        and ``force``; the cone cut waits for ``close``."""
+        out, prev, tmp = self.next_at.fields[f], self.prev_at.fields[f], self.tmp_f[f]
+        np.add(self.lap_f[f], self.force_f[f], out=tmp)
+        np.multiply(tmp, self.dt * self.dt, out=tmp)
+        np.add(out, tmp, out=out)
+        half = 0.5 * bval * self.dt
+        if half:
+            np.multiply(prev, half, out=tmp)
+            np.add(out, tmp, out=out)
+            np.divide(out, 1.0 + half, out=out)
+
+    def velocity(self, f):
+        """Field f's centred velocity (next - prev) * (0.5 / dt), zero from
+        the current level's cone index ``k_cur`` on; k_cur <= k, so what
+        ``close`` cuts later never shows."""
+        vel = self.vel_f[f]
+        np.subtract(self.next_at.fields[f], self.prev_at.fields[f], out=vel)
+        np.multiply(vel, 0.5 / self.dt, out=vel)
+        vel[:, self.k_cur:] = 0.0
+
+    def close(self, L, k):
+        """The cone cut: zero ``next`` on [k:L], every field, keeping the
+        largest |value| removed in ``spill``."""
+        if k < L:
+            cut = self.next[..., k:L]
+            kept = self.spill[..., : L - k]
+            np.fmax(kept, np.abs(cut), out=kept)
+            cut[...] = 0.0
+
+    def taylor(self, f, wt, bval):
+        """Second-order Taylor step of field f from (cur, wt) into
+        ``next``, with ``lap`` and ``force`` of the current level."""
+        dt = self.dt
+        acc = self.lap[f] - bval * wt + self.force[f]
+        self.next[f] = self.cur[f] + dt * wt + 0.5 * dt * dt * acc
 
     def advance(self, records):
         """Step until every row has left the batch or reached t_max;
@@ -705,7 +695,7 @@ class _Batch:
         r > t + dt + R on, and the step works on [:L], L = k + 2.
         u is leapt before |u_t|^p is formed for v's leap.
         """
-        spec, core = self.spec, self.core
+        spec = self.spec
         grid = spec.grid
         p, q = spec.pq.p, spec.pq.q
         # b(t) of a zero damping is 0.0, read without a call
@@ -713,33 +703,33 @@ class _Batch:
         threshold = grid.blowup_threshold
         m = self.r.size
         while self.rows and self.t < grid.t_max - 0.5 * self.dt:
-            t, dt, nb = self.t, self.dt, len(self.rows)
+            t, nb = self.t, len(self.rows)
             b1v = 0.0 if b1 is None else b1(t)
             b2v = 0.0 if b2 is None else b2(t)
             k = self.cone()
             L = k + 2
             self.window = max(self.window, L)
-            if L > core.width:
-                core.resize(range(nb), _width(L, m))
+            if L > self.width:
+                self.resize(range(nb), _width(L, m))
             s = self.s
             if s == self.sup_times.size:  # full: double it
                 self.sup, self.sup_times = self._history(range(nb))
             norms = self.sup[:nb, s]  # max |u|, max |u_t|, max |v| per row
             u_norm, ut_norm, v_norm = norms.T
-            (u_force, v_force), (u_cur, v_cur) = core.force_f, core.cur_at.fields
+            (u_force, v_force), (u_cur, v_cur) = self.force_f, self.cur_at.fields
             np.abs(v_cur, out=u_force)
             np.maximum.reduce(u_force, axis=1, out=v_norm)
             u_force **= q
-            core.laplacian()
-            core.free()
-            core.leap(0, b1v, dt)
-            core.velocity(0, dt, self.k_cur)
-            np.abs(core.vel_f[0], out=v_force)
+            self.laplacian()
+            self.free()
+            self.leap(0, b1v)
+            self.velocity(0)
+            np.abs(self.vel_f[0], out=v_force)
             np.maximum.reduce(v_force, axis=1, out=ut_norm)
             v_force **= p
-            core.leap(1, b2v, dt)
-            core.close(L, k)
-            u_abs = core.tmp_f[0]
+            self.leap(1, b2v)
+            self.close(L, k)
+            u_abs = self.tmp_f[0]
             np.abs(u_cur, out=u_abs)
             np.maximum.reduce(u_abs, axis=1, out=u_norm)
             self.sup_times[s] = t
@@ -779,34 +769,33 @@ class _Batch:
         """Queue a sample of row i, forming the level's v_t if the probes read it."""
         projector = self.rows[i].projector
         if projector is not None:
-            core = self.core
             if "vt" in projector.out and self.vt_step != self.step:
-                core.velocity(1, self.dt, self.k_cur)
+                self.velocity(1)
                 self.vt_step = self.step
-            projector.add(
-                (core.cur[0, i], core.vel[0, i], core.cur[1, i], core.vel[1, i], core.force[0, i], core.force[1, i]),
-                L,
-                self.t,
-            )
+            cur, vel, force = self.cur, self.vel, self.force
+            projector.add((cur[0, i], vel[0, i], cur[1, i], vel[1, i], force[0, i], force[1, i]), L, self.t)
 
     def _halved(self, rows, L, b1v, b2v):
-        """A batch of ``rows`` at half the step: copies of their core and
-        sup history, the latter in buffers of twice the steps taken, whose
-        next level is a Taylor step of the new size from the current one."""
+        """A batch of ``rows`` at half the step: a copy of their buffers
+        and sup history, the latter in buffers of twice the steps taken,
+        whose next level is a Taylor step of the new size from the current
+        one, from a one-sided second-order velocity that uses the
+        equation."""
         new = copy.copy(self)
-        new.core = core = copy.copy(self.core)
-        core.resize(rows, core.width)
+        new.resize(rows, self.width)
         new.rows = [self.rows[i] for i in rows]
         new.times = list(self.times)
         dt_old = self.dt
-        new.dt = dt = 0.5 * dt_old
+        new.dt = 0.5 * dt_old
         new.sup, new.sup_times = self._history(rows)
         for row in new.rows:
-            row.halvings.append((self.t, dt, row.level))
+            row.halvings.append((self.t, new.dt, row.level))
         k = new.cone()
-        core.restart(0, b1v, dt_old, dt)
-        core.restart(1, b2v, dt_old, dt)
-        core.close(L, k)
+        for f, bval in enumerate((b1v, b2v)):
+            zt = (new.cur[f] - new.prev[f]) / dt_old
+            acc = new.lap[f] - bval * zt + new.force[f]
+            new.taylor(f, zt + 0.5 * dt_old * acc, bval)
+        new.close(L, k)
         new.next_level(k)
         return new
 
@@ -825,7 +814,9 @@ class _Batch:
         return int(self.r.searchsorted(self.t + self.dt + self.spec.R, side="right"))
 
     def next_level(self, k):
-        self.core.rotate()
+        """Turn the time levels, next becoming cur, whose cone index is k."""
+        self.prev, self.cur, self.next = self.cur, self.next, self.prev
+        self.prev_at, self.cur_at, self.next_at = self.cur_at, self.next_at, self.prev_at
         self.k_cur = k
         self.t += self.dt
         self.step += 1
@@ -835,7 +826,7 @@ class _Batch:
         rows keeps none."""
         keep = [i for i in range(len(self.rows)) if i not in rows]
         self.rows = [self.rows[i] for i in keep]
-        self.core.resize(keep, self.core.width)
+        self.resize(keep, self.width)
         if keep:
             self.sup[: len(keep), : self.s] = self.sup[keep, : self.s]
         else:
@@ -847,7 +838,6 @@ class _Batch:
         row = self.rows[i]
         records[row.id] = SolutionRecord(
             spec=self.specs[row.id],
-            r=self.r,
             times=np.asarray(times),
             sup_times=self.sup_times[:s].copy(),
             sup_norms=self.sup[i, :s].copy(),
@@ -855,7 +845,7 @@ class _Batch:
             failure_reason=reason,
             halvings=tuple(row.halvings),
             window_max=self.window,
-            cone_spill=float(self.core.spill[:, i].max()),
+            cone_spill=float(self.spill[:, i].max()),
             projections={} if row.projector is None else row.projector.projections(),
             integrals=self.integrals,
         )

@@ -503,6 +503,29 @@ def test_sweep_batch_error_exits_2(cpus, monkeypatch, tmp_path, capsys):
     assert multiprocessing.active_children() == []
 
 
+def test_oversized_grid_exits_2(tmp_path, capsys):
+    # the radial grid of 5e13 points (364 TiB) exceeds the address space,
+    # so the allocation fails at once and touches no memory
+    assert main(["solve", "--tmax", "1e12", "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate ")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_oversized_sweep_grid_exits_2(cpus, monkeypatch, tmp_path, capsys):
+    # with two CPUs the allocation fails in a worker process
+    monkeypatch.setattr(lifespan, "_available_cpus", lambda: cpus)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"grid": {"t_max": 1e12}, "sweep": {"eps_values": [1.0, 0.5], "repeats": 2}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate ")
+    assert not (tmp_path / "out").exists()
+    assert multiprocessing.active_children() == []
+
+
 VERIFY_CHECKS = ["cusp-algebra", "closed-forms", "kernel-bounds", "solver-convergence",
                  "fundamental-identity", "functional-floors", "lifespan-sweep",
                  "threshold-consistency"]

@@ -358,8 +358,9 @@ def test_sup_history_grows_with_the_steps_taken(monkeypatch):
 
 
 def test_a_halved_batch_runs_without_its_parents_buffers(monkeypatch):
-    # each halving empties the batch it leaves, which then holds no core
-    # and no sup-norm history while the halved batch advances to its end
+    # each halving empties the batch it leaves, which then holds no field
+    # buffers and no sup-norm history while the halved batch advances to
+    # its end
     monkeypatch.setattr(solver, "GROWTH_REFINE_FACTOR", 2.0)
     advancing, held = [], []
     real = solver._Batch.advance
@@ -367,8 +368,8 @@ def test_a_halved_batch_runs_without_its_parents_buffers(monkeypatch):
     def spy(batch, records):
         if advancing:
             parent = advancing[-1]
-            buffers = [getattr(parent.core, name) for name in solver._BUFFERS]
-            buffers += [parent.core.spill, parent.sup, parent.sup_times]
+            buffers = [getattr(parent, name) for name in solver._BUFFERS]
+            buffers += [parent.spill, parent.sup, parent.sup_times]
             held.append((len(parent.rows), sum(buf.nbytes for buf in buffers)))
         advancing.append(batch)
         try:
