@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 
 from . import configio, verify
@@ -184,11 +185,16 @@ def _cmd_sweep(args) -> int:
     return 1 if any(row.failed for row in table.rows) else 0
 
 
-def _cmd_verify(_args) -> int:
+def _cmd_verify(args) -> int:
     results = verify.run_verification()
     worst = 0
-    for name, passed, _, detail in results:
-        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
+    for name, passed, measured, detail in results:
+        if args.json:
+            # numpy scalars and arrays in measured print as plain JSON values
+            doc = {"name": name, "passed": passed, "measured": measured, "detail": detail}
+            print(json.dumps(doc, default=lambda value: value.tolist()))
+        else:
+            print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
         worst = max(worst, 0 if passed else 1)
     return worst
 
@@ -216,7 +222,8 @@ _VERBS = {
     "identity": ("fundamental identity residuals", _cmd_identity, [
         _CONFIG, ("--tmax", dict(type=float)), ("--dr", dict(type=float))]),
     "sweep": ("epsilon sweep and scaling fit", _cmd_sweep, [_CONFIG, _OUT]),
-    "verify": ("aggregated property suite", _cmd_verify, []),
+    "verify": ("aggregated property suite", _cmd_verify, [
+        ("--json", dict(action="store_true", help="one JSON object per claim and line"))]),
 }
 
 

@@ -37,10 +37,12 @@ on contiguous (field, row, point) buffers: three rotating time levels
 plus laplacian, forcing and velocity buffers, u and v stacked, cut to
 a width just above the window and widened as the cone grows.  So the
 results do not depend on the window, the width or the rows stacked
-together.  Every view of the buffers that a level uses is built once
-per buffer block, not once per call.  u_t is formed at every level,
-for |u_t|^p and the sup norms; v_t only for a sample whose probes read
-it.  ``run_batch`` advances runs that differ only in eps as rows of one
+together.  Everything a level touches (views of the buffers, the
+laplacian, the scratch of the cone cut) is bound once per buffer
+block, not once per call; the cone index moves on by a comparison or
+two per level, and the cut forms no temporary.  u_t is formed at every
+level, for |u_t|^p and the sup norms; v_t only for a sample whose
+probes read it.  ``run_batch`` advances runs that differ only in eps as rows of one
 batch, and ``run`` is its one-row case.  Each step puts each row into
 one class, once: failed, crossed, halving or on.  Halving rows go on
 together in a new batch at half the step, which runs once they have
@@ -304,10 +306,11 @@ def _width(L: int, m: int) -> int:
 
 
 class _Level(NamedTuple):
-    """The views of one time-level buffer w that a step reads or writes:
-    its fields (u, v), the flattened stencil slices w[:-2], w[1:-1] and
-    w[2:], and its first two columns."""
+    """The views of one time-level buffer w that a level reads or writes:
+    w itself, its fields (u, v), the flattened stencil slices w[:-2],
+    w[1:-1] and w[2:], and its first two columns."""
 
+    whole: np.ndarray
     fields: tuple
     left: np.ndarray
     mid: np.ndarray
@@ -318,7 +321,38 @@ class _Level(NamedTuple):
     @classmethod
     def of(cls, buf):
         flat = buf.reshape(-1)
-        return cls(tuple(buf), flat[:-2], flat[1:-1], flat[2:], buf[..., 0], buf[..., 1])
+        return cls(buf, tuple(buf), flat[:-2], flat[1:-1], flat[2:], buf[..., 0], buf[..., 1])
+
+
+def _stencil(cl, cr, centre, axis, mid, tmp, col0, end):
+    """The laplacian of one buffer block, as a function of a ``_Level``
+    w: lap = cl * left + cr * right + centre * mid, every field and row,
+    over the flattened buffers, into ``mid`` (lap's flattened [1:-1],
+    ``tmp`` being tmp's [:-2]).  Each row's two end points read the
+    neighbouring rows, so the axis ``col0`` (lap[..., 0]) takes its own
+    formula, axis * (w_1 - w_0), and the last point ``end`` the zero past
+    the window."""
+    multiply, add, subtract = np.multiply, np.add, np.subtract  # bound once, as locals
+
+    def laplacian(w):
+        multiply(cl, w.left, out=mid)
+        multiply(cr, w.right, out=tmp)
+        add(mid, tmp, out=mid)
+        multiply(w.mid, centre, out=tmp)
+        add(mid, tmp, out=mid)
+        subtract(w.col1, w.col0, out=col0)
+        multiply(col0, axis, out=col0)
+        end.fill(0.0)
+
+    return laplacian
+
+
+def _cut(cut, kept, mag):
+    """The cone cut: zero ``cut``, keeping in ``kept`` the largest |value|
+    removed at each point; ``mag`` is scratch of their shape."""
+    np.abs(cut, out=mag)
+    np.fmax(kept, mag, out=kept)
+    cut.fill(0.0)
 
 
 def detect_blowup(times, sup_norms, threshold: float):
@@ -505,19 +539,33 @@ class _Batch:
     buffers numpy took twice as long per call, the eps-ladder sweep 30 %
     longer).  Past the window every input is zero, hence every output
     too, and the window holds the values of the whole-grid formulas;
-    L < M, the grid ends past the cone.  Points from ``k`` on lie beyond
-    the cone: ``close`` zeroes them, and ``spill`` keeps the largest
-    |value| zeroed per field, row and point past k.  Every update is
-    elementwise along the rows, so no row depends on the rows stacked
-    with it.
+    L < M, the grid ends past the cone.  Every update is elementwise
+    along the rows, so no row depends on the rows stacked with it.
 
-    Every view that a level's updates use is built once per buffer
-    block, by ``_bind``: the per-field views of lap, force, vel and tmp
-    (``lap_f`` ...), the laplacian's flattened slices and axis columns,
-    and one ``_Level`` per time level (``prev_at``, ``cur_at``,
-    ``next_at``), which ``next_level`` turns with the buffers.  So a
-    level makes the same ufunc calls on the same memory as with views
-    made per call; only the Python view objects are reused.
+    Points from the cone index ``k_cur`` on lie beyond the current
+    level's cone.  ``cone``, a searchsorted, sets the index once per
+    batch, in ``__init__`` and ``_halved``; ``advance`` moves it on with
+    ``while r[k] <= t + dt + R: k += 1``, the same float expression,
+    which gives searchsorted's answer because at a fixed dt that
+    argument only grows.  So in ``advance`` the next level's cut is
+    always [k:k+2]; after a halving, which moves k back by at most one,
+    it may be three points, [k:L] of the old L (``close``).  ``_cut``
+    zeroes them, and ``spill`` keeps the largest |value| zeroed per
+    field, row and point past k, formed in the scratch ``mag`` of its
+    shape instead of a temporary.
+
+    Everything a level touches is bound once per buffer block, by
+    ``_bind``: one ``_Level`` per time level (``prev_at``, ``cur_at``,
+    ``next_at``, which ``next_level`` turns with the buffers) and, in
+    ``views``, the block's laplacian (``_stencil``, which the Taylor
+    start calls too), the per-field views of lap, force, vel and tmp,
+    the first two points of spill and mag, and a (3, rows) scratch
+    whose rows take the level's sup norms, copied into ``sup`` in one
+    assignment.  ``advance`` takes them as locals whenever the block
+    changes, holds its scalar factors as 0-d arrays, and writes out u's
+    and v's leap and velocity in the level, so a level makes the same
+    ufunc calls on the same values in the same order as per-stage
+    methods did, with no attribute look-up or method call per stage.
     """
 
     def __init__(self, specs, probes):
@@ -536,11 +584,12 @@ class _Batch:
                 raise ValueError(f"unknown probe source {name!r}; expected one of {PROBE_SOURCES}")
             if mat.ndim != 2 or mat.shape[1] != m:
                 raise ValueError(f"probe {name!r} must be a (K, {m}) matrix, got shape {mat.shape}")
+        self.reads_vt = "vt" in probes  # v_t is formed only for samples that read it
         self.specs, self.spec, self.r = specs, spec, r
         self.t, self.dt, self.step = 0.0, dt, 0
         k = self.cone()
         L = k + 2
-        self.k_cur, self.window = k, L
+        self.window = L
 
         inv_dr2 = 1.0 / (grid.dr * grid.dr)
         self.centre = -2.0 * inv_dr2
@@ -584,7 +633,6 @@ class _Batch:
         self.sup_times[0] = 0.0
         self.s = 1
         self.times = [0.0]
-        self.vt_step = 0  # the level whose v_t vel holds
 
         u_force, v_force = self.force
         np.abs(self.cur[1], out=u_force)
@@ -593,24 +641,27 @@ class _Batch:
         v_force **= p
         for i in range(len(specs)):
             self.project(i, L)
-        self.laplacian()
+        self.laplacian(self.cur_at)
         self.taylor(0, self.vel[0], spec.b1.b(0.0))
         self.taylor(1, self.vel[1], spec.b2.b(0.0))
         self.close(L, k)
         self.next_level(k)
 
     def _bind(self, block):
-        """Take ``block``'s buffers and build every view of them a level uses."""
+        """Take ``block``'s buffers and bind every view of them a level uses."""
         for name, buf in zip(_BUFFERS, block):
             setattr(self, name, buf)
         fields, rows, width = block.shape[1:]
         self.width = width
-        self.cl, self.cr = np.tile(self.outer[:, :width], fields * rows)[:, 1:-1]
-        self.lap_f, self.force_f, self.vel_f, self.tmp_f = (
-            tuple(buf) for buf in (self.lap, self.force, self.vel, self.tmp))
-        self.lap_mid, self.tmp_head = self.lap.reshape(-1)[1:-1], self.tmp.reshape(-1)[:-2]
-        self.lap_axis, self.lap_end = self.lap[..., 0], self.lap[..., -1]
         self.prev_at, self.cur_at, self.next_at = (_Level.of(buf) for buf in (self.prev, self.cur, self.next))
+        cl, cr = np.tile(self.outer[:, :width], fields * rows)[:, 1:-1]
+        lap = self.lap
+        self.laplacian = _stencil(cl, cr, np.array(self.centre), np.array(self.axis), lap.reshape(-1)[1:-1],
+                                  self.tmp.reshape(-1)[:-2], lap[..., 0], lap[..., -1])
+        self.mag = np.empty_like(self.spill)
+        by_field = np.empty((3, rows))  # a level's sup norms, before they go to sup
+        self.views = (self.laplacian, *(tuple(buf) for buf in (lap, self.force, self.vel, self.tmp)),
+                      self.spill[..., :2], self.mag[..., :2], by_field, by_field.T)
 
     def resize(self, rows, width):
         """Keep only ``rows``, in that order, in buffers ``width`` wide."""
@@ -621,58 +672,9 @@ class _Batch:
         self.spill = self.spill[:, rows]
         self._bind(block)
 
-    def laplacian(self):
-        """lap = cl * left + cr * right + (-2/dr^2) * centre, every field
-        and row, over the flattened buffers: each row's two end points
-        read the neighbouring rows, so the axis takes its own formula,
-        and the last point the zero past the window."""
-        cur, mid, tmp = self.cur_at, self.lap_mid, self.tmp_head
-        np.multiply(self.cl, cur.left, out=mid)
-        np.multiply(self.cr, cur.right, out=tmp)
-        np.add(mid, tmp, out=mid)
-        np.multiply(cur.mid, self.centre, out=tmp)
-        np.add(mid, tmp, out=mid)
-        axis = self.lap_axis
-        np.subtract(cur.col1, cur.col0, out=axis)
-        np.multiply(axis, self.axis, out=axis)
-        self.lap_end.fill(0.0)
-
-    def free(self):
-        """next = 2 cur - prev, every field: the leap before its forcing
-        and damping."""
-        np.multiply(self.cur, 2.0, out=self.next)
-        np.subtract(self.next, self.prev, out=self.next)
-
-    def leap(self, f, bval):
-        """Field f's damped leap to ``next`` after ``free``, from ``lap``
-        and ``force``; the cone cut waits for ``close``."""
-        out, prev, tmp = self.next_at.fields[f], self.prev_at.fields[f], self.tmp_f[f]
-        np.add(self.lap_f[f], self.force_f[f], out=tmp)
-        np.multiply(tmp, self.dt * self.dt, out=tmp)
-        np.add(out, tmp, out=out)
-        half = 0.5 * bval * self.dt
-        if half:
-            np.multiply(prev, half, out=tmp)
-            np.add(out, tmp, out=out)
-            np.divide(out, 1.0 + half, out=out)
-
-    def velocity(self, f):
-        """Field f's centred velocity (next - prev) * (0.5 / dt), zero from
-        the current level's cone index ``k_cur`` on; k_cur <= k, so what
-        ``close`` cuts later never shows."""
-        vel = self.vel_f[f]
-        np.subtract(self.next_at.fields[f], self.prev_at.fields[f], out=vel)
-        np.multiply(vel, 0.5 / self.dt, out=vel)
-        vel[:, self.k_cur:] = 0.0
-
     def close(self, L, k):
-        """The cone cut: zero ``next`` on [k:L], every field, keeping the
-        largest |value| removed in ``spill``."""
-        if k < L:
-            cut = self.next[..., k:L]
-            kept = self.spill[..., : L - k]
-            np.fmax(kept, np.abs(cut), out=kept)
-            cut[...] = 0.0
+        """The cone cut of ``next`` on [k:L], every field (``_cut``)."""
+        _cut(self.next[..., k:L], self.spill[..., : L - k], self.mag[..., : L - k])
 
     def taylor(self, f, wt, bval):
         """Second-order Taylor step of field f from (cur, wt) into
@@ -701,42 +703,78 @@ class _Batch:
         # b(t) of a zero damping is 0.0, read without a call
         b1, b2 = (None if b.is_zero else b.b for b in (spec.b1, spec.b2))
         threshold = grid.blowup_threshold
-        m = self.r.size
-        while self.rows and self.t < grid.t_max - 0.5 * self.dt:
-            t, nb = self.t, len(self.rows)
+        r, R, dt = self.r, spec.R, self.dt
+        t_stop = grid.t_max - 0.5 * dt
+        # 0-d arrays: a ufunc takes them without converting a float per call
+        two, dt2, rate = (np.array(c) for c in (2.0, dt * dt, 0.5 / dt))
+        m = r.size
+        absolute, add, multiply, subtract, divide = np.absolute, np.add, np.multiply, np.subtract, np.divide
+        peak = np.maximum.reduce
+        reads_vt, views = self.reads_vt, None
+        while self.rows and self.t < t_stop:
+            t, nb, k_cur = self.t, len(self.rows), self.k_cur
             b1v = 0.0 if b1 is None else b1(t)
             b2v = 0.0 if b2 is None else b2(t)
-            k = self.cone()
+            k = k_cur
+            while r[k] <= t + dt + R:  # cone()'s searchsorted: its argument only grows
+                k += 1
             L = k + 2
-            self.window = max(self.window, L)
-            if L > self.width:
-                self.resize(range(nb), _width(L, m))
+            if L > self.window:
+                self.window = L
+                if L > self.width:
+                    self.resize(range(nb), _width(L, m))
             s = self.s
             if s == self.sup_times.size:  # full: double it
                 self.sup, self.sup_times = self._history(range(nb))
-            norms = self.sup[:nb, s]  # max |u|, max |u_t|, max |v| per row
-            u_norm, ut_norm, v_norm = norms.T
-            (u_force, v_force), (u_cur, v_cur) = self.force_f, self.cur_at.fields
-            np.abs(v_cur, out=u_force)
-            np.maximum.reduce(u_force, axis=1, out=v_norm)
+            if views is not self.views:  # a new buffer block
+                views = self.views
+                (laplacian, (u_lap, v_lap), (u_force, v_force), (u_vel, v_vel), (u_tmp, v_tmp), kept, mag,
+                 by_field, norms) = views
+                u_norm, ut_norm, v_norm = by_field  # max |u|, max |u_t|, max |v| per row
+            prev, cur, nxt = self.prev_at, self.cur_at, self.next_at
+            (u_prev, v_prev), (u_cur, v_cur), (u_next, v_next) = prev.fields, cur.fields, nxt.fields
+            absolute(v_cur, out=u_force)
+            peak(u_force, axis=1, out=v_norm)
             u_force **= q
-            self.laplacian()
-            self.free()
-            self.leap(0, b1v)
-            self.velocity(0)
-            np.abs(self.vel_f[0], out=v_force)
-            np.maximum.reduce(v_force, axis=1, out=ut_norm)
+            laplacian(cur)
+            multiply(cur.whole, two, out=nxt.whole)  # each leap starts from 2 cur - prev
+            subtract(nxt.whole, prev.whole, out=nxt.whole)
+            # u's leap: next += dt^2 (lap + force), then the damping solved for next
+            add(u_lap, u_force, out=u_tmp)
+            multiply(u_tmp, dt2, out=u_tmp)
+            add(u_next, u_tmp, out=u_next)
+            half = 0.5 * b1v * dt
+            if half:
+                multiply(u_prev, half, out=u_tmp)
+                add(u_next, u_tmp, out=u_next)
+                divide(u_next, 1.0 + half, out=u_next)
+            # u_t = (next - prev) * (0.5 / dt), zero past the current
+            # cone: next is cut later, and data wider than B_R (a negative
+            # control) leave values past L
+            subtract(u_next, u_prev, out=u_vel)
+            multiply(u_vel, rate, out=u_vel)
+            u_vel[:, k_cur:].fill(0.0)
+            absolute(u_vel, out=v_force)
+            peak(v_force, axis=1, out=ut_norm)
             v_force **= p
-            self.leap(1, b2v)
-            self.close(L, k)
-            u_abs = self.tmp_f[0]
-            np.abs(u_cur, out=u_abs)
-            np.maximum.reduce(u_abs, axis=1, out=u_norm)
+            # v's leap, as u's
+            add(v_lap, v_force, out=v_tmp)
+            multiply(v_tmp, dt2, out=v_tmp)
+            add(v_next, v_tmp, out=v_next)
+            half = 0.5 * b2v * dt
+            if half:
+                multiply(v_prev, half, out=v_tmp)
+                add(v_next, v_tmp, out=v_next)
+                divide(v_next, 1.0 + half, out=v_next)
+            _cut(nxt.whole[..., k:L], kept, mag)
+            absolute(u_cur, out=u_tmp)
+            peak(u_tmp, axis=1, out=u_norm)
+            self.sup[:nb, s] = norms
             self.sup_times[s] = t
             self.s = s + 1
 
             failed, crossed, halving = [], [], []
-            for i, (row, level) in enumerate(zip(self.rows, np.maximum.reduce(norms, axis=1).tolist())):
+            for i, (row, level) in enumerate(zip(self.rows, peak(norms, axis=1).tolist())):
                 if not level < threshold:  # a non-finite level passes neither comparison
                     (crossed if math.isfinite(level) else failed).append(i)
                 elif (level > GROWTH_REFINE_FACTOR * row.level and level > row.floor
@@ -750,6 +788,10 @@ class _Batch:
             sampled = self.step % self.stride == 0
             if sampled:
                 self.times.append(t)
+            if reads_vt and (sampled or crossed):  # v_t, as u_t
+                subtract(v_next, v_prev, out=v_vel)
+                multiply(v_vel, rate, out=v_vel)
+                v_vel[:, k_cur:].fill(0.0)
             for i in [i for i in range(nb) if i not in failed] if sampled else crossed:
                 self.project(i, L)
             for i in crossed:
@@ -766,12 +808,10 @@ class _Batch:
             self._finish(records, i, self.s, self.times)
 
     def project(self, i, L):
-        """Queue a sample of row i, forming the level's v_t if the probes read it."""
+        """Queue a sample of row i; vel holds the level's u_t, and its v_t
+        if the probes read it."""
         projector = self.rows[i].projector
         if projector is not None:
-            if "vt" in projector.out and self.vt_step != self.step:
-                self.velocity(1)
-                self.vt_step = self.step
             cur, vel, force = self.cur, self.vel, self.force
             projector.add((cur[0, i], vel[0, i], cur[1, i], vel[1, i], force[0, i], force[1, i]), L, self.t)
 
@@ -810,7 +850,8 @@ class _Batch:
 
     def cone(self) -> int:
         """k, the first index past the next level's cone: data in B_R give
-        supp w(t + dt) in B_{t+dt+R}."""
+        supp w(t + dt) in B_{t+dt+R}.  Searched once per batch; ``advance``
+        moves it on level by level."""
         return int(self.r.searchsorted(self.t + self.dt + self.spec.R, side="right"))
 
     def next_level(self, k):

@@ -447,7 +447,9 @@ def verify_kernel_bounds(cfg: KernelConfig, n, t_max: float, n_t: int = 8) -> li
     x <= t + R feeds ETA_DIAG.  R is cfg.R.  Ratios are kernel value
     divided by the claimed bound shape, so lower bounds need a positive
     minimum and the upper bound a finite maximum.  t_max must be finite
-    and nonnegative, and the diagonal bound needs r > (n-3)/2.
+    and nonnegative, and the diagonal bound needs r > (n-3)/2.  The
+    kernels are positive, so a ratio that is not finite and positive
+    has left double range: that t_max is a ValueError.
     """
     if not (math.isfinite(t_max) and t_max >= 0):
         raise ValueError(f"t_max must be finite and nonnegative, got {t_max}")
@@ -458,20 +460,28 @@ def verify_kernel_bounds(cfg: KernelConfig, n, t_max: float, n_t: int = 8) -> li
         raise ValueError(f"diagonal bound requires r > (n-3)/2, got r={cfg.r} at n={n}")
     fracs = np.array([0.0, 0.5, 1.0])
     R, r = cfg.R, cfg.r
-    # (t, 0, x), shape (n_t, 3)
-    e, k = _kernel_values(cfg, n, ts[:, None], 0.0, fracs * R)
-    ratios = {BoundId.XI0: k, BoundId.ETA0: e * bracket(ts)[:, None]}
-    # (t, s, x), shape (t, s, x) = (later, 4, 3)
-    t = later[:, None, None]
-    s = t * np.array([0.0, 0.3, 0.6, 0.9])[:, None]
-    e, k = _kernel_values(cfg, n, t, s, fracs * (s + R))
-    ratios[BoundId.XIS] = k * bracket(s) ** (r + 1.0)
-    ratios[BoundId.ETAS] = e * bracket(t) * bracket(s) ** r
-    # (t, t, x), shape (later, 3)
-    t = later[:, None]
-    x = fracs * (t + R)
-    shape = bracket(t) ** (-0.5 * (n - 1.0)) * bracket(t - x) ** (0.5 * (n - 3.0) - r)
-    ratios[BoundId.ETA_DIAG] = _kernel_values(cfg, n, t, t, x)[0] / shape
+    # the ratios are checked below, so their over- and underflow warn nowhere
+    with np.errstate(all="ignore"):
+        # (t, 0, x), shape (n_t, 3)
+        e, k = _kernel_values(cfg, n, ts[:, None], 0.0, fracs * R)
+        ratios = {BoundId.XI0: k, BoundId.ETA0: e * bracket(ts)[:, None]}
+        # (t, s, x), shape (t, s, x) = (later, 4, 3)
+        t = later[:, None, None]
+        s = t * np.array([0.0, 0.3, 0.6, 0.9])[:, None]
+        e, k = _kernel_values(cfg, n, t, s, fracs * (s + R))
+        ratios[BoundId.XIS] = k * bracket(s) ** (r + 1.0)
+        ratios[BoundId.ETAS] = e * bracket(t) * bracket(s) ** r
+        # (t, t, x), shape (later, 3)
+        t = later[:, None]
+        x = fracs * (t + R)
+        shape = bracket(t) ** (-0.5 * (n - 1.0)) * bracket(t - x) ** (0.5 * (n - 3.0) - r)
+        ratios[BoundId.ETA_DIAG] = _kernel_values(cfg, n, t, t, x)[0] / shape
+    for bid, v in ratios.items():
+        if not np.all((v > 0) & (v < math.inf)):  # a NaN fails too
+            raise ValueError(
+                f"kernel bound ratio {bid.value} leaves double range at t_max={t_max:g} "
+                f"(n={n}, r={r:g}); use a shorter horizon"
+            )
     return [
         BoundReport(bid, float(v.min()), float(v.max()), int(v.size))
         for bid, v in ratios.items()

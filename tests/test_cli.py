@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,20 @@ def test_specfn_long_horizon_prints_no_nan(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "nan" not in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("tmax", ["2e6", "1e308"])
+def test_specfn_refuses_horizons_past_double_range(tmax, capsys):
+    # at n = 2 the xi-s ratios underflow to 0 by t_max 2e6 (a false FAIL
+    # line before), and at 1e308 the kernels' arguments overflow (a
+    # RuntimeWarning traceback under -W error before)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["specfn", "--n", "2", "--tmax", tmax]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: kernel bound ratio ")
+    assert f"t_max={float(tmax):g}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -540,6 +555,24 @@ def test_verify_verb(claims, monkeypatch, capsys):
     assert lines == [f"PASS {name}: {claims[name][2]}" for name in VERIFY_CHECKS]
 
 
+def test_verify_json_prints_one_object_per_claim(claims, monkeypatch, capsys):
+    stubs = tuple((name, lambda result=claims[name]: result) for name, _ in verify.CLAIMS)
+    monkeypatch.setattr(verify, "CLAIMS", stubs)
+    assert main(["verify", "--json"]) == 0
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [doc["name"] for doc in docs] == VERIFY_CHECKS
+    for doc in docs:
+        passed, measured, detail = claims[doc["name"]]
+        assert list(doc) == ["name", "passed", "measured", "detail"]
+        assert doc["passed"] is passed is True and doc["detail"] == detail
+        assert doc["measured"] == measured
+    # a failing claim keeps the exit code and prints passed false
+    monkeypatch.setattr(verify, "CLAIMS", (("cusp-algebra", lambda: (False, {"x": np.float64(2.5)}, "no")),))
+    assert main(["verify", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "name": "cusp-algebra", "passed": False, "measured": {"x": 2.5}, "detail": "no"}
+
+
 def test_verify_check_error_is_a_failure(monkeypatch, capsys):
     def broken():
         raise RuntimeError("broken check")
@@ -572,10 +605,10 @@ VERB_ARGV = {
               "--eps", "0.5", "--tmax", "4", "--dr", "0.04", "--threshold", "1e6"],
     "identity": ["identity", "--config", "c.json", "--tmax", "1", "--dr", "0.02"],
     "sweep": ["sweep", "--config", "c.json", "--out", "o"],
-    "verify": ["verify"],
+    "verify": ["verify", "--json"],
 }
 DEFAULT_ARGV = [["sequences", "--case", "double"], ["specfn"], ["solve"], ["identity"],
-                ["sweep"]]
+                ["sweep"], ["verify"]]
 
 
 def test_verb_table_matches_dispatch():

@@ -341,6 +341,37 @@ def _refine_chain_spec():
     )
 
 
+@pytest.mark.parametrize("case", ["nine-halvings", "power-decay"])
+def test_cone_index_is_searchsorted_at_every_level(case, monkeypatch):
+    # advance moves the cone index on by comparisons from the searchsorted
+    # of its batch's start; at every level, halved batches' included, it
+    # must be the first grid index past the next level's cone
+    if case == "nine-halvings":
+        monkeypatch.setattr(solver, "GROWTH_REFINE_FACTOR", 2.0)
+        spec = _refine_chain_spec()
+    else:
+        spec = ProblemSpec(
+            n=2, pq=ExponentPair(2.0, 2.0), b1=DampingSpec.power_decay(1.0, 2.0),
+            b2=DampingSpec.power_decay(0.5, 1.5), R=1.0, eps=0.5,
+            data=InitialDataFamily(amplitudes=(4.0,) * 4), grid=GridSpec(dr=0.04, t_max=60.0),
+        )
+    r = radial_grid(spec)
+    levels = []
+    real = solver._Batch.next_level
+
+    def spy(batch, k):
+        levels.append((batch.dt, k, int(r.searchsorted(batch.t + batch.dt + spec.R, side="right"))))
+        real(batch, k)
+
+    monkeypatch.setattr(solver._Batch, "next_level", spy)
+    rec = run(spec)
+    assert rec.blew_up and len(rec.halvings) == (9 if case == "nine-halvings" else 1)
+    # a level per sup row after t = 0, and one per Taylor start
+    assert len(levels) == rec.steps + 1 + len(rec.halvings)
+    assert len({dt for dt, _, _ in levels}) == len(rec.halvings) + 1
+    assert [k for _, k, _ in levels] == [want for _, _, want in levels]
+
+
 def test_sup_history_grows_with_the_steps_taken(monkeypatch):
     # sup-norm buffers sized for the horizon left at each new dt took
     # 266 MB, buffers that double when the steps fill them take a few MB
@@ -369,7 +400,7 @@ def test_a_halved_batch_runs_without_its_parents_buffers(monkeypatch):
         if advancing:
             parent = advancing[-1]
             buffers = [getattr(parent, name) for name in solver._BUFFERS]
-            buffers += [parent.spill, parent.sup, parent.sup_times]
+            buffers += [parent.spill, parent.mag, parent.sup, parent.sup_times]
             held.append((len(parent.rows), sum(buf.nbytes for buf in buffers)))
         advancing.append(batch)
         try:
