@@ -19,7 +19,6 @@ from coupledwave import (
     InitialDataFamily,
     ProblemSpec,
     SweepConfig,
-    fit_scaling,
     report,
     sweep,
 )
@@ -47,7 +46,7 @@ print(f"\n{len(table.tasks)} batches on {table.workers} worker process(es):")
 for task in table.tasks:
     print(f"  repeat {task['repeat']}, {len(task['eps'])} eps: {task['wall_s']:.2f} s")
 
-fit = fit_scaling(table)
+fit = table.fit
 print(f"\nregion: {table.region}; predicted exponent {table.prediction.exponent:+.1f}")
 print(f"fitted slope {fit.slope:+.3f} (ci half-width {fit.ci_halfwidth:.3f}), "
       f"consistent with the one-sided bound: {fit.consistent}")

@@ -36,7 +36,7 @@ from .iteration import (
     subcritical_sequences,
     threshold_time,
 )
-from .lifespan import LifespanTable, SweepConfig, fit_scaling, report, sweep
+from .lifespan import LifespanTable, SweepConfig, report, sweep
 from .solver import (
     GridSpec,
     InitialDataFamily,

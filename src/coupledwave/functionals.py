@@ -375,15 +375,21 @@ def check_fundamental_identity(record: SolutionRecord, checkpoints=None):
     checkpoint times; the time integral of the nonlinear source against
     the kernels uses the trapezoid rule over the samples.  Returns the
     maximum relative residual for each identity, NaN if any residual is
-    NaN.
+    NaN.  A record of one sample, t = 0 alone, where both sides are the
+    same sums, is a ValueError.
     """
     spec = record.spec
     require_zero_damping(spec)
+    times = record.times
+    if len(times) < 2:
+        raise ValueError(
+            f"the identity check needs two samples at least, but the run to "
+            f"t_max={spec.grid.t_max:g} at dt={record.dt_initial:g} recorded {len(times)}"
+        )
     proj = _projections(record)
     quad_nodes = proj["|v|^q"].shape[1] - 2
     r1, r2 = kernel_exponents(spec.n, spec.pq)
 
-    times = record.times
     if checkpoints is None:
         picks = np.unique((len(times) - 1) * np.array([0.25, 0.5, 0.75, 1.0]))
         checkpoints = [int(round(i)) for i in picks]

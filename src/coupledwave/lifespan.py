@@ -2,9 +2,9 @@
 
 Runs the solver across a decreasing ladder of data amplitudes eps,
 collects numerical blow-up times (with a grid-refinement repeat per
-row), fits log T against log eps on the blown-up rows and compares the
-slope with the predicted power law the table carries
-(``LifespanTable.prediction``).
+row), and the table fits log T against log eps on its blown-up rows
+(``LifespanTable.fit``) and compares the slope with the predicted power
+law it carries (``LifespanTable.prediction``).
 
 A sweep has one plan.  Its (repeat, eps) rows are packed into one bin
 per worker, costliest first, each onto the bin with the least estimated
@@ -46,7 +46,6 @@ __all__ = [
     "LifespanTable",
     "ASYMPTOTIC_CAVEAT",
     "sweep",
-    "fit_scaling",
     "report",
 ]
 
@@ -119,8 +118,11 @@ class ScalingFit:
     """The least-squares line log T = slope log eps + intercept through
     the blown-up rows, with its ``r_squared``.  Derived from the slope:
     ``ci_halfwidth``, 1.96 standard errors of it (NaN from two rows),
-    and ``consistent`` with the table's predicted exponent (see
-    ``fit_scaling``)."""
+    and ``consistent`` with the table's predicted exponent.  The
+    lifespan theorem is a one-sided bound with unknown constant, so
+    consistency asserts sign and a magnitude band: slope < 0 and
+    |slope| <= 1.4 |exponent| (undershoot is acceptable and reported
+    via the slope itself)."""
 
     slope: float
     intercept: float
@@ -131,40 +133,42 @@ class ScalingFit:
 
 @dataclass
 class LifespanTable:
-    """Sweep rows and fit.  ``workers`` is the number of bins the sweep
-    packed its rows into, one process each, and ``tasks`` its schedule:
-    one ``{"repeat", "eps", "wall_s"}`` entry per batch as it ran, in bin
-    order and within a bin finest repeat first, each (repeat, eps) in
-    exactly one.  With one worker that is one batch per repeat's whole
-    ladder, finest first."""
+    """Sweep rows, from which ``fit`` is derived.  ``workers`` is the
+    number of bins the sweep packed its rows into, one process each, and
+    ``tasks`` its schedule: one ``{"repeat", "eps", "wall_s"}`` entry per
+    batch as it ran, in bin order and within a bin finest repeat first,
+    each (repeat, eps) in exactly one.  With one worker that is one
+    batch per repeat's whole ladder, finest first."""
 
     rows: list
-    fit: ScalingFit | None
     region: str
     prediction: LifespanPrediction
     caveat: ClassVar[str] = ASYMPTOTIC_CAVEAT
     workers: int = 1
     tasks: list = field(default_factory=list)
 
-
-def _fit(blown, exponent) -> ScalingFit:
-    """The log-log fit through the blown-up rows' (eps, T) pairs
-    ``blown``, two at least, against the predicted ``exponent``."""
-    eps, T = zip(*blown)
-    x = np.log(np.asarray(eps, dtype=float))
-    y = np.log(np.asarray(T, dtype=float))
-    slope, intercept = (float(c) for c in np.polyfit(x, y, 1))
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    ci = math.nan
-    if len(eps) > 2:
-        sxx = float(np.sum((x - x.mean()) ** 2))
-        ci = 1.96 * math.sqrt(ss_res / (len(eps) - 2) / sxx)
-    consistent = slope < 0 and abs(slope) <= 1.4 * abs(exponent)
-    return ScalingFit(slope=slope, intercept=intercept, r_squared=r2, ci_halfwidth=ci,
-                      consistent=consistent)
+    @property
+    def fit(self) -> ScalingFit | None:
+        """The log-log fit through the blown-up rows against the
+        predicted exponent; None below two blown-up rows."""
+        blown = [(r.eps, r.T_numeric) for r in self.rows if r.blew_up]
+        if len(blown) < 2:
+            return None
+        eps, T = zip(*blown)
+        x = np.log(np.asarray(eps, dtype=float))
+        y = np.log(np.asarray(T, dtype=float))
+        slope, intercept = (float(c) for c in np.polyfit(x, y, 1))
+        resid = y - (slope * x + intercept)
+        ss_res = float(np.sum(resid**2))
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
+        r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+        ci = math.nan
+        if len(eps) > 2:
+            sxx = float(np.sum((x - x.mean()) ** 2))
+            ci = 1.96 * math.sqrt(ss_res / (len(eps) - 2) / sxx)
+        consistent = slope < 0 and abs(slope) <= 1.4 * abs(self.prediction.exponent)
+        return ScalingFit(slope=slope, intercept=intercept, r_squared=r2, ci_halfwidth=ci,
+                          consistent=consistent)
 
 
 def _available_cpus() -> int:
@@ -245,8 +249,7 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
     """One row per eps; the finest grid decides T_numeric.
 
     Rows that hit the horizon without blow-up carry blew_up = False and
-    are excluded from the fit, made from two blown-up rows on (the one
-    ``fit_scaling`` makes from three); solver numerical failures are
+    are excluded from the table's fit; solver numerical failures are
     recorded per repeat without aborting the sweep.
     """
     base = cfg.base
@@ -273,11 +276,8 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
     failed_repeats = [tuple(rep for rep, rec in enumerate(column) if rec.failed)
                       for column in zip(*by_repeat)]
 
-    blown = [(e, T) for e, T in zip(cfg.eps_values, times[-1]) if math.isfinite(T)]
-    fit = _fit(blown, prediction.exponent) if len(blown) >= 2 else None
-
     # prediction shape anchored at the largest blown-up eps
-    anchor = blown[0] if blown else None
+    anchor = next(((e, T) for e, T in zip(eps_values, times[-1]) if math.isfinite(T)), None)
     previous = None  # the last blown-up (eps, T)
     rows = []
     for j, (eps, rec) in enumerate(zip(cfg.eps_values, records)):
@@ -312,24 +312,9 @@ def sweep(cfg: SweepConfig) -> LifespanTable:
             )
         )
     return LifespanTable(
-        rows=rows, fit=fit, region=data.region.value, prediction=prediction,
+        rows=rows, region=data.region.value, prediction=prediction,
         workers=workers, tasks=schedule,
     )
-
-
-def fit_scaling(table: LifespanTable) -> ScalingFit:
-    """Least-squares fit of log T against log eps over the table's
-    blown-up rows, three at least.
-
-    The lifespan theorem is a one-sided bound with unknown constant, so
-    consistency asserts sign and a magnitude band against the table's
-    predicted exponent: slope < 0 and |slope| <= 1.4 |exponent|
-    (undershoot is acceptable and reported via the slope itself).
-    """
-    blown = [(r.eps, r.T_numeric) for r in table.rows if r.blew_up]
-    if len(blown) < 3:
-        raise ValueError(f"need at least 3 blown-up rows to fit, got {len(blown)}")
-    return _fit(blown, table.prediction.exponent)
 
 
 # the CSV columns and the JSON row keys, each a LifespanRow attribute,
@@ -366,13 +351,14 @@ def report(table: LifespanTable, destination) -> tuple:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for r in table.rows:
             fh.write(",".join(_csv_cell(getattr(r, name)) for name in CSV_COLUMNS) + "\n")
+    fit = table.fit
     payload = {
         "region": table.region,
         "prediction": {
             "kind": table.prediction.kind.value,
             "exponent": table.prediction.exponent,
         },
-        "fit": None if table.fit is None else {name: getattr(table.fit, name) for name in JSON_FIT_KEYS},
+        "fit": None if fit is None else {name: getattr(fit, name) for name in JSON_FIT_KEYS},
         "caveat": table.caveat,
         "workers": table.workers,
         "tasks": table.tasks,

@@ -272,7 +272,8 @@ class DampingSpec:
 
     def b(self, t):
         """Coefficient value b(t); accepts arrays.  A float t >= 0 skips
-        the array validation (the solver calls this once per step)."""
+        the array validation (the solver calls this at each Taylor start
+        and, for a non-zero damping only, once per step)."""
         if isinstance(t, float) and t >= 0.0:
             if self.is_zero:
                 return 0.0
@@ -420,21 +421,15 @@ class BoundId(Enum):
 class BoundReport:
     """Extremes of kernel-value / bound-shape ratios over a sample grid.
 
-    Lower bounds (XI0, ETA0, XIS, ETAS) are certified by a positive
-    min_ratio (the numerical estimate of the bound constant); the upper
-    bound (ETA_DIAG) by a finite max_ratio.
+    A lower bound's (XI0, ETA0, XIS, ETAS) min_ratio estimates its
+    constant, the upper bound's (ETA_DIAG) max_ratio likewise; from
+    ``verify_kernel_bounds`` both are always finite and positive.
     """
 
     bound_id: BoundId
     min_ratio: float
     max_ratio: float
     samples: int
-
-    @property
-    def passed(self) -> bool:
-        if self.bound_id is BoundId.ETA_DIAG:
-            return bool(np.isfinite(self.max_ratio))
-        return self.min_ratio > 0
 
 
 def verify_kernel_bounds(cfg: KernelConfig, n, t_max: float, n_t: int = 8) -> list[BoundReport]:

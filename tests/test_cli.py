@@ -107,6 +107,16 @@ def test_identity_verb(capsys):
     assert "identities=ok" in out
 
 
+def test_identity_of_one_sample_exits_2(capsys):
+    # t_max 0.005 records t = 0 alone, where both sides of each identity
+    # are the same sums: residuals of 0 that check nothing
+    assert main(["identity", "--tmax", "0.005"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the identity check needs two samples at least")
+    assert "t_max=0.005 at dt=0.0045" in captured.err
+
+
 def test_sweep_verb(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(
@@ -132,7 +142,8 @@ def test_specfn_verb(capsys):
     assert code == 0
     assert "bound xi0" in out
     assert "bound eta-diag" in out
-    assert "FAIL" not in out
+    bounds = [line for line in out.splitlines() if line.startswith("bound ")]
+    assert len(bounds) == 10 and all(line.endswith(" ok") for line in bounds)
 
 
 def test_kernels_offset_is_rejected(tmp_path, capsys):
@@ -210,7 +221,8 @@ def test_specfn_long_horizon_prints_no_nan(capsys):
     code = main(["specfn", "--n", "3", "--tmax", "1000"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "nan" not in out and "FAIL" not in out
+    assert "nan" not in out
+    assert all(line.endswith(" ok") for line in out.splitlines() if line.startswith("bound "))
 
 
 @pytest.mark.parametrize("tmax", ["2e6", "1e308"])
@@ -294,14 +306,14 @@ def test_non_finite_inputs_exit_2(argv, doc, tmp_path, capsys):
 
 
 def test_identity_nan_residual_fails(monkeypatch, capsys):
-    solve = cli.run
+    solve = verify.run
 
     def nan_run(spec, probes):
         rec = solve(spec, probes=probes)
         nan = {name: np.full_like(rows, np.nan) for name, rows in rec.projections.items()}
         return dataclasses.replace(rec, projections=nan)
 
-    monkeypatch.setattr(cli, "run", nan_run)
+    monkeypatch.setattr(verify, "run", nan_run)
     assert main(["identity", "--dr", "0.04", "--tmax", "0.5"]) == 1
     out = capsys.readouterr().out
     assert "residual_curlyU=nan" in out
@@ -320,7 +332,7 @@ def _identity_spec(monkeypatch, argv, doc=None, tmp_path=None):
         seen.append(spec)
         raise _Stop
 
-    monkeypatch.setattr(cli, "run", stop)
+    monkeypatch.setattr(verify, "run", stop)
     if doc is not None:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
@@ -352,7 +364,7 @@ def test_damped_identity_config_exits_2(monkeypatch, tmp_path, capsys):
     def no_run(*_args, **_kwargs):
         raise AssertionError("a damped identity config must be refused before the run")
 
-    monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.setattr(verify, "run", no_run)
     cfg = tmp_path / "damped.json"
     cfg.write_text(json.dumps({"grid": {"dr": 0.04, "t_max": 0.5},
                                "damping1": {"family": "exp-decay", "mu": 0.5}}))

@@ -14,7 +14,6 @@ from coupledwave.lifespan import (
     LifespanRow,
     LifespanTable,
     SweepConfig,
-    fit_scaling,
     report,
     sweep,
 )
@@ -94,7 +93,6 @@ def _synthetic_table(eps, T, exponent=-6.0):
     ]
     return LifespanTable(
         rows=rows,
-        fit=None,
         region="subcritical",
         prediction=LifespanPrediction(PredictionKind.POWER_LAW, exponent),
     )
@@ -103,18 +101,18 @@ def _synthetic_table(eps, T, exponent=-6.0):
 def test_fit_scaling_exact_power_law():
     eps = np.array([1.6, 1.2, 1.0, 0.8, 0.6])
     table = _synthetic_table(eps, eps**-6.0)
-    fit = fit_scaling(table)
+    fit = table.fit
     assert fit.slope == pytest.approx(-6.0, abs=1e-12)
     assert fit.ci_halfwidth == pytest.approx(0.0, abs=1e-10)
     assert fit.consistent
-    assert fit_scaling(table) == fit  # identical table, identical fit
+    assert table.fit == fit  # identical table, identical fit
 
 
 def test_fit_scaling_with_noise():
     rng = np.random.default_rng(11)
     eps = np.linspace(1.6, 0.6, 8)
     T = eps**-6.0 * np.exp(rng.normal(0, 0.05, eps.size))
-    fit = fit_scaling(_synthetic_table(eps, T))
+    fit = _synthetic_table(eps, T).fit
     assert abs(fit.slope + 6.0) < 0.4 * 6.0
     assert fit.consistent
     assert fit.ci_halfwidth > 0
@@ -122,21 +120,25 @@ def test_fit_scaling_with_noise():
 
 def test_fit_scaling_positive_slope_inconsistent():
     eps = np.array([1.6, 1.2, 1.0])
-    fit = fit_scaling(_synthetic_table(eps, eps**2.0))
+    fit = _synthetic_table(eps, eps**2.0).fit
     assert fit.slope > 0
     assert not fit.consistent
 
 
 def test_fit_scaling_undershoot_is_consistent():
     eps = np.array([1.6, 1.2, 1.0, 0.8])
-    fit = fit_scaling(_synthetic_table(eps, eps**-2.5))
+    fit = _synthetic_table(eps, eps**-2.5).fit
     assert fit.consistent  # magnitude below the bound is acceptable
 
 
-def test_fit_scaling_requires_three_rows():
-    eps = np.array([1.6, 1.2])
-    with pytest.raises(ValueError):
-        fit_scaling(_synthetic_table(eps, eps**-6.0))
+def test_fit_is_none_below_two_blown_up_rows():
+    eps = np.array([1.6, 1.2, 1.0])
+    assert _synthetic_table(eps[:1], eps[:1] ** -6.0).fit is None
+    # a row that did not blow up does not count towards the two
+    assert _synthetic_table(eps, [2.0, math.nan, math.nan]).fit is None
+    two = _synthetic_table(eps[:2], eps[:2] ** -6.0).fit
+    assert two.slope == pytest.approx(-6.0, abs=1e-12)
+    assert math.isnan(two.ci_halfwidth)
 
 
 def _read_csv(csv_path) -> list:
@@ -183,7 +185,6 @@ def test_rows_report_finest_repeat_telemetry(tmp_path, sweep_base, small_table):
 def test_report_empty_table(tmp_path):
     table = LifespanTable(
         rows=[],
-        fit=None,
         region="subcritical",
         prediction=lifespan_prediction(3, (2.0, 2.0)),
     )
@@ -198,7 +199,7 @@ def test_report_round_trip_grid_change_and_failed(tmp_path):
         LifespanRow(eps=0.5, T_numeric=math.nan, T_predicted_shape=40.0, grid_change=math.nan,
                     failed_repeats=(1,), failure_reason="non-finite values (injected)"),
     ]
-    table = LifespanTable(rows=rows, fit=None, region="subcritical",
+    table = LifespanTable(rows=rows, region="subcritical",
                           prediction=lifespan_prediction(3, (2.0, 2.0)))
     csv_path, _ = report(table, tmp_path)
     got = _read_csv(csv_path)
@@ -262,7 +263,7 @@ def test_report_pins_the_formats(tmp_path, small_table):
                     steps=187, halvings=4, window_max=96, cone_spill=1.7e-05,
                     failure_reason="non-finite values at t=1.66444 before threshold crossing"),
     ]
-    table = LifespanTable(rows=rows, fit=None, region="subcritical",
+    table = LifespanTable(rows=rows, region="subcritical",
                           prediction=lifespan_prediction(3, (2.0, 2.0)))
     csv_path, json_path = report(table, tmp_path)
     with open(csv_path, "rb") as fh:

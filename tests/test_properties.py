@@ -1,5 +1,5 @@
 """Property tests (hypothesis) of classify, threshold_time,
-detect_blowup and merge_config.
+detect_blowup, merge_config and the verbs that run no solver.
 
 Each property is stated from its definition, not from the code: the
 region of a pair from the signs of theta1 and theta2, the eps exponent
@@ -9,14 +9,18 @@ the documents laid over the defaults in turn.  Examples are
 derandomized, so every run draws the same ones.
 """
 
+import contextlib
 import copy
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coupledwave.cli import main
 from coupledwave.configio import DEFAULT_CONFIG, ConfigError, merge_config
 from coupledwave.exponents import (
     EQUALITY_TOL,
@@ -240,3 +244,40 @@ def test_merge_config_refuses_unknown_names(docs, data, name):
     docs[i] = doc
     with pytest.raises(ConfigError):
         merge_config(*docs)
+
+
+# the verbs that run no solver: (required flags, optional flags)
+_SOLVER_FREE = {
+    "curve": (("n", "p", "q"), ()),
+    "cusp": (("n",), ()),
+    "sequences": (("case",), ("n", "p", "q", "jmax")),
+    "specfn": ((), ("n", "tmax")),
+}
+_OFF_RANGE = st.sampled_from([math.nan, math.inf, -math.inf, 1e308])
+_FLAG_VALUES = {
+    "n": st.integers(min_value=-1, max_value=400),
+    "p": st.floats(min_value=-1.0, max_value=1e3) | _OFF_RANGE,
+    "q": st.floats(min_value=-1.0, max_value=1e3) | _OFF_RANGE,
+    "jmax": st.integers(min_value=-2, max_value=300),
+    "tmax": st.floats(min_value=-1.0, max_value=1e4) | _OFF_RANGE,
+    "case": st.sampled_from(["theta1", "theta2", "double", "subcritical"]),
+}
+
+
+@st.composite
+def solver_free_argv(draw):
+    verb = draw(st.sampled_from(sorted(_SOLVER_FREE)))
+    required, optional = _SOLVER_FREE[verb]
+    flags = [*required, *(flag for flag in optional if draw(st.booleans()))]
+    return [verb, *(arg for flag in flags for arg in (f"--{flag}", str(draw(_FLAG_VALUES[flag]))))]
+
+
+@settings(SETTINGS, max_examples=60)
+@given(argv=solver_free_argv())
+def test_solver_free_verbs_exit_cleanly(argv):
+    # any n, p, q, jmax and tmax exits 0, 1 or 2, with no traceback and
+    # no RuntimeWarning
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) in (0, 1, 2)

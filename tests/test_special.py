@@ -9,7 +9,6 @@ from coupledwave import special
 from coupledwave.special import (
     LAMBDA0,
     BoundId,
-    BoundReport,
     DampingSpec,
     KernelConfig,
     _jacobi_rule,
@@ -265,14 +264,6 @@ def test_verify_kernel_bounds_reports():
             assert math.isfinite(rep.max_ratio)
         else:
             assert rep.min_ratio > 0
-
-
-def test_bound_report_pass_rule():
-    # lower bounds pass on a positive minimum ratio, eta-diag on a finite maximum
-    assert BoundReport(BoundId.XI0, 0.1, math.inf, 3).passed
-    assert not BoundReport(BoundId.ETAS, 0.0, 1.0, 3).passed
-    assert BoundReport(BoundId.ETA_DIAG, -1.0, 5.0, 3).passed
-    assert not BoundReport(BoundId.ETA_DIAG, 1.0, math.inf, 3).passed
 
 
 def test_sinhc_series_and_closed_form():
