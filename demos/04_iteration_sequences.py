@@ -40,7 +40,7 @@ for j in (0, 1, 2, 5, 10):
     print(f"{j:<3} {td.ell[j]:<8g} {td.t_power[j]:<11.6g} {td.weight_power[j]:.6g}")
 
 print("\n--- thresholds and divergence drivers (unit frame constants) ---")
-con = IterationConstants.from_frame(3, (2.0, 2.0))
+con = IterationConstants(3, (2.0, 2.0))
 for eps in (0.8, 0.4, 0.2):
     th = threshold_time(con, eps)
     below = divergence_driver(th.family, con, eps, log_t=th.log_T - math.log(2.0))
@@ -50,7 +50,7 @@ print("halving eps multiplies T by 2^(1/max theta) = 2^6 =",
       f"{threshold_time(con, 0.2).T / threshold_time(con, 0.4).T:.10g}")
 
 print("\n--- critical thresholds grow beyond any horizon ---")
-cond = IterationConstants.from_frame(3, (c.p_mix, c.q_mix))
+cond = IterationConstants(3, (c.p_mix, c.q_mix))
 for eps in (0.9, 0.5):
     th = threshold_time(cond, eps)
     print(f"eps={eps}: log T = {th.log_T:.6g} (T = {th.T:.3g})")

@@ -391,8 +391,10 @@ def check_fundamental_identity(record: SolutionRecord, checkpoints=None):
     r1, r2 = kernel_exponents(spec.n, spec.pq)
 
     if checkpoints is None:
-        picks = np.unique((len(times) - 1) * np.array([0.25, 0.5, 0.75, 1.0]))
-        checkpoints = [int(round(i)) for i in picks]
+        # rounded before the unique picks, and t = 0, where both sides are
+        # the same sums, left out
+        picks = np.unique(np.rint((len(times) - 1) * np.array([0.25, 0.5, 0.75, 1.0])))
+        checkpoints = [int(i) for i in picks if i > 0]
     else:
         checkpoints = [int(np.argmin(np.abs(times - tc))) for tc in checkpoints]
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from .exponents import (
     EQUALITY_TOL,
+    ExponentPair,
     Region,
     as_pair,
     check_dimension,
@@ -101,9 +102,11 @@ class SequenceTable:
 class IterationConstants:
     """Frame and seed constants with the logs the drivers read.
 
-    The nine inputs are n, p, q and the frame constants: C, K of the
-    coupled integral inequalities; Ctilde, Ktilde the nonlinearity
-    lower-bound constants; m1_0, m2_0 the damping multipliers at t = 0.
+    The eight inputs are n, the exponent pair pq ((p, q) or an
+    ``ExponentPair``, coerced by ``as_pair`` as in ``ProblemSpec``) and
+    the frame constants: C, K of the coupled integral inequalities;
+    Ctilde, Ktilde the nonlinearity lower-bound constants; m1_0, m2_0 the
+    damping multipliers at t = 0.
     None of the six is computable in closed form, so they default to 1;
     each must be positive and finite.  The five other fields are derived
     from the inputs on construction, ``dataclasses.replace`` included,
@@ -117,8 +120,7 @@ class IterationConstants:
     """
 
     n: int
-    p: float
-    q: float
+    pq: ExponentPair
     C: float = 1.0
     K: float = 1.0
     Ctilde: float = 1.0
@@ -133,9 +135,9 @@ class IterationConstants:
 
     def __post_init__(self):
         n = check_dimension(self.n)
-        pq = as_pair((self.p, self.q))
-        p, q = pq.p, pq.q
-        x = pq.product
+        object.__setattr__(self, "pq", as_pair(self.pq))
+        p, q = self.pq.p, self.pq.q
+        x = self.pq.product
         try:
             S = x / (x - 1.0) ** 2
         except OverflowError:
@@ -190,20 +192,12 @@ class IterationConstants:
             - S * log_N2
             + (x - 1.0) * log_M2
         )
-        values = dict(n=n, p=p, q=q, log_E=log_E, log_E1=log_E1, log_E2=log_E2,
+        values = dict(n=n, log_E=log_E, log_E1=log_E1, log_E2=log_E2,
                       log_Ntilde=log_Ntilde, log_Nconst=log_Nconst)
         for name, val in values.items():
             if not math.isfinite(val):
                 raise ValueError(f"exponents beyond double range: {name} = {val} at p={p}, q={q}")
             object.__setattr__(self, name, val)
-
-    @classmethod
-    def from_frame(cls, n, pq, C: float = 1.0, K: float = 1.0,
-                   Ctilde: float = 1.0, Ktilde: float = 1.0,
-                   m1_0: float = 1.0, m2_0: float = 1.0) -> "IterationConstants":
-        pq = as_pair(pq)
-        return cls(n, pq.p, pq.q, C, K, Ctilde, Ktilde, m1_0, m2_0)
-
 
 
 @dataclass(frozen=True)
@@ -432,7 +426,7 @@ def _driver_terms(family: str, consts: IterationConstants, eps: float) -> tuple:
     """(a, b) of the family's log driver a + b h at eps: h = log t for
     the subcritical families, log log t for the critical ones."""
     _check_eps(eps)
-    n, p, q = consts.n, consts.p, consts.q
+    n, p, q = consts.n, consts.pq.p, consts.pq.q
     x = p * q
     log_eps = math.log(eps)
     if family == "subcritical-v":
@@ -477,7 +471,7 @@ def threshold_time(consts: IterationConstants, eps: float) -> ThresholdTime:
     double range are returned as inf; supercritical exponents are a
     ValueError.
     """
-    data = classify(consts.n, (consts.p, consts.q))
+    data = classify(consts.n, consts.pq)
     if data.region is Region.SUPERCRITICAL:
         raise ValueError("no blow-up threshold in the supercritical region")
     if data.region is Region.SUBCRITICAL:

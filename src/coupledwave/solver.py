@@ -42,10 +42,11 @@ laplacian, the scratch of the cone cut) is bound once per buffer
 block, not once per call; the cone index moves on by a comparison or
 two per level, and the cut forms no temporary.  u_t is formed at every
 level, for |u_t|^p and the sup norms; v_t only for a sample whose
-probes read it.  ``run_batch`` advances runs that differ only in eps as rows of one
-batch, and ``run`` is its one-row case.  Each step puts each row into
-one class, once: failed, crossed, halving or on.  Halving rows go on
-together in a new batch at half the step, which runs once they have
+probes read it.  ``run_batch`` advances runs that differ only in eps
+as rows of one batch, and ``run`` is its one-row case.  A record's
+sample times are read from its sup times.  Each step puts each row
+into one class, once: failed, crossed, halving or on.  Halving rows go
+on together in a new batch at half the step, which runs once they have
 left, so a batch they empty holds no buffers meanwhile.  Each row's
 record carries the ProblemSpec it solved, so the functional readers
 take the record alone.
@@ -256,7 +257,8 @@ def radial_grid(spec: ProblemSpec) -> np.ndarray:
     light cone at t_max and a margin that the cone keeps at zero."""
     grid = spec.grid
     r_max = spec.R + grid.t_max + 10.0 * grid.dr
-    m = int(np.floor(r_max / grid.dr + 1e-9)) + 1
+    # a float count: a count past double range is refused as too large, not an OverflowError
+    m = np.floor(r_max / grid.dr + 1e-9) + 1
     return np.arange(m) * grid.dr
 
 
@@ -527,8 +529,9 @@ class _Row:
 class _Batch:
     """Rows that step together: runs that share the grid, dt, the
     damping, the cone window and the sample stride, and differ only in
-    eps.  Buffer row i is ``rows[i]``; its sup norms are ``sup[i, :s]``
-    at ``sup_times[:s]``.  ``times`` holds the shared sample times.
+    eps.  Buffer row i is ``rows[i]``; its sup norms are
+    ``sup[i, :step]`` at ``sup_times[:step]``: ``step``, the one step
+    clock, counts the sup rows written, and every stride-th is a sample.
 
     The batch owns the (field, row, point) buffers and steps them; the
     fields are u and v.  prev, cur and next (three rotating time levels),
@@ -586,7 +589,7 @@ class _Batch:
                 raise ValueError(f"probe {name!r} must be a (K, {m}) matrix, got shape {mat.shape}")
         self.reads_vt = "vt" in probes  # v_t is formed only for samples that read it
         self.specs, self.spec, self.r = specs, spec, r
-        self.t, self.dt, self.step = 0.0, dt, 0
+        self.t, self.dt = 0.0, dt
         k = self.cone()
         L = k + 2
         self.window = L
@@ -631,8 +634,7 @@ class _Batch:
         self.sup[:, 0] = init
         self.sup_times = np.empty(capacity)
         self.sup_times[0] = 0.0
-        self.s = 1
-        self.times = [0.0]
+        self.step = 1
 
         u_force, v_force = self.force
         np.abs(self.cur[1], out=u_force)
@@ -723,7 +725,7 @@ class _Batch:
                 self.window = L
                 if L > self.width:
                     self.resize(range(nb), _width(L, m))
-            s = self.s
+            s = self.step
             if s == self.sup_times.size:  # full: double it
                 self.sup, self.sup_times = self._history(range(nb))
             if views is not self.views:  # a new buffer block
@@ -771,7 +773,7 @@ class _Batch:
             peak(u_tmp, axis=1, out=u_norm)
             self.sup[:nb, s] = norms
             self.sup_times[s] = t
-            self.s = s + 1
+            self.step = s + 1
 
             failed, crossed, halving = [], [], []
             for i, (row, level) in enumerate(zip(self.rows, peak(norms, axis=1).tolist())):
@@ -783,11 +785,9 @@ class _Batch:
                 row.level = level
             for i in failed:
                 reason = f"non-finite values at t={t:.6g} before threshold crossing"
-                self._finish(records, i, s, self.times, reason=reason)
+                self._finish(records, i, s, reason=reason)
             # on the stride every row that did not fail, a crossed row off it
-            sampled = self.step % self.stride == 0
-            if sampled:
-                self.times.append(t)
+            sampled = s % self.stride == 0
             if reads_vt and (sampled or crossed):  # v_t, as u_t
                 subtract(v_next, v_prev, out=v_vel)
                 multiply(v_vel, rate, out=v_vel)
@@ -795,8 +795,7 @@ class _Batch:
             for i in [i for i in range(nb) if i not in failed] if sampled else crossed:
                 self.project(i, L)
             for i in crossed:
-                t_blowup = detect_blowup(self.sup_times[: s + 1], self.sup[i, : s + 1], threshold)
-                self._finish(records, i, s + 1, self.times if sampled else [*self.times, t], t_blowup=t_blowup)
+                self._finish(records, i, s + 1, crossed=True)
             exits = failed + crossed + halving
             if exits:
                 halved = self._halved(halving, L, b1v, b2v) if halving else None
@@ -805,7 +804,7 @@ class _Batch:
                     halved.advance(records)
             self.next_level(k)
         for i in range(len(self.rows)):
-            self._finish(records, i, self.s, self.times)
+            self._finish(records, i, self.step)
 
     def project(self, i, L):
         """Queue a sample of row i; vel holds the level's u_t, and its v_t
@@ -824,7 +823,6 @@ class _Batch:
         new = copy.copy(self)
         new.resize(rows, self.width)
         new.rows = [self.rows[i] for i in rows]
-        new.times = list(self.times)
         dt_old = self.dt
         new.dt = 0.5 * dt_old
         new.sup, new.sup_times = self._history(rows)
@@ -842,7 +840,7 @@ class _Batch:
     def _history(self, rows):
         """Copies of the sup norms of ``rows`` and of the sup times, in
         buffers of twice the steps taken."""
-        s = self.s
+        s = self.step
         sup, times = np.empty((len(rows), 2 * s, 3)), np.empty(2 * s)
         sup[:, :s] = self.sup[rows, :s]
         times[:s] = self.sup_times[:s]
@@ -860,7 +858,6 @@ class _Batch:
         self.prev_at, self.cur_at, self.next_at = self.cur_at, self.next_at, self.prev_at
         self.k_cur = k
         self.t += self.dt
-        self.step += 1
 
     def _drop(self, rows):
         """Remove ``rows`` and compact the buffers; a batch left with no
@@ -869,19 +866,25 @@ class _Batch:
         self.rows = [self.rows[i] for i in keep]
         self.resize(keep, self.width)
         if keep:
-            self.sup[: len(keep), : self.s] = self.sup[keep, : self.s]
+            self.sup[: len(keep), : self.step] = self.sup[keep, : self.step]
         else:
             self.sup, self.sup_times = self.sup[:0].copy(), self.sup_times[:0].copy()
 
-    def _finish(self, records, i, s, times, t_blowup=None, reason=""):
-        """Record row i with its first s sup rows; a row that has a
-        failure ``reason`` failed."""
+    def _finish(self, records, i, s, crossed=False, reason=""):
+        """Record row i with its first s sup rows, sampled on the stride
+        and, if it ``crossed``, at its last and crossing time; a row that
+        has a failure ``reason`` failed."""
         row = self.rows[i]
+        sup_times, sup_norms = self.sup_times[:s].copy(), self.sup[i, :s].copy()
+        times = sup_times[:: self.stride].copy()
+        if crossed and (s - 1) % self.stride:
+            times = np.append(times, sup_times[-1])
+        t_blowup = detect_blowup(sup_times, sup_norms, self.spec.grid.blowup_threshold) if crossed else None
         records[row.id] = SolutionRecord(
             spec=self.specs[row.id],
-            times=np.asarray(times),
-            sup_times=self.sup_times[:s].copy(),
-            sup_norms=self.sup[i, :s].copy(),
+            times=times,
+            sup_times=sup_times,
+            sup_norms=sup_norms,
             t_blowup=t_blowup,
             failure_reason=reason,
             halvings=tuple(row.halvings),

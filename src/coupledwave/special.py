@@ -14,10 +14,13 @@ with lam0 = LAMBDA0 = 1, and numerical checks of their pointwise bounds.
 
 Quadrature notes: the sphere integral defining Phi for n >= 2 reduces to
 int_{-1}^{1} exp(r*tau) (1-tau^2)^{(n-3)/2} dtau, handled exactly by a
-Gauss-Jacobi rule with matching endpoint weight; the lam-integrals carry
-the lam^r endpoint weight into a Gauss-Jacobi rule on [0, lam0] (plain
-Gauss-Legendre for r = 0), which keeps node-doubling self-convergence
-below 1e-8 even for fractional r.  The rules are built here with numpy
+Gauss-Jacobi rule with matching endpoint weight.  It is summed once,
+bounded, as exp(-r) Phi (_scaled_phi), which phi, log_phi and psi
+scale; past radius about 1500 the rule no longer resolves the sum's
+boundary layer at tau = 1.  The lam-integrals carry the lam^r endpoint
+weight into a Gauss-Jacobi rule on [0, lam0] (plain Gauss-Legendre for
+r = 0), which keeps node-doubling self-convergence below 1e-8 even for
+fractional r.  The rules are built here with numpy
 alone (_jacobi_rule): Golub and Welsch's eigenvalues of the tridiagonal
 Jacobi matrix (Math. Comp. 23, 1969), one Newton step on P_m^(a,b), and
 weights from P_m' at the polished nodes, scaled to the rule's total mass.
@@ -99,6 +102,8 @@ def _jacobi_rule(alpha: float, beta: float, m: int):
     # eigvalsh reads the lower triangle only
     x = np.linalg.eigvalsh(np.diag(diag) + np.diag(np.sqrt(off2), -1))
     x -= _jacobi_poly(m, a, b, x) / (0.5 * (m + a + b + 1.0) * _jacobi_poly(m - 1, a + 1.0, b + 1.0, x))
+    if not np.all(np.abs(x) < 1.0):  # a NaN fails too
+        raise ValueError(f"Gauss-Jacobi rule ({a!r}, {b!r}) has a node on an endpoint: an exponent nears -1")
     # P_m' up to its constant factor, which the normalisation removes
     dp = _jacobi_poly(m - 1, a + 1.0, b + 1.0, x)
     logw = -np.log((1.0 - x) * (1.0 + x)) - 2.0 * np.log(np.abs(dp))
@@ -176,40 +181,9 @@ def _block_sum(radius, tau, w):
     return np.exp(e, out=e) @ w
 
 
-def phi(n, radius):
-    """Eigenfunction of the Laplacian with Lap(Phi) = Phi, radial argument.
-
-    For n = 1 this is exp(r) + exp(-r); for n >= 2 it is the integral of
-    exp(omega . x) over the unit sphere, evaluated at |x| = radius.
-    Accepts scalars or arrays.
-    """
-    n = check_dimension(n)
-    r = _as_radius(radius)
-    scalar = r.ndim == 0
-    if n == 1:
-        out = np.exp(r) + np.exp(-r)
-    else:
-        a = 0.5 * (n - 3.0)
-        tau, w = _jacobi_rule(a, a, PHI_NODES)
-        out = surface_area(n - 1) * _sphere_sum(r, tau, w)
-    return float(out) if scalar else out
-
-
-def log_phi(n, radius):
-    """log(phi), computed overflow-safe for large radii."""
-    n = check_dimension(n)
-    r = _as_radius(radius)
-    scalar = r.ndim == 0
-    if n == 1:
-        out = r + np.log1p(np.exp(-2.0 * r))
-    else:
-        out = r + np.log(_scaled_phi(n, r))
-    return float(out) if scalar else out
-
-
 def _scaled_phi(n, r):
-    """exp(-r) * phi(n, r) for an array r >= 0; bounded, so it never
-    overflows."""
+    """exp(-r) * phi(n, r) for an array r >= 0: the one sphere sum, of
+    exp(r (tau - 1)) <= 1, so it never overflows."""
     if n == 1:
         return 1.0 + np.exp(-2.0 * r)
     a = 0.5 * (n - 3.0)
@@ -217,11 +191,37 @@ def _scaled_phi(n, r):
     return surface_area(n - 1) * _sphere_sum(r, tau - 1.0, w)
 
 
+def phi(n, radius):
+    """Eigenfunction of the Laplacian with Lap(Phi) = Phi, radial argument.
+
+    For n = 1 this is exp(r) + exp(-r); for n >= 2 it is the integral of
+    exp(omega . x) over the unit sphere, evaluated at |x| = radius, as
+    exp(r) * _scaled_phi.  Accepts scalars or arrays.
+    """
+    n = check_dimension(n)
+    r = _as_radius(radius)
+    out = _scaled_phi(n, r)
+    out *= np.exp(r)  # in place: no second output array of r's size
+    return float(out) if r.ndim == 0 else out
+
+
+def log_phi(n, radius):
+    """log(phi) = r + log(_scaled_phi), overflow-safe at large radii."""
+    n = check_dimension(n)
+    r = _as_radius(radius)
+    out = r + np.log(_scaled_phi(n, r))
+    return float(out) if r.ndim == 0 else out
+
+
 def psi(n, t, radius):
-    """Space-time weight exp(-t) * phi(n, radius)."""
+    """Space-time weight exp(-t) * phi(n, radius), as exp(radius - t) *
+    _scaled_phi: finite on the light cone at any t, with log_phi's
+    accuracy limit past radius about 1500."""
     if np.any(np.asarray(t) < 0):
         raise ValueError("t must be nonnegative")
-    return np.exp(-t) * phi(n, radius)
+    n = check_dimension(n)
+    r = _as_radius(radius)
+    return np.exp(r - t) * _scaled_phi(n, r)
 
 
 class DampingFamily(Enum):

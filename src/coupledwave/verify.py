@@ -300,7 +300,7 @@ def _lifespan_sweep():
 
 def _threshold_consistency():
     # the halving law T(eps / 2) = 2^(1 / max theta) T(eps), 2^6 at n = 3, p = q = 2
-    con = it.IterationConstants.from_frame(3, (2.0, 2.0))
+    con = it.IterationConstants(3, (2.0, 2.0))
     tA, tB = (it.threshold_time(con, eps) for eps in (0.4, 0.2))
     halving = abs(tB.T / tA.T - 2.0**6) / 2.0**6
     # each region's divergence driver equals 1 at its threshold time
@@ -313,7 +313,7 @@ def _threshold_consistency():
         ("critical-theta2", 3, (theta2_critical_p(3, 1.2), 1.2), {}),
         ("critical-double", 3, (c.p_mix, c.q_mix), {}),
     ):
-        consts = it.IterationConstants.from_frame(n, pq, **kw)
+        consts = it.IterationConstants(n, pq, **kw)
         drivers.append(it.divergence_driver(family, consts, 0.6, log_t=it.threshold_time(consts, 0.6).log_T))
     worst = float(np.max(np.abs(np.subtract(drivers, 1.0))))
     measured = {"halving_error": halving, "driver_deviation": worst}

@@ -539,6 +539,15 @@ def test_oversized_grid_exits_2(tmp_path, capsys):
     assert captured.err.startswith("error: Unable to allocate ")
 
 
+def test_grid_past_double_range_exits_2(tmp_path, capsys):
+    # (R + t_max + 10 dr) / dr overflows to inf: refused as too large,
+    # where int(inf) raised OverflowError with a traceback
+    assert main(["solve", "--tmax", "1e308", "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Maximum allowed size exceeded\n"
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_oversized_sweep_grid_exits_2(cpus, monkeypatch, tmp_path, capsys):
     # with two CPUs the allocation fails in a worker process

@@ -289,3 +289,26 @@ def test_fundamental_identity_pinned_residuals(monkeypatch):
     for key, (expected, _curlyU, _curlyV) in pinned.items():
         res = fn.check_fundamental_identity(records[key])
         assert res == pytest.approx(expected, rel=0.0, abs=1e-13)
+
+
+def test_identity_checkpoints_are_distinct_and_past_zero(monkeypatch):
+    # three samples: the quarters of 2 round to 0, 1, 2, 2, and the check
+    # reads samples 1 and 2 once each, not t = 0, where both sides are
+    # the same sums, nor sample 2 twice
+    spec = ProblemSpec(
+        n=3, pq=ExponentPair(2, 2), b1=DampingSpec.zero(), b2=DampingSpec.zero(),
+        R=1.0, eps=1.0, data=InitialDataFamily(k=3, amplitudes=(1, 1, 1, 1)),
+        grid=GridSpec(dr=0.01, t_max=0.0135),
+    )
+    rec = run(spec, probes=fn.probes(spec))
+    assert len(rec.times) == 3
+    seen = []
+    weights = fn._sub_trapezoid_weights
+
+    def spy(times, ci):
+        seen.append(ci)
+        return weights(times, ci)
+
+    monkeypatch.setattr(fn, "_sub_trapezoid_weights", spy)
+    fn.check_fundamental_identity(rec)
+    assert seen == [1, 2]

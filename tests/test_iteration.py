@@ -81,7 +81,7 @@ def test_coefficient_paper_floor():
     # for j >= j1 the coefficient satisfies log C_j >= (pq)^j log(N eps^p)
     n, p, q, eps = 3, 2.0, 2.0, 0.5
     x = p * q
-    consts = IterationConstants.from_frame(n, (p, q))
+    consts = IterationConstants(n, (p, q))
     tv, _ = subcritical_sequences(n, (p, q), 60, eps=eps)
     Msub = consts.C * consts.K**p * (n + 1 + (p + 2) / (x - 1)) ** (-(p + 2))
     j1 = math.ceil(math.log(Msub) / math.log(x ** (p + 2)) - 1 - 1 / (x - 1))
@@ -146,9 +146,9 @@ def test_jmax_cap():
 
 def test_iteration_constants_positive():
     for n, p, q in [(2, 1.3, 2.2), (3, 2.0, 2.0), (4, 1.5, 1.4)]:
-        con = IterationConstants.from_frame(n, (p, q), C=0.7, K=1.3,
-                                            Ctilde=0.5, Ktilde=2.0,
-                                            m1_0=0.6, m2_0=0.9)
+        con = IterationConstants(n, (p, q), C=0.7, K=1.3,
+                                 Ctilde=0.5, Ktilde=2.0,
+                                 m1_0=0.6, m2_0=0.9)
         # Nconst, Ntilde, E, E1, E2 are kept as logs: finite, so positive
         for field in ("log_Nconst", "log_Ntilde", "log_E", "log_E1", "log_E2"):
             assert math.isfinite(getattr(con, field)), field
@@ -157,27 +157,27 @@ def test_iteration_constants_positive():
 def test_iteration_constants_large_exponent_in_log_space():
     # N1 = 2^(2(p+1)) pq overflows at p = 600; its log, and E1's, do not
     # (tests/test_sympy_oracle.py pins the logs there)
-    con = IterationConstants.from_frame(3, (600.0, 2.0))
+    con = IterationConstants(3, (600.0, 2.0))
     assert math.isfinite(con.log_E1) and math.isfinite(con.log_E)
 
 
 def test_threshold_subcritical_example():
     # theta1 = 1/6 at n = 3, p = q = 2: T = 2^15 N^-3 10^6 at eps = 0.1
-    con = IterationConstants.from_frame(3, (2.0, 2.0))
+    con = IterationConstants(3, (2.0, 2.0))
     th = threshold_time(con, 0.1)
     assert th.family == "subcritical-v"
     assert th.T == pytest.approx(2.0**15 * math.exp(con.log_Nconst) ** -3 * 1e6, rel=1e-12)
 
 
 def test_threshold_halving_law():
-    con = IterationConstants.from_frame(3, (2.0, 2.0))
+    con = IterationConstants(3, (2.0, 2.0))
     tA = threshold_time(con, 0.4)
     tB = threshold_time(con, 0.2)
     assert tB.T / tA.T == pytest.approx(2.0**6, rel=1e-12)
 
 
 def test_threshold_rejects_supercritical():
-    con = IterationConstants.from_frame(3, (4.0, 4.0))
+    con = IterationConstants(3, (4.0, 4.0))
     with pytest.raises(ValueError):
         threshold_time(con, 0.5)
 
@@ -186,7 +186,7 @@ def test_threshold_uses_dominant_theta_branch():
     # theta2 > theta1 for small q and large p
     n, p, q = 2, 3.0, 1.1
     assert theta2(n, (p, q)) > theta1(n, (p, q)) > 0
-    con = IterationConstants.from_frame(n, (p, q))
+    con = IterationConstants(n, (p, q))
     th = threshold_time(con, 0.5)
     assert th.family == "subcritical-uprime"
     drv = divergence_driver(th.family, con, 0.5, log_t=th.log_T)
@@ -195,23 +195,23 @@ def test_threshold_uses_dominant_theta_branch():
 
 def test_divergence_driver_matches_thresholds_all_regions():
     cases = []
-    con = IterationConstants.from_frame(3, (2.0, 2.0), C=0.8, K=1.4,
-                                        Ctilde=0.9, Ktilde=1.1)
+    con = IterationConstants(3, (2.0, 2.0), C=0.8, K=1.4,
+                             Ctilde=0.9, Ktilde=1.1)
     cases.append(("subcritical-v", 3, (2.0, 2.0), Region.SUBCRITICAL, con))
     q1 = theta1_critical_q(3, 2.0)
     cases.append(
         ("critical-theta1", 3, (2.0, q1), Region.CRITICAL_THETA1,
-         IterationConstants.from_frame(3, (2.0, q1), C=1.2, K=0.9))
+         IterationConstants(3, (2.0, q1), C=1.2, K=0.9))
     )
     p2 = theta2_critical_p(3, 1.2)
     cases.append(
         ("critical-theta2", 3, (p2, 1.2), Region.CRITICAL_THETA2,
-         IterationConstants.from_frame(3, (p2, 1.2)))
+         IterationConstants(3, (p2, 1.2)))
     )
     c = cusp_exponents(3)
     cases.append(
         ("critical-double", 3, (c.p_mix, c.q_mix), Region.DOUBLE_CRITICAL,
-         IterationConstants.from_frame(3, (c.p_mix, c.q_mix)))
+         IterationConstants(3, (c.p_mix, c.q_mix)))
     )
     for family, n, pq, region, con in cases:
         assert classify(n, pq).region is region
@@ -223,7 +223,7 @@ def test_divergence_driver_matches_thresholds_all_regions():
 
 def test_divergence_certificate_monotone(standard_spec):
     # a driver above 1 certifies divergence of the table's family
-    con = IterationConstants.from_frame(3, (2.0, 2.0))
+    con = IterationConstants(3, (2.0, 2.0))
     tv, _ = subcritical_sequences(3, (2.0, 2.0), 10)
     th = threshold_time(con, 0.5)
     assert not divergence_driver(tv.family, con, 0.5, log_t=th.log_T - math.log(2.0)) > 1.0
@@ -286,7 +286,7 @@ def test_table_csv_digests(tmp_path):
 
 
 def test_divergence_driver_overflow_is_inf():
-    con = IterationConstants.from_frame(3, (2.0, 2.0))
+    con = IterationConstants(3, (2.0, 2.0))
     assert divergence_driver("subcritical-v", con, 0.5, log_t=1e5) == math.inf
 
 
@@ -303,7 +303,7 @@ def _critical_cases():
 
 @pytest.mark.parametrize("region, pq", _critical_cases())
 def test_threshold_critical_tiny_eps_is_inf(region, pq):
-    con = IterationConstants.from_frame(3, pq)
+    con = IterationConstants(3, pq)
     for eps in (1e-40, 1e-300):
         th = threshold_time(con, eps)
         assert th.T == math.inf
@@ -315,8 +315,8 @@ def test_threshold_critical_tiny_eps_is_inf(region, pq):
 
 def test_from_frame_tiny_constant_in_log_space():
     x = 4.0  # pq at p = q = 2
-    base = IterationConstants.from_frame(3, (2.0, 2.0))
-    con = IterationConstants.from_frame(3, (2.0, 2.0), C=1e-300)
+    base = IterationConstants(3, (2.0, 2.0))
+    con = IterationConstants(3, (2.0, 2.0), C=1e-300)
     log_c = math.log(1e-300)
     # log M and log M2 carry log C once, log M1 carries p log C
     assert con.log_E == pytest.approx(base.log_E + (x - 1.0) * log_c, rel=1e-12)
@@ -330,8 +330,8 @@ def test_subcritical_constants_stay_in_log_space():
     # Nconst by log C / (x - 1)
     n, p, q, C = 2, 3.0, 1.1, 1e-300
     x = p * q
-    base = IterationConstants.from_frame(n, (p, q))
-    con = IterationConstants.from_frame(n, (p, q), C=C)
+    base = IterationConstants(n, (p, q))
+    con = IterationConstants(n, (p, q), C=C)
     log_c = math.log(C)
     assert con.log_Ntilde == pytest.approx(
         base.log_Ntilde + q * log_c / (x - 1.0), rel=1e-12
@@ -351,16 +351,16 @@ DERIVED = ("log_E", "log_E1", "log_E2", "log_Ntilde", "log_Nconst")
 
 def test_replace_recomputes_derived_constants():
     # every derived value follows a replaced input, and none can be set
-    base = IterationConstants.from_frame(3, (2.0, 2.0))
+    base = IterationConstants(3, (2.0, 2.0))
     con = dataclasses.replace(base, C=0.5)
-    fresh = IterationConstants.from_frame(3, (2.0, 2.0), C=0.5)
+    fresh = IterationConstants(3, (2.0, 2.0), C=0.5)
     assert con == fresh and con.log_Nconst != base.log_Nconst
     for name in DERIVED:
         assert getattr(con, name) == getattr(fresh, name), name
         with pytest.raises(ValueError):
             dataclasses.replace(base, **{name: 123.0})
         with pytest.raises(TypeError):
-            IterationConstants(3, 2.0, 2.0, **{name: 123.0})
+            IterationConstants(3, (2.0, 2.0), **{name: 123.0})
     T = threshold_time(con, 0.4).T
     assert T == threshold_time(fresh, 0.4).T
 
@@ -369,15 +369,15 @@ def test_replace_recomputes_derived_constants():
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
 def test_frame_constants_positive_and_finite(name, value):
     with pytest.raises(ValueError, match=f"constant {name} "):
-        IterationConstants.from_frame(3, (2.0, 2.0), **{name: value})
+        IterationConstants(3, (2.0, 2.0), **{name: value})
     with pytest.raises(ValueError, match=f"constant {name} "):
-        dataclasses.replace(IterationConstants.from_frame(3, (2.0, 2.0)), **{name: value})
+        dataclasses.replace(IterationConstants(3, (2.0, 2.0)), **{name: value})
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
 def test_eps_must_be_positive_and_finite(eps):
     # one message from the sequences, the threshold and each driver
-    con = IterationConstants.from_frame(3, (2.0, 2.0))
+    con = IterationConstants(3, (2.0, 2.0))
     calls = [lambda: subcritical_sequences(3, (2.0, 2.0), 5, eps=eps),
              lambda: threshold_time(con, eps)]
     calls += [lambda f=f: divergence_driver(f, con, eps, log_t=1.0)
@@ -393,10 +393,10 @@ def test_overflowing_exponents_rejected():
     for pq, what in [((1e308, 2.0), "log_E = nan"), ((1e200, 1e100), r"\(pq - 1\)\^2"),
                      ((1.2e154, 1.1), "log_E1 = -inf")]:
         with pytest.raises(ValueError, match=f"exponents beyond double range: {what} at p="):
-            IterationConstants.from_frame(3, pq)
-    base = IterationConstants.from_frame(3, (2.0, 2.0))
+            IterationConstants(3, pq)
+    base = IterationConstants(3, (2.0, 2.0))
     with pytest.raises(ValueError, match="beyond double range"):
-        dataclasses.replace(base, p=1e308)
+        dataclasses.replace(base, pq=(1e308, 2.0))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

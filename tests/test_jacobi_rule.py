@@ -108,3 +108,12 @@ def test_rule_at_a_plus_b_minus_one_warns_nothing(a, b):
     node_err, weight_err = _errors(x, w, nodes, weights)
     assert node_err <= 1e-15
     assert weight_err <= 1e-12
+
+
+def test_rule_with_a_node_on_an_endpoint_is_refused():
+    # beta one ulp above -1 (the kernel exponent r2 = -1/q at n = 1, q
+    # one ulp above 1) rounds a node onto x = -1, where the weight is 1/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="has a node on an endpoint"):
+            _jacobi_rule.__wrapped__(0.0, -1.0 + 2.0**-52, KERNEL_NODES)

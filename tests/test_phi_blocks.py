@@ -1,5 +1,5 @@
-"""phi and log_phi evaluate their sphere quadrature in blocks of
-PHI_BLOCK points; the results must be bitwise those of the one-shot
+"""phi and log_phi evaluate their one sphere sum, exp(-r) phi, in blocks
+of PHI_BLOCK points; the results must be bitwise those of the one-shot
 product kept here.
 
 The comparison runs in a child process with one BLAS thread: with more
@@ -32,22 +32,23 @@ SHAPES = (
 )
 
 
-def one_shot_phi(n, radius):
-    r = np.asarray(radius, dtype=float)
+def one_shot_scaled_phi(n, r):
+    """exp(-r) * phi as one product: the one sphere sum both functions read."""
     if n == 1:
-        return np.exp(r) + np.exp(-r)
+        return 1.0 + np.exp(-2.0 * r)
     a = 0.5 * (n - 3.0)
     tau, w = _jacobi_rule(a, a, PHI_NODES)
-    return surface_area(n - 1) * (np.exp(np.multiply.outer(r, tau)) @ w)
+    return surface_area(n - 1) * (np.exp(np.multiply.outer(r, tau - 1.0)) @ w)
+
+
+def one_shot_phi(n, radius):
+    r = np.asarray(radius, dtype=float)
+    return np.exp(r) * one_shot_scaled_phi(n, r)
 
 
 def one_shot_log_phi(n, radius):
     r = np.asarray(radius, dtype=float)
-    if n == 1:
-        return r + np.log1p(np.exp(-2.0 * r))
-    a = 0.5 * (n - 3.0)
-    tau, w = _jacobi_rule(a, a, PHI_NODES)
-    return r + np.log(surface_area(n - 1) * (np.exp(np.multiply.outer(r, tau - 1.0)) @ w))
+    return r + np.log(one_shot_scaled_phi(n, r))
 
 
 def mismatches():

@@ -1,5 +1,6 @@
 """Property tests (hypothesis) of classify, threshold_time,
-detect_blowup, merge_config and the verbs that run no solver.
+detect_blowup, merge_config and the command-line verbs, those that run
+no solver and those that solve.
 
 Each property is stated from its definition, not from the code: the
 region of a pair from the signs of theta1 and theta2, the eps exponent
@@ -12,15 +13,20 @@ derandomized, so every run draws the same ones.
 import contextlib
 import copy
 import io
+import json
 import math
+import os
+import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coupledwave.cli import main
+from coupledwave import lifespan
+from coupledwave.cli import _FLAG_FIELDS, main
 from coupledwave.configio import DEFAULT_CONFIG, ConfigError, merge_config
 from coupledwave.exponents import (
     EQUALITY_TOL,
@@ -148,7 +154,7 @@ def test_threshold_eps_exponent_is_the_predicted_one(where, data, eps, consts):
     n, pq = data.draw(blowup_points(where))
     e1, e2 = eps
     assume(abs(math.log(e1 / e2)) > 0.05)
-    con = IterationConstants.from_frame(n, pq, *consts)
+    con = IterationConstants(n, pq, *consts)
     ths = [threshold_time(con, e) for e in eps]
     assume(all(math.isfinite(th.log_T) for th in ths))
     critical = isinstance(where, Region)
@@ -280,4 +286,62 @@ def test_solver_free_verbs_exit_cleanly(argv):
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) in (0, 1, 2)
+
+
+# the verbs that solve, and which of n, p, q, eps, tmax and dr each takes
+# as a flag; the others go into its --config file
+_SOLVING = {"solve": ("n", "p", "q", "eps", "tmax", "dr"), "identity": ("tmax", "dr"), "sweep": ()}
+# each value in range, or off it: a few of them off at a time, so that
+# most examples pass the configuration and many solve; a short horizon
+# and dr = R / 20, the coarsest grid a spec takes, keep a run to a few
+# hundred levels of 60 points, and a horizon from 0.05 on gives the
+# identity check the samples it needs
+_IN_RANGE = {
+    "n": st.integers(min_value=1, max_value=10),
+    "p": st.floats(min_value=1.0, max_value=1e3, exclude_min=True),
+    "q": st.floats(min_value=1.0, max_value=1e3, exclude_min=True),
+    "eps": st.floats(min_value=0.0, max_value=10.0, exclude_min=True),
+    "tmax": st.floats(min_value=0.05, max_value=3.0),
+    "dr": st.just(0.05),
+}
+_OFF = {
+    "n": st.integers(min_value=-1, max_value=0) | st.integers(min_value=11, max_value=400),
+    "p": st.floats(min_value=-1.0, max_value=1.0) | _OFF_RANGE,
+    "q": st.floats(min_value=-1.0, max_value=1.0) | _OFF_RANGE,
+    "eps": st.floats(max_value=0.0) | _OFF_RANGE,
+    "tmax": st.floats(max_value=0.0) | _OFF_RANGE,
+    "dr": st.floats(min_value=0.05, max_value=1.0, exclude_min=True) | st.floats(max_value=0.0) | _OFF_RANGE,
+}
+
+
+@st.composite
+def solving_case(draw):
+    verb = draw(st.sampled_from(sorted(_SOLVING)))
+    off = draw(st.sets(st.sampled_from(sorted(_OFF)), max_size=2))
+    values = {name: draw((_OFF if name in off else _IN_RANGE)[name]) for name in _IN_RANGE}
+    return verb, values, [name for name in _SOLVING[verb] if draw(st.booleans())]
+
+
+@settings(SETTINGS, max_examples=100)
+@given(case=solving_case())
+def test_solving_verbs_exit_cleanly(case):
+    # any n, p, q, eps, t_max and dr exits 0, 1 or 2, with no traceback
+    # and no RuntimeWarning; a sweep runs its rows in-process
+    verb, values, flags = case
+    doc = {"sweep": {"eps_values": [values["eps"]], "repeats": 1}} if verb == "sweep" else {}
+    for name, value in values.items():
+        if name not in flags:
+            section, key = _FLAG_FIELDS[name]
+            doc.setdefault(section, {})[key] = value
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            mock.patch.object(lifespan, "_available_cpus", lambda: 1), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error", RuntimeWarning)
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w") as fh:
+            json.dump(doc, fh)
+        argv = [verb, "--config", config, *(arg for name in flags for arg in (f"--{name}", str(values[name])))]
+        if verb != "identity":
+            argv += ["--out", os.path.join(tmp, "out")]
         assert main(argv) in (0, 1, 2)

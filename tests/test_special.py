@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -88,6 +89,18 @@ def test_psi_values():
     )
     with pytest.raises(ValueError):
         psi(3, -1.0, 0.0)
+
+
+def test_psi_finite_on_the_light_cone():
+    # |x| = t + R/2 past t = 710, where exp(-t) underflows and phi
+    # overflows: the n = 3 closed form exp(r - t) 2 pi (1 - exp(-2r)) / r
+    t, r = 800.0, 800.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = psi(3, t, r)
+    want = math.exp(r - t) * 2.0 * math.pi * -math.expm1(-2.0 * r) / r
+    assert math.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-11)
 
 
 def test_multiplier_families():

@@ -108,17 +108,17 @@ def _sampled_constants():
     kw = dict(C=0.8, K=1.3, Ctilde=0.7, Ktilde=1.2, m1_0=0.6, m2_0=0.9)
     points = [(3, (2.0, 2.0)), (2, (3.0, 1.1)), (3, (2.0, theta1_critical_q(3, 2.0))),
               (4, (theta2_critical_p(4, 1.3), 1.3)), (4, (cusp.p_mix, cusp.q_mix))]
-    return [IterationConstants.from_frame(dim, pq, **kw) for dim, pq in points]
+    return [IterationConstants(dim, pq, **kw) for dim, pq in points]
 
 
-@pytest.mark.parametrize("con", _sampled_constants(), ids=lambda c: f"n{c.n}-p{c.p:.4g}-q{c.q:.4g}")
+@pytest.mark.parametrize("con", _sampled_constants(), ids=lambda c: f"n{c.n}-p{c.pq.p:.4g}-q{c.pq.q:.4g}")
 @pytest.mark.parametrize("e", [0.9, 0.35, 0.05])
 def test_threshold_time_is_the_closed_form(con, e):
     th = threshold_time(con, e)
     coeff, power, closed = DRIVERS[th.family]
     logs = {sp.log(N): con.log_Nconst, sp.log(Nt): con.log_Ntilde, sp.log(E): con.log_E,
             sp.log(E1): con.log_E1, sp.log(E2): con.log_E2}
-    point = {n: con.n, p: sp.Float(con.p, 40), q: sp.Float(con.q, 40), eps: sp.Float(e, 40)}
+    point = {n: con.n, p: sp.Float(con.pq.p, 40), q: sp.Float(con.pq.q, 40), eps: sp.Float(e, 40)}
     h_T = float(_log(closed).subs(logs).evalf(40, subs=point))  # log T, or log log T
     critical = th.family.startswith("critical-")
     log_T = math.exp(h_T) if critical else h_T
@@ -148,8 +148,8 @@ def _product_constants(con):
     """Nconst, Ntilde, E, E1, E2 of ``con`` from their product
     definitions, at 40 digits, where no product leaves range."""
     n, p, q, C, K, Ct, Kt, m1, m2 = (
-        sp.Float(getattr(con, name), 40)
-        for name in ("n", "p", "q", "C", "K", "Ctilde", "Ktilde", "m1_0", "m2_0"))
+        sp.Float(value, 40)
+        for value in (con.n, con.pq.p, con.pq.q, con.C, con.K, con.Ctilde, con.Ktilde, con.m1_0, con.m2_0))
     x, two = p * q, sp.Integer(2)
     S = x / (x - 1) ** 2
     M = two ** (-q * (3 * n + 4)) * C * K**q * (x - 1) / x
@@ -168,8 +168,8 @@ def _product_constants(con):
 
 
 @pytest.mark.parametrize(
-    "con", [*_sampled_constants(), IterationConstants.from_frame(3, (600.0, 2.0))],
-    ids=lambda c: f"n{c.n}-p{c.p:.4g}-q{c.q:.4g}")
+    "con", [*_sampled_constants(), IterationConstants(3, (600.0, 2.0))],
+    ids=lambda c: f"n{c.n}-p{c.pq.p:.4g}-q{c.pq.q:.4g}")
 def test_constant_logs_are_their_product_definitions(con):
     # at p = 600, N1 = 2^1202 pq and E1 are far beyond double range
     for name, value in _product_constants(con).items():
